@@ -184,10 +184,10 @@ type Platform struct {
 	// pending tracks in-flight migrations by agent ID; the destination
 	// place removes the entry when the envelope lands, the timeout fires
 	// only if it is still present.
-	pending   map[ID]*pendingMigration
-	seq       uint64
-	bornFloor int64
-	stats     Stats
+	pending  map[ID]*pendingMigration
+	seq      uint64
+	bornBase int64 // added to the engine clock to form Born (see AdvanceBirth)
+	stats    Stats
 	// ackbuf holds the batched migration acks owed to each origin while
 	// ack aggregation (cfg.AckFlushDelay) is on; ackTimer flushes them.
 	ackbuf   map[runtime.NodeID][]MigrateAck
@@ -195,14 +195,16 @@ type Platform struct {
 	ackTimer runtime.Timer
 }
 
-// AdvanceBirth raises the minimum Born value for subsequently spawned
-// agents. Recovery calls this with a value past every timestamp the
-// durable state remembers: engines restart their clocks at zero, so
-// without the floor a reborn process could mint an ID identical to one in
-// a persisted gone set — which every replica would then refuse forever.
+// AdvanceBirth makes every subsequently spawned agent's Born at least min by
+// shifting the platform's birth clock forward; Born keeps advancing with the
+// engine clock from there, so IDs stay ordered by age. A process that
+// rebuilds a home calls it with a value past everything the previous
+// incarnation can have minted (the durable state's timestamps; the wall
+// clock on a live node): engines restart their clocks at zero, and an ID
+// minted below a watermark the peers already hold would be refused forever.
 func (p *Platform) AdvanceBirth(min int64) {
-	if min > p.bornFloor {
-		p.bornFloor = min
+	if base := min - int64(p.eng.Now()); base > p.bornBase {
+		p.bornBase = base
 	}
 }
 
@@ -342,14 +344,10 @@ func (p *Platform) Spawn(home runtime.NodeID, b Behavior) *Context {
 		panic(fmt.Sprintf("agent: spawning on unhosted node %d", home))
 	}
 	p.seq++
-	born := int64(p.eng.Now())
-	if born < p.bornFloor {
-		born = p.bornFloor
-	}
 	ctx := &Context{
 		platform: p,
 		behavior: b,
-		id:       ID{Home: home, Born: born, Seq: p.seq},
+		id:       ID{Home: home, Born: int64(p.eng.Now()) + p.bornBase, Seq: p.seq},
 		node:     home,
 	}
 	pl.addAgent(ctx)

@@ -32,9 +32,12 @@ type WireState struct {
 	Dispatched  int64
 
 	Snapshots []replica.QueueSnapshot
-	Gone      []agent.ID
-	Visited   []VisitMark
-	Floors    []replica.QueueSnapshot
+	// The Updated Agents List as a bounded summary (agent.GoneSet): per-home
+	// watermarks plus the residue of individual IDs none of them covers yet.
+	Gone    []agent.ID
+	Marks   []agent.Watermark
+	Visited []VisitMark
+	Floors  []replica.QueueSnapshot
 }
 
 // VisitMark records where (and at which snapshot position) the agent
@@ -73,7 +76,7 @@ func (a *UpdateAgent) Freeze() WireState {
 		}
 		return a.Server < b.Server
 	})
-	st.Gone = a.lt.GoneList()
+	st.Marks, st.Gone = a.lt.gone.Export()
 	for k, mark := range a.lt.visitMark {
 		st.Visited = append(st.Visited, VisitMark{Server: k.server, Shard: k.shard, Epoch: mark.epoch, Version: mark.version})
 	}
@@ -126,7 +129,7 @@ func Thaw(c *Cluster, st WireState) *UpdateAgent {
 	for _, snap := range st.Snapshots {
 		a.lt.MergeSnapshot(snap)
 	}
-	a.lt.MarkGone(st.Gone...)
+	a.lt.MergeGone(st.Marks, st.Gone)
 	for _, m := range st.Visited {
 		a.lt.visitMark[snapKey{shard: m.Shard, server: m.Server}] = visitMark{epoch: m.Epoch, version: m.Version}
 	}

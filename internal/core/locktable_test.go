@@ -269,9 +269,8 @@ func TestLockTableVisitedAndGoneList(t *testing.T) {
 		t.Fatal("Visited wrong")
 	}
 	lt.MarkGone(agentID(3), agentID(2))
-	gl := lt.GoneList()
-	if len(gl) != 2 || !gl[0].Less(gl[1]) {
-		t.Fatalf("gone list = %v", gl)
+	if gl := lt.Gone().IDs(); len(gl) != 2 || !gl[0].Less(gl[1]) {
+		t.Fatalf("gone residue = %v", gl)
 	}
 	if !lt.IsGone(agentID(3)) || lt.IsGone(agentID(4)) {
 		t.Fatal("IsGone wrong")

@@ -162,6 +162,17 @@ func (c *Cluster) registerMetrics() {
 			}
 			return out
 		})
+	// A home's watermark waits behind the oldest agent it dispatched that is
+	// not accounted for, so a lost agent shows here as a residue that only
+	// grows — at every server, since the residue spreads like the list did.
+	r.GaugeVecFunc("marp.replica.gone_residue", "Finished or dead agents each locally hosted server holds individually because no gone-set watermark covers them yet.",
+		"server", func() map[string]float64 {
+			out := make(map[string]float64, len(c.servers))
+			for id, s := range c.servers {
+				out[strconv.Itoa(int(id))] = float64(s.GoneResidue())
+			}
+			return out
+		})
 	r.CounterVecFunc("marp.shard.commits", "Committed updates per shard at a representative local replica.",
 		"shard", func() map[string]float64 {
 			out := make(map[string]float64, c.shards)

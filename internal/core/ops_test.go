@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -108,6 +109,16 @@ func TestRegistryMirrorsClusterStats(t *testing.T) {
 	for _, want := range []string{"wal", "disk", "reliable", "fabric", "agent", "replica", "shard", "health"} {
 		if !subsystems[want] {
 			t.Errorf("no metrics exported for subsystem %q (got %v)", want, subsystems)
+		}
+	}
+
+	// The gone-set residue is reported per server, as the server holds it.
+	if !snap.Has("marp.replica.gone_residue") {
+		t.Error("marp.replica.gone_residue not exported")
+	}
+	for _, id := range c.Nodes() {
+		if got, want := snap.Labeled("marp.replica.gone_residue", strconv.Itoa(int(id))), float64(len(c.Server(id).Gone())); got != want {
+			t.Errorf("marp.replica.gone_residue{server=%d} = %v, want %v", id, got, want)
 		}
 	}
 

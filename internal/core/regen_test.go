@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
+	"repro/internal/shard"
 	"repro/internal/simnet"
 )
 
@@ -186,5 +188,97 @@ func TestPartitionHealConvergesViaSync(t *testing.T) {
 	}
 	if v, ok := c.Read(4, "b"); !ok || v.Data != "2" {
 		t.Fatalf("healed minority read = %+v %v", v, ok)
+	}
+}
+
+// TestRebornAgentIsNotUnderItsHomesWatermark: a regenerated agent keeps its
+// ID, so while its respawn is pending — and while the reborn agent runs —
+// its home's gone-set watermark must wait behind it, however many later
+// agents of the same home finish meanwhile. A watermark that passed it
+// would have every server refuse the reborn agent as "gone".
+func TestRebornAgentIsNotUnderItsHomesWatermark(t *testing.T) {
+	// A long death-notice delay keeps the respawn pending while the
+	// successors work around the crashed host's migration timeouts.
+	// The successors write another shard: on the lost agent's own shard they
+	// would queue behind its stale Locking List entries until it is reborn.
+	c := newTestCluster(t, Config{N: 5, Shards: 2, RegenerateAgents: true, DeathNoticeDelay: 10 * time.Second}, simEnv{seed: 3})
+	other := "y"
+	for i := 0; shard.Of(other, 2) == shard.Of("x", 2); i++ {
+		other = fmt.Sprintf("y%d", i)
+	}
+	if err := c.Submit(1, Set("x", "first")); err != nil {
+		t.Fatal(err)
+	}
+	var lost []agent.ID
+	for id := range c.active {
+		lost = append(lost, id)
+	}
+	if len(lost) != 1 {
+		t.Fatalf("%d active agents after one submit", len(lost))
+	}
+	first := lost[0]
+	// Let it leave home, then kill the host it lands on: it is regenerated
+	// after the death-notice delay, after the next two have committed.
+	var host simnet.NodeID
+	for i := 0; i < 10000 && host == simnet.None; i++ {
+		if !c.Sim().Step() {
+			break
+		}
+		for _, id := range c.Nodes()[1:] {
+			if len(c.Platform().Place(id).Residents()) > 0 {
+				host = id
+			}
+		}
+	}
+	if host == simnet.None {
+		t.Fatal("agent never left home")
+	}
+	c.Crash(host)
+	for _, v := range []string{"second", "third"} {
+		if err := c.Submit(1, Set(other, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Engine().Wait(time.Minute, func() bool { return c.Outstanding() == 1 }); err != nil {
+		t.Fatal(err)
+	}
+	c.Settle(100 * time.Millisecond) // the second COMMIT reaches home
+	if c.Regenerated() != 0 {
+		t.Fatal("the lost agent was reborn before its successors finished; the test has no teeth")
+	}
+	home := c.Server(1)
+	if home.IsGone(first) {
+		t.Fatal("home holds the agent as gone while its respawn is pending")
+	}
+	if got := len(home.Gone()); got != 2 {
+		t.Fatalf("home's residue = %d, want the two successors waiting behind the lost agent", got)
+	}
+
+	if err := c.RunUntilDone(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	c.Settle(2 * time.Second)
+	if c.Regenerated() != 1 {
+		t.Fatalf("Regenerated = %d, want 1", c.Regenerated())
+	}
+	for _, o := range c.Outcomes() {
+		if o.Failed {
+			t.Fatalf("outcome failed: %+v", o)
+		}
+	}
+	if err := c.Referee().Err(); err != nil {
+		t.Fatal(err)
+	}
+	// With the reborn agent committed, home's next look at its ledger (its
+	// next dispatch) moves the watermark over all three.
+	if err := c.Submit(1, Set(other, "fourth")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunUntilDone(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	c.Settle(time.Second)
+	if !home.IsGone(first) || len(home.Gone()) > 1 {
+		t.Fatalf("after the reborn agent committed: gone=%v residue=%v", home.IsGone(first), home.Gone())
 	}
 }

@@ -53,14 +53,6 @@ type UpdateAgent struct {
 	retryArmed  bool   // a parked-retry timer is pending
 	parkedTicks int    // consecutive fruitless retry rounds while parked
 	lastRev     uint64 // lock-table revision at the previous retry round
-
-	// Gone-list refresh cursor: how much of goneNode's append-only gone
-	// list this agent has already merged, so repeat refreshes at the same
-	// server fetch only the suffix. Deliberately not serialized — a thawed
-	// agent simply re-reads the full list once. Zero values are safe: the
-	// cursor only applies when goneNode matches the current residence.
-	goneNode runtime.NodeID
-	goneSeen int
 }
 
 // newUpdateAgent builds an agent for a batch of requests originating at
@@ -92,7 +84,7 @@ func newUpdateAgent(c *Cluster, home runtime.NodeID, reqs []Request) *UpdateAgen
 // list it carries and the locking information it has accumulated — the cost
 // the paper trades against message rounds.
 func (a *UpdateAgent) WireSize() int {
-	n := 256 + 64*len(a.reqs) + 24*len(a.lt.gone)
+	n := 256 + 64*len(a.reqs) + agent.GoneWireSize(a.lt.gone.Marks(), a.lt.gone.IDs())
 	for _, s := range a.lt.snaps {
 		n += 48 + 24*len(s.Queue)
 	}
@@ -116,7 +108,7 @@ func (a *UpdateAgent) OnArrive(ctx *agent.Context) {
 	if !a.c.cfg.DisableInfoSharing {
 		shared = a.lt.Export()
 	}
-	info := srv.VisitAndLock(ctx.ID(), a.shards, shared, a.lt.GoneList())
+	info := srv.VisitAndLock(ctx.ID(), a.shards, shared, a.lt.Gone())
 	a.lt.MergeInfo(info, true)
 	a.phase = phaseTravelling
 	a.c.checkpoint(ctx.ID(), a)
@@ -197,19 +189,9 @@ func intersectsSorted(a, b []int) bool {
 	return false
 }
 
-// refreshLocal re-reads the co-located server's lock information. Repeat
-// refreshes at the same server use the gone-list cursor: only the suffix
-// of the server's append-only gone list is fetched and merged, which turns
-// the per-notification cost from O(total gone) into O(new gone).
+// refreshLocal re-reads the co-located server's lock information.
 func (a *UpdateAgent) refreshLocal(ctx *agent.Context) {
-	srv := a.c.Server(ctx.Node())
-	seen := 0
-	if a.goneNode == ctx.Node() {
-		seen = a.goneSeen
-	}
-	info, total := srv.RefreshInfoSince(a.shards, seen)
-	a.goneNode, a.goneSeen = ctx.Node(), total
-	a.lt.MergeInfo(info, false)
+	a.lt.MergeInfo(a.c.Server(ctx.Node()).RefreshInfo(a.shards), false)
 }
 
 func (a *UpdateAgent) removeFromUSL(node runtime.NodeID) {

@@ -90,6 +90,7 @@ func AppendWireState(b []byte, st *WireState) []byte {
 	for _, id := range st.Gone {
 		b = agent.AppendID(b, id)
 	}
+	b = agent.AppendWatermarks(b, st.Marks)
 	b = wire.AppendUvarint(b, uint64(len(st.Visited)))
 	for i := range st.Visited {
 		v := &st.Visited[i]
@@ -138,6 +139,7 @@ func DecodeWireStateInto(st *WireState, r *wire.Reader) error {
 	for i := 0; i < n; i++ {
 		st.Gone[i] = agent.DecodeID(r)
 	}
+	st.Marks = agent.DecodeWatermarksInto(st.Marks, r)
 	n = r.Count(4)
 	st.Visited = wire.Grow(st.Visited, n)
 	for i := 0; i < n; i++ {

@@ -12,7 +12,8 @@
 // Virtual time is expressed as a Time (nanoseconds since the start of the
 // simulation). Durations use the standard time.Duration so call sites read
 // naturally (sim.After(3*time.Millisecond, fn)). No wall-clock time is ever
-// consulted.
+// consulted, except by a simulator that SetPace was called on, and there it
+// decides only how long a run takes, never what happens in it.
 //
 // # Allocation behaviour
 //
@@ -105,6 +106,7 @@ type Simulator struct {
 	steps   uint64
 	maxStep uint64 // safety valve; 0 = unlimited
 	stopped bool
+	pace    *pacer // nil = as fast as the host runs
 }
 
 // New returns a simulator whose random source is seeded with seed. Two
@@ -129,6 +131,45 @@ func (s *Simulator) Steps() uint64 { return s.steps }
 // accidental livelock in protocol code into a loud test failure instead of a
 // hung test binary.
 func (s *Simulator) SetMaxSteps(n uint64) { s.maxStep = n }
+
+// paceEvery is how many events fire between two looks at the wall clock of
+// a paced simulator.
+const paceEvery = 128
+
+// pacer is a token bucket on the wall clock: one event per gap, burst of
+// them saved up.
+type pacer struct {
+	chunk time.Duration // wall time paceEvery events are allowed
+	burst time.Duration // how far behind its schedule a simulator may fall and still catch up
+	due   time.Time     // when the schedule allows the events fired so far
+}
+
+// SetPace holds the simulator to rate events per wall-clock second, after
+// burst events at the host's speed. Virtual time, event order and every
+// result are untouched: a paced run sleeps, it does not skip. Pacing makes
+// the wall time of a run a function of its event count, where an unpaced
+// run's follows the host's load.
+func (s *Simulator) SetPace(rate float64, burst int) {
+	gap := time.Duration(float64(time.Second) / rate)
+	p := &pacer{chunk: paceEvery * gap, burst: time.Duration(burst) * gap}
+	p.due = time.Now().Add(-p.burst)
+	s.pace = p
+}
+
+// wait charges paceEvery events to the schedule and sleeps off whatever the
+// simulator is ahead of it. The schedule is absolute, so a late wake-up is
+// made good by the next chunks; time spent behind it beyond the burst
+// (an idle simulator, a slow host) is forgotten.
+func (p *pacer) wait() {
+	p.due = p.due.Add(p.chunk)
+	now := time.Now()
+	switch ahead := p.due.Sub(now); {
+	case ahead > 50*time.Microsecond:
+		time.Sleep(ahead)
+	case -ahead > p.burst:
+		p.due = now.Add(-p.burst)
+	}
+}
 
 // At schedules fn to run at virtual time t. Scheduling in the past (t before
 // Now) panics: a simulated component can never affect its own past.
@@ -172,6 +213,9 @@ func (s *Simulator) Step() bool {
 	s.steps++
 	if s.maxStep != 0 && s.steps > s.maxStep {
 		panic(fmt.Sprintf("des: exceeded max steps %d at t=%v (livelock?)", s.maxStep, s.now))
+	}
+	if s.pace != nil && s.steps%paceEvery == 0 {
+		s.pace.wait()
 	}
 	fn := e.fn
 	// Release before running fn: the generation bump makes any Timer for

@@ -338,3 +338,36 @@ func BenchmarkDeepEventQueue(b *testing.B) {
 		s.Run()
 	}
 }
+
+// A paced simulator takes (events - burst) / rate of wall time and fires
+// what an unpaced one fires, in the same order at the same virtual times.
+func TestSetPaceSleepsAndChangesNothingElse(t *testing.T) {
+	run := func(paced bool) (order []int, end Time, wall time.Duration) {
+		s := New(1)
+		if paced {
+			s.SetPace(100_000, 1000)
+		}
+		for i := 0; i < 6000; i++ {
+			i := i
+			s.After(time.Duration(i%7)*time.Millisecond, func() { order = append(order, i) })
+		}
+		start := time.Now()
+		s.Run()
+		return order, s.Now(), time.Since(start)
+	}
+	free, freeEnd, _ := run(false)
+	paced, pacedEnd, wall := run(true)
+	if freeEnd != pacedEnd || len(free) != len(paced) {
+		t.Fatalf("paced run ended at %v after %d events, unpaced at %v after %d", pacedEnd, len(paced), freeEnd, len(free))
+	}
+	for i := range free {
+		if free[i] != paced[i] {
+			t.Fatalf("event %d: paced run fired %d, unpaced %d", i, paced[i], free[i])
+		}
+	}
+	// 6000 events, 1000 of them the burst, the last look at the clock at
+	// event 5888: at least 48 ms.
+	if wall < 45*time.Millisecond {
+		t.Fatalf("6000 events at 100 000/s after a burst of 1000 took %v", wall)
+	}
+}

@@ -43,6 +43,8 @@ const (
 	recRelNext   byte = 7 // reliable-delivery send-sequence high-water mark
 	recRelSeen   byte = 8 // reliable-delivery first-seen frame (dedup state)
 	recLockS     byte = 9 // locking-state snapshot of a shard > 0 (shard-prefixed)
+
+	recGoneMark byte = 10 // gone-set watermark raised (agent.Watermark)
 )
 
 // LockState is the serializable locking state of a replica: the Locking
@@ -58,12 +60,14 @@ type LockState struct {
 }
 
 // State is everything a recovering replica restores: the data store, the
-// locking state, the gone set (Updated List), and the reliable-delivery
-// endpoint state (send counter and per-sender dedup sets).
+// locking state, the gone set (Updated List: watermarks in Marks, the
+// residue no watermark covers in Gone), and the reliable-delivery endpoint
+// state (send counter and per-sender dedup sets).
 type State struct {
 	Store      store.State
 	Lock       LockState
 	Gone       []agent.ID
+	Marks      []agent.Watermark
 	RelNextSeq uint64
 	RelSeen    map[runtime.NodeID][]uint64
 	// Sharded replicas (shard-isolation invariant: every shard journals
@@ -76,10 +80,11 @@ type State struct {
 }
 
 // BirthFloor returns the largest timestamp the state remembers — agent
-// birth times in the lock and gone records, commit stamps in the store.
-// A recovering node feeds this to agent.Platform.AdvanceBirth: engines
-// restart their clocks at zero, and an agent ID minted below the floor
-// could collide with a persisted gone entry and be refused forever.
+// birth times in the lock and gone records, the positions the gone-set
+// watermarks reach, commit stamps in the store. A recovering node feeds
+// this to agent.Platform.AdvanceBirth: engines restart their clocks at
+// zero, and an agent ID minted below the floor would lie under a persisted
+// watermark (or collide with a gone entry) and be refused forever.
 func (st *State) BirthFloor() int64 {
 	var floor int64
 	bump := func(v int64) {
@@ -89,6 +94,9 @@ func (st *State) BirthFloor() int64 {
 	}
 	for _, id := range st.Gone {
 		bump(id.Born)
+	}
+	for _, w := range st.Marks {
+		bump(w.Upto.Born)
 	}
 	locks := append([]LockState{st.Lock}, st.ExtraLocks...)
 	for _, ls := range locks {
@@ -236,10 +244,10 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 			seen[from][q] = true
 		}
 	}
-	gone := make(map[agent.ID]bool, len(st.Gone))
-	for _, id := range st.Gone {
-		gone[id] = true
-	}
+	// An explicit list (a pre-watermark snapshot, or recGone records) is a
+	// valid residue; watermarks replayed after it prune what they cover.
+	var gone agent.GoneSet
+	gone.Merge(st.Marks, st.Gone)
 	for i, rec := range records {
 		var err error
 		switch rec.Type {
@@ -290,9 +298,14 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 			}
 		case recGone:
 			var id agent.ID
-			if id, err = decodeAgentID(rec.Data); err == nil && !gone[id] {
-				gone[id] = true
-				st.Gone = append(st.Gone, id)
+			if id, err = decodeAgentID(rec.Data); err == nil {
+				gone.Add(id)
+			}
+		case recGoneMark:
+			d := &decoder{b: rec.Data}
+			w := d.watermark()
+			if err = d.finish(); err == nil {
+				gone.Raise(w)
 			}
 		case recRelNext:
 			var n uint64
@@ -320,6 +333,7 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 	for i := 1; i < shards; i++ {
 		st.ExtraStores[i-1] = mems[i].State()
 	}
+	st.Gone, st.Marks = gone.IDs(), gone.Marks()
 	return st, nil
 }
 
@@ -391,6 +405,13 @@ func (j *Journal) LogLockShard(shrd int, ls LockState, barrier bool) {
 
 // LogGone journals one agent joining the gone set (the Updated List).
 func (j *Journal) LogGone(id agent.ID) { j.append(recGone, encodeAgentID(id), false) }
+
+// LogGoneMark journals a gone-set watermark being raised. Like LogGone it
+// is no barrier: losing the tail only means the replica re-learns the fact
+// from its peers.
+func (j *Journal) LogGoneMark(w agent.Watermark) {
+	j.append(recGoneMark, appendWatermark(nil, w), false)
+}
 
 // NextSeq implements the reliable layer's journal: it persists the send
 // counter every relNextStride sends, over-approximated so a restart can
@@ -518,6 +539,14 @@ func decodeAgentID(b []byte) (agent.ID, error) {
 	return id, d.finish()
 }
 
+func appendWatermark(b []byte, w agent.Watermark) []byte {
+	b = binary.AppendVarint(b, int64(w.Home))
+	b = binary.AppendVarint(b, w.Since)
+	b = binary.AppendVarint(b, w.Upto.Born)
+	b = binary.AppendUvarint(b, w.Upto.Seq)
+	return binary.AppendUvarint(b, w.Count)
+}
+
 func encodeLock(ls LockState) []byte { return appendLock(nil, ls) }
 
 func appendLock(b []byte, ls LockState) []byte {
@@ -601,8 +630,9 @@ func encodeState(st *State) []byte {
 	}
 	// Shard extension, appended only when present: the unsharded snapshot
 	// encoding is bit-for-bit the pre-sharding format, and the decoder
-	// reads the extension iff bytes remain.
-	if len(st.ExtraStores) > 0 || len(st.ExtraLocks) > 0 {
+	// reads the extension iff bytes remain. The watermark extension after
+	// it follows the same rule, so it forces an (empty) shard extension.
+	if len(st.ExtraStores) > 0 || len(st.ExtraLocks) > 0 || len(st.Marks) > 0 {
 		b = binary.AppendUvarint(b, uint64(len(st.ExtraStores)))
 		for _, ss := range st.ExtraStores {
 			b = appendStoreState(b, ss)
@@ -610,6 +640,12 @@ func encodeState(st *State) []byte {
 		b = binary.AppendUvarint(b, uint64(len(st.ExtraLocks)))
 		for _, ls := range st.ExtraLocks {
 			b = appendLock(b, ls)
+		}
+	}
+	if len(st.Marks) > 0 {
+		b = binary.AppendUvarint(b, uint64(len(st.Marks)))
+		for _, w := range st.Marks {
+			b = appendWatermark(b, w)
 		}
 	}
 	return b
@@ -636,6 +672,11 @@ func decodeState(b []byte) (*State, error) {
 		}
 		for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
 			st.ExtraLocks = append(st.ExtraLocks, d.lock())
+		}
+	}
+	if d.err == nil && len(d.b) > 0 { // watermark extension present
+		for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
+			st.Marks = append(st.Marks, d.watermark())
 		}
 	}
 	if err := d.finish(); err != nil {
@@ -705,6 +746,15 @@ func (d *decoder) agentID() agent.ID {
 		Home: runtime.NodeID(d.varint()),
 		Born: d.varint(),
 		Seq:  d.uvarint(),
+	}
+}
+
+func (d *decoder) watermark() agent.Watermark {
+	return agent.Watermark{
+		Home:  runtime.NodeID(d.varint()),
+		Since: d.varint(),
+		Upto:  agent.Mark{Born: d.varint(), Seq: d.uvarint()},
+		Count: d.uvarint(),
 	}
 }
 

@@ -336,3 +336,81 @@ func TestStateEncodingDeterministic(t *testing.T) {
 		t.Fatalf("round trip: %+v", got)
 	}
 }
+
+// TestGoneSetSurvivesAsWatermarksAndResidue: watermark advances are
+// journaled like gone records, replay prunes the residue they cover, the
+// compaction snapshot carries both parts, and BirthFloor lands above every
+// watermark so a restarted home never mints an ID under one.
+func TestGoneSetSurvivesAsWatermarksAndResidue(t *testing.T) {
+	m := disk.NewMem()
+	j, _, err := Open(m, Options{Policy: wal.PolicyAlways, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, late, other := agent.ID{Home: 1, Born: 10, Seq: 1}, agent.ID{Home: 1, Born: 30, Seq: 3}, agent.ID{Home: 2, Born: 20, Seq: 2}
+	wm := agent.Watermark{Home: 1, Since: 10, Upto: agent.After(agent.ID{Home: 1, Born: 20, Seq: 2}), Count: 2}
+	j.LogGone(early)
+	j.LogGone(late)
+	j.LogGone(other)
+	j.LogGoneMark(wm)
+	j.Kill()
+
+	check := func(label string, st *State) {
+		t.Helper()
+		if !reflect.DeepEqual(st.Marks, []agent.Watermark{wm}) {
+			t.Fatalf("%s: marks = %+v", label, st.Marks)
+		}
+		if !reflect.DeepEqual(st.Gone, []agent.ID{other, late}) {
+			t.Fatalf("%s: residue = %+v, want the two the watermark does not cover", label, st.Gone)
+		}
+		if st.BirthFloor() < late.Born {
+			t.Fatalf("%s: BirthFloor = %d", label, st.BirthFloor())
+		}
+	}
+	j2, st, err := Open(m, Options{Policy: wal.PolicyAlways, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("replayed records", st)
+	j2.AddSource(func(dst *State) { dst.Gone, dst.Marks = st.Gone, st.Marks })
+	if err := j2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	j2.Kill()
+	_, st3, err := Open(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("snapshot", st3)
+
+	// A watermark that outruns every individual record still raises the floor.
+	st3.Marks = append(st3.Marks, agent.Watermark{Home: 3, Upto: agent.Mark{Born: 999}})
+	if got := st3.BirthFloor(); got != 999 {
+		t.Fatalf("BirthFloor = %d, want the highest watermark's 999", got)
+	}
+}
+
+// TestPreWatermarkSnapshotStillDecodes: a data dir written before the gone
+// set became a summary holds an explicit list and no watermark extension;
+// it decodes, and the list is the residue.
+func TestPreWatermarkSnapshotStillDecodes(t *testing.T) {
+	old := &State{
+		Store: store.State{Log: []store.Update{upd(1)}},
+		Gone:  []agent.ID{aid(1, 1), aid(2, 2)},
+	}
+	got, err := decodeState(encodeState(old)) // no Marks: byte-identical to the old layout
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Gone, old.Gone) || got.Marks != nil {
+		t.Fatalf("gone = %+v marks = %+v", got.Gone, got.Marks)
+	}
+	sharded := &State{Gone: old.Gone, ExtraStores: []store.State{{}}, ExtraLocks: []LockState{{Epoch: 2}}}
+	if got, err = decodeState(encodeState(sharded)); err != nil || got.Marks != nil || len(got.ExtraLocks) != 1 {
+		t.Fatalf("sharded pre-watermark snapshot: %+v, %v", got, err)
+	}
+	sharded.Marks = []agent.Watermark{{Home: 1, Upto: agent.Mark{Born: 5, Seq: 1}}}
+	if got, err = decodeState(encodeState(sharded)); err != nil || len(got.Marks) != 1 || len(got.ExtraLocks) != 1 {
+		t.Fatalf("sharded snapshot with watermarks: %+v, %v", got, err)
+	}
+}

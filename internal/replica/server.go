@@ -92,11 +92,11 @@ type Server struct {
 	shards []*shardState
 
 	// Global volatile state: the epoch and the Updated List span shards
-	// (an agent is "gone" everywhere once it committed or died).
-	epoch    uint64
-	gone     map[agent.ID]bool
-	goneList []agent.ID
-	down     bool
+	// (an agent is "gone" everywhere once it committed or died). The list is
+	// kept as a bounded summary: per-home watermarks plus a residue.
+	epoch uint64
+	gone  agent.GoneSet
+	down  bool
 
 	// Pending quorum reads coordinated by this server.
 	readSeq uint64
@@ -147,7 +147,6 @@ func New(clock runtime.Clock, id runtime.NodeID, peers []runtime.NodeID, net run
 		platform: platform,
 		cfg:      cfg,
 		shards:   make([]*shardState, cfg.Shards),
-		gone:     make(map[agent.ID]bool),
 		reads:    make(map[uint64]*quorumRead),
 	}
 	if wf, ok := net.(runtime.WireFabric); ok && wf.WireDelivery() {
@@ -220,12 +219,7 @@ func (s *Server) restore(st *durable.State) {
 		}
 	}
 	s.epoch++
-	for _, id := range st.Gone {
-		if !s.gone[id] {
-			s.gone[id] = true
-			s.goneList = append(s.goneList, id)
-		}
-	}
+	s.gone.Merge(st.Marks, st.Gone)
 	for i, sd := range s.shards {
 		sd.st = store.FromState(stores[i])
 		if locks[i].LLVersion > sd.llVersion {
@@ -263,7 +257,7 @@ func (s *Server) attachJournal(j *durable.Journal) {
 				st.ExtraLocks[i-1] = s.lockState(i)
 			}
 		}
-		st.Gone = append([]agent.ID(nil), s.goneList...)
+		st.Marks, st.Gone = s.gone.Export()
 	})
 }
 
@@ -394,28 +388,63 @@ func (s *Server) setGrant(shrd int, txn agent.ID) {
 // and releasing its grants on every shard. It reports whether local state
 // changed.
 func (s *Server) markGone(id agent.ID) bool {
-	changed := false
-	if !s.gone[id] {
-		s.gone[id] = true
-		s.goneList = append(s.goneList, id)
-		if s.journal != nil {
-			s.journal.LogGone(id)
-		}
+	changed := s.gone.Add(id)
+	if changed && s.journal != nil {
+		s.journal.LogGone(id)
+	}
+	if s.release(func(e agent.ID) bool { return e == id }) {
 		changed = true
 	}
-	for shrd, sd := range s.shards {
-		lockChanged := false
-		for i, e := range sd.ll {
-			if e == id {
-				headChanged := i == 0
-				sd.ll = append(sd.ll[:i], sd.ll[i+1:]...)
-				s.bump(sd, headChanged)
-				lockChanged = true
-				break
+	return changed
+}
+
+// absorb merges a gone set received from outside — a visiting agent's, a
+// peer's sync reply — journaling every fact that changes the set, and then
+// evicts whatever the set newly covers: a watermark can name agents whose
+// COMMIT this server never saw. It reports whether that was news — an agent
+// this server did not hold as gone before now is — which a watermark over
+// nothing but entries already in the residue is not.
+func (s *Server) absorb(marks []agent.Watermark, ids []agent.ID) bool {
+	news := false
+	for _, w := range marks {
+		raised, grew := s.gone.Raise(w)
+		if raised && s.journal != nil {
+			s.journal.LogGoneMark(w)
+		}
+		news = news || grew
+	}
+	for _, id := range ids {
+		if s.gone.Add(id) {
+			news = true
+			if s.journal != nil {
+				s.journal.LogGone(id)
 			}
 		}
+	}
+	if news {
+		s.release(s.gone.Contains)
+	}
+	return news
+}
+
+// release evicts the LL entries of, and releases the grants held by, every
+// agent gone matches, on every shard. It reports whether anything was.
+func (s *Server) release(gone func(agent.ID) bool) bool {
+	changed := false
+	for shrd, sd := range s.shards {
+		lockChanged := false
+		kept := sd.ll[:0]
+		for _, e := range sd.ll {
+			if gone(e) {
+				s.bump(sd, len(kept) == 0)
+				lockChanged = true
+			} else {
+				kept = append(kept, e)
+			}
+		}
+		sd.ll = kept
 		released := false
-		if sd.grant == id {
+		if !sd.grant.IsZero() && gone(sd.grant) {
 			s.setGrant(shrd, agent.ID{})
 			released = true
 		}
@@ -425,6 +454,16 @@ func (s *Server) markGone(id agent.ID) bool {
 		}
 	}
 	return changed
+}
+
+// AdvanceWatermark raises this server's own home watermark. Only the
+// cluster hosting the home calls it, and only over agents it dispatched that
+// this server already holds as gone (DESIGN.md invariant 16): the watermark
+// tells this server nothing new, it lets the residue entries go.
+func (s *Server) AdvanceWatermark(w agent.Watermark) {
+	if raised, _ := s.gone.Raise(w); raised && s.journal != nil {
+		s.journal.LogGoneMark(w)
+	}
 }
 
 // notify raises LLChanged to resident agents: anything — including the
@@ -451,15 +490,10 @@ func (s *Server) notifyShards(shards []int) {
 // replicates, absorbs the locking information the agent carries, and
 // returns everything the agent needs to update its own data structures.
 // shards must be ascending (nil = every shard, the single-shard default).
-func (s *Server) VisitAndLock(id agent.ID, shards []int, shared []QueueSnapshot, knownGone []agent.ID) LockInfo {
+func (s *Server) VisitAndLock(id agent.ID, shards []int, shared []QueueSnapshot, known *agent.GoneSet) LockInfo {
 	// Absorb the agent's knowledge of finished/dead agents first, so a
 	// stale entry never blocks the queue.
-	goneChanged := false
-	for _, g := range knownGone {
-		if s.markGone(g) {
-			goneChanged = true
-		}
-	}
+	goneChanged := s.absorb(known.Marks(), known.IDs())
 	if !s.cfg.DisableInfoSharing {
 		for _, snap := range shared {
 			if snap.Server == s.id || snap.Shard < 0 || snap.Shard >= len(s.shards) {
@@ -477,7 +511,7 @@ func (s *Server) VisitAndLock(id agent.ID, shards []int, shared []QueueSnapshot,
 	var headShards []int
 	for _, shrd := range shards {
 		sd := s.shards[shrd]
-		if !sd.member || s.gone[id] || s.contains(sd, id) {
+		if !sd.member || s.gone.Contains(id) || s.contains(sd, id) {
 			continue
 		}
 		sd.ll = append(sd.ll, id)
@@ -517,20 +551,8 @@ func (s *Server) contains(sd *shardState, id agent.ID) bool {
 }
 
 // lockInfo assembles the LockInfo for a visiting or refreshing agent over
-// the requested shards (nil = all). The gone slice aliases the server's
-// list: goneList is append-only (entries below the capped length are never
-// rewritten, growth reallocates past the cap), so the alias stays valid
-// even in messages that outlive this call — and visits are frequent enough
-// that the old full copy was a top allocation site on the live path.
+// the requested shards (nil = all).
 func (s *Server) lockInfo(shards []int) LockInfo {
-	gone := s.goneList[:len(s.goneList):len(s.goneList)]
-	return s.lockInfoWith(shards, gone)
-}
-
-// lockInfoWith builds LockInfo around a caller-supplied gone slice — the
-// full-list path and the refresh path (a suffix the caller merges
-// synchronously) share everything else.
-func (s *Server) lockInfoWith(shards []int, gone []agent.ID) LockInfo {
 	if shards == nil {
 		shards = s.allShards()
 	}
@@ -542,7 +564,8 @@ func (s *Server) lockInfoWith(shards []int, gone []agent.ID) LockInfo {
 			s.costs[p] = s.net.Cost(s.id, p)
 		}
 	}
-	info := LockInfo{Gone: gone, Costs: s.costs}
+	info := LockInfo{Costs: s.costs}
+	info.Marks, info.Gone = s.gone.Export()
 	for _, shrd := range shards {
 		sd := s.shards[shrd]
 		if !sd.member {
@@ -570,23 +593,6 @@ func (s *Server) lockInfoWith(shards []int, gone []agent.ID) LockInfo {
 // without enqueueing anybody — used by parked agents recomputing their
 // priority after a notification.
 func (s *Server) RefreshInfo(shards []int) LockInfo { return s.lockInfo(shards) }
-
-// RefreshInfoSince is RefreshInfo for a repeat customer: a resident agent
-// that has already merged the first seen entries of this server's gone list
-// gets only the suffix (the list is append-only for the life of the Server,
-// so a valid prefix count stays valid). The returned LockInfo aliases the
-// live goneList and must be consumed before control returns to the server —
-// parked agents merge it synchronously, which is the point: the refresh
-// storm after every commit was the live path's hottest loop, and re-marking
-// hundreds of long-gone agents per resident per notification was most of it.
-// The second result is the new prefix count to remember.
-func (s *Server) RefreshInfoSince(shards []int, seen int) (LockInfo, int) {
-	total := len(s.goneList)
-	if seen < 0 || seen > total {
-		seen = 0
-	}
-	return s.lockInfoWith(shards, s.goneList[seen:total]), total
-}
 
 // Deliver implements runtime.Handler for server-bound protocol messages.
 func (s *Server) Deliver(msg runtime.Message) {
@@ -745,7 +751,7 @@ func (s *Server) handleUpdate(m *UpdateMsg) *AckMsg {
 			return nack("busy")
 		}
 	}
-	if s.gone[m.Txn] {
+	if s.gone.Contains(m.Txn) {
 		return nack("gone")
 	}
 	for _, shrd := range relevant {
@@ -920,12 +926,11 @@ func (s *Server) handleSyncRequest(m *SyncRequest) {
 		return
 	}
 	updates := s.shards[m.Shard].st.UpdatesSince(m.Since)
-	if len(updates) == 0 && len(s.goneList) == 0 {
+	reply := &SyncReply{From: s.id, Shard: m.Shard, Updates: updates}
+	reply.Marks, reply.Gone = s.gone.Export()
+	if len(updates) == 0 && len(reply.Marks) == 0 && len(reply.Gone) == 0 {
 		return
 	}
-	gone := make([]agent.ID, len(s.goneList))
-	copy(gone, s.goneList)
-	reply := &SyncReply{From: s.id, Shard: m.Shard, Updates: updates, Gone: gone}
 	s.net.Send(runtime.Message{From: s.id, To: m.From, Payload: reply, Size: reply.WireSize()})
 }
 
@@ -961,12 +966,7 @@ func (s *Server) handleSyncReply(m *SyncReply) {
 	if s.drainBacklog(m.Shard) {
 		applied = true
 	}
-	mutated := false
-	for _, g := range m.Gone {
-		if s.markGone(g) {
-			mutated = true
-		}
-	}
+	mutated := s.absorb(m.Marks, m.Gone)
 	if applied || mutated {
 		s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), "", trace.ServerSynced, "seq now %d", sd.st.LastSeq())
 		if mutated {
@@ -1057,12 +1057,25 @@ func (s *Server) Restart(j *durable.Journal, st *durable.State) {
 	s.RequestSync()
 }
 
-// Gone returns the agents this server knows to have finished or died, in
-// discovery order.
+// IsGone reports whether this server knows the agent to have finished or
+// died.
+func (s *Server) IsGone(id agent.ID) bool { return s.gone.Contains(id) }
+
+// Gone returns the residue of the server's gone set — the finished or dead
+// agents no watermark covers yet — in ascending ID order.
 func (s *Server) Gone() []agent.ID {
-	out := make([]agent.ID, len(s.goneList))
-	copy(out, s.goneList)
-	return out
+	_, ids := s.gone.Export()
+	return ids
+}
+
+// GoneResidue returns the residue's size without copying it — the ops plane
+// samples it on every scrape.
+func (s *Server) GoneResidue() int { return len(s.gone.IDs()) }
+
+// Watermarks returns the gone set's per-home watermarks.
+func (s *Server) Watermarks() []agent.Watermark {
+	marks, _ := s.gone.Export()
+	return marks
 }
 
 // Peers returns the other replica IDs, sorted.

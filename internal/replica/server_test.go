@@ -129,7 +129,7 @@ func TestKnownGoneEvictsAndBlocksEnqueue(t *testing.T) {
 	a, b := aid(1, 1), aid(2, 2)
 	s.VisitAndLock(a, nil, nil, nil)
 	s.VisitAndLock(b, nil, nil, nil)
-	info := s.VisitAndLock(aid(3, 3), nil, nil, []agent.ID{a})
+	info := s.VisitAndLock(aid(3, 3), nil, nil, goneSet(a))
 	if len(info.Locals[0].Queue) != 2 || info.Locals[0].Queue[0] != b {
 		t.Fatalf("queue after eviction = %v", info.Locals[0].Queue)
 	}
@@ -140,6 +140,82 @@ func TestKnownGoneEvictsAndBlocksEnqueue(t *testing.T) {
 			t.Fatal("gone agent re-enqueued")
 		}
 	}
+}
+
+// TestWatermarkEvictsReleasesAndStillRefuses: a watermark learnt from a
+// visiting agent does what the explicit entries it replaced did — evicts the
+// covered agents' Locking List entries (this server never saw their COMMIT),
+// releases a grant one of them held, keeps refusing to enqueue them and
+// NACKs their claims as "gone" — and is handed on to the next visitor.
+func TestWatermarkEvictsReleasesAndStillRefuses(t *testing.T) {
+	f := newFixture(t, 2, Config{})
+	s := f.servers[1]
+	a, b, c := aid(2, 1), aid(2, 2), aid(2, 3)
+	s.VisitAndLock(a, nil, nil, nil)
+	s.VisitAndLock(b, nil, nil, nil)
+	s.VisitAndLock(c, nil, nil, nil)
+	if ack := s.HandleUpdateLocal(claim(a, 1, "x")); !ack.OK {
+		t.Fatalf("head claim refused: %+v", ack)
+	}
+	known := &agent.GoneSet{}
+	known.Raise(agent.Watermark{Home: 2, Upto: agent.After(b), Count: 2}) // a and b are gone
+	info := s.VisitAndLock(aid(1, 9), nil, nil, known)
+	if q := info.Locals[0].Queue; len(q) != 2 || q[0] != c {
+		t.Fatalf("queue after the watermark = %v, want c then the visitor", q)
+	}
+	if !s.Granted().IsZero() {
+		t.Fatal("grant of a covered agent not released")
+	}
+	if len(info.Marks) != 1 || !info.Marks[0].Covers(a) || len(info.Gone) != 0 {
+		t.Fatalf("handed on marks=%+v residue=%v", info.Marks, info.Gone)
+	}
+	for _, e := range s.VisitAndLock(a, nil, nil, nil).Locals[0].Queue {
+		if e == a {
+			t.Fatal("agent under the watermark re-enqueued")
+		}
+	}
+	if ack := s.HandleUpdateLocal(claim(b, 1, "x")); ack.OK || ack.Reason != "gone" {
+		t.Fatalf("claim of an agent under the watermark: %+v", ack)
+	}
+	// An explicit entry the watermark now covers is dropped, not kept twice.
+	if s.IsGone(c) || len(s.Gone()) != 0 {
+		t.Fatalf("c gone=%v residue=%v", s.IsGone(c), s.Gone())
+	}
+}
+
+// TestWatermarkOverKnownAgentsWakesNobody: a watermark that covers only
+// agents this server already held as gone replaces their residue entries and
+// tells residents nothing, as re-delivering the explicit entries would not
+// have; one that covers an agent the server had not heard of wakes them.
+func TestWatermarkOverKnownAgentsWakesNobody(t *testing.T) {
+	f := newFixture(t, 2, Config{})
+	s := f.servers[1]
+	a, b, c := aid(2, 1), aid(2, 2), aid(2, 3)
+	s.VisitAndLock(aid(1, 8), nil, nil, goneSet(a, b)) // the head: later visitors change no head
+	stub := &stubAgent{}
+	f.platform.Spawn(1, stub)
+
+	known := &agent.GoneSet{}
+	known.Raise(agent.Watermark{Home: 2, Upto: agent.After(b), Count: 2})
+	s.VisitAndLock(aid(1, 9), nil, nil, known)
+	if stub.events != 0 {
+		t.Fatalf("a watermark over two known agents raised %d notifications", stub.events)
+	}
+	if len(s.Gone()) != 0 || !s.IsGone(a) || !s.IsGone(b) {
+		t.Fatalf("residue %v, a gone %v, b gone %v", s.Gone(), s.IsGone(a), s.IsGone(b))
+	}
+	known.Raise(agent.Watermark{Home: 2, Upto: agent.After(c), Count: 3})
+	s.VisitAndLock(aid(1, 10), nil, nil, known)
+	if stub.events == 0 || !s.IsGone(c) {
+		t.Fatalf("a watermark over an unheard-of agent: %d notifications, gone %v", stub.events, s.IsGone(c))
+	}
+}
+
+// goneSet is the gone set a visiting agent would carry, holding ids.
+func goneSet(ids ...agent.ID) *agent.GoneSet {
+	g := &agent.GoneSet{}
+	g.Merge(nil, ids)
+	return g
 }
 
 func claim(txn agent.ID, origin simnet.NodeID, keys ...string) *UpdateMsg {
@@ -433,7 +509,7 @@ func TestUpdateAckRoundTripOverNetwork(t *testing.T) {
 	recv := &msgAgent{onMsg: func(payload any) { got = payload.(*AckMsg) }}
 	ctx := f.platform.Spawn(1, recv)
 	// Claims carry the real agent ID; enqueue it at server 2 first.
-	s2.VisitAndLock(ctx.ID(), nil, nil, []agent.ID{a})
+	s2.VisitAndLock(ctx.ID(), nil, nil, goneSet(a))
 	m := claim(ctx.ID(), 1, "x")
 	f.net.Send(simnet.Message{From: 1, To: 2, Payload: m, Size: m.WireSize()})
 	f.sim.Run()

@@ -65,13 +65,14 @@ func (s QueueSnapshot) Clone() QueueSnapshot {
 
 // LockInfo is everything a server hands to a visiting agent when the agent
 // requests its locks (paper §3.2–3.3): the local LL of every shard the
-// agent asked for, the UL ("gone" agents), the server's cached views of
-// other servers' LLs on those shards, the routing table, and the data
-// version horizon.
+// agent asked for, the UL ("gone" agents, as the agent.GoneSet summary:
+// watermarks plus residue), the server's cached views of other servers' LLs
+// on those shards, the routing table, and the data version horizon.
 type LockInfo struct {
-	Locals  []QueueSnapshot // this server's LLs, ascending shard order
-	Gone    []agent.ID      // agents that finished (UL) or died — prune these everywhere
-	Remote  []QueueSnapshot // cached peer LLs, sorted by (shard, server)
+	Locals  []QueueSnapshot   // this server's LLs, ascending shard order
+	Gone    []agent.ID        // UL residue: finished or dead agents no watermark covers yet
+	Marks   []agent.Watermark // UL watermarks — prune what either names everywhere
+	Remote  []QueueSnapshot   // cached peer LLs, sorted by (shard, server)
 	Costs   map[runtime.NodeID]float64
 	LastSeq uint64 // highest committed Seq across the requested shards
 }
@@ -155,7 +156,7 @@ func (m AckMsg) WireSize() int {
 		for _, l := range m.Info.Locals {
 			queued += len(l.Queue)
 		}
-		n += 64 + 24*queued + 24*len(m.Info.Gone) + 48*len(m.Info.Remote)
+		n += 64 + 24*queued + agent.GoneWireSize(m.Info.Marks, m.Info.Gone) + 48*len(m.Info.Remote)
 	}
 	return n
 }
@@ -245,17 +246,20 @@ func (SyncRequest) Kind() string { return "sync-req" }
 func (SyncRequest) WireSize() int { return 32 }
 
 // SyncReply carries one shard's missing updates, in order, plus the
-// sender's list of finished/dead agents so the recovering replica can prune
-// stale lock information too.
+// sender's gone set (residue and watermarks) so the recovering replica can
+// prune stale lock information too.
 type SyncReply struct {
 	From    runtime.NodeID
 	Shard   int
 	Updates []store.Update
 	Gone    []agent.ID
+	Marks   []agent.Watermark
 }
 
 // Kind implements runtime.Kinder.
 func (SyncReply) Kind() string { return "sync-reply" }
 
 // WireSize returns the modelled size of the message.
-func (m SyncReply) WireSize() int { return 32 + 96*len(m.Updates) + 24*len(m.Gone) }
+func (m SyncReply) WireSize() int {
+	return 32 + 96*len(m.Updates) + agent.GoneWireSize(m.Marks, m.Gone)
+}

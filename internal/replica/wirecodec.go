@@ -80,7 +80,7 @@ func init() {
 			for _, id := range m.Gone {
 				b = agent.AppendID(b, id)
 			}
-			return b
+			return agent.AppendWatermarks(b, m.Marks)
 		},
 		func(r *wire.Reader) any {
 			m := &SyncReply{From: runtime.NodeID(r.Varint()), Shard: int(r.Varint())}
@@ -94,6 +94,7 @@ func init() {
 			for i := 0; i < n; i++ {
 				m.Gone = append(m.Gone, agent.DecodeID(r))
 			}
+			m.Marks = agent.DecodeWatermarksInto(nil, r)
 			return m
 		})
 	// LLChanged travels as a value (it is a local event, but registered for
@@ -314,6 +315,7 @@ func appendLockInfo(b []byte, li *LockInfo) []byte {
 	for _, id := range li.Gone {
 		b = agent.AppendID(b, id)
 	}
+	b = agent.AppendWatermarks(b, li.Marks)
 	b = wire.AppendUvarint(b, uint64(len(li.Remote)))
 	for i := range li.Remote {
 		b = AppendQueueSnapshot(b, &li.Remote[i])
@@ -343,6 +345,7 @@ func decodeLockInfo(r *wire.Reader) *LockInfo {
 	for i := 0; i < n; i++ {
 		li.Gone = append(li.Gone, agent.DecodeID(r))
 	}
+	li.Marks = agent.DecodeWatermarksInto(nil, r)
 	n = r.Count(6)
 	li.Remote = make([]QueueSnapshot, n)
 	for i := range li.Remote {

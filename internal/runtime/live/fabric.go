@@ -71,6 +71,7 @@ type Fabric struct {
 	group    map[runtime.NodeID]int // partition group per node; nil = healed
 	stats    runtime.NetStats
 	closed   bool
+	done     chan struct{} // closed by Close: the writers' stop signal
 	wg       sync.WaitGroup
 }
 
@@ -112,6 +113,7 @@ func NewFabricOptions(eng *Engine, self runtime.NodeID, addrs map[runtime.NodeID
 		handlers: make(map[runtime.NodeID]runtime.Handler),
 		peers:    make(map[runtime.NodeID]*peer),
 		inbound:  make(map[net.Conn]bool),
+		done:     make(chan struct{}),
 	}
 	f.wg.Add(1)
 	go f.acceptLoop()
@@ -306,20 +308,29 @@ func (f *Fabric) writeLoop(p *peer, addr string) {
 		f.stats.MessagesLost += n
 		f.mu.Unlock()
 	}
-	for fr := range p.out {
-		// Drain: take everything already queued behind fr.
-		batch = append(batch[:0], fr)
+	// The queue is never closed — a Send that already holds the peer may
+	// still be about to enqueue when Close runs — so done is what stops the
+	// loop, after one last drain of whatever was queued before the close.
+	for closing := false; !closing; {
+		batch = batch[:0]
+		select {
+		case fr := <-p.out:
+			batch = append(batch, fr)
+		case <-f.done:
+			closing = true
+		}
+		// Drain: take everything already queued behind the first frame.
 	fill:
 		for {
 			select {
-			case more, ok := <-p.out:
-				if !ok {
-					break fill
-				}
+			case more := <-p.out:
 				batch = append(batch, more)
 			default:
 				break fill
 			}
+		}
+		if len(batch) == 0 {
+			break
 		}
 		if conn == nil {
 			c, err := net.DialTimeout("tcp", addr, 2*time.Second)
@@ -507,8 +518,6 @@ func (f *Fabric) Close() {
 		return
 	}
 	f.closed = true
-	peers := f.peers
-	f.peers = make(map[runtime.NodeID]*peer)
 	conns := make([]net.Conn, 0, len(f.inbound))
 	for c := range f.inbound {
 		conns = append(conns, c)
@@ -518,8 +527,6 @@ func (f *Fabric) Close() {
 	for _, c := range conns {
 		c.Close()
 	}
-	for _, p := range peers {
-		close(p.out)
-	}
+	close(f.done)
 	f.wg.Wait()
 }

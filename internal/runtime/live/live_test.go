@@ -549,3 +549,41 @@ func TestCrossEngineEquivalencePipelined(t *testing.T) {
 		keyDigests(fullLog(des.Server(1)), true),
 		keyDigests(localLog(t, nodes[0], 1), true))
 }
+
+// TestLiveDispatchPacing pins the launch budget core.dispatchGap and
+// core.dispatchBurst put on a live home, and that nothing held back is lost:
+// of a burst of submissions at one home the first 64 leave at once and the
+// rest one per 800 µs.
+func TestLiveDispatchPacing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live cluster test uses wall-clock timeouts")
+	}
+	const burst, free, gap = 100, 64, 800 * time.Microsecond
+	nodes, _ := startLiveCluster(t, 3, core.Config{})
+	start := time.Now()
+	for i := 0; i < burst; i++ {
+		submitAt(t, nodes[0], 1, core.Set(fmt.Sprintf("burst-%d", i), "v"))
+	}
+	if err := nodes[0].Cluster.RunUntilDone(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if took, min := time.Since(start), (burst-free)*gap; took < min {
+		t.Fatalf("%d agents left one home in %v, want at least %v", burst, took, min)
+	}
+	var outs []core.Outcome
+	nodes[0].Eng.Do(func() { outs = nodes[0].Cluster.Outcomes() })
+	if len(outs) != burst {
+		t.Fatalf("%d outcomes, want %d", len(outs), burst)
+	}
+	born := make([]int64, 0, burst)
+	for _, o := range outs {
+		if o.Failed {
+			t.Fatalf("outcome failed: %+v", o)
+		}
+		born = append(born, o.Agent.Born)
+	}
+	sort.Slice(born, func(i, j int) bool { return born[i] < born[j] })
+	if spread := time.Duration(born[burst-1] - born[0]); spread < (burst-free-1)*gap {
+		t.Fatalf("births of %d agents of one home span %v, want at least %v", burst, spread, (burst-free-1)*gap)
+	}
+}

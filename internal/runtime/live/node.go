@@ -97,6 +97,12 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		eng.Close()
 		return nil, err
 	}
+	// Agent birth times on a live node are wall-clock times — the paper's
+	// "local creation time". The engine clock restarts at zero with the
+	// process, and IDs minted from it would lie under the gone-set
+	// watermarks the peers hold from this node's previous run, with or
+	// without a data dir; the wall clock is what a restart cannot rewind.
+	cl.Platform().AdvanceBirth(time.Now().UnixNano())
 	return &Node{Eng: eng, Fab: fab, Cluster: cl}, nil
 }
 

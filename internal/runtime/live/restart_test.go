@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/runtime"
 	"repro/internal/runtime/live"
@@ -104,6 +105,109 @@ func TestLiveRestartRecoversFromDisk(t *testing.T) {
 	}
 	waitConverged(t, nodes, n*perNode+3, 15*time.Second)
 
+	if _, violations := ref.report(); len(violations) > 0 {
+		t.Fatalf("shared referee saw violations: %s", violations[0])
+	}
+}
+
+// TestLiveRestartWithoutDataDir restarts a volatile replica: nothing on disk
+// tells the new process what its predecessor minted, and its engine clock
+// starts at zero again, while the peers hold a gone-set watermark for its
+// home that reaches up to the old process's last agents. Were the new
+// agents' birth times taken from the engine clock they would lie under that
+// watermark and every server would refuse them as "gone"; a live node
+// derives them from the wall clock, which a restart does not rewind.
+func TestLiveRestartWithoutDataDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live cluster test uses wall-clock timeouts")
+	}
+	const n, perNode = 3, 3
+	addrs := freeAddrs(t, n)
+	ref := newSharedReferee(n)
+	start := func(i int) *live.Node {
+		node, err := live.StartNode(live.NodeConfig{
+			Self:    runtime.NodeID(i),
+			Addrs:   addrs,
+			Seed:    int64(100 + i),
+			Cluster: core.Config{OnGrant: ref.onGrant},
+		})
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		return node
+	}
+	nodes := make([]*live.Node, n)
+	for i := 1; i <= n; i++ {
+		nodes[i-1] = start(i)
+	}
+	defer func() {
+		for _, node := range nodes {
+			node.Close()
+		}
+	}()
+	round := func(tag string) {
+		for i, node := range nodes {
+			home := runtime.NodeID(i + 1)
+			for s := 1; s <= perNode; s++ {
+				submitAt(t, node, home, core.Set(fmt.Sprintf("%s-k%d-%d", tag, home, s), "v"))
+			}
+		}
+		for i, node := range nodes {
+			if err := node.Cluster.RunUntilDone(30 * time.Second); err != nil {
+				t.Fatalf("%s: node %d: %v", tag, i+1, err)
+			}
+		}
+	}
+	round("r1")
+	round("r2") // node 3's second round carries its first round's watermark around
+	waitConverged(t, nodes, 2*n*perNode, 10*time.Second)
+
+	// The hazard is real: a peer holds a watermark for home 3.
+	var held agent.Mark
+	nodes[0].Eng.Do(func() {
+		for _, w := range nodes[0].Cluster.Server(1).Watermarks() {
+			if w.Home == 3 {
+				held = w.Upto
+			}
+		}
+	})
+	if held == (agent.Mark{}) {
+		t.Fatal("node 1 holds no watermark for home 3; the test has no teeth")
+	}
+
+	// Node 3 goes away; the survivors keep committing, which also makes
+	// their writers notice the dead connections (a frame written into one is
+	// lost without an error — with the migration ack in it, the restarted
+	// node's first agent would be re-activated as a duplicate at home).
+	nodes[2].Close()
+	for i := 0; i < 2; i++ {
+		home := runtime.NodeID(i + 1)
+		for s := 1; s <= 2; s++ {
+			submitAt(t, nodes[i], home, core.Set(fmt.Sprintf("down-k%d-%d", home, s), "v"))
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := nodes[i].Cluster.RunUntilDone(30 * time.Second); err != nil {
+			t.Fatalf("majority node %d: %v", i+1, err)
+		}
+	}
+	nodes[2] = start(3)
+
+	submitAt(t, nodes[2], 3, core.Set("r3-k3", "v"))
+	if err := nodes[2].Cluster.RunUntilDone(30 * time.Second); err != nil {
+		t.Fatalf("the restarted node's agent did not finish: %v", err)
+	}
+	var outs []core.Outcome
+	nodes[2].Eng.Do(func() { outs = nodes[2].Cluster.Outcomes() })
+	if len(outs) != 1 || outs[0].Failed {
+		t.Fatalf("outcomes after restart = %+v, want one commit", outs)
+	}
+	if !held.Before(agent.After(outs[0].Agent)) {
+		t.Fatalf("new agent %+v was born under the watermark %+v its home's old run left behind", outs[0].Agent, held)
+	}
+	// The empty replica catches up on everything it lost through the sync
+	// its first commit's sequence gap starts.
+	waitConverged(t, nodes, 2*n*perNode+4+1, 15*time.Second)
 	if _, violations := ref.report(); len(violations) > 0 {
 		t.Fatalf("shared referee saw violations: %s", violations[0])
 	}

@@ -35,8 +35,9 @@ import (
 
 // Version is the wire-format version byte carried in the live fabric's
 // connection preamble. Nodes refuse peers speaking any other version (or
-// gob) loudly instead of mis-decoding them.
-const Version = 1
+// gob) loudly instead of mis-decoding them. Version 2 added the gone-set
+// watermarks to LockInfo, SyncReply and the agent's WireState.
+const Version = 2
 
 // Preamble is what a wire-codec connection starts with: a magic that can
 // never begin a gob stream, then the format version.

@@ -31,6 +31,7 @@ func corpusMessages() []any {
 	info := &replica.LockInfo{
 		Locals:  []replica.QueueSnapshot{snap},
 		Gone:    []agent.ID{id2},
+		Marks:   []agent.Watermark{{Home: 1, Upto: agent.Mark{Born: 99, Seq: 7}, Count: 6}, {Home: 3, Since: 1000, Upto: agent.Mark{Born: 123456789, Seq: 41}, Count: 40}},
 		Remote:  []replica.QueueSnapshot{{Server: 4, Shard: 5, Epoch: 2, Version: 3, Queue: []agent.ID{id}}},
 		Costs:   map[runtime.NodeID]float64{1: 1.5, 2: 0, 4: math.Inf(1)},
 		LastSeq: 88,
@@ -64,6 +65,7 @@ func corpusMessages() []any {
 		replica.LLChanged{Server: 2},
 		replica.LLChanged{Server: 2, Shards: []int{1, 5, 63}},
 		&core.OutcomeMsg{Outcome: core.Outcome{Agent: id, Home: 3, Failed: true}},
+		&replica.SyncReply{From: 2, Shard: 5, Marks: []agent.Watermark{{Home: 2, Since: -5, Upto: agent.Mark{Born: math.MaxInt64, Seq: math.MaxUint64}, Count: math.MaxUint64}}},
 	}
 }
 
@@ -173,6 +175,10 @@ func TestCorruptInputSafety(t *testing.T) {
 		// A count of 2^60 with 3 bytes of input must be rejected before
 		// any allocation happens.
 		{"hostile count", append(wire.AppendUvarint(nil, 1<<60), 1, 2, 3), func(r *wire.Reader) { r.Count(1) }},
+		// The same for the gone-set watermark list every LockInfo, SyncReply
+		// and agent state now carries, and for one cut off mid-entry.
+		{"hostile watermark count", append(wire.AppendUvarint(nil, 1<<60), 1, 2, 3), func(r *wire.Reader) { agent.DecodeWatermarksInto(nil, r) }},
+		{"truncated watermark", []byte{1, 2, 0, 0x80}, func(r *wire.Reader) { agent.DecodeWatermarksInto(nil, r) }},
 	}
 	for _, tc := range cases {
 		r := wire.NewReader(tc.data)
@@ -340,6 +346,37 @@ func FuzzReaderPrimitives(f *testing.F) {
 	})
 }
 
+// TestWireStateCarriesWatermarks: the agent's frozen state round-trips its
+// Updated Agents List in both parts — the residue and the watermarks — and
+// a state cut anywhere inside them is rejected, never half-accepted.
+func TestWireStateCarriesWatermarks(t *testing.T) {
+	st := core.WireState{
+		Requests: []core.Request{{Key: "k", Op: core.OpSet, Arg: "v"}},
+		Gone:     []agent.ID{{Home: 2, Born: 50, Seq: 9}},
+		Marks: []agent.Watermark{
+			{Home: 1, Upto: agent.Mark{Born: 40, Seq: 3}, Count: 3},
+			{Home: 1, Since: 1000, Upto: agent.Mark{Born: 1000, Seq: 2}},
+			{Home: 3, Since: math.MinInt64, Upto: agent.Mark{Born: math.MaxInt64, Seq: math.MaxUint64}, Count: math.MaxUint64},
+		},
+	}
+	data, err := st.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := core.DecodeWireState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Marks, st.Marks) || !reflect.DeepEqual(back.Gone, st.Gone) {
+		t.Fatalf("round trip changed the gone set:\nsent %+v %+v\ngot  %+v %+v", st.Marks, st.Gone, back.Marks, back.Gone)
+	}
+	for cut := 1; cut < len(data); cut++ {
+		if _, err := core.DecodeWireState(data[:cut]); err == nil {
+			t.Fatalf("state truncated to %d of %d bytes accepted", cut, len(data))
+		}
+	}
+}
+
 // FuzzDecodeWireState exercises the agent-state decoder (magic sniff + gob
 // fallback) with corrupt input: it must reject or accept, never panic.
 func FuzzDecodeWireState(f *testing.F) {
@@ -349,6 +386,7 @@ func FuzzDecodeWireState(f *testing.F) {
 		Visits:     3,
 		Dispatched: 12345,
 		Gone:       []agent.ID{{Home: 1, Born: 9, Seq: 2}},
+		Marks:      []agent.Watermark{{Home: 2, Since: 4, Upto: agent.Mark{Born: 8, Seq: 1}, Count: 1}},
 	}
 	if data, err := st.Encode(); err == nil {
 		f.Add(data)
