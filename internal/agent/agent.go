@@ -143,8 +143,10 @@ type Config struct {
 	// OnDeparted, if non-nil, runs at the origin when a wire migration is
 	// acknowledged by the destination — the moment the origin knows its
 	// copy of the agent is dead weight and any local bookkeeping for the
-	// in-flight agent can be dropped.
-	OnDeparted func(id ID)
+	// in-flight agent can be dropped. b is the copy that left: with
+	// deferred acks the agent can be back, thawed into a new behavior,
+	// before the ack for its departure arrives.
+	OnDeparted func(id ID, b Behavior)
 	// AckFlushDelay enables migration-ack aggregation over wire fabrics: a
 	// landing is acknowledged within this much time, batched with every
 	// other ack owed the same origin, instead of in its own frame. Zero
@@ -611,7 +613,7 @@ func (p *Platform) migrateAcked(id ID, hop uint64) {
 	pm.timer.Cancel()
 	pm.ctx.state = stateDeparted
 	if p.cfg.OnDeparted != nil {
-		p.cfg.OnDeparted(id)
+		p.cfg.OnDeparted(id, pm.ctx.behavior)
 	}
 }
 

@@ -470,7 +470,7 @@ func wireRig(t *testing.T, n int, cfg Config) (*des.Simulator, *Platform, *[]ID)
 		}
 		return &wireTestAgent{}, nil
 	}
-	cfg.OnDeparted = func(id ID) { *departed = append(*departed, id) }
+	cfg.OnDeparted = func(id ID, _ Behavior) { *departed = append(*departed, id) }
 	sim := des.New(21)
 	net := wireNet{simnet.New(sim, simnet.FullMesh(n), simnet.Constant(5*time.Millisecond))}
 	p := NewPlatform(sim, net, cfg)

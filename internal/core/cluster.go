@@ -221,14 +221,26 @@ type Cluster struct {
 	groups      [][]runtime.NodeID  // replica group per shard, ascending
 	assigns     []quorum.Assignment // quorum geometry per shard
 	batches     map[runtime.NodeID]*batch
-	active      map[agent.ID]*UpdateAgent
-	checkpoints map[agent.ID]WireState
 	outcomes    []Outcome
 	done        map[agent.ID]int // agent -> index into outcomes, for dedup
 	ledgers     map[runtime.NodeID]*ledger
 	paced       bool // live fabric: launches are spaced by dispatchGap
 	outstanding int
 	regenerated int
+
+	// active and checkpoints are what loseAgent needs to account for an
+	// agent that dies HERE (fail it, or regenerate it from its checkpoint),
+	// so they hold an agent only while this process hosts it or waits for
+	// its migration to land. Who enters: launch at the home, thawWire at
+	// every node the agent arrives at over the wire, scheduleRegeneration
+	// for the reborn copy (checkpoints: every visit, claim start). Who
+	// deletes, when: finish where the agent finishes; departed when the
+	// next host acknowledges the migration (wire fabrics — a migration the
+	// timeout re-activated here first keeps its entry, the ack is ignored);
+	// intercept at the home when the outcome arrives; loseAgent when it
+	// dies here unregenerated. marp.agent.tracked reads their size.
+	active      map[agent.ID]*UpdateAgent
+	checkpoints map[agent.ID]WireState
 
 	// Ops plane (ops.go): the metric registry every subsystem reports
 	// into, plus the typed instruments hot paths observe directly.
@@ -349,6 +361,7 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 		// Wire migration (multi-process fabrics): rebuild arriving agents
 		// from their frozen protocol state. Unused over in-memory fabrics.
 		ThawWire:      c.thawWire,
+		OnDeparted:    c.departed,
 		AckFlushDelay: cfg.MigrateAckDelay,
 		AckFlushMax:   cfg.MigrateAckMax,
 		Trace:         cfg.Trace,
@@ -641,6 +654,17 @@ func (c *Cluster) thawWire(id agent.ID, state []byte) (agent.Behavior, error) {
 	ua := Thaw(c, st)
 	c.active[id] = ua
 	return ua, nil
+}
+
+// departed implements the platform's migration-acknowledged hook: the
+// agent lives at its next host now, and nothing that happens here can lose
+// it. Unless it is already back — an aggregated ack can trail the agent's
+// return — and the entry is the returned copy's.
+func (c *Cluster) departed(id agent.ID, b agent.Behavior) {
+	if ua, ok := c.active[id]; ok && agent.Behavior(ua) == b {
+		delete(c.active, id)
+		delete(c.checkpoints, id)
+	}
 }
 
 // Server returns the replica at node id.

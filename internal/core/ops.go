@@ -117,6 +117,8 @@ func (c *Cluster) registerMetrics() {
 		func() float64 { return float64(c.platform.Stats().MigrationsFailed) })
 	r.CounterFunc("marp.agent.killed", "Agents that died with a crashed host or in transit to one.",
 		func() float64 { return float64(c.platform.Stats().AgentsKilled) })
+	r.GaugeFunc("marp.agent.tracked", "Agents this process keeps a behavior or a regeneration checkpoint for; zero when idle.",
+		func() float64 { return float64(len(c.active) + len(c.checkpoints)) })
 
 	// Replica / request level.
 	r.CounterFunc("marp.replica.commits", "Client requests committed (batch members counted individually).",

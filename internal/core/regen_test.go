@@ -282,3 +282,25 @@ func TestRebornAgentIsNotUnderItsHomesWatermark(t *testing.T) {
 		t.Fatalf("after the reborn agent committed: gone=%v residue=%v", home.IsGone(first), home.Gone())
 	}
 }
+
+// TestDepartedSparesTheReturnedAgent: with deferred acks an agent can be
+// back at a node, thawed into a new UpdateAgent, before the ack for its
+// earlier departure arrives. That ack must retire the copy that left, not
+// the resident one — or a crash here would lose the agent unaccounted.
+func TestDepartedSparesTheReturnedAgent(t *testing.T) {
+	c := newTestCluster(t, Config{N: 3, RegenerateAgents: true})
+	id := agent.ID{Home: 1, Born: 1, Seq: 1}
+	left := newUpdateAgent(c.Cluster, 1, []Request{Set("k", "v")})
+	back := Thaw(c.Cluster, left.Freeze())
+	c.active[id] = back
+	c.checkpoints[id] = back.Freeze()
+
+	c.departed(id, left)
+	if c.active[id] != back || len(c.checkpoints) != 1 {
+		t.Fatal("the ack for an earlier departure dropped the agent that came back")
+	}
+	c.departed(id, back)
+	if got := c.Metrics().Value("marp.agent.tracked"); got != 0 {
+		t.Fatalf("marp.agent.tracked = %v after the resident copy departed, want 0", got)
+	}
+}

@@ -38,13 +38,13 @@ type Config struct {
 	Cluster core.Config
 }
 
-// eventRate and eventBurst pace a simulated MARP cluster against the wall
+// eventRate and eventBurst pace every simulated cluster against the wall
 // clock (des.Simulator.SetPace): after its first 4096 events a run fires
 // 100 000 a second and sleeps the rest. Like core.dispatchGap this exists
 // because of the benchmark, not the simulation, and it costs: a run of
 // n events takes at least (n-4096)/100 000 s of wall time, about what the
-// simulator managed before the gone set was bounded. bench/ reports des-hot
-// and des-churn's commits_per_s as simulated commits per wall second, and
+// simulator managed before the gone set was bounded. bench/ reports the
+// des-* workloads' commits_per_s as simulated commits per wall second, and
 // the benchmark driver refuses a change whose ten runs of a metric have
 // quartiles further apart than 25% of the PARENT's median. With the gone set
 // bounded the simulator runs seven times faster and as steadily as a
@@ -53,16 +53,27 @@ type Config struct {
 // spread, which no change that speeds the simulator up by more than about
 // 2.5x can fit inside that bound, and a change that claims a gain may not
 // edit bench/. Paced, a run's wall time is its event count, so the number
-// the benchmark prints is the pace (des-hot 8200, des-churn 3100 commits
-// per wall second), not the simulator's speed (15 000-22 000, 9000-13 000).
-// Runs of fewer than 4096 events, the optimistic tier and anything that
-// builds a des.Simulator itself are not paced. Delete both constants and
-// the SetPace call once the benchmark measures simulator speed in a way
-// that survives a speed-up (ROADMAP.md, CHANGES.md PR 14).
+// the benchmark prints is the pace (des-hot 8200, des-churn 3100,
+// des-optimistic 52 000 commits per wall second), not the simulator's speed
+// (15 000-22 000, 9000-13 000, 89 000-105 000). The optimistic tier joined
+// when it got twice as cheap per commit (CHANGES.md PR 18): before that it
+// ran below the pace and its row was the one nobody could decide. Runs of
+// fewer than 4096 events and anything that builds a des.Simulator itself
+// are not paced. Delete both constants and newSimulator (the third piece
+// of benchmark scaffolding, after core.dispatchGap and Simulator.SetPace
+// itself) once the benchmark measures simulator speed in a way that
+// survives a speed-up (ROADMAP.md item 1(b)).
 const (
 	eventRate  = 100_000
 	eventBurst = 4096
 )
+
+// newSimulator is the simulator under every cluster this package builds.
+func newSimulator(seed int64) *des.Simulator {
+	sim := des.New(seed)
+	sim.SetPace(eventRate, eventBurst)
+	return sim
+}
 
 // Cluster is a core.Cluster plus access to the concrete simulation
 // machinery underneath it. Harness and test code uses Sim()/Network() to
@@ -90,8 +101,7 @@ func New(cfg Config) (*Cluster, error) {
 	if lat == nil {
 		lat = simnet.LAN()
 	}
-	sim := des.New(cfg.Seed)
-	sim.SetPace(eventRate, eventBurst)
+	sim := newSimulator(cfg.Seed)
 	net := simnet.New(sim, topo, lat)
 	if cfg.Faults != nil {
 		net.SetFaults(cfg.Faults)

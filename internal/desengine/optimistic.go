@@ -54,7 +54,7 @@ func NewOptimistic(cfg OptConfig) (*OptCluster, error) {
 	if lat == nil {
 		lat = simnet.LAN()
 	}
-	sim := des.New(cfg.Seed)
+	sim := newSimulator(cfg.Seed)
 	net := simnet.New(sim, topo, lat)
 	if cfg.Faults != nil {
 		net.SetFaults(cfg.Faults)

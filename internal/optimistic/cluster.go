@@ -49,14 +49,19 @@ type Cluster struct {
 
 	backends map[runtime.NodeID]disk.Backend
 
-	registry *metrics.Registry
-	mSubmits *metrics.Counter
-	mAgents  *metrics.Counter
-	mHops    *metrics.Counter
-	mLag     *metrics.Histogram
+	registry   *metrics.Registry
+	mSubmits   *metrics.Counter
+	mAgents    *metrics.Counter
+	mHops      *metrics.Counter
+	mCarried   *metrics.Counter
+	mRedundant *metrics.Counter
+	mLag       *metrics.Histogram
 
-	outcomes map[string]*Outcome
-	order    []string // TxnIDs in submit order
+	outcomes []Outcome      // in submit order
+	byTxn    map[string]int // TxnID -> index into outcomes
+	stable   int            // outcomes with StableAt set
+	aborted  int            // outcomes with Aborted set
+	sizeBuf  []byte         // send's scratch: an agent's size is its encoding's length
 	closed   bool
 }
 
@@ -81,7 +86,7 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 		nodes:    local,
 		reps:     make(map[runtime.NodeID]*replica, len(local)),
 		backends: make(map[runtime.NodeID]disk.Backend),
-		outcomes: make(map[string]*Outcome),
+		byTxn:    make(map[string]int),
 	}
 	c.initMetrics()
 	for _, id := range local {
@@ -155,42 +160,25 @@ func (c *Cluster) snapshotState(rep *replica) *durable.OptState {
 	st := &durable.OptState{}
 	for s := 0; s < c.cfg.Shards; s++ {
 		for _, u := range rep.st[s].StableLog() {
-			// Constraint metadata is gone from meta once promoted; recover
-			// it from the history (same TxnID, same action).
-			a := rep.histAction(s, u.TxnID)
+			a := rep.staged(s, u.TxnID)
 			st.Stable = append(st.Stable, durable.OptRecord{U: u, Guard: a.Guard, Deps: a.Deps})
 		}
 		for _, u := range rep.st[s].Overlay() {
-			st.Overlay = append(st.Overlay, recordOf(rep.meta[s][u.TxnID]))
+			st.Overlay = append(st.Overlay, recordOf(rep.staged(s, u.TxnID)))
 		}
 	}
 	for s := 0; s < c.cfg.Shards; s++ {
 		for o := range rep.hist[s] {
-			for _, a := range rep.hist[s][o] {
-				txn := a.TxnID()
-				if rep.isDecidedAborted(s, txn) {
+			for i := range rep.hist[s][o] {
+				// Elected and lost: delivered, but in neither tier.
+				a := &rep.hist[s][o][i]
+				if txn := a.TxnID(); !rep.st[s].InOverlay(txn) && !rep.st[s].InStable(txn) {
 					st.Aborted = append(st.Aborted, recordOf(a))
 				}
 			}
 		}
 	}
 	return st
-}
-
-// histAction finds txn in shard s's history (it must be there: everything
-// staged was delivered).
-func (r *replica) histAction(s int, txn string) Action {
-	origin, _, oseq, err := ParseTxnID(txn)
-	if err != nil || int(origin) > len(r.hist[s]) || oseq == 0 || oseq > uint64(len(r.hist[s][origin-1])) {
-		panic(fmt.Sprintf("optimistic: node %d: no history for %s", r.id, txn))
-	}
-	return r.hist[s][origin-1][oseq-1]
-}
-
-// isDecidedAborted reports whether txn was elected and lost: delivered
-// (in history) but neither tentative nor stable.
-func (r *replica) isDecidedAborted(s int, txn string) bool {
-	return !r.st[s].InOverlay(txn) && !r.st[s].InStable(txn)
 }
 
 // --- client surface -----------------------------------------------------
@@ -217,11 +205,11 @@ func (c *Cluster) SubmitCAS(home runtime.NodeID, key, data, guard string) (strin
 	}
 	txn := a.TxnID()
 	c.mSubmits.Inc()
-	c.outcomes[txn] = &Outcome{
+	c.byTxn[txn] = len(c.outcomes)
+	c.outcomes = append(c.outcomes, Outcome{
 		Txn: txn, Key: key, Origin: home, Shard: a.Shard,
 		SubmittedAt: submitted, TentativeAt: c.eng.Now(),
-	}
-	c.order = append(c.order, txn)
+	})
 	rep.tryPromote() // N=1 degenerates to immediate stability
 	return txn, nil
 }
@@ -245,35 +233,44 @@ func (c *Cluster) Read(home runtime.NodeID, key string, tentative bool) (store.V
 	return v, ok, nil
 }
 
-func (c *Cluster) noteStable(at runtime.NodeID, txn string, now runtime.Time) {
-	o := c.outcomes[txn]
-	if o == nil || o.Origin != at || o.StableAt != 0 || o.Aborted {
-		return
+// undecided returns txn's outcome if it was submitted here, at node at, and
+// is still tentative.
+func (c *Cluster) undecided(at runtime.NodeID, txn string) *Outcome {
+	if i, ok := c.byTxn[txn]; ok {
+		if o := &c.outcomes[i]; o.Origin == at && o.StableAt == 0 && !o.Aborted {
+			return o
+		}
 	}
-	o.StableAt = now
-	c.mLag.Observe(now.Sub(o.SubmittedAt).Seconds())
+	return nil
+}
+
+func (c *Cluster) noteStable(at runtime.NodeID, txn string, now runtime.Time) {
+	if o := c.undecided(at, txn); o != nil {
+		o.StableAt = now
+		c.stable++
+		c.mLag.Observe(now.Sub(o.SubmittedAt).Seconds())
+	}
 }
 
 func (c *Cluster) noteAborted(at runtime.NodeID, txn string) {
-	o := c.outcomes[txn]
-	if o == nil || o.Origin != at || o.StableAt != 0 || o.Aborted {
-		return
+	if o := c.undecided(at, txn); o != nil {
+		o.Aborted = true
+		c.aborted++
 	}
-	o.Aborted = true
 }
 
 // Outcomes returns every locally submitted action's lifecycle in submit
 // order.
-func (c *Cluster) Outcomes() []Outcome {
-	out := make([]Outcome, 0, len(c.order))
-	for _, txn := range c.order {
-		out = append(out, *c.outcomes[txn])
-	}
-	return out
-}
+func (c *Cluster) Outcomes() []Outcome { return append([]Outcome(nil), c.outcomes...) }
 
 // Submitted returns how many actions this cluster accepted locally.
-func (c *Cluster) Submitted() uint64 { return uint64(len(c.order)) }
+func (c *Cluster) Submitted() uint64 { return uint64(len(c.outcomes)) }
+
+// OutcomeCounts tallies Outcomes without copying them: stable at their
+// origin, aborted there, still tentative.
+func (c *Cluster) OutcomeCounts() (stable, aborted, pending int) {
+	return c.stable, c.aborted, len(c.outcomes) - c.stable - c.aborted
+}
 
 // --- run control --------------------------------------------------------
 
@@ -421,24 +418,24 @@ func (c *Cluster) StableDigest(id runtime.NodeID) (string, int, error) {
 // legitimately diverge until elected).
 func (c *Cluster) CheckConvergence() error {
 	for s := 0; s < c.cfg.Shards; s++ {
-		var ref []store.Update
+		var ref *store.Staged
 		var refNode runtime.NodeID
 		for _, id := range c.nodes {
 			rep := c.reps[id]
 			if rep.down {
 				continue
 			}
-			log := rep.st[s].StableLog()
+			st := rep.st[s]
 			if ref == nil {
-				ref, refNode = log, id
+				ref, refNode = st, id
 				continue
 			}
-			if len(log) != len(ref) {
-				return fmt.Errorf("optimistic: shard %d: node %d has %d stable, node %d has %d", s, id, len(log), refNode, len(ref))
+			if st.StableLen() != ref.StableLen() {
+				return fmt.Errorf("optimistic: shard %d: node %d has %d stable, node %d has %d", s, id, st.StableLen(), refNode, ref.StableLen())
 			}
-			for i := range log {
-				if log[i] != ref[i] {
-					return fmt.Errorf("optimistic: shard %d: node %d stable[%d] = %+v, node %d has %+v", s, id, i, log[i], refNode, ref[i])
+			for i := 0; i < st.StableLen(); i++ {
+				if st.StableAt(i) != ref.StableAt(i) {
+					return fmt.Errorf("optimistic: shard %d: node %d stable[%d] = %+v, node %d has %+v", s, id, i, st.StableAt(i), refNode, ref.StableAt(i))
 				}
 			}
 		}
@@ -530,6 +527,8 @@ func (c *Cluster) initMetrics() {
 	c.mSubmits = r.Counter("marp.opt.submitted", "Actions submitted (tentatively committed) at locally hosted replicas.")
 	c.mAgents = r.Counter("marp.opt.gossip_agents", "Reconciliation agents launched by locally hosted replicas.")
 	c.mHops = r.Counter("marp.opt.gossip_hops", "Reconciliation-agent hops hosted by locally hosted replicas.")
+	c.mCarried = r.Counter("marp.opt.actions_carried", "Actions in the cargo of the reconciliation agents hosted here.")
+	c.mRedundant = r.Counter("marp.opt.actions_redundant", "Carried actions the host already held and dropped.")
 	c.mLag = r.Histogram("marp.opt.stability_lag",
 		"Submit-to-stable latency of locally submitted actions, at their origin (seconds).", stabilityBuckets)
 }
@@ -609,5 +608,6 @@ func foldShardDigests(sts []*store.Staged) (string, int) {
 }
 
 func (c *Cluster) send(from, to runtime.NodeID, ag *Recon) {
-	c.fab.Send(runtime.Message{From: from, To: to, Payload: ag, Size: ag.WireSize()})
+	c.sizeBuf = appendRecon(c.sizeBuf[:0], ag)
+	c.fab.Send(runtime.Message{From: from, To: to, Payload: ag, Size: len(c.sizeBuf)})
 }

@@ -44,9 +44,9 @@
 //
 // A tentative update that arrives with a stamp ordering it before
 // already-staged tentative updates displaces them: their tentative
-// executions roll back and re-execute against the new order (the
-// `marp.opt.rollbacks` instrument). And stability lags the tentative
-// commit by the gossip round-trip needed to collect evidence from every
+// executions are void under the new order (`marp.opt.rollbacks` counts
+// them; reads scan the overlay, so nothing re-runs). Stability lags the
+// tentative commit by the gossip round-trip that collects evidence from every
 // origin (`marp.opt.stability_lag`): a partitioned or crashed origin
 // freezes the bound — tentative commits continue everywhere, but nothing
 // promotes until it returns. That is the protocol's availability trade,
@@ -67,6 +67,7 @@ package optimistic
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/disk"
@@ -80,7 +81,8 @@ import (
 const GuardUnwritten = "!unwritten"
 
 // Action is one tentative update plus the constraints the reconciliation
-// agents carry for it.
+// agents carry for it. An action is immutable once built: the history that
+// holds it, the agents that carry it and the journal all share it.
 type Action struct {
 	Origin runtime.NodeID
 	OSeq   uint64 // per-(origin, shard) contiguous counter, 1-based
@@ -97,26 +99,71 @@ type Action struct {
 	// submitted. The candidate order provably schedules every dep first;
 	// accept asserts it.
 	Deps []string
+
+	// txn is the TxnID, built once where the action enters the process
+	// (submit, wire decode, journal replay). Derived: never on the wire.
+	txn string
 }
 
-// TxnID returns the action's globally unique transaction ID. The encoding
-// is zero-padded so that the string order of IDs equals the numeric
-// (origin, oseq) order within a shard — the election's tie-break relies on
-// it (store.StagedLess).
-func (a Action) TxnID() string { return OptTxnID(a.Origin, a.Shard, a.OSeq) }
+// A TxnID is "oNNN-sNNN-NNNNNNNNN", zero-padded so that the string order of
+// IDs equals the numeric (origin, oseq) order within a shard — the
+// election's tie-break relies on it (store.StagedLess).
+const (
+	txnIDLen    = 19
+	maxTxnField = 999         // origin and shard: three digits
+	maxTxnOSeq  = 999_999_999 // nine digits
+)
 
-// OptTxnID builds the canonical optimistic transaction ID.
-func OptTxnID(origin runtime.NodeID, shrd int, oseq uint64) string {
-	return fmt.Sprintf("o%03d-s%03d-%09d", origin, shrd, oseq)
-}
-
-// ParseTxnID decodes a canonical optimistic transaction ID.
-func ParseTxnID(txn string) (origin runtime.NodeID, shrd int, oseq uint64, err error) {
-	var o, s int
-	if _, err = fmt.Sscanf(txn, "o%03d-s%03d-%09d", &o, &s, &oseq); err != nil {
-		return 0, 0, 0, fmt.Errorf("optimistic: bad txn id %q: %w", txn, err)
+// TxnID returns the action's globally unique transaction ID (formatted on
+// the spot for a bare literal, which has none built).
+func (a Action) TxnID() string {
+	if a.txn == "" {
+		return OptTxnID(a.Origin, a.Shard, a.OSeq)
 	}
-	return runtime.NodeID(o), s, oseq, nil
+	return a.txn
+}
+
+// identified returns a with its TxnID built and cached.
+func (a Action) identified() Action {
+	a.txn = OptTxnID(a.Origin, a.Shard, a.OSeq)
+	return a
+}
+
+// OptTxnID builds the canonical optimistic transaction ID. Values wider
+// than the padding (no cluster Config accepts has them) still get a unique
+// ID, which ParseTxnID refuses.
+func OptTxnID(origin runtime.NodeID, shrd int, oseq uint64) string {
+	if origin < 0 || origin > maxTxnField || shrd < 0 || shrd > maxTxnField || oseq > maxTxnOSeq {
+		return fmt.Sprintf("o%03d-s%03d-%09d", origin, shrd, oseq)
+	}
+	b := [txnIDLen]byte{0: 'o', 4: '-', 5: 's', 9: '-'}
+	putDigits(b[1:4], uint64(origin))
+	putDigits(b[6:9], uint64(shrd))
+	putDigits(b[10:], oseq)
+	return string(b[:])
+}
+
+func putDigits(b []byte, v uint64) {
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = byte('0' + v%10)
+		v /= 10
+	}
+}
+
+// ParseTxnID decodes a canonical optimistic transaction ID, and only that:
+// ParseTxnID(x) succeeds exactly when OptTxnID of its results is x, so no
+// two strings name one action.
+func ParseTxnID(txn string) (origin runtime.NodeID, shrd int, oseq uint64, err error) {
+	if len(txn) == txnIDLen && txn[0] == 'o' && txn[4] == '-' && txn[5] == 's' && txn[9] == '-' {
+		// ParseUint takes digits only: no sign, no space, no underscore.
+		o, err1 := strconv.ParseUint(txn[1:4], 10, 64)
+		s, err2 := strconv.ParseUint(txn[6:9], 10, 64)
+		q, err3 := strconv.ParseUint(txn[10:], 10, 64)
+		if err1 == nil && err2 == nil && err3 == nil {
+			return runtime.NodeID(o), int(s), q, nil
+		}
+	}
+	return 0, 0, 0, fmt.Errorf("optimistic: bad txn id %q", txn)
 }
 
 // Update converts the action to its store representation (Seq is assigned
@@ -152,12 +199,17 @@ type KnowEntry struct {
 // is dropped idempotently and under-delivery is healed by the next round,
 // so a lost agent only delays convergence.
 type Recon struct {
-	From  runtime.NodeID   // launching replica
-	Seq   uint64           // launch counter at From (diagnostics)
-	Hops  []runtime.NodeID // itinerary, visited in order
-	Hop   int              // index of the hop this migration targets
-	Know  []KnowEntry
-	Carry []Action
+	From runtime.NodeID   // launching replica
+	Seq  uint64           // launch counter at From (diagnostics)
+	Hops []runtime.NodeID // itinerary, visited in order
+	Hop  int              // index of the hop this migration targets
+	Know []KnowEntry
+	// Carry is the cargo, in packing order, as runs of consecutive actions
+	// of one (shard, origin): each run IS a segment of the packing host's
+	// history, shared like Know entries, never copied (see replica.hist for
+	// why that is safe). On the wire the runs are one flat list, and a
+	// decoded agent holds one run.
+	Carry [][]Action
 }
 
 // Kind implements runtime.Kinder for per-kind traffic accounting.
@@ -221,6 +273,9 @@ type Config struct {
 func (c *Config) fill() error {
 	if c.N < 1 {
 		return fmt.Errorf("optimistic: config needs N >= 1, got %d", c.N)
+	}
+	if c.N > maxTxnField || c.Shards > maxTxnField {
+		return fmt.Errorf("optimistic: N=%d, Shards=%d: a TxnID has three digits for each", c.N, c.Shards)
 	}
 	if c.Shards < 1 {
 		c.Shards = 1

@@ -6,7 +6,11 @@ package optimistic_test
 // crash-recovery safety property behind DESIGN.md invariant 15.
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -141,7 +145,13 @@ func TestCASGuardElectsOneWinner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s, a, p := cl.OutcomeCounts(); s != 0 || a != 0 || p != 2 {
+		t.Fatalf("OutcomeCounts before any election = %d stable, %d aborted, %d pending; want 0, 0, 2", s, a, p)
+	}
 	drain(t, cl)
+	if s, a, p := cl.OutcomeCounts(); s != 1 || a != 1 || p != 0 {
+		t.Fatalf("OutcomeCounts = %d stable, %d aborted, %d pending; want 1, 1, 0", s, a, p)
+	}
 	var winner, loser optimistic.Outcome
 	for _, o := range cl.Outcomes() {
 		switch {
@@ -308,28 +318,182 @@ func roundTrip(t *testing.T, ag *optimistic.Recon) *optimistic.Recon {
 	return got
 }
 
-// TestReconWireRoundTrip: the reconciliation agent survives its wire codec
-// byte-exactly (the live fabric migrates it as encoded state).
-func TestReconWireRoundTrip(t *testing.T) {
-	// Covered via the cluster path too, but the codec deserves a direct
-	// check with every field populated.
-	ag := &optimistic.Recon{
+// wireFields flattens an agent's cargo into the actions as the wire states
+// them: the runs are an in-memory grouping and the cached identity is
+// derived, so neither takes part in a field-by-field comparison.
+func wireFields(ag *optimistic.Recon) []optimistic.Action {
+	var out []optimistic.Action
+	for _, run := range ag.Carry {
+		for _, a := range run {
+			out = append(out, optimistic.Action{
+				Origin: a.Origin, OSeq: a.OSeq, Shard: a.Shard, Stamp: a.Stamp,
+				Key: a.Key, Data: a.Data, Guard: a.Guard, Deps: a.Deps,
+			})
+		}
+	}
+	return out
+}
+
+// sameOnWire fails unless got carries every wire field of want.
+func sameOnWire(t *testing.T, got, want *optimistic.Recon) {
+	t.Helper()
+	g, w := *got, *want
+	g.Carry, w.Carry = nil, nil
+	if fmt.Sprintf("%+v", g) != fmt.Sprintf("%+v", w) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", g, w)
+	}
+	ga, wa := wireFields(got), wireFields(want)
+	if fmt.Sprintf("%+v", ga) != fmt.Sprintf("%+v", wa) {
+		t.Fatalf("cargo mismatch:\n got %+v\nwant %+v", ga, wa)
+	}
+	for _, run := range got.Carry {
+		for _, a := range run {
+			if want := optimistic.OptTxnID(a.Origin, a.Shard, a.OSeq); a.TxnID() != want {
+				t.Fatalf("decoded action is %s, want %s", a.TxnID(), want)
+			}
+		}
+	}
+}
+
+func testAgent() *optimistic.Recon {
+	return &optimistic.Recon{
 		From: 2, Seq: 7,
 		Hops: []runtime.NodeID{3, 1}, Hop: 1,
 		Know: []optimistic.KnowEntry{
 			{Node: 2, Clock: 42, Counts: []uint64{3, 0}, Have: [][]uint64{{1, 2, 3}, {0, 0, 1}}},
 			{Node: 1, Clock: 40, Counts: []uint64{1, 1}, Have: [][]uint64{{1, 0, 0}, {1, 0, 0}}},
 		},
-		Carry: []optimistic.Action{
-			{Origin: 2, OSeq: 3, Shard: 0, Stamp: 41, Key: "k", Data: "v", Guard: optimistic.GuardUnwritten, Deps: []string{"o001-s000-000000001"}},
-			{Origin: 1, OSeq: 1, Shard: 1, Stamp: 2, Key: "q", Data: ""},
+		Carry: [][]optimistic.Action{
+			{
+				{Origin: 2, OSeq: 3, Shard: 0, Stamp: 41, Key: "k", Data: "v", Guard: optimistic.GuardUnwritten, Deps: []string{"o001-s000-000000001"}},
+				{Origin: 2, OSeq: 4, Shard: 0, Stamp: 43, Key: "k", Data: "w", Deps: []string{"o001-s000-000000001", "o002-s000-000000003"}},
+			},
+			{{Origin: 1, OSeq: 1, Shard: 1, Stamp: 2, Key: "q", Data: ""}},
 		},
 	}
-	if ag.WireSize() <= 0 {
-		t.Fatal("WireSize not positive")
+}
+
+// TestReconWireRoundTrip: the reconciliation agent survives its wire codec
+// byte-exactly (the live fabric migrates it as encoded state).
+func TestReconWireRoundTrip(t *testing.T) {
+	// Covered via the cluster path too, but the codec deserves a direct
+	// check with every field populated.
+	ag := testAgent()
+	buf, err := wire.AppendMessage(nil, ag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ag.WireSize() != len(buf)-1 { // AppendMessage adds the one-byte tag
+		t.Fatalf("WireSize = %d, encoding is %d bytes", ag.WireSize(), len(buf)-1)
 	}
 	got := roundTrip(t, ag)
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", ag) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, ag)
+	sameOnWire(t, got, ag)
+	if len(got.Carry) != 1 {
+		t.Fatalf("decoded cargo in %d runs, want the wire's one flat list", len(got.Carry))
+	}
+	again, err := wire.AppendMessage(nil, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, buf) {
+		t.Fatal("re-encoding the decoded agent changed its bytes")
+	}
+}
+
+// TestReconGobRoundTrip: the legacy gob fabric ships the agent inside an
+// interface-typed frame; the cargo must arrive whatever its in-memory form
+// (gob alone would drop the unexported identity and knows nothing of runs).
+func TestReconGobRoundTrip(t *testing.T) {
+	type frame struct{ Payload any }
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&frame{Payload: testAgent()}); err != nil {
+		t.Fatalf("gob encode: %v", err)
+	}
+	var fr frame
+	if err := gob.NewDecoder(&buf).Decode(&fr); err != nil {
+		t.Fatalf("gob decode: %v", err)
+	}
+	got, ok := fr.Payload.(*optimistic.Recon)
+	if !ok {
+		t.Fatalf("decoded %T, want *optimistic.Recon", fr.Payload)
+	}
+	sameOnWire(t, got, testAgent())
+	var bad optimistic.Recon
+	if err := bad.GobDecode([]byte{0x02}); err == nil {
+		t.Fatal("truncated gob payload decoded without error")
+	}
+}
+
+// TestJournalGoldenBytes: what a replica journals is part of the on-disk
+// format, and the representation of an action in memory is not. A fixed run
+// — plain writes, same-key dependencies, a CAS race with losers, once as
+// bare records and once with a snapshot every 16 — must leave every node's
+// journal files byte-identical to what the code before the representation
+// change (PR 18's parent) wrote: the hashes below were taken there.
+func TestJournalGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		compactEvery int
+		want         [3]string
+	}{
+		{"records", -1, [3]string{"4a48f976c6a3b2e377e19b7b", "703a8290cbd697ed1b945a3a", "997c72b566639b0a43d5e90b"}},
+		{"snapshots", 16, [3]string{"36d4a7a9708a0fddcc9a3f9b", "36d4a7a9708a0fddcc9a3f9b", "36d4a7a9708a0fddcc9a3f9b"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			disks := map[runtime.NodeID]*disk.Mem{}
+			cl, err := desengine.NewOptimistic(desengine.OptConfig{Seed: 18, Cluster: optimistic.Config{
+				N: 3, Shards: 2, GossipInterval: 20 * time.Millisecond,
+				Durability: &optimistic.DurabilityConfig{
+					Backend: func(id runtime.NodeID) disk.Backend {
+						disks[id] = disk.NewMem()
+						return disks[id]
+					},
+					CompactEvery: tc.compactEvery,
+				},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 24; i++ {
+				home := runtime.NodeID(i%3 + 1)
+				if i%6 == 5 {
+					_, err = cl.SubmitCAS(home, "lock", fmt.Sprint("owner-", i), optimistic.GuardUnwritten)
+				} else {
+					_, err = cl.Submit(home, fmt.Sprint("k", i%4), fmt.Sprint("v", i))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%8 == 7 {
+					cl.Settle(35 * time.Millisecond)
+				}
+			}
+			drain(t, cl)
+			if cl.Metrics().Value("marp.opt.aborts") == 0 || cl.Metrics().Value("marp.opt.rollbacks") == 0 {
+				t.Fatal("the run has no CAS loser or no out-of-order arrival to journal")
+			}
+			if err := cl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for id := runtime.NodeID(1); id <= 3; id++ {
+				names, err := disks[id].List()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sort.Strings(names)
+				h := sha256.New()
+				for _, name := range names {
+					data, err := disks[id].ReadFile(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(h, "%s %d\n", name, len(data))
+					h.Write(data)
+				}
+				if got := fmt.Sprintf("%x", h.Sum(nil)[:12]); got != tc.want[id-1] {
+					t.Errorf("node %d: journal files %v hash to %s, want %s", id, names, got, tc.want[id-1])
+				}
+			}
+		})
 	}
 }

@@ -21,13 +21,15 @@ type replica struct {
 	clock int64    // Lamport clock; stamps submits, merges on receive
 	oseq  []uint64 // per shard: own actions issued (contiguous, 1-based)
 
-	st   []*store.Staged     // per shard: the two-tier store
-	meta []map[string]Action // per shard: TxnID -> action, while tentative
+	st []*store.Staged // per shard: the two-tier store
 
 	// hist[s][o-1] is the contiguously delivered prefix of origin o's
 	// actions on shard s, in OSeq order — simultaneously the delivery
 	// counter (its length), the evidence behind the stability frontier,
-	// and the source agents carry from. Append-only between crashes.
+	// the only copy of each action's constraints (held finds it by the
+	// (origin, oseq) a TxnID encodes) and the cargo itself: pickCarry hands
+	// out segments. Hence append-only between crashes, no entry ever
+	// written twice, and restore installs fresh slices, never edits these.
 	hist [][][]Action
 	// hold[s][o] parks out-of-order arrivals until the gap fills.
 	hold []map[runtime.NodeID]map[uint64]Action
@@ -61,13 +63,11 @@ func (r *replica) resetVolatile() {
 	r.clock = 0
 	r.oseq = make([]uint64, sh)
 	r.st = make([]*store.Staged, sh)
-	r.meta = make([]map[string]Action, sh)
 	r.hist = make([][][]Action, sh)
 	r.hold = make([]map[runtime.NodeID]map[uint64]Action, sh)
 	r.satisfied = make([][]int64, sh)
 	for s := 0; s < sh; s++ {
 		r.st[s] = store.NewStaged()
-		r.meta[s] = make(map[string]Action)
 		r.hist[s] = make([][]Action, n)
 		r.hold[s] = make(map[runtime.NodeID]map[uint64]Action)
 		r.satisfied[s] = make([]int64, n)
@@ -75,12 +75,12 @@ func (r *replica) resetVolatile() {
 	r.know = make(map[runtime.NodeID]KnowEntry)
 }
 
-func recordOf(a Action) durable.OptRecord {
+func recordOf(a *Action) durable.OptRecord {
 	return durable.OptRecord{U: a.Update(), Guard: a.Guard, Deps: a.Deps}
 }
 
 // actionOf reverses recordOf: the identity fields come back out of the
-// canonical TxnID encoding.
+// canonical TxnID encoding, and the journal's string is the identity.
 func actionOf(rec durable.OptRecord) (Action, error) {
 	origin, s, oseq, err := ParseTxnID(rec.U.TxnID)
 	if err != nil {
@@ -89,7 +89,29 @@ func actionOf(rec durable.OptRecord) (Action, error) {
 	return Action{
 		Origin: origin, OSeq: oseq, Shard: s, Stamp: rec.U.Stamp,
 		Key: rec.U.Key, Data: rec.U.Data, Guard: rec.Guard, Deps: rec.Deps,
+		txn: rec.U.TxnID,
 	}, nil
+}
+
+// held returns the delivered action txn names on shard s; nil if it is not
+// delivered here (or txn is no canonical ID).
+func (r *replica) held(s int, txn string) *Action {
+	origin, shrd, oseq, err := ParseTxnID(txn)
+	if err != nil || shrd != s || origin < 1 || int(origin) > len(r.hist[s]) ||
+		oseq == 0 || oseq > uint64(len(r.hist[s][origin-1])) {
+		return nil
+	}
+	return &r.hist[s][origin-1][oseq-1]
+}
+
+// staged is held for a TxnID the store handed back: everything staged was
+// delivered, so a miss is a bug.
+func (r *replica) staged(s int, txn string) *Action {
+	a := r.held(s, txn)
+	if a == nil {
+		panic(fmt.Sprintf("optimistic: node %d: no history for %s", r.id, txn))
+	}
+	return a
 }
 
 // submit commits a new action tentatively: stamp it, stage it, journal it
@@ -100,30 +122,29 @@ func (r *replica) submit(key, data, guard string) (Action, error) {
 		return Action{}, fmt.Errorf("optimistic: node %d is down", r.id)
 	}
 	s := shard.Of(key, r.c.cfg.Shards)
-	// The notAfter edges: every same-key tentative this replica has staged
-	// must order before the new action, which Lamport stamping guarantees.
-	var deps []string
-	for _, u := range r.st[s].Overlay() {
-		if u.Key == key {
-			deps = append(deps, u.TxnID)
-		}
+	if r.oseq[s] >= maxTxnOSeq {
+		return Action{}, fmt.Errorf("optimistic: node %d shard %d: out of action sequence numbers", r.id, s)
 	}
 	r.clock++
 	r.oseq[s]++
+	// The notAfter edges: every same-key tentative this replica has staged
+	// must order before the new action, which Lamport stamping guarantees.
 	a := Action{
 		Origin: r.id, OSeq: r.oseq[s], Shard: s, Stamp: r.clock,
-		Key: key, Data: data, Guard: guard, Deps: deps,
-	}
-	r.accept(a)
+		Key: key, Data: data, Guard: guard, Deps: r.st[s].TentativeWriters(key),
+	}.identified()
+	r.accept(&a)
 	return a, nil
 }
 
 // deliver ingests a foreign action, enforcing contiguous per-(shard,
 // origin) delivery: duplicates drop, gaps park in the holdback until the
 // missing OSeq arrives. Contiguity is what makes the delivery counters
-// valid stability evidence.
-func (r *replica) deliver(a Action) {
+// valid stability evidence. a is the agent's (under simulation, the packing
+// host's history's): read it, copy what is kept.
+func (r *replica) deliver(a *Action) {
 	if a.Origin == r.id {
+		r.c.mRedundant.Inc()
 		return // own actions are never re-learned from peers
 	}
 	if a.Shard < 0 || a.Shard >= r.c.cfg.Shards || a.Origin < 1 || int(a.Origin) > r.c.cfg.N {
@@ -133,6 +154,7 @@ func (r *replica) deliver(a Action) {
 	have := uint64(len(r.hist[s][o]))
 	switch {
 	case a.OSeq <= have:
+		r.c.mRedundant.Inc()
 		return
 	case a.OSeq > have+1:
 		hb := r.hold[s][a.Origin]
@@ -140,7 +162,7 @@ func (r *replica) deliver(a Action) {
 			hb = make(map[uint64]Action)
 			r.hold[s][a.Origin] = hb
 		}
-		hb[a.OSeq] = a
+		hb[a.OSeq] = *a
 		return
 	}
 	r.accept(a)
@@ -152,7 +174,7 @@ func (r *replica) deliver(a Action) {
 			return
 		}
 		delete(hb, next)
-		r.accept(na)
+		r.accept(&na)
 	}
 }
 
@@ -160,26 +182,25 @@ func (r *replica) deliver(a Action) {
 // insertion, journal. Own actions journal behind the advertisement barrier
 // (see durable.OptJournal.Tentative); foreign ones are re-fetchable and
 // need no barrier.
-func (r *replica) accept(a Action) {
+func (r *replica) accept(a *Action) {
 	s := a.Shard
 	if a.Stamp > r.clock {
 		r.clock = a.Stamp
 	}
-	// Debug assert on the constraint graph: every notAfter edge must sort
-	// strictly before the action in the candidate order. Lamport stamping
-	// makes this a theorem; a violation is a protocol bug, and under
-	// simulation the panic is the oracle.
+	// Debug assert on the constraint graph: every notAfter edge this
+	// replica has delivered must sort strictly before the action in the
+	// candidate order. Lamport stamping makes this a theorem; a violation
+	// is a protocol bug, and under simulation the panic is the oracle.
 	au := a.Update()
 	for _, dep := range a.Deps {
-		if da, ok := r.meta[s][dep]; ok && !store.StagedLess(da.Update(), au) {
-			panic(fmt.Sprintf("optimistic: node %d: %s carries notAfter dep %s that does not precede it", r.id, a.TxnID(), dep))
+		if da := r.held(s, dep); da != nil && !store.StagedLess(da.Update(), au) {
+			panic(fmt.Sprintf("optimistic: node %d: %s carries notAfter dep %s that does not precede it", r.id, au.TxnID, dep))
 		}
 	}
-	r.hist[s][a.Origin-1] = append(r.hist[s][a.Origin-1], a)
+	r.hist[s][a.Origin-1] = append(r.hist[s][a.Origin-1], *a)
 	if _, err := r.st[s].Stage(au); err != nil {
 		panic(fmt.Sprintf("optimistic: node %d: %v", r.id, err))
 	}
-	r.meta[s][au.TxnID] = a
 	if r.journal != nil {
 		r.journal.Tentative(recordOf(a), a.Origin == r.id)
 	}
@@ -219,7 +240,7 @@ func (r *replica) bound(s int) int64 {
 // the stable state and the batch order are.
 func (r *replica) guardFn(s int) func(store.Update) bool {
 	return func(u store.Update) bool {
-		switch g := r.meta[s][u.TxnID].Guard; g {
+		switch g := r.staged(s, u.TxnID).Guard; g {
 		case "":
 			return true
 		case GuardUnwritten:
@@ -242,18 +263,16 @@ func (r *replica) tryPromote() {
 		}
 		promoted, aborted := r.st[s].PromoteUpTo(b, r.guardFn(s))
 		for _, u := range promoted {
-			a := r.meta[s][u.TxnID]
 			if r.journal != nil {
+				a := r.staged(s, u.TxnID)
 				r.journal.Stable(durable.OptRecord{U: u, Guard: a.Guard, Deps: a.Deps})
 			}
-			delete(r.meta[s], u.TxnID)
 			r.c.noteStable(r.id, u.TxnID, now)
 		}
 		for _, u := range aborted {
 			if r.journal != nil {
 				r.journal.Abort(u.TxnID)
 			}
-			delete(r.meta[s], u.TxnID)
 			r.aborted++
 			r.c.noteAborted(r.id, u.TxnID)
 		}
@@ -304,9 +323,12 @@ func (r *replica) knowSnapshot() []KnowEntry {
 // reported). A node's own actions are never carried back to it — it holds
 // them durably by the submit barrier. Estimates can be stale both ways:
 // over-delivery is dropped idempotently, under-delivery heals next round.
-func (r *replica) pickCarry(to runtime.NodeID) []Action {
+// The cargo is the history's own segments, capacity cut to length so that
+// nobody can append into the history.
+func (r *replica) pickCarry(to runtime.NodeID) [][]Action {
 	est, known := r.know[to]
-	var carry []Action
+	var carry [][]Action
+	room := r.c.cfg.MaxCarry
 	for s := 0; s < r.c.cfg.Shards; s++ {
 		for o := 0; o < r.c.cfg.N; o++ {
 			if runtime.NodeID(o+1) == to {
@@ -317,11 +339,16 @@ func (r *replica) pickCarry(to runtime.NodeID) []Action {
 				from = est.Have[s][o]
 			}
 			list := r.hist[s][o]
-			for q := from; q < uint64(len(list)); q++ {
-				if len(carry) >= r.c.cfg.MaxCarry {
-					return carry
-				}
-				carry = append(carry, list[q])
+			if from >= uint64(len(list)) {
+				continue
+			}
+			end := min(len(list), int(from)+room)
+			if carry == nil {
+				carry = make([][]Action, 0, r.c.cfg.N-1)
+			}
+			carry = append(carry, list[from:end:end])
+			if room -= end - int(from); room == 0 {
+				return carry
 			}
 		}
 	}
@@ -363,8 +390,11 @@ func (r *replica) onRecon(ag *Recon) {
 			r.clock = e.Clock // Lamport merge: future submits stamp above
 		}
 	}
-	for _, a := range ag.Carry {
-		r.deliver(a)
+	for _, run := range ag.Carry {
+		r.c.mCarried.Add(uint64(len(run)))
+		for i := range run {
+			r.deliver(&run[i])
+		}
 	}
 	r.tryPromote()
 	r.c.mHops.Inc()
@@ -441,7 +471,6 @@ func (r *replica) restore(st *durable.OptState) error {
 		if _, err := r.st[a.Shard].Stage(a.Update()); err != nil {
 			return fmt.Errorf("optimistic: node %d: %w", r.id, err)
 		}
-		r.meta[a.Shard][a.TxnID()] = a
 	}
 	for _, rec := range st.Aborted {
 		if _, err := note(rec); err != nil {

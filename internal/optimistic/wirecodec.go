@@ -17,7 +17,7 @@ func init() {
 	runtime.RegisterWireType(&Recon{})
 }
 
-func appendAction(b []byte, a Action) []byte {
+func appendAction(b []byte, a *Action) []byte {
 	b = wire.AppendVarint(b, int64(a.Origin))
 	b = wire.AppendUvarint(b, a.OSeq)
 	b = wire.AppendVarint(b, int64(a.Shard))
@@ -48,7 +48,7 @@ func decodeAction(r *wire.Reader) Action {
 			a.Deps = append(a.Deps, r.String())
 		}
 	}
-	return a
+	return a.identified()
 }
 
 func appendKnow(b []byte, e KnowEntry) []byte {
@@ -102,9 +102,15 @@ func appendRecon(b []byte, m *Recon) []byte {
 	for _, e := range m.Know {
 		b = appendKnow(b, e)
 	}
-	b = wire.AppendUvarint(b, uint64(len(m.Carry)))
-	for _, a := range m.Carry {
-		b = appendAction(b, a)
+	n := 0
+	for _, run := range m.Carry {
+		n += len(run)
+	}
+	b = wire.AppendUvarint(b, uint64(n))
+	for _, run := range m.Carry {
+		for i := range run {
+			b = appendAction(b, &run[i])
+		}
 	}
 	return b
 }
@@ -127,10 +133,22 @@ func decRecon(r *wire.Reader) any {
 		}
 	}
 	if n := r.Count(1); n > 0 {
-		m.Carry = make([]Action, 0, n)
+		run := make([]Action, 0, n)
 		for i := 0; i < n; i++ {
-			m.Carry = append(m.Carry, decodeAction(r))
+			run = append(run, decodeAction(r))
 		}
+		m.Carry = [][]Action{run}
 	}
 	return m
+}
+
+// GobEncode and GobDecode put the wire codec's bytes on the legacy gob
+// fabric (marpd -codec gob): one statement of what an agent carries, and
+// every decoded action gets its identity.
+func (m *Recon) GobEncode() ([]byte, error) { return appendRecon(nil, m), nil }
+
+func (m *Recon) GobDecode(b []byte) error {
+	r := wire.NewReader(b)
+	*m = *decRecon(r).(*Recon)
+	return r.Finish()
 }

@@ -10,9 +10,9 @@
 //     submitted or received, held in the global candidate order — sorted by
 //     (Stamp, TxnID) — awaiting election. An arrival that sorts into the
 //     middle of the overlay invalidates the tentative execution of every
-//     later entry; those entries are re-executed against the new order, and
-//     the displacement is counted as rollbacks (the `marp.opt.rollbacks`
-//     instrument).
+//     later entry; the displacement is counted as rollbacks (the
+//     `marp.opt.rollbacks` instrument). Nothing is re-run for it: a
+//     tentative read finds the key's last writer in the overlay as it is.
 //
 // Reads come in two kinds, matching the two digests marpctl reports: a
 // stable read sees the elected prefix only; a tentative read sees the
@@ -43,21 +43,19 @@ func StagedLess(a, b Update) bool {
 // single-threaded: its owning replica drives it from the engine's
 // execution context.
 type Staged struct {
-	stable    []Update         // the immutable stable prefix, Seq 1..len
-	values    map[string]Value // stable values (last stable writer per key)
-	overlay   []Update         // tentative candidates, sorted by StagedLess
-	inOverlay map[string]bool  // TxnIDs present in the overlay
-	inStable  map[string]bool  // TxnIDs promoted into the stable prefix
+	stable  []Update         // the immutable stable prefix, Seq 1..len
+	values  map[string]Value // stable values (last stable writer per key)
+	overlay []Update         // tentative candidates, sorted by StagedLess
+	// tier has every TxnID in either tier: false in the overlay, true once
+	// stable. A set, not a search of the sorted tiers: a search needs the
+	// stamp, and one TxnID under two stamps is a duplicate Stage must refuse.
+	tier      map[string]bool
 	rollbacks uint64
 }
 
 // NewStaged returns an empty two-tier store.
 func NewStaged() *Staged {
-	return &Staged{
-		values:    make(map[string]Value),
-		inOverlay: make(map[string]bool),
-		inStable:  make(map[string]bool),
-	}
+	return &Staged{values: make(map[string]Value), tier: make(map[string]bool)}
 }
 
 // Stage applies an update tentatively, inserting it at its slot in the
@@ -71,14 +69,14 @@ func (s *Staged) Stage(u Update) (displaced int, err error) {
 	if u.TxnID == "" || u.Key == "" {
 		return 0, fmt.Errorf("store: malformed staged update %+v", u)
 	}
-	if s.inOverlay[u.TxnID] || s.inStable[u.TxnID] {
+	if _, dup := s.tier[u.TxnID]; dup {
 		return 0, fmt.Errorf("store: %w: %s staged twice", ErrTxnCollision, u.TxnID)
 	}
 	i := sort.Search(len(s.overlay), func(i int) bool { return StagedLess(u, s.overlay[i]) })
 	s.overlay = append(s.overlay, Update{})
 	copy(s.overlay[i+1:], s.overlay[i:])
 	s.overlay[i] = u
-	s.inOverlay[u.TxnID] = true
+	s.tier[u.TxnID] = false
 	displaced = len(s.overlay) - 1 - i
 	s.rollbacks += uint64(displaced)
 	return displaced, nil
@@ -89,42 +87,41 @@ func (s *Staged) Stage(u Update) (displaced int, err error) {
 // prefix of the candidate order, identical at every replica — leaves the
 // overlay in order. Entries passing the guard check are appended to the
 // stable prefix with the next stable sequence number; losers are aborted.
-// guardOK may be nil (no constraints — every candidate wins).
+// guardOK may be nil (no constraints — every candidate wins). promoted is
+// the stable prefix's new tail itself, not a copy: read it, never write it.
 func (s *Staged) PromoteUpTo(bound int64, guardOK func(Update) bool) (promoted, aborted []Update) {
-	n := 0
-	for n < len(s.overlay) && s.overlay[n].Stamp <= bound {
-		n++
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	batch := make([]Update, n)
-	copy(batch, s.overlay[:n])
-	s.overlay = s.overlay[:copy(s.overlay, s.overlay[n:])]
-	for _, u := range batch {
-		delete(s.inOverlay, u.TxnID)
+	first, n := len(s.stable), 0
+	for ; n < len(s.overlay) && s.overlay[n].Stamp <= bound; n++ {
+		u := s.overlay[n]
 		if guardOK != nil && !guardOK(u) {
+			delete(s.tier, u.TxnID)
 			aborted = append(aborted, u)
 			continue
 		}
 		u.Seq = uint64(len(s.stable) + 1)
 		s.stable = append(s.stable, u)
-		s.inStable[u.TxnID] = true
+		s.tier[u.TxnID] = true
 		s.values[u.Key] = Value{Data: u.Data, Version: u.version()}
-		promoted = append(promoted, u)
 	}
-	return promoted, aborted
+	if n == 0 {
+		return nil, nil
+	}
+	s.overlay = s.overlay[:copy(s.overlay, s.overlay[n:])]
+	return s.stable[first:len(s.stable):len(s.stable)], aborted
 }
 
 // RestoreStable appends an already-elected update to the stable prefix —
 // the journal-replay path. The update must carry the next stable sequence
-// number; anything else is corruption.
+// number and a TxnID in neither tier; anything else is corruption.
 func (s *Staged) RestoreStable(u Update) error {
 	if u.Seq != uint64(len(s.stable)+1) {
 		return fmt.Errorf("store: %w: stable restore seq %d, want %d", ErrSeqGap, u.Seq, len(s.stable)+1)
 	}
+	if _, dup := s.tier[u.TxnID]; dup {
+		return fmt.Errorf("store: %w: %s restored twice", ErrTxnCollision, u.TxnID)
+	}
 	s.stable = append(s.stable, u)
-	s.inStable[u.TxnID] = true
+	s.tier[u.TxnID] = true
 	s.values[u.Key] = Value{Data: u.Data, Version: u.version()}
 	return nil
 }
@@ -161,6 +158,9 @@ func (s *Staged) StableLog() []Update {
 // StableLen returns the stable prefix length without copying.
 func (s *Staged) StableLen() int { return len(s.stable) }
 
+// StableAt returns the i-th stable update (0-based) without copying the log.
+func (s *Staged) StableAt(i int) Update { return s.stable[i] }
+
 // Overlay returns a copy of the tentative overlay in candidate order.
 func (s *Staged) Overlay() []Update {
 	out := make([]Update, len(s.overlay))
@@ -171,11 +171,27 @@ func (s *Staged) Overlay() []Update {
 // OverlayLen returns the tentative overlay depth without copying.
 func (s *Staged) OverlayLen() int { return len(s.overlay) }
 
+// TentativeWriters returns the TxnIDs of the overlay entries writing key,
+// in candidate order (nil when there are none) — the notAfter edges of the
+// key's next writer.
+func (s *Staged) TentativeWriters(key string) []string {
+	var txns []string
+	for i := range s.overlay {
+		if s.overlay[i].Key == key {
+			txns = append(txns, s.overlay[i].TxnID)
+		}
+	}
+	return txns
+}
+
 // InStable reports whether txn has been promoted into the stable prefix.
-func (s *Staged) InStable(txn string) bool { return s.inStable[txn] }
+func (s *Staged) InStable(txn string) bool { return s.tier[txn] }
 
 // InOverlay reports whether txn is still tentative.
-func (s *Staged) InOverlay(txn string) bool { return s.inOverlay[txn] }
+func (s *Staged) InOverlay(txn string) bool {
+	stable, staged := s.tier[txn]
+	return staged && !stable
+}
 
 // Rollbacks returns the cumulative count of tentative executions displaced
 // by out-of-order arrivals.

@@ -2,7 +2,12 @@ package store
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
+	"testing/quick"
 )
 
 func stagedUpdate(txn, key, data string, stamp int64) Update {
@@ -161,5 +166,211 @@ func TestStagedDigestIsOrderDependent(t *testing.T) {
 	u2 := stagedUpdate("o002-s000-000000001", "k", "b", 2)
 	if mk(u1, u2) == mk(u2, u1) {
 		t.Fatal("digest ignores stable order")
+	}
+}
+
+// stagedModel is the obviously-right Staged: two plain lists, the tentative
+// one in arrival order, every question answered by a scan or a sort.
+type stagedModel struct {
+	pending   []Update
+	stable    []Update
+	rollbacks uint64
+}
+
+func (m *stagedModel) find(list []Update, txn string) bool {
+	for _, u := range list {
+		if u.TxnID == txn {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *stagedModel) overlay() []Update {
+	out := append([]Update{}, m.pending...)
+	sort.SliceStable(out, func(i, j int) bool { return StagedLess(out[i], out[j]) })
+	return out
+}
+
+func (m *stagedModel) stage(u Update) (int, error) {
+	if u.TxnID == "" || u.Key == "" {
+		return 0, errors.New("malformed")
+	}
+	if m.find(m.pending, u.TxnID) || m.find(m.stable, u.TxnID) {
+		return 0, ErrTxnCollision
+	}
+	displaced := 0
+	for _, p := range m.pending {
+		if StagedLess(u, p) {
+			displaced++
+		}
+	}
+	m.pending = append(m.pending, u)
+	m.rollbacks += uint64(displaced)
+	return displaced, nil
+}
+
+func (m *stagedModel) stableWriter(key string) string {
+	for i := len(m.stable) - 1; i >= 0; i-- {
+		if m.stable[i].Key == key {
+			return m.stable[i].TxnID
+		}
+	}
+	return ""
+}
+
+func (m *stagedModel) promote(bound int64, guardOK func(Update) bool) (promoted, aborted []Update) {
+	var rest []Update
+	for _, u := range m.overlay() {
+		switch {
+		case u.Stamp > bound || len(rest) > 0: // the prefix ended
+			rest = append(rest, u)
+		case guardOK != nil && !guardOK(u):
+			aborted = append(aborted, u)
+		default:
+			u.Seq = uint64(len(m.stable) + 1)
+			m.stable = append(m.stable, u)
+			promoted = append(promoted, u)
+		}
+	}
+	m.pending = rest
+	return promoted, aborted
+}
+
+func (m *stagedModel) restore(u Update) error {
+	if u.Seq != uint64(len(m.stable)+1) {
+		return ErrSeqGap
+	}
+	if m.find(m.pending, u.TxnID) || m.find(m.stable, u.TxnID) {
+		return ErrTxnCollision
+	}
+	m.stable = append(m.stable, u)
+	return nil
+}
+
+func (m *stagedModel) get(key string, tentative bool) (Value, bool) {
+	if ov := m.overlay(); tentative {
+		for i := len(ov) - 1; i >= 0; i-- {
+			if u := ov[i]; u.Key == key {
+				return Value{Data: u.Data, Version: Version{Stamp: u.Stamp, Writer: u.TxnID}}, true
+			}
+		}
+	}
+	for i := len(m.stable) - 1; i >= 0; i-- {
+		if u := m.stable[i]; u.Key == key {
+			return Value{Data: u.Data, Version: Version{Seq: u.Seq, Stamp: u.Stamp, Writer: u.TxnID}}, true
+		}
+	}
+	return Value{}, false
+}
+
+// sameErr: both nil, or the same sentinel, or both the (unnamed) malformed
+// refusal.
+func sameErr(got, want error) bool {
+	for _, sentinel := range []error{ErrTxnCollision, ErrSeqGap} {
+		if errors.Is(want, sentinel) {
+			return errors.Is(got, sentinel)
+		}
+	}
+	return (got == nil) == (want == nil)
+}
+
+// TestStagedMatchesPlainLists: under random Stage / PromoteUpTo (plain,
+// with a pure guard, with a guard that reads the stable state mid-batch) /
+// RestoreStable sequences over a small pool of transactions, keys and
+// stamps — so duplicates, ties, mid-overlay inserts and re-staging after an
+// abort all happen — Staged returns what two unsorted lists return, at
+// every step: results, error kinds, both tiers, every read.
+func TestStagedMatchesPlainLists(t *testing.T) {
+	keys := []string{"a", "b", "c", ""}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s, m := NewStaged(), &stagedModel{}
+		var txns []string
+		for i := 0; i < 12; i++ {
+			txns = append(txns, fmt.Sprintf("o%03d-s000-%09d", 1+i%3, 1+i/3))
+		}
+		fail := func(step int, format string, args ...any) bool {
+			t.Logf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
+			return false
+		}
+		for step := 0; step < 200; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				u := Update{TxnID: txns[rng.Intn(len(txns))], Key: keys[rng.Intn(len(keys))],
+					Data: fmt.Sprint("d", step), Stamp: int64(rng.Intn(8))}
+				got, gerr := s.Stage(u)
+				want, werr := m.stage(u)
+				if got != want || !sameErr(gerr, werr) {
+					return fail(step, "Stage(%+v) = %d, %v; lists say %d, %v", u, got, gerr, want, werr)
+				}
+			case op < 9:
+				bound := int64(rng.Intn(9))
+				var sg, mg func(Update) bool
+				switch rng.Intn(3) {
+				case 1:
+					sg = func(u Update) bool { return len(u.Data)%2 == 0 }
+					mg = sg
+				case 2: // a CAS race: only a key's first stable writer wins
+					sg = func(u Update) bool { return s.StableWriter(u.Key) == "" }
+					mg = func(u Update) bool { return m.stableWriter(u.Key) == "" }
+				}
+				gp, ga := s.PromoteUpTo(bound, sg)
+				wp, wa := m.promote(bound, mg)
+				if !reflect.DeepEqual(append([]Update(nil), gp...), wp) || !reflect.DeepEqual(ga, wa) {
+					return fail(step, "PromoteUpTo(%d) = %+v / %+v; lists say %+v / %+v", bound, gp, ga, wp, wa)
+				}
+			default:
+				u := Update{TxnID: txns[rng.Intn(len(txns))], Key: "a", Data: "r",
+					Stamp: int64(rng.Intn(8)), Seq: uint64(len(m.stable) + rng.Intn(2))}
+				if gerr, werr := s.RestoreStable(u), m.restore(u); !sameErr(gerr, werr) {
+					return fail(step, "RestoreStable(%+v) = %v; lists say %v", u, gerr, werr)
+				}
+			}
+			if got, want := s.Overlay(), m.overlay(); !reflect.DeepEqual(got, want) || s.OverlayLen() != len(want) {
+				return fail(step, "overlay %+v; lists say %+v", got, want)
+			}
+			if got := s.StableLog(); !reflect.DeepEqual(got, append([]Update{}, m.stable...)) || s.StableLen() != len(m.stable) {
+				return fail(step, "stable %+v; lists say %+v", got, m.stable)
+			}
+			for i, u := range m.stable {
+				if s.StableAt(i) != u {
+					return fail(step, "StableAt(%d) = %+v, want %+v", i, s.StableAt(i), u)
+				}
+			}
+			if s.Rollbacks() != m.rollbacks {
+				return fail(step, "Rollbacks = %d; lists say %d", s.Rollbacks(), m.rollbacks)
+			}
+			for _, txn := range txns {
+				if s.InOverlay(txn) != m.find(m.pending, txn) || s.InStable(txn) != m.find(m.stable, txn) {
+					return fail(step, "%s: InOverlay %v InStable %v; lists say %v %v", txn,
+						s.InOverlay(txn), s.InStable(txn), m.find(m.pending, txn), m.find(m.stable, txn))
+				}
+			}
+			for _, key := range keys {
+				for _, tentative := range []bool{false, true} {
+					got, gok := s.Get(key)
+					if tentative {
+						got, gok = s.TentativeGet(key)
+					}
+					if want, wok := m.get(key, tentative); got != want || gok != wok {
+						return fail(step, "read %q (tentative=%v) = %+v %v; lists say %+v %v", key, tentative, got, gok, want, wok)
+					}
+				}
+				var writers []string
+				for _, u := range m.overlay() {
+					if u.Key == key {
+						writers = append(writers, u.TxnID)
+					}
+				}
+				if got := s.TentativeWriters(key); !reflect.DeepEqual(got, writers) || s.StableWriter(key) != m.stableWriter(key) {
+					return fail(step, "writers of %q: tentative %v stable %q; lists say %v %q", key, got, s.StableWriter(key), writers, m.stableWriter(key))
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -231,17 +231,7 @@ func (s *Server) optReferee() Response {
 
 func (s *Server) optStats() Response {
 	snap := s.opt.Metrics().Gather()
-	stable, aborted, pending := 0, 0, 0
-	for _, o := range s.opt.Outcomes() {
-		switch {
-		case o.Aborted:
-			aborted++
-		case o.StableAt != 0:
-			stable++
-		default:
-			pending++
-		}
-	}
+	stable, aborted, pending := s.opt.OutcomeCounts()
 	return Response{OK: true, Stats: &StatsBody{
 		Servers:     s.opt.N(),
 		Outstanding: pending,
@@ -267,16 +257,7 @@ func (s *Server) optScenarioBody() Response {
 		Geometry:   OptGeometry,
 		DigestKind: DigestKindStablePrefix,
 	}
-	for _, o := range s.opt.Outcomes() {
-		switch {
-		case o.Aborted:
-			body.Failed++
-		case o.StableAt != 0:
-			body.Commits++
-		default:
-			body.Outstanding++
-		}
-	}
+	body.Commits, body.Failed, body.Outstanding = s.opt.OutcomeCounts()
 	var refNode runtime.NodeID
 	for _, id := range s.opt.LocalNodes() {
 		if s.opt.Down(id) {
