@@ -37,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -121,14 +120,6 @@ func run(expFlag, cpuProf, memProf string, opts harness.FigureOptions) int {
 		id   string
 		name string
 		run  func(harness.FigureOptions) ([]*metrics.Table, error)
-		// isolate re-execs the experiment in a child process when it runs
-		// as part of a multi-experiment batch. A9 measures wall-clock
-		// throughput whose gob baseline is GC-pacing-bound: the live heap
-		// the preceding experiments leave behind raises the pacer's goal
-		// and moves that one row ±15% between a fresh process and a warm
-		// one. Isolation makes the batch measure the same fresh process
-		// that `marpbench -exp a9` — the documented reproduce line — does.
-		isolate bool
 	}
 	table := func(f func(harness.FigureOptions) (*metrics.Table, []harness.RunResult, error)) func(harness.FigureOptions) ([]*metrics.Table, error) {
 		return func(o harness.FigureOptions) ([]*metrics.Table, error) {
@@ -162,7 +153,7 @@ func run(expFlag, cpuProf, memProf string, opts harness.FigureOptions) int {
 		}},
 		{id: "a7", name: "Durability: WAL overhead and crash recovery", run: harness.Durability},
 		{id: "a8", name: "Ablation: keyspace sharding throughput", run: harness.Sharding},
-		{id: "a9", name: "Ablation: live-path raw speed (codec/pipelining/group commit)", run: harness.LiveSpeed, isolate: true},
+		{id: "a9", name: "Ablation: live-path raw speed (ack pipelining/group commit)", run: harness.LiveSpeed},
 		{id: "a10", name: "Ablation: optimistic asynchronous commitment (WAN showdown)", run: harness.Optimistic},
 	}
 
@@ -214,13 +205,6 @@ func run(expFlag, cpuProf, memProf string, opts harness.FigureOptions) int {
 			continue
 		}
 		ran++
-		if e.isolate && len(want) > 1 {
-			if err := reexec(e.id, opts); err == nil {
-				continue // the child printed its table and timing line
-			} else {
-				fmt.Fprintf(os.Stderr, "marpbench: isolated %s re-exec failed (%v); running in-process\n", e.id, err)
-			}
-		}
 		start := time.Now()
 		tbls, err := e.run(opts)
 		if err != nil {
@@ -282,29 +266,4 @@ func runReplay(path string) int {
 	fmt.Printf("ok: %d commits, %d keys, digests match the recording (%.2fs wall clock)\n",
 		res.Commits, len(res.Keys), time.Since(start).Seconds())
 	return 0
-}
-
-// reexec runs a single experiment in a child marpbench process (see the
-// isolate field), forwarding every option that shapes its output and
-// inheriting stdout so the table lands in sequence with the batch's.
-func reexec(id string, opts harness.FigureOptions) error {
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	args := []string{
-		"-exp", id,
-		"-seed", fmt.Sprint(opts.Seed),
-		"-seeds", fmt.Sprint(opts.Seeds),
-		"-requests", fmt.Sprint(opts.RequestsPerServer),
-		"-latency", string(opts.Latency),
-		"-parallel", fmt.Sprint(opts.Parallelism),
-	}
-	if opts.Quick {
-		args = append(args, "-quick")
-	}
-	cmd := exec.Command(exe, args...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	return cmd.Run()
 }

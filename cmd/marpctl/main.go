@@ -5,8 +5,6 @@
 //	marpctl [-addr host:port] [-timeout 5s] [-guard expected] submit <home> <key> <value>
 //	marpctl [-addr host:port] append <home> <key> <value>
 //	marpctl [-addr host:port] read <node> <key>
-//	marpctl [-addr host:port] crash <node>
-//	marpctl [-addr host:port] recover <node>
 //	marpctl [-addrs a,b,c] partition <groups>   (e.g. "1,2/3")
 //	marpctl [-addrs a,b,c] heal
 //	marpctl [-addr host:port] [-json] digest <node>
@@ -24,10 +22,11 @@
 // -addr): a live cluster's fabric filters at the endpoints, so each process
 // must be told about the split. The sweep visits every address even when
 // one is down, then exits non-zero naming each process that missed the
-// command. Incident recording rides along:
+// command. Incident recording rides along; a crash is a kill -9 of the
+// replica's process (there is no crash command), recorded out of band:
 //
-//	marpctl -record <dir> crash 3            # inject AND record the fault
-//	marpctl -record <dir> record-fault crash 3   # record only (kill -9 etc.)
+//	marpctl -record <dir> -addrs a,b,c partition 1,2/3   # inject AND record the fault
+//	marpctl -record <dir> record-fault crash 3           # record only (kill -9 etc.)
 //	marpctl -record <dir> -addrs a,b,c snapshot-scenario -name my-incident -out my.jsonl
 //
 // snapshot-scenario queries every process, refuses unclean captures (failed
@@ -76,11 +75,10 @@ commands:
   submit <home> <key> <value>   update key from server <home> (-guard <expected> for optimistic CAS)
   append <home> <key> <value>   read-modify-write append
   read <node> <key>             read the local copy at server <node>
-  crash <node>                  fail-stop a server
-  recover <node>                restart a crashed server
   partition <groups>            split the network, e.g. "1,2/3" (all -addrs)
   heal                          remove all partitions, trigger anti-entropy (all -addrs)
-  record-fault <kind> [args]    record a fault event without injecting it
+  record-fault <kind> [args]    record a fault event without injecting it; to crash a
+                                server, kill -9 its marpd and "record-fault crash <node>"
   snapshot-scenario             finalize a recorded incident into a bundle
   digest <node>                 kind-tagged digest of a replica's store (optimistic: stable + tentative tiers)
   referee                       kind-tagged verdict: lock grants/violations, or stable-prefix agreement
@@ -165,7 +163,7 @@ func main() {
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
 	asJSON := flag.Bool("json", false, "machine-readable output (digest, referee)")
 	guard := flag.String("guard", "", "CAS guard for submit against an optimistic service: the expected last stable value, or !unwritten (empty = unconditional; MARP services reject guards)")
-	recordDir := flag.String("record", "", "incident spool directory: crash/recover/partition/heal/record-fault append scenario events here")
+	recordDir := flag.String("record", "", "incident spool directory: partition/heal/record-fault append scenario events here")
 	name := flag.String("name", "incident", "scenario name (snapshot-scenario)")
 	note := flag.String("note", "", "scenario note (snapshot-scenario)")
 	seed := flag.Int64("seed", 1, "replay seed stamped into the bundle header (snapshot-scenario)")
@@ -305,24 +303,6 @@ func main() {
 			return
 		}
 		fmt.Printf("%s (update #%d)\n", value, seq)
-	case "crash":
-		if len(args) != 2 {
-			usage()
-		}
-		if err := cli.Crash(node(args[1])); err != nil {
-			fatal(err)
-		}
-		record(*recordDir, scenario.Event{Kind: scenario.KindCrash, Node: node(args[1])})
-		fmt.Println("ok: server crashed")
-	case "recover":
-		if len(args) != 2 {
-			usage()
-		}
-		if err := cli.Recover(node(args[1])); err != nil {
-			fatal(err)
-		}
-		record(*recordDir, scenario.Event{Kind: scenario.KindRecover, Node: node(args[1])})
-		fmt.Println("ok: server recovering")
 	case "digest":
 		if len(args) != 2 {
 			usage()

@@ -11,8 +11,8 @@ import (
 	"repro/internal/runtime/live"
 )
 
-// liveFlags carries the operator's live-mode input, either raw flags or a
-// -spec file reference, before validation.
+// liveFlags carries the operator's input, either raw flags or a -spec file
+// reference, before validation.
 type liveFlags struct {
 	Spec        string // -spec: path to a cluster spec file; overrides cluster-level flags
 	Node        int
@@ -24,7 +24,6 @@ type liveFlags struct {
 	Fsync       string
 	Shards      int
 	Geometry    string
-	Codec       string
 	CommitDelay time.Duration
 	AckDelay    time.Duration
 }
@@ -37,7 +36,7 @@ func resolveLive(f liveFlags) (cfg live.NodeConfig, clientAddr, opsAddr string, 
 	clientAddr, opsAddr = f.Addr, f.Ops
 
 	var addrs map[runtime.NodeID]string
-	geometry, fsync, codec := f.Geometry, f.Fsync, f.Codec
+	geometry, fsync := f.Geometry, f.Fsync
 	seed, dataDir := f.Seed, f.DataDir
 	commitDelay, ackDelay := f.CommitDelay, f.AckDelay
 	shards := f.Shards
@@ -63,9 +62,6 @@ func resolveLive(f liveFlags) (cfg live.NodeConfig, clientAddr, opsAddr string, 
 		}
 		if spec.Fsync != "" {
 			fsync = spec.Fsync
-		}
-		if spec.Codec != "" {
-			codec = spec.Codec
 		}
 		if spec.Seed != 0 {
 			seed = spec.Seed
@@ -101,7 +97,6 @@ func resolveLive(f liveFlags) (cfg live.NodeConfig, clientAddr, opsAddr string, 
 		Seed:        seed,
 		DataDir:     dataDir,
 		Fsync:       fsync,
-		Codec:       codec,
 		CommitDelay: commitDelay,
 		Cluster: core.Config{
 			Shards:          shards,

@@ -20,7 +20,6 @@ func baseFlags() liveFlags {
 		Fsync:    "commit",
 		Shards:   1,
 		Geometry: "majority",
-		Codec:    "wire",
 	}
 }
 

@@ -177,7 +177,6 @@ func newCorpusHarness(t *testing.T, marpd, marpctl string, n int, durable bool, 
 func (h *corpusHarness) restart(i int) {
 	h.t.Helper()
 	args := []string{
-		"-mode", "live",
 		"-node", fmt.Sprint(i),
 		"-peers", h.peers,
 		"-addr", h.client[i],

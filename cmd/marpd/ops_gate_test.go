@@ -58,13 +58,13 @@ func TestOpsGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marpctl spec expand: %v", err)
 	}
-	if got := strings.Count(string(out), "marpd -mode live"); got != n {
+	if got := strings.Count(string(out), "marpd -node "); got != n {
 		t.Fatalf("spec expand printed %d node lines, want %d:\n%s", got, n, out)
 	}
 
 	procs := make([]*exec.Cmd, n+1)
 	for i := 1; i <= n; i++ {
-		cmd := exec.Command(marpd, "-spec", specPath, "-mode", "live", "-node", fmt.Sprint(i))
+		cmd := exec.Command(marpd, "-spec", specPath, "-node", fmt.Sprint(i))
 		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("starting replica %d: %v", i, err)

@@ -51,7 +51,6 @@ func TestLiveRestartSmoke(t *testing.T) {
 
 	start := func(i int) *exec.Cmd {
 		cmd := exec.Command(marpd,
-			"-mode", "live",
 			"-node", fmt.Sprint(i),
 			"-peers", peers,
 			"-addr", client[i],

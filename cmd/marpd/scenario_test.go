@@ -62,7 +62,6 @@ func TestScenarioRecordReplay(t *testing.T) {
 
 	start := func(i int) *exec.Cmd {
 		cmd := exec.Command(marpd,
-			"-mode", "live",
 			"-node", fmt.Sprint(i),
 			"-peers", peers,
 			"-addr", client[i],

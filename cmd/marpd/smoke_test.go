@@ -50,7 +50,6 @@ func TestLiveMultiProcessSmoke(t *testing.T) {
 	procs := make([]*exec.Cmd, n+1)
 	for i := 1; i <= n; i++ {
 		cmd := exec.Command(marpd,
-			"-mode", "live",
 			"-node", fmt.Sprint(i),
 			"-peers", peers,
 			"-addr", client[i])

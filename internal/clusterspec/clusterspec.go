@@ -15,8 +15,10 @@
 package clusterspec
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -67,8 +69,6 @@ type Spec struct {
 	// AckDelay is the migration ack aggregation window as a Go
 	// duration string; empty = ack immediately.
 	AckDelay string `json:"ack_delay,omitempty"`
-	// Codec is the fabric codec: wire (default) or gob.
-	Codec string `json:"codec,omitempty"`
 	// Seed is the per-process random seed (default 1).
 	Seed int64 `json:"seed,omitempty"`
 	// DataRoot, when set, gives every node without an explicit DataDir
@@ -103,11 +103,17 @@ func Load(path string) (*Spec, error) {
 	return s, nil
 }
 
-// ParseJSON parses (but does not validate) a JSON spec.
+// ParseJSON parses (but does not validate) a JSON spec. Like ParseTOML it
+// refuses a key it does not know: a typo must not load as the default.
 func ParseJSON(data []byte) (*Spec, error) {
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("trailing data after the spec object")
 	}
 	return &s, nil
 }
@@ -240,8 +246,6 @@ func assign(s *Spec, cur *Node, key, str string, num int64, isStr bool) error {
 		return wantStr(&s.CommitDelay)
 	case "ack_delay":
 		return wantStr(&s.AckDelay)
-	case "codec":
-		return wantStr(&s.Codec)
 	case "seed":
 		return wantInt(&s.Seed)
 	case "data_root":
@@ -252,7 +256,7 @@ func assign(s *Spec, cur *Node, key, str string, num int64, isStr bool) error {
 
 // Validate checks the spec's internal consistency: at least one node,
 // unique positive IDs, required and parseable fabric addresses, no
-// address claimed twice, known geometry/fsync/codec, parseable delays.
+// address claimed twice, known geometry/fsync, parseable delays.
 func (s *Spec) Validate() error {
 	if len(s.Nodes) == 0 {
 		return fmt.Errorf("spec has no nodes")
@@ -269,11 +273,6 @@ func (s *Spec) Validate() error {
 	case "", "commit", "always", "none":
 	default:
 		return fmt.Errorf("unknown fsync policy %q (want commit, always, none)", s.Fsync)
-	}
-	switch s.Codec {
-	case "", "wire", "gob":
-	default:
-		return fmt.Errorf("unknown codec %q (want wire or gob)", s.Codec)
 	}
 	for _, field := range []struct{ name, v string }{
 		{"commit_delay", s.CommitDelay}, {"ack_delay", s.AckDelay},
@@ -397,7 +396,7 @@ func (s *Spec) Flags(id int) []string {
 	if n == nil {
 		return nil
 	}
-	args := []string{"-mode", "live", "-node", strconv.Itoa(id), "-peers", s.PeerString()}
+	args := []string{"-node", strconv.Itoa(id), "-peers", s.PeerString()}
 	if n.Client != "" {
 		args = append(args, "-addr", n.Client)
 	}
@@ -415,9 +414,6 @@ func (s *Spec) Flags(id int) []string {
 	}
 	if s.Geometry != "" {
 		args = append(args, "-geometry", s.Geometry)
-	}
-	if s.Codec != "" {
-		args = append(args, "-codec", s.Codec)
 	}
 	if s.Seed != 0 {
 		args = append(args, "-seed", strconv.FormatInt(s.Seed, 10))

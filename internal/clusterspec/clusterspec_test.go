@@ -87,6 +87,38 @@ func TestParseTOMLErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownKeysRefusedInBothFormats: a typo must not load as the default
+// (fsync=commit, no client listener), and a leftover codec key — the gob
+// codec is gone — must not read as "wire".
+func TestUnknownKeysRefusedInBothFormats(t *testing.T) {
+	cases := []struct{ name, toml, json string }{
+		{"top-level typo",
+			"fsnc = \"always\"\n[[node]]\nid = 1\nfabric = \"127.0.0.1:1\"\n",
+			`{"fsnc":"always","nodes":[{"id":1,"fabric":"127.0.0.1:1"}]}`},
+		{"node typo",
+			"[[node]]\nid = 1\nfabric = \"127.0.0.1:1\"\nclinet = \"127.0.0.1:2\"\n",
+			`{"nodes":[{"id":1,"fabric":"127.0.0.1:1","clinet":"127.0.0.1:2"}]}`},
+		{"codec key",
+			"codec = \"gob\"\n[[node]]\nid = 1\nfabric = \"127.0.0.1:1\"\n",
+			`{"codec":"gob","nodes":[{"id":1,"fabric":"127.0.0.1:1"}]}`},
+	}
+	dir := t.TempDir()
+	for _, c := range cases {
+		for ext, body := range map[string]string{".toml": c.toml, ".json": c.json} {
+			path := filepath.Join(dir, "spec"+ext)
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "unknown") {
+				t.Errorf("%s (%s): err = %v, want an unknown-key refusal", c.name, ext, err)
+			}
+		}
+	}
+	if _, err := ParseJSON([]byte(`{"nodes":[]} {"nodes":[]}`)); err == nil {
+		t.Error("trailing data after the spec object accepted")
+	}
+}
+
 func validSpec() *Spec {
 	return &Spec{
 		Shards:   2,
@@ -115,7 +147,6 @@ func TestValidateErrors(t *testing.T) {
 		{"bad client", func(s *Spec) { s.Nodes[0].Client = "nope" }, "bad address"},
 		{"bad geometry", func(s *Spec) { s.Geometry = "ring" }, "geometry"},
 		{"bad fsync", func(s *Spec) { s.Fsync = "sometimes" }, "fsync"},
-		{"bad codec", func(s *Spec) { s.Codec = "xml" }, "codec"},
 		{"bad delay", func(s *Spec) { s.CommitDelay = "fast" }, "commit_delay"},
 		{"negative delay", func(s *Spec) { s.AckDelay = "-1ms" }, "negative"},
 	}
@@ -176,7 +207,7 @@ func TestFlags(t *testing.T) {
 	}
 	got := s.Flags(2)
 	want := []string{
-		"-mode", "live", "-node", "2",
+		"-node", "2",
 		"-peers", "1=127.0.0.1:7801,2=127.0.0.1:7802,3=127.0.0.1:7803",
 		"-addr", "127.0.0.1:7708",
 		"-ops", "127.0.0.1:9102",

@@ -85,38 +85,3 @@ func BenchmarkDecodeWireState(b *testing.B) {
 		b.Fatalf("decode allocates %.1f allocs/op, want 0", allocs)
 	}
 }
-
-// BenchmarkEncodeWireStateGob is the ablation twin: the gob encoding of the
-// same state (the PR 6 migration format).
-func BenchmarkEncodeWireStateGob(b *testing.B) {
-	st := benchState()
-	data, err := st.EncodeGob()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.EncodeGob(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecodeWireStateGob decodes the gob twin.
-func BenchmarkDecodeWireStateGob(b *testing.B) {
-	st := benchState()
-	data, err := st.EncodeGob()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeWireState(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

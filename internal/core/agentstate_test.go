@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
 	"time"
@@ -47,8 +49,8 @@ func TestAgentStateGobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// gob canonically collapses empty slices to nil, so compare by
-	// re-encoding rather than structural equality.
+	// Decoding collapses empty slices to nil, so compare by re-encoding
+	// rather than structural equality.
 	data2, err := back.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -105,24 +107,47 @@ func TestModelledWireSizeTracksRealEncoding(t *testing.T) {
 	c := newTestCluster(t, Config{N: 5}, simEnv{seed: 75})
 	ua := captureTravellingAgent(t, c)
 	st := ua.Freeze()
-	gobData, err := st.EncodeGob()
-	if err != nil {
-		t.Fatal(err)
-	}
+	gobData := gobEncode(t, st)
 	modelled := ua.WireSize()
 	real := len(gobData)
 	ratio := float64(real) / float64(modelled)
 	if ratio < 0.2 || ratio > 5 {
 		t.Fatalf("modelled %dB vs real gob %dB (ratio %.2f) — model out of calibration", modelled, real, ratio)
 	}
-	// The wire codec exists to beat gob; if it ever stops doing so the
-	// live path lost its point.
+	// The wire codec replaced gob for being smaller; it must stay so.
 	wireData, err := st.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(wireData) >= len(gobData) {
 		t.Fatalf("wire encoding %dB not smaller than gob %dB", len(wireData), len(gobData))
+	}
+}
+
+// gobEncode is the encoding WireSize() was calibrated against; no product
+// code speaks it any more.
+func gobEncode(t *testing.T, st WireState) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeWireStateRefusesForeignBytes: agent state arrives off the
+// network, so anything that is not the wire codec's own format is an error
+// — in particular a gob stream, which used to be handed to encoding/gob.
+func TestDecodeWireStateRefusesForeignBytes(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"gob-encoded state":  gobEncode(t, benchState()),
+		"empty":              nil,
+		"magic then garbage": {wireStateMagic, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x02},
+		"magic alone":        {wireStateMagic},
+	} {
+		if _, err := DecodeWireState(data); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
 	}
 }
 

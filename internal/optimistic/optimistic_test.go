@@ -8,7 +8,6 @@ package optimistic_test
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"testing"
@@ -397,30 +396,6 @@ func TestReconWireRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(again, buf) {
 		t.Fatal("re-encoding the decoded agent changed its bytes")
-	}
-}
-
-// TestReconGobRoundTrip: the legacy gob fabric ships the agent inside an
-// interface-typed frame; the cargo must arrive whatever its in-memory form
-// (gob alone would drop the unexported identity and knows nothing of runs).
-func TestReconGobRoundTrip(t *testing.T) {
-	type frame struct{ Payload any }
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&frame{Payload: testAgent()}); err != nil {
-		t.Fatalf("gob encode: %v", err)
-	}
-	var fr frame
-	if err := gob.NewDecoder(&buf).Decode(&fr); err != nil {
-		t.Fatalf("gob decode: %v", err)
-	}
-	got, ok := fr.Payload.(*optimistic.Recon)
-	if !ok {
-		t.Fatalf("decoded %T, want *optimistic.Recon", fr.Payload)
-	}
-	sameOnWire(t, got, testAgent())
-	var bad optimistic.Recon
-	if err := bad.GobDecode([]byte{0x02}); err == nil {
-		t.Fatal("truncated gob payload decoded without error")
 	}
 }
 

@@ -12,9 +12,6 @@ const tagRecon = 50
 
 func init() {
 	wire.Register(tagRecon, &Recon{}, encRecon, decRecon)
-	// The live fabric's gob path (agent WireState nesting) also needs the
-	// concrete type known.
-	runtime.RegisterWireType(&Recon{})
 }
 
 func appendAction(b []byte, a *Action) []byte {
@@ -140,15 +137,4 @@ func decRecon(r *wire.Reader) any {
 		m.Carry = [][]Action{run}
 	}
 	return m
-}
-
-// GobEncode and GobDecode put the wire codec's bytes on the legacy gob
-// fabric (marpd -codec gob): one statement of what an agent carries, and
-// every decoded action gets its identity.
-func (m *Recon) GobEncode() ([]byte, error) { return appendRecon(nil, m), nil }
-
-func (m *Recon) GobDecode(b []byte) error {
-	r := wire.NewReader(b)
-	*m = *decRecon(r).(*Recon)
-	return r.Finish()
 }

@@ -175,12 +175,6 @@ type Layer struct {
 
 var _ runtime.Fabric = (*Layer)(nil)
 
-func init() {
-	// The frames must decode on the far side of a serializing fabric.
-	runtime.RegisterWireType(dataMsg{})
-	runtime.RegisterWireType(ackMsg{})
-}
-
 // NewLayer wraps the fabric net, scheduling retransmissions on eng.
 // Zero-valued Config fields take defaults.
 func NewLayer(eng runtime.Engine, net runtime.Fabric, cfg Config) *Layer {

@@ -18,18 +18,6 @@ import (
 	"repro/internal/store"
 )
 
-func init() {
-	// The Algorithm 2 message set must decode on the far side of a
-	// serializing fabric (the live gob-over-TCP deployment).
-	for _, m := range []any{
-		&UpdateMsg{}, &AckMsg{}, &CommitMsg{}, &AbortMsg{},
-		&ReadReq{}, &ReadRep{}, &SyncRequest{}, &SyncReply{},
-		LLChanged{},
-	} {
-		runtime.RegisterWireType(m)
-	}
-}
-
 // QueueSnapshot is one shard's Locking List at one server as known at some
 // moment. Agents accumulate these in their Locking Table and leave them
 // behind at the servers they visit (the paper's information sharing); both

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -33,12 +32,6 @@ type frame struct {
 
 // FabricOptions tunes a Fabric beyond its address book.
 type FabricOptions struct {
-	// Codec selects the frame encoding: "wire" (default) is the hand-rolled
-	// zero-alloc codec from internal/wire, spoken behind a versioned
-	// connection preamble; "gob" is the legacy reflective encoding. The two
-	// are mutually unintelligible by design — a peer speaking the other one
-	// is refused loudly, never mis-decoded (DESIGN.md §11).
-	Codec string
 	// Trace, if non-nil, receives fabric-level events (currently the
 	// once-per-peer writer-queue-overflow notice).
 	Trace *trace.Log
@@ -61,7 +54,6 @@ type Fabric struct {
 	self   runtime.NodeID
 	addrs  map[runtime.NodeID]string
 	ln     net.Listener
-	gobby  bool // legacy gob codec (FabricOptions.Codec == "gob")
 	tracer *trace.Log
 
 	mu       sync.Mutex
@@ -82,19 +74,13 @@ type peer struct {
 }
 
 // NewFabric starts listening on addrs[self] and returns the fabric, using
-// the default (wire-codec) options. Peer connections are dialed on first
-// send.
+// the default options. Peer connections are dialed on first send.
 func NewFabric(eng *Engine, self runtime.NodeID, addrs map[runtime.NodeID]string) (*Fabric, error) {
 	return NewFabricOptions(eng, self, addrs, FabricOptions{})
 }
 
 // NewFabricOptions is NewFabric with explicit options.
 func NewFabricOptions(eng *Engine, self runtime.NodeID, addrs map[runtime.NodeID]string, opts FabricOptions) (*Fabric, error) {
-	switch opts.Codec {
-	case "", "wire", "gob":
-	default:
-		return nil, fmt.Errorf("live: unknown codec %q (want \"wire\" or \"gob\")", opts.Codec)
-	}
 	addr, ok := addrs[self]
 	if !ok {
 		return nil, fmt.Errorf("live: no address for self node %d", self)
@@ -108,7 +94,6 @@ func NewFabricOptions(eng *Engine, self runtime.NodeID, addrs map[runtime.NodeID
 		self:     self,
 		addrs:    addrs,
 		ln:       ln,
-		gobby:    opts.Codec == "gob",
 		tracer:   opts.Trace,
 		handlers: make(map[runtime.NodeID]runtime.Handler),
 		peers:    make(map[runtime.NodeID]*peer),
@@ -211,7 +196,7 @@ func (f *Fabric) Send(msg runtime.Message) {
 	if msg.From == runtime.None || msg.To == runtime.None {
 		panic(fmt.Sprintf("live: message with unset endpoints %+v", msg))
 	}
-	if !f.gobby && !wire.Registered(msg.Payload) {
+	if !wire.Registered(msg.Payload) {
 		// The protocol message set is closed; an unregistered payload is a
 		// programming error and must fail before it is queued, not decode
 		// as garbage on the peer.
@@ -295,14 +280,12 @@ func (f *Fabric) peerLocked(id runtime.NodeID) (*peer, error) {
 func (f *Fabric) writeLoop(p *peer, addr string) {
 	defer f.wg.Done()
 	var conn net.Conn
-	var enc *gob.Encoder // gob codec only
-	var gw *bufio.Writer // gob codec only: flushed once per drain
-	var buf []byte       // wire codec only: the reused drain buffer
+	var buf []byte // the reused drain buffer
 	batch := make([]frame, 0, 64)
 	drop := func(n int) {
 		if conn != nil {
 			conn.Close()
-			conn, enc, gw = nil, nil, nil
+			conn = nil
 		}
 		f.mu.Lock()
 		f.stats.MessagesLost += n
@@ -339,17 +322,12 @@ func (f *Fabric) writeLoop(p *peer, addr string) {
 				continue
 			}
 			conn = c
-			if f.gobby {
-				gw = bufio.NewWriter(conn)
-				enc = gob.NewEncoder(gw)
-			} else {
-				if _, err := conn.Write(wire.Preamble[:]); err != nil {
-					drop(len(batch))
-					continue
-				}
+			if _, err := conn.Write(wire.Preamble[:]); err != nil {
+				drop(len(batch))
+				continue
 			}
 		}
-		if err := f.writeBatch(conn, enc, gw, &buf, batch); err != nil {
+		if err := writeBatch(conn, &buf, batch); err != nil {
 			drop(len(batch))
 			continue
 		}
@@ -363,16 +341,8 @@ func (f *Fabric) writeLoop(p *peer, addr string) {
 }
 
 // writeBatch encodes every frame of the batch and hands the kernel one
-// write (wire codec) or one Flush (gob).
-func (f *Fabric) writeBatch(conn net.Conn, enc *gob.Encoder, gw *bufio.Writer, buf *[]byte, batch []frame) error {
-	if f.gobby {
-		for i := range batch {
-			if err := enc.Encode(&batch[i]); err != nil {
-				return err
-			}
-		}
-		return gw.Flush()
-	}
+// write.
+func writeBatch(conn net.Conn, buf *[]byte, batch []frame) error {
 	b := (*buf)[:0]
 	for i := range batch {
 		fr := &batch[i]
@@ -421,8 +391,8 @@ func (f *Fabric) acceptLoop() {
 
 // readLoop decodes inbound frames and injects deliveries onto the actor
 // loop, preserving the single-threaded protocol contract. A peer speaking
-// the wrong codec or wire version is refused with a loud complaint — the
-// version byte exists so mixed deployments fail fast instead of
+// something else or another wire version is refused with a loud complaint
+// — the version byte exists so mixed deployments fail fast instead of
 // mis-decoding each other.
 func (f *Fabric) readLoop(conn net.Conn) {
 	defer f.wg.Done()
@@ -432,17 +402,13 @@ func (f *Fabric) readLoop(conn net.Conn) {
 		delete(f.inbound, conn)
 		f.mu.Unlock()
 	}()
-	if f.gobby {
-		f.readGob(conn)
-		return
-	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var pre [5]byte
 	if _, err := io.ReadFull(br, pre[:]); err != nil {
 		return
 	}
 	if pre != wire.Preamble {
-		detail := "not a MARP wire-codec stream (gob-codec peer?)"
+		detail := "not a MARP wire-codec stream"
 		if bytes.Equal(pre[:4], wire.Preamble[:4]) {
 			detail = fmt.Sprintf("wire version %d, want %d", pre[4], wire.Version)
 		}
@@ -480,18 +446,6 @@ func (f *Fabric) readLoop(conn net.Conn) {
 			return
 		}
 		f.deliver(frame{From: from, To: to, Size: size, Payload: payload})
-	}
-}
-
-// readGob is the legacy decode loop.
-func (f *Fabric) readGob(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	for {
-		var fr frame
-		if err := dec.Decode(&fr); err != nil {
-			return
-		}
-		f.deliver(fr)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/runtime"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -31,10 +32,6 @@ type NodeConfig struct {
 	// window (200µs is a good start; zero keeps one fsync per commit
 	// barrier). Only meaningful with DataDir and Fsync=commit.
 	CommitDelay time.Duration
-	// Codec selects the fabric frame encoding: "wire" (default) or "gob"
-	// (the legacy reflective codec, kept for the A9 ablation and for
-	// talking to pre-wire-codec peers). All processes must agree.
-	Codec string
 	// Cluster carries the engine-neutral protocol configuration. N and
 	// Local are derived from Addrs/Self and must be left unset. Durability
 	// is derived from DataDir/Fsync; alternatively, with DataDir empty, an
@@ -49,6 +46,59 @@ type Node struct {
 	Eng     *Engine
 	Fab     *Fabric
 	Cluster *core.Cluster
+}
+
+// assemble is the one bring-up behind StartNode and StartOptNode: the actor
+// loop, the fabric, then the protocol constructor — run ON the loop. The
+// fabric accepts from the moment it exists and a restarting node's peers
+// are already sending, so a cluster built on the caller's goroutine is read
+// by arriving agents (the server table, the journal hook) while its
+// constructor still writes it. On the loop, every delivery queues behind
+// the constructor and sees the finished cluster.
+func assemble[C any](self runtime.NodeID, addrs map[runtime.NodeID]string, seed int64, tr *trace.Log, build func(*Engine, *Fabric) (C, error)) (*Engine, *Fabric, C, error) {
+	var cluster C
+	eng := NewEngine(seed)
+	fab, err := NewFabricOptions(eng, self, addrs, FabricOptions{Trace: tr})
+	if err != nil {
+		eng.Close()
+		return nil, nil, cluster, err
+	}
+	eng.Do(func() { cluster, err = build(eng, fab) })
+	if err != nil {
+		fab.Close()
+		eng.Close()
+		return nil, nil, cluster, err
+	}
+	return eng, fab, cluster, nil
+}
+
+// teardown stops a node: fabric first (stops inbound traffic, so no protocol
+// callback can arrive after its journal is gone), then the journal (flush
+// and close, so a graceful shutdown leaves nothing to replay), then the
+// actor loop. The journal close runs on the actor loop, serialized after
+// any callbacks the fabric injected before it closed.
+func teardown(eng *Engine, fab *Fabric, closeJournal func() error) {
+	fab.Close()
+	eng.Do(func() {
+		if err := closeJournal(); err != nil {
+			fmt.Printf("live: closing journal: %v\n", err)
+		}
+	})
+	eng.Close()
+}
+
+// fsBackend turns a node's DataDir and Fsync settings into the journal's
+// backend and fsync policy.
+func fsBackend(dataDir, fsync string) (func(runtime.NodeID) disk.Backend, wal.Policy, error) {
+	policy, err := wal.ParsePolicy(fsync)
+	if err != nil {
+		return nil, 0, fmt.Errorf("live: %w", err)
+	}
+	fsb, err := disk.NewFS(dataDir)
+	if err != nil {
+		return nil, 0, err
+	}
+	return func(runtime.NodeID) disk.Backend { return fsb }, policy, nil
 }
 
 // StartNode brings up the engine, the fabric, and the local replica. The
@@ -71,52 +121,35 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	cfg.Cluster.N = len(cfg.Addrs)
 	cfg.Cluster.Local = []runtime.NodeID{cfg.Self}
 	if cfg.DataDir != "" {
-		policy, err := wal.ParsePolicy(cfg.Fsync)
-		if err != nil {
-			return nil, fmt.Errorf("live: %w", err)
-		}
-		fsb, err := disk.NewFS(cfg.DataDir)
+		backend, policy, err := fsBackend(cfg.DataDir, cfg.Fsync)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Cluster.Durability = &core.DurabilityConfig{
-			Backend:          func(runtime.NodeID) disk.Backend { return fsb },
+			Backend:          backend,
 			Policy:           policy,
 			GroupCommitDelay: cfg.CommitDelay,
 		}
 	}
-	eng := NewEngine(cfg.Seed)
-	fab, err := NewFabricOptions(eng, cfg.Self, cfg.Addrs, FabricOptions{Codec: cfg.Codec, Trace: cfg.Cluster.Trace})
+	eng, fab, cl, err := assemble(cfg.Self, cfg.Addrs, cfg.Seed, cfg.Cluster.Trace, func(eng *Engine, fab *Fabric) (*core.Cluster, error) {
+		cl, err := core.NewCluster(eng, fab, cfg.Cluster)
+		if err != nil {
+			return nil, err
+		}
+		// Agent birth times on a live node are wall-clock times — the
+		// paper's "local creation time". The engine clock restarts at zero
+		// with the process, and IDs minted from it would lie under the
+		// gone-set watermarks the peers hold from this node's previous run,
+		// with or without a data dir; the wall clock is what a restart
+		// cannot rewind.
+		cl.Platform().AdvanceBirth(time.Now().UnixNano())
+		return cl, nil
+	})
 	if err != nil {
-		eng.Close()
 		return nil, err
 	}
-	cl, err := core.NewCluster(eng, fab, cfg.Cluster)
-	if err != nil {
-		fab.Close()
-		eng.Close()
-		return nil, err
-	}
-	// Agent birth times on a live node are wall-clock times — the paper's
-	// "local creation time". The engine clock restarts at zero with the
-	// process, and IDs minted from it would lie under the gone-set
-	// watermarks the peers hold from this node's previous run, with or
-	// without a data dir; the wall clock is what a restart cannot rewind.
-	cl.Platform().AdvanceBirth(time.Now().UnixNano())
 	return &Node{Eng: eng, Fab: fab, Cluster: cl}, nil
 }
 
-// Close tears the node down: fabric first (stops inbound traffic, so no
-// protocol callback can arrive after its journal is gone), then the journal
-// (flush and close, so a graceful shutdown leaves nothing to replay), then
-// the actor loop. The journal close runs on the actor loop, serialized
-// after any callbacks the fabric injected before it closed.
-func (n *Node) Close() {
-	n.Fab.Close()
-	n.Eng.Do(func() {
-		if err := n.Cluster.CloseJournals(); err != nil {
-			fmt.Printf("live: closing journal: %v\n", err)
-		}
-	})
-	n.Eng.Close()
-}
+// Close tears the node down (see teardown for the order).
+func (n *Node) Close() { teardown(n.Eng, n.Fab, n.Cluster.CloseJournals) }

@@ -6,13 +6,10 @@ package live
 // to the peers over real sockets as wire-encoded state.
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/disk"
 	"repro/internal/optimistic"
 	"repro/internal/runtime"
-	"repro/internal/wal"
 )
 
 // OptNodeConfig configures one live optimistic replica process.
@@ -29,8 +26,6 @@ type OptNodeConfig struct {
 	// Fsync selects the WAL fsync policy (see wal.ParsePolicy). Only
 	// meaningful with DataDir.
 	Fsync string
-	// Codec selects the fabric frame encoding: "wire" (default) or "gob".
-	Codec string
 	// GossipInterval overrides the reconciliation launch period (zero
 	// keeps the protocol default).
 	GossipInterval time.Duration
@@ -58,48 +53,20 @@ func StartOptNode(cfg OptNodeConfig) (*OptNode, error) {
 		GossipInterval: cfg.GossipInterval,
 	}
 	if cfg.DataDir != "" {
-		policy, err := wal.ParsePolicy(cfg.Fsync)
-		if err != nil {
-			return nil, fmt.Errorf("live: %w", err)
-		}
-		fsb, err := disk.NewFS(cfg.DataDir)
+		backend, policy, err := fsBackend(cfg.DataDir, cfg.Fsync)
 		if err != nil {
 			return nil, err
 		}
-		ocfg.Durability = &optimistic.DurabilityConfig{
-			Backend: func(runtime.NodeID) disk.Backend { return fsb },
-			Policy:  policy,
-		}
+		ocfg.Durability = &optimistic.DurabilityConfig{Backend: backend, Policy: policy}
 	}
-	eng := NewEngine(cfg.Seed)
-	fab, err := NewFabricOptions(eng, cfg.Self, cfg.Addrs, FabricOptions{Codec: cfg.Codec})
+	eng, fab, cl, err := assemble(cfg.Self, cfg.Addrs, cfg.Seed, nil, func(eng *Engine, fab *Fabric) (*optimistic.Cluster, error) {
+		return optimistic.NewCluster(eng, fab, ocfg)
+	})
 	if err != nil {
-		eng.Close()
 		return nil, err
-	}
-	var cl *optimistic.Cluster
-	var clErr error
-	// Journal replay and the first fabric attach run on the actor loop,
-	// serialized against inbound deliveries, exactly like StartNode's
-	// recovery phase.
-	eng.Do(func() { cl, clErr = optimistic.NewCluster(eng, fab, ocfg) })
-	if clErr != nil {
-		fab.Close()
-		eng.Close()
-		return nil, clErr
 	}
 	return &OptNode{Eng: eng, Fab: fab, Cluster: cl}, nil
 }
 
-// Close tears the node down: fabric first (no protocol callback can arrive
-// after its journal is gone), then the journal on the actor loop, then the
-// loop itself.
-func (n *OptNode) Close() {
-	n.Fab.Close()
-	n.Eng.Do(func() {
-		if err := n.Cluster.Close(); err != nil {
-			fmt.Printf("live: closing optimistic journal: %v\n", err)
-		}
-	})
-	n.Eng.Close()
-}
+// Close tears the node down (see teardown for the order).
+func (n *OptNode) Close() { teardown(n.Eng, n.Fab, n.Cluster.Close) }

@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -210,5 +211,63 @@ func TestLiveRestartWithoutDataDir(t *testing.T) {
 	waitConverged(t, nodes, 2*n*perNode+4+1, 15*time.Second)
 	if _, violations := ref.report(); len(violations) > 0 {
 		t.Fatalf("shared referee saw violations: %s", violations[0])
+	}
+}
+
+// TestStartNodeUnderTraffic restarts a durable node while its peers are
+// sending: nodes 1 and 2 submit an update every 200 µs, so agents and
+// protocol messages for node 3 arrive from the instant its fabric listens.
+// The race detector is the oracle — a cluster built anywhere but on the
+// actor loop is read by those arrivals while its constructor still writes
+// it (the server table, the journal hook) — plus every StartNode returning.
+func TestStartNodeUnderTraffic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live cluster test uses wall-clock timeouts")
+	}
+	const n = 3
+	addrs := freeAddrs(t, n)
+	start := func(i int, dir string) *live.Node {
+		node, err := live.StartNode(live.NodeConfig{
+			Self: runtime.NodeID(i), Addrs: addrs, Seed: int64(100 + i), DataDir: dir, Fsync: "none",
+		})
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		return node
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 1; i <= 2; i++ {
+		node, home := start(i, ""), runtime.NodeID(i)
+		defer node.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := 0; ; seq++ {
+				select {
+				case <-stop:
+					return
+				case <-time.After(200 * time.Microsecond):
+				}
+				var err error
+				node.Eng.Do(func() { err = node.Cluster.Submit(home, core.Set(fmt.Sprintf("k%d-%d", home, seq%16), "v")) })
+				if err != nil {
+					t.Errorf("submit at node %d: %v", home, err)
+					return
+				}
+			}
+		}()
+	}
+	// Deferred calls run last-in first-out: the submitters stop before
+	// their nodes close, on a failed StartNode as well.
+	defer wg.Wait()
+	defer close(stop)
+	dir := t.TempDir()
+	for round := 0; round < 6; round++ {
+		node := start(3, dir)
+		time.Sleep(150 * time.Millisecond)
+		// Die as kill -9 would: no journal close.
+		node.Fab.Close()
+		node.Eng.Close()
 	}
 }

@@ -11,7 +11,7 @@
 //     execution is a single-threaded, byte-for-byte reproducible function
 //     of its seed — the test oracle;
 //   - the live engine (internal/runtime/live), where each replica is its
-//     own OS process with wall-clock timers and a gob-over-TCP fabric, and
+//     own OS process with wall-clock timers and a wire-codec TCP fabric, and
 //     mobile agents migrate across real sockets.
 //
 // The invariant this package exists to protect: engine choice is invisible
@@ -20,7 +20,6 @@
 package runtime
 
 import (
-	"encoding/gob"
 	"errors"
 	"math/rand"
 	"time"
@@ -212,9 +211,3 @@ type LossController interface {
 type WireFabric interface {
 	WireDelivery() bool
 }
-
-// RegisterWireType registers a payload's concrete type for wire encoding.
-// Every package that sends a payload type across a serializing fabric calls
-// this from an init function; over the in-memory simulated fabric the
-// registration is harmless.
-func RegisterWireType(v any) { gob.Register(v) }

@@ -16,15 +16,29 @@ import (
 // leaked back into protocol code and the live deployment no longer runs the
 // same implementation as the simulator.
 //
+// The same scan keeps two deleted paths deleted: nothing on the live path
+// imports encoding/gob (the wire codec is the only encoding, and gob is not
+// hardened against hostile input), and the client plane serves live nodes
+// only — no simulated cluster behind a socket.
+//
 // Test files are exempt: they legitimately use the DES engine as a
 // deterministic oracle for protocol behaviour.
 func TestProtocolPackagesStayEngineNeutral(t *testing.T) {
-	protocol := []string{"agent", "replica", "core", "reliable", "optimistic"}
-	forbidden := []string{"repro/internal/des", "repro/internal/simnet", "repro/internal/runtime/live", "repro/internal/desengine"}
+	const gob = "encoding/gob"
+	neutral := []string{gob, "repro/internal/des", "repro/internal/simnet", "repro/internal/runtime/live", "repro/internal/desengine"}
+	rules := []struct {
+		pkg       string // directory under internal/
+		forbidden []string
+	}{
+		{"agent", neutral}, {"replica", neutral}, {"core", neutral}, {"reliable", neutral}, {"optimistic", neutral},
+		{"runtime", []string{gob}},
+		{"runtime/live", []string{gob}},
+		{"transport", []string{gob, "repro", "repro/internal/desengine", "repro/internal/des"}},
+	}
 
 	fset := token.NewFileSet()
-	for _, pkg := range protocol {
-		dir := filepath.Join("..", pkg)
+	for _, rule := range rules {
+		dir := filepath.Join("..", rule.pkg)
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatalf("reading %s: %v", dir, err)
@@ -44,9 +58,9 @@ func TestProtocolPackagesStayEngineNeutral(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: bad import %s", path, imp.Path.Value)
 				}
-				for _, bad := range forbidden {
+				for _, bad := range rule.forbidden {
 					if ipath == bad {
-						t.Errorf("%s imports %s: protocol packages must depend only on internal/runtime interfaces", path, ipath)
+						t.Errorf("%s imports %s, which internal/%s must not", path, ipath, rule.pkg)
 					}
 				}
 			}

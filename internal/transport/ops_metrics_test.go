@@ -55,7 +55,8 @@ func scrape(t *testing.T, url string) map[string]float64 {
 // and monotonic throughout. Run with -race this doubles as the proof
 // that scraping never touches engine state off-loop.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
-	srv, cli := startServer(t)
+	c := startCluster(t)
+	srv := c.srvs[0]
 	opsSrv, err := ops.Serve("127.0.0.1:0", ops.Config{
 		Gather: srv.GatherMetrics,
 		Health: srv.Health,
@@ -74,14 +75,16 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(srv.Addr())
+			// Every writer submits at node 1, the scraped process: a
+			// process counts the commits of the agents it dispatched.
+			cli, err := Dial(srv.Addr())
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer c.Close()
+			defer cli.Close()
 			for i := 0; i < submits; i++ {
-				if err := c.Submit(w+1, fmt.Sprintf("k%d-%d", w, i), "v", false); err != nil {
+				if err := cli.Submit(1, fmt.Sprintf("k%d-%d", w, i), "v", false); err != nil {
 					errs <- err
 					return
 				}
@@ -94,7 +97,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		"marp_replica_commits",
 		"marp_fabric_messages_sent",
 		"marp_agent_migrations_completed",
-		"marp_wal_appends", // zero throughout (volatile sim), still monotonic
+		"marp_wal_appends", // zero throughout (volatile node), still monotonic
 	}
 	prev := make(map[string]float64)
 	const scrapes = 40
@@ -137,7 +140,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 			t.Errorf("no metric exported under %s*", subsystem)
 		}
 	}
-	waitCommitted(t, cli, writers*submits)
+	c.waitCommitted(t, writers*submits)
 	if got := scrape(t, url)["marp_replica_commits"]; got < float64(writers*submits) {
 		t.Errorf("marp_replica_commits = %v after %d committed submits", got, writers*submits)
 	}

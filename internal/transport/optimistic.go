@@ -2,7 +2,7 @@ package transport
 
 // The optimistic protocol behind the same wire surface. One Server fronts
 // either protocol — the op vocabulary is shared where the semantics match
-// (submit, read, crash, recover, partition, heal, stats, scenario) and
+// (submit, read, partition, heal, stats, scenario) and
 // kind-tagged where they cannot (digest, referee): an optimistic digest has
 // two tiers, a stable prefix that converges and a tentative overlay that
 // legitimately diverges, so responses carry Kind and consumers must never
@@ -12,9 +12,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/desengine"
-	"repro/internal/optimistic"
-	"repro/internal/realtime"
 	"repro/internal/runtime"
 	"repro/internal/runtime/live"
 	"repro/internal/scenario"
@@ -34,22 +31,6 @@ const (
 // geometries apply.
 const OptGeometry = "optimistic"
 
-// ServeOptimistic starts a simulated optimistic cluster service on addr,
-// paced against the wall clock at speed (the optimistic analogue of Serve).
-func ServeOptimistic(addr string, cfg desengine.OptConfig, speed float64) (*Server, error) {
-	cl, err := desengine.NewOptimistic(cfg)
-	if err != nil {
-		return nil, err
-	}
-	driver := realtime.NewDriver(cl.Sim(), speed)
-	s, err := serveOpt(addr, cl.Cluster, driver.Do, driver.Stop)
-	if err != nil {
-		return nil, err
-	}
-	driver.Start()
-	return s, nil
-}
-
 // ServeLiveOptimistic starts one live optimistic replica process on addr:
 // tentative commits happen at local latency, and reconciliation agents
 // migrate between the processes over TCP (cfg.Addrs).
@@ -58,28 +39,7 @@ func ServeLiveOptimistic(addr string, cfg live.OptNodeConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	exec := func(fn func()) error {
-		if !node.Eng.Do(fn) {
-			return realtime.ErrStopped
-		}
-		return nil
-	}
-	s, err := serveOpt(addr, node.Cluster, exec, node.Close)
-	if err != nil {
-		node.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// serveOpt wires the listener over an already running optimistic cluster.
-func serveOpt(addr string, opt *optimistic.Cluster, exec func(func()) error, teardown func()) (*Server, error) {
-	s, err := serve(addr, nil, exec, teardown)
-	if err != nil {
-		return nil, err
-	}
-	s.opt = opt
-	return s, nil
+	return serve(addr, nil, node.Cluster, node.Eng, node.Close)
 }
 
 // applyOpt is apply for an optimistic deployment.
@@ -106,16 +66,6 @@ func (s *Server) applyOpt(req Request) Response {
 			return Response{Error: err.Error()}
 		}
 		return Response{OK: true, Found: ok, Value: v.Data, Seq: v.Version.Seq}
-	case "crash":
-		if err := s.opt.Crash(runtime.NodeID(req.Node)); err != nil {
-			return Response{Error: err.Error()}
-		}
-		return Response{OK: true}
-	case "recover":
-		if err := s.opt.Recover(runtime.NodeID(req.Node)); err != nil {
-			return Response{Error: err.Error()}
-		}
-		return Response{OK: true}
 	case "partition":
 		groups := make([][]runtime.NodeID, len(req.Groups))
 		for i, g := range req.Groups {

@@ -1,15 +1,11 @@
-// Package transport exposes a live MARP cluster as a network service: a
-// TCP server speaking a line-delimited JSON protocol (one request object per
+// Package transport exposes a live replica as a network service: a TCP
+// server speaking a line-delimited JSON protocol (one request object per
 // line, one response object per line), plus the matching client.
 //
-// The replication protocol itself runs on the deterministic simulation
-// engine, paced against the wall clock by internal/realtime; the transport
-// layer carries client traffic only. DESIGN.md documents why this
-// substitution preserves the studied behaviour: the agent/replica dynamics
-// under test are identical whether the replicas exchange messages over
-// simulated or physical links, and keeping them on the simulated fabric
-// preserves the correctness oracles (referee, convergence checks) in the
-// live deployment too.
+// The replication protocol runs on the live engine (internal/runtime/live):
+// one process hosts one replica, and the transport layer carries client
+// traffic only — replica-to-replica traffic, mobile agents included, rides
+// the live fabric.
 //
 // Wire protocol (JSON per line):
 //
@@ -19,15 +15,16 @@
 //	<- {"ok":true,"value":"v","seq":3,"found":true}
 //	-> {"op":"stats"}
 //	<- {"ok":true,"stats":{...}}
-//	-> {"op":"crash","node":3} / {"op":"recover","node":3}
-//	<- {"ok":true}
 //	-> {"op":"partition","groups":[[1,2],[3]]} / {"op":"heal"}
 //	<- {"ok":true}
 //	-> {"op":"scenario"}
 //	<- {"ok":true,"scenario":{...}}
 //
-// partition/heal drive the process's own fabric only — a live cluster is
-// split by sending the same partition to every process (marpctl fans out).
+// partition/heal drive the process's own fabric only — a cluster is split
+// by sending the same partition to every process (marpctl fans out). There
+// is no crash op: a process cannot fail-stop itself on request and come
+// back, so a crash is a kill -9 and a recovery is a restart (an unknown op
+// is an error).
 // scenario reports the cluster shape plus the per-key commit digests that
 // seed an incident bundle's footer (marpctl snapshot-scenario).
 package transport
@@ -35,6 +32,7 @@ package transport
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net"
@@ -42,16 +40,18 @@ import (
 	"sync"
 	"time"
 
-	marp "repro"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/optimistic"
-	"repro/internal/realtime"
 	"repro/internal/runtime"
 	"repro/internal/runtime/live"
 	"repro/internal/scenario"
 	"repro/internal/store"
 )
+
+// ErrStopped is returned by a request that reaches the server after its
+// engine has shut down.
+var ErrStopped = errors.New("transport: engine stopped")
 
 // GatherMetrics samples the cluster's metric registry on the engine's
 // execution context — the scrape path behind the ops listener's /metrics.
@@ -205,14 +205,12 @@ type Response struct {
 	Tentative *TierDigest `json:"tentative,omitempty"`
 }
 
-// Server serves a MARP cluster over TCP. The same server fronts either
-// engine: in sim mode it owns a whole simulated cluster paced against the
-// wall clock; in live mode it fronts this process's single replica, with
-// the rest of the cluster in sibling processes.
+// Server serves this process's single replica over TCP; the rest of the
+// cluster lives in sibling processes.
 type Server struct {
 	cluster  *core.Cluster       // MARP deployments; nil when opt is set
 	opt      *optimistic.Cluster // optimistic deployments; nil when cluster is set
-	exec     func(func()) error  // runs fn on the engine's execution context
+	eng      *live.Engine
 	teardown func()
 	listener net.Listener
 
@@ -239,54 +237,30 @@ func (s *Server) recorder() *scenario.Recorder {
 	return s.rec
 }
 
-// Serve starts a simulated cluster service on addr (e.g. "127.0.0.1:7707";
-// use port 0 for an ephemeral port). speed scales virtual time against the
-// wall clock.
-func Serve(addr string, opts marp.Options, speed float64) (*Server, error) {
-	cluster, err := marp.NewCluster(opts)
-	if err != nil {
-		return nil, err
-	}
-	driver := realtime.NewDriver(cluster.Internal().Sim(), speed)
-	s, err := serve(addr, cluster.Internal().Cluster, driver.Do, driver.Stop)
-	if err != nil {
-		return nil, err
-	}
-	driver.Start()
-	return s, nil
-}
-
-// ServeLive starts one live replica process on addr: the protocol runs on
-// the wall clock and exchanges replica-to-replica traffic — mobile agents
-// included — with its peers over TCP (cfg.Addrs).
+// ServeLive starts one live replica process on addr (e.g. "127.0.0.1:7707";
+// use port 0 for an ephemeral port): the protocol runs on the wall clock and
+// exchanges replica-to-replica traffic — mobile agents included — with its
+// peers over TCP (cfg.Addrs).
 func ServeLive(addr string, cfg live.NodeConfig) (*Server, error) {
 	node, err := live.StartNode(cfg)
 	if err != nil {
 		return nil, err
 	}
-	exec := func(fn func()) error {
-		if !node.Eng.Do(fn) {
-			return realtime.ErrStopped
-		}
-		return nil
-	}
-	s, err := serve(addr, node.Cluster, exec, node.Close)
-	if err != nil {
-		node.Close()
-		return nil, err
-	}
-	return s, nil
+	return serve(addr, node.Cluster, nil, node.Eng, node.Close)
 }
 
-// serve wires the listener over an already running cluster.
-func serve(addr string, cluster *core.Cluster, exec func(func()) error, teardown func()) (*Server, error) {
+// serve wires the listener over an already running node, and tears the node
+// down if the listener cannot be had.
+func serve(addr string, cluster *core.Cluster, opt *optimistic.Cluster, eng *live.Engine, teardown func()) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
+		teardown()
 		return nil, err
 	}
 	s := &Server{
 		cluster:  cluster,
-		exec:     exec,
+		opt:      opt,
+		eng:      eng,
 		teardown: teardown,
 		listener: ln,
 		conns:    make(map[net.Conn]struct{}),
@@ -350,6 +324,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// exec runs fn on the engine's execution context.
+func (s *Server) exec(fn func()) error {
+	if !s.eng.Do(fn) {
+		return ErrStopped
+	}
+	return nil
+}
+
 // handle executes one request on the engine's execution context.
 func (s *Server) handle(req Request) Response {
 	var resp Response
@@ -390,12 +372,6 @@ func (s *Server) apply(req Request) Response {
 	case "read":
 		v, ok := s.cluster.Read(runtime.NodeID(req.Node), req.Key)
 		return Response{OK: true, Found: ok, Value: v.Data, Seq: v.Version.Seq}
-	case "crash":
-		s.cluster.Crash(runtime.NodeID(req.Node))
-		return Response{OK: true}
-	case "recover":
-		s.cluster.Recover(runtime.NodeID(req.Node))
-		return Response{OK: true}
 	case "partition":
 		groups := make([][]runtime.NodeID, len(req.Groups))
 		for i, g := range req.Groups {
@@ -465,10 +441,9 @@ func (s *Server) apply(req Request) Response {
 
 // scenarioBody snapshots what an incident bundle needs from this process:
 // the cluster shape for the header, and the per-key commit digests plus
-// request counts for the footer. Every live replica this process hosts
-// must already agree on the digests (in sim mode that is all N replicas;
-// live mode hosts one) — disagreement means the cluster has not converged
-// and the snapshot is refused.
+// request counts for the footer. Every up replica this process hosts must
+// already agree on the digests — disagreement means the cluster has not
+// converged and the snapshot is refused.
 func (s *Server) scenarioBody() Response {
 	shape := s.cluster.Describe()
 	body := &ScenarioBody{
@@ -628,21 +603,8 @@ func (c *Client) Read(node int, key string) (value string, seq uint64, found boo
 	return resp.Value, resp.Seq, resp.Found, nil
 }
 
-// Crash fail-stops a server.
-func (c *Client) Crash(node int) error {
-	_, err := c.roundTrip(Request{Op: "crash", Node: node})
-	return err
-}
-
-// Recover restarts a crashed server.
-func (c *Client) Recover(node int) error {
-	_, err := c.roundTrip(Request{Op: "recover", Node: node})
-	return err
-}
-
 // Partition splits the addressed process's fabric into the given node
-// groups. Live clusters need the same call at every process; the sim
-// server's one simulated network is split by this single call.
+// groups; a cluster needs the same call at every process.
 func (c *Client) Partition(groups [][]int) error {
 	_, err := c.roundTrip(Request{Op: "partition", Groups: groups})
 	return err
@@ -702,7 +664,7 @@ func digestLog(log []store.Update) (string, int) {
 }
 
 // Digest fetches the order-independent commit-set digest of a replica's
-// store (live mode: the one replica the addressed process hosts).
+// store (the one replica the addressed process hosts).
 func (c *Client) Digest(node int) (digest string, commits int, err error) {
 	resp, err := c.roundTrip(Request{Op: "digest", Node: node})
 	if err != nil {

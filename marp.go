@@ -269,7 +269,3 @@ type Stats struct {
 func (c *Cluster) Stats() Stats {
 	return Stats{Network: c.inner.NetStats(), Agents: c.inner.Platform().Stats()}
 }
-
-// Internal returns the underlying simulated cluster for advanced use
-// (benchmark harness, tests).
-func (c *Cluster) Internal() *desengine.Cluster { return c.inner }
