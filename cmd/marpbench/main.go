@@ -153,7 +153,7 @@ func run(expFlag, cpuProf, memProf string, opts harness.FigureOptions) int {
 		}},
 		{id: "a7", name: "Durability: WAL overhead and crash recovery", run: harness.Durability},
 		{id: "a8", name: "Ablation: keyspace sharding throughput", run: harness.Sharding},
-		{id: "a9", name: "Ablation: live-path raw speed (ack pipelining/group commit)", run: harness.LiveSpeed},
+		{id: "a9", name: "Ablation: live-path raw speed (WAL group commit)", run: harness.LiveSpeed},
 		{id: "a10", name: "Ablation: optimistic asynchronous commitment (WAN showdown)", run: harness.Optimistic},
 	}
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/clusterspec"
@@ -14,7 +15,7 @@ import (
 // liveFlags carries the operator's input, either raw flags or a -spec file
 // reference, before validation.
 type liveFlags struct {
-	Spec        string // -spec: path to a cluster spec file; overrides cluster-level flags
+	Spec        string // -spec: path to a cluster spec file; owns the cluster-level settings
 	Node        int
 	Peers       string
 	Addr        string // client listen address (-addr)
@@ -25,7 +26,16 @@ type liveFlags struct {
 	Shards      int
 	Geometry    string
 	CommitDelay time.Duration
-	AckDelay    time.Duration
+	Protocol    string          // -protocol: marp or optimistic
+	Given       map[string]bool // flags set on the command line (flag.Visit), by name
+}
+
+// specOwned pairs each cluster-level flag with the spec key that owns the
+// setting once -spec is given. Every process must agree on these, so a flag
+// beside the file is refused instead of winning in one process only.
+var specOwned = []struct{ flag, key string }{
+	{"peers", "[[node]] fabric"}, {"shards", "shards"}, {"geometry", "geometry"},
+	{"fsync", "fsync"}, {"commit-delay", "commit_delay"}, {"seed", "seed"},
 }
 
 // resolveLive validates the operator's input and produces the live node
@@ -38,10 +48,22 @@ func resolveLive(f liveFlags) (cfg live.NodeConfig, clientAddr, opsAddr string, 
 	var addrs map[runtime.NodeID]string
 	geometry, fsync := f.Geometry, f.Fsync
 	seed, dataDir := f.Seed, f.DataDir
-	commitDelay, ackDelay := f.CommitDelay, f.AckDelay
+	commitDelay := f.CommitDelay
 	shards := f.Shards
+	// marpOnly collects the explicitly given settings only MARP has.
+	var marpOnly []string
+	for _, name := range []string{"geometry", "commit-delay"} {
+		if f.Given[name] {
+			marpOnly = append(marpOnly, "-"+name)
+		}
+	}
 
 	if f.Spec != "" {
+		for _, o := range specOwned {
+			if f.Given[o.flag] {
+				return cfg, "", "", fmt.Errorf("-%s cannot be combined with -spec: the spec's %s key owns that setting", o.flag, o.key)
+			}
+		}
 		spec, lerr := clusterspec.Load(f.Spec)
 		if lerr != nil {
 			return cfg, "", "", lerr
@@ -59,6 +81,7 @@ func resolveLive(f liveFlags) (cfg live.NodeConfig, clientAddr, opsAddr string, 
 		}
 		if spec.Geometry != "" {
 			geometry = spec.Geometry
+			marpOnly = append(marpOnly, "the spec's geometry key")
 		}
 		if spec.Fsync != "" {
 			fsync = spec.Fsync
@@ -75,14 +98,15 @@ func resolveLive(f liveFlags) (cfg live.NodeConfig, clientAddr, opsAddr string, 
 		// Spec delay strings were validated by Load.
 		if spec.CommitDelay != "" {
 			commitDelay, _ = time.ParseDuration(spec.CommitDelay)
-		}
-		if spec.AckDelay != "" {
-			ackDelay, _ = time.ParseDuration(spec.AckDelay)
+			marpOnly = append(marpOnly, "the spec's commit_delay key")
 		}
 	} else {
 		if addrs, err = clusterspec.ParsePeers(f.Peers); err != nil {
 			return cfg, "", "", err
 		}
+	}
+	if f.Protocol == "optimistic" && len(marpOnly) > 0 {
+		return cfg, "", "", fmt.Errorf("the optimistic protocol has no quorum geometry / group commit: remove %s", strings.Join(marpOnly, ", "))
 	}
 	if err = clusterspec.ValidatePeers(self, addrs); err != nil {
 		return cfg, "", "", err
@@ -99,9 +123,8 @@ func resolveLive(f liveFlags) (cfg live.NodeConfig, clientAddr, opsAddr string, 
 		Fsync:       fsync,
 		CommitDelay: commitDelay,
 		Cluster: core.Config{
-			Shards:          shards,
-			Geometry:        geom,
-			MigrateAckDelay: ackDelay,
+			Shards:   shards,
+			Geometry: geom,
 		},
 	}
 	return cfg, clientAddr, opsAddr, nil

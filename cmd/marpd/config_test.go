@@ -132,3 +132,68 @@ ops = "127.0.0.1:9103"
 		t.Errorf("duplicate-id spec err = %v", err)
 	}
 }
+
+// TestResolveLiveRefusesDroppedSettings: a setting marpd would have to drop
+// is an operator mistake (exit 2), not a silent default. With -spec the
+// cluster-level flags belong to the file — one process running 8 shards
+// beside two running the spec's 2 is the failure this closes — and the
+// optimistic protocol has neither a quorum geometry nor group commit.
+func TestResolveLiveRefusesDroppedSettings(t *testing.T) {
+	dir := t.TempDir()
+	nodes := `
+[[node]]
+id = 1
+fabric = "127.0.0.1:7801"
+[[node]]
+id = 2
+fabric = "127.0.0.1:7802"
+`
+	write := func(name, head string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(head+nodes), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	bare := write("bare.toml", "")
+	cases := []struct {
+		name     string
+		spec     string
+		protocol string
+		given    []string
+		wantErr  []string // substrings; nil = accepted
+	}{
+		{"spec + -peers", bare, "marp", []string{"peers"}, []string{"-peers", "fabric"}},
+		{"spec + -shards", bare, "marp", []string{"shards"}, []string{"-shards", "shards key"}},
+		{"spec + -geometry", bare, "marp", []string{"geometry"}, []string{"-geometry", "geometry key"}},
+		{"spec + -fsync", bare, "marp", []string{"fsync"}, []string{"-fsync", "fsync key"}},
+		{"spec + -commit-delay", bare, "marp", []string{"commit-delay"}, []string{"-commit-delay", "commit_delay key"}},
+		{"spec + -seed", bare, "marp", []string{"seed"}, []string{"-seed", "seed key"}},
+		{"spec + per-process flags", bare, "marp", []string{"addr", "ops", "data-dir", "node", "spec", "record"}, nil},
+		{"optimistic + -geometry", "", "optimistic", []string{"geometry"}, []string{"optimistic protocol has no", "-geometry"}},
+		{"optimistic + -commit-delay", "", "optimistic", []string{"commit-delay"}, []string{"optimistic protocol has no", "-commit-delay"}},
+		{"optimistic + spec geometry", write("geom.toml", "geometry = \"majority\"\n"), "optimistic", nil, []string{"optimistic protocol has no", "geometry key"}},
+		{"optimistic + spec commit_delay", write("delay.toml", "commit_delay = \"200us\"\n"), "optimistic", nil, []string{"optimistic protocol has no", "commit_delay key"}},
+		{"optimistic + shards and fsync", "", "optimistic", []string{"shards", "fsync", "peers"}, nil},
+		{"marp + -geometry -commit-delay", "", "marp", []string{"geometry", "commit-delay"}, nil},
+	}
+	for _, c := range cases {
+		f := baseFlags()
+		f.Spec, f.Protocol, f.Given = c.spec, c.protocol, map[string]bool{}
+		for _, name := range c.given {
+			f.Given[name] = true
+		}
+		_, _, _, err := resolveLive(f)
+		if c.wantErr == nil {
+			if err != nil {
+				t.Errorf("%s: refused: %v", c.name, err)
+			}
+			continue
+		}
+		for _, want := range c.wantErr {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: err = %v, want substring %q", c.name, err, want)
+			}
+		}
+	}
+}

@@ -26,7 +26,10 @@
 //
 // A malformed -peers string or spec (duplicate IDs, missing self entry,
 // unparseable address, unknown key) makes marpd exit 2 before anything
-// listens.
+// listens. So does a setting that would otherwise be dropped: with -spec the
+// cluster-level flags (-peers -shards -geometry -fsync -commit-delay -seed)
+// belong to the file, and -protocol optimistic has no -geometry or
+// -commit-delay.
 //
 // Add -ops host:port (or an `ops` address per node in the spec) to serve
 // the ops endpoints: Prometheus-text /metrics and JSON /healthz, the
@@ -76,7 +79,6 @@ func main() {
 		shards   = flag.Int("shards", 1, "key-space shards (independent per-key locking domains)")
 		geometry = flag.String("geometry", "majority", "quorum geometry: majority, grid, tree")
 		commit   = flag.Duration("commit-delay", 0, "WAL group-commit window with -data-dir, e.g. 200us; 0 = fsync per commit")
-		ackDelay = flag.Duration("ack-delay", 0, "migration ack aggregation window, e.g. 500us; 0 = ack immediately")
 		record   = flag.String("record", "", "incident-recording spool directory: accepted submits are appended as scenario events (share one dir across the cluster; see marpctl snapshot-scenario)")
 		protocol = flag.String("protocol", "marp", "replication protocol: marp (pessimistic locking agents) or optimistic (tentative commits + reconciliation agents)")
 	)
@@ -88,23 +90,27 @@ func main() {
 		fmt.Fprintf(os.Stderr, "marpd: unknown protocol %q (marp or optimistic)\n", *protocol)
 		os.Exit(2)
 	}
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	cfg, clientAddr, opsListen, err := resolveLive(liveFlags{
 		Spec: *spec, Node: *node, Peers: *peers,
 		Addr: *addr, Ops: *opsAddr,
 		Seed: *seed, DataDir: *dataDir, Fsync: *fsync,
 		Shards: *shards, Geometry: *geometry,
-		CommitDelay: *commit, AckDelay: *ackDelay,
+		CommitDelay: *commit,
+		Protocol:    *protocol, Given: given,
 	})
 	if err != nil {
-		// Operator mistake in -peers/-spec: exit 2, distinct from the
-		// runtime failures below.
+		// Operator mistake in -peers/-spec or a setting the chosen source
+		// or protocol cannot honour: exit 2, distinct from the runtime
+		// failures below.
 		fmt.Fprintf(os.Stderr, "marpd: %v\n", err)
 		os.Exit(2)
 	}
 	var srv *transport.Server
 	if *protocol == "optimistic" {
 		// The spec/flag resolution is shared; the optimistic node takes
-		// the subset that applies (no quorum geometry, no migration acks).
+		// the subset that applies (resolveLive refused the rest).
 		srv, err = transport.ServeLiveOptimistic(clientAddr, live.OptNodeConfig{
 			Self: cfg.Self, Addrs: cfg.Addrs, Seed: cfg.Seed,
 			DataDir: cfg.DataDir, Fsync: cfg.Fsync,

@@ -112,8 +112,6 @@ type Stats struct {
 	MigrationsRefused   int // envelope arrived after the origin timed out
 	AgentMsgsDelivered  int
 	AgentMsgsDropped    int
-	AckBatchesSent      int // MigrateAckBatch frames flushed (ack aggregation on)
-	AcksBatched         int // individual acks carried inside those batches
 	StaleAcksIgnored    int // acks for an older hop than the pending migration
 }
 
@@ -143,21 +141,10 @@ type Config struct {
 	// OnDeparted, if non-nil, runs at the origin when a wire migration is
 	// acknowledged by the destination — the moment the origin knows its
 	// copy of the agent is dead weight and any local bookkeeping for the
-	// in-flight agent can be dropped. b is the copy that left: with
-	// deferred acks the agent can be back, thawed into a new behavior,
-	// before the ack for its departure arrives.
+	// in-flight agent can be dropped. b is the copy that left: when a
+	// redial reorders frames the agent can be back, thawed into a new
+	// behavior, before the ack for its departure arrives.
 	OnDeparted func(id ID, b Behavior)
-	// AckFlushDelay enables migration-ack aggregation over wire fabrics: a
-	// landing is acknowledged within this much time, batched with every
-	// other ack owed the same origin, instead of in its own frame. Zero
-	// (the default) acks each landing immediately — the legacy behaviour.
-	// Must be well below MigrationTimeout: a deferred ack narrows the
-	// origin's false-timeout margin by exactly the deferral.
-	AckFlushDelay time.Duration
-	// AckFlushMax bounds the in-flight ack window: a batch is flushed
-	// early once it holds this many acks (default 32). Only meaningful
-	// with AckFlushDelay.
-	AckFlushMax int
 	// Trace, if non-nil, receives platform events.
 	Trace *trace.Log
 }
@@ -168,9 +155,6 @@ func (c *Config) fill() {
 	}
 	if c.DeathNoticeDelay <= 0 {
 		c.DeathNoticeDelay = 100 * time.Millisecond
-	}
-	if c.AckFlushMax <= 0 {
-		c.AckFlushMax = 32
 	}
 }
 
@@ -190,11 +174,6 @@ type Platform struct {
 	seq      uint64
 	bornBase int64 // added to the engine clock to form Born (see AdvanceBirth)
 	stats    Stats
-	// ackbuf holds the batched migration acks owed to each origin while
-	// ack aggregation (cfg.AckFlushDelay) is on; ackTimer flushes them.
-	ackbuf   map[runtime.NodeID][]MigrateAck
-	ackCount int
-	ackTimer runtime.Timer
 }
 
 // AdvanceBirth makes every subsequently spawned agent's Born at least min by
@@ -244,8 +223,8 @@ func (*WireEnvelope) Kind() string { return "agent-migrate" }
 // MigrateAck tells a wire migration's origin that the agent landed. Over
 // the shared-memory fabric the destination clears the origin's pending
 // entry directly; across processes this message does that job. The ack is
-// cumulative: it covers the named hop and every earlier one, so a batched
-// or reordered ack still clears exactly the right pending entry.
+// cumulative: it covers the named hop and every earlier one, so a
+// reordered or repeated ack still clears exactly the right pending entry.
 type MigrateAck struct {
 	ID  ID
 	Hop uint64
@@ -253,17 +232,6 @@ type MigrateAck struct {
 
 // Kind implements runtime.Kinder.
 func (*MigrateAck) Kind() string { return "agent-migrate-ack" }
-
-// MigrateAckBatch aggregates the acks a destination owes one origin — the
-// pipelining half of migration: instead of one ack frame per landing, the
-// destination coalesces up to AckFlushMax acks (or AckFlushDelay of them)
-// into one frame. Each entry keeps MigrateAck's cumulative semantics.
-type MigrateAckBatch struct {
-	Acks []MigrateAck
-}
-
-// Kind implements runtime.Kinder.
-func (*MigrateAckBatch) Kind() string { return "agent-migrate-ack" }
 
 // migrateAckSize is the modelled wire size of a MigrateAck.
 const migrateAckSize = 24
@@ -286,7 +254,6 @@ func NewPlatform(eng runtime.Engine, net runtime.Fabric, cfg Config) *Platform {
 		cfg:     cfg,
 		places:  make(map[runtime.NodeID]*Place),
 		pending: make(map[ID]*pendingMigration),
-		ackbuf:  make(map[runtime.NodeID][]MigrateAck),
 	}
 	if wf, ok := net.(runtime.WireFabric); ok {
 		p.wire = wf.WireDelivery()
@@ -314,10 +281,6 @@ func (p *Platform) Host(node runtime.NodeID, server runtime.Handler) *Place {
 			pl.receiveWire(msg.From, payload)
 		case *MigrateAck:
 			p.migrateAcked(payload.ID, payload.Hop)
-		case *MigrateAckBatch:
-			for _, a := range payload.Acks {
-				p.migrateAcked(a.ID, a.Hop)
-			}
 		case *AgentMsg:
 			pl.deliverToAgent(msg.From, payload)
 		default:
@@ -515,10 +478,13 @@ func (pl *Place) NotifyResidents(ev any) {
 // the behavior, activate it, and acknowledge the origin. Duplicate
 // deliveries (a retransmitted envelope racing its own ack) are refused —
 // the resident incarnation wins — but re-acked, since the origin clearly
-// missed the first ack.
+// missed the first ack. An ack leaves at once in its own frame: it never
+// waits, so on a healthy connection it cannot trail the agent's own return.
 func (pl *Place) receiveWire(from runtime.NodeID, env *WireEnvelope) {
 	p := pl.platform
-	ack := func() { p.ackMigration(pl.node, from, env.ID, env.Hop) }
+	ack := func() {
+		p.net.Send(runtime.Message{From: pl.node, To: from, Payload: &MigrateAck{ID: env.ID, Hop: env.Hop}, Size: migrateAckSize})
+	}
 	if _, live := pl.agents[env.ID]; live {
 		p.stats.MigrationsRefused++
 		ack()
@@ -539,47 +505,6 @@ func (pl *Place) receiveWire(from runtime.NodeID, env *WireEnvelope) {
 	p.cfg.Trace.Addf(int64(p.eng.Now()), int(pl.node), env.ID.String(), trace.AgentArrived, "")
 	ack()
 	b.OnArrive(ctx)
-}
-
-// ackMigration acknowledges a landed (or refused-duplicate) wire migration
-// to its origin: immediately in its own frame by default, or deferred into
-// a per-origin batch when ack aggregation is on. The deferral is bounded
-// by AckFlushDelay/AckFlushMax, both far inside the origin's migration
-// timeout, so a batched ack is indistinguishable from a slightly slower
-// network.
-func (p *Platform) ackMigration(at, origin runtime.NodeID, id ID, hop uint64) {
-	if p.cfg.AckFlushDelay <= 0 {
-		p.net.Send(runtime.Message{From: at, To: origin, Payload: &MigrateAck{ID: id, Hop: hop}, Size: migrateAckSize})
-		return
-	}
-	p.ackbuf[origin] = append(p.ackbuf[origin], MigrateAck{ID: id, Hop: hop})
-	p.ackCount++
-	if p.ackCount >= p.cfg.AckFlushMax {
-		p.flushAcks(at)
-		return
-	}
-	if !p.ackTimer.Active() {
-		p.ackTimer = p.eng.AfterFunc(p.cfg.AckFlushDelay, func() { p.flushAcks(at) })
-	}
-}
-
-// flushAcks sends every batched ack, one MigrateAckBatch per origin.
-func (p *Platform) flushAcks(at runtime.NodeID) {
-	p.ackTimer.Cancel()
-	p.ackCount = 0
-	for origin, acks := range p.ackbuf {
-		if len(acks) == 0 {
-			continue
-		}
-		batch := &MigrateAckBatch{Acks: acks}
-		p.stats.AckBatchesSent++
-		p.stats.AcksBatched += len(acks)
-		p.net.Send(runtime.Message{
-			From: at, To: origin, Payload: batch,
-			Size: 16 + migrateAckSize*len(acks),
-		})
-		delete(p.ackbuf, origin)
-	}
 }
 
 // migrateAcked closes out a wire migration at the origin: the destination

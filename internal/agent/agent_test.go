@@ -447,10 +447,10 @@ func (minimalAgent) OnMigrateFailed(*Context, simnet.NodeID) {}
 func (minimalAgent) OnMessage(*Context, simnet.NodeID, any)  {}
 func (minimalAgent) OnLocalEvent(*Context, any)              {}
 
-// --- wire migration: ack pipelining -------------------------------------
+// --- wire migration: hop-numbered acks ----------------------------------
 
 // wireNet claims wire delivery over the simulated network, so these tests
-// exercise the serialized migration path (WireEnvelope, acks, batching)
+// exercise the serialized migration path (WireEnvelope, acks)
 // deterministically under the DES clock.
 type wireNet struct{ *simnet.Network }
 
@@ -478,50 +478,6 @@ func wireRig(t *testing.T, n int, cfg Config) (*des.Simulator, *Platform, *[]ID)
 		p.Host(simnet.NodeID(i), nil)
 	}
 	return sim, p, departed
-}
-
-// TestWireAckAggregationFlushesOnTimer: several landings inside one flush
-// window share a single MigrateAckBatch frame, and every origin copy is
-// still retired.
-func TestWireAckAggregationFlushesOnTimer(t *testing.T) {
-	sim, p, departed := wireRig(t, 2, Config{AckFlushDelay: 10 * time.Millisecond})
-	for i := 0; i < 3; i++ {
-		p.Spawn(1, &wireTestAgent{}).MigrateTo(2)
-	}
-	sim.Run()
-	st := p.Stats()
-	if st.MigrationsCompleted != 3 || st.MigrationsFailed != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.AckBatchesSent != 1 || st.AcksBatched != 3 {
-		t.Fatalf("batches=%d acks=%d, want one batch of three", st.AckBatchesSent, st.AcksBatched)
-	}
-	if len(*departed) != 3 {
-		t.Fatalf("departed = %v, want all three origin copies retired", *departed)
-	}
-}
-
-// TestWireAckAggregationFlushesOnMax: the in-flight ack window bound forces
-// an early flush; the leftover ack waits out the full delay. No origin
-// falsely times out.
-func TestWireAckAggregationFlushesOnMax(t *testing.T) {
-	sim, p, departed := wireRig(t, 2, Config{
-		MigrationTimeout: time.Second,
-		AckFlushDelay:    500 * time.Millisecond,
-		AckFlushMax:      2,
-	})
-	for i := 0; i < 3; i++ {
-		p.Spawn(1, &wireTestAgent{}).MigrateTo(2)
-	}
-	sim.Run()
-	st := p.Stats()
-	if st.AckBatchesSent != 2 || st.AcksBatched != 3 {
-		t.Fatalf("batches=%d acks=%d, want max-bound flush of two then a timed flush of one",
-			st.AckBatchesSent, st.AcksBatched)
-	}
-	if st.MigrationsFailed != 0 || len(*departed) != 3 {
-		t.Fatalf("failed=%d departed=%v", st.MigrationsFailed, *departed)
-	}
 }
 
 // TestStaleMigrationAckIgnored: acks are cumulative per agent (invariant
@@ -554,21 +510,5 @@ func TestStaleMigrationAckIgnored(t *testing.T) {
 	}
 	if len(*departed) != 2 {
 		t.Fatalf("departed = %v, want both hops acked", *departed)
-	}
-}
-
-// TestAckDelayZeroAcksImmediately: with aggregation off (the default), each
-// landing is acknowledged in its own frame — the legacy stop-and-wait
-// behaviour — and no batch frames appear.
-func TestAckDelayZeroAcksImmediately(t *testing.T) {
-	sim, p, departed := wireRig(t, 2, Config{})
-	p.Spawn(1, &wireTestAgent{}).MigrateTo(2)
-	sim.Run()
-	st := p.Stats()
-	if st.AckBatchesSent != 0 || st.AcksBatched != 0 {
-		t.Fatalf("batches=%d acks=%d, want no batch frames with aggregation off", st.AckBatchesSent, st.AcksBatched)
-	}
-	if st.MigrationsCompleted != 1 || len(*departed) != 1 {
-		t.Fatalf("completed=%d departed=%v", st.MigrationsCompleted, *departed)
 	}
 }

@@ -6,12 +6,12 @@ import (
 )
 
 // Wire-codec tags for the agent platform's message set (DESIGN.md §11).
-// Tags are part of the wire format: never renumber.
+// Tags are part of the wire format: never renumber. Tag 4 is retired (old
+// peers sent a batch of migration acks under it): never reuse it.
 const (
-	tagWireEnvelope    = 1
-	tagMigrateAck      = 2
-	tagAgentMsg        = 3
-	tagMigrateAckBatch = 4
+	tagWireEnvelope = 1
+	tagMigrateAck   = 2
+	tagAgentMsg     = 3
 )
 
 func init() {
@@ -57,24 +57,6 @@ func init() {
 				return nil // sticky error already armed on r
 			}
 			m.Payload = payload
-			return m
-		})
-	wire.Register(tagMigrateAckBatch, &MigrateAckBatch{},
-		func(b []byte, v any) []byte {
-			m := v.(*MigrateAckBatch)
-			b = wire.AppendUvarint(b, uint64(len(m.Acks)))
-			for i := range m.Acks {
-				b = AppendID(b, m.Acks[i].ID)
-				b = wire.AppendUvarint(b, m.Acks[i].Hop)
-			}
-			return b
-		},
-		func(r *wire.Reader) any {
-			n := r.Count(4)
-			m := &MigrateAckBatch{Acks: make([]MigrateAck, 0, n)}
-			for i := 0; i < n; i++ {
-				m.Acks = append(m.Acks, MigrateAck{ID: DecodeID(r), Hop: r.Uvarint()})
-			}
 			return m
 		})
 }

@@ -66,9 +66,6 @@ type Spec struct {
 	// CommitDelay is the WAL group-commit window as a Go duration
 	// string ("200us"); empty = fsync per commit.
 	CommitDelay string `json:"commit_delay,omitempty"`
-	// AckDelay is the migration ack aggregation window as a Go
-	// duration string; empty = ack immediately.
-	AckDelay string `json:"ack_delay,omitempty"`
 	// Seed is the per-process random seed (default 1).
 	Seed int64 `json:"seed,omitempty"`
 	// DataRoot, when set, gives every node without an explicit DataDir
@@ -244,8 +241,6 @@ func assign(s *Spec, cur *Node, key, str string, num int64, isStr bool) error {
 		return wantStr(&s.Fsync)
 	case "commit_delay":
 		return wantStr(&s.CommitDelay)
-	case "ack_delay":
-		return wantStr(&s.AckDelay)
 	case "seed":
 		return wantInt(&s.Seed)
 	case "data_root":
@@ -274,18 +269,13 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("unknown fsync policy %q (want commit, always, none)", s.Fsync)
 	}
-	for _, field := range []struct{ name, v string }{
-		{"commit_delay", s.CommitDelay}, {"ack_delay", s.AckDelay},
-	} {
-		if field.v == "" {
-			continue
-		}
-		d, err := time.ParseDuration(field.v)
+	if s.CommitDelay != "" {
+		d, err := time.ParseDuration(s.CommitDelay)
 		if err != nil {
-			return fmt.Errorf("bad %s %q: %v", field.name, field.v, err)
+			return fmt.Errorf("bad commit_delay %q: %v", s.CommitDelay, err)
 		}
 		if d < 0 {
-			return fmt.Errorf("negative %s %q", field.name, field.v)
+			return fmt.Errorf("negative commit_delay %q", s.CommitDelay)
 		}
 	}
 	seenID := make(map[int]bool)
@@ -420,9 +410,6 @@ func (s *Spec) Flags(id int) []string {
 	}
 	if s.CommitDelay != "" {
 		args = append(args, "-commit-delay", s.CommitDelay)
-	}
-	if s.AckDelay != "" {
-		args = append(args, "-ack-delay", s.AckDelay)
 	}
 	return args
 }

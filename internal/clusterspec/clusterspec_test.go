@@ -88,8 +88,9 @@ func TestParseTOMLErrors(t *testing.T) {
 }
 
 // TestUnknownKeysRefusedInBothFormats: a typo must not load as the default
-// (fsync=commit, no client listener), and a leftover codec key — the gob
-// codec is gone — must not read as "wire".
+// (fsync=commit, no client listener), and a leftover key of a deleted
+// setting — the gob codec, migration-ack aggregation — must not load as if
+// it still did something.
 func TestUnknownKeysRefusedInBothFormats(t *testing.T) {
 	cases := []struct{ name, toml, json string }{
 		{"top-level typo",
@@ -101,6 +102,9 @@ func TestUnknownKeysRefusedInBothFormats(t *testing.T) {
 		{"codec key",
 			"codec = \"gob\"\n[[node]]\nid = 1\nfabric = \"127.0.0.1:1\"\n",
 			`{"codec":"gob","nodes":[{"id":1,"fabric":"127.0.0.1:1"}]}`},
+		{"ack_delay key",
+			"ack_delay = \"500us\"\n[[node]]\nid = 1\nfabric = \"127.0.0.1:1\"\n",
+			`{"ack_delay":"500us","nodes":[{"id":1,"fabric":"127.0.0.1:1"}]}`},
 	}
 	dir := t.TempDir()
 	for _, c := range cases {
@@ -148,7 +152,7 @@ func TestValidateErrors(t *testing.T) {
 		{"bad geometry", func(s *Spec) { s.Geometry = "ring" }, "geometry"},
 		{"bad fsync", func(s *Spec) { s.Fsync = "sometimes" }, "fsync"},
 		{"bad delay", func(s *Spec) { s.CommitDelay = "fast" }, "commit_delay"},
-		{"negative delay", func(s *Spec) { s.AckDelay = "-1ms" }, "negative"},
+		{"negative delay", func(s *Spec) { s.CommitDelay = "-1ms" }, "negative"},
 	}
 	for _, c := range cases {
 		s := validSpec()

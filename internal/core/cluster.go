@@ -53,8 +53,6 @@ type Config struct {
 	// geometries require Votes to be nil (they are structural, not
 	// weighted).
 	Geometry quorum.Geometry
-	// ShardGeometry overrides Geometry for individual shards.
-	ShardGeometry map[int]quorum.Geometry
 
 	// BatchMaxRequests dispatches an agent once this many requests are
 	// pending at a server (paper §3.2: "after a pre-defined number of
@@ -80,19 +78,6 @@ type Config struct {
 	// RetryBackoff is the randomized delay before re-evaluating after an
 	// aborted claim. Default 50ms.
 	RetryBackoff time.Duration
-	// MaxMigrateAttempts is how many failed migrations to one server an
-	// agent tolerates before declaring it unavailable. Default 3.
-	MaxMigrateAttempts int
-	// MigrateAckDelay aggregates migration acknowledgements: a destination
-	// buffers acks for up to this long (or MigrateAckMax acks, whichever
-	// first) and sends one MigrateAckBatch per origin. Zero — the default,
-	// and the only value the DES engine uses — acks every arrival
-	// immediately, byte-identical to the pre-pipelining behaviour. Must be
-	// well below MigrationTimeout.
-	MigrateAckDelay time.Duration
-	// MigrateAckMax bounds buffered acks per flush (default 32). Only
-	// meaningful with MigrateAckDelay.
-	MigrateAckMax int
 
 	// DisableInfoSharing turns off server-mediated locking-information
 	// exchange (ablation A1).
@@ -181,9 +166,6 @@ func (c *Config) fill() error {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 50 * time.Millisecond
-	}
-	if c.MaxMigrateAttempts <= 0 {
-		c.MaxMigrateAttempts = 3
 	}
 	return nil
 }
@@ -354,11 +336,9 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 		LostHandler: func(id agent.ID, _ agent.Behavior) bool { return c.loseAgent(id) },
 		// Wire migration (multi-process fabrics): rebuild arriving agents
 		// from their frozen protocol state. Unused over in-memory fabrics.
-		ThawWire:      c.thawWire,
-		OnDeparted:    c.departed,
-		AckFlushDelay: cfg.MigrateAckDelay,
-		AckFlushMax:   cfg.MigrateAckMax,
-		Trace:         cfg.Trace,
+		ThawWire:   c.thawWire,
+		OnDeparted: c.departed,
+		Trace:      cfg.Trace,
 	})
 	for i := 1; i <= cfg.N; i++ {
 		c.nodes = append(c.nodes, runtime.NodeID(i))
@@ -470,18 +450,15 @@ func (c *Cluster) durableOptions() durable.Options {
 }
 
 // buildShardMap derives every shard's replica group (rendezvous hashing
-// over the N servers) and quorum assignment (per Geometry/ShardGeometry)
-// from the config. With one shard, full replication and majority geometry
-// this reduces exactly to the pre-sharding system.
+// over the N servers) and quorum assignment (per Geometry) from the config.
+// With one shard, full replication and majority geometry this reduces
+// exactly to the pre-sharding system.
 func (c *Cluster) buildShardMap() error {
 	c.groups = make([][]runtime.NodeID, c.shards)
 	c.assigns = make([]quorum.Assignment, c.shards)
 	for sh := 0; sh < c.shards; sh++ {
 		group := shard.Group(sh, c.nodes, c.cfg.GroupSize)
 		geom := c.cfg.Geometry
-		if g, ok := c.cfg.ShardGeometry[sh]; ok {
-			geom = g
-		}
 		var a quorum.Assignment
 		var err error
 		switch {
@@ -652,8 +629,8 @@ func (c *Cluster) thawWire(id agent.ID, state []byte) (agent.Behavior, error) {
 
 // departed implements the platform's migration-acknowledged hook: the
 // agent lives at its next host now, and nothing that happens here can lose
-// it. Unless it is already back — an aggregated ack can trail the agent's
-// return — and the entry is the returned copy's.
+// it. Unless it is already back — after a redial an ack can trail the
+// agent's return — and the entry is the returned copy's.
 func (c *Cluster) departed(id agent.ID, b agent.Behavior) {
 	if ua, ok := c.active[id]; ok && agent.Behavior(ua) == b {
 		delete(c.active, id)

@@ -283,10 +283,11 @@ func TestRebornAgentIsNotUnderItsHomesWatermark(t *testing.T) {
 	}
 }
 
-// TestDepartedSparesTheReturnedAgent: with deferred acks an agent can be
-// back at a node, thawed into a new UpdateAgent, before the ack for its
-// earlier departure arrives. That ack must retire the copy that left, not
-// the resident one — or a crash here would lose the agent unaccounted.
+// TestDepartedSparesTheReturnedAgent: when a redial reorders frames an
+// agent can be back at a node, thawed into a new UpdateAgent, before the ack
+// for its earlier departure arrives. That ack must retire the copy that
+// left, not the resident one — or a crash here would lose the agent
+// unaccounted.
 func TestDepartedSparesTheReturnedAgent(t *testing.T) {
 	c := newTestCluster(t, Config{N: 3, RegenerateAgents: true})
 	id := agent.ID{Home: 1, Born: 1, Seq: 1}

@@ -184,23 +184,6 @@ func TestShardedTreeGeometry(t *testing.T) {
 	verifyReads(t, c, want)
 }
 
-func TestShardGeometryPerShardOverride(t *testing.T) {
-	c := newTestCluster(t, Config{
-		N: 9, Shards: 2,
-		Geometry:      quorum.GeomMajority,
-		ShardGeometry: map[int]quorum.Geometry{1: quorum.GeomGrid},
-	})
-	if _, ok := c.assigns[0].(quorum.Voting); !ok {
-		t.Fatalf("shard 0 geometry = %s", c.assigns[0].Name())
-	}
-	if c.assigns[1].Name() != "grid" {
-		t.Fatalf("shard 1 geometry = %s", c.assigns[1].Name())
-	}
-	want := submitMany(t, c, 2)
-	finishRun(t, c)
-	verifyReads(t, c, want)
-}
-
 func TestShardConfigValidation(t *testing.T) {
 	if _, err := newSimCluster(Config{N: 5, Geometry: "hex"}); err == nil {
 		t.Fatal("unknown geometry accepted")

@@ -115,15 +115,19 @@ func (a *UpdateAgent) OnArrive(ctx *agent.Context) {
 	a.evaluate(ctx)
 }
 
-// OnMigrateFailed counts the unsuccessful attempt; after the configured
-// number of attempts the replica is declared unavailable and skipped until
-// the next retry round (paper §2).
+// maxMigrateAttempts is how many failed migrations to one server an agent
+// tolerates before declaring it unavailable.
+const maxMigrateAttempts = 3
+
+// OnMigrateFailed counts the unsuccessful attempt; after maxMigrateAttempts
+// the replica is declared unavailable and skipped until the next retry
+// round (paper §2).
 func (a *UpdateAgent) OnMigrateFailed(ctx *agent.Context, dest runtime.NodeID) {
 	if a.phase == phaseDone {
 		return
 	}
 	a.attempts[dest]++
-	if a.attempts[dest] >= a.c.cfg.MaxMigrateAttempts {
+	if a.attempts[dest] >= maxMigrateAttempts {
 		a.unavailable[dest] = true
 		a.removeFromUSL(dest)
 		a.c.cfg.Trace.Addf(int64(ctx.Now()), int(dest), ctx.ID().String(), trace.AgentBlocked,

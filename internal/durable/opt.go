@@ -20,7 +20,6 @@ package durable
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"repro/internal/disk"
 	"repro/internal/store"
@@ -74,9 +73,6 @@ type OptOptions struct {
 	// CompactEvery installs a fresh snapshot every this many records
 	// (default 4096; negative disables).
 	CompactEvery int
-	// GroupCommitDelay and Scheduler forward to wal.Options.
-	GroupCommitDelay time.Duration
-	Scheduler        func(d time.Duration, fn func())
 }
 
 // OptJournal is one optimistic replica's open durability log. Like Journal
@@ -97,10 +93,8 @@ func OpenOpt(b disk.Backend, opts OptOptions) (*OptJournal, *OptState, error) {
 		opts.CompactEvery = 4096
 	}
 	log, snap, records, err := wal.Open(b, wal.Options{
-		Policy:           opts.Policy,
-		SegmentBytes:     opts.SegmentBytes,
-		GroupCommitDelay: opts.GroupCommitDelay,
-		Scheduler:        opts.Scheduler,
+		Policy:       opts.Policy,
+		SegmentBytes: opts.SegmentBytes,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -2,13 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/desengine"
 	"repro/internal/disk"
+	"repro/internal/failure"
 	"repro/internal/metrics"
 	"repro/internal/optimistic"
 	"repro/internal/runtime"
@@ -86,6 +84,8 @@ type OptRunResult struct {
 	MsgsPerUpd   float64       // fabric messages per stable update
 	Lost         int           // messages eaten by the fault model
 	Digest       string        // the converged stable-prefix digest (all replicas equal)
+
+	stable []string // the committed transactions' IDs, in outcome order
 }
 
 // runOptimisticDES drives one optimistic cluster on the simulator through
@@ -123,36 +123,29 @@ func runOptimisticDES(cfg OptRunConfig) (OptRunResult, error) {
 	if err != nil {
 		return OptRunResult{}, err
 	}
+	var sched failure.Schedule
+	if cfg.Churn {
+		sched = chaosSchedule(workload.Span(events))
+		if err := sched.Validate(cfg.N, (cfg.N-1)/2); err != nil {
+			return OptRunResult{}, err
+		}
+	}
 	// A down replica cannot host a tentative commit — that IS the protocol's
 	// availability story, a local up replica — so submits during a crash
 	// blip are refused and counted, not retried.
 	refused := 0
-	for _, ev := range events {
-		ev := ev
-		cl.Sim().After(ev.At, func() {
-			if ev.Read {
-				_, _, _ = cl.Read(ev.Home, ev.Key, true)
-				return
-			}
-			if _, err := cl.Submit(ev.Home, ev.Key, ev.Value); err != nil {
-				refused++
-			}
-		})
-	}
-	span := workload.Span(events)
-	if cfg.Churn {
-		sched := chaosSchedule(span)
-		if err := sched.Validate(cfg.N, (cfg.N-1)/2); err != nil {
-			return OptRunResult{}, err
+	err = runSimulated(cl, events, func(ev workload.Event) {
+		if ev.Read {
+			_, _, _ = cl.Read(ev.Home, ev.Key, true)
+			return
 		}
-		sched.Apply(func(d time.Duration, fn func()) { cl.Sim().After(d, fn) },
-			&optChaosTarget{cl: cl.Cluster})
-	}
-	cl.Sim().RunFor(span + time.Millisecond)
-	if err := cl.RunUntilDone(30 * time.Minute); err != nil {
+		if _, err := cl.Submit(ev.Home, ev.Key, ev.Value); err != nil {
+			refused++
+		}
+	}, sched, &optChaosTarget{cl: cl.Cluster}, 5*time.Second)
+	if err != nil {
 		return OptRunResult{}, err
 	}
-	cl.Settle(5 * time.Second)
 	if err := cl.CheckConvergence(); err != nil {
 		return OptRunResult{}, err
 	}
@@ -181,6 +174,7 @@ func runOptimisticDES(cfg OptRunConfig) (OptRunResult, error) {
 			return OptRunResult{}, fmt.Errorf("%s drained while still tentative", o.Txn)
 		}
 		res.Committed++
+		res.stable = append(res.stable, o.Txn)
 		tentSum += o.TentativeAt.Sub(o.SubmittedAt)
 		lagSum += o.StableAt.Sub(o.SubmittedAt)
 	}
@@ -302,20 +296,6 @@ func optLossDES(o FigureOptions) (*metrics.Table, error) {
 
 const a10LiveServers = 3
 
-// freeAddrs reserves n ephemeral loopback addresses.
-func freeAddrs(n int) (map[runtime.NodeID]string, error) {
-	addrs := make(map[runtime.NodeID]string, n)
-	for i := 1; i <= n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[runtime.NodeID(i)] = ln.Addr().String()
-		ln.Close()
-	}
-	return addrs, nil
-}
-
 // optShowdownLive builds A10c: MARP and optimistic, each as three replica
 // processes in this process wired through real TCP sockets, wall clock.
 func optShowdownLive(o FigureOptions) (*metrics.Table, error) {
@@ -350,195 +330,113 @@ func optShowdownLive(o FigureOptions) (*metrics.Table, error) {
 	return tbl, nil
 }
 
-// a10LiveMARP runs the MARP cell of A10c and returns mean ALT and ATT.
-func a10LiveMARP(seed int64, reqs int) (time.Duration, time.Duration, error) {
-	addrs, err := freeAddrs(a10LiveServers)
-	if err != nil {
-		return 0, 0, err
-	}
-	nodes := make([]*live.Node, a10LiveServers)
-	for i := 1; i <= a10LiveServers; i++ {
-		node, err := live.StartNode(live.NodeConfig{
-			Self: runtime.NodeID(i), Addrs: addrs, Seed: seed + int64(i),
-		})
-		if err != nil {
-			for _, up := range nodes[:i-1] {
-				up.Close()
-			}
-			return 0, 0, err
-		}
-		nodes[i-1] = node
-	}
-	defer func() {
-		for _, node := range nodes {
-			node.Close()
-		}
-	}()
-	events, err := workload.Generate(workload.Spec{
+// a10Events is the A10c workload, the same for both protocols.
+func a10Events(seed int64, reqs int) ([]workload.Event, error) {
+	return workload.Generate(workload.Spec{
 		Servers: a10LiveServers, RequestsPerServer: reqs,
 		MeanInterarrival: time.Millisecond, Seed: seed + 1000,
+	})
+}
+
+// a10LiveMARP runs the MARP cell of A10c and returns mean ALT and ATT.
+func a10LiveMARP(seed int64, reqs int) (time.Duration, time.Duration, error) {
+	nodes, err := live.StartCluster(a10LiveServers, func(id runtime.NodeID, addrs map[runtime.NodeID]string) (*live.Node, error) {
+		return live.StartNode(live.NodeConfig{Self: id, Addrs: addrs, Seed: seed + int64(id)})
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, ev := range events {
-		node := nodes[ev.Home-1]
-		var serr error
-		if !node.Eng.Do(func() { serr = node.Cluster.Submit(ev.Home, core.Set(ev.Key, ev.Value)) }) {
-			return 0, 0, fmt.Errorf("engine closed during submit")
-		}
-		if serr != nil {
-			return 0, 0, serr
-		}
+	defer closeAll(nodes)
+	events, err := a10Events(seed, reqs)
+	if err != nil {
+		return 0, 0, err
 	}
-	errs := make([]error, a10LiveServers)
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(i int, node *live.Node) {
-			defer wg.Done()
-			errs[i] = node.Cluster.RunUntilDone(2 * time.Minute)
-		}(i, node)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return 0, 0, fmt.Errorf("node %d: %w", i+1, err)
-		}
-	}
-	committed := 0
-	var altSum, attSum time.Duration
-	for _, node := range nodes {
-		var outs []coreOutcome
-		if !node.Eng.Do(func() {
-			for _, o := range node.Cluster.Outcomes() {
-				outs = append(outs, coreOutcome{
-					failed: o.Failed,
-					alt:    o.LockLatency().Duration(),
-					att:    o.TotalLatency().Duration(),
-				})
-			}
-		}) {
-			return 0, 0, fmt.Errorf("engine closed during outcome read")
-		}
-		for _, o := range outs {
-			if o.failed {
-				continue
-			}
-			committed++
-			altSum += o.alt
-			attSum += o.att
-		}
-	}
-	if committed == 0 {
-		return 0, 0, fmt.Errorf("no updates committed")
-	}
-	return altSum / time.Duration(committed), attSum / time.Duration(committed), nil
+	sum, _, err := runLiveMARP(nodes, events)
+	return sum.MeanALT, sum.MeanATT, err
 }
 
-// coreOutcome is the slice of a MARP outcome a10LiveMARP carries off the
-// actor loop (core.Outcome holds engine-owned pointers; copy what we read).
-type coreOutcome struct {
-	failed   bool
-	alt, att time.Duration
+// submitOptimistic submits one workload event on its home's actor loop.
+func submitOptimistic(node *live.OptNode, ev workload.Event) error {
+	var err error
+	if !node.Eng.Do(func() { _, err = node.Cluster.Submit(ev.Home, ev.Key, ev.Value) }) {
+		return fmt.Errorf("engine closed during submit")
+	}
+	return err
+}
+
+// runLiveOptimistic drives a live optimistic cluster through events —
+// through submit, so a caller can time the client's view of each — waits
+// until every node holds all of them stable, and returns every node's
+// outcomes (each records its own submissions) once the stable-prefix
+// digests agree across the processes.
+func runLiveOptimistic(nodes []*live.OptNode, events []workload.Event, submit func(*live.OptNode, workload.Event) error) ([]optimistic.Outcome, error) {
+	expect := uint64(len(events))
+	_, err := runLive(nodes, events, submit, func(cl *optimistic.Cluster) error {
+		return cl.RunUntilStable(2*time.Minute, expect)
+	})
+	if err != nil {
+		return nil, err
+	}
+	var outs []optimistic.Outcome
+	var digest string
+	var bad error
+	err = onLoops(nodes, func(id runtime.NodeID, cl *optimistic.Cluster) {
+		d, _, derr := cl.StableDigest(id)
+		switch {
+		case derr != nil:
+			bad = derr
+		case digest == "":
+			digest = d
+		case d != digest:
+			bad = fmt.Errorf("node %d stable digest %s != %s", id, d, digest)
+		}
+		outs = append(outs, cl.Outcomes()...)
+	})
+	if err == nil {
+		err = bad
+	}
+	return outs, err
 }
 
 // a10LiveOptimistic runs the optimistic cell of A10c: mean client-observed
 // tentative ALT and mean stability lag, with cross-process digest
 // verification.
 func a10LiveOptimistic(seed int64, reqs int) (time.Duration, time.Duration, error) {
-	addrs, err := freeAddrs(a10LiveServers)
-	if err != nil {
-		return 0, 0, err
-	}
-	nodes := make([]*live.OptNode, a10LiveServers)
-	for i := 1; i <= a10LiveServers; i++ {
-		node, err := live.StartOptNode(live.OptNodeConfig{
-			Self: runtime.NodeID(i), Addrs: addrs, Seed: seed + int64(i),
+	nodes, err := live.StartCluster(a10LiveServers, func(id runtime.NodeID, addrs map[runtime.NodeID]string) (*live.OptNode, error) {
+		return live.StartOptNode(live.OptNodeConfig{
+			Self: id, Addrs: addrs, Seed: seed + int64(id),
 			GossipInterval: LAN.optGossip(),
 		})
-		if err != nil {
-			for _, up := range nodes[:i-1] {
-				up.Close()
-			}
-			return 0, 0, err
-		}
-		nodes[i-1] = node
-	}
-	defer func() {
-		for _, node := range nodes {
-			node.Close()
-		}
-	}()
-	events, err := workload.Generate(workload.Spec{
-		Servers: a10LiveServers, RequestsPerServer: reqs,
-		MeanInterarrival: time.Millisecond, Seed: seed + 1000,
 	})
 	if err != nil {
 		return 0, 0, err
 	}
+	defer closeAll(nodes)
+	events, err := a10Events(seed, reqs)
+	if err != nil {
+		return 0, 0, err
+	}
 	var altSum time.Duration
-	for _, ev := range events {
-		node := nodes[ev.Home-1]
-		var serr error
+	outs, err := runLiveOptimistic(nodes, events, func(node *live.OptNode, ev workload.Event) error {
 		start := time.Now()
-		if !node.Eng.Do(func() { _, serr = node.Cluster.Submit(ev.Home, ev.Key, ev.Value) }) {
-			return 0, 0, fmt.Errorf("engine closed during submit")
-		}
+		err := submitOptimistic(node, ev)
 		altSum += time.Since(start)
-		if serr != nil {
-			return 0, 0, serr
-		}
+		return err
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	expect := uint64(len(events))
-	errs := make([]error, a10LiveServers)
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(i int, node *live.OptNode) {
-			defer wg.Done()
-			errs[i] = node.Cluster.RunUntilStable(2*time.Minute, expect)
-		}(i, node)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return 0, 0, fmt.Errorf("node %d: %w", i+1, err)
-		}
-	}
-	var lagSum time.Duration
-	stable := 0
-	digest := ""
-	for i, node := range nodes {
-		var d string
-		var outs []optimistic.Outcome
-		var derr error
-		if !node.Eng.Do(func() {
-			d, _, derr = node.Cluster.StableDigest(runtime.NodeID(i + 1))
-			outs = node.Cluster.Outcomes()
-		}) {
-			return 0, 0, fmt.Errorf("engine closed during digest read")
-		}
-		if derr != nil {
-			return 0, 0, derr
-		}
-		if digest == "" {
-			digest = d
-		} else if d != digest {
-			return 0, 0, fmt.Errorf("node %d stable digest %s != %s", i+1, d, digest)
-		}
-		for _, o := range outs {
-			if o.Aborted || o.StableAt == 0 {
-				return 0, 0, fmt.Errorf("%s not stable after drain", o.Txn)
-			}
-			stable++
-			lagSum += o.StableAt.Sub(o.SubmittedAt)
-		}
-	}
-	if stable == 0 {
+	if len(outs) == 0 {
 		return 0, 0, fmt.Errorf("no updates stabilized")
 	}
-	return altSum / time.Duration(len(events)), lagSum / time.Duration(stable), nil
+	var lagSum time.Duration
+	for _, o := range outs {
+		if o.Aborted || o.StableAt == 0 {
+			return 0, 0, fmt.Errorf("%s not stable after drain", o.Txn)
+		}
+		lagSum += o.StableAt.Sub(o.SubmittedAt)
+	}
+	return altSum / time.Duration(len(events)), lagSum / time.Duration(len(outs)), nil
 }
 
 // Optimistic runs the A10 experiment: the two simulator tables, then the

@@ -2,11 +2,9 @@ package harness
 
 import (
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/desengine"
 	"repro/internal/optimistic"
 	"repro/internal/runtime"
 	"repro/internal/runtime/live"
@@ -129,103 +127,46 @@ func TestOptCrossEngineEquivalence(t *testing.T) {
 		t.Skip("starts live TCP replicas")
 	}
 	const n, reqs = 3, 8
-	spec := workload.Spec{
-		Servers: n, RequestsPerServer: reqs,
-		MeanInterarrival: time.Millisecond, Seed: 42,
-	}
 
-	// Simulated half.
+	// Simulated half. The run already verified per-replica digest agreement
+	// and hands back the stable set it counted.
 	desRes, err := runOptimisticDES(OptRunConfig{
 		N: n, Seed: 42, Latency: LAN, RequestsPerServer: reqs, Mean: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// runOptimisticDES generates with Seed+1000 and already verified
-	// per-replica digest agreement; regenerate the same events for the
-	// live half and rebuild the DES outcome set from a second run of the
-	// same config (outcomes are not returned by the helper).
-	desSet, err := optTxnSetDES(t, n, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(desSet) != n*reqs || desRes.Committed != n*reqs {
+	desSet := append([]string(nil), desRes.stable...)
+	sort.Strings(desSet)
+	if len(desSet) != n*reqs {
 		t.Fatalf("DES stabilized %d of %d", len(desSet), n*reqs)
 	}
 
-	// Live half: three replica processes over loopback TCP.
+	// Live half: three replica processes over loopback TCP, fed the events
+	// runOptimisticDES generated (same spec, Seed+1000). Each live process
+	// records outcomes for its own submissions only, so the cluster-wide
+	// stable commit set is the union across processes; runLiveOptimistic
+	// requires the stable-prefix digest to agree at every process.
 	events, err := workload.Generate(workload.Spec{
-		Servers: spec.Servers, RequestsPerServer: spec.RequestsPerServer,
-		MeanInterarrival: spec.MeanInterarrival, Seed: spec.Seed + 1000,
+		Servers: n, RequestsPerServer: reqs,
+		MeanInterarrival: time.Millisecond, Seed: 42 + 1000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs, err := freeAddrs(n)
+	nodes, err := live.StartCluster(n, func(id runtime.NodeID, addrs map[runtime.NodeID]string) (*live.OptNode, error) {
+		return live.StartOptNode(live.OptNodeConfig{
+			Self: id, Addrs: addrs, Seed: int64(id),
+			GossipInterval: 10 * time.Millisecond,
+		})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := make([]*live.OptNode, n)
-	for i := 1; i <= n; i++ {
-		node, err := live.StartOptNode(live.OptNodeConfig{
-			Self: runtime.NodeID(i), Addrs: addrs, Seed: int64(i),
-			GossipInterval: 10 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer node.Close()
-		nodes[i-1] = node
-	}
-	for _, ev := range events {
-		node := nodes[ev.Home-1]
-		var serr error
-		if !node.Eng.Do(func() { _, serr = node.Cluster.Submit(ev.Home, ev.Key, ev.Value) }) {
-			t.Fatal("engine closed during submit")
-		}
-		if serr != nil {
-			t.Fatal(serr)
-		}
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(i int, node *live.OptNode) {
-			defer wg.Done()
-			errs[i] = node.Cluster.RunUntilStable(time.Minute, uint64(len(events)))
-		}(i, node)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("live node %d: %v", i+1, err)
-		}
-	}
-	// Each live process records outcomes for its own submissions only, so
-	// the cluster-wide stable commit set is the union across processes; the
-	// stable-prefix digest must agree at every process.
-	digest := ""
-	var allOuts []optimistic.Outcome
-	for i, node := range nodes {
-		var d string
-		var derr error
-		var outs []optimistic.Outcome
-		if !node.Eng.Do(func() {
-			d, _, derr = node.Cluster.StableDigest(runtime.NodeID(i + 1))
-			outs = node.Cluster.Outcomes()
-		}) {
-			t.Fatal("engine closed during digest read")
-		}
-		if derr != nil {
-			t.Fatal(derr)
-		}
-		if digest == "" {
-			digest = d
-		} else if d != digest {
-			t.Fatalf("live replicas diverged: node %d digest %s != %s", i+1, d, digest)
-		}
-		allOuts = append(allOuts, outs...)
+	defer closeAll(nodes)
+	allOuts, err := runLiveOptimistic(nodes, events, submitOptimistic)
+	if err != nil {
+		t.Fatal(err)
 	}
 	liveSet := stableTxnSet(t, "live", allOuts)
 	if len(liveSet) != len(desSet) {
@@ -237,37 +178,4 @@ func TestOptCrossEngineEquivalence(t *testing.T) {
 		}
 	}
 	t.Logf("both engines stabilized the identical %d-transaction commit set", len(desSet))
-}
-
-// optTxnSetDES re-runs the DES half of the equivalence workload (seed 42,
-// the same spec runOptimisticDES derives) and returns its sorted stable
-// transaction-ID set.
-func optTxnSetDES(t *testing.T, n, reqs int) ([]string, error) {
-	t.Helper()
-	cl, err := desengine.NewOptimistic(desengine.OptConfig{
-		Seed:    42,
-		Cluster: optimistic.Config{N: n, GossipInterval: LAN.optGossip()},
-	})
-	if err != nil {
-		return nil, err
-	}
-	events, err := workload.Generate(workload.Spec{
-		Servers: n, RequestsPerServer: reqs,
-		MeanInterarrival: time.Millisecond, Seed: 42 + 1000,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, ev := range events {
-		ev := ev
-		cl.Sim().After(ev.At, func() { _, _ = cl.Submit(ev.Home, ev.Key, ev.Value) })
-	}
-	cl.Sim().RunFor(workload.Span(events) + time.Millisecond)
-	if err := cl.RunUntilDone(30 * time.Minute); err != nil {
-		return nil, err
-	}
-	if err := cl.CheckConvergence(); err != nil {
-		return nil, err
-	}
-	return stableTxnSet(t, "DES", cl.Outcomes()), nil
 }

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -141,15 +139,6 @@ func shardingLive(o FigureOptions) (*metrics.Table, error) {
 // returns committed updates per wall-clock second plus the mean ATT.
 func liveShardCell(seed int64, shards int, geom quorum.Geometry, reqs int) (float64, time.Duration, error) {
 	n := a8Servers
-	addrs := make(map[runtime.NodeID]string, n)
-	for i := 1; i <= n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return 0, 0, err
-		}
-		addrs[runtime.NodeID(i)] = ln.Addr().String()
-		ln.Close()
-	}
 	// Loopback round trips are sub-millisecond, but nine single-threaded
 	// actor loops under a full backlog of agents lag far behind the
 	// network: with dozens of claims broadcasting to every node, an ack
@@ -160,31 +149,22 @@ func liveShardCell(seed int64, shards int, geom quorum.Geometry, reqs int) (floa
 	// defaults, shortened only where safe.
 	migration, claim := 300*time.Millisecond, 500*time.Millisecond
 	retry, backoff := 100*time.Millisecond, 10*time.Millisecond
-	nodes := make([]*live.Node, n)
-	for i := 1; i <= n; i++ {
-		node, err := live.StartNode(live.NodeConfig{
-			Self:  runtime.NodeID(i),
+	nodes, err := live.StartCluster(n, func(id runtime.NodeID, addrs map[runtime.NodeID]string) (*live.Node, error) {
+		return live.StartNode(live.NodeConfig{
+			Self:  id,
 			Addrs: addrs,
-			Seed:  seed + int64(i),
+			Seed:  seed + int64(id),
 			Cluster: core.Config{
 				Shards: shards, Geometry: geom,
 				MigrationTimeout: migration, ClaimTimeout: claim,
 				RetryInterval: retry, RetryBackoff: backoff,
 			},
 		})
-		if err != nil {
-			for _, up := range nodes[:i-1] {
-				up.Close()
-			}
-			return 0, 0, err
-		}
-		nodes[i-1] = node
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	defer func() {
-		for _, node := range nodes {
-			node.Close()
-		}
-	}()
+	defer closeAll(nodes)
 
 	events, err := workload.Generate(workload.Spec{
 		Servers: n, RequestsPerServer: reqs,
@@ -194,51 +174,11 @@ func liveShardCell(seed int64, shards int, geom quorum.Geometry, reqs int) (floa
 	if err != nil {
 		return 0, 0, err
 	}
-	start := time.Now()
-	for _, ev := range events {
-		node := nodes[ev.Home-1]
-		var serr error
-		if !node.Eng.Do(func() { serr = node.Cluster.Submit(ev.Home, core.Set(ev.Key, ev.Value)) }) {
-			return 0, 0, fmt.Errorf("engine closed during submit")
-		}
-		if serr != nil {
-			return 0, 0, serr
-		}
+	sum, makespan, err := runLiveMARP(nodes, events)
+	if err != nil {
+		return 0, 0, err
 	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(i int, node *live.Node) {
-			defer wg.Done()
-			errs[i] = node.Cluster.RunUntilDone(2 * time.Minute)
-		}(i, node)
-	}
-	wg.Wait()
-	makespan := time.Since(start)
-	for i, err := range errs {
-		if err != nil {
-			return 0, 0, fmt.Errorf("node %d: %w", i+1, err)
-		}
-	}
-	committed, attSum := 0, time.Duration(0)
-	for _, node := range nodes {
-		var outs []core.Outcome
-		if !node.Eng.Do(func() { outs = node.Cluster.Outcomes() }) {
-			return 0, 0, fmt.Errorf("engine closed during outcome read")
-		}
-		for _, o := range outs {
-			if o.Failed {
-				continue
-			}
-			committed++
-			attSum += o.TotalLatency().Duration()
-		}
-	}
-	if committed == 0 {
-		return 0, 0, fmt.Errorf("no updates committed")
-	}
-	return float64(committed) / makespan.Seconds(), attSum / time.Duration(committed), nil
+	return float64(sum.Count-sum.Failures) / makespan.Seconds(), sum.MeanATT, nil
 }
 
 // Sharding runs the A8 experiment: the deterministic simulator table

@@ -2,9 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"net"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -18,12 +16,11 @@ import (
 
 // A9 measures the live path's raw speed: committed updates per wall-clock
 // second on real TCP nodes with the WAL at fsync=commit against a modelled
-// NVMe device, ablated across the two live-path optimisations that are
-// still a choice — pipelined hop-sequenced migration acks (vs one ack
-// message per migration) and WAL group commit (vs one fsync per commit
-// barrier). The workload is deliberately low-contention (hash-sharded keys,
-// deep backlog) so the table isolates the mechanics under test rather than
-// locking-list queueing, which A8 already characterises.
+// NVMe device, ablated across the one live-path optimisation that is still
+// a choice — WAL group commit (vs one fsync per commit barrier). The
+// workload is deliberately low-contention (hash-sharded keys, deep backlog)
+// so the table isolates the mechanics under test rather than locking-list
+// queueing, which A8 already characterises.
 
 const (
 	// a9Servers keeps the cluster small enough that three single-threaded
@@ -48,15 +45,13 @@ var (
 	a9Backoff = 10 * time.Millisecond
 )
 
-// a9Knobs is one ablation row: which of the two optimisations are on.
+// a9Knobs is one ablation row.
 type a9Knobs struct {
 	label       string
-	ackDelay    time.Duration // migration ack aggregation window (0 = legacy)
 	commitDelay time.Duration // WAL group-commit window (0 = fsync per barrier)
 }
 
 func a9Rows() []a9Knobs {
-	const ack = 500 * time.Microsecond
 	// The group-commit window is sized to the device: parking a barrier
 	// costs up to one window of added commit latency, so a window near the
 	// modelled fsync latency (a7SyncNVMe) batches every barrier that shows
@@ -65,10 +60,8 @@ func a9Rows() []a9Knobs {
 	// workload (commit-barrier latency, not fsync count, then dominates).
 	const grp = 100 * time.Microsecond
 	return []a9Knobs{
-		{label: "baseline (per-ack, per-commit fsync)"},
-		{label: "+pipelined acks", ackDelay: ack},
+		{label: "baseline (per-commit fsync)"},
 		{label: "+group commit", commitDelay: grp},
-		{label: "both", ackDelay: ack, commitDelay: grp},
 	}
 }
 
@@ -101,9 +94,9 @@ func LiveSpeed(o FigureOptions) ([]*metrics.Table, error) {
 		seedNote = fmt.Sprintf("mean of %d interleaved seeds", seeds)
 	}
 	tbl := &metrics.Table{
-		Title: "Ablation A9: live-path raw speed — ack pipelining x group commit (wall clock)",
+		Title: "Ablation A9: live-path raw speed — WAL group commit (wall clock)",
 		Note: fmt.Sprintf("N=%d in-process replicas over loopback TCP, fsync=commit on a modelled %v-fsync NVMe, "+
-			"%d shards, %d keys, %d requests/server, %s; speedup is commits/s over the stop-and-wait baseline",
+			"%d shards, %d keys, %d requests/server, %s; speedup is commits/s over the per-commit-fsync baseline",
 			a9Servers, a7SyncNVMe, a9Shards, a9Keys, reqs, seedNote),
 		Columns: []string{"variant", "commits/s", "speedup", "ATT (ms)", "fsyncs/commit", "group batches", "MB sent"},
 	}
@@ -154,58 +147,35 @@ func liveSpeedCell(seed int64, k a9Knobs, reqs int) (a9Cell, error) {
 	// machine. Collect and scavenge synchronously so each cell starts clean.
 	debug.FreeOSMemory()
 	n := a9Servers
-	addrs := make(map[runtime.NodeID]string, n)
-	for i := 1; i <= n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return a9Cell{}, err
-		}
-		addrs[runtime.NodeID(i)] = ln.Addr().String()
-		ln.Close()
-	}
 	// Same timer rationale as A8's live cells: loaded actor loops, not the
 	// loopback network, are the latency source, so timers stay near the
 	// protocol defaults to keep false aborts and false deaths out of the
 	// measurement.
 	migration, claim := 300*time.Millisecond, 500*time.Millisecond
 	retry, backoff := a9Retry, a9Backoff
-	var dur *core.DurabilityConfig
-	if k.commitDelay >= 0 {
-		dur = &core.DurabilityConfig{
-			Policy: wal.PolicyCommit,
-			Backend: func(runtime.NodeID) disk.Backend {
-				return disk.WithSyncLatency(disk.NewMem(), a7SyncNVMe)
-			},
-			GroupCommitDelay: k.commitDelay,
-		}
-	}
-	nodes := make([]*live.Node, n)
-	for i := 1; i <= n; i++ {
-		node, err := live.StartNode(live.NodeConfig{
-			Self:  runtime.NodeID(i),
+	nodes, err := live.StartCluster(n, func(id runtime.NodeID, addrs map[runtime.NodeID]string) (*live.Node, error) {
+		return live.StartNode(live.NodeConfig{
+			Self:  id,
 			Addrs: addrs,
-			Seed:  seed + int64(i),
+			Seed:  seed + int64(id),
 			Cluster: core.Config{
 				Shards:           a9Shards,
 				MigrationTimeout: migration, ClaimTimeout: claim,
 				RetryInterval: retry, RetryBackoff: backoff,
-				MigrateAckDelay: k.ackDelay,
-				Durability:      dur,
+				Durability: &core.DurabilityConfig{
+					Policy: wal.PolicyCommit,
+					Backend: func(runtime.NodeID) disk.Backend {
+						return disk.WithSyncLatency(disk.NewMem(), a7SyncNVMe)
+					},
+					GroupCommitDelay: k.commitDelay,
+				},
 			},
 		})
-		if err != nil {
-			for _, up := range nodes[:i-1] {
-				up.Close()
-			}
-			return a9Cell{}, err
-		}
-		nodes[i-1] = node
+	})
+	if err != nil {
+		return a9Cell{}, err
 	}
-	defer func() {
-		for _, node := range nodes {
-			node.Close()
-		}
-	}()
+	defer closeAll(nodes)
 
 	events, err := workload.Generate(workload.Spec{
 		Servers: n, RequestsPerServer: reqs,
@@ -215,59 +185,17 @@ func liveSpeedCell(seed int64, k a9Knobs, reqs int) (a9Cell, error) {
 	if err != nil {
 		return a9Cell{}, err
 	}
-	start := time.Now()
-	for _, ev := range events {
-		node := nodes[ev.Home-1]
-		var serr error
-		if !node.Eng.Do(func() { serr = node.Cluster.Submit(ev.Home, core.Set(ev.Key, ev.Value)) }) {
-			return a9Cell{}, fmt.Errorf("engine closed during submit")
-		}
-		if serr != nil {
-			return a9Cell{}, serr
-		}
+	sum, makespan, err := runLiveMARP(nodes, events)
+	if err != nil {
+		return a9Cell{}, err
 	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(i int, node *live.Node) {
-			defer wg.Done()
-			errs[i] = node.Cluster.RunUntilDone(2 * time.Minute)
-		}(i, node)
-	}
-	wg.Wait()
-	makespan := time.Since(start)
-	for i, err := range errs {
-		if err != nil {
-			return a9Cell{}, fmt.Errorf("node %d: %w", i+1, err)
-		}
-	}
-	var cell a9Cell
-	var attSum time.Duration
-	for _, node := range nodes {
-		var outs []core.Outcome
-		var snap metrics.Snapshot
-		if !node.Eng.Do(func() {
-			outs = node.Cluster.Outcomes()
-			snap = node.Cluster.Metrics().Gather()
-		}) {
-			return a9Cell{}, fmt.Errorf("engine closed during outcome read")
-		}
-		for _, o := range outs {
-			if o.Failed {
-				continue
-			}
-			cell.commits++
-			attSum += o.TotalLatency().Duration()
-		}
+	cell := a9Cell{commits: sum.Count - sum.Failures, att: sum.MeanATT}
+	cell.cps = float64(cell.commits) / makespan.Seconds()
+	err = onLoops(nodes, func(_ runtime.NodeID, cl *core.Cluster) {
+		snap := cl.Metrics().Gather()
 		cell.fsyncs += uint64(snap.Value("marp.disk.syncs"))
 		cell.batches += int(snap.Value("marp.wal.group_batches"))
 		cell.bytes += int(snap.Value("marp.fabric.bytes_sent"))
-	}
-	if cell.commits == 0 {
-		return a9Cell{}, fmt.Errorf("no updates committed")
-	}
-	cell.cps = float64(cell.commits) / makespan.Seconds()
-	cell.att = attSum / time.Duration(cell.commits)
-	return cell, nil
+	})
+	return cell, err
 }

@@ -134,52 +134,29 @@ func runChaos(o FigureOptions, point int, p ChaosPoint) (ChaosResult, error) {
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	for _, ev := range events {
-		ev := ev
-		cl.Sim().After(ev.At, func() { _ = cl.Submit(ev.Home, core.Set(ev.Key, ev.Value)) })
-	}
-	span := workload.Span(events)
+	var sched failure.Schedule
 	if p.Churn {
-		sched := chaosSchedule(span)
+		sched = chaosSchedule(workload.Span(events))
 		if err := sched.Validate(n, (n-1)/2); err != nil {
 			return ChaosResult{}, err
 		}
-		sched.Apply(func(d time.Duration, fn func()) { cl.Sim().After(d, fn) }, cl)
 	}
-	cl.Sim().RunFor(span + time.Millisecond)
-	if err := cl.RunUntilDone(30 * time.Minute); err != nil {
+	if err := runSimulated(cl, events, offerMARP(cl), sched, cl, 10*time.Second); err != nil {
 		return ChaosResult{}, err
 	}
-	cl.Settle(10 * time.Second)
 	if err := cl.Referee().Err(); err != nil {
 		return ChaosResult{}, err
 	}
-	converged := cl.CheckConvergence() == nil
-	if !converged {
-		return ChaosResult{}, fmt.Errorf("replicas diverged: %w", cl.CheckConvergence())
-	}
-	var samples []metrics.Sample
-	for _, out := range cl.Outcomes() {
-		samples = append(samples, metrics.Sample{
-			ALT:    out.LockLatency().Duration(),
-			ATT:    out.TotalLatency().Duration(),
-			Visits: out.Visits,
-			ByTie:  out.ByTie,
-			Failed: out.Failed,
-		})
+	if err := cl.CheckConvergence(); err != nil {
+		return ChaosResult{}, fmt.Errorf("replicas diverged: %w", err)
 	}
 	// The chaos table's counters read through the registry's stable names
 	// (what a live /metrics scrape exports); the full Net/Agents structs
 	// keep feeding the generic RunResult summaries.
 	snap := cl.Metrics().Gather()
 	return ChaosResult{
-		RunResult: RunResult{
-			Config:  RunConfig{Protocol: MARP, N: n, Seed: o.Seed},
-			Summary: metrics.Summarize(samples),
-			Net:     cl.Network().Stats(),
-			Agents:  cl.Platform().Stats(),
-		},
-		Point: p,
+		RunResult: marpResult(RunConfig{Protocol: MARP, N: n, Seed: o.Seed}, cl),
+		Point:     p,
 		Reliable: reliable.Stats{
 			Retransmissions:      int(snap.Value("marp.reliable.retransmissions")),
 			DuplicatesSuppressed: int(snap.Value("marp.reliable.duplicates_suppressed")),
@@ -189,6 +166,6 @@ func runChaos(o FigureOptions, point int, p ChaosPoint) (ChaosResult, error) {
 		Regenerated: int(snap.Value("marp.replica.regenerated")),
 		Lost:        int(snap.Value("marp.fabric.messages_lost")),
 		Duplicated:  int(snap.Value("marp.fabric.messages_duplicated")),
-		Converged:   converged,
+		Converged:   true,
 	}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/desengine"
 	"repro/internal/failure"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 )
 
 // propChurn returns one of four churn profiles over a workload of the given
@@ -62,24 +63,19 @@ func TestPropertyLossyMajorityStillCommits(t *testing.T) {
 			return false
 		}
 		span := requests * 60 * time.Millisecond
-		for i := 0; i < requests; i++ {
-			i := i
-			cl.Sim().After(time.Duration(i)*60*time.Millisecond, func() {
-				_ = cl.Submit(1, core.Set("k", string(rune('a'+i))))
-			})
+		events := make([]workload.Event, requests)
+		for i := range events {
+			events[i] = workload.Event{At: time.Duration(i) * 60 * time.Millisecond, Home: 1, Key: "k", Value: string(rune('a' + i))}
 		}
 		sched := propChurn(pick, span)
 		if err := sched.Validate(n, (n-1)/2); err != nil {
 			t.Logf("generated schedule invalid: %v", err)
 			return false
 		}
-		sched.Apply(func(d time.Duration, fn func()) { cl.Sim().After(d, fn) }, cl)
-		cl.Sim().RunFor(span + time.Millisecond)
-		if err := cl.RunUntilDone(30 * time.Minute); err != nil {
+		if err := runSimulated(cl, events, offerMARP(cl), sched, cl, 10*time.Second); err != nil {
 			t.Logf("loss=%.2f pick=%d: %v", loss, pick%4, err)
 			return false
 		}
-		cl.Settle(10 * time.Second)
 		if err := cl.Referee().Err(); err != nil {
 			t.Logf("loss=%.2f pick=%d referee: %v", loss, pick%4, err)
 			return false

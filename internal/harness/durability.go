@@ -113,15 +113,9 @@ func runOverheadCell(o FigureOptions, p a7Point) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, ev := range events {
-		ev := ev
-		cl.Sim().After(ev.At, func() { _ = cl.Submit(ev.Home, core.Set(ev.Key, ev.Value)) })
-	}
-	cl.Sim().RunFor(workload.Span(events) + time.Millisecond)
-	if err := cl.RunUntilDone(30 * time.Minute); err != nil {
+	if err := runSimulated(cl, events, offerMARP(cl), nil, nil, 5*time.Second); err != nil {
 		return nil, err
 	}
-	cl.Settle(5 * time.Second)
 	if err := cl.Referee().Err(); err != nil {
 		return nil, err
 	}

@@ -79,10 +79,6 @@ func runWithFailures(o FigureOptions, crashes int) (FailureResult, error) {
 	if err != nil {
 		return FailureResult{}, err
 	}
-	for _, ev := range events {
-		ev := ev
-		cl.Sim().After(ev.At, func() { _ = cl.Submit(ev.Home, core.Set(ev.Key, ev.Value)) })
-	}
 	span := workload.Span(events)
 	var sched failure.Schedule
 	for i := 0; i < crashes; i++ {
@@ -93,36 +89,17 @@ func runWithFailures(o FigureOptions, crashes int) (FailureResult, error) {
 	if err := sched.Validate(n, (n-1)/2); err != nil {
 		return FailureResult{}, err
 	}
-	sched.Apply(func(d time.Duration, fn func()) { cl.Sim().After(d, fn) }, cl)
-	cl.Sim().RunFor(span + time.Millisecond)
-	if err := cl.RunUntilDone(30 * time.Minute); err != nil {
+	if err := runSimulated(cl, events, offerMARP(cl), sched, cl, 10*time.Second); err != nil {
 		return FailureResult{}, err
 	}
-	cl.Settle(10 * time.Second)
 	if err := cl.Referee().Err(); err != nil {
 		return FailureResult{}, err
 	}
-	converged := cl.CheckConvergence() == nil
-	var samples []metrics.Sample
-	for _, out := range cl.Outcomes() {
-		samples = append(samples, metrics.Sample{
-			ALT:    out.LockLatency().Duration(),
-			ATT:    out.TotalLatency().Duration(),
-			Visits: out.Visits,
-			ByTie:  out.ByTie,
-			Failed: out.Failed,
-		})
-	}
 	return FailureResult{
-		RunResult: RunResult{
-			Config:  RunConfig{Protocol: MARP, N: n, Seed: o.Seed},
-			Summary: metrics.Summarize(samples),
-			Net:     cl.Network().Stats(),
-			Agents:  cl.Platform().Stats(),
-		},
+		RunResult:     marpResult(RunConfig{Protocol: MARP, N: n, Seed: o.Seed}, cl),
 		Crashes:       crashes,
 		AgentsKilled:  cl.Platform().Stats().AgentsKilled,
-		ConvergedOK:   converged,
+		ConvergedOK:   cl.CheckConvergence() == nil,
 		CommittedSeqs: cl.Server(1).Store().LastSeq(),
 	}, nil
 }

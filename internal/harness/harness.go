@@ -12,7 +12,9 @@ import (
 	"repro/internal/agent"
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/desengine"
+	"repro/internal/failure"
 	"repro/internal/metrics"
 	"repro/internal/quorum"
 	"repro/internal/simnet"
@@ -170,21 +172,25 @@ func (r RunResult) BytesPerUpdate() float64 {
 // Run executes one experiment run and verifies the correctness oracles.
 func Run(cfg RunConfig) (RunResult, error) {
 	cfg.fill()
-	if cfg.Protocol == MARP {
-		return runMARP(cfg)
+	events, err := workload.Generate(cfg.workload())
+	if err != nil {
+		return RunResult{}, err
 	}
-	return runBaseline(cfg)
+	if cfg.Protocol == MARP {
+		return runMARP(cfg, events)
+	}
+	return runBaseline(cfg, events)
 }
 
-func (c RunConfig) events() ([]workload.Event, error) {
-	return workload.Generate(workload.Spec{
+func (c RunConfig) workload() workload.Spec {
+	return workload.Spec{
 		Servers:           c.N,
 		RequestsPerServer: c.RequestsPerServer,
 		MeanInterarrival:  c.Mean,
 		RateSkew:          c.RateSkew,
 		Keys:              c.Keys,
 		Seed:              c.Seed + 1000,
-	})
+	}
 }
 
 func (c RunConfig) latencyModel() (simnet.LatencyModel, error) {
@@ -194,7 +200,85 @@ func (c RunConfig) latencyModel() (simnet.LatencyModel, error) {
 	return c.Latency.model()
 }
 
-func runMARP(cfg RunConfig) (RunResult, error) {
+// simulated is what the simulated driver needs of a system under test.
+// *desengine.Cluster, *desengine.OptCluster and *baseline.System satisfy it
+// as they stand.
+type simulated interface {
+	Sim() *des.Simulator
+	RunUntilDone(maxVirtual time.Duration) error
+	Settle(d time.Duration)
+}
+
+// runSimulated is the one way a simulated experiment runs: schedule the
+// workload (offer fires for each event at its time), then the fault
+// schedule against target, run the workload's span plus 1 ms, drain for up
+// to 30 virtual minutes, settle. The simulator breaks timestamp ties by
+// insertion order, so workload-before-faults is part of every recorded
+// figure. The drain's error comes back untouched: a figure sweep calls it
+// saturation, every other caller failure. Building the system, validating
+// the schedule, the oracles and reading the result stay with the caller.
+func runSimulated(sys simulated, events []workload.Event, offer func(workload.Event), faults failure.Schedule, target failure.Target, settle time.Duration) error {
+	sim := sys.Sim()
+	for _, ev := range events {
+		ev := ev
+		sim.After(ev.At, func() { offer(ev) })
+	}
+	faults.Apply(func(d time.Duration, fn func()) { sim.After(d, fn) }, target)
+	sim.RunFor(workload.Span(events) + time.Millisecond)
+	err := sys.RunUntilDone(30 * time.Minute)
+	sys.Settle(settle)
+	return err
+}
+
+// offerMARP is the workload's meaning on a MARP cluster: a read is a local
+// lookup, an update a Set submitted at its home (a refused submit — the
+// home is down — is the request's outcome, not the run's).
+func offerMARP(cl *desengine.Cluster) func(workload.Event) {
+	return func(ev workload.Event) {
+		if ev.Read {
+			cl.Read(ev.Home, ev.Key)
+			return
+		}
+		_ = cl.Submit(ev.Home, core.Set(ev.Key, ev.Value))
+	}
+}
+
+// marpSamples is the one MARP outcome → metrics.Sample conversion.
+func marpSamples(outs []core.Outcome) []metrics.Sample {
+	samples := make([]metrics.Sample, len(outs))
+	for i, o := range outs {
+		samples[i] = metrics.Sample{
+			ALT:     o.LockLatency().Duration(),
+			ATT:     o.TotalLatency().Duration(),
+			Visits:  o.Visits,
+			ByTie:   o.ByTie,
+			Retries: o.Retries,
+			Failed:  o.Failed,
+			Shards:  o.Shards,
+		}
+	}
+	return samples
+}
+
+// marpResult reads a finished simulated MARP run into a RunResult.
+func marpResult(cfg RunConfig, cl *desengine.Cluster) RunResult {
+	outs := cl.Outcomes()
+	var makespan time.Duration
+	for _, o := range outs {
+		if !o.Failed && o.DoneAt.Duration() > makespan {
+			makespan = o.DoneAt.Duration()
+		}
+	}
+	return RunResult{
+		Config:   cfg,
+		Summary:  metrics.Summarize(marpSamples(outs)),
+		Net:      cl.Network().Stats(),
+		Agents:   cl.Platform().Stats(),
+		Makespan: makespan,
+	}
+}
+
+func runMARP(cfg RunConfig, events []workload.Event) (RunResult, error) {
 	model, err := cfg.latencyModel()
 	if err != nil {
 		return RunResult{}, err
@@ -222,26 +306,7 @@ func runMARP(cfg RunConfig) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	events, err := cfg.events()
-	if err != nil {
-		return RunResult{}, err
-	}
-	for _, ev := range events {
-		ev := ev
-		cl.Sim().After(ev.At, func() {
-			if ev.Read {
-				cl.Read(ev.Home, ev.Key)
-				return
-			}
-			_ = cl.Submit(ev.Home, core.Set(ev.Key, ev.Value))
-		})
-	}
-	cl.Sim().RunFor(workload.Span(events) + time.Millisecond)
-	saturated := false
-	if err := cl.RunUntilDone(30 * time.Minute); err != nil {
-		saturated = true
-	}
-	cl.Settle(5 * time.Second)
+	saturated := runSimulated(cl, events, offerMARP(cl), nil, nil, 5*time.Second) != nil
 	if err := cl.Referee().Err(); err != nil {
 		return RunResult{}, err
 	}
@@ -250,30 +315,9 @@ func runMARP(cfg RunConfig) (RunResult, error) {
 			return RunResult{}, err
 		}
 	}
-	var samples []metrics.Sample
-	var makespan time.Duration
-	for _, o := range cl.Outcomes() {
-		samples = append(samples, metrics.Sample{
-			ALT:     o.LockLatency().Duration(),
-			ATT:     o.TotalLatency().Duration(),
-			Visits:  o.Visits,
-			ByTie:   o.ByTie,
-			Retries: o.Retries,
-			Failed:  o.Failed,
-			Shards:  o.Shards,
-		})
-		if !o.Failed && o.DoneAt.Duration() > makespan {
-			makespan = o.DoneAt.Duration()
-		}
-	}
-	return RunResult{
-		Config:    cfg,
-		Summary:   metrics.Summarize(samples),
-		Net:       cl.Network().Stats(),
-		Agents:    cl.Platform().Stats(),
-		Saturated: saturated,
-		Makespan:  makespan,
-	}, nil
+	res := marpResult(cfg, cl)
+	res.Saturated = saturated
+	return res, nil
 }
 
 func batchDelay(size int) time.Duration {
@@ -283,7 +327,7 @@ func batchDelay(size int) time.Duration {
 	return 20 * time.Millisecond
 }
 
-func runBaseline(cfg RunConfig) (RunResult, error) {
+func runBaseline(cfg RunConfig, events []workload.Event) (RunResult, error) {
 	model, err := cfg.latencyModel()
 	if err != nil {
 		return RunResult{}, err
@@ -312,26 +356,13 @@ func runBaseline(cfg RunConfig) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	events, err := cfg.events()
-	if err != nil {
-		return RunResult{}, err
-	}
-	for _, ev := range events {
-		ev := ev
-		sys.Sim().After(ev.At, func() {
-			if ev.Read {
-				sys.Read(ev.Home, ev.Key)
-				return
-			}
-			_ = sys.Submit(ev.Home, ev.Key, ev.Value)
-		})
-	}
-	sys.Sim().RunFor(workload.Span(events) + time.Millisecond)
-	saturated := false
-	if err := sys.RunUntilDone(30 * time.Minute); err != nil {
-		saturated = true
-	}
-	sys.Settle(5 * time.Second)
+	saturated := runSimulated(sys, events, func(ev workload.Event) {
+		if ev.Read {
+			sys.Read(ev.Home, ev.Key)
+			return
+		}
+		_ = sys.Submit(ev.Home, ev.Key, ev.Value)
+	}, nil, nil, 5*time.Second) != nil
 	if !saturated {
 		if err := sys.CheckConvergence(); err != nil {
 			return RunResult{}, err
@@ -355,74 +386,24 @@ func runBaseline(cfg RunConfig) (RunResult, error) {
 }
 
 // runMARPWithReads runs a MARP cluster over a mixed read/update workload
-// with the given read fraction (the A5 experiment).
+// with the given read fraction (the A5 experiment): the MARP run, handed
+// events a RunConfig cannot describe. A5 has no saturated rows; a run that
+// does not drain fails.
 func runMARPWithReads(o FigureOptions, readFraction float64) (RunResult, error) {
 	cfg := RunConfig{
 		Protocol: MARP, N: 5, Seed: o.Seed, Mean: 25 * time.Millisecond,
 		RequestsPerServer: o.RequestsPerServer, Latency: o.Latency,
 	}
 	cfg.fill()
-	model, err := cfg.latencyModel()
+	spec := cfg.workload()
+	spec.ReadFraction = readFraction
+	events, err := workload.Generate(spec)
 	if err != nil {
 		return RunResult{}, err
 	}
-	migration, claim, retry, backoff := cfg.Latency.timers()
-	cl, err := desengine.New(desengine.Config{
-		Seed: cfg.Seed, Latency: model,
-		Cluster: core.Config{
-			N:                cfg.N,
-			MigrationTimeout: migration, ClaimTimeout: claim,
-			RetryInterval: retry, RetryBackoff: backoff,
-		},
-	})
-	if err != nil {
-		return RunResult{}, err
+	res, err := runMARP(cfg, events)
+	if err == nil && res.Saturated {
+		err = fmt.Errorf("harness: the run did not drain in 30 virtual minutes")
 	}
-	events, err := workload.Generate(workload.Spec{
-		Servers:           cfg.N,
-		RequestsPerServer: cfg.RequestsPerServer,
-		MeanInterarrival:  cfg.Mean,
-		ReadFraction:      readFraction,
-		Seed:              cfg.Seed + 1000,
-	})
-	if err != nil {
-		return RunResult{}, err
-	}
-	for _, ev := range events {
-		ev := ev
-		cl.Sim().After(ev.At, func() {
-			if ev.Read {
-				cl.Read(ev.Home, ev.Key)
-				return
-			}
-			_ = cl.Submit(ev.Home, core.Set(ev.Key, ev.Value))
-		})
-	}
-	cl.Sim().RunFor(workload.Span(events) + time.Millisecond)
-	if err := cl.RunUntilDone(30 * time.Minute); err != nil {
-		return RunResult{}, err
-	}
-	cl.Settle(5 * time.Second)
-	if err := cl.Referee().Err(); err != nil {
-		return RunResult{}, err
-	}
-	if err := cl.CheckConvergence(); err != nil {
-		return RunResult{}, err
-	}
-	var samples []metrics.Sample
-	for _, o := range cl.Outcomes() {
-		samples = append(samples, metrics.Sample{
-			ALT:    o.LockLatency().Duration(),
-			ATT:    o.TotalLatency().Duration(),
-			Visits: o.Visits,
-			ByTie:  o.ByTie,
-			Failed: o.Failed,
-		})
-	}
-	return RunResult{
-		Config:  cfg,
-		Summary: metrics.Summarize(samples),
-		Net:     cl.Network().Stats(),
-		Agents:  cl.Platform().Stats(),
-	}, nil
+	return res, err
 }

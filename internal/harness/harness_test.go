@@ -1,11 +1,16 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/desengine"
+	"repro/internal/failure"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 )
 
 // The harness tests run the real experiments at reduced scale and assert the
@@ -232,10 +237,39 @@ func TestRunBaselineProtocols(t *testing.T) {
 	}
 }
 
+// faultOrder records when a fault schedule's events fire.
+type faultOrder struct{ fired *[]string }
+
+func (f faultOrder) Crash(simnet.NodeID)   { *f.fired = append(*f.fired, "crash") }
+func (f faultOrder) Recover(simnet.NodeID) { *f.fired = append(*f.fired, "recover") }
+
+// TestRunSimulatedOffersBeforeFaults: the simulator breaks timestamp ties by
+// insertion order, so a request and a crash due at the same instant resolve
+// as "request first" in every recorded figure only while the driver
+// schedules the workload before the fault schedule.
+func TestRunSimulatedOffersBeforeFaults(t *testing.T) {
+	cl, err := desengine.New(desengine.Config{Seed: 1, Cluster: core.Config{N: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 5 * time.Millisecond
+	var fired []string
+	err = runSimulated(cl,
+		[]workload.Event{{At: at, Home: 2, Key: "k", Value: "v"}},
+		func(workload.Event) { fired = append(fired, "request") },
+		failure.Blip(2, at, time.Millisecond), faultOrder{&fired}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"request", "crash", "recover"}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+}
+
 func TestRunWithReadsInWorkload(t *testing.T) {
 	// Reads are local and free; the run must still complete and count
 	// only updates.
-	res, err := runMARP(RunConfig{Protocol: MARP, N: 3, Seed: 25,
+	res, err := Run(RunConfig{Protocol: MARP, N: 3, Seed: 25,
 		Mean: 30 * time.Millisecond, RequestsPerServer: 10, BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)

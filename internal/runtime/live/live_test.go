@@ -2,7 +2,6 @@ package live_test
 
 import (
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -19,23 +18,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/wal"
 )
-
-// freeAddrs reserves n distinct loopback addresses by briefly listening on
-// ephemeral ports. The tiny window between Close and the node's own Listen
-// is an accepted test-only race.
-func freeAddrs(t *testing.T, n int) map[runtime.NodeID]string {
-	t.Helper()
-	addrs := make(map[runtime.NodeID]string, n)
-	for i := 1; i <= n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[runtime.NodeID(i)] = ln.Addr().String()
-		ln.Close()
-	}
-	return addrs
-}
 
 // sharedReferee spans all processes of a live cluster: each node's OnGrant
 // hook feeds one global single-claimant oracle, restoring the cross-replica
@@ -68,22 +50,15 @@ func (s *sharedReferee) report() (wins int, violations []string) {
 // wired through real TCP sockets.
 func startLiveCluster(t *testing.T, n int, cfg core.Config) ([]*live.Node, *sharedReferee) {
 	t.Helper()
-	addrs := freeAddrs(t, n)
 	ref := newSharedReferee(n)
-	nodes := make([]*live.Node, n)
-	for i := 1; i <= n; i++ {
-		c := cfg
-		c.OnGrant = ref.onGrant
-		node, err := live.StartNode(live.NodeConfig{
-			Self:    runtime.NodeID(i),
-			Addrs:   addrs,
-			Seed:    int64(100 + i),
-			Cluster: c,
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-		nodes[i-1] = node
+	cfg.OnGrant = ref.onGrant
+	nodes, err := live.StartCluster(n, func(id runtime.NodeID, addrs map[runtime.NodeID]string) (*live.Node, error) {
+		return live.StartNode(live.NodeConfig{Self: id, Addrs: addrs, Seed: int64(100 + id), Cluster: cfg})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range nodes {
 		t.Cleanup(node.Close)
 	}
 	return nodes, ref
@@ -450,12 +425,11 @@ func TestCrossEngineEquivalenceSharded(t *testing.T) {
 }
 
 // TestCrossEngineEquivalencePipelined re-runs the sharded cross-engine
-// check with every live-path optimisation of the A9 fast path switched on
-// at once — the zero-alloc wire codec (the default fabric framing),
-// migration-ack aggregation, and WAL group commit at fsync=commit — against
-// the plain simulator reference. The optimisations only move bytes and
-// fsyncs around; the committed transaction set per key must be exactly the
-// one the unoptimised protocol produces.
+// check on the A9 fast path — the wire codec (the only fabric framing) with
+// WAL group commit at fsync=commit, commit barriers pipelined behind one
+// covering fsync — against the plain simulator reference. Group commit only
+// moves fsyncs around; the committed transaction set per key must be
+// exactly the one the per-barrier protocol produces.
 func TestCrossEngineEquivalencePipelined(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live cluster test uses wall-clock timeouts")
@@ -495,11 +469,9 @@ func TestCrossEngineEquivalencePipelined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Live cluster with the full fast path: wire codec (default), batched
-	// migration acks, group-committed WAL.
+	// Live cluster on the fast path: group-committed WAL.
 	nodes, ref := startLiveCluster(t, n, core.Config{
-		Shards:          shards,
-		MigrateAckDelay: 500 * time.Microsecond,
+		Shards: shards,
 		Durability: &core.DurabilityConfig{
 			Backend:          func(runtime.NodeID) disk.Backend { return disk.NewMem() },
 			Policy:           wal.PolicyCommit,
@@ -520,22 +492,16 @@ func TestCrossEngineEquivalencePipelined(t *testing.T) {
 	}
 
 	// The optimised run actually used its machinery.
-	var batches, acksBatched int
-	for i, node := range nodes {
+	var batches int
+	for _, node := range nodes {
 		var js wal.Stats
-		var as agent.Stats
-		if !node.Eng.Do(func() { js = node.Cluster.JournalStats(); as = node.Cluster.Platform().Stats() }) {
+		if !node.Eng.Do(func() { js = node.Cluster.JournalStats() }) {
 			t.Fatal("engine closed during stats read")
 		}
 		batches += js.GroupBatches
-		acksBatched += as.AcksBatched
-		_ = i
 	}
 	if batches == 0 {
 		t.Fatal("group commit enabled but no batches recorded")
-	}
-	if acksBatched == 0 {
-		t.Fatal("ack aggregation enabled but no acks batched")
 	}
 
 	// Replicas agree among themselves...

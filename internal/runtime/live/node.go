@@ -40,51 +40,58 @@ type NodeConfig struct {
 	Cluster core.Config
 }
 
-// Node is one running replica process: an actor-loop engine, a TCP fabric,
-// and the same core.Cluster the simulator drives.
-type Node struct {
+// Process is one running replica process: an actor-loop engine, a TCP
+// fabric, and the protocol cluster they carry — the same value the
+// simulator drives. Node and OptNode are its two instantiations.
+type Process[C any] struct {
 	Eng     *Engine
 	Fab     *Fabric
-	Cluster *core.Cluster
+	Cluster C
+
+	closeJournal func(C) error
 }
 
-// assemble is the one bring-up behind StartNode and StartOptNode: the actor
+// Node is a MARP replica process.
+type Node = Process[*core.Cluster]
+
+// start is the one bring-up behind StartNode and StartOptNode: the actor
 // loop, the fabric, then the protocol constructor — run ON the loop. The
 // fabric accepts from the moment it exists and a restarting node's peers
 // are already sending, so a cluster built on the caller's goroutine is read
 // by arriving agents (the server table, the journal hook) while its
 // constructor still writes it. On the loop, every delivery queues behind
-// the constructor and sees the finished cluster.
-func assemble[C any](self runtime.NodeID, addrs map[runtime.NodeID]string, seed int64, tr *trace.Log, build func(*Engine, *Fabric) (C, error)) (*Engine, *Fabric, C, error) {
-	var cluster C
+// the constructor and sees the finished cluster. closeJournal is what Close
+// runs to flush and close the cluster's journals.
+func start[C any](self runtime.NodeID, addrs map[runtime.NodeID]string, seed int64, tr *trace.Log, build func(*Engine, *Fabric) (C, error), closeJournal func(C) error) (*Process[C], error) {
 	eng := NewEngine(seed)
 	fab, err := NewFabricOptions(eng, self, addrs, FabricOptions{Trace: tr})
 	if err != nil {
 		eng.Close()
-		return nil, nil, cluster, err
+		return nil, err
 	}
-	eng.Do(func() { cluster, err = build(eng, fab) })
+	p := &Process[C]{Eng: eng, Fab: fab, closeJournal: closeJournal}
+	eng.Do(func() { p.Cluster, err = build(eng, fab) })
 	if err != nil {
 		fab.Close()
 		eng.Close()
-		return nil, nil, cluster, err
+		return nil, err
 	}
-	return eng, fab, cluster, nil
+	return p, nil
 }
 
-// teardown stops a node: fabric first (stops inbound traffic, so no protocol
-// callback can arrive after its journal is gone), then the journal (flush
-// and close, so a graceful shutdown leaves nothing to replay), then the
-// actor loop. The journal close runs on the actor loop, serialized after
+// Close stops the process: fabric first (stops inbound traffic, so no
+// protocol callback can arrive after its journal is gone), then the journal
+// (flush and close, so a graceful shutdown leaves nothing to replay), then
+// the actor loop. The journal close runs on the actor loop, serialized after
 // any callbacks the fabric injected before it closed.
-func teardown(eng *Engine, fab *Fabric, closeJournal func() error) {
-	fab.Close()
-	eng.Do(func() {
-		if err := closeJournal(); err != nil {
+func (p *Process[C]) Close() {
+	p.Fab.Close()
+	p.Eng.Do(func() {
+		if err := p.closeJournal(p.Cluster); err != nil {
 			fmt.Printf("live: closing journal: %v\n", err)
 		}
 	})
-	eng.Close()
+	p.Eng.Close()
 }
 
 // fsBackend turns a node's DataDir and Fsync settings into the journal's
@@ -131,7 +138,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			GroupCommitDelay: cfg.CommitDelay,
 		}
 	}
-	eng, fab, cl, err := assemble(cfg.Self, cfg.Addrs, cfg.Seed, cfg.Cluster.Trace, func(eng *Engine, fab *Fabric) (*core.Cluster, error) {
+	return start(cfg.Self, cfg.Addrs, cfg.Seed, cfg.Cluster.Trace, func(eng *Engine, fab *Fabric) (*core.Cluster, error) {
 		cl, err := core.NewCluster(eng, fab, cfg.Cluster)
 		if err != nil {
 			return nil, err
@@ -144,12 +151,5 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		// cannot rewind.
 		cl.Platform().AdvanceBirth(time.Now().UnixNano())
 		return cl, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Node{Eng: eng, Fab: fab, Cluster: cl}, nil
+	}, (*core.Cluster).CloseJournals)
 }
-
-// Close tears the node down (see teardown for the order).
-func (n *Node) Close() { teardown(n.Eng, n.Fab, n.Cluster.CloseJournals) }

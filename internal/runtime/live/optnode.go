@@ -33,12 +33,8 @@ type OptNodeConfig struct {
 	Shards int
 }
 
-// OptNode is one running optimistic replica process.
-type OptNode struct {
-	Eng     *Engine
-	Fab     *Fabric
-	Cluster *optimistic.Cluster
-}
+// OptNode is an optimistic replica process.
+type OptNode = Process[*optimistic.Cluster]
 
 // StartOptNode brings up the engine, the fabric, and the local optimistic
 // replica. Unlike the pessimistic StartNode there is no anti-entropy phase
@@ -59,14 +55,7 @@ func StartOptNode(cfg OptNodeConfig) (*OptNode, error) {
 		}
 		ocfg.Durability = &optimistic.DurabilityConfig{Backend: backend, Policy: policy}
 	}
-	eng, fab, cl, err := assemble(cfg.Self, cfg.Addrs, cfg.Seed, nil, func(eng *Engine, fab *Fabric) (*optimistic.Cluster, error) {
+	return start(cfg.Self, cfg.Addrs, cfg.Seed, nil, func(eng *Engine, fab *Fabric) (*optimistic.Cluster, error) {
 		return optimistic.NewCluster(eng, fab, ocfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &OptNode{Eng: eng, Fab: fab, Cluster: cl}, nil
+	}, (*optimistic.Cluster).Close)
 }
-
-// Close tears the node down (see teardown for the order).
-func (n *OptNode) Close() { teardown(n.Eng, n.Fab, n.Cluster.Close) }

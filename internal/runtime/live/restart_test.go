@@ -23,29 +23,27 @@ func TestLiveRestartRecoversFromDisk(t *testing.T) {
 		t.Skip("live cluster test uses wall-clock timeouts")
 	}
 	const n = 3
-	addrs := freeAddrs(t, n)
 	ref := newSharedReferee(n)
 	dirs := make([]string, n+1)
 	for i := 1; i <= n; i++ {
 		dirs[i] = t.TempDir()
 	}
-	start := func(i int) *live.Node {
-		node, err := live.StartNode(live.NodeConfig{
-			Self:    runtime.NodeID(i),
-			Addrs:   addrs,
-			Seed:    int64(100 + i),
-			DataDir: dirs[i],
+	// The restart below must reuse the address the bring-up settled on.
+	var addrs map[runtime.NodeID]string
+	start := func(id runtime.NodeID, a map[runtime.NodeID]string) (*live.Node, error) {
+		addrs = a
+		return live.StartNode(live.NodeConfig{
+			Self:    id,
+			Addrs:   a,
+			Seed:    int64(100 + id),
+			DataDir: dirs[id],
 			Fsync:   "commit",
 			Cluster: core.Config{OnGrant: ref.onGrant},
 		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-		return node
 	}
-	nodes := make([]*live.Node, n)
-	for i := 1; i <= n; i++ {
-		nodes[i-1] = start(i)
+	nodes, err := live.StartCluster(n, start)
+	if err != nil {
+		t.Fatal(err)
 	}
 	closed := false
 	defer func() {
@@ -91,7 +89,9 @@ func TestLiveRestartRecoversFromDisk(t *testing.T) {
 	// Restart under the same data directory. Recovery is synchronous inside
 	// StartNode, so by the time it returns the replica already holds every
 	// commit it acked before dying — before any peer has said a word.
-	nodes[2] = start(3)
+	if nodes[2], err = start(3, addrs); err != nil {
+		t.Fatal(err)
+	}
 	closed = false
 	if got := len(localLog(t, nodes[2], 3)); got < n*perNode {
 		t.Fatalf("right after restart the log has %d commits, want >= %d from the WAL", got, n*perNode)
@@ -123,23 +123,20 @@ func TestLiveRestartWithoutDataDir(t *testing.T) {
 		t.Skip("live cluster test uses wall-clock timeouts")
 	}
 	const n, perNode = 3, 3
-	addrs := freeAddrs(t, n)
 	ref := newSharedReferee(n)
-	start := func(i int) *live.Node {
-		node, err := live.StartNode(live.NodeConfig{
-			Self:    runtime.NodeID(i),
-			Addrs:   addrs,
-			Seed:    int64(100 + i),
+	var addrs map[runtime.NodeID]string
+	start := func(id runtime.NodeID, a map[runtime.NodeID]string) (*live.Node, error) {
+		addrs = a
+		return live.StartNode(live.NodeConfig{
+			Self:    id,
+			Addrs:   a,
+			Seed:    int64(100 + id),
 			Cluster: core.Config{OnGrant: ref.onGrant},
 		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-		return node
 	}
-	nodes := make([]*live.Node, n)
-	for i := 1; i <= n; i++ {
-		nodes[i-1] = start(i)
+	nodes, err := live.StartCluster(n, start)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer func() {
 		for _, node := range nodes {
@@ -192,7 +189,9 @@ func TestLiveRestartWithoutDataDir(t *testing.T) {
 			t.Fatalf("majority node %d: %v", i+1, err)
 		}
 	}
-	nodes[2] = start(3)
+	if nodes[2], err = start(3, addrs); err != nil {
+		t.Fatal(err)
+	}
 
 	submitAt(t, nodes[2], 3, core.Set("r3-k3", "v"))
 	if err := nodes[2].Cluster.RunUntilDone(30 * time.Second); err != nil {
@@ -225,20 +224,30 @@ func TestStartNodeUnderTraffic(t *testing.T) {
 		t.Skip("live cluster test uses wall-clock timeouts")
 	}
 	const n = 3
-	addrs := freeAddrs(t, n)
-	start := func(i int, dir string) *live.Node {
-		node, err := live.StartNode(live.NodeConfig{
-			Self: runtime.NodeID(i), Addrs: addrs, Seed: int64(100 + i), DataDir: dir, Fsync: "none",
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
+	dir := t.TempDir()
+	var addrs map[runtime.NodeID]string
+	start := func(id runtime.NodeID, a map[runtime.NodeID]string) (*live.Node, error) {
+		addrs = a
+		cfg := live.NodeConfig{Self: id, Addrs: a, Seed: int64(100 + id), Fsync: "none"}
+		if id == 3 {
+			cfg.DataDir = dir
 		}
-		return node
+		return live.StartNode(cfg)
 	}
+	nodes, err := live.StartCluster(n, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Die as kill -9 would: no journal close.
+	kill := func(node *live.Node) {
+		node.Fab.Close()
+		node.Eng.Close()
+	}
+	kill(nodes[2])
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 1; i <= 2; i++ {
-		node, home := start(i, ""), runtime.NodeID(i)
+	for i, node := range nodes[:2] {
+		node, home := node, runtime.NodeID(i+1)
 		defer node.Close()
 		wg.Add(1)
 		go func() {
@@ -262,12 +271,12 @@ func TestStartNodeUnderTraffic(t *testing.T) {
 	// their nodes close, on a failed StartNode as well.
 	defer wg.Wait()
 	defer close(stop)
-	dir := t.TempDir()
 	for round := 0; round < 6; round++ {
-		node := start(3, dir)
+		node, err := start(3, addrs)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 		time.Sleep(150 * time.Millisecond)
-		// Die as kill -9 would: no journal close.
-		node.Fab.Close()
-		node.Eng.Close()
+		kill(node)
 	}
 }

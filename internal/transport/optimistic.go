@@ -97,7 +97,8 @@ func (s *Server) applyOpt(req Request) Response {
 // prefix order, so two converged replicas agree on it exactly); the
 // tentative tier's is order-independent, matching its weaker promise —
 // overlays at two replicas agree on membership only after gossip quiesces,
-// never on arrival order. The legacy Value/Seq alias the stable tier.
+// never on arrival order. Value/Seq repeat the stable tier, the one that
+// converges.
 func (s *Server) optDigest(node runtime.NodeID) Response {
 	hosted := false
 	for _, id := range s.opt.LocalNodes() {
@@ -279,14 +280,14 @@ func (c *Client) ReadTentative(node int, key string) (value string, found bool, 
 
 // DigestReport fetches the full kind-tagged digest response: Kind plus, on
 // an optimistic service, both tiers with their per-key digests. Callers
-// comparing digests across processes must compare Kind first — DigestShards
-// remains for kind-unaware tooling and reads the converging tier.
+// comparing digests across processes must compare Kind first.
 func (c *Client) DigestReport(node int) (Response, error) {
 	return c.roundTrip(Request{Op: "digest", Node: node})
 }
 
-// RefereeReport fetches the kind-tagged referee verdict (see Referee for
-// the legacy two-int form).
+// RefereeReport fetches the kind-tagged referee verdict: on MARP the
+// process-local count of update permissions granted (Wins) and of
+// single-claimant violations observed.
 func (c *Client) RefereeReport() (Response, error) {
 	return c.roundTrip(Request{Op: "referee"})
 }

@@ -199,8 +199,8 @@ type Response struct {
 	// servers never set it).
 	Kind string `json:"kind,omitempty"`
 	// Stable and Tentative are an optimistic digest response's two tiers.
-	// The legacy Value/Seq fields alias the stable tier so kind-unaware
-	// tooling keeps reading the tier that actually converges.
+	// Value and Seq repeat the stable tier's digest and entry count: the
+	// whole-replica fields always carry the tier that converges.
 	Stable    *TierDigest `json:"stable,omitempty"`
 	Tentative *TierDigest `json:"tentative,omitempty"`
 }
@@ -661,37 +661,4 @@ func digestLog(log []store.Update) (string, int) {
 		h.Write([]byte{0xff})
 	}
 	return fmt.Sprintf("%016x", h.Sum64()), len(entries)
-}
-
-// Digest fetches the order-independent commit-set digest of a replica's
-// store (the one replica the addressed process hosts).
-func (c *Client) Digest(node int) (digest string, commits int, err error) {
-	resp, err := c.roundTrip(Request{Op: "digest", Node: node})
-	if err != nil {
-		return "", 0, err
-	}
-	return resp.Value, int(resp.Seq), nil
-}
-
-// DigestShards fetches the whole-replica digest plus the per-shard rows
-// (empty on a single-shard deployment) and the process's fabric queue-drop
-// count — a non-zero count is the first thing to check when two replicas'
-// digests disagree.
-func (c *Client) DigestShards(node int) (digest string, commits int, shards []ShardDigest, drops int, err error) {
-	resp, err := c.roundTrip(Request{Op: "digest", Node: node})
-	if err != nil {
-		return "", 0, nil, 0, err
-	}
-	return resp.Value, int(resp.Seq), resp.Shards, resp.QueueDrops, nil
-}
-
-// Referee fetches the process-local referee verdict: how many update
-// permissions were granted and how many single-claimant violations were
-// observed.
-func (c *Client) Referee() (wins, violations int, err error) {
-	resp, err := c.roundTrip(Request{Op: "referee"})
-	if err != nil {
-		return 0, 0, err
-	}
-	return resp.Wins, resp.Violations, nil
 }

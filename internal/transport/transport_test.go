@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -20,14 +19,9 @@ type testCluster struct {
 // freeAddrs reserves n loopback fabric addresses, keyed by node ID.
 func freeAddrs(t *testing.T, n int) map[runtime.NodeID]string {
 	t.Helper()
-	addrs := make(map[runtime.NodeID]string, n)
-	for i := 1; i <= n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[runtime.NodeID(i)] = ln.Addr().String()
-		ln.Close()
+	addrs, err := live.ReserveAddrs(n)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return addrs
 }

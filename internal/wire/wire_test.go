@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -39,7 +40,6 @@ func corpusMessages() []any {
 	return []any{
 		&agent.WireEnvelope{ID: id, Hop: 9, State: []byte{0xA7, 1, 2, 3}},
 		&agent.MigrateAck{ID: id, Hop: 9},
-		&agent.MigrateAckBatch{Acks: []agent.MigrateAck{{ID: id, Hop: 9}, {ID: id2, Hop: 1}}},
 		&agent.AgentMsg{Target: id, Payload: &core.OutcomeMsg{Outcome: core.Outcome{
 			Agent: id, Home: 3, Requests: 2, Dispatched: 10, LockAt: 20, DoneAt: 30,
 			Visits: 4, ByTie: true, Retries: 1, Shards: []int{0, 5},
@@ -202,12 +202,21 @@ func TestCorruptInputSafety(t *testing.T) {
 	}
 }
 
+// unknownTagFrames open with a tag no message has: one never assigned, and
+// the retired tag 4 in a frame exactly as an old peer's ack batch carried
+// it (the bytes of the deleted seed msg-02.bin).
+var unknownTagFrames = [][]byte{
+	{0xFE, 1, 2, 3},
+	{0x04, 0x02, 0x06, 0xaa, 0xb4, 0xde, 0x75, 0x2a, 0x09, 0x02, 0xc6, 0x01, 0x07, 0x01},
+}
+
 // TestUnknownTagRejected: an unregistered tag is an explicit error, not a
 // misparse.
 func TestUnknownTagRejected(t *testing.T) {
-	r := wire.NewReader([]byte{0xFE, 1, 2, 3})
-	if _, err := wire.DecodeMessage(r); err == nil {
-		t.Fatal("unknown tag accepted")
+	for _, frame := range unknownTagFrames {
+		if _, err := wire.DecodeMessage(wire.NewReader(frame)); !errors.Is(err, wire.ErrUnknownTag) {
+			t.Fatalf("tag %#x: err = %v, want ErrUnknownTag", frame[0], err)
+		}
 	}
 }
 
@@ -224,6 +233,9 @@ func TestSeedCorpusDecodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, msg := range corpusMessages() {
+			if i >= 2 {
+				i++ // msg-02.bin held the retired tag 4's message; file numbers are never reused
+			}
 			buf, err := wire.AppendMessage(nil, msg)
 			if err != nil {
 				t.Fatal(err)
@@ -279,6 +291,9 @@ func FuzzDecodeMessage(f *testing.F) {
 				f.Add(data)
 			}
 		}
+	}
+	for _, frame := range unknownTagFrames {
+		f.Add(frame)
 	}
 	var intern wire.Interner
 	f.Fuzz(func(t *testing.T, data []byte) {
