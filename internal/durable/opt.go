@@ -13,6 +13,12 @@ package durable
 //   - the stable prefix never reorders or drops (invariant 15): stable
 //     records are commit barriers, and replay rebuilds the prefix in
 //     journal order;
+//   - a replica never advertises a stable frontier it could fall back behind
+//     (invariant 17): the abort record that ends an election batch is a
+//     commit barrier too, so the batch's losers — and the foreign tentatives
+//     before them — are as durable as its winners before the next
+//     self-report leaves. Peers drop an action for good once every frontier
+//     has passed it; nobody could hand it back;
 //   - a restored clock is never below any clock the replica advertised:
 //     clock records persist a strided high-water mark (the recRelNext
 //     pattern), barrier'd before the advertisement leaves the node.
@@ -31,7 +37,7 @@ import (
 const (
 	recOptTent   byte = 10 // optimistic tentative update (+guard, +deps); barrier iff own
 	recOptStable byte = 11 // update promoted into the stable prefix (commit barrier)
-	recOptAbort  byte = 12 // tentative update aborted by the election (guard loser)
+	recOptAbort  byte = 12 // tentative update aborted by the election (guard loser); barrier iff it ends the batch
 	recOptClock  byte = 13 // Lamport-clock high-water mark (commit barrier)
 )
 
@@ -57,10 +63,19 @@ type OptRecord struct {
 // metadata included, and for losers the whole action — because a recovered
 // replica must still be able to hand any action, whatever its local fate,
 // to peers that have not yet elected it.
+//
+// Except below the stable-everywhere watermark, where no such peer exists:
+// Dropped[s][o-1] says that origin o's first so many actions on shard s are
+// decided at every replica. A snapshot keeps the stable ones among them as
+// bare updates (the stable prefix stays whole; guard and notAfter edges are
+// gone) and the losers not at all — the replica's history holds none of
+// them, so their count is all it restores. Records replayed on top of a
+// snapshot are full again.
 type OptState struct {
 	Stable  []OptRecord
 	Overlay []OptRecord
 	Aborted []OptRecord
+	Dropped [][]uint64
 	ClockHi int64
 }
 
@@ -70,8 +85,8 @@ type OptOptions struct {
 	Policy wal.Policy
 	// SegmentBytes is the wal segment size (default 1 MiB).
 	SegmentBytes int
-	// CompactEvery installs a fresh snapshot every this many records
-	// (default 4096; negative disables).
+	// CompactEvery lets MaybeCompact install a fresh snapshot once this
+	// many records have accumulated (default 4096; negative disables).
 	CompactEvery int
 }
 
@@ -193,7 +208,6 @@ func (j *OptJournal) fail(err error) {
 func (j *OptJournal) append(typ byte, data []byte, commit bool) {
 	j.fail(j.log.Append(wal.Record{Type: typ, Data: data}, commit))
 	j.sinceSnap++
-	j.maybeCompact()
 }
 
 // Tentative journals a staged action. barrier must be true for the
@@ -209,8 +223,14 @@ func (j *OptJournal) Tentative(rec OptRecord, barrier bool) {
 // the record behind invariant 15.
 func (j *OptJournal) Stable(rec OptRecord) { j.append(recOptStable, encodeOptRecord(rec), true) }
 
-// Abort journals an election loser's discard.
-func (j *OptJournal) Abort(txnID string) { j.append(recOptAbort, encodeString(txnID), false) }
+// Abort journals an election loser's discard. barrier must be true for the
+// last record of an election batch: the batch raises the stable frontier the
+// next self-report advertises, and peers drop for good what every frontier
+// has passed — so a batch that ends in losers must be as durable as one that
+// ends in a stable record.
+func (j *OptJournal) Abort(txnID string, barrier bool) {
+	j.append(recOptAbort, encodeString(txnID), barrier)
+}
 
 // Clock persists the Lamport clock's strided high-water mark. Callers must
 // invoke it before advertising a clock value; restarts restore a clock at
@@ -224,14 +244,18 @@ func (j *OptJournal) Clock(c int64) {
 	j.append(recOptClock, encodeVarint(j.clockHi), true)
 }
 
-// SetSource registers the snapshot contributor used by compaction. The
-// contract: the state fn returns must already reflect any record being
-// appended — compaction can fire inside the append, and the snapshot
-// supersedes every record before it. The replica upholds this by applying
-// to its store before journaling.
+// SetSource registers the snapshot contributor used by compaction.
 func (j *OptJournal) SetSource(fn func() *OptState) { j.source = fn }
 
-func (j *OptJournal) maybeCompact() {
+// MaybeCompact installs a fresh snapshot once CompactEvery records have
+// accumulated since the last one — Journal.MaybeCompact's contract: the
+// snapshot supersedes every record before it and none after, so the owner
+// calls it between operations, when the state its source returns says
+// exactly what the journal says. Never inside one: an election batch is
+// applied to the store whole and journaled record by record, so a snapshot
+// in its middle would already hold the promotions whose stable records
+// follow it, and replay would restore them twice.
+func (j *OptJournal) MaybeCompact() {
 	if j.source == nil || j.opts.CompactEvery <= 0 || j.sinceSnap < j.opts.CompactEvery {
 		return
 	}
@@ -306,7 +330,15 @@ func encodeOptState(st *OptState) []byte {
 	for _, rec := range st.Aborted {
 		b = appendOptRecord(b, rec)
 	}
-	return binary.AppendVarint(b, st.ClockHi)
+	b = binary.AppendVarint(b, st.ClockHi)
+	b = binary.AppendUvarint(b, uint64(len(st.Dropped)))
+	for _, row := range st.Dropped {
+		b = binary.AppendUvarint(b, uint64(len(row)))
+		for _, n := range row {
+			b = binary.AppendUvarint(b, n)
+		}
+	}
+	return b
 }
 
 func decodeOptState(b []byte) (*OptState, error) {
@@ -322,6 +354,17 @@ func decodeOptState(b []byte) (*OptState, error) {
 		st.Aborted = append(st.Aborted, d.optRecord())
 	}
 	st.ClockHi = d.varint()
+	// A snapshot written before histories were truncated ends here, which
+	// reads as nothing dropped.
+	if d.err == nil && len(d.b) > 0 {
+		for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
+			var row []uint64
+			for k, m := 0, int(d.uvarint()); k < m && d.err == nil; k++ {
+				row = append(row, d.uvarint())
+			}
+			st.Dropped = append(st.Dropped, row)
+		}
+	}
 	if err := d.finish(); err != nil {
 		return nil, fmt.Errorf("durable: optimistic snapshot: %w", err)
 	}

@@ -58,7 +58,7 @@ type Cluster struct {
 	mLag       *metrics.Histogram
 
 	outcomes []Outcome      // in submit order
-	byTxn    map[string]int // TxnID -> index into outcomes
+	byTxn    map[string]int // TxnID -> index into outcomes, of the undecided ones
 	stable   int            // outcomes with StableAt set
 	aborted  int            // outcomes with Aborted set
 	sizeBuf  []byte         // send's scratch: an agent's size is its encoding's length
@@ -155,23 +155,29 @@ func (c *Cluster) openJournal(rep *replica) error {
 }
 
 // snapshotState assembles the compaction snapshot from the replica's live
-// structures.
+// structures: the stable prefix whole, with constraint metadata for as long
+// as the history holds the action; the overlay; the losers the history
+// still holds; and the counts of what it has dropped.
 func (c *Cluster) snapshotState(rep *replica) *durable.OptState {
-	st := &durable.OptState{}
+	st := &durable.OptState{Dropped: make([][]uint64, c.cfg.Shards)}
 	for s := 0; s < c.cfg.Shards; s++ {
-		for _, u := range rep.st[s].StableLog() {
-			a := rep.staged(s, u.TxnID)
-			st.Stable = append(st.Stable, durable.OptRecord{U: u, Guard: a.Guard, Deps: a.Deps})
+		for i := 0; i < rep.st[s].StableLen(); i++ {
+			rec := durable.OptRecord{U: rep.st[s].StableAt(i)}
+			if a := rep.held(s, rec.U.TxnID); a != nil {
+				rec.Guard, rec.Deps = a.Guard, a.Deps
+			}
+			st.Stable = append(st.Stable, rec)
 		}
 		for _, u := range rep.st[s].Overlay() {
 			st.Overlay = append(st.Overlay, recordOf(rep.staged(s, u.TxnID)))
 		}
-	}
-	for s := 0; s < c.cfg.Shards; s++ {
+		st.Dropped[s] = make([]uint64, c.cfg.N)
 		for o := range rep.hist[s] {
-			for i := range rep.hist[s][o] {
+			h := &rep.hist[s][o]
+			st.Dropped[s][o] = h.base
+			for i := range h.acts {
 				// Elected and lost: delivered, but in neither tier.
-				a := &rep.hist[s][o][i]
+				a := &h.acts[i]
 				if txn := a.TxnID(); !rep.st[s].InOverlay(txn) && !rep.st[s].InStable(txn) {
 					st.Aborted = append(st.Aborted, recordOf(a))
 				}
@@ -234,12 +240,12 @@ func (c *Cluster) Read(home runtime.NodeID, key string, tentative bool) (store.V
 }
 
 // undecided returns txn's outcome if it was submitted here, at node at, and
-// is still tentative.
+// is still tentative. It is asked once per election: the outcome is about to
+// be decided, and the index forgets it.
 func (c *Cluster) undecided(at runtime.NodeID, txn string) *Outcome {
-	if i, ok := c.byTxn[txn]; ok {
-		if o := &c.outcomes[i]; o.Origin == at && o.StableAt == 0 && !o.Aborted {
-			return o
-		}
+	if i, ok := c.byTxn[txn]; ok && c.outcomes[i].Origin == at {
+		delete(c.byTxn, txn)
+		return &c.outcomes[i]
 	}
 	return nil
 }
@@ -570,6 +576,16 @@ func (c *Cluster) registerMetrics() {
 		}))
 	r.CounterFunc("marp.opt.aborts", "Election losers (CAS guard failures) discarded across locally hosted replicas.",
 		sum(func(rep *replica) float64 { return float64(rep.aborted) }))
+	r.GaugeFunc("marp.opt.history_held", "Actions kept in the delivery histories of locally hosted replicas: what is not yet stable everywhere.",
+		sum(func(rep *replica) float64 {
+			held, _ := rep.historySize()
+			return float64(held)
+		}))
+	r.GaugeFunc("marp.opt.watermark_lag", "Actions decided at a locally hosted replica that are not yet known stable at every replica.",
+		sum(func(rep *replica) float64 {
+			_, dropped := rep.historySize()
+			return float64(c.decided(rep) - dropped)
+		}))
 
 	// Fabric: same family the pessimistic cluster reports, so dashboards
 	// and the A-series tables read one vocabulary.

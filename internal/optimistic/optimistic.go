@@ -57,12 +57,24 @@
 // Optimistic replicas survive crashes only with a journal (volatile MARP
 // replicas can rebuild from a majority; a volatile optimistic replica
 // could re-mint an oseq peers already hold, which is unrecoverable).
-// Three barrier rules keep recovery sound — own tentatives fsync before
+// Four barrier rules keep recovery sound — own tentatives fsync before
 // the gossip layer may advertise them, stable promotions fsync before
-// anything else leaves the node, and the Lamport clock journals a strided
-// high-water mark before being advertised — so a restart never reuses an
-// action identity, never regresses an advertised clock, and never drops or
-// reorders the stable prefix (DESIGN.md invariant 15).
+// anything else leaves the node, so does the abort that ends an election
+// batch, and the Lamport clock journals a strided high-water mark before
+// being advertised — so a restart never reuses an action identity, never
+// regresses an advertised clock, never drops or reorders the stable prefix
+// (DESIGN.md invariant 15) and never falls back behind a stable frontier it
+// advertised.
+//
+// # What a replica keeps
+//
+// The stable prefix is the database and stays whole. Everything else a
+// replica holds about an action — the action itself, for peers that lack
+// it and for its guard; its TxnID in the store's index — it holds until the
+// action is decided at every replica: each self-report carries the
+// replica's stable frontier, the minimum over all N is the shard's
+// stable-everywhere watermark, and at or below it a history is a count
+// (DESIGN.md invariant 17). Nothing configures it.
 package optimistic
 
 import (
@@ -174,21 +186,51 @@ func (a Action) Update() store.Update {
 
 // KnowEntry is one origin's self-report as carried by the agents: "my
 // Lamport clock read Clock; by then I had issued Counts[s] actions on
-// shard s and had contiguously delivered Have[s][o-1] actions from origin
-// o". Receivers credit the clock toward their stability frontier only once
-// their own delivery counters reach Counts — relayed knowledge alone never
-// advances a frontier. Entries are immutable once built (hosts on an
-// itinerary share them); replacement is newest-clock-wins, which lets the
-// Have vector DECREASE after the origin recovers from a crash — that is
-// what tells peers to resend the deliveries the crash erased. The clock
-// high-water barrier makes newest-clock-wins sound: a recovered origin's
-// first fresh report always outranks anything it advertised before the
-// crash.
+// shard s, had contiguously delivered Have[s][o-1] actions from origin
+// o, and had elected — durably — everything stamped at or below
+// Frontier[s]". Receivers credit the clock toward their stability frontier
+// only once their own delivery counters reach Counts — relayed knowledge
+// alone never advances a frontier. The minimum of all N replicas' Frontier
+// is the shard's stable-everywhere watermark, below which a replica keeps
+// counts instead of actions (replica.truncate, DESIGN.md invariant 17).
+// Entries are immutable once built (hosts on an itinerary share them);
+// replacement is newest-clock-wins (supersedes), which lets the Have vector
+// DECREASE after the origin recovers from a crash — that is what tells
+// peers to resend the deliveries the crash erased. The clock high-water
+// barrier makes newest-clock-wins sound: a recovered origin's first fresh
+// report always outranks anything it advertised before the crash.
 type KnowEntry struct {
-	Node   runtime.NodeID
-	Clock  int64
-	Counts []uint64
-	Have   [][]uint64
+	Node     runtime.NodeID
+	Clock    int64
+	Counts   []uint64
+	Have     [][]uint64
+	Frontier []int64
+}
+
+// supersedes reports whether e should replace cur, another report of the
+// same origin's. A newer clock wins. Two reports with one clock come from
+// one incarnation of the origin — a restart's clock rides above every clock
+// advertised before it — and within an incarnation deliveries and frontiers
+// only grow, so the report that shows more anywhere is the later one. A
+// quiescent cluster depends on it: nothing advances its clocks, while the
+// last deliveries and frontiers still have to be heard of.
+func (e KnowEntry) supersedes(cur KnowEntry) bool {
+	if e.Clock != cur.Clock {
+		return e.Clock > cur.Clock
+	}
+	for s, row := range e.Have {
+		for o, n := range row {
+			if s >= len(cur.Have) || o >= len(cur.Have[s]) || n > cur.Have[s][o] {
+				return true
+			}
+		}
+	}
+	for s, f := range e.Frontier {
+		if s >= len(cur.Frontier) || f > cur.Frontier[s] {
+			return true
+		}
+	}
+	return false
 }
 
 // Recon is the reconciliation agent: the package's mobile agent, migrating

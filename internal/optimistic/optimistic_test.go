@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/desengine"
 	"repro/internal/disk"
+	"repro/internal/durable"
 	"repro/internal/optimistic"
 	"repro/internal/runtime"
 	"repro/internal/store"
@@ -26,8 +27,11 @@ func newSimCluster(t *testing.T, seed int64, n, shards int, durable bool) *desen
 	t.Helper()
 	cfg := optimistic.Config{N: n, Shards: shards, GossipInterval: 20 * time.Millisecond}
 	if durable {
+		// A snapshot every few records: compaction runs on whatever the
+		// histories have been cut down to, many times in a short run.
 		cfg.Durability = &optimistic.DurabilityConfig{
-			Backend: func(runtime.NodeID) disk.Backend { return disk.NewMem() },
+			Backend:      func(runtime.NodeID) disk.Backend { return disk.NewMem() },
+			CompactEvery: 8,
 		}
 	}
 	cl, err := desengine.NewOptimistic(desengine.OptConfig{Seed: seed, Cluster: cfg})
@@ -197,10 +201,17 @@ func stableLogs(t *testing.T, cl *desengine.OptCluster, id runtime.NodeID, shard
 }
 
 // TestQuickStablePrefixSurvivesCrash is the testing/quick property behind
-// invariant 15: kill -9 a replica mid-run (power cut past the last fsync),
-// recover it, keep submitting — the stable prefix it had promoted before
-// the crash is a prefix of every final stable log, nothing reordered or
-// dropped, and the cluster still converges.
+// invariants 15 and 17: kill -9 a replica mid-run (power cut past the last
+// fsync), recover it, keep submitting — the stable prefix it had promoted
+// before the crash is a prefix of every final stable log, nothing reordered
+// or dropped, and the cluster still converges. Truncation, compaction and
+// crashes interleave: the journal snapshots every 8 records, the workload
+// has CAS losers (which leave no stable record behind), the first crash
+// comes after a drained prelude has cut the histories down and snapshotted
+// them that way, and a second one hits the quiescent cluster at the end. A
+// recovered replica must restore every delivery its advertised frontier
+// stands for — its peers may have kept nothing of those but a count — and
+// at quiescence exactly the counters it had.
 func TestQuickStablePrefixSurvivesCrash(t *testing.T) {
 	const (
 		n      = 3
@@ -215,77 +226,132 @@ func TestQuickStablePrefixSurvivesCrash(t *testing.T) {
 			if cl.Down(home) {
 				home = runtime.NodeID(int(home)%n + 1) // next node up
 			}
-			key := fmt.Sprintf("k%d", i%5)
-			if _, err := cl.Submit(home, key, fmt.Sprintf("s%d-i%d", seed, i)); err != nil {
+			var err error
+			if i%4 == 3 { // a race for one lock: every entrant but the first loses
+				_, err = cl.SubmitCAS(home, "lock", fmt.Sprintf("s%d-i%d", seed, i), optimistic.GuardUnwritten)
+			} else {
+				_, err = cl.Submit(home, fmt.Sprintf("k%d", i%5), fmt.Sprintf("s%d-i%d", seed, i))
+			}
+			if err != nil {
 				t.Errorf("seed %d: Submit: %v", seed, err)
 			}
 		}
-		// Phase 1: load, then let elections run mid-stream.
+		// crashAndRecover power-cuts the victim and brings it back, checking
+		// what it restores against what it had promised and promoted.
+		crashAndRecover := func(during func(), exact bool) bool {
+			preCrash := stableLogs(t, cl, victim, shards)
+			promised, delivered := cl.Promised(victim), cl.Delivered(victim)
+			if err := cl.Crash(victim); err != nil {
+				t.Errorf("seed %d: Crash: %v", seed, err)
+				return false
+			}
+			during()
+			if err := cl.Recover(victim); err != nil {
+				t.Errorf("seed %d: Recover: %v", seed, err)
+				return false
+			}
+			// The recovered replica must come back with its stable prefix
+			// intact before any new reconciliation touches it.
+			postRecover := stableLogs(t, cl, victim, shards)
+			for s := 0; s < shards; s++ {
+				if len(postRecover[s]) < len(preCrash[s]) {
+					t.Errorf("seed %d: shard %d: recovery dropped stable entries (%d -> %d)", seed, s, len(preCrash[s]), len(postRecover[s]))
+					return false
+				}
+				for i, u := range preCrash[s] {
+					if postRecover[s][i] != u {
+						t.Errorf("seed %d: shard %d: stable[%d] changed across crash: %+v -> %+v", seed, s, i, u, postRecover[s][i])
+						return false
+					}
+				}
+			}
+			restored := cl.Delivered(victim)
+			for s := range restored {
+				for o := range restored[s] {
+					if restored[s][o] < promised[s][o] || restored[s][o] > delivered[s][o] || exact && restored[s][o] != delivered[s][o] {
+						t.Errorf("seed %d: shard %d origin %d: restored %d deliveries; had %d, of which %d promised (all of them: %v)",
+							seed, s, o+1, restored[s][o], delivered[s][o], promised[s][o], exact)
+						return false
+					}
+				}
+			}
+			return true
+		}
+		drainAndCheck := func(preCrash [][]store.Update) bool {
+			if err := cl.RunUntilDone(10 * time.Minute); err != nil {
+				t.Errorf("seed %d: RunUntilDone: %v", seed, err)
+				return false
+			}
+			if err := cl.CheckConvergence(); err != nil {
+				t.Errorf("seed %d: %v", seed, err)
+				return false
+			}
+			// Invariant 15 end to end: the pre-crash prefix is a prefix of the
+			// converged final log at every node.
+			for _, id := range cl.LocalNodes() {
+				final := stableLogs(t, cl, id, shards)
+				for s := 0; s < shards; s++ {
+					if len(final[s]) < len(preCrash[s]) {
+						t.Errorf("seed %d: node %d shard %d: final stable shorter than pre-crash prefix", seed, id, s)
+						return false
+					}
+					for i, u := range preCrash[s] {
+						if final[s][i] != u {
+							t.Errorf("seed %d: node %d shard %d: stable[%d] reordered: %+v -> %+v", seed, id, s, i, u, final[s][i])
+							return false
+						}
+					}
+				}
+			}
+			// Quiescent: everything is stable everywhere, and let go of.
+			cl.Settle(time.Second)
+			if held := cl.Metrics().Value("marp.opt.history_held"); held != 0 {
+				t.Errorf("seed %d: %v actions still held at quiescence", seed, held)
+				return false
+			}
+			return true
+		}
+		// Prelude: a drained run, so that what follows starts from histories
+		// that are counts, and from snapshots taken of them.
 		for i := 0; i < 8; i++ {
+			submit(i)
+		}
+		if !drainAndCheck(make([][]store.Update, shards)) {
+			return false
+		}
+		// Phase 1: load, then let elections run mid-stream.
+		for i := 8; i < 16; i++ {
 			submit(i)
 		}
 		cl.Settle(time.Duration(50+seed%200) * time.Millisecond)
 		// Power-cut the victim mid-election and snapshot what it had
 		// promoted; barrier'd stable records must all survive.
 		preCrash := stableLogs(t, cl, victim, shards)
-		if err := cl.Crash(victim); err != nil {
-			t.Errorf("seed %d: Crash: %v", seed, err)
-			return false
-		}
-		// Phase 2: the survivors keep committing around the crash.
-		for i := 8; i < 14; i++ {
-			submit(i)
-		}
-		cl.Settle(time.Duration(30+seed%100) * time.Millisecond)
-		if err := cl.Recover(victim); err != nil {
-			t.Errorf("seed %d: Recover: %v", seed, err)
-			return false
-		}
-		// The recovered replica must come back with its stable prefix
-		// intact before any new reconciliation touches it.
-		postRecover := stableLogs(t, cl, victim, shards)
-		for s := 0; s < shards; s++ {
-			if len(postRecover[s]) < len(preCrash[s]) {
-				t.Errorf("seed %d: shard %d: recovery dropped stable entries (%d -> %d)", seed, s, len(preCrash[s]), len(postRecover[s]))
-				return false
+		ok := crashAndRecover(func() {
+			// Phase 2: the survivors keep committing around the crash.
+			for i := 16; i < 22; i++ {
+				submit(i)
 			}
-			for i, u := range preCrash[s] {
-				if postRecover[s][i] != u {
-					t.Errorf("seed %d: shard %d: stable[%d] changed across crash: %+v -> %+v", seed, s, i, u, postRecover[s][i])
-					return false
-				}
-			}
+			cl.Settle(time.Duration(30+seed%100) * time.Millisecond)
+		}, false)
+		if !ok {
+			return false
 		}
 		// Phase 3: more load after recovery, then full drain.
-		for i := 14; i < 18; i++ {
+		for i := 22; i < 26; i++ {
 			submit(i)
 		}
-		if err := cl.RunUntilDone(10 * time.Minute); err != nil {
-			t.Errorf("seed %d: RunUntilDone: %v", seed, err)
+		if !drainAndCheck(preCrash) {
 			return false
 		}
-		if err := cl.CheckConvergence(); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
+		// A power cut at quiescence takes nothing: every election batch ended
+		// behind a barrier, so the counters come back as they were.
+		preCrash = stableLogs(t, cl, victim, shards)
+		if !crashAndRecover(func() {}, true) {
 			return false
 		}
-		// Invariant 15 end to end: the pre-crash prefix is a prefix of the
-		// converged final log at every node.
-		for _, id := range cl.LocalNodes() {
-			final := stableLogs(t, cl, id, shards)
-			for s := 0; s < shards; s++ {
-				if len(final[s]) < len(preCrash[s]) {
-					t.Errorf("seed %d: node %d shard %d: final stable shorter than pre-crash prefix", seed, id, s)
-					return false
-				}
-				for i, u := range preCrash[s] {
-					if final[s][i] != u {
-						t.Errorf("seed %d: node %d shard %d: stable[%d] reordered: %+v -> %+v", seed, id, s, i, u, final[s][i])
-						return false
-					}
-				}
-			}
-		}
-		return true
+		submit(26)
+		return drainAndCheck(preCrash)
 	}
 	cfg := &quick.Config{MaxCount: 12}
 	if testing.Short() {
@@ -359,8 +425,8 @@ func testAgent() *optimistic.Recon {
 		From: 2, Seq: 7,
 		Hops: []runtime.NodeID{3, 1}, Hop: 1,
 		Know: []optimistic.KnowEntry{
-			{Node: 2, Clock: 42, Counts: []uint64{3, 0}, Have: [][]uint64{{1, 2, 3}, {0, 0, 1}}},
-			{Node: 1, Clock: 40, Counts: []uint64{1, 1}, Have: [][]uint64{{1, 0, 0}, {1, 0, 0}}},
+			{Node: 2, Clock: 42, Counts: []uint64{3, 0}, Have: [][]uint64{{1, 2, 3}, {0, 0, 1}}, Frontier: []int64{40, 0}},
+			{Node: 1, Clock: 40, Counts: []uint64{1, 1}, Have: [][]uint64{{1, 0, 0}, {1, 0, 0}}, Frontier: []int64{2, 39}},
 		},
 		Carry: [][]optimistic.Action{
 			{
@@ -403,8 +469,15 @@ func TestReconWireRoundTrip(t *testing.T) {
 // format, and the representation of an action in memory is not. A fixed run
 // — plain writes, same-key dependencies, a CAS race with losers, once as
 // bare records and once with a snapshot every 16 — must leave every node's
-// journal files byte-identical to what the code before the representation
-// change (PR 18's parent) wrote: the hashes below were taken there.
+// journal files byte-identical to a recorded run. The "records" hashes were
+// taken at PR 18's parent and have not moved since: record types 10-13 keep
+// their bytes, through the representation change and through histories
+// becoming counts. The "snapshots" hashes were taken when the snapshot
+// layout gained those counts (DESIGN.md §14): a snapshot now says how much
+// of each history was dropped, keeps the stable updates below that bare and
+// the losers below it not at all, so what a node's files hold depends on
+// where the watermark stood at its last snapshot — and replaying either
+// kind of journal must still yield the one stable prefix and every decision.
 func TestJournalGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -412,7 +485,7 @@ func TestJournalGoldenBytes(t *testing.T) {
 		want         [3]string
 	}{
 		{"records", -1, [3]string{"4a48f976c6a3b2e377e19b7b", "703a8290cbd697ed1b945a3a", "997c72b566639b0a43d5e90b"}},
-		{"snapshots", 16, [3]string{"36d4a7a9708a0fddcc9a3f9b", "36d4a7a9708a0fddcc9a3f9b", "36d4a7a9708a0fddcc9a3f9b"}},
+		{"snapshots", 16, [3]string{"370965806d3cd19a97b176b7", "8f93ed346326fe28c1317248", "8f93ed346326fe28c1317248"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			disks := map[runtime.NodeID]*disk.Mem{}
@@ -447,6 +520,14 @@ func TestJournalGoldenBytes(t *testing.T) {
 			if cl.Metrics().Value("marp.opt.aborts") == 0 || cl.Metrics().Value("marp.opt.rollbacks") == 0 {
 				t.Fatal("the run has no CAS loser or no out-of-order arrival to journal")
 			}
+			var stable [][]store.Update
+			for s := 0; s < 2; s++ {
+				log, err := cl.StableLog(1, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stable = append(stable, log)
+			}
 			if err := cl.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -467,6 +548,48 @@ func TestJournalGoldenBytes(t *testing.T) {
 				}
 				if got := fmt.Sprintf("%x", h.Sum(nil)[:12]); got != tc.want[id-1] {
 					t.Errorf("node %d: journal files %v hash to %s, want %s", id, names, got, tc.want[id-1])
+				}
+
+				// What the files mean: 24 decisions, the stable ones in order.
+				j, st, err := durable.OpenOpt(disks[id], durable.OptOptions{CompactEvery: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				j.Kill()
+				var dropped, bare, i0, i1 int
+				for _, row := range st.Dropped {
+					for _, n := range row {
+						dropped += int(n)
+					}
+				}
+				for _, rec := range st.Stable {
+					origin, s, oseq, err := optimistic.ParseTxnID(rec.U.TxnID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					next := &i0
+					if s == 1 {
+						next = &i1
+					}
+					if *next >= len(stable[s]) || rec.U != stable[s][*next] {
+						t.Fatalf("node %d: replayed stable update %+v is not entry %d of shard %d's prefix", id, rec.U, *next, s)
+					}
+					*next++
+					if len(st.Dropped) > s && oseq <= st.Dropped[s][origin-1] {
+						bare++
+						if rec.Guard != "" || rec.Deps != nil {
+							t.Fatalf("node %d: %s lies below the counts and kept its constraints %q %v", id, rec.U.TxnID, rec.Guard, rec.Deps)
+						}
+					}
+				}
+				if i0 != len(stable[0]) || i1 != len(stable[1]) || len(st.Overlay) != 0 {
+					t.Fatalf("node %d replays %d + %d stable updates and %d tentative ones, want %d + %d and none", id, i0, i1, len(st.Overlay), len(stable[0]), len(stable[1]))
+				}
+				if got := len(st.Stable) + len(st.Aborted) + dropped - bare; got != 24 {
+					t.Fatalf("node %d replays %d stable + %d lost + %d counted - %d counted and stable = %d decisions, want 24", id, len(st.Stable), len(st.Aborted), dropped, bare, got)
+				}
+				if (dropped > 0) != (tc.compactEvery > 0) {
+					t.Fatalf("node %d: %d actions counted as dropped with CompactEvery %d: bare records say nothing of the watermark, and a snapshot taken this late must", id, dropped, tc.compactEvery)
 				}
 			}
 		})

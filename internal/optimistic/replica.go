@@ -25,14 +25,24 @@ type replica struct {
 
 	// hist[s][o-1] is the contiguously delivered prefix of origin o's
 	// actions on shard s, in OSeq order — simultaneously the delivery
-	// counter (its length), the evidence behind the stability frontier,
+	// counter (its count), the evidence behind the stability frontier,
 	// the only copy of each action's constraints (held finds it by the
 	// (origin, oseq) a TxnID encodes) and the cargo itself: pickCarry hands
 	// out segments. Hence append-only between crashes, no entry ever
 	// written twice, and restore installs fresh slices, never edits these.
-	hist [][][]Action
+	// Below the stable-everywhere watermark it is a count only (history).
+	hist [][]history
 	// hold[s][o] parks out-of-order arrivals until the gap fills.
 	hold []map[runtime.NodeID]map[uint64]Action
+	// front[s][p-1] is the highest stable frontier replica p is known to
+	// have reached on shard s: for p itself the highest bound it has
+	// promoted to, for a peer the maximum over every report of p's seen. A
+	// maximum, not the freshest report's figure, because a frontier is only
+	// advertised once durable (durable.OptJournal.Abort): a peer that
+	// restarts re-derives its own from zero, and still has everything the
+	// old figure stood for. The minimum over p is the shard's
+	// stable-everywhere watermark; truncate drops what lies at or below it.
+	front [][]int64
 
 	// know holds the freshest self-report seen from each other origin
 	// (newest-clock-wins); satisfied[s][o-1] caches the highest clock of
@@ -63,13 +73,15 @@ func (r *replica) resetVolatile() {
 	r.clock = 0
 	r.oseq = make([]uint64, sh)
 	r.st = make([]*store.Staged, sh)
-	r.hist = make([][][]Action, sh)
+	r.hist = make([][]history, sh)
 	r.hold = make([]map[runtime.NodeID]map[uint64]Action, sh)
+	r.front = make([][]int64, sh)
 	r.satisfied = make([][]int64, sh)
 	for s := 0; s < sh; s++ {
 		r.st[s] = store.NewStaged()
-		r.hist[s] = make([][]Action, n)
+		r.hist[s] = make([]history, n)
 		r.hold[s] = make(map[runtime.NodeID]map[uint64]Action)
+		r.front[s] = make([]int64, n)
 		r.satisfied[s] = make([]int64, n)
 	}
 	r.know = make(map[runtime.NodeID]KnowEntry)
@@ -94,14 +106,14 @@ func actionOf(rec durable.OptRecord) (Action, error) {
 }
 
 // held returns the delivered action txn names on shard s; nil if it is not
-// delivered here (or txn is no canonical ID).
+// delivered here, is delivered and dropped since (stable everywhere), or txn
+// is no canonical ID.
 func (r *replica) held(s int, txn string) *Action {
 	origin, shrd, oseq, err := ParseTxnID(txn)
-	if err != nil || shrd != s || origin < 1 || int(origin) > len(r.hist[s]) ||
-		oseq == 0 || oseq > uint64(len(r.hist[s][origin-1])) {
+	if err != nil || shrd != s || origin < 1 || int(origin) > len(r.hist[s]) {
 		return nil
 	}
-	return &r.hist[s][origin-1][oseq-1]
+	return r.hist[s][origin-1].at(oseq)
 }
 
 // staged is held for a TxnID the store handed back: everything staged was
@@ -151,7 +163,7 @@ func (r *replica) deliver(a *Action) {
 		return // malformed; ignore like any corrupt datagram
 	}
 	s, o := a.Shard, int(a.Origin)-1
-	have := uint64(len(r.hist[s][o]))
+	have := r.hist[s][o].count()
 	switch {
 	case a.OSeq <= have:
 		r.c.mRedundant.Inc()
@@ -168,7 +180,7 @@ func (r *replica) deliver(a *Action) {
 	r.accept(a)
 	hb := r.hold[s][a.Origin]
 	for {
-		next := uint64(len(r.hist[s][o])) + 1
+		next := r.hist[s][o].count() + 1
 		na, ok := hb[next]
 		if !ok {
 			return
@@ -197,7 +209,7 @@ func (r *replica) accept(a *Action) {
 			panic(fmt.Sprintf("optimistic: node %d: %s carries notAfter dep %s that does not precede it", r.id, au.TxnID, dep))
 		}
 	}
-	r.hist[s][a.Origin-1] = append(r.hist[s][a.Origin-1], *a)
+	r.hist[s][a.Origin-1].add(a)
 	if _, err := r.st[s].Stage(au); err != nil {
 		panic(fmt.Sprintf("optimistic: node %d: %v", r.id, err))
 	}
@@ -220,7 +232,7 @@ func (r *replica) bound(s int) int64 {
 			if !ok {
 				return 0
 			}
-			if s < len(k.Counts) && uint64(len(r.hist[s][o-1])) >= k.Counts[s] && k.Clock > r.satisfied[s][o-1] {
+			if s < len(k.Counts) && r.hist[s][o-1].count() >= k.Counts[s] && k.Clock > r.satisfied[s][o-1] {
 				r.satisfied[s][o-1] = k.Clock
 			}
 			sat = r.satisfied[s][o-1]
@@ -251,37 +263,85 @@ func (r *replica) guardFn(s int) func(store.Update) bool {
 	}
 }
 
-// tryPromote runs the election on every shard whose frontier has advanced,
-// promoting the candidate prefix into the stable log and aborting guard
-// losers. Stable promotions journal behind a commit barrier (invariant 15).
+// tryPromote runs the election on every shard whose frontier has advanced
+// and then lets go of what has become stable everywhere.
 func (r *replica) tryPromote() {
 	now := r.c.eng.Now()
 	for s := range r.st {
-		b := r.bound(s)
-		if b <= 0 {
-			continue
+		if b := r.bound(s); b > 0 {
+			r.elect(s, b, now)
 		}
-		promoted, aborted := r.st[s].PromoteUpTo(b, r.guardFn(s))
-		for _, u := range promoted {
-			if r.journal != nil {
-				a := r.staged(s, u.TxnID)
-				r.journal.Stable(durable.OptRecord{U: u, Guard: a.Guard, Deps: a.Deps})
-			}
-			r.c.noteStable(r.id, u.TxnID, now)
+		r.truncate(s)
+	}
+	// Every submit and every hosted agent ends here, with the stores and
+	// the journal saying the same: the one place a snapshot may be taken.
+	if r.journal != nil {
+		r.journal.MaybeCompact()
+	}
+}
+
+// elect promotes shard s's candidate prefix up to bound b into the stable
+// log and aborts its guard losers. Stable promotions journal behind a commit
+// barrier (invariant 15), and so does the batch's last loser: b is this
+// replica's new stable frontier, which the next self-report advertises
+// (invariant 17).
+func (r *replica) elect(s int, b int64, now runtime.Time) {
+	promoted, aborted := r.st[s].PromoteUpTo(b, r.guardFn(s))
+	for _, u := range promoted {
+		if r.journal != nil {
+			a := r.staged(s, u.TxnID)
+			r.journal.Stable(durable.OptRecord{U: u, Guard: a.Guard, Deps: a.Deps})
 		}
-		for _, u := range aborted {
-			if r.journal != nil {
-				r.journal.Abort(u.TxnID)
-			}
-			r.aborted++
-			r.c.noteAborted(r.id, u.TxnID)
+		r.c.noteStable(r.id, u.TxnID, now)
+	}
+	for i, u := range aborted {
+		if r.journal != nil {
+			r.journal.Abort(u.TxnID, i == len(aborted)-1)
+		}
+		r.aborted++
+		r.c.noteAborted(r.id, u.TxnID)
+	}
+	if b > r.front[s][r.id-1] {
+		r.front[s][r.id-1] = b
+	}
+}
+
+// truncate drops from shard s's histories, and from the store's TxnID
+// index, every action stamped at or below the stable-everywhere watermark:
+// each replica has durably decided all of them (invariant 17), so no peer
+// will ask for one again, the election will not read its guard again, and a
+// stray duplicate is refused by the delivery counter, which keeps counting
+// it. One origin's stamps rise with its OSeq, so what goes is a prefix.
+func (r *replica) truncate(s int) {
+	w := r.front[s][0]
+	for _, f := range r.front[s][1:] {
+		w = min(w, f)
+	}
+	for o := range r.hist[s] {
+		h := &r.hist[s][o]
+		k := sort.Search(len(h.acts), func(i int) bool { return h.acts[i].Stamp > w })
+		for i := range h.acts[:k] {
+			r.st[s].Forget(h.acts[i].TxnID())
+		}
+		h.drop(k)
+	}
+}
+
+// historySize counts the actions the histories hold and the ones they have
+// dropped, over all shards and origins.
+func (r *replica) historySize() (held, dropped uint64) {
+	for s := range r.hist {
+		for o := range r.hist[s] {
+			held += uint64(len(r.hist[s][o].acts))
+			dropped += r.hist[s][o].base
 		}
 	}
+	return held, dropped
 }
 
 // selfKnow builds this replica's fresh self-report. The clock high-water
 // barrier runs first: nothing may advertise a clock the journal could
-// forget.
+// forget. The frontier needs no barrier here: tryPromote raised it behind one.
 func (r *replica) selfKnow() KnowEntry {
 	if r.journal != nil {
 		r.journal.Clock(r.clock)
@@ -289,14 +349,16 @@ func (r *replica) selfKnow() KnowEntry {
 	counts := make([]uint64, len(r.oseq))
 	copy(counts, r.oseq)
 	have := make([][]uint64, r.c.cfg.Shards)
+	frontier := make([]int64, r.c.cfg.Shards)
 	for s := range have {
 		row := make([]uint64, r.c.cfg.N)
-		for o := 0; o < r.c.cfg.N; o++ {
-			row[o] = uint64(len(r.hist[s][o]))
+		for o := range row {
+			row[o] = r.hist[s][o].count()
 		}
 		have[s] = row
+		frontier[s] = r.front[s][r.id-1]
 	}
-	return KnowEntry{Node: r.id, Clock: r.clock, Counts: counts, Have: have}
+	return KnowEntry{Node: r.id, Clock: r.clock, Counts: counts, Have: have, Frontier: frontier}
 }
 
 // knowSnapshot is the knowledge table an agent departs with: the fresh
@@ -323,8 +385,7 @@ func (r *replica) knowSnapshot() []KnowEntry {
 // reported). A node's own actions are never carried back to it — it holds
 // them durably by the submit barrier. Estimates can be stale both ways:
 // over-delivery is dropped idempotently, under-delivery heals next round.
-// The cargo is the history's own segments, capacity cut to length so that
-// nobody can append into the history.
+// The cargo is the history's own segments (history.after).
 func (r *replica) pickCarry(to runtime.NodeID) [][]Action {
 	est, known := r.know[to]
 	var carry [][]Action
@@ -338,16 +399,15 @@ func (r *replica) pickCarry(to runtime.NodeID) [][]Action {
 			if known && s < len(est.Have) && o < len(est.Have[s]) {
 				from = est.Have[s][o]
 			}
-			list := r.hist[s][o]
-			if from >= uint64(len(list)) {
+			run := r.hist[s][o].after(from, room)
+			if len(run) == 0 {
 				continue
 			}
-			end := min(len(list), int(from)+room)
 			if carry == nil {
 				carry = make([][]Action, 0, r.c.cfg.N-1)
 			}
-			carry = append(carry, list[from:end:end])
-			if room -= end - int(from); room == 0 {
+			carry = append(carry, run)
+			if room -= len(run); room == 0 {
 				return carry
 			}
 		}
@@ -383,7 +443,15 @@ func (r *replica) onRecon(ag *Recon) {
 		if e.Node == r.id {
 			continue // nobody knows this replica better than itself
 		}
-		if cur, ok := r.know[e.Node]; !ok || e.Clock > cur.Clock {
+		if e.Node < 1 || int(e.Node) > r.c.cfg.N {
+			continue // malformed; ignore like any corrupt datagram
+		}
+		for s, f := range e.Frontier {
+			if s < len(r.front) && f > r.front[s][e.Node-1] {
+				r.front[s][e.Node-1] = f
+			}
+		}
+		if cur, ok := r.know[e.Node]; !ok || e.supersedes(cur) {
 			r.know[e.Node] = e
 		}
 		if e.Clock > r.clock {
@@ -423,48 +491,80 @@ func (r *replica) crash() {
 // restore rebuilds the replica from its replayed journal state. The
 // invariants it relies on: the journal's record order preserves the stable
 // prefix order; own-tentative barriers make the own history exact; foreign
-// histories may have lost a suffix (re-fetched from peers after the fresh
-// self-report advertises the decreased delivery vector); ClockHi rides
-// above any clock ever advertised.
+// histories may have lost a suffix above the advertised frontier (re-fetched
+// from peers after the fresh self-report advertises the decreased delivery
+// vector) and nothing at or below it; ClockHi rides above any clock ever
+// advertised. What the state says was dropped stays dropped: those actions
+// come back as counts, and the stable ones among them as bare log entries.
 func (r *replica) restore(st *durable.OptState) error {
 	r.resetVolatile()
 	if st == nil {
 		return nil
 	}
 	r.clock = st.ClockHi
+	var dropped, droppedStable uint64
+	for s, row := range st.Dropped {
+		if s >= len(r.hist) || len(row) > len(r.hist[s]) {
+			return fmt.Errorf("optimistic: node %d: snapshot counts %d shards x %d origins, the cluster has %d x %d", r.id, len(st.Dropped), len(row), r.c.cfg.Shards, r.c.cfg.N)
+		}
+		for o, n := range row {
+			r.hist[s][o].base = n
+			dropped += n
+		}
+	}
 	// Every surviving action, whatever its fate, re-enters the history so
-	// the delivery counters and gossip carry see it.
+	// the delivery counters and gossip carry see it — unless it lies below a
+	// count. Only a stable action may, and it rejoins the log alone: nothing
+	// undecided is ever dropped, and a dropped loser is not kept.
 	byOrigin := make(map[[2]int][]Action) // (shard, origin) -> actions
-	note := func(rec durable.OptRecord) (Action, error) {
+	below := func(a Action) bool { return a.OSeq <= r.hist[a.Shard][a.Origin-1].base }
+	note := func(rec durable.OptRecord, stable bool) (Action, error) {
 		a, err := actionOf(rec)
 		if err != nil {
-			return Action{}, err
+			return a, err
+		}
+		if a.Shard >= r.c.cfg.Shards || a.Origin < 1 || int(a.Origin) > r.c.cfg.N {
+			return a, fmt.Errorf("optimistic: node %d: journaled action %s is outside the cluster", r.id, rec.U.TxnID)
 		}
 		if a.Stamp > r.clock {
 			r.clock = a.Stamp
 		}
-		k := [2]int{a.Shard, int(a.Origin)}
-		byOrigin[k] = append(byOrigin[k], a)
+		switch {
+		case !below(a):
+			k := [2]int{a.Shard, int(a.Origin)}
+			byOrigin[k] = append(byOrigin[k], a)
+		case !stable:
+			return a, fmt.Errorf("optimistic: node %d: %s is journaled as tentative or lost, and counted as dropped", r.id, rec.U.TxnID)
+		}
 		return a, nil
 	}
 	for _, rec := range st.Stable {
-		a, err := note(rec)
+		a, err := note(rec, true)
 		if err != nil {
 			return err
 		}
 		if err := r.st[a.Shard].RestoreStable(rec.U); err != nil {
 			return fmt.Errorf("optimistic: node %d: %w", r.id, err)
 		}
+		if below(a) {
+			r.st[a.Shard].Forget(rec.U.TxnID)
+			droppedStable++
+		}
 	}
 	// Overlay entries re-stage in candidate order (the journal holds them
 	// in arrival order); aborted ones only rejoin the history.
 	overlay := make([]Action, 0, len(st.Overlay))
 	for _, rec := range st.Overlay {
-		a, err := note(rec)
+		a, err := note(rec, false)
 		if err != nil {
 			return err
 		}
 		overlay = append(overlay, a)
+	}
+	for _, rec := range st.Aborted {
+		if _, err := note(rec, false); err != nil {
+			return err
+		}
 	}
 	sortActions(overlay)
 	for _, a := range overlay {
@@ -472,27 +572,27 @@ func (r *replica) restore(st *durable.OptState) error {
 			return fmt.Errorf("optimistic: node %d: %w", r.id, err)
 		}
 	}
-	for _, rec := range st.Aborted {
-		if _, err := note(rec); err != nil {
-			return err
-		}
-		r.aborted++
+	// Whatever was dropped was decided here first: what is not in the
+	// stable prefix lost its election.
+	if droppedStable > dropped {
+		return fmt.Errorf("optimistic: node %d: %d stable actions below counts that cover %d", r.id, droppedStable, dropped)
 	}
-	// Histories must be dense 1..k per (shard, origin): the journal is
-	// prefix-truncated by a crash, and deliveries were journaled in order,
-	// so any gap is corruption.
+	r.aborted = uint64(len(st.Aborted)) + dropped - droppedStable
+	// Histories must be dense from the first action not dropped, per (shard,
+	// origin): the journal is prefix-truncated by a crash, and deliveries
+	// were journaled in order, so any gap is corruption.
 	for k, list := range byOrigin {
 		sortActions(list)
+		h := &r.hist[k[0]][k[1]-1]
 		for i, a := range list {
-			if a.OSeq != uint64(i+1) {
+			if a.OSeq != h.base+uint64(i+1) {
 				return fmt.Errorf("optimistic: node %d: shard %d origin %d history gap at oseq %d", r.id, k[0], k[1], a.OSeq)
 			}
 		}
-		r.hist[k[0]][k[1]-1] = list
+		h.acts = list
 	}
-	r.oseq = make([]uint64, r.c.cfg.Shards)
-	for s := 0; s < r.c.cfg.Shards; s++ {
-		r.oseq[s] = uint64(len(r.hist[s][r.id-1]))
+	for s := range r.oseq {
+		r.oseq[s] = r.hist[s][r.id-1].count()
 	}
 	return nil
 }

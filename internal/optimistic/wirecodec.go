@@ -62,6 +62,10 @@ func appendKnow(b []byte, e KnowEntry) []byte {
 			b = wire.AppendUvarint(b, h)
 		}
 	}
+	b = wire.AppendUvarint(b, uint64(len(e.Frontier)))
+	for _, f := range e.Frontier {
+		b = wire.AppendVarint(b, f)
+	}
 	return b
 }
 
@@ -82,6 +86,12 @@ func decodeKnow(r *wire.Reader) KnowEntry {
 					e.Have[i][j] = r.Uvarint()
 				}
 			}
+		}
+	}
+	if n := r.Count(1); n > 0 {
+		e.Frontier = make([]int64, n)
+		for i := range e.Frontier {
+			e.Frontier[i] = r.Varint()
 		}
 	}
 	return e

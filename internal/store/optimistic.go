@@ -46,9 +46,10 @@ type Staged struct {
 	stable  []Update         // the immutable stable prefix, Seq 1..len
 	values  map[string]Value // stable values (last stable writer per key)
 	overlay []Update         // tentative candidates, sorted by StagedLess
-	// tier has every TxnID in either tier: false in the overlay, true once
-	// stable. A set, not a search of the sorted tiers: a search needs the
-	// stamp, and one TxnID under two stamps is a duplicate Stage must refuse.
+	// tier has the TxnID of every overlay entry (false) and of every stable
+	// one not yet forgotten (true). A set, not a search of the sorted tiers:
+	// a search needs the stamp, and one TxnID under two stamps is a duplicate
+	// Stage must refuse. Forget is what keeps it from growing with the log.
 	tier      map[string]bool
 	rollbacks uint64
 }
@@ -62,9 +63,10 @@ func NewStaged() *Staged {
 // candidate order. It returns how many later overlay entries the insertion
 // displaced — tentative executions that were rolled back and re-executed
 // against the new order (zero when the update lands at the tail, the common
-// case for a fresh local submit). Duplicate transactions are rejected; the
-// replica's contiguous-delivery counters make that a protocol bug, not a
-// network artifact.
+// case for a fresh local submit). A transaction the index holds — tentative,
+// or stable and not forgotten — is rejected as a duplicate; the replica's
+// contiguous-delivery counters make that a protocol bug, not a network
+// artifact.
 func (s *Staged) Stage(u Update) (displaced int, err error) {
 	if u.TxnID == "" || u.Key == "" {
 		return 0, fmt.Errorf("store: malformed staged update %+v", u)
@@ -112,7 +114,7 @@ func (s *Staged) PromoteUpTo(bound int64, guardOK func(Update) bool) (promoted, 
 
 // RestoreStable appends an already-elected update to the stable prefix —
 // the journal-replay path. The update must carry the next stable sequence
-// number and a TxnID in neither tier; anything else is corruption.
+// number and a TxnID the index does not hold; anything else is corruption.
 func (s *Staged) RestoreStable(u Update) error {
 	if u.Seq != uint64(len(s.stable)+1) {
 		return fmt.Errorf("store: %w: stable restore seq %d, want %d", ErrSeqGap, u.Seq, len(s.stable)+1)
@@ -184,8 +186,21 @@ func (s *Staged) TentativeWriters(key string) []string {
 	return txns
 }
 
-// InStable reports whether txn has been promoted into the stable prefix.
+// InStable reports whether txn has been promoted into the stable prefix and
+// not been forgotten since.
 func (s *Staged) InStable(txn string) bool { return s.tier[txn] }
+
+// Forget drops a stable txn from the index: InStable stops reporting it and
+// Stage and RestoreStable stop refusing it, while the stable prefix itself
+// keeps the update. The owner calls it once nothing can present txn again —
+// the optimistic replica when the action is stable at every replica, from
+// where on its delivery counter is what refuses a duplicate. An overlay
+// entry is never forgotten: the election still has to find it.
+func (s *Staged) Forget(txn string) {
+	if s.tier[txn] {
+		delete(s.tier, txn)
+	}
+}
 
 // InOverlay reports whether txn is still tentative.
 func (s *Staged) InOverlay(txn string) bool {

@@ -71,6 +71,44 @@ func TestStagedDuplicateRejected(t *testing.T) {
 	}
 }
 
+// TestStagedForget: forgetting a stable transaction shrinks the index and
+// nothing else — the stable prefix, its digest and the values stay whole —
+// and an overlay entry cannot be forgotten.
+func TestStagedForget(t *testing.T) {
+	s := NewStaged()
+	old := stagedUpdate("o001-s000-000000001", "k", "a", 1)
+	pending := stagedUpdate("o002-s000-000000001", "k", "b", 7)
+	for _, u := range []Update{old, pending} {
+		if _, err := s.Stage(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.PromoteUpTo(1, nil)
+	digest, n := s.StableDigest()
+
+	s.Forget(old.TxnID)
+	s.Forget(pending.TxnID)
+	s.Forget("o009-s000-000000009") // never seen: nothing to do
+	if s.InStable(old.TxnID) {
+		t.Fatal("a forgotten transaction is still indexed")
+	}
+	if !s.InOverlay(pending.TxnID) {
+		t.Fatal("Forget dropped an overlay entry from the index: the election could stage it twice")
+	}
+	if _, err := s.Stage(pending); !errors.Is(err, ErrTxnCollision) {
+		t.Fatalf("restaging a tentative update after Forget = %v, want ErrTxnCollision", err)
+	}
+	if d, m := s.StableDigest(); d != digest || m != n || s.StableLen() != 1 || s.StableAt(0).TxnID != old.TxnID {
+		t.Fatalf("Forget changed the stable prefix: digest %s/%d, was %s/%d", d, m, digest, n)
+	}
+	if v := mustGet(t, s, "k"); v.Data != "a" || s.StableWriter("k") != old.TxnID {
+		t.Fatalf("Forget changed the stable value: %+v", v)
+	}
+	if len(s.tier) != 1 {
+		t.Fatalf("the index holds %d transactions, want the tentative one", len(s.tier))
+	}
+}
+
 func TestStagedPromoteGuardAndSeq(t *testing.T) {
 	s := NewStaged()
 	for _, u := range []Update{
@@ -277,34 +315,46 @@ func sameErr(got, want error) bool {
 
 // TestStagedMatchesPlainLists: under random Stage / PromoteUpTo (plain,
 // with a pure guard, with a guard that reads the stable state mid-batch) /
-// RestoreStable sequences over a small pool of transactions, keys and
-// stamps — so duplicates, ties, mid-overlay inserts and re-staging after an
-// abort all happen — Staged returns what two unsorted lists return, at
-// every step: results, error kinds, both tiers, every read.
+// RestoreStable / Forget sequences over a small pool of transactions, keys
+// and stamps — so duplicates, ties, mid-overlay inserts and re-staging after
+// an abort all happen — Staged returns what two unsorted lists return, at
+// every step: results, error kinds, both tiers, every read. Forgetting is
+// the owner's promise that a transaction will not be presented again, so
+// the generator keeps it: the lists know nothing of an index, only that a
+// forgotten transaction is no longer reported stable.
 func TestStagedMatchesPlainLists(t *testing.T) {
 	keys := []string{"a", "b", "c", ""}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s, m := NewStaged(), &stagedModel{}
 		var txns []string
-		for i := 0; i < 12; i++ {
+		for i := 0; i < 18; i++ {
 			txns = append(txns, fmt.Sprintf("o%03d-s000-%09d", 1+i%3, 1+i/3))
 		}
+		forgotten := map[string]bool{}
 		fail := func(step int, format string, args ...any) bool {
 			t.Logf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
 			return false
 		}
 		for step := 0; step < 200; step++ {
-			switch op := rng.Intn(10); {
-			case op < 6:
-				u := Update{TxnID: txns[rng.Intn(len(txns))], Key: keys[rng.Intn(len(keys))],
+			txn := txns[rng.Intn(len(txns))]
+			if forgotten[txn] {
+				continue
+			}
+			switch op := rng.Intn(21); {
+			case op == 20:
+				if s.Forget(txn); m.find(m.stable, txn) {
+					forgotten[txn] = true
+				}
+			case op%10 < 6:
+				u := Update{TxnID: txn, Key: keys[rng.Intn(len(keys))],
 					Data: fmt.Sprint("d", step), Stamp: int64(rng.Intn(8))}
 				got, gerr := s.Stage(u)
 				want, werr := m.stage(u)
 				if got != want || !sameErr(gerr, werr) {
 					return fail(step, "Stage(%+v) = %d, %v; lists say %d, %v", u, got, gerr, want, werr)
 				}
-			case op < 9:
+			case op%10 < 9:
 				bound := int64(rng.Intn(9))
 				var sg, mg func(Update) bool
 				switch rng.Intn(3) {
@@ -321,7 +371,7 @@ func TestStagedMatchesPlainLists(t *testing.T) {
 					return fail(step, "PromoteUpTo(%d) = %+v / %+v; lists say %+v / %+v", bound, gp, ga, wp, wa)
 				}
 			default:
-				u := Update{TxnID: txns[rng.Intn(len(txns))], Key: "a", Data: "r",
+				u := Update{TxnID: txn, Key: "a", Data: "r",
 					Stamp: int64(rng.Intn(8)), Seq: uint64(len(m.stable) + rng.Intn(2))}
 				if gerr, werr := s.RestoreStable(u), m.restore(u); !sameErr(gerr, werr) {
 					return fail(step, "RestoreStable(%+v) = %v; lists say %v", u, gerr, werr)
@@ -342,10 +392,14 @@ func TestStagedMatchesPlainLists(t *testing.T) {
 				return fail(step, "Rollbacks = %d; lists say %d", s.Rollbacks(), m.rollbacks)
 			}
 			for _, txn := range txns {
-				if s.InOverlay(txn) != m.find(m.pending, txn) || s.InStable(txn) != m.find(m.stable, txn) {
+				stable := m.find(m.stable, txn) && !forgotten[txn]
+				if s.InOverlay(txn) != m.find(m.pending, txn) || s.InStable(txn) != stable {
 					return fail(step, "%s: InOverlay %v InStable %v; lists say %v %v", txn,
-						s.InOverlay(txn), s.InStable(txn), m.find(m.pending, txn), m.find(m.stable, txn))
+						s.InOverlay(txn), s.InStable(txn), m.find(m.pending, txn), stable)
 				}
+			}
+			if want := len(m.pending) + len(m.stable) - len(forgotten); len(s.tier) != want {
+				return fail(step, "the index holds %d transactions; lists say %d", len(s.tier), want)
 			}
 			for _, key := range keys {
 				for _, tentative := range []bool{false, true} {
