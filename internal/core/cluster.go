@@ -939,7 +939,7 @@ func (c *Cluster) regenHome(id agent.ID) runtime.NodeID {
 
 // Crash fail-stops the server at id: the network drops its traffic, its
 // volatile locking state (and, when the reliable layer is active, its
-// unacked sends and dedup tables) is lost, and every agent resident there
+// unacked sends and receive windows) is lost, and every agent resident there
 // dies. Dead agents with checkpoints are regenerated when
 // Config.RegenerateAgents is set; the rest trigger death notices after the
 // detection delay.

@@ -107,7 +107,7 @@ func TestDurablePolicyNoneStillConvergesViaPeers(t *testing.T) {
 
 func TestDurableRestartChurnUnderLossyNetwork(t *testing.T) {
 	// Crash/restart churn with a lossy fabric and the reliable layer: the
-	// persisted dedup table means retransmits straddling a restart are
+	// persisted receive windows mean retransmits straddling a restart are
 	// suppressed, and the persisted store means restarts never lose acked
 	// commits. The standing oracles must stay green throughout.
 	dur, _ := memDurability(wal.PolicyCommit)
@@ -147,6 +147,17 @@ func TestDurableRestartChurnUnderLossyNetwork(t *testing.T) {
 	}
 	if err := c.CheckConvergence(); err != nil {
 		t.Fatal(err)
+	}
+	// What the restarts left of the reliable layer: acknowledgements mostly
+	// rode the protocol's own replies, and with the links quiet again no
+	// receive window holds anything above its watermark — the frames that
+	// died with a crashed sender left no hole behind.
+	snap := c.Metrics().Gather()
+	if alone, rode := snap.Value("marp.reliable.acks_sent"), snap.Value("marp.reliable.acks_piggybacked"); rode <= alone {
+		t.Fatalf("%v acks piggybacked, %v sent alone", rode, alone)
+	}
+	if got := snap.Value("marp.reliable.dedup_residue"); got != 0 {
+		t.Fatalf("marp.reliable.dedup_residue = %v at quiescence", got)
 	}
 }
 
@@ -192,7 +203,7 @@ func TestCloseJournalsDetachesEveryAttachmentPoint(t *testing.T) {
 	// A message handled after CloseJournals (in live mode the fabric drains
 	// its last callbacks around shutdown) must fall back to volatile
 	// behaviour, not append to a closed WAL and panic. The reliable layer is
-	// on so its Seen/NextSeq journal hooks — attachment points beyond the
+	// on so its Acked/NextSeq journal hooks — attachment points beyond the
 	// store's — are exercised too, as are the server's lock-state hooks.
 	dur, _ := memDurability(wal.PolicyCommit)
 	c := newTestCluster(t, Config{N: 3, Durability: dur, Reliable: true})

@@ -85,8 +85,12 @@ func (c *Cluster) registerMetrics() {
 		func() float64 { return float64(c.ReliableStats().Retransmissions) })
 	r.CounterFunc("marp.reliable.duplicates_suppressed", "Frames received more than once and dropped.",
 		func() float64 { return float64(c.ReliableStats().DuplicatesSuppressed) })
-	r.CounterFunc("marp.reliable.acks_sent", "Acknowledgement frames sent.",
+	r.CounterFunc("marp.reliable.acks_sent", "Standalone acknowledgement frames sent: no data frame left for the peer within the ack delay.",
 		func() float64 { return float64(c.ReliableStats().AcksSent) })
+	r.CounterFunc("marp.reliable.acks_piggybacked", "Acknowledgements that rode a data frame going the other way instead of a frame of their own.",
+		func() float64 { return float64(c.ReliableStats().AcksPiggybacked) })
+	r.GaugeFunc("marp.reliable.dedup_residue", "Frames held out of order above the receive watermarks: zero at quiescence; one that only grows means a hole no floor has closed.",
+		func() float64 { return float64(c.ReliableStats().DedupResidue) })
 	r.CounterFunc("marp.reliable.gave_up", "Sends that exhausted the retry cap.",
 		func() float64 { return float64(c.ReliableStats().GaveUp) })
 

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/disk"
+	"repro/internal/reliable"
 	"repro/internal/runtime"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -41,10 +42,11 @@ const (
 	recLock      byte = 5 // full locking-state snapshot (LL, grant, versions)
 	recGone      byte = 6 // agent added to the Updated List / gone set
 	recRelNext   byte = 7 // reliable-delivery send-sequence high-water mark
-	recRelSeen   byte = 8 // reliable-delivery first-seen frame (dedup state)
+	recRelSeen   byte = 8 // reliable-delivery first-seen frame (written before receive windows; still replayed)
 	recLockS     byte = 9 // locking-state snapshot of a shard > 0 (shard-prefixed)
 
 	recGoneMark byte = 10 // gone-set watermark raised (agent.Watermark)
+	recRelMark  byte = 11 // reliable-delivery receive window: watermark raised, frames held above it
 )
 
 // LockState is the serializable locking state of a replica: the Locking
@@ -62,14 +64,14 @@ type LockState struct {
 // State is everything a recovering replica restores: the data store, the
 // locking state, the gone set (Updated List: watermarks in Marks, the
 // residue no watermark covers in Gone), and the reliable-delivery endpoint
-// state (send counter and per-sender dedup sets).
+// state (send counter and per-sender receive windows).
 type State struct {
 	Store      store.State
 	Lock       LockState
 	Gone       []agent.ID
 	Marks      []agent.Watermark
 	RelNextSeq uint64
-	RelSeen    map[runtime.NodeID][]uint64
+	RelSeen    map[runtime.NodeID]reliable.Window
 	// Sharded replicas (shard-isolation invariant: every shard journals
 	// and restores independently) carry one extra store/lock pair per
 	// shard beyond the first: index i holds shard i+1. Empty on unsharded
@@ -117,10 +119,13 @@ func (st *State) BirthFloor() int64 {
 	return floor
 }
 
-// relNextStride is how coarsely the send counter is journaled: one record
-// every stride sends, restored rounded up a full stride. Sequence numbers
-// only need to be monotone per sender, so over-approximating after a crash
-// is free, and the stride keeps the counter off the per-send hot path.
+// relNextStride is how coarsely the send counters are journaled: one mark
+// over all of a node's links, moved a full stride whenever any link's
+// counter reaches it, and every link resumes from it after a restart.
+// Sequence numbers only need to be monotone per link, so over-approximating
+// after a crash is free (the receiver's window steps over the gap, see
+// reliable's floor), and the stride keeps the counter off the per-send hot
+// path.
 const relNextStride = 64
 
 // Options tunes a journal.
@@ -216,7 +221,7 @@ func Open(b disk.Backend, opts Options) (*Journal, *State, error) {
 // explicitly (shard 0 uses the legacy record type, so unsharded logs are
 // unchanged on disk).
 func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
-	st := &State{RelSeen: make(map[runtime.NodeID][]uint64)}
+	st := &State{RelSeen: make(map[runtime.NodeID]reliable.Window)}
 	if snap != nil {
 		s, err := decodeState(snap)
 		if err != nil {
@@ -236,13 +241,6 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 	mems[0] = store.FromState(st.Store)
 	for i := 1; i < shards; i++ {
 		mems[i] = store.FromState(st.ExtraStores[i-1])
-	}
-	seen := make(map[runtime.NodeID]map[uint64]bool, len(st.RelSeen))
-	for from, seqs := range st.RelSeen {
-		seen[from] = make(map[uint64]bool, len(seqs))
-		for _, q := range seqs {
-			seen[from][q] = true
-		}
 	}
 	// An explicit list (a pre-watermark snapshot, or recGone records) is a
 	// valid residue; watermarks replayed after it prune what they cover.
@@ -315,12 +313,21 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 		case recRelSeen:
 			var from runtime.NodeID
 			var seq uint64
-			if from, seq, err = decodeRelSeen(rec.Data); err == nil && !seen[from][seq] {
-				if seen[from] == nil {
-					seen[from] = make(map[uint64]bool)
-				}
-				seen[from][seq] = true
-				st.RelSeen[from] = append(st.RelSeen[from], seq)
+			if from, seq, err = decodeRelSeen(rec.Data); err == nil {
+				w := st.RelSeen[from]
+				w.Accept(seq)
+				st.RelSeen[from] = w
+			}
+		case recRelMark:
+			d := &decoder{b: rec.Data}
+			from := runtime.NodeID(d.varint())
+			w := st.RelSeen[from]
+			w.Raise(d.uvarint())
+			for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
+				w.Accept(d.uvarint())
+			}
+			if err = d.finish(); err == nil {
+				st.RelSeen[from] = w
 			}
 		default:
 			err = fmt.Errorf("unknown record type %d", rec.Type)
@@ -413,13 +420,13 @@ func (j *Journal) LogGoneMark(w agent.Watermark) {
 	j.append(recGoneMark, appendWatermark(nil, w), false)
 }
 
-// NextSeq implements the reliable layer's journal: it persists the send
-// counter every relNextStride sends, over-approximated so a restart can
-// never reuse a sequence number. Commit barrier: the high-water mark must
+// NextSeq implements the reliable layer's journal: it persists the highest
+// send counter of any link one stride ahead, so a restart can never reuse a
+// sequence number on any of them. Commit barrier: the high-water mark must
 // be on disk before any send in its stride leaves the node, or a crash
 // restores a stale counter and the restarted node reuses sequence numbers
-// that peers' dedup tables silently swallow. The stride amortizes the
-// extra fsync to one per relNextStride sends.
+// that peers' receive windows silently swallow. The stride amortizes the
+// extra fsync to at most one per relNextStride sends.
 func (j *Journal) NextSeq(seq uint64) {
 	if seq < j.relNextHi {
 		return
@@ -428,11 +435,20 @@ func (j *Journal) NextSeq(seq uint64) {
 	j.append(recRelNext, encodeUvarint(j.relNextHi), true)
 }
 
-// Seen implements the reliable layer's journal: one record per first-seen
-// frame, so the dedup table survives a restart and a retransmit straddling
-// the crash is still suppressed.
-func (j *Journal) Seen(from runtime.NodeID, seq uint64) {
-	j.append(recRelSeen, encodeRelSeen(from, seq), false)
+// Acked implements the reliable layer's journal: one record per
+// acknowledgement that reveals new receive-window state, so the window
+// survives a restart and a retransmit of an acknowledged frame straddling
+// the crash is still suppressed. No barrier, like the per-frame record it
+// replaces: a lost tail means a frame the sender still holds may be
+// delivered twice, which the protocol handlers tolerate.
+func (j *Journal) Acked(from runtime.NodeID, mark uint64, above []uint64) {
+	b := binary.AppendVarint(nil, int64(from))
+	b = binary.AppendUvarint(b, mark)
+	b = binary.AppendUvarint(b, uint64(len(above)))
+	for _, seq := range above {
+		b = binary.AppendUvarint(b, seq)
+	}
+	j.append(recRelMark, b, false)
 }
 
 // MaybeCompact installs a fresh snapshot once enough records accumulated
@@ -447,7 +463,7 @@ func (j *Journal) MaybeCompact() {
 // Compact gathers the current state from the registered sources and
 // installs it as the log's snapshot, superseding all records so far.
 func (j *Journal) Compact() error {
-	st := &State{RelSeen: make(map[runtime.NodeID][]uint64)}
+	st := &State{RelSeen: make(map[runtime.NodeID]reliable.Window)}
 	for _, fn := range j.sources {
 		fn(st)
 	}
@@ -580,11 +596,6 @@ func decodeLockShard(b []byte) (int, LockState, error) {
 	return shrd, ls, d.finish()
 }
 
-func encodeRelSeen(from runtime.NodeID, seq uint64) []byte {
-	b := binary.AppendVarint(nil, int64(from))
-	return binary.AppendUvarint(b, seq)
-}
-
 func decodeRelSeen(b []byte) (runtime.NodeID, uint64, error) {
 	d := &decoder{b: b}
 	from := runtime.NodeID(d.varint())
@@ -619,20 +630,22 @@ func encodeState(st *State) []byte {
 	}
 	sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
 	b = binary.AppendUvarint(b, uint64(len(senders)))
+	relMarks := false
 	for _, from := range senders {
-		seqs := append([]uint64(nil), st.RelSeen[from]...)
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		w := st.RelSeen[from]
+		relMarks = relMarks || w.Mark > 0
 		b = binary.AppendVarint(b, int64(from))
-		b = binary.AppendUvarint(b, uint64(len(seqs)))
-		for _, q := range seqs {
+		b = binary.AppendUvarint(b, uint64(len(w.Above)))
+		for _, q := range w.Above {
 			b = binary.AppendUvarint(b, q)
 		}
 	}
 	// Shard extension, appended only when present: the unsharded snapshot
 	// encoding is bit-for-bit the pre-sharding format, and the decoder
-	// reads the extension iff bytes remain. The watermark extension after
-	// it follows the same rule, so it forces an (empty) shard extension.
-	if len(st.ExtraStores) > 0 || len(st.ExtraLocks) > 0 || len(st.Marks) > 0 {
+	// reads the extension iff bytes remain. The two watermark extensions
+	// after it follow the same rule, so each forces the (empty) ones before
+	// it.
+	if len(st.ExtraStores) > 0 || len(st.ExtraLocks) > 0 || len(st.Marks) > 0 || relMarks {
 		b = binary.AppendUvarint(b, uint64(len(st.ExtraStores)))
 		for _, ss := range st.ExtraStores {
 			b = appendStoreState(b, ss)
@@ -642,10 +655,19 @@ func encodeState(st *State) []byte {
 			b = appendLock(b, ls)
 		}
 	}
-	if len(st.Marks) > 0 {
+	if len(st.Marks) > 0 || relMarks {
 		b = binary.AppendUvarint(b, uint64(len(st.Marks)))
 		for _, w := range st.Marks {
 			b = appendWatermark(b, w)
+		}
+	}
+	// Receive-window extension: one watermark per sender of the base
+	// section, in its order. The per-sender lists there are the numbers held
+	// above these — and, in a snapshot written before receive windows (which
+	// has no such extension), every number ever seen, above a watermark of 0.
+	if relMarks {
+		for _, from := range senders {
+			b = binary.AppendUvarint(b, st.RelSeen[from].Mark)
 		}
 	}
 	return b
@@ -653,18 +675,22 @@ func encodeState(st *State) []byte {
 
 func decodeState(b []byte) (*State, error) {
 	d := &decoder{b: b}
-	st := &State{RelSeen: make(map[runtime.NodeID][]uint64)}
+	st := &State{RelSeen: make(map[runtime.NodeID]reliable.Window)}
 	st.Store = d.storeState()
 	st.Lock = d.lock()
 	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
 		st.Gone = append(st.Gone, d.agentID())
 	}
 	st.RelNextSeq = d.uvarint()
+	var senders []runtime.NodeID
 	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
 		from := runtime.NodeID(d.varint())
+		var w reliable.Window
 		for k, m := 0, int(d.uvarint()); k < m && d.err == nil; k++ {
-			st.RelSeen[from] = append(st.RelSeen[from], d.uvarint())
+			w.Accept(d.uvarint())
 		}
+		st.RelSeen[from] = w
+		senders = append(senders, from)
 	}
 	if d.err == nil && len(d.b) > 0 { // shard extension present
 		for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
@@ -677,6 +703,13 @@ func decodeState(b []byte) (*State, error) {
 	if d.err == nil && len(d.b) > 0 { // watermark extension present
 		for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
 			st.Marks = append(st.Marks, d.watermark())
+		}
+	}
+	if d.err == nil && len(d.b) > 0 { // receive-window extension present
+		for _, from := range senders {
+			w := st.RelSeen[from]
+			w.Raise(d.uvarint())
+			st.RelSeen[from] = w
 		}
 	}
 	if err := d.finish(); err != nil {

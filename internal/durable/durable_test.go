@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/disk"
+	"repro/internal/reliable"
 	"repro/internal/runtime"
 	"repro/internal/store"
 	"repro/internal/wal"
@@ -62,8 +64,9 @@ func TestJournalRoundTrip(t *testing.T) {
 	j.LogLock(ls, true)
 	j.LogGone(aid(3, 1))
 	j.NextSeq(1)
-	j.Seen(4, 11)
-	j.Seen(4, 12)
+	j.Acked(4, 10, []uint64{12})
+	j.Acked(4, 10, []uint64{14, 12})
+	j.Acked(4, 12, nil)
 	j.Close()
 
 	j2, st2, err := Open(m, Options{})
@@ -94,8 +97,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if st2.RelNextSeq != relNextStride {
 		t.Fatalf("RelNextSeq = %d, want the first stride %d", st2.RelNextSeq, relNextStride)
 	}
-	if !reflect.DeepEqual(st2.RelSeen[4], []uint64{11, 12}) {
-		t.Fatalf("RelSeen[4] = %v", st2.RelSeen[4])
+	if want := (reliable.Window{Mark: 12, Above: []uint64{14}}); !reflect.DeepEqual(st2.RelSeen[4], want) {
+		t.Fatalf("RelSeen[4] = %+v, want %+v", st2.RelSeen[4], want)
 	}
 }
 
@@ -314,9 +317,9 @@ func TestStateEncodingDeterministic(t *testing.T) {
 		Store: store.State{Log: []store.Update{upd(1), upd(2)}},
 		Lock:  LockState{Epoch: 3, LL: []agent.ID{aid(2, 4)}},
 		Gone:  []agent.ID{aid(1, 1)},
-		RelSeen: map[runtime.NodeID][]uint64{
-			5: {9, 2, 7},
-			2: {1},
+		RelSeen: map[runtime.NodeID]reliable.Window{
+			5: {Mark: 4, Above: []uint64{7, 9}},
+			2: {Mark: 1},
 		},
 		RelNextSeq: 64,
 	}
@@ -329,8 +332,8 @@ func TestStateEncodingDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.RelSeen[5], []uint64{2, 7, 9}) {
-		t.Fatalf("RelSeen sorted = %v", got.RelSeen[5])
+	if !reflect.DeepEqual(got.RelSeen, st.RelSeen) {
+		t.Fatalf("RelSeen = %+v, want %+v", got.RelSeen, st.RelSeen)
 	}
 	if got.Lock.Epoch != 3 || len(got.Store.Log) != 2 || got.RelNextSeq != 64 {
 		t.Fatalf("round trip: %+v", got)
@@ -412,5 +415,112 @@ func TestPreWatermarkSnapshotStillDecodes(t *testing.T) {
 	sharded.Marks = []agent.Watermark{{Home: 1, Upto: agent.Mark{Born: 5, Seq: 1}}}
 	if got, err = decodeState(encodeState(sharded)); err != nil || len(got.Marks) != 1 || len(got.ExtraLocks) != 1 {
 		t.Fatalf("sharded snapshot with watermarks: %+v, %v", got, err)
+	}
+}
+
+// TestReceiveWindowsSurviveAsWatermarkAndResidue: one record per revealed
+// window change replays to watermark + residue, the compaction snapshot
+// carries both parts, and its size does not know how many frames the
+// watermark covers.
+func TestReceiveWindowsSurviveAsWatermarkAndResidue(t *testing.T) {
+	m := disk.NewMem()
+	j, _, err := Open(m, Options{Policy: wal.PolicyAlways, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Acked(2, 3, []uint64{6, 5}) // arrival order, not sorted
+	j.Acked(2, 6, []uint64{9})    // the hole at 4 filled: 5 and 6 fold into the watermark
+	j.Acked(3, 0, []uint64{2})
+	j.Kill()
+	want := map[runtime.NodeID]reliable.Window{
+		2: {Mark: 6, Above: []uint64{9}},
+		3: {Above: []uint64{2}},
+	}
+	j2, st, err := Open(m, Options{Policy: wal.PolicyAlways, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st.RelSeen, want) {
+		t.Fatalf("replayed records: RelSeen = %+v, want %+v", st.RelSeen, want)
+	}
+	j2.AddSource(func(dst *State) { dst.RelSeen = st.RelSeen })
+	if err := j2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	j2.Kill()
+	_, st3, err := Open(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st3.RelSeen, want) {
+		t.Fatalf("snapshot: RelSeen = %+v, want %+v", st3.RelSeen, want)
+	}
+
+	small := encodeState(&State{RelSeen: map[runtime.NodeID]reliable.Window{2: {Mark: 100, Above: []uint64{102}}}})
+	large := encodeState(&State{RelSeen: map[runtime.NodeID]reliable.Window{2: {Mark: 100000, Above: []uint64{100002}}}})
+	if len(large) > len(small)+4 { // two varints, each two bytes longer
+		t.Fatalf("snapshot grew from %d to %d bytes with the watermark", len(small), len(large))
+	}
+	if empty := encodeState(&State{}); len(empty) != len(encodeState(&State{RelSeen: map[runtime.NodeID]reliable.Window{}})) {
+		t.Fatal("an empty RelSeen changed the snapshot bytes")
+	}
+}
+
+// TestPreWindowJournalStillDecodes: a data dir written before receive
+// windows holds one relSeen record per frame and snapshots listing every
+// number ever seen, with no watermark extension. Both decode: contiguous
+// numbers from 1 fold into the watermark, the rest are residue until a
+// frame's floor passes them.
+func TestPreWindowJournalStillDecodes(t *testing.T) {
+	relSeen := func(from runtime.NodeID, seq uint64) []byte {
+		return binary.AppendUvarint(binary.AppendVarint(nil, int64(from)), seq)
+	}
+	m := disk.NewMem()
+	j, _, err := Open(m, Options{Policy: wal.PolicyAlways, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []uint64{1, 2, 7, 4, 7} {
+		j.append(recRelSeen, relSeen(5, seq), false)
+	}
+	j.Kill()
+	_, st, err := Open(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reliable.Window{Mark: 2, Above: []uint64{4, 7}}
+	if !reflect.DeepEqual(st.RelSeen[5], want) {
+		t.Fatalf("replayed relSeen records: %+v, want %+v", st.RelSeen[5], want)
+	}
+
+	// The old snapshot layout, by hand: the base section only, RelSeen as
+	// sender, count, sorted numbers.
+	var old []byte
+	old = appendStoreState(old, store.State{Log: []store.Update{upd(1)}})
+	old = appendLock(old, LockState{Epoch: 3})
+	old = binary.AppendUvarint(old, 0)  // gone
+	old = binary.AppendUvarint(old, 64) // RelNextSeq
+	old = binary.AppendUvarint(old, 1)  // one sender
+	old = binary.AppendVarint(old, 5)
+	old = binary.AppendUvarint(old, 3)
+	for _, seq := range []uint64{3, 9, 17} { // per-node numbering: never contiguous
+		old = binary.AppendUvarint(old, seq)
+	}
+	got, err := decodeState(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (reliable.Window{Above: []uint64{3, 9, 17}}); !reflect.DeepEqual(got.RelSeen[5], want) || got.RelNextSeq != 64 {
+		t.Fatalf("old snapshot: RelSeen[5] = %+v RelNextSeq = %d", got.RelSeen[5], got.RelNextSeq)
+	}
+	// Without watermarks the new encoder writes that layout byte for byte.
+	if !reflect.DeepEqual(encodeState(got), old) {
+		t.Fatal("a window without a watermark no longer encodes to the old layout")
+	}
+	// With one, every extension before the receive-window one is forced.
+	got.RelSeen[5] = reliable.Window{Mark: 20, Above: []uint64{22}}
+	again, err := decodeState(encodeState(got))
+	if err != nil || !reflect.DeepEqual(again.RelSeen, got.RelSeen) || again.Marks != nil || again.ExtraLocks != nil {
+		t.Fatalf("round trip with a watermark: %+v, %v", again, err)
 	}
 }

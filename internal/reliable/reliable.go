@@ -4,12 +4,30 @@
 // The paper (§2) assumes reliable asynchronous channels, so the MARP
 // protocol layers never had to cope with message loss. When a
 // simnet.FaultModel is attached to the network that assumption breaks, and
-// this package restores it end-to-end the way real systems do: every
-// payload is wrapped in a sequenced frame, the receiver acknowledges each
-// frame and suppresses duplicates, and the sender retransmits with
-// exponential backoff and jitter until either an ack arrives or the retry
-// cap is exhausted — at which point the peer is reported unreachable to the
-// caller, who falls back on the protocol's own timeout machinery.
+// this package restores it end-to-end the way real systems do: one sliding
+// window per directed link. The sender numbers its frames per destination
+// and retransmits each with exponential backoff and jitter until it is
+// acknowledged or the retry cap is exhausted — at which point the peer is
+// reported unreachable to the caller, who falls back on the protocol's own
+// timeout machinery. The receiver keeps, per sender, a watermark below
+// which every number is settled plus the numbers received out of order
+// above it, suppresses what it already holds, and acknowledges
+// cumulatively: the watermark and the numbers above it that arrived since
+// its last acknowledgement.
+//
+// MARP's traffic is request/response on every link, so the acknowledgement
+// rides the reverse traffic: every data frame carries the link's current
+// ack state, and a standalone rel-ack leaves only when a quarter of the
+// retransmission base has passed since the first unacknowledged arrival
+// with nothing having gone the other way. A lost acknowledgement costs
+// nothing — the next frame restates the watermark.
+//
+// A sequence number that will never be delivered (the retry cap ran out,
+// the sender crashed with the frame unacknowledged, a restart skipped
+// ahead) must not stall the receiver's watermark, so every data frame also
+// carries the link's floor: the lowest number the sender may still
+// retransmit. The receiver raises its watermark to just below the floor;
+// a late copy of an abandoned frame is then suppressed, never delivered.
 //
 // Layer implements runtime.Fabric, so protocol code (agent.Platform,
 // replica.Server) runs over either a bare fabric or a *Layer without
@@ -19,21 +37,26 @@
 // provides at-least-once delivery with dedup for agent migration.
 //
 // Crash semantics follow fail-stop: Crash(id) discards the node's volatile
-// state — unacked sends die with the node and the duplicate-suppression
-// table is lost, so a retransmit that straddles a crash/recovery may be
-// delivered twice. The protocol handlers tolerate that (they are idempotent
-// or guarded by attempt numbers). The per-node send counter survives a
-// crash, modelling the sequence number kept in stable storage.
+// state — unacked sends die with the node and the receive windows are
+// lost, so a retransmit that straddles a crash/recovery may be delivered
+// twice (the recovered receiver re-learns its watermark from the next
+// frame's floor, so only frames the sender still holds can be). The
+// protocol handlers tolerate that (they are idempotent or guarded by
+// attempt numbers). The per-link send counters survive a crash, modelling
+// sequence numbers kept in stable storage.
 //
 // With a durability journal attached (SetJournal), that modelling becomes
-// real: the send counter is journaled as a striding high-water mark and the
-// dedup table as one record per first-seen frame, and Restore rebuilds both
-// after a restart — so a retransmit straddling the crash is suppressed
-// instead of double-delivered.
+// real: the send counters are journaled as one striding high-water mark
+// from which every link resumes, and each receive window as one record per
+// acknowledgement that reveals new state, appended before the
+// acknowledgement leaves, and Restore rebuilds both after a restart — so a
+// retransmit of a frame the node had acknowledged is suppressed instead of
+// double-delivered. What a node keeps, journals and snapshots for this
+// layer depends on what is in flight, not on how many frames it ever saw.
 package reliable
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/runtime"
@@ -100,21 +123,87 @@ func Backoff(cfg Config, attempt int) time.Duration {
 type Stats struct {
 	Retransmissions      int // frames sent beyond the first transmission
 	DuplicatesSuppressed int // frames received more than once and dropped
-	AcksSent             int
+	AcksSent             int // standalone ack frames: no data frame came by in time
+	AcksPiggybacked      int // acknowledgements that rode a data frame instead
 	GaveUp               int // sends that exhausted the retry cap
+	DedupResidue         int // gauge: out-of-order frames held above the watermarks
 }
 
-// frame header and ack sizes, charged to the network's byte accounting.
+// Modelled frame sizes, charged to the network's byte accounting: a data
+// frame's header is its sequence number, floor and the cumulative ack's
+// watermark; either frame kind pays aboveSize per number listed above it.
 const (
-	headerSize = 12
+	headerSize = 20
 	ackSize    = 16
+	aboveSize  = 4
 )
 
-// dataMsg is a sequenced frame wrapping a protocol payload. Kind delegates
-// to the payload so per-kind traffic accounting still names the protocol
-// message (retransmissions count again — they are real transmissions).
+// Window is what a receiver holds of one sender's frames: every number up
+// to Mark is settled (delivered, or abandoned by the sender), and Above
+// lists, ascending, the numbers beyond Mark+1 received out of order.
+type Window struct {
+	Mark  uint64
+	Above []uint64
+}
+
+// Accept records seq and reports whether it was new.
+func (w *Window) Accept(seq uint64) bool {
+	if seq <= w.Mark {
+		return false
+	}
+	if seq == w.Mark+1 {
+		w.Mark++
+		w.absorb()
+		return true
+	}
+	i, held := slices.BinarySearch(w.Above, seq)
+	if held {
+		return false
+	}
+	w.Above = slices.Insert(w.Above, i, seq)
+	return true
+}
+
+// Raise lifts the watermark to at least mark — the sender will never
+// (re)transmit anything at or below it — and reports whether it moved.
+func (w *Window) Raise(mark uint64) bool {
+	if mark <= w.Mark {
+		return false
+	}
+	w.Mark = mark
+	i, _ := slices.BinarySearch(w.Above, mark+1)
+	w.Above = w.Above[i:]
+	w.absorb()
+	return true
+}
+
+// absorb moves the watermark over the numbers now contiguous with it.
+func (w *Window) absorb() {
+	for len(w.Above) > 0 && w.Above[0] == w.Mark+1 {
+		w.Mark++
+		w.Above = w.Above[1:]
+	}
+	if len(w.Above) == 0 {
+		w.Above = nil
+	}
+}
+
+// ackState is a cumulative acknowledgement: everything up to Mark, plus
+// the numbers above it that arrived since the receiver last acknowledged.
+type ackState struct {
+	Mark  uint64
+	Above []uint64
+}
+
+// dataMsg is a sequenced frame wrapping a protocol payload. Floor is the
+// lowest number the sender may still retransmit on this link; Ack is the
+// sender's acknowledgement of the reverse direction. Kind delegates to the
+// payload so per-kind traffic accounting still names the protocol message
+// (retransmissions count again — they are real transmissions).
 type dataMsg struct {
 	Seq     uint64
+	Floor   uint64
+	Ack     ackState
 	Payload any
 }
 
@@ -125,8 +214,9 @@ func (d dataMsg) Kind() string {
 	return "rel-data"
 }
 
-// ackMsg acknowledges receipt of the frame with the given sequence number.
-type ackMsg struct{ Seq uint64 }
+// ackMsg is the standalone acknowledgement, sent when no data frame left
+// for the peer in time to carry it.
+type ackMsg struct{ Ack ackState }
 
 func (ackMsg) Kind() string { return "rel-ack" }
 
@@ -141,25 +231,65 @@ type pendingSend struct {
 // restart. The durability subsystem implements it; both callbacks fire
 // from the node's execution context, after the in-memory mutation.
 type Journal interface {
-	// NextSeq reports the send counter after an increment. Implementations
-	// persist a striding high-water mark, not every value.
+	// NextSeq reports a link's send counter after an increment.
+	// Implementations persist one striding high-water mark over all links,
+	// not every value.
 	NextSeq(seq uint64)
-	// Seen reports a first-seen frame from a peer.
-	Seen(from runtime.NodeID, seq uint64)
+	// Acked reports what the node is about to acknowledge to from that it
+	// had not journaled yet: the watermark, and the numbers held above it
+	// since the last report. above is only valid during the call.
+	Acked(from runtime.NodeID, mark uint64, above []uint64)
+}
+
+// link is one node's state towards one peer: the frames it numbered for
+// the peer, and what it holds of the peer's.
+type link struct {
+	// Outbound. Every number below floor is acknowledged or abandoned;
+	// with nothing pending floor is next+1.
+	next    uint64 // last number assigned; survives Crash (stable storage)
+	floor   uint64
+	pending map[uint64]*pendingSend
+
+	// Inbound. fresh lists the numbers above held.Mark that arrived since
+	// the last acknowledgement left; ackTimer is armed from the first
+	// unacknowledged arrival until an acknowledgement leaves; unlogged says
+	// held changed since the journal last heard of it.
+	held     Window
+	fresh    []uint64
+	ackTimer runtime.Timer
+	unlogged bool
+}
+
+// settle drops seq from the retransmission set.
+func (lk *link) settle(seq uint64) {
+	if ps, ok := lk.pending[seq]; ok {
+		ps.timer.Cancel()
+		delete(lk.pending, seq)
+	}
+}
+
+// advance moves the floor up to the lowest number still pending.
+func (lk *link) advance() {
+	for lk.floor <= lk.next && lk.pending[lk.floor] == nil {
+		lk.floor++
+	}
 }
 
 // port is one node's endpoint state.
 type port struct {
 	id      runtime.NodeID
-	nextSeq uint64 // survives Crash (stable storage)
-	pending map[uint64]*pendingSend
-	seen    map[runtime.NodeID]map[uint64]bool
+	base    uint64 // restored send-counter high-water mark: new links start here
+	links   map[runtime.NodeID]*link
 	journal Journal // nil = volatile endpoint (the default)
 }
 
-func (p *port) reset() {
-	p.pending = make(map[uint64]*pendingSend)
-	p.seen = make(map[runtime.NodeID]map[uint64]bool)
+func (p *port) link(peer runtime.NodeID) *link {
+	lk, ok := p.links[peer]
+	if !ok {
+		lk = &link{next: p.base, floor: p.base + 1, pending: make(map[uint64]*pendingSend)}
+		p.links[peer] = lk
+	}
+	return lk
 }
 
 // Layer is the ack/retransmit shim. It implements runtime.Fabric.
@@ -230,8 +360,7 @@ func (l *Layer) OnUnreachable(fn func(from, to runtime.NodeID, msg runtime.Messa
 func (l *Layer) port(id runtime.NodeID) *port {
 	p, ok := l.ports[id]
 	if !ok {
-		p = &port{id: id}
-		p.reset()
+		p = &port{id: id, links: make(map[runtime.NodeID]*link)}
 		l.ports[id] = p
 	}
 	return p
@@ -250,37 +379,45 @@ func (l *Layer) Attach(id runtime.NodeID, h runtime.Handler) {
 func (l *Layer) SetJournal(id runtime.NodeID, j Journal) { l.port(id).journal = j }
 
 // Restore reinstates node id's persistent endpoint state after a restart:
-// the send counter (already slack-adjusted by the journal) and the
-// duplicate-suppression table.
-func (l *Layer) Restore(id runtime.NodeID, nextSeq uint64, seen map[runtime.NodeID][]uint64) {
+// the send counter every link resumes from (already slack-adjusted by the
+// journal; the numbers it skips are holes the floor covers) and the
+// receive window per sender.
+func (l *Layer) Restore(id runtime.NodeID, nextSeq uint64, held map[runtime.NodeID]Window) {
 	p := l.port(id)
-	if nextSeq > p.nextSeq {
-		p.nextSeq = nextSeq
+	if nextSeq > p.base {
+		p.base = nextSeq
 	}
-	for from, seqs := range seen {
-		if p.seen[from] == nil {
-			p.seen[from] = make(map[uint64]bool, len(seqs))
+	for _, lk := range p.links {
+		if lk.next < p.base {
+			lk.next = p.base
+			lk.advance()
 		}
-		for _, q := range seqs {
-			p.seen[from][q] = true
+	}
+	for from, w := range held {
+		lk := p.link(from)
+		lk.held.Raise(w.Mark)
+		for _, seq := range w.Above {
+			lk.held.Accept(seq)
 		}
 	}
 }
 
 // PortState captures node id's persistent endpoint state for a compaction
-// snapshot: the send counter and the dedup table as sorted slices.
-func (l *Layer) PortState(id runtime.NodeID) (nextSeq uint64, seen map[runtime.NodeID][]uint64) {
+// snapshot: the highest send counter and the receive window of every
+// sender it holds anything of.
+func (l *Layer) PortState(id runtime.NodeID) (nextSeq uint64, held map[runtime.NodeID]Window) {
 	p := l.port(id)
-	seen = make(map[runtime.NodeID][]uint64, len(p.seen))
-	for from, set := range p.seen {
-		seqs := make([]uint64, 0, len(set))
-		for q := range set {
-			seqs = append(seqs, q)
+	nextSeq = p.base
+	held = make(map[runtime.NodeID]Window)
+	for peer, lk := range p.links {
+		if lk.next > nextSeq {
+			nextSeq = lk.next
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		seen[from] = seqs
+		if lk.held.Mark > 0 || len(lk.held.Above) > 0 {
+			held[peer] = Window{Mark: lk.held.Mark, Above: slices.Clone(lk.held.Above)}
+		}
 	}
-	return p.nextSeq, seen
+	return nextSeq, held
 }
 
 // Send transmits msg with ack/retransmit semantics. Delivery to the remote
@@ -288,41 +425,61 @@ func (l *Layer) PortState(id runtime.NodeID) (nextSeq uint64, seen map[runtime.N
 // every transmission is lost the send is abandoned and OnUnreachable fires.
 func (l *Layer) Send(msg runtime.Message) {
 	p := l.port(msg.From)
-	p.nextSeq++
+	lk := p.link(msg.To)
+	lk.next++
 	if p.journal != nil {
-		p.journal.NextSeq(p.nextSeq)
+		p.journal.NextSeq(lk.next)
 	}
-	ps := &pendingSend{msg: msg, seq: p.nextSeq, attempt: 1}
-	p.pending[ps.seq] = ps
-	l.transmit(p, ps)
+	ps := &pendingSend{msg: msg, seq: lk.next, attempt: 1}
+	lk.pending[ps.seq] = ps
+	l.transmit(p, lk, ps)
 }
 
-func (l *Layer) transmit(p *port, ps *pendingSend) {
+func (l *Layer) transmit(p *port, lk *link, ps *pendingSend) {
+	ack, due := l.takeAck(p, ps.msg.To, lk)
+	if due {
+		l.stats.AcksPiggybacked++
+	}
 	l.net.Send(runtime.Message{
 		From:    ps.msg.From,
 		To:      ps.msg.To,
-		Payload: dataMsg{Seq: ps.seq, Payload: ps.msg.Payload},
-		Size:    ps.msg.Size + headerSize,
+		Payload: dataMsg{Seq: ps.seq, Floor: lk.floor, Ack: ack, Payload: ps.msg.Payload},
+		Size:    ps.msg.Size + headerSize + aboveSize*len(ack.Above),
 	})
 	d := Backoff(l.cfg, ps.attempt)
 	if l.cfg.Jitter > 0 {
 		d += time.Duration(l.cfg.Jitter * l.eng.Rand().Float64() * float64(d))
 	}
-	ps.timer = l.eng.AfterFunc(d, func() { l.expire(p, ps) })
+	ps.timer = l.eng.AfterFunc(d, func() { l.expire(p, lk, ps) })
 }
 
-func (l *Layer) expire(p *port, ps *pendingSend) {
-	if p.pending[ps.seq] != ps {
+// takeAck returns what p acknowledges to peer right now and marks it
+// acknowledged: the journal hears of it first, and the ack timer stops —
+// due reports whether it was still running, i.e. an arrival was waiting.
+func (l *Layer) takeAck(p *port, peer runtime.NodeID, lk *link) (ack ackState, due bool) {
+	ack = ackState{Mark: lk.held.Mark, Above: lk.fresh}
+	if lk.unlogged && p.journal != nil {
+		p.journal.Acked(peer, ack.Mark, ack.Above)
+	}
+	lk.unlogged = false
+	lk.fresh = nil
+	return ack, lk.ackTimer.Cancel()
+}
+
+func (l *Layer) expire(p *port, lk *link, ps *pendingSend) {
+	if lk.pending[ps.seq] != ps {
 		return // acked, or cleared by Crash, while the timer was in flight
 	}
 	if l.net.Down(ps.msg.From) {
 		// Fail-stop: a down sender retransmits nothing. Crash() normally
 		// clears pending first; this guards direct SetDown use.
-		delete(p.pending, ps.seq)
+		delete(lk.pending, ps.seq)
+		lk.advance()
 		return
 	}
 	if ps.attempt >= l.cfg.Attempts {
-		delete(p.pending, ps.seq)
+		delete(lk.pending, ps.seq)
+		lk.advance()
 		l.stats.GaveUp++
 		if l.onUnreachable != nil {
 			l.onUnreachable(ps.msg.From, ps.msg.To, ps.msg)
@@ -331,38 +488,52 @@ func (l *Layer) expire(p *port, ps *pendingSend) {
 	}
 	ps.attempt++
 	l.stats.Retransmissions++
-	l.transmit(p, ps)
+	l.transmit(p, lk, ps)
+}
+
+// acked settles what the peer acknowledges of lk's outbound frames.
+func (lk *link) acked(ack ackState) {
+	for seq := lk.floor; seq <= ack.Mark && seq <= lk.next; seq++ {
+		lk.settle(seq)
+	}
+	for _, seq := range ack.Above {
+		lk.settle(seq)
+	}
+	lk.advance()
 }
 
 func (l *Layer) receive(p *port, m runtime.Message) {
 	switch pl := m.Payload.(type) {
 	case dataMsg:
-		dup := p.seen[m.From][pl.Seq]
-		if dup {
-			l.stats.DuplicatesSuppressed++
-		} else {
-			if p.seen[m.From] == nil {
-				p.seen[m.From] = make(map[uint64]bool)
-			}
-			p.seen[m.From][pl.Seq] = true
-			if p.journal != nil {
-				p.journal.Seen(m.From, pl.Seq)
-			}
+		lk := p.link(m.From)
+		lk.acked(pl.Ack)
+		// The floor is at least 1; a zero can only come off a hostile wire.
+		if pl.Floor > 0 && lk.held.Raise(pl.Floor-1) {
+			lk.unlogged = true
 		}
-		// Ack even duplicates: the previous ack may itself have been lost.
-		l.stats.AcksSent++
-		l.net.Send(runtime.Message{From: p.id, To: m.From, Payload: ackMsg{Seq: pl.Seq}, Size: ackSize})
-		if dup {
+		fresh := lk.held.Accept(pl.Seq)
+		if fresh {
+			lk.unlogged = true
+		} else {
+			l.stats.DuplicatesSuppressed++
+		}
+		// Acknowledge even duplicates: the previous ack may itself have
+		// been lost. Below the watermark the next ack says so anyway.
+		if pl.Seq > lk.held.Mark && !slices.Contains(lk.fresh, pl.Seq) {
+			lk.fresh = append(lk.fresh, pl.Seq)
+		}
+		if !lk.ackTimer.Active() {
+			from := m.From // not m: the timer must not keep the payload alive
+			lk.ackTimer = l.eng.AfterFunc(l.cfg.Base/4, func() { l.sendAck(p, from, lk) })
+		}
+		if !fresh {
 			return
 		}
 		if h := l.upper[p.id]; h != nil {
-			h.Deliver(runtime.Message{From: m.From, To: m.To, Payload: pl.Payload, Size: m.Size - headerSize})
+			h.Deliver(runtime.Message{From: m.From, To: m.To, Payload: pl.Payload, Size: m.Size - headerSize - aboveSize*len(pl.Ack.Above)})
 		}
 	case ackMsg:
-		if ps, ok := p.pending[pl.Seq]; ok {
-			ps.timer.Cancel()
-			delete(p.pending, pl.Seq)
-		}
+		p.link(m.From).acked(pl.Ack)
 	default:
 		// A sender bypassed the layer; hand the raw message up unchanged.
 		if h := l.upper[p.id]; h != nil {
@@ -371,20 +542,40 @@ func (l *Layer) receive(p *port, m runtime.Message) {
 	}
 }
 
+// sendAck fires when no data frame left for peer within the ack delay of
+// the first unacknowledged arrival.
+func (l *Layer) sendAck(p *port, peer runtime.NodeID, lk *link) {
+	ack, _ := l.takeAck(p, peer, lk)
+	l.stats.AcksSent++
+	l.net.Send(runtime.Message{From: p.id, To: peer, Payload: ackMsg{Ack: ack}, Size: ackSize + aboveSize*len(ack.Above)})
+}
+
 // Crash discards node id's volatile endpoint state: unacked sends die with
-// the node and its duplicate-suppression table is lost (see the package
-// comment for the recovery consequences). The send counter survives.
+// the node — every link's floor moves past them — and its receive windows
+// are lost (see the package comment for the recovery consequences). The
+// send counters survive.
 func (l *Layer) Crash(id runtime.NodeID) {
 	p, ok := l.ports[id]
 	if !ok {
 		return
 	}
-	for _, ps := range p.pending {
-		ps.timer.Cancel()
+	for _, lk := range p.links {
+		for _, ps := range lk.pending {
+			ps.timer.Cancel()
+		}
+		lk.ackTimer.Cancel()
+		*lk = link{next: lk.next, floor: lk.next + 1, pending: make(map[uint64]*pendingSend)}
 	}
-	p.reset()
 	p.journal = nil
 }
 
 // Stats returns a copy of the recovery counters.
-func (l *Layer) Stats() Stats { return l.stats }
+func (l *Layer) Stats() Stats {
+	st := l.stats
+	for _, p := range l.ports {
+		for _, lk := range p.links {
+			st.DedupResidue += len(lk.held.Above)
+		}
+	}
+	return st
+}

@@ -9,11 +9,16 @@ const (
 	tagAckMsg  = 41
 )
 
+// Layout, all uvarints: a data frame is seq, floor, ack, then the nested
+// payload message; a standalone ack is the ack alone. An ack is its
+// watermark, a count, and that many sequence numbers above the watermark.
 func init() {
 	wire.Register(tagDataMsg, dataMsg{},
 		func(b []byte, v any) []byte {
 			m := v.(dataMsg)
 			b = wire.AppendUvarint(b, m.Seq)
+			b = wire.AppendUvarint(b, m.Floor)
+			b = appendAck(b, m.Ack)
 			out, err := wire.AppendMessage(b, m.Payload)
 			if err != nil {
 				// Unencodable nested payloads are programming errors: the
@@ -23,7 +28,7 @@ func init() {
 			return out
 		},
 		func(r *wire.Reader) any {
-			m := dataMsg{Seq: r.Uvarint()}
+			m := dataMsg{Seq: r.Uvarint(), Floor: r.Uvarint(), Ack: readAck(r)}
 			payload, err := wire.DecodeMessage(r)
 			if err != nil {
 				return nil // sticky error already armed on r
@@ -33,9 +38,29 @@ func init() {
 		})
 	wire.Register(tagAckMsg, ackMsg{},
 		func(b []byte, v any) []byte {
-			return wire.AppendUvarint(b, v.(ackMsg).Seq)
+			return appendAck(b, v.(ackMsg).Ack)
 		},
 		func(r *wire.Reader) any {
-			return ackMsg{Seq: r.Uvarint()}
+			return ackMsg{Ack: readAck(r)}
 		})
+}
+
+func appendAck(b []byte, a ackState) []byte {
+	b = wire.AppendUvarint(b, a.Mark)
+	b = wire.AppendUvarint(b, uint64(len(a.Above)))
+	for _, seq := range a.Above {
+		b = wire.AppendUvarint(b, seq)
+	}
+	return b
+}
+
+func readAck(r *wire.Reader) ackState {
+	a := ackState{Mark: r.Uvarint()}
+	if n := r.Count(1); n > 0 {
+		a.Above = make([]uint64, n)
+		for i := range a.Above {
+			a.Above[i] = r.Uvarint()
+		}
+	}
+	return a
 }

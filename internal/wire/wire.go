@@ -36,8 +36,10 @@ import (
 // Version is the wire-format version byte carried in the live fabric's
 // connection preamble. Nodes refuse peers speaking any other version (or
 // anything else) loudly instead of mis-decoding them. Version 2 added the
-// gone-set watermarks to LockInfo, SyncReply and the agent's WireState.
-const Version = 2
+// gone-set watermarks to LockInfo, SyncReply and the agent's WireState;
+// version 3 gave the reliable layer's frames (tags 40-41) a floor and a
+// cumulative acknowledgement.
+const Version = 3
 
 // Preamble is what a wire-codec connection starts with: a magic, then the
 // format version.
