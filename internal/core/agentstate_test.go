@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agent"
+	"repro/internal/replica"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // captureTravellingAgent runs a contended cluster until some agent has
@@ -121,6 +124,34 @@ func TestModelledWireSizeTracksRealEncoding(t *testing.T) {
 	}
 	if len(wireData) >= len(gobData) {
 		t.Fatalf("wire encoding %dB not smaller than gob %dB", len(wireData), len(gobData))
+	}
+
+	// A multi-shard anti-entropy reply — the committed logs of a 16-shard
+	// cluster and a server's gone set, as one reply carries them — is
+	// charged within the same band of its wire encoding, and a one-shard
+	// reply keeps the unsharded protocol's 32 + 96/update + gone.
+	sc := newTestCluster(t, Config{N: 5, Shards: 16}, simEnv{seed: 75})
+	submitMany(t, sc, 4)
+	finishRun(t, sc)
+	reply := &replica.SyncReply{From: 1, Gone: sc.Server(1).Gone()}
+	for sh := 0; sh < 16; sh++ {
+		if ups := sc.Server(1).StoreOf(sh).UpdatesSince(0); len(ups) > 0 {
+			reply.Sections = append(reply.Sections, replica.SyncSection{Shard: sh, Updates: ups})
+		}
+	}
+	if len(reply.Sections) < 4 {
+		t.Fatalf("reply has %d sections, want several", len(reply.Sections))
+	}
+	enc, err := wire.AppendMessage(nil, reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio := float64(len(enc)) / float64(reply.WireSize()); ratio < 0.2 || ratio > 5 {
+		t.Fatalf("%d-section sync reply: modelled %dB vs wire %dB (ratio %.2f)", len(reply.Sections), reply.WireSize(), len(enc), ratio)
+	}
+	one := replica.SyncReply{Sections: reply.Sections[:1], Gone: reply.Gone}
+	if want := 32 + 96*len(one.Sections[0].Updates) + agent.GoneWireSize(nil, one.Gone); one.WireSize() != want {
+		t.Fatalf("one-shard sync reply modelled at %dB, want %dB", one.WireSize(), want)
 	}
 }
 

@@ -16,9 +16,14 @@ import (
 
 // ChaosPoint is one cell of the A6 grid: a message-loss rate crossed with a
 // churn profile (partition window + loss burst + crash blip, or nothing).
+// Shards and Keys shape a sharded cell outside the grid (the message
+// census's churn cell); zero keeps A6's one locking list per server and the
+// workload's default key space.
 type ChaosPoint struct {
-	Loss  float64
-	Churn bool
+	Loss   float64
+	Churn  bool
+	Shards int
+	Keys   int
 }
 
 // ChaosResult extends RunResult with the recovery-stack counters the A6
@@ -110,6 +115,7 @@ func runChaos(o FigureOptions, point int, p ChaosPoint) (ChaosResult, error) {
 		Faults: faults,
 		Cluster: core.Config{
 			N:        n,
+			Shards:   p.Shards,
 			Reliable: true,
 			// At 30% loss a frame confirms with p≈0.49 per try; 12 attempts
 			// drive the chance of an undelivered COMMIT below 1e-5 so a run
@@ -129,6 +135,7 @@ func runChaos(o FigureOptions, point int, p ChaosPoint) (ChaosResult, error) {
 		Servers:           n,
 		RequestsPerServer: o.RequestsPerServer,
 		MeanInterarrival:  30 * time.Millisecond,
+		Keys:              p.Keys,
 		Seed:              o.Seed + 1000,
 	})
 	if err != nil {

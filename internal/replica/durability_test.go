@@ -149,18 +149,18 @@ func TestSyncReplyDuplicatedReordered(t *testing.T) {
 	u1, u2, u3 := upd(1, "a", "1"), upd(2, "b", "2"), upd(3, "a", "3")
 
 	// A reply starting past the horizon is useless and must be dropped.
-	d.s.Deliver(runtime.Message{From: 2, To: 1, Payload: &SyncReply{From: 2, Updates: []store.Update{u2, u3}}})
+	d.s.Deliver(runtime.Message{From: 2, To: 1, Payload: &SyncReply{From: 2, Sections: []SyncSection{{Updates: []store.Update{u2, u3}}}}})
 	if got := d.s.Store().LastSeq(); got != 0 {
 		t.Fatalf("gap reply applied: LastSeq = %d", got)
 	}
 	// A complete reply lands everything.
-	d.s.Deliver(runtime.Message{From: 3, To: 1, Payload: &SyncReply{From: 3, Updates: []store.Update{u1, u2, u3}}})
+	d.s.Deliver(runtime.Message{From: 3, To: 1, Payload: &SyncReply{From: 3, Sections: []SyncSection{{Updates: []store.Update{u1, u2, u3}}}}})
 	if got := d.s.Store().LastSeq(); got != 3 {
 		t.Fatalf("LastSeq = %d, want 3", got)
 	}
 	// Duplicates (a retransmitted reply) are idempotent.
-	d.s.Deliver(runtime.Message{From: 3, To: 1, Payload: &SyncReply{From: 3, Updates: []store.Update{u1, u2, u3}}})
-	d.s.Deliver(runtime.Message{From: 2, To: 1, Payload: &SyncReply{From: 2, Updates: []store.Update{u2, u3}}})
+	d.s.Deliver(runtime.Message{From: 3, To: 1, Payload: &SyncReply{From: 3, Sections: []SyncSection{{Updates: []store.Update{u1, u2, u3}}}}})
+	d.s.Deliver(runtime.Message{From: 2, To: 1, Payload: &SyncReply{From: 2, Sections: []SyncSection{{Updates: []store.Update{u2, u3}}}}})
 	if got := len(d.s.Store().Log()); got != 3 {
 		t.Fatalf("duplicated replies grew the log to %d", got)
 	}

@@ -109,7 +109,7 @@ func TestMessageKindsAndSizes(t *testing.T) {
 		CommitMsg{Updates: make([]store.Update, 3)},
 		AbortMsg{},
 		SyncRequest{},
-		SyncReply{Updates: make([]store.Update, 2), Gone: []agent.ID{aid(1, 1)}},
+		SyncReply{Sections: []SyncSection{{Updates: make([]store.Update, 2)}}, Gone: []agent.ID{aid(1, 1)}},
 		ReadReq{},
 		ReadRep{},
 	}

@@ -795,8 +795,9 @@ func (s *Server) handleUpdate(m *UpdateMsg) *AckMsg {
 // shard, on the shards this server replicates — releases its locks, and
 // adds it to the Updated List. A per-shard sequence gap means this replica
 // missed earlier updates on that shard (it was down); the updates are held
-// back and a shard sync is requested.
+// back and one sync request for every gapped shard goes to the origin.
 func (s *Server) handleCommit(m *CommitMsg) {
+	var gapped []int
 	for _, u := range m.Updates {
 		shrd := s.shardOf(u.Key)
 		sd := s.shards[shrd]
@@ -806,13 +807,16 @@ func (s *Server) handleCommit(m *CommitMsg) {
 		if err := sd.st.ApplyCommitted(u); err != nil {
 			if errors.Is(err, store.ErrSeqGap) {
 				sd.backlog[u.Seq] = u
-				s.requestSyncShard(shrd, m.Origin)
+				gapped = addShard(gapped, shrd)
 				continue
 			}
 			// Stale updates are idempotently ignored by ApplyCommitted;
 			// anything else indicates a protocol bug.
 			panic("replica: commit apply failed: " + err.Error())
 		}
+	}
+	if len(gapped) > 0 {
+		s.requestSync(gapped, m.Origin)
 	}
 	// This commit may have filled the gap ahead of earlier out-of-order
 	// arrivals (jittered links do not preserve FIFO).
@@ -846,20 +850,21 @@ func (s *Server) handleCommit(m *CommitMsg) {
 func (s *Server) updateShards(updates []store.Update) []int {
 	var out []int
 	for _, u := range updates {
-		shrd := s.shardOf(u.Key)
-		found := false
-		for _, o := range out {
-			if o == shrd {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, shrd)
-		}
+		out = addShard(out, s.shardOf(u.Key))
 	}
-	sort.Ints(out)
 	return out
+}
+
+// addShard inserts shrd into the ascending set shards, if it is not there.
+func addShard(shards []int, shrd int) []int {
+	i := sort.SearchInts(shards, shrd)
+	if i < len(shards) && shards[i] == shrd {
+		return shards
+	}
+	shards = append(shards, 0)
+	copy(shards[i+1:], shards[i:])
+	shards[i] = shrd
+	return shards
 }
 
 // maxLastSeq returns the highest committed horizon across shards (trace
@@ -889,46 +894,71 @@ func (s *Server) handleAbort(m *AbortMsg) {
 	}
 }
 
-// RequestSync starts an anti-entropy round with the replica group of every
-// shard this server replicates: fetch the committed updates after the local
-// horizon. The cluster invokes it on every live server after a partition
-// heals, because a minority partition that missed final COMMIT broadcasts
-// has no sequence gap of its own to notice.
+// RequestSync starts an anti-entropy round: one request to every peer,
+// asking for the committed updates after the local horizon on every shard
+// the two replicate. The cluster invokes it on every live server after a
+// partition heals, because a minority partition that missed final COMMIT
+// broadcasts has no sequence gap of its own to notice.
 func (s *Server) RequestSync() {
 	if s.down {
 		return
 	}
-	for shrd := range s.shards {
-		s.requestSyncShard(shrd, runtime.None)
-	}
+	s.requestSync(s.allShards(), runtime.None)
 }
 
-// requestSyncShard asks origin (falling back to the whole replica group if
-// origin is the server itself) for one shard's updates after the local
-// horizon.
-func (s *Server) requestSyncShard(shrd int, origin runtime.NodeID) {
-	sd := s.shards[shrd]
-	if !sd.member {
-		return
-	}
-	req := &SyncRequest{From: s.id, Shard: shrd, Since: sd.st.LastSeq()}
+// requestSync asks for the updates after the local horizon on the given
+// shards (ascending): all of them from origin when origin is another
+// replica, otherwise from every peer, each asked in one request for exactly
+// the shards it shares with this server. Shards this server does not
+// replicate are never asked for.
+func (s *Server) requestSync(shards []int, origin runtime.NodeID) {
 	if origin != s.id && origin != runtime.None {
-		s.net.Send(runtime.Message{From: s.id, To: origin, Payload: req, Size: req.WireSize()})
+		s.sendSync(origin, shards, func(*shardState) bool { return true })
 		return
 	}
-	for _, p := range sd.peers {
-		s.net.Send(runtime.Message{From: s.id, To: p, Payload: req, Size: req.WireSize()})
+	for _, p := range s.peers {
+		s.sendSync(p, shards, func(sd *shardState) bool { return sd.replicatedBy(p) })
 	}
 }
 
-func (s *Server) handleSyncRequest(m *SyncRequest) {
-	if m.Shard < 0 || m.Shard >= len(s.shards) {
-		return
+// sendSync sends to one peer the request for the shards this server
+// replicates that want accepts; it sends nothing if there are none.
+func (s *Server) sendSync(to runtime.NodeID, shards []int, want func(*shardState) bool) {
+	req := &SyncRequest{From: s.id}
+	for _, shrd := range shards {
+		if sd := s.shards[shrd]; sd.member && want(sd) {
+			req.Shards = append(req.Shards, SyncSince{Shard: shrd, Since: sd.st.LastSeq()})
+		}
 	}
-	updates := s.shards[m.Shard].st.UpdatesSince(m.Since)
-	reply := &SyncReply{From: s.id, Shard: m.Shard, Updates: updates}
+	if len(req.Shards) > 0 {
+		s.net.Send(runtime.Message{From: s.id, To: to, Payload: req, Size: req.WireSize()})
+	}
+}
+
+// replicatedBy reports whether peer is in the shard's replica group.
+func (sd *shardState) replicatedBy(peer runtime.NodeID) bool {
+	for _, p := range sd.peers {
+		if p == peer {
+			return true
+		}
+	}
+	return false
+}
+
+// handleSyncRequest answers one peer's request with a section for every
+// requested shard it has news on, and its gone set once.
+func (s *Server) handleSyncRequest(m *SyncRequest) {
+	reply := &SyncReply{From: s.id}
+	for _, e := range m.Shards {
+		if e.Shard < 0 || e.Shard >= len(s.shards) || !s.shards[e.Shard].member {
+			continue
+		}
+		if updates := s.shards[e.Shard].st.UpdatesSince(e.Since); len(updates) > 0 {
+			reply.Sections = append(reply.Sections, SyncSection{Shard: e.Shard, Updates: updates})
+		}
+	}
 	reply.Marks, reply.Gone = s.gone.Export()
-	if len(updates) == 0 && len(reply.Marks) == 0 && len(reply.Gone) == 0 {
+	if len(reply.Sections) == 0 && len(reply.Marks) == 0 && len(reply.Gone) == 0 {
 		return
 	}
 	s.net.Send(runtime.Message{From: s.id, To: m.From, Payload: reply, Size: reply.WireSize()})
@@ -952,31 +982,38 @@ func (s *Server) drainBacklog(shrd int) bool {
 	}
 }
 
+// handleSyncReply applies and drains every section of a peer's reply,
+// absorbs its gone set once, and wakes the residents of the shards that
+// moved (everybody, if the gone set grew).
 func (s *Server) handleSyncReply(m *SyncReply) {
-	if m.Shard < 0 || m.Shard >= len(s.shards) {
-		return
-	}
-	sd := s.shards[m.Shard]
-	applied := false
-	for _, u := range m.Updates {
-		if err := sd.st.ApplyCommitted(u); err == nil && u.Seq == sd.st.LastSeq() {
-			applied = true
+	var touched []int
+	for _, sec := range m.Sections {
+		if sec.Shard < 0 || sec.Shard >= len(s.shards) || !s.shards[sec.Shard].member {
+			continue
 		}
-	}
-	if s.drainBacklog(m.Shard) {
-		applied = true
+		sd := s.shards[sec.Shard]
+		applied := false
+		for _, u := range sec.Updates {
+			if err := sd.st.ApplyCommitted(u); err == nil && u.Seq == sd.st.LastSeq() {
+				applied = true
+			}
+		}
+		if s.drainBacklog(sec.Shard) || applied {
+			touched = addShard(touched, sec.Shard)
+		}
 	}
 	mutated := s.absorb(m.Marks, m.Gone)
-	if applied || mutated {
-		s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), "", trace.ServerSynced, "seq now %d", sd.st.LastSeq())
-		if mutated {
-			s.notify()
-		} else {
-			s.notifyShards([]int{m.Shard})
-		}
-		if s.journal != nil {
-			s.journal.MaybeCompact()
-		}
+	if len(touched) == 0 && !mutated {
+		return
+	}
+	s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), "", trace.ServerSynced, "seq now %d", s.maxLastSeq())
+	if mutated {
+		s.notify()
+	} else {
+		s.notifyShards(touched)
+	}
+	if s.journal != nil {
+		s.journal.MaybeCompact()
 	}
 }
 

@@ -216,13 +216,20 @@ func (ReadRep) Kind() string { return "read-rep" }
 // WireSize returns the modelled size of the message.
 func (ReadRep) WireSize() int { return 96 }
 
-// SyncRequest asks a peer for one shard's committed updates after Since —
-// the paper's "background information transfer", used by replicas
-// recovering from a failure or detecting a sequence gap. Shards journal and
-// sync independently (the shard-isolation invariant): a recovering replica
-// issues one request per shard it replicates.
+// SyncRequest is one anti-entropy exchange with one peer — the paper's
+// "background information transfer", used by replicas recovering from a
+// failure, healing from a partition, or detecting a sequence gap. Shards
+// journal and sync independently (the shard-isolation invariant), so the
+// request names a horizon per shard: one entry for every shard the sender
+// wants from this peer, which is at most the shards the two share. A server
+// sends one request per peer, however many shards it replicates.
 type SyncRequest struct {
-	From  runtime.NodeID
+	From   runtime.NodeID
+	Shards []SyncSince // ascending shard order
+}
+
+// SyncSince asks for one shard's committed updates after Since.
+type SyncSince struct {
 	Shard int
 	Since uint64
 }
@@ -230,24 +237,45 @@ type SyncRequest struct {
 // Kind implements runtime.Kinder.
 func (SyncRequest) Kind() string { return "sync-req" }
 
-// WireSize returns the modelled size of the message.
-func (SyncRequest) WireSize() int { return 32 }
+// WireSize returns the modelled size of the message: a one-shard request
+// costs what the unsharded protocol's did, every further shard 8 bytes.
+func (m SyncRequest) WireSize() int {
+	n := 32
+	if len(m.Shards) > 1 {
+		n += 8 * (len(m.Shards) - 1)
+	}
+	return n
+}
 
-// SyncReply carries one shard's missing updates, in order, plus the
-// sender's gone set (residue and watermarks) so the recovering replica can
-// prune stale lock information too.
+// SyncReply answers a SyncRequest: one section of missing updates, in
+// order, for every requested shard that has news, plus the sender's gone
+// set (residue and watermarks) once — it is per server, not per shard — so
+// the recovering replica can prune stale lock information too.
 type SyncReply struct {
-	From    runtime.NodeID
+	From     runtime.NodeID
+	Sections []SyncSection // ascending shard order
+	Gone     []agent.ID
+	Marks    []agent.Watermark
+}
+
+// SyncSection is one shard's updates in a SyncReply.
+type SyncSection struct {
 	Shard   int
 	Updates []store.Update
-	Gone    []agent.ID
-	Marks   []agent.Watermark
 }
 
 // Kind implements runtime.Kinder.
 func (SyncReply) Kind() string { return "sync-reply" }
 
-// WireSize returns the modelled size of the message.
+// WireSize returns the modelled size of the message: a one-section reply
+// costs what the unsharded protocol's did, every further section 8 bytes.
 func (m SyncReply) WireSize() int {
-	return 32 + 96*len(m.Updates) + agent.GoneWireSize(m.Marks, m.Gone)
+	n := 32 + agent.GoneWireSize(m.Marks, m.Gone)
+	for _, sec := range m.Sections {
+		n += 96 * len(sec.Updates)
+	}
+	if len(m.Sections) > 1 {
+		n += 8 * (len(m.Sections) - 1)
+	}
+	return n
 }

@@ -57,46 +57,8 @@ func init() {
 		func(r *wire.Reader) any {
 			return &ReadRep{ReqID: r.Uvarint(), From: runtime.NodeID(r.Varint()), Found: r.Bool(), Value: decodeValue(r)}
 		})
-	wire.Register(tagSyncRequest, &SyncRequest{},
-		func(b []byte, v any) []byte {
-			m := v.(*SyncRequest)
-			b = wire.AppendVarint(b, int64(m.From))
-			b = wire.AppendVarint(b, int64(m.Shard))
-			return wire.AppendUvarint(b, m.Since)
-		},
-		func(r *wire.Reader) any {
-			return &SyncRequest{From: runtime.NodeID(r.Varint()), Shard: int(r.Varint()), Since: r.Uvarint()}
-		})
-	wire.Register(tagSyncReply, &SyncReply{},
-		func(b []byte, v any) []byte {
-			m := v.(*SyncReply)
-			b = wire.AppendVarint(b, int64(m.From))
-			b = wire.AppendVarint(b, int64(m.Shard))
-			b = wire.AppendUvarint(b, uint64(len(m.Updates)))
-			for i := range m.Updates {
-				b = AppendUpdate(b, m.Updates[i])
-			}
-			b = wire.AppendUvarint(b, uint64(len(m.Gone)))
-			for _, id := range m.Gone {
-				b = agent.AppendID(b, id)
-			}
-			return agent.AppendWatermarks(b, m.Marks)
-		},
-		func(r *wire.Reader) any {
-			m := &SyncReply{From: runtime.NodeID(r.Varint()), Shard: int(r.Varint())}
-			n := r.Count(5)
-			m.Updates = make([]store.Update, 0, n)
-			for i := 0; i < n; i++ {
-				m.Updates = append(m.Updates, DecodeUpdate(r))
-			}
-			n = r.Count(3)
-			m.Gone = make([]agent.ID, 0, n)
-			for i := 0; i < n; i++ {
-				m.Gone = append(m.Gone, agent.DecodeID(r))
-			}
-			m.Marks = agent.DecodeWatermarksInto(nil, r)
-			return m
-		})
+	wire.Register(tagSyncRequest, &SyncRequest{}, encSyncRequest, decSyncRequest)
+	wire.Register(tagSyncReply, &SyncReply{}, encSyncReply, decSyncReply)
 	// LLChanged travels as a value (it is a local event, but registered for
 	// the wire like the rest of the set).
 	wire.Register(tagLLChanged, LLChanged{},
@@ -237,6 +199,74 @@ func decCommitMsg(r *wire.Reader) any {
 	for i := 0; i < n; i++ {
 		m.Updates = append(m.Updates, DecodeUpdate(r))
 	}
+	return m
+}
+
+// A SyncRequest is the sender and a count of (shard, since) entries; a
+// SyncReply the sender, a count of sections — each a shard and its counted
+// updates — and the gone set once (residue, then watermarks). Both layouts
+// date from wire.Version 4; before it each message named one shard.
+
+func encSyncRequest(b []byte, v any) []byte {
+	m := v.(*SyncRequest)
+	b = wire.AppendVarint(b, int64(m.From))
+	b = wire.AppendUvarint(b, uint64(len(m.Shards)))
+	for _, e := range m.Shards {
+		b = wire.AppendVarint(b, int64(e.Shard))
+		b = wire.AppendUvarint(b, e.Since)
+	}
+	return b
+}
+
+func decSyncRequest(r *wire.Reader) any {
+	m := &SyncRequest{From: runtime.NodeID(r.Varint())}
+	if n := r.Count(2); n > 0 {
+		m.Shards = make([]SyncSince, n)
+		for i := range m.Shards {
+			m.Shards[i] = SyncSince{Shard: int(r.Varint()), Since: r.Uvarint()}
+		}
+	}
+	return m
+}
+
+func encSyncReply(b []byte, v any) []byte {
+	m := v.(*SyncReply)
+	b = wire.AppendVarint(b, int64(m.From))
+	b = wire.AppendUvarint(b, uint64(len(m.Sections)))
+	for _, sec := range m.Sections {
+		b = wire.AppendVarint(b, int64(sec.Shard))
+		b = wire.AppendUvarint(b, uint64(len(sec.Updates)))
+		for i := range sec.Updates {
+			b = AppendUpdate(b, sec.Updates[i])
+		}
+	}
+	b = wire.AppendUvarint(b, uint64(len(m.Gone)))
+	for _, id := range m.Gone {
+		b = agent.AppendID(b, id)
+	}
+	return agent.AppendWatermarks(b, m.Marks)
+}
+
+func decSyncReply(r *wire.Reader) any {
+	m := &SyncReply{From: runtime.NodeID(r.Varint())}
+	if n := r.Count(2); n > 0 {
+		m.Sections = make([]SyncSection, n)
+		for i := range m.Sections {
+			sec := &m.Sections[i]
+			sec.Shard = int(r.Varint())
+			k := r.Count(5)
+			sec.Updates = make([]store.Update, 0, k)
+			for j := 0; j < k; j++ {
+				sec.Updates = append(sec.Updates, DecodeUpdate(r))
+			}
+		}
+	}
+	n := r.Count(3)
+	m.Gone = make([]agent.ID, 0, n)
+	for i := 0; i < n; i++ {
+		m.Gone = append(m.Gone, agent.DecodeID(r))
+	}
+	m.Marks = agent.DecodeWatermarksInto(nil, r)
 	return m
 }
 

@@ -180,14 +180,7 @@ func (f *Fabric) Reachable(from, to runtime.NodeID) bool {
 func (f *Fabric) NetStats() runtime.NetStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := f.stats
-	if f.stats.ByKind != nil {
-		s.ByKind = make(map[string]int, len(f.stats.ByKind))
-		for k, v := range f.stats.ByKind {
-			s.ByKind[k] = v
-		}
-	}
-	return s
+	return f.stats.Clone()
 }
 
 // Send transmits msg: locally injected when the destination handler lives
@@ -203,14 +196,7 @@ func (f *Fabric) Send(msg runtime.Message) {
 		panic(fmt.Sprintf("live: payload type %T has no wire codec", msg.Payload))
 	}
 	f.mu.Lock()
-	f.stats.MessagesSent++
-	f.stats.BytesSent += msg.Size
-	if k, ok := msg.Payload.(runtime.Kinder); ok {
-		if f.stats.ByKind == nil {
-			f.stats.ByKind = make(map[string]int)
-		}
-		f.stats.ByKind[k.Kind()]++
-	}
+	f.stats.CountSent(msg)
 	if f.cutLocked(msg.From, msg.To) {
 		f.stats.MessagesDropped++
 		f.mu.Unlock()

@@ -86,7 +86,43 @@ type NetStats struct {
 	MessagesDuplicated int // delivered twice by the fault model
 	QueueDrops         int // live fabric only: a full per-peer writer queue ate it
 	BytesSent          int
-	ByKind             map[string]int
+	ByKind             map[string]int // messages sent, per Kinder kind
+	BytesByKind        map[string]int // modelled bytes sent, per Kinder kind
+}
+
+// CountSent charges one sent message to the counters: the totals, and its
+// kind's share when the payload names one.
+func (s *NetStats) CountSent(msg Message) {
+	s.MessagesSent++
+	s.BytesSent += msg.Size
+	k, ok := msg.Payload.(Kinder)
+	if !ok {
+		return
+	}
+	if s.ByKind == nil {
+		s.ByKind = make(map[string]int)
+		s.BytesByKind = make(map[string]int)
+	}
+	s.ByKind[k.Kind()]++
+	s.BytesByKind[k.Kind()] += msg.Size
+}
+
+// Clone returns a copy that shares no map with s.
+func (s NetStats) Clone() NetStats {
+	s.ByKind = cloneCounts(s.ByKind)
+	s.BytesByKind = cloneCounts(s.BytesByKind)
+	return s
+}
+
+func cloneCounts(m map[string]int) map[string]int {
+	if m == nil {
+		return nil
+	}
+	out := make(map[string]int, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
 }
 
 // Fabric is the message-passing surface the protocol layers run on: the

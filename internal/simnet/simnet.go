@@ -172,14 +172,7 @@ func (n *Network) Send(msg Message) {
 	if msg.From == None || msg.To == None {
 		panic(fmt.Sprintf("simnet: message with unset endpoints %+v", msg))
 	}
-	n.stats.MessagesSent++
-	n.stats.BytesSent += msg.Size
-	if k, ok := msg.Payload.(Kinder); ok {
-		if n.stats.ByKind == nil {
-			n.stats.ByKind = make(map[string]int)
-		}
-		n.stats.ByKind[k.Kind()]++
-	}
+	n.stats.CountSent(msg)
 	if !n.Reachable(msg.From, msg.To) {
 		n.stats.MessagesDropped++
 		return
@@ -234,16 +227,7 @@ func (n *Network) SetExtraLoss(p float64) {
 }
 
 // Stats returns a copy of the traffic counters.
-func (n *Network) Stats() Stats {
-	s := n.stats
-	if n.stats.ByKind != nil {
-		s.ByKind = make(map[string]int, len(n.stats.ByKind))
-		for k, v := range n.stats.ByKind {
-			s.ByKind[k] = v
-		}
-	}
-	return s
-}
+func (n *Network) Stats() Stats { return n.stats.Clone() }
 
 // ResetStats zeroes the traffic counters (used between benchmark phases).
 func (n *Network) ResetStats() { n.stats = Stats{} }

@@ -38,8 +38,10 @@ import (
 // anything else) loudly instead of mis-decoding them. Version 2 added the
 // gone-set watermarks to LockInfo, SyncReply and the agent's WireState;
 // version 3 gave the reliable layer's frames (tags 40-41) a floor and a
-// cumulative acknowledgement.
-const Version = 3
+// cumulative acknowledgement; version 4 made anti-entropy one exchange per
+// peer, a SyncRequest (tag 16) naming every shard and a SyncReply (tag 17)
+// carrying a section per shard.
+const Version = 4
 
 // Preamble is what a wire-codec connection starts with: a magic, then the
 // format version.

@@ -60,12 +60,16 @@ func corpusMessages() []any {
 		&replica.AbortMsg{Txn: id, Attempt: 2},
 		&replica.ReadReq{ReqID: 77, From: 2, Key: "alpha"},
 		&replica.ReadRep{ReqID: 77, From: 2, Found: true, Value: store.Value{Data: "v", Version: store.Version{Seq: 1}}},
-		&replica.SyncRequest{From: 2, Shard: 5, Since: 3},
-		&replica.SyncReply{From: 2, Shard: 5, Updates: []store.Update{{TxnID: "t2", Key: "k", Data: "w", Seq: 5, Stamp: 13}}, Gone: []agent.ID{id2}},
+		&replica.SyncRequest{From: 2, Shards: []replica.SyncSince{{Shard: 0, Since: 9}, {Shard: 5, Since: 3}}},
+		&replica.SyncReply{From: 2, Sections: []replica.SyncSection{{Shard: 5, Updates: []store.Update{{TxnID: "t2", Key: "k", Data: "w", Seq: 5, Stamp: 13}}}}, Gone: []agent.ID{id2}},
 		replica.LLChanged{Server: 2},
 		replica.LLChanged{Server: 2, Shards: []int{1, 5, 63}},
 		&core.OutcomeMsg{Outcome: core.Outcome{Agent: id, Home: 3, Failed: true}},
-		&replica.SyncReply{From: 2, Shard: 5, Marks: []agent.Watermark{{Home: 2, Since: -5, Upto: agent.Mark{Born: math.MaxInt64, Seq: math.MaxUint64}, Count: math.MaxUint64}}},
+		&replica.SyncReply{From: 2, Marks: []agent.Watermark{{Home: 2, Since: -5, Upto: agent.Mark{Born: math.MaxInt64, Seq: math.MaxUint64}, Count: math.MaxUint64}}},
+		&replica.SyncReply{From: 4, Sections: []replica.SyncSection{
+			{Shard: 1, Updates: []store.Update{{TxnID: "t3", Key: "a", Data: "x", Seq: 2, Stamp: 21}, {TxnID: "t4", Key: "b", Data: "y", Seq: 3, Stamp: 22}}},
+			{Shard: 15, Updates: []store.Update{{TxnID: "t5", Key: "c", Data: "z", Seq: 1, Stamp: 23}}},
+		}, Gone: []agent.ID{id, id2}, Marks: []agent.Watermark{{Home: 1, Upto: agent.Mark{Born: 99, Seq: 7}, Count: 6}}},
 	}
 }
 
@@ -179,6 +183,10 @@ func TestCorruptInputSafety(t *testing.T) {
 		// and agent state now carries, and for one cut off mid-entry.
 		{"hostile watermark count", append(wire.AppendUvarint(nil, 1<<60), 1, 2, 3), func(r *wire.Reader) { agent.DecodeWatermarksInto(nil, r) }},
 		{"truncated watermark", []byte{1, 2, 0, 0x80}, func(r *wire.Reader) { agent.DecodeWatermarksInto(nil, r) }},
+		// A sync request's shard list and a sync reply's section list, each
+		// announcing 2^60 entries over three bytes.
+		{"hostile sync shard count", hostileSync(16), func(r *wire.Reader) { wire.DecodeMessage(r) }},
+		{"hostile sync section count", hostileSync(17), func(r *wire.Reader) { wire.DecodeMessage(r) }},
 	}
 	for _, tc := range cases {
 		r := wire.NewReader(tc.data)
@@ -199,6 +207,67 @@ func TestCorruptInputSafety(t *testing.T) {
 	r.Uvarint()
 	if err := r.Finish(); err == nil {
 		t.Fatal("trailing bytes not rejected")
+	}
+}
+
+// hostileSync is a tag-16 or tag-17 frame from node 2 whose first count —
+// the request's shard list, the reply's section list — is 2^60.
+func hostileSync(tag byte) []byte {
+	return append(wire.AppendUvarint([]byte{tag, 4}, 1<<60), 1, 2, 3)
+}
+
+// TestHostileSyncCountIsNeverAllocated: the shard and section counts are
+// checked against the bytes that remain before anything is allocated for
+// them, so decoding a hostile frame costs the same few allocations however
+// large the count it announces.
+func TestHostileSyncCountIsNeverAllocated(t *testing.T) {
+	for _, tag := range []byte{16, 17} {
+		frame := hostileSync(tag)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := wire.DecodeMessage(wire.NewReader(frame)); err == nil {
+				t.Fatalf("tag %d: hostile count accepted", tag)
+			}
+		})
+		// The reader, the message shell and the formatted error: a
+		// constant, where a trusted count would have asked for 2^60 entries.
+		if allocs > 8 {
+			t.Fatalf("tag %d: refusing a hostile count allocated %.0f times", tag, allocs)
+		}
+	}
+}
+
+// TestSyncLayoutsRoundTrip decodes the per-peer anti-entropy messages field
+// by field: a request over several shards, a reply with several sections,
+// and a reply that carries no updates at all, only the gone set.
+func TestSyncLayoutsRoundTrip(t *testing.T) {
+	id := agent.ID{Home: 3, Born: 123456789, Seq: 42}
+	marks := []agent.Watermark{{Home: 1, Upto: agent.Mark{Born: 99, Seq: 7}, Count: 6}}
+	for _, msg := range []any{
+		&replica.SyncRequest{From: 5, Shards: []replica.SyncSince{{Shard: 0, Since: 0}, {Shard: 3, Since: 17}, {Shard: 15, Since: 1 << 40}}},
+		&replica.SyncReply{From: 1, Sections: []replica.SyncSection{
+			{Shard: 2, Updates: []store.Update{{TxnID: "t1", Key: "a", Data: "x", Seq: 8, Stamp: 3}}},
+			{Shard: 9, Updates: []store.Update{{TxnID: "t2", Key: "b", Data: "y", Seq: 1, Stamp: 4}, {TxnID: "t3", Key: "c", Data: "z", Seq: 2, Stamp: 5}}},
+		}, Gone: []agent.ID{id}, Marks: marks},
+		&replica.SyncReply{From: 1, Gone: []agent.ID{id}, Marks: marks},
+	} {
+		buf, err := wire.AppendMessage(nil, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(buf)
+		back, err := wire.DecodeMessage(r)
+		if err != nil || r.Finish() != nil {
+			t.Fatalf("%T: decode: %v %v", msg, err, r.Finish())
+		}
+		if !reflect.DeepEqual(back, msg) {
+			t.Fatalf("%T round trip changed value:\nsent %+v\ngot  %+v", msg, msg, back)
+		}
+		for cut := 1; cut < len(buf); cut++ {
+			r := wire.NewReader(buf[:cut])
+			if _, err := wire.DecodeMessage(r); err == nil && r.Finish() == nil {
+				t.Fatalf("%T cut to %d of %d bytes accepted", msg, cut, len(buf))
+			}
+		}
 	}
 }
 
