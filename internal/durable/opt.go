@@ -2,7 +2,7 @@ package durable
 
 // The optimistic commitment protocol (internal/optimistic) journals through
 // its own record vocabulary, mirroring its three-state update lifecycle —
-// tentative, stable, aborted — plus the Lamport-clock high-water mark that
+// tentative, stable, aborted — plus the hybrid-clock high-water mark that
 // keeps stamps monotone across restarts. The barrier discipline encodes the
 // protocol's two recovery promises:
 //
@@ -20,12 +20,15 @@ package durable
 //     self-report leaves. Peers drop an action for good once every frontier
 //     has passed it; nobody could hand it back;
 //   - a restored clock is never below any clock the replica advertised:
-//     clock records persist a strided high-water mark (the recRelNext
-//     pattern), barrier'd before the advertisement leaves the node.
+//     clock records persist a high-water mark ahead of the clock (the
+//     recRelNext pattern), durable before the advertisement leaves the
+//     node — behind an own tentative's barrier while the replica submits,
+//     behind a barrier of their own while it does not.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/store"
@@ -38,13 +41,17 @@ const (
 	recOptTent   byte = 10 // optimistic tentative update (+guard, +deps); barrier iff own
 	recOptStable byte = 11 // update promoted into the stable prefix (commit barrier)
 	recOptAbort  byte = 12 // tentative update aborted by the election (guard loser); barrier iff it ends the batch
-	recOptClock  byte = 13 // Lamport-clock high-water mark (commit barrier)
+	recOptClock  byte = 13 // clock high-water mark (commit barrier)
 )
 
-// optClockStride is how coarsely the Lamport clock is journaled: one record
-// every stride ticks, restored rounded up a full stride. Stamps only need
-// to be monotone, so over-approximating after a crash is free.
-const optClockStride = 64
+// optClockSpan is how coarsely the clock is journaled. The optimistic tier's
+// clock is a hybrid logical clock in nanoseconds, so it crosses any fixed
+// number of ticks with every report; a span of time costs about one clock
+// record per second per replica. A replica that submits pays no fsync for
+// them (Tentative), an idle one one per second, and a restart resumes at
+// most two spans ahead. Stamps only need to be monotone, so
+// over-approximating after a crash costs nothing but that head start.
+const optClockSpan = int64(time.Second)
 
 // OptRecord is one tentative action as journaled: the update plus the
 // constraint metadata the election needs (the CAS guard and the notAfter
@@ -214,7 +221,16 @@ func (j *OptJournal) append(typ byte, data []byte, commit bool) {
 // replica's OWN submissions: the record must be durable before the action
 // is advertised, or a crashed origin could re-mint an OSeq peers already
 // hold under different contents.
+//
+// An own action's stamp is the clock at its submit, and its barrier is paid
+// for anyway: once the stamp comes within a span of the clock's high-water
+// mark, the mark moves a span past the stamp in a record the same fsync
+// covers, so the reports that follow stay below it and need no barrier of
+// their own.
 func (j *OptJournal) Tentative(rec OptRecord, barrier bool) {
+	if barrier && rec.U.Stamp >= j.clockHi-optClockSpan {
+		j.raiseClock(rec.U.Stamp+optClockSpan, false)
+	}
 	j.append(recOptTent, encodeOptRecord(rec), barrier)
 }
 
@@ -232,16 +248,20 @@ func (j *OptJournal) Abort(txnID string, barrier bool) {
 	j.append(recOptAbort, encodeString(txnID), barrier)
 }
 
-// Clock persists the Lamport clock's strided high-water mark. Callers must
-// invoke it before advertising a clock value; restarts restore a clock at
-// least as high as anything ever advertised. Below the journaled high
-// water it is free.
+// Clock persists the clock's high-water mark, the next whole span above c.
+// Callers must invoke it before advertising a clock value; restarts restore
+// a clock at least as high as anything ever advertised. Below the journaled
+// high water it is free.
 func (j *OptJournal) Clock(c int64) {
 	if c < j.clockHi {
 		return
 	}
-	j.clockHi = (c/optClockStride + 1) * optClockStride
-	j.append(recOptClock, encodeVarint(j.clockHi), true)
+	j.raiseClock(c, true)
+}
+
+func (j *OptJournal) raiseClock(c int64, barrier bool) {
+	j.clockHi = (c/optClockSpan + 1) * optClockSpan
+	j.append(recOptClock, encodeVarint(j.clockHi), barrier)
 }
 
 // SetSource registers the snapshot contributor used by compaction.

@@ -3,6 +3,7 @@ package durable
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/store"
@@ -41,7 +42,7 @@ func TestOptJournalReplayLifecycle(t *testing.T) {
 	stable.U.Seq = 1
 	j.Stable(stable)
 	j.Abort(loser.U.TxnID, false)
-	j.Clock(100)
+	j.Clock(int64(1500 * time.Millisecond))
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -62,9 +63,40 @@ func TestOptJournalReplayLifecycle(t *testing.T) {
 	if len(st.Aborted) != 1 || st.Aborted[0].U != loser.U {
 		t.Fatalf("Aborted = %+v, want the full loser record", st.Aborted)
 	}
-	// Clock(100) journals the next stride boundary above 100.
-	if st.ClockHi != 128 {
-		t.Fatalf("ClockHi = %d, want 128", st.ClockHi)
+	// A clock of 1.5 s journals the next whole second above it.
+	if want := int64(2 * time.Second); st.ClockHi != want {
+		t.Fatalf("ClockHi = %d, want %d", st.ClockHi, want)
+	}
+}
+
+// TestOptClockBarrierIsOncePerSecond: the clock is a hybrid clock in
+// nanoseconds, advertised with every report. Ten seconds of reports every
+// 50 ms from an idle replica cost ten clock barriers, whatever the clock's
+// resolution; from a replica that submits between them they cost none —
+// its own tentatives' barriers carry the mark — and either way a power cut
+// restores a clock above every one advertised.
+func TestOptClockBarrierIsOncePerSecond(t *testing.T) {
+	const step = int64(50*time.Millisecond) + 7
+	for _, submitting := range []bool{false, true} {
+		b := disk.NewMem()
+		j, _ := openOpt(t, b, OptOptions{})
+		tentatives, advertised := 0, int64(0)
+		for c := int64(0); c < int64(10*time.Second); c += step {
+			if submitting {
+				tentatives++
+				j.Tentative(optRec(fmt.Sprintf("o001-s000-%09d", tentatives), "k", "v", c, ""), true)
+			}
+			j.Clock(c + step/2)
+			advertised = c + step/2
+		}
+		if got, want := b.Stats().Syncs-tentatives, map[bool]int{false: 10, true: 0}[submitting]; got != want {
+			t.Errorf("submitting=%v: 10 s of reports cost %d clock barriers, want %d", submitting, got, want)
+		}
+		j.Kill()
+		b.Crash()
+		if _, st := openOpt(t, b, OptOptions{}); st.ClockHi <= advertised {
+			t.Errorf("submitting=%v: restored clock %d, advertised %d", submitting, st.ClockHi, advertised)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ import (
 //     is needed: every gossip round re-advertises and re-carries whatever
 //     the destination still lacks, so loss stretches the stability lag and
 //     nothing else. Every cell must converge to one digest-verified stable
-//     prefix.
+//     prefix, and every cell to the same one.
 //   - A10c (live engine): three replica processes over loopback TCP, MARP
 //     vs optimistic, wall clock. Machine-dependent like A8's live table;
 //     the shape — tentative ALT orders of magnitude under lock ALT — is
@@ -264,14 +264,15 @@ func optLossDES(o FigureOptions) (*metrics.Table, error) {
 		Title: "Ablation A10b: optimistic commitment under WAN message loss (simulator)",
 		Note: "no retransmission layer: each gossip round re-advertises and re-carries what the " +
 			"destination lacks, so loss stretches the stability lag, not the commit set; the digest " +
-			"is the cell's converged stable prefix, held identically by all 5 replicas (the order can " +
-			"shift across loss levels — Lamport stamps see different gossip interleavings — but " +
-			"within a cell it cannot differ between replicas)",
+			"is the cell's converged stable prefix, held identically by all 5 replicas, and the same " +
+			"in every row: hybrid-clock stamps make the stable order the submit order, whatever the " +
+			"gossip interleaving",
 		Columns: []string{"loss", "committed", "stable lag (ms)", "rollbacks", "gossip hops", "lost", "stable digest"},
 	}
 	// One seed for all rows: the workload is identical, so the committed
-	// column demonstrates the claim directly — loss moves the lag, never
-	// the commit set.
+	// and digest columns demonstrate the claim directly — loss moves the
+	// lag, never the commit set or its order.
+	var digest string
 	for _, loss := range []float64{0, 0.10, 0.30} {
 		res, err := runOptimisticDES(OptRunConfig{
 			N: 5, Seed: o.Seed, Latency: WAN, Loss: loss,
@@ -279,6 +280,11 @@ func optLossDES(o FigureOptions) (*metrics.Table, error) {
 		})
 		if err != nil {
 			return nil, fmt.Errorf("a10b loss=%.2f: %w", loss, err)
+		}
+		if digest == "" {
+			digest = res.Digest
+		} else if res.Digest != digest {
+			return nil, fmt.Errorf("a10b loss=%.2f: stable digest %s, the lossless run's is %s", loss, res.Digest, digest)
 		}
 		tbl.AddRow(
 			fmt.Sprintf("%.0f%%", loss*100),

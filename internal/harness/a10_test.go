@@ -77,6 +77,42 @@ func TestA10LossGridConverges(t *testing.T) {
 	}
 }
 
+// TestStableOrderIgnoresTheNetwork: A10b's workload, at 0 %, 10 % and
+// 30 % WAN loss and once on a LAN, ends with one stable digest in every
+// run. Stamps are hybrid clock readings, and on the simulator every replica
+// reads the same physical time, so the stable order is the submit order —
+// how gossip happened to interleave decides when an action becomes stable,
+// never where it lands. (Under Lamport stamps each of these runs elected
+// its own order.)
+func TestStableOrderIgnoresTheNetwork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs lossy WAN simulations")
+	}
+	var want string
+	for _, cell := range []struct {
+		env  LatencyPreset
+		loss float64
+	}{{WAN, 0}, {WAN, 0.10}, {WAN, 0.30}, {LAN, 0}} {
+		res, err := runOptimisticDES(OptRunConfig{
+			N: 5, Seed: 1, Latency: cell.env, Loss: cell.loss,
+			RequestsPerServer: 60, Mean: 50 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatalf("%s loss=%.2f: %v", cell.env, cell.loss, err)
+		}
+		if res.Committed != 5*60 {
+			t.Fatalf("%s loss=%.2f: committed %d of %d", cell.env, cell.loss, res.Committed, 5*60)
+		}
+		if want == "" {
+			want = res.Digest
+		}
+		if res.Digest != want {
+			t.Errorf("%s loss=%.0f%%: stable digest %s, the first run's is %s", cell.env, cell.loss*100, res.Digest, want)
+		}
+		t.Logf("%s loss=%.0f%%: stable lag %v, digest %s", cell.env, cell.loss*100, res.StableLag, res.Digest)
+	}
+}
+
 // TestChaosOptimisticCell runs the harshest chaos-grid cell (30%% loss +
 // churn: minority partition, loss burst, crash blip on a Mem-journaled
 // replica) and requires the single digest-verified stable prefix.
@@ -120,7 +156,7 @@ func stableTxnSet(t *testing.T, engine string, outs []optimistic.Outcome) []stri
 // are engine-independent (origin, shard, per-origin sequence), so equal
 // sets mean both engines elected exactly the same submissions; stable
 // ORDER is compared within each engine only (digests), because it hangs
-// off Lamport stamps, which depend on message interleaving and therefore
+// off hybrid-clock stamps, which read each engine's own time and therefore
 // legitimately differ between a simulated and a wall-clock run.
 func TestOptCrossEngineEquivalence(t *testing.T) {
 	if testing.Short() {

@@ -48,6 +48,9 @@ type Cluster struct {
 	reps  map[runtime.NodeID]*replica
 
 	backends map[runtime.NodeID]disk.Backend
+	// clockBase is added to the engine clock to form physical time (see
+	// AdvanceClock): zero under simulation, the wall clock's offset live.
+	clockBase int64
 
 	registry   *metrics.Registry
 	mSubmits   *metrics.Counter
@@ -120,6 +123,21 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 	}
 	return c, nil
 }
+
+// AdvanceClock makes physical time, which the replicas' hybrid clocks never
+// read below, at least min from now on; it keeps advancing with the engine
+// clock from there. A live node calls it with the wall clock, so that the
+// processes of a cluster share one physical time although each engine clock
+// starts at zero with its process. Safety never depends on it: a clock that
+// lags only makes stability wait as it would under plain Lamport clocks.
+func (c *Cluster) AdvanceClock(min int64) {
+	if base := min - int64(c.eng.Now()); base > c.clockBase {
+		c.clockBase = base
+	}
+}
+
+// physical is the time the hybrid clocks track, in nanoseconds.
+func (c *Cluster) physical() int64 { return int64(c.eng.Now()) + c.clockBase }
 
 func (c *Cluster) armGossip(rep *replica, d time.Duration) {
 	c.eng.AfterFunc(d, func() {

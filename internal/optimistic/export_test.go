@@ -15,6 +15,9 @@ func (c *Cluster) Delivered(id runtime.NodeID) [][]uint64 {
 	return out
 }
 
+// Clock returns node id's hybrid clock.
+func (c *Cluster) Clock(id runtime.NodeID) int64 { return c.reps[id].clock }
+
 // Promised returns, per (shard, origin), how many of the origin's actions
 // node id may not lose in a crash: all of its own (an own tentative is a
 // barrier), and of a peer's as many as lie at or below the stable frontier

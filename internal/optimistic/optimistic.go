@@ -9,9 +9,10 @@
 // Lists before any replica applies an update — the optimistic protocol
 // commits every submit TENTATIVELY at the local replica immediately, at
 // local-disk latency. A mobile reconciliation agent then carries the
-// action and its constraints (the Lamport stamp that orders it, the
+// action and its constraints (the hybrid-clock stamp that orders it, the
 // notAfter dependency edges onto the same-key tentative updates its origin
-// observed, and an optional CAS guard) along a background ring itinerary.
+// observed, and an optional CAS guard) along a background itinerary that
+// visits every other replica once.
 // Replicas exchange constraint knowledge epidemically through these
 // agents, and a quorum-LESS, fully decentralised election promotes
 // tentative updates into an immutable stable prefix — every replica
@@ -20,13 +21,22 @@
 //
 // # The candidate order and the election
 //
-// Every action is stamped from its origin's Lamport clock and identified
-// by (origin, shard, oseq) — oseq a per-origin, per-shard contiguous
-// counter. The global candidate order per shard is (Stamp, TxnID), a total
-// order every replica computes identically; Lamport stamping makes it
-// causality-consistent, so an action's notAfter dependencies always sort
-// strictly before it and the order provably extends the constraint graph
-// the agents carry (accept asserts this).
+// Every action is stamped from its origin's hybrid logical clock and
+// identified by (origin, shard, oseq) — oseq a per-origin, per-shard
+// contiguous counter. The clock is a Lamport clock that also never reads
+// below physical time (the engine clock, plus a wall-clock base on a live
+// node, in nanoseconds): a submit stamps max(clock+1, physical), a
+// self-report first lifts the clock to physical, and every stamp or report
+// received merges in as before. The global candidate order per shard is
+// (Stamp, TxnID), a total order every replica computes identically; the
+// merge rule makes it causality-consistent, so an action's notAfter
+// dependencies always sort strictly before it and the order provably
+// extends the constraint graph the agents carry (accept asserts this).
+// Physical time only decides how soon: an origin's clock passes a peer's
+// stamp without first hearing of it, so stability waits for reports to
+// travel one way instead of a round trip, and where clocks agree the
+// stable order is the submit order. A lagging or skewed clock costs
+// latency, never safety — it degrades to plain Lamport stamping.
 //
 // A replica may promote the order's prefix up to a stability bound B once
 // it can prove it holds EVERY action any origin stamped at or below B.
@@ -46,11 +56,11 @@
 // already-staged tentative updates displaces them: their tentative
 // executions are void under the new order (`marp.opt.rollbacks` counts
 // them; reads scan the overlay, so nothing re-runs). Stability lags the
-// tentative commit by the gossip round-trip that collects evidence from every
-// origin (`marp.opt.stability_lag`): a partitioned or crashed origin
-// freezes the bound — tentative commits continue everywhere, but nothing
-// promotes until it returns. That is the protocol's availability trade,
-// measured against MARP in experiment A10.
+// tentative commit by the time a report made after the submit takes to
+// arrive from every origin (`marp.opt.stability_lag`): a partitioned or
+// crashed origin freezes the bound — tentative commits continue
+// everywhere, but nothing promotes until it returns. That is the
+// protocol's availability trade, measured against MARP in experiment A10.
 //
 // # Recovery
 //
@@ -60,7 +70,7 @@
 // Four barrier rules keep recovery sound — own tentatives fsync before
 // the gossip layer may advertise them, stable promotions fsync before
 // anything else leaves the node, so does the abort that ends an election
-// batch, and the Lamport clock journals a strided high-water mark before
+// batch, and the clock journals a high-water mark ahead of itself before
 // being advertised — so a restart never reuses an action identity, never
 // regresses an advertised clock, never drops or reorders the stable prefix
 // (DESIGN.md invariant 15) and never falls back behind a stable frontier it
@@ -99,7 +109,7 @@ type Action struct {
 	Origin runtime.NodeID
 	OSeq   uint64 // per-(origin, shard) contiguous counter, 1-based
 	Shard  int
-	Stamp  int64 // origin's Lamport clock at submit
+	Stamp  int64 // origin's hybrid clock at submit (nanoseconds)
 	Key    string
 	Data   string
 	// Guard is the optional CAS constraint: the TxnID the key's last
@@ -185,7 +195,7 @@ func (a Action) Update() store.Update {
 }
 
 // KnowEntry is one origin's self-report as carried by the agents: "my
-// Lamport clock read Clock; by then I had issued Counts[s] actions on
+// clock read Clock; by then I had issued Counts[s] actions on
 // shard s, had contiguously delivered Have[s][o-1] actions from origin
 // o, and had elected — durably — everything stamped at or below
 // Frontier[s]". Receivers credit the clock toward their stability frontier
@@ -261,16 +271,33 @@ func (*Recon) Kind() string { return "opt-recon" }
 // size (deterministic, so DES byte-identity holds).
 func (m *Recon) WireSize() int { return len(appendRecon(nil, m)) }
 
-// ring returns the itinerary for an agent launched at from: every other
-// node once, ascending from from+1 with wraparound — the deterministic
-// ring that staggers against other launchers' rings.
-func ring(from runtime.NodeID, n int) []runtime.NodeID {
+// itinerary returns the hops of the k-th agent launched at from (n ≥ 2):
+// from+s, from+2s, … around the ring of n nodes, where s is the
+// (k mod φ(n))-th stride coprime to n — so every itinerary visits every
+// other node exactly once, and a launcher's successive agents leave by
+// every such stride in turn. A fixed stride would carry knowledge one way
+// round the ring only, and a report would need most of a lap to reach the
+// node just behind its origin.
+func itinerary(from runtime.NodeID, n int, k uint64) []runtime.NodeID {
+	var strides []int
+	for s := 1; s < n; s++ {
+		if gcd(s, n) == 1 {
+			strides = append(strides, s)
+		}
+	}
+	s := strides[k%uint64(len(strides))]
 	out := make([]runtime.NodeID, 0, n-1)
 	for i := 1; i < n; i++ {
-		id := runtime.NodeID((int(from)-1+i)%n + 1)
-		out = append(out, id)
+		out = append(out, runtime.NodeID((int(from)-1+i*s)%n+1))
 	}
 	return out
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // DurabilityConfig arms optimistic replicas with stable storage, the

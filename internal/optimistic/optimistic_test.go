@@ -19,11 +19,18 @@ import (
 	"repro/internal/durable"
 	"repro/internal/optimistic"
 	"repro/internal/runtime"
+	"repro/internal/simnet"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
 
 func newSimCluster(t *testing.T, seed int64, n, shards int, durable bool) *desengine.OptCluster {
+	t.Helper()
+	return newSimClusterOn(t, seed, n, shards, durable, nil)
+}
+
+// newSimClusterOn is newSimCluster on the latency model lat (nil: the LAN).
+func newSimClusterOn(t *testing.T, seed int64, n, shards int, durable bool, lat simnet.LatencyModel) *desengine.OptCluster {
 	t.Helper()
 	cfg := optimistic.Config{N: n, Shards: shards, GossipInterval: 20 * time.Millisecond}
 	if durable {
@@ -34,11 +41,28 @@ func newSimCluster(t *testing.T, seed int64, n, shards int, durable bool) *desen
 			CompactEvery: 8,
 		}
 	}
-	cl, err := desengine.NewOptimistic(desengine.OptConfig{Seed: seed, Cluster: cfg})
+	cl, err := desengine.NewOptimistic(desengine.OptConfig{Seed: seed, Latency: lat, Cluster: cfg})
 	if err != nil {
 		t.Fatalf("NewOptimistic: %v", err)
 	}
 	return cl
+}
+
+// clockTap is a latency model that reads every agent handed to the network
+// on its way: the highest clock each replica has advertised in a
+// self-report.
+type clockTap struct {
+	simnet.LatencyModel
+	advertised map[runtime.NodeID]int64
+}
+
+func (c *clockTap) Sample(net *simnet.Network, msg simnet.Message) time.Duration {
+	for _, e := range msg.Payload.(*optimistic.Recon).Know {
+		if e.Node == msg.From {
+			c.advertised[e.Node] = max(c.advertised[e.Node], e.Clock)
+		}
+	}
+	return c.LatencyModel.Sample(net, msg)
 }
 
 func drain(t *testing.T, cl *desengine.OptCluster) {
@@ -211,7 +235,9 @@ func stableLogs(t *testing.T, cl *desengine.OptCluster, id runtime.NodeID, shard
 // them that way, and a second one hits the quiescent cluster at the end. A
 // recovered replica must restore every delivery its advertised frontier
 // stands for — its peers may have kept nothing of those but a count — and
-// at quiescence exactly the counters it had.
+// at quiescence exactly the counters it had; and a clock at least as high as
+// every clock it ever advertised and every stamp it ever issued, or it could
+// stamp an action below a bound its peers have already promoted past.
 func TestQuickStablePrefixSurvivesCrash(t *testing.T) {
 	const (
 		n      = 3
@@ -220,20 +246,35 @@ func TestQuickStablePrefixSurvivesCrash(t *testing.T) {
 	)
 	prop := func(seed int64) bool {
 		seed &= 0xffff // keep scenario space small and reproducible
-		cl := newSimCluster(t, seed, n, shards, true)
+		tap := &clockTap{LatencyModel: simnet.LAN(), advertised: map[runtime.NodeID]int64{}}
+		cl := newSimClusterOn(t, seed, n, shards, true, tap)
+		var issued int64 // the highest stamp the victim has issued
 		submit := func(i int) {
 			home := runtime.NodeID(i%n + 1)
 			if cl.Down(home) {
 				home = runtime.NodeID(int(home)%n + 1) // next node up
 			}
+			var txn string
 			var err error
 			if i%4 == 3 { // a race for one lock: every entrant but the first loses
-				_, err = cl.SubmitCAS(home, "lock", fmt.Sprintf("s%d-i%d", seed, i), optimistic.GuardUnwritten)
+				txn, err = cl.SubmitCAS(home, "lock", fmt.Sprintf("s%d-i%d", seed, i), optimistic.GuardUnwritten)
 			} else {
-				_, err = cl.Submit(home, fmt.Sprintf("k%d", i%5), fmt.Sprintf("s%d-i%d", seed, i))
+				txn, err = cl.Submit(home, fmt.Sprintf("k%d", i%5), fmt.Sprintf("s%d-i%d", seed, i))
 			}
 			if err != nil {
 				t.Errorf("seed %d: Submit: %v", seed, err)
+				return
+			}
+			if home == victim {
+				// Nothing is stable the moment it is stamped: the action is in
+				// the overlay, with its stamp.
+				_, s, _, _ := optimistic.ParseTxnID(txn)
+				overlay, _ := cl.Overlay(victim, s)
+				for _, u := range overlay {
+					if u.TxnID == txn {
+						issued = max(issued, u.Stamp)
+					}
+				}
 			}
 		}
 		// crashAndRecover power-cuts the victim and brings it back, checking
@@ -248,6 +289,10 @@ func TestQuickStablePrefixSurvivesCrash(t *testing.T) {
 			during()
 			if err := cl.Recover(victim); err != nil {
 				t.Errorf("seed %d: Recover: %v", seed, err)
+				return false
+			}
+			if c := cl.Clock(victim); c < tap.advertised[victim] || c < issued {
+				t.Errorf("seed %d: restored clock %d; advertised up to %d, stamped up to %d", seed, c, tap.advertised[victim], issued)
 				return false
 			}
 			// The recovered replica must come back with its stable prefix
@@ -469,23 +514,25 @@ func TestReconWireRoundTrip(t *testing.T) {
 // format, and the representation of an action in memory is not. A fixed run
 // — plain writes, same-key dependencies, a CAS race with losers, once as
 // bare records and once with a snapshot every 16 — must leave every node's
-// journal files byte-identical to a recorded run. The "records" hashes were
-// taken at PR 18's parent and have not moved since: record types 10-13 keep
-// their bytes, through the representation change and through histories
-// becoming counts. The "snapshots" hashes were taken when the snapshot
-// layout gained those counts (DESIGN.md §14): a snapshot now says how much
-// of each history was dropped, keeps the stable updates below that bare and
-// the losers below it not at all, so what a node's files hold depends on
-// where the watermark stood at its last snapshot — and replaying either
-// kind of journal must still yield the one stable prefix and every decision.
+// journal files byte-identical to a recorded run. Record types 10-13 and
+// the snapshot layout (DESIGN.md §14) are the format; a snapshot says how
+// much of each history was dropped, keeps the stable updates below that
+// bare and the losers below it not at all, so what a node's files hold
+// depends on where the watermark stood at its last snapshot — and replaying
+// either kind of journal must still yield the one stable prefix and every
+// decision. Both sets of hashes were re-recorded when stamps became hybrid
+// clock readings in nanoseconds: the values in every stamp and clock
+// record changed, the run's order with them, and clock records now ride
+// own tentatives' barriers where they used to follow reports; no record's
+// encoding changed.
 func TestJournalGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		compactEvery int
 		want         [3]string
 	}{
-		{"records", -1, [3]string{"4a48f976c6a3b2e377e19b7b", "703a8290cbd697ed1b945a3a", "997c72b566639b0a43d5e90b"}},
-		{"snapshots", 16, [3]string{"370965806d3cd19a97b176b7", "8f93ed346326fe28c1317248", "8f93ed346326fe28c1317248"}},
+		{"records", -1, [3]string{"0fef919ce980a8c8dcc5c141", "057d8202ab850e5b550bb645", "5c73c2d9fe94727c07d0947e"}},
+		{"snapshots", 16, [3]string{"028fa219275f19834f437917", "028fa219275f19834f437917", "d7f19ca71ef418207521c77f"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			disks := map[runtime.NodeID]*disk.Mem{}

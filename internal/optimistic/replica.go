@@ -18,7 +18,7 @@ type replica struct {
 	id   runtime.NodeID
 	down bool
 
-	clock int64    // Lamport clock; stamps submits, merges on receive
+	clock int64    // hybrid clock (ns); stamps submits, merges on receive
 	oseq  []uint64 // per shard: own actions issued (contiguous, 1-based)
 
 	st []*store.Staged // per shard: the two-tier store
@@ -137,10 +137,11 @@ func (r *replica) submit(key, data, guard string) (Action, error) {
 	if r.oseq[s] >= maxTxnOSeq {
 		return Action{}, fmt.Errorf("optimistic: node %d shard %d: out of action sequence numbers", r.id, s)
 	}
-	r.clock++
+	r.clock = max(r.clock+1, r.c.physical())
 	r.oseq[s]++
 	// The notAfter edges: every same-key tentative this replica has staged
-	// must order before the new action, which Lamport stamping guarantees.
+	// must order before the new action, which stamping above the clock
+	// guarantees.
 	a := Action{
 		Origin: r.id, OSeq: r.oseq[s], Shard: s, Stamp: r.clock,
 		Key: key, Data: data, Guard: guard, Deps: r.st[s].TentativeWriters(key),
@@ -190,7 +191,7 @@ func (r *replica) deliver(a *Action) {
 	}
 }
 
-// accept stages an in-order action: Lamport merge, history append, overlay
+// accept stages an in-order action: clock merge, history append, overlay
 // insertion, journal. Own actions journal behind the advertisement barrier
 // (see durable.OptJournal.Tentative); foreign ones are re-fetchable and
 // need no barrier.
@@ -201,8 +202,9 @@ func (r *replica) accept(a *Action) {
 	}
 	// Debug assert on the constraint graph: every notAfter edge this
 	// replica has delivered must sort strictly before the action in the
-	// candidate order. Lamport stamping makes this a theorem; a violation
-	// is a protocol bug, and under simulation the panic is the oracle.
+	// candidate order. The clock's merge rule makes this a theorem; a
+	// violation is a protocol bug, and under simulation the panic is the
+	// oracle.
 	au := a.Update()
 	for _, dep := range a.Deps {
 		if da := r.held(s, dep); da != nil && !store.StagedLess(da.Update(), au) {
@@ -218,7 +220,7 @@ func (r *replica) accept(a *Action) {
 	}
 }
 
-// bound computes shard s's stability frontier: the highest Lamport clock B
+// bound computes shard s's stability frontier: the highest clock B
 // such that this replica provably holds every action any origin stamped at
 // or below B. Zero (promote nothing) until every origin has reported.
 func (r *replica) bound(s int) int64 {
@@ -339,10 +341,14 @@ func (r *replica) historySize() (held, dropped uint64) {
 	return held, dropped
 }
 
-// selfKnow builds this replica's fresh self-report. The clock high-water
-// barrier runs first: nothing may advertise a clock the journal could
-// forget. The frontier needs no barrier here: tryPromote raised it behind one.
+// selfKnow builds this replica's fresh self-report. The clock first rises to
+// physical time — a promise that nothing stamped here from now on sorts at
+// or below it, which is what lets peers promote past this origin without
+// waiting to hear of their own stamps here. The clock high-water barrier
+// runs next: nothing may advertise a clock the journal could forget. The
+// frontier needs no barrier here: tryPromote raised it behind one.
 func (r *replica) selfKnow() KnowEntry {
+	r.clock = max(r.clock, r.c.physical())
 	if r.journal != nil {
 		r.journal.Clock(r.clock)
 	}
@@ -415,12 +421,12 @@ func (r *replica) pickCarry(to runtime.NodeID) [][]Action {
 	return carry
 }
 
-// launchGossip starts one reconciliation agent on the ring itinerary.
+// launchGossip starts one reconciliation agent on its launch's itinerary.
 func (r *replica) launchGossip() {
 	if r.down || r.c.cfg.N < 2 {
 		return
 	}
-	hops := ring(r.id, r.c.cfg.N)
+	hops := itinerary(r.id, r.c.cfg.N, r.launch)
 	ag := &Recon{
 		From: r.id, Seq: r.launch, Hops: hops, Hop: 0,
 		Know: r.knowSnapshot(), Carry: r.pickCarry(hops[0]),
@@ -455,7 +461,7 @@ func (r *replica) onRecon(ag *Recon) {
 			r.know[e.Node] = e
 		}
 		if e.Clock > r.clock {
-			r.clock = e.Clock // Lamport merge: future submits stamp above
+			r.clock = e.Clock // merge: future submits stamp above
 		}
 	}
 	for _, run := range ag.Carry {

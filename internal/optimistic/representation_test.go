@@ -180,7 +180,7 @@ func TestPickCarryHonoursMaxCarryAcrossRuns(t *testing.T) {
 // handOver delivers all of from's own actions to the replica to, as the last
 // hop of one of from's agents would, without the simulator running.
 func handOver(from, to *replica) {
-	hops := ring(from.id, from.c.cfg.N)
+	hops := itinerary(from.id, from.c.cfg.N, 0)
 	to.onRecon(&Recon{
 		From: from.id, Hops: hops, Hop: len(hops) - 1,
 		Know: from.knowSnapshot(), Carry: [][]Action{from.hist[0][from.id-1].acts},
@@ -251,7 +251,7 @@ func TestHostingHeldCargoAllocatesAConstant(t *testing.T) {
 		}
 		for _, cargo := range []int{10, history} {
 			ag := &Recon{
-				From: 1, Seq: 1 << 20, Hops: ring(1, 3), Hop: 0,
+				From: 1, Seq: 1 << 20, Hops: itinerary(1, 3, 0), Hop: 0,
 				Know: from.knowSnapshot(), Carry: [][]Action{from.hist[0][0].acts[:cargo]},
 			}
 			before := c.mRedundant.Value()

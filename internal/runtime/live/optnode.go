@@ -56,6 +56,14 @@ func StartOptNode(cfg OptNodeConfig) (*OptNode, error) {
 		ocfg.Durability = &optimistic.DurabilityConfig{Backend: backend, Policy: policy}
 	}
 	return start(cfg.Self, cfg.Addrs, cfg.Seed, nil, func(eng *Engine, fab *Fabric) (*optimistic.Cluster, error) {
-		return optimistic.NewCluster(eng, fab, ocfg)
+		cl, err := optimistic.NewCluster(eng, fab, ocfg)
+		if err != nil {
+			return nil, err
+		}
+		// Physical time for the hybrid clocks is the wall clock, the base
+		// StartNode gives agent births: the engine clock restarts at zero
+		// with the process, and peers' clocks would run ahead of it.
+		cl.AdvanceClock(time.Now().UnixNano())
+		return cl, nil
 	}, (*optimistic.Cluster).Close)
 }

@@ -28,7 +28,7 @@ import (
 )
 
 // StagedLess is the global candidate order of the optimistic protocol:
-// Lamport stamp first, transaction ID as the deterministic tie-break.
+// hybrid-clock stamp first, transaction ID as the deterministic tie-break.
 // Transaction IDs encode (origin, shard, oseq) zero-padded, so the string
 // order equals the numeric (origin, oseq) order within a shard and every
 // replica sorts identically without coordination.
