@@ -383,24 +383,18 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 			extra(server, shrd, txn)
 		}
 	}
-	// A sharded or grouped or non-majority deployment tells the replicas
-	// about its shard map; the default single-shard majority system passes
-	// none, keeping the replica layer on its legacy paths byte-for-byte.
-	explicit := cfg.Shards > 1 || c.grouped() || c.nonMajority()
 	for _, id := range c.nodes {
 		if !c.local[id] {
 			continue
 		}
 		rcfg := replica.Config{
 			Shards:             cfg.Shards,
+			Groups:             c.groups,
+			Quorums:            c.assigns,
 			DisableInfoSharing: cfg.DisableInfoSharing,
 			GrantObserver:      observer,
 			Intercept:          c.intercept,
 			Trace:              cfg.Trace,
-		}
-		if explicit {
-			rcfg.Groups = c.groups
-			rcfg.Quorums = c.assigns
 		}
 		if cfg.Durability != nil {
 			b := cfg.Durability.Backend(id)
@@ -425,7 +419,7 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 				c.platform.AdvanceBirth(st.BirthFloor() + 1)
 			}
 		}
-		c.servers[id] = replica.New(eng, id, c.nodes, fabric, c.platform, store.New(), rcfg)
+		c.servers[id] = replica.New(eng, id, c.nodes, fabric, c.platform, rcfg)
 		if rcfg.Restore != nil {
 			// The node has history: pull what it missed while down. Deferred
 			// so the sends land after every node has attached to the fabric.
@@ -493,28 +487,6 @@ func (c *Cluster) subVotes(group []runtime.NodeID) map[runtime.NodeID]int {
 		sub[id] = c.cfg.Votes[id]
 	}
 	return sub
-}
-
-// grouped reports whether any shard's replica group is a strict subset of
-// the servers.
-func (c *Cluster) grouped() bool {
-	for _, g := range c.groups {
-		if len(g) != len(c.nodes) {
-			return true
-		}
-	}
-	return false
-}
-
-// nonMajority reports whether any shard uses a structural (grid/tree)
-// quorum geometry.
-func (c *Cluster) nonMajority() bool {
-	for _, a := range c.assigns {
-		if _, ok := a.(quorum.Voting); !ok {
-			return true
-		}
-	}
-	return false
 }
 
 // shardsOf returns the distinct shards of the batch's keys, ascending.

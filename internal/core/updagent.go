@@ -145,7 +145,7 @@ func (a *UpdateAgent) OnMessage(ctx *agent.Context, from runtime.NodeID, payload
 	}
 	if a.phase != phaseClaiming || ack.Attempt != a.attempt {
 		// A stray OK from an already-abandoned claim leaves a grant
-		// dangling at the sender; release it. The abort is scoped to the
+		// dangling at the sender; release it. The abort names only the
 		// stale attempt so it cannot touch a grant this agent has since
 		// re-acquired with a newer claim.
 		if ack.OK && a.phase != phaseDone {
@@ -158,39 +158,13 @@ func (a *UpdateAgent) OnMessage(ctx *agent.Context, from runtime.NodeID, payload
 }
 
 // OnLocalEvent reacts to the co-located server's locking-list change
-// notifications while the agent is parked. A shard-scoped notification
-// whose shards don't intersect this agent's is skipped outright: the
-// server guarantees nothing the agent's refresh could observe changed, so
-// the refresh would merge identical information and re-park — pure cost.
+// notifications while the agent is parked.
 func (a *UpdateAgent) OnLocalEvent(ctx *agent.Context, ev any) {
-	ch, ok := ev.(replica.LLChanged)
-	if !ok {
-		return
-	}
-	if a.phase != phaseParked {
-		return
-	}
-	if ch.Shards != nil && !intersectsSorted(ch.Shards, a.shards) {
+	if _, ok := ev.(replica.LLChanged); !ok || a.phase != phaseParked {
 		return
 	}
 	a.refreshLocal(ctx)
 	a.evaluate(ctx)
-}
-
-// intersectsSorted reports whether two ascending int slices share a value.
-func intersectsSorted(a, b []int) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }
 
 // refreshLocal re-reads the co-located server's lock information.

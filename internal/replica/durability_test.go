@@ -33,7 +33,7 @@ func newDurableServer(t *testing.T) *durableServer {
 	if err != nil || st != nil {
 		t.Fatalf("fresh Open = %v, %v", err, st)
 	}
-	s := New(sim, 1, []runtime.NodeID{1}, net, platform, store.New(), Config{Journal: j})
+	s := New(sim, 1, []runtime.NodeID{1}, net, platform, Config{Journal: j})
 	return &durableServer{sim: sim, net: net, mem: mem, j: j, s: s}
 }
 

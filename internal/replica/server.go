@@ -23,9 +23,8 @@ type Config struct {
 	// order). nil means every replica serves every shard — full
 	// replication, the pre-sharding behavior.
 	Groups [][]runtime.NodeID
-	// Quorums optionally overrides the read-quorum geometry per shard
-	// for consistent reads. nil keeps the legacy node-count majority
-	// over the shard's group.
+	// Quorums gives each shard's read-quorum geometry for consistent
+	// reads. nil means an equal-vote majority over each shard's group.
 	Quorums []quorum.Assignment
 	// DisableInfoSharing turns off the paper's locking-information
 	// exchange: servers neither cache nor hand out remote LL snapshots
@@ -48,8 +47,7 @@ type Config struct {
 	// locking-state mutation is logged through it after succeeding.
 	Journal *durable.Journal
 	// Restore, if non-nil, is the state recovered from Journal's log; the
-	// server rebuilds itself from it before attaching the journal (pass a
-	// nil store to New in that case — Restore supplies it).
+	// server rebuilds itself from it before attaching the journal.
 	Restore *durable.State
 }
 
@@ -66,8 +64,9 @@ type shardState struct {
 	grant        agent.ID
 	grantAttempt int
 	backlog      map[uint64]store.Update
-	member       bool             // this server is in the shard's replica group
-	peers        []runtime.NodeID // other group members
+	member       bool              // this server is in the shard's replica group
+	peers        []runtime.NodeID  // other group members
+	readQuorum   quorum.Assignment // decides when a consistent read is answered
 }
 
 // Server is one replicated server: data copy, per-shard Locking Lists,
@@ -105,21 +104,13 @@ type Server struct {
 	// costs caches the per-peer link costs handed out in every LockInfo —
 	// topology is static, so the map is built once and shared read-only.
 	costs map[runtime.NodeID]float64
-
-	// scoped enables shard-scoped LLChanged events. Only set over a
-	// wire-delivery fabric (the live deployment): the global wakeup also let
-	// agents on unrelated shards observe silent (non-head) queue mutations,
-	// and the simulator's figures depend on that exact schedule, so the DES
-	// engine keeps raising unscoped events bit-for-bit as before.
-	scoped bool
 }
 
 // quorumRead tracks one in-flight consistent read.
 type quorumRead struct {
 	key        string
 	replies    map[runtime.NodeID]ReadRep
-	needed     int
-	assignment quorum.Assignment // nil = node-count majority (needed)
+	assignment quorum.Assignment
 	done       func(store.Value, bool)
 }
 
@@ -127,9 +118,8 @@ type quorumRead struct {
 // agent place on its node, and registers itself for network delivery and
 // agent-death notices. peers must list every replica ID including id (in a
 // multi-process deployment: every replica in the system, not just the local
-// one). clock supplies timestamps for traces. st becomes shard 0's store
-// (nil allocates fresh stores for every shard).
-func New(clock runtime.Clock, id runtime.NodeID, peers []runtime.NodeID, net runtime.Fabric, platform *agent.Platform, st *store.Store, cfg Config) *Server {
+// one). clock supplies timestamps for traces.
+func New(clock runtime.Clock, id runtime.NodeID, peers []runtime.NodeID, net runtime.Fabric, platform *agent.Platform, cfg Config) *Server {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
@@ -149,9 +139,6 @@ func New(clock runtime.Clock, id runtime.NodeID, peers []runtime.NodeID, net run
 		shards:   make([]*shardState, cfg.Shards),
 		reads:    make(map[uint64]*quorumRead),
 	}
-	if wf, ok := net.(runtime.WireFabric); ok && wf.WireDelivery() {
-		s.scoped = true
-	}
 	for i := range s.shards {
 		sd := &shardState{
 			st:      store.New(),
@@ -160,10 +147,12 @@ func New(clock runtime.Clock, id runtime.NodeID, peers []runtime.NodeID, net run
 			member:  true,
 			peers:   others,
 		}
+		group := peers
 		if i < len(cfg.Groups) && cfg.Groups[i] != nil {
+			group = cfg.Groups[i]
 			sd.member = false
 			sd.peers = sd.peers[:0:0]
-			for _, n := range cfg.Groups[i] {
+			for _, n := range group {
 				if n == id {
 					sd.member = true
 				} else {
@@ -171,10 +160,12 @@ func New(clock runtime.Clock, id runtime.NodeID, peers []runtime.NodeID, net run
 				}
 			}
 		}
+		if i < len(cfg.Quorums) && cfg.Quorums[i] != nil {
+			sd.readQuorum = cfg.Quorums[i]
+		} else {
+			sd.readQuorum = quorum.Equal(group)
+		}
 		s.shards[i] = sd
-	}
-	if st != nil {
-		s.shards[0].st = st
 	}
 	s.place = platform.Host(id, s)
 	s.place.SetDeathListener(s)
@@ -466,22 +457,11 @@ func (s *Server) AdvanceWatermark(w agent.Watermark) {
 	}
 }
 
-// notify raises LLChanged to resident agents: anything — including the
-// gone set — may have changed, so nobody may skip.
+// notify raises LLChanged to every resident agent, on every engine: a
+// Locking List head, the data horizon or the gone set moved, and each
+// parked agent recomputes its priority (paper §3.3).
 func (s *Server) notify() {
 	s.place.NotifyResidents(LLChanged{Server: s.id})
-}
-
-// notifyShards raises a shard-scoped LLChanged: only the listed shards
-// (ascending) moved and the gone set is untouched, so residents of other
-// shards skip their refresh — their view of this server is unchanged.
-// Outside the live engine it degrades to the unscoped notify (see scoped).
-func (s *Server) notifyShards(shards []int) {
-	if !s.scoped {
-		s.notify()
-		return
-	}
-	s.place.NotifyResidents(LLChanged{Server: s.id, Shards: shards})
 }
 
 // VisitAndLock is the local interaction of a just-arrived agent with its
@@ -508,7 +488,7 @@ func (s *Server) VisitAndLock(id agent.ID, shards []int, shared []QueueSnapshot,
 	if shards == nil {
 		shards = s.allShards()
 	}
-	var headShards []int
+	headChanged := false
 	for _, shrd := range shards {
 		sd := s.shards[shrd]
 		if !sd.member || s.gone.Contains(id) || s.contains(sd, id) {
@@ -517,17 +497,13 @@ func (s *Server) VisitAndLock(id agent.ID, shards []int, shared []QueueSnapshot,
 		sd.ll = append(sd.ll, id)
 		s.bump(sd, len(sd.ll) == 1)
 		s.logLock(shrd, false)
-		if len(sd.ll) == 1 {
-			headShards = append(headShards, shrd)
-		}
+		headChanged = headChanged || len(sd.ll) == 1
 		if s.cfg.Trace.Enabled() {
 			s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), id.String(), trace.LockRequested, "pos %d", len(sd.ll))
 		}
 	}
-	if goneChanged {
+	if goneChanged || headChanged {
 		s.notify()
-	} else if len(headShards) > 0 {
-		s.notifyShards(headShards)
 	}
 	return s.lockInfo(shards)
 }
@@ -635,13 +611,10 @@ func (s *Server) QuorumRead(key string, done func(store.Value, bool)) {
 	sd := s.shards[shrd]
 	s.readSeq++
 	qr := &quorumRead{
-		key:     key,
-		replies: make(map[runtime.NodeID]ReadRep),
-		needed:  (len(sd.peers)+1)/2 + 1,
-		done:    done,
-	}
-	if shrd < len(s.cfg.Quorums) && s.cfg.Quorums[shrd] != nil {
-		qr.assignment = s.cfg.Quorums[shrd]
+		key:        key,
+		replies:    make(map[runtime.NodeID]ReadRep),
+		assignment: sd.readQuorum,
+		done:       done,
 	}
 	s.reads[s.readSeq] = qr
 	if sd.member {
@@ -672,15 +645,11 @@ func (s *Server) maybeFinishRead(id uint64) bool {
 	if qr == nil {
 		return false
 	}
-	if qr.assignment != nil {
-		nodes := make([]runtime.NodeID, 0, len(qr.replies))
-		for n := range qr.replies {
-			nodes = append(nodes, n)
-		}
-		if !qr.assignment.HasRead(nodes) {
-			return false
-		}
-	} else if len(qr.replies) < qr.needed {
+	nodes := make([]runtime.NodeID, 0, len(qr.replies))
+	for n := range qr.replies {
+		nodes = append(nodes, n)
+	}
+	if !qr.assignment.HasRead(nodes) {
 		return false
 	}
 	delete(s.reads, id)
@@ -827,32 +796,10 @@ func (s *Server) handleCommit(m *CommitMsg) {
 	if s.cfg.Trace.Enabled() {
 		s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), m.Txn.String(), trace.Committed, "%d updates, seq now %d", len(m.Updates), s.maxLastSeq())
 	}
-	// A transaction locks the same shards at every server, so its commit —
-	// queue removal, grant release, and its own disappearance into the gone
-	// set — is invisible to agents holding no shard in common with its
-	// updates: the txn never appears in any local or cached queue of another
-	// shard, and LastSeq is computed per requested shard. Scope the wakeup
-	// to the txn's shards (live engine only; notifyShards degrades to the
-	// global notify elsewhere).
-	if txShards := s.updateShards(m.Updates); len(txShards) > 0 {
-		s.notifyShards(txShards)
-	} else {
-		s.notify()
-	}
+	s.notify()
 	if s.journal != nil {
 		s.journal.MaybeCompact() // post-commit is a quiescent point
 	}
-}
-
-// updateShards returns the distinct shards of a commit's updates, ascending
-// (the transaction's locked shard set — claims lock exactly the shards of
-// the keys they write).
-func (s *Server) updateShards(updates []store.Update) []int {
-	var out []int
-	for _, u := range updates {
-		out = addShard(out, s.shardOf(u.Key))
-	}
-	return out
 }
 
 // addShard inserts shrd into the ascending set shards, if it is not there.
@@ -983,10 +930,10 @@ func (s *Server) drainBacklog(shrd int) bool {
 }
 
 // handleSyncReply applies and drains every section of a peer's reply,
-// absorbs its gone set once, and wakes the residents of the shards that
-// moved (everybody, if the gone set grew).
+// absorbs its gone set once, and wakes the residents if a shard moved or
+// the gone set grew.
 func (s *Server) handleSyncReply(m *SyncReply) {
-	var touched []int
+	touched := false
 	for _, sec := range m.Sections {
 		if sec.Shard < 0 || sec.Shard >= len(s.shards) || !s.shards[sec.Shard].member {
 			continue
@@ -999,19 +946,14 @@ func (s *Server) handleSyncReply(m *SyncReply) {
 			}
 		}
 		if s.drainBacklog(sec.Shard) || applied {
-			touched = addShard(touched, sec.Shard)
+			touched = true
 		}
 	}
-	mutated := s.absorb(m.Marks, m.Gone)
-	if len(touched) == 0 && !mutated {
+	if !s.absorb(m.Marks, m.Gone) && !touched {
 		return
 	}
 	s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), "", trace.ServerSynced, "seq now %d", s.maxLastSeq())
-	if mutated {
-		s.notify()
-	} else {
-		s.notifyShards(touched)
-	}
+	s.notify()
 	if s.journal != nil {
 		s.journal.MaybeCompact()
 	}

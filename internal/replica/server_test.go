@@ -38,7 +38,7 @@ func newFixture(t *testing.T, n int, cfg Config) *fixture {
 	}
 	f := &fixture{sim: sim, net: net, platform: platform, servers: make(map[simnet.NodeID]*Server)}
 	for _, id := range peers {
-		f.servers[id] = New(sim, id, peers, net, platform, store.New(), cfg)
+		f.servers[id] = New(sim, id, peers, net, platform, cfg)
 	}
 	return f
 }

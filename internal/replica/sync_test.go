@@ -1,14 +1,12 @@
 package replica
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/agent"
 	"repro/internal/des"
 	"repro/internal/runtime"
-	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -28,16 +26,8 @@ func TestGappedCommitAsksItsOriginOnce(t *testing.T) {
 	const shards = 8
 	sim := des.New(1)
 	net := &sendLog{}
-	s := New(sim, 1, []runtime.NodeID{1, 2, 3}, net, agent.NewPlatform(sim, net, agent.Config{}), store.New(), Config{Shards: shards})
-	ka, kb := "a", "b"
-	for i := 0; shard.Of(kb, shards) == shard.Of(ka, shards); i++ {
-		kb = fmt.Sprintf("b%d", i)
-	}
-	sa, sb := shard.Of(ka, shards), shard.Of(kb, shards)
-	if sa > sb {
-		sa, sb = sb, sa
-		ka, kb = kb, ka
-	}
+	s := New(sim, 1, []runtime.NodeID{1, 2, 3}, net, agent.NewPlatform(sim, net, agent.Config{}), Config{Shards: shards})
+	ka, kb, sa, sb := keysOnTwoShards(shards)
 
 	// Both updates are the second on their shard: this replica missed the
 	// first of each.

@@ -68,19 +68,10 @@ type LockInfo struct {
 // LLChanged is the local event a server raises to its resident agents when
 // one of its Locking Lists mutates — the cue for parked agents to recompute
 // their priority (paper §3.3: "other mobile agents will then be able to
-// change their priorities in their locking tables").
+// change their priorities in their locking tables"). It is handed to the
+// residents as a Go value and never crosses the wire.
 type LLChanged struct {
 	Server runtime.NodeID
-	// Shards, when non-nil, limits the change to the listed shards
-	// (ascending): locking state moved only there, and any gone-set growth
-	// concerns only agents locked on those shards (a transaction locks the
-	// same shards everywhere, so it never appears in another shard's local
-	// or cached queue). An agent whose shards don't intersect may skip its
-	// refresh entirely — the decision inputs it can observe are unchanged.
-	// nil means "anything may have changed" and nobody may skip. Only the
-	// live engine emits scoped events; the DES engine always raises nil
-	// Shards, keeping simulated schedules bit-identical.
-	Shards []int
 }
 
 // Protocol messages. Sizes are modelled wire sizes for traffic accounting;

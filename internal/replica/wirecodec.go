@@ -10,7 +10,8 @@ import (
 )
 
 // Wire-codec tags for the Algorithm 2 message set (DESIGN.md §11). Tags
-// are part of the wire format: never renumber.
+// are part of the wire format: never renumber. Tag 18 is retired (it
+// encoded LLChanged, a local event no fabric ever sent): never reuse it.
 const (
 	tagUpdateMsg   = 10
 	tagAckMsg      = 11
@@ -20,7 +21,6 @@ const (
 	tagReadRep     = 15
 	tagSyncRequest = 16
 	tagSyncReply   = 17
-	tagLLChanged   = 18
 )
 
 func init() {
@@ -59,28 +59,6 @@ func init() {
 		})
 	wire.Register(tagSyncRequest, &SyncRequest{}, encSyncRequest, decSyncRequest)
 	wire.Register(tagSyncReply, &SyncReply{}, encSyncReply, decSyncReply)
-	// LLChanged travels as a value (it is a local event, but registered for
-	// the wire like the rest of the set).
-	wire.Register(tagLLChanged, LLChanged{},
-		func(b []byte, v any) []byte {
-			ev := v.(LLChanged)
-			b = wire.AppendVarint(b, int64(ev.Server))
-			b = wire.AppendUvarint(b, uint64(len(ev.Shards)))
-			for _, s := range ev.Shards {
-				b = wire.AppendVarint(b, int64(s))
-			}
-			return b
-		},
-		func(r *wire.Reader) any {
-			ev := LLChanged{Server: runtime.NodeID(r.Varint())}
-			if n := r.Count(1); n > 0 {
-				ev.Shards = make([]int, n)
-				for i := range ev.Shards {
-					ev.Shards[i] = int(r.Varint())
-				}
-			}
-			return ev
-		})
 }
 
 func encUpdateMsg(b []byte, v any) []byte {

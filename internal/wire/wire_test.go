@@ -62,8 +62,6 @@ func corpusMessages() []any {
 		&replica.ReadRep{ReqID: 77, From: 2, Found: true, Value: store.Value{Data: "v", Version: store.Version{Seq: 1}}},
 		&replica.SyncRequest{From: 2, Shards: []replica.SyncSince{{Shard: 0, Since: 9}, {Shard: 5, Since: 3}}},
 		&replica.SyncReply{From: 2, Sections: []replica.SyncSection{{Shard: 5, Updates: []store.Update{{TxnID: "t2", Key: "k", Data: "w", Seq: 5, Stamp: 13}}}}, Gone: []agent.ID{id2}},
-		replica.LLChanged{Server: 2},
-		replica.LLChanged{Server: 2, Shards: []int{1, 5, 63}},
 		&core.OutcomeMsg{Outcome: core.Outcome{Agent: id, Home: 3, Failed: true}},
 		&replica.SyncReply{From: 2, Marks: []agent.Watermark{{Home: 2, Since: -5, Upto: agent.Mark{Born: math.MaxInt64, Seq: math.MaxUint64}, Count: math.MaxUint64}}},
 		&replica.SyncReply{From: 4, Sections: []replica.SyncSection{
@@ -271,12 +269,14 @@ func TestSyncLayoutsRoundTrip(t *testing.T) {
 	}
 }
 
-// unknownTagFrames open with a tag no message has: one never assigned, and
-// the retired tag 4 in a frame exactly as an old peer's ack batch carried
-// it (the bytes of the deleted seed msg-02.bin).
+// unknownTagFrames open with a tag no message has: one never assigned, the
+// retired tag 4 in a frame exactly as an old peer's ack batch carried it
+// (the bytes of the deleted seed msg-02.bin), and the retired tag 18 as it
+// encoded an LLChanged (the bytes of the deleted seed msg-13.bin).
 var unknownTagFrames = [][]byte{
 	{0xFE, 1, 2, 3},
 	{0x04, 0x02, 0x06, 0xaa, 0xb4, 0xde, 0x75, 0x2a, 0x09, 0x02, 0xc6, 0x01, 0x07, 0x01},
+	{0x12, 0x04, 0x00},
 }
 
 // TestUnknownTagRejected: an unregistered tag is an explicit error, not a
@@ -302,8 +302,13 @@ func TestSeedCorpusDecodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, msg := range corpusMessages() {
+			// File numbers are never reused: msg-02.bin held the retired tag
+			// 4's message, msg-13.bin and msg-14.bin the retired tag 18's.
 			if i >= 2 {
-				i++ // msg-02.bin held the retired tag 4's message; file numbers are never reused
+				i++
+			}
+			if i >= 13 {
+				i += 2
 			}
 			buf, err := wire.AppendMessage(nil, msg)
 			if err != nil {
