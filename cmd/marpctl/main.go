@@ -10,7 +10,6 @@
 //	marpctl [-addr host:port] [-json] digest <node>
 //	marpctl [-addr host:port] [-json] referee
 //	marpctl [-addr host:port] stats
-//	marpctl spec expand <cluster.toml|cluster.json>
 //
 // Connecting retries up to three times with exponential backoff (covers the
 // common race of starting marpd and marpctl together); -timeout bounds each
@@ -45,7 +44,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/clusterspec"
 	"repro/internal/scenario"
 	"repro/internal/transport"
 )
@@ -83,7 +81,6 @@ commands:
   digest <node>                 kind-tagged digest of a replica's store (optimistic: stable + tentative tiers)
   referee                       kind-tagged verdict: lock grants/violations, or stable-prefix agreement
   stats                         service counters
-  spec expand <file>            print the per-node marpd flag sets a cluster spec derives
 flags: -addr host:port, -addrs a,b,c (partition/heal/snapshot-scenario),
        -timeout 5s, -json (digest/referee), -record <dir> (fault spooling),
        -name/-note/-seed/-out (snapshot-scenario)`)
@@ -199,21 +196,6 @@ func main() {
 	// Multi-process and offline commands first — they manage their own
 	// connections (or none at all).
 	switch args[0] {
-	case "spec":
-		if len(args) != 3 || args[1] != "expand" {
-			usage()
-		}
-		s, err := clusterspec.Load(args[2])
-		if err != nil {
-			fatal(err)
-		}
-		if s.Name != "" {
-			fmt.Printf("# cluster %q: %d node(s)\n", s.Name, len(s.Nodes))
-		}
-		for _, id := range s.IDs() {
-			fmt.Printf("marpd %s\n", strings.Join(s.Flags(id), " "))
-		}
-		return
 	case "partition":
 		if len(args) != 2 {
 			usage()

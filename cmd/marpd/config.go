@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
-	"strings"
+	"io"
 	"time"
 
 	"repro/internal/clusterspec"
@@ -12,120 +14,90 @@ import (
 	"repro/internal/runtime/live"
 )
 
-// liveFlags carries the operator's input, either raw flags or a -spec file
-// reference, before validation.
-type liveFlags struct {
-	Spec        string // -spec: path to a cluster spec file; owns the cluster-level settings
-	Node        int
-	Peers       string
-	Addr        string // client listen address (-addr)
-	Ops         string // ops listen address (-ops)
-	Seed        int64
-	DataDir     string
-	Fsync       string
-	Shards      int
-	Geometry    string
-	CommitDelay time.Duration
-	Protocol    string          // -protocol: marp or optimistic
-	Given       map[string]bool // flags set on the command line (flag.Visit), by name
+// options is marpd's command line: the cluster spec and this process's
+// place in it. Every setting the processes must agree on is a spec key,
+// so no flag can make one process disagree with the rest.
+type options struct {
+	Spec, Addr, Ops, DataDir, Record string
+	Node                             int
 }
 
-// specOwned pairs each cluster-level flag with the spec key that owns the
-// setting once -spec is given. Every process must agree on these, so a flag
-// beside the file is refused instead of winning in one process only.
-var specOwned = []struct{ flag, key string }{
-	{"peers", "[[node]] fabric"}, {"shards", "shards"}, {"geometry", "geometry"},
-	{"fsync", "fsync"}, {"commit-delay", "commit_delay"}, {"seed", "seed"},
+// parseArgs parses marpd's argv. The flag set errors (and prints usage to
+// errOut) on any flag it does not define, so main exits 2 before anything
+// listens when given one of the cluster-level settings that live in the spec.
+func parseArgs(args []string, errOut io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("marpd", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.StringVar(&o.Spec, "spec", "", "cluster spec file (.toml or .json): nodes, protocol, shards, geometry, fsync, commit_delay, seed")
+	fs.IntVar(&o.Node, "node", 0, "this process's replica ID in the spec")
+	fs.StringVar(&o.Addr, "addr", "", "TCP listen address for clients, when the node has no client key")
+	fs.StringVar(&o.Ops, "ops", "", "ops HTTP listen address serving /metrics and /healthz, when the node has no ops key (neither = no ops listener)")
+	fs.StringVar(&o.DataDir, "data-dir", "", "durability directory (WAL + snapshots), when the spec gives none; restart with the same dir to recover")
+	fs.StringVar(&o.Record, "record", "", "incident-recording spool directory: accepted submits are appended as scenario events (share one dir across the cluster; see marpctl snapshot-scenario)")
+	err := fs.Parse(args)
+	return o, err
 }
 
-// resolveLive validates the operator's input and produces the live node
-// config plus the client and ops listen addresses. Every error it returns
-// is an operator mistake — main exits 2 on them, before anything listens.
-func resolveLive(f liveFlags) (cfg live.NodeConfig, clientAddr, opsAddr string, err error) {
-	self := runtime.NodeID(f.Node)
-	clientAddr, opsAddr = f.Addr, f.Ops
-
-	var addrs map[runtime.NodeID]string
-	geometry, fsync := f.Geometry, f.Fsync
-	seed, dataDir := f.Seed, f.DataDir
-	commitDelay := f.CommitDelay
-	shards := f.Shards
-	// marpOnly collects the explicitly given settings only MARP has.
-	var marpOnly []string
-	for _, name := range []string{"geometry", "commit-delay"} {
-		if f.Given[name] {
-			marpOnly = append(marpOnly, "-"+name)
-		}
+// resolveLive loads the spec and derives this process's live node config,
+// its protocol, and its client and ops listen addresses. Every error it
+// returns is an operator mistake — main exits 2 on them, before anything
+// listens.
+func resolveLive(o options) (cfg live.NodeConfig, protocol, clientAddr, opsAddr string, err error) {
+	if o.Spec == "" {
+		return cfg, "", "", "", errors.New("-spec is required: the cluster spec file holds every cluster-level setting")
 	}
-
-	if f.Spec != "" {
-		for _, o := range specOwned {
-			if f.Given[o.flag] {
-				return cfg, "", "", fmt.Errorf("-%s cannot be combined with -spec: the spec's %s key owns that setting", o.flag, o.key)
-			}
-		}
-		spec, lerr := clusterspec.Load(f.Spec)
-		if lerr != nil {
-			return cfg, "", "", lerr
-		}
-		node := spec.Find(f.Node)
-		if node == nil {
-			return cfg, "", "", fmt.Errorf("spec %s has no node %d (nodes: %v)", f.Spec, f.Node, spec.IDs())
-		}
-		addrs = spec.FabricAddrs()
-		if node.Client != "" {
-			clientAddr = node.Client
-		}
-		if node.Ops != "" {
-			opsAddr = node.Ops
-		}
-		if spec.Geometry != "" {
-			geometry = spec.Geometry
-			marpOnly = append(marpOnly, "the spec's geometry key")
-		}
-		if spec.Fsync != "" {
-			fsync = spec.Fsync
-		}
-		if spec.Seed != 0 {
-			seed = spec.Seed
-		}
-		if spec.Shards != 0 {
-			shards = spec.Shards
-		}
-		if dir := spec.DataDirOf(f.Node); dir != "" {
-			dataDir = dir
-		}
-		// Spec delay strings were validated by Load.
-		if spec.CommitDelay != "" {
-			commitDelay, _ = time.ParseDuration(spec.CommitDelay)
-			marpOnly = append(marpOnly, "the spec's commit_delay key")
-		}
-	} else {
-		if addrs, err = clusterspec.ParsePeers(f.Peers); err != nil {
-			return cfg, "", "", err
-		}
-	}
-	if f.Protocol == "optimistic" && len(marpOnly) > 0 {
-		return cfg, "", "", fmt.Errorf("the optimistic protocol has no quorum geometry / group commit: remove %s", strings.Join(marpOnly, ", "))
-	}
-	if err = clusterspec.ValidatePeers(self, addrs); err != nil {
-		return cfg, "", "", err
-	}
-	geom, err := quorum.ParseGeometry(geometry)
+	spec, err := clusterspec.Load(o.Spec)
 	if err != nil {
-		return cfg, "", "", err
+		return cfg, "", "", "", err
+	}
+	node := spec.Find(o.Node)
+	if node == nil {
+		return cfg, "", "", "", fmt.Errorf("spec %s has no node %d (nodes: %v)", o.Spec, o.Node, spec.IDs())
+	}
+	if clientAddr, err = perProcess("addr", o.Addr, "client", node.Client); err != nil {
+		return cfg, "", "", "", err
+	}
+	if clientAddr == "" {
+		return cfg, "", "", "", fmt.Errorf("node %d has no client address: give -addr or the node's client key", o.Node)
+	}
+	if opsAddr, err = perProcess("ops", o.Ops, "ops", node.Ops); err != nil {
+		return cfg, "", "", "", err
+	}
+	dataDir, err := perProcess("data-dir", o.DataDir, "data_dir (or data_root)", spec.DataDirOf(o.Node))
+	if err != nil {
+		return cfg, "", "", "", err
+	}
+	// Load validated the geometry and the delay; an empty delay parses as 0.
+	geom, _ := quorum.ParseGeometry(spec.Geometry)
+	commitDelay, _ := time.ParseDuration(spec.CommitDelay)
+	seed := spec.Seed
+	if seed == 0 {
+		seed = 1
 	}
 	cfg = live.NodeConfig{
-		Self:        self,
-		Addrs:       addrs,
+		Self:        runtime.NodeID(o.Node),
+		Addrs:       spec.FabricAddrs(),
 		Seed:        seed,
 		DataDir:     dataDir,
-		Fsync:       fsync,
+		Fsync:       spec.Fsync,
 		CommitDelay: commitDelay,
 		Cluster: core.Config{
-			Shards:   shards,
+			Shards:   spec.Shards,
 			Geometry: geom,
 		},
 	}
-	return cfg, clientAddr, opsAddr, nil
+	return cfg, spec.Protocol, clientAddr, opsAddr, nil
+}
+
+// perProcess takes a per-process setting from its flag or from the node's
+// spec key. Given both, it refuses rather than let one silently win.
+func perProcess(flagName, flagVal, key, specVal string) (string, error) {
+	if flagVal != "" && specVal != "" {
+		return "", fmt.Errorf("-%s %q and the spec's %s %q both set this node's value: keep one", flagName, flagVal, key, specVal)
+	}
+	if flagVal != "" {
+		return flagVal, nil
+	}
+	return specVal, nil
 }

@@ -1,65 +1,109 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/clusterspec"
+	"repro/internal/runtime"
 )
 
-// The resolveLive errors below are exactly the cases marpd exits 2 on:
-// operator mistakes in -peers or -spec caught before anything listens.
+// The parseArgs and resolveLive errors below are exactly the cases marpd
+// exits 2 on: operator mistakes caught before anything listens.
 
-func baseFlags() liveFlags {
-	return liveFlags{
-		Node:     2,
-		Peers:    "1=127.0.0.1:7801,2=127.0.0.1:7802,3=127.0.0.1:7803",
-		Addr:     "127.0.0.1:7707",
-		Seed:     1,
-		Fsync:    "commit",
-		Shards:   1,
-		Geometry: "majority",
+// threeNodes is a three-replica spec with fabric addresses only.
+func threeNodes() clusterspec.Spec {
+	return clusterspec.Spec{Nodes: []clusterspec.Node{
+		{ID: 1, Fabric: "127.0.0.1:7801"},
+		{ID: 2, Fabric: "127.0.0.1:7802"},
+		{ID: 3, Fabric: "127.0.0.1:7803"},
+	}}
+}
+
+// TestFlagSurface: marpd's flags are exactly the six per-process ones. Each
+// cluster-level setting that used to be a flag is now undefined, so parsing
+// fails on it and main exits 2 before anything listens.
+func TestFlagSurface(t *testing.T) {
+	for _, name := range []string{"peers", "shards", "geometry", "fsync", "commit-delay", "seed", "protocol"} {
+		_, err := parseArgs([]string{"-spec", "cluster.toml", "-node", "1", "-" + name, "1"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
+			t.Errorf("-%s: err = %v, want an undefined-flag error", name, err)
+		}
+	}
+
+	o, err := parseArgs([]string{"-spec", "c.toml", "-node", "2", "-addr", "127.0.0.1:1",
+		"-ops", "127.0.0.1:2", "-data-dir", "d", "-record", "r"}, io.Discard)
+	want := options{Spec: "c.toml", Node: 2, Addr: "127.0.0.1:1", Ops: "127.0.0.1:2", DataDir: "d", Record: "r"}
+	if err != nil || o != want {
+		t.Errorf("parseArgs = %+v, %v; want %+v", o, err, want)
+	}
+
+	var usage strings.Builder
+	if _, err := parseArgs([]string{"-h"}, &usage); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
+	}
+	var listed []string
+	for _, line := range strings.Split(usage.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			listed = append(listed, strings.Fields(rest)[0])
+		}
+	}
+	if wantFlags := []string{"addr", "data-dir", "node", "ops", "record", "spec"}; !reflect.DeepEqual(listed, wantFlags) {
+		t.Errorf("marpd -h lists %v, want %v", listed, wantFlags)
 	}
 }
 
 func TestResolveLivePeers(t *testing.T) {
-	cfg, client, opsAddr, err := resolveLive(baseFlags())
+	cfg, protocol, client, opsAddr, err := resolveLive(options{
+		Spec: writeSpec(t, threeNodes()), Node: 2, Addr: "127.0.0.1:7707",
+	})
 	if err != nil {
 		t.Fatalf("resolveLive: %v", err)
 	}
-	if cfg.Self != 2 || len(cfg.Addrs) != 3 || cfg.Addrs[3] != "127.0.0.1:7803" {
+	wantAddrs := map[runtime.NodeID]string{1: "127.0.0.1:7801", 2: "127.0.0.1:7802", 3: "127.0.0.1:7803"}
+	if cfg.Self != 2 || !reflect.DeepEqual(cfg.Addrs, wantAddrs) || cfg.Seed != 1 || cfg.DataDir != "" {
 		t.Errorf("cfg = %+v", cfg)
 	}
-	if client != "127.0.0.1:7707" || opsAddr != "" {
-		t.Errorf("client = %q, ops = %q", client, opsAddr)
+	if protocol != "" || client != "127.0.0.1:7707" || opsAddr != "" {
+		t.Errorf("protocol = %q, client = %q, ops = %q", protocol, client, opsAddr)
 	}
 }
 
+// TestResolveLivePeerErrors: a replica list no cluster can run on — duplicate
+// IDs, an ID below 1, a bad address, no entry for this process — is refused
+// by the spec's Validate and Find.
 func TestResolveLivePeerErrors(t *testing.T) {
+	dup, badAddr, ring := threeNodes(), threeNodes(), threeNodes()
+	dup.Nodes[1].ID = 1
+	badAddr.Nodes[2].Fabric = "localhost"
+	ring.Geometry = "ring"
 	cases := []struct {
 		name    string
-		mutate  func(*liveFlags)
+		spec    clusterspec.Spec
+		node    int
 		wantErr string
 	}{
-		{"duplicate node id", func(f *liveFlags) {
-			f.Peers = "1=127.0.0.1:7801,1=127.0.0.1:7802"
-			f.Node = 1
-		}, "duplicate peer id"},
-		{"missing self entry", func(f *liveFlags) { f.Node = 9 }, "no entry for this process"},
-		{"zero node id", func(f *liveFlags) { f.Node = 0 }, "want >= 1"},
-		{"unparseable addr", func(f *liveFlags) {
-			f.Peers = "1=127.0.0.1:7801,2=localhost"
-		}, "bad address"},
-		{"malformed peer entry", func(f *liveFlags) { f.Peers = "oops" }, "want id=host:port"},
-		{"bad geometry", func(f *liveFlags) { f.Geometry = "ring" }, "geometry"},
+		{"duplicate node id", dup, 1, "duplicate node id"},
+		{"missing self entry", threeNodes(), 9, "has no node 9"},
+		{"zero node id", threeNodes(), 0, "has no node 0"},
+		{"unparseable addr", badAddr, 2, "bad address"},
+		{"bad geometry", ring, 2, "geometry"},
 	}
 	for _, c := range cases {
-		f := baseFlags()
-		c.mutate(&f)
-		if _, _, _, err := resolveLive(f); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+		o := options{Spec: writeSpec(t, c.spec), Node: c.node, Addr: "127.0.0.1:7707"}
+		if _, _, _, _, err := resolveLive(o); err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.wantErr)
 		}
+	}
+	if _, _, _, _, err := resolveLive(options{Node: 1, Addr: "127.0.0.1:7707"}); err == nil || !strings.Contains(err.Error(), "-spec is required") {
+		t.Errorf("no -spec: err = %v", err)
 	}
 }
 
@@ -94,10 +138,7 @@ ops = "127.0.0.1:9103"
 `), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f := baseFlags()
-	f.Peers = ""
-	f.Spec = specPath
-	cfg, client, opsAddr, err := resolveLive(f)
+	cfg, protocol, client, opsAddr, err := resolveLive(options{Spec: specPath, Node: 2})
 	if err != nil {
 		t.Fatalf("resolveLive(spec): %v", err)
 	}
@@ -113,77 +154,50 @@ ops = "127.0.0.1:9103"
 	if cfg.DataDir != filepath.Join(dir, "node-2") {
 		t.Errorf("DataDir = %q", cfg.DataDir)
 	}
-	if client != "127.0.0.1:7708" || opsAddr != "127.0.0.1:9102" {
-		t.Errorf("client = %q, ops = %q", client, opsAddr)
+	if protocol != "" || client != "127.0.0.1:7708" || opsAddr != "127.0.0.1:9102" {
+		t.Errorf("protocol = %q, client = %q, ops = %q", protocol, client, opsAddr)
 	}
 
-	// The spec must contain this process's node.
-	f.Node = 9
-	if _, _, _, err := resolveLive(f); err == nil || !strings.Contains(err.Error(), "no node 9") {
-		t.Errorf("missing node err = %v", err)
+	// The protocol is a spec key too.
+	optPath := filepath.Join(dir, "optimistic.toml")
+	os.WriteFile(optPath, []byte("protocol = \"optimistic\"\n[[node]]\nid = 1\nfabric = \"127.0.0.1:7801\"\nclient = \"127.0.0.1:7707\"\n"), 0o644)
+	if _, protocol, _, _, err := resolveLive(options{Spec: optPath, Node: 1}); err != nil || protocol != "optimistic" {
+		t.Errorf("optimistic spec: protocol = %q, err = %v", protocol, err)
 	}
 
 	// A spec that fails validation (duplicate IDs) is rejected.
 	badPath := filepath.Join(dir, "bad.toml")
 	os.WriteFile(badPath, []byte("[[node]]\nid = 1\nfabric = \"127.0.0.1:1\"\n[[node]]\nid = 1\nfabric = \"127.0.0.1:2\"\n"), 0o644)
-	f = baseFlags()
-	f.Spec, f.Peers, f.Node = badPath, "", 1
-	if _, _, _, err := resolveLive(f); err == nil || !strings.Contains(err.Error(), "duplicate node id") {
+	if _, _, _, _, err := resolveLive(options{Spec: badPath, Node: 1}); err == nil || !strings.Contains(err.Error(), "duplicate node id") {
 		t.Errorf("duplicate-id spec err = %v", err)
 	}
 }
 
-// TestResolveLiveRefusesDroppedSettings: a setting marpd would have to drop
-// is an operator mistake (exit 2), not a silent default. With -spec the
-// cluster-level flags belong to the file — one process running 8 shards
-// beside two running the spec's 2 is the failure this closes — and the
-// optimistic protocol has neither a quorum geometry nor group commit.
+// TestResolveLiveRefusesDroppedSettings: a per-process value given both as a
+// flag and as the node's spec key is refused naming both, so neither silently
+// wins; and a node needs a client address from one of the two. The
+// protocol's own refusals are spec validation (clusterspec's
+// TestValidateErrors).
 func TestResolveLiveRefusesDroppedSettings(t *testing.T) {
-	dir := t.TempDir()
-	nodes := `
-[[node]]
-id = 1
-fabric = "127.0.0.1:7801"
-[[node]]
-id = 2
-fabric = "127.0.0.1:7802"
-`
-	write := func(name, head string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(head+nodes), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	bare := write("bare.toml", "")
+	keyed, rooted := threeNodes(), threeNodes()
+	keyed.Nodes[1].Client, keyed.Nodes[1].Ops, keyed.Nodes[1].DataDir = "127.0.0.1:7708", "127.0.0.1:9102", "data/node-2"
+	rooted.DataRoot = "data"
+	keyedPath, rootedPath, barePath := writeSpec(t, keyed), writeSpec(t, rooted), writeSpec(t, threeNodes())
 	cases := []struct {
-		name     string
-		spec     string
-		protocol string
-		given    []string
-		wantErr  []string // substrings; nil = accepted
+		name    string
+		o       options
+		wantErr []string // substrings; nil = accepted
 	}{
-		{"spec + -peers", bare, "marp", []string{"peers"}, []string{"-peers", "fabric"}},
-		{"spec + -shards", bare, "marp", []string{"shards"}, []string{"-shards", "shards key"}},
-		{"spec + -geometry", bare, "marp", []string{"geometry"}, []string{"-geometry", "geometry key"}},
-		{"spec + -fsync", bare, "marp", []string{"fsync"}, []string{"-fsync", "fsync key"}},
-		{"spec + -commit-delay", bare, "marp", []string{"commit-delay"}, []string{"-commit-delay", "commit_delay key"}},
-		{"spec + -seed", bare, "marp", []string{"seed"}, []string{"-seed", "seed key"}},
-		{"spec + per-process flags", bare, "marp", []string{"addr", "ops", "data-dir", "node", "spec", "record"}, nil},
-		{"optimistic + -geometry", "", "optimistic", []string{"geometry"}, []string{"optimistic protocol has no", "-geometry"}},
-		{"optimistic + -commit-delay", "", "optimistic", []string{"commit-delay"}, []string{"optimistic protocol has no", "-commit-delay"}},
-		{"optimistic + spec geometry", write("geom.toml", "geometry = \"majority\"\n"), "optimistic", nil, []string{"optimistic protocol has no", "geometry key"}},
-		{"optimistic + spec commit_delay", write("delay.toml", "commit_delay = \"200us\"\n"), "optimistic", nil, []string{"optimistic protocol has no", "commit_delay key"}},
-		{"optimistic + shards and fsync", "", "optimistic", []string{"shards", "fsync", "peers"}, nil},
-		{"marp + -geometry -commit-delay", "", "marp", []string{"geometry", "commit-delay"}, nil},
+		{"-addr beside client", options{Spec: keyedPath, Node: 2, Addr: "127.0.0.1:7000"}, []string{"-addr", "client"}},
+		{"-ops beside ops", options{Spec: keyedPath, Node: 2, Ops: "127.0.0.1:9000"}, []string{"-ops", "ops"}},
+		{"-data-dir beside data_dir", options{Spec: keyedPath, Node: 2, DataDir: "elsewhere"}, []string{"-data-dir", "data_dir"}},
+		{"-data-dir beside data_root", options{Spec: rootedPath, Node: 2, Addr: "127.0.0.1:7000", DataDir: "elsewhere"}, []string{"-data-dir", "data_root"}},
+		{"no client address", options{Spec: barePath, Node: 2}, []string{"no client address", "-addr", "client key"}},
+		{"spec keys alone", options{Spec: keyedPath, Node: 2, Record: "spool"}, nil},
+		{"flags fill a bare node", options{Spec: barePath, Node: 2, Addr: "127.0.0.1:7000", Ops: "127.0.0.1:9000", DataDir: "d"}, nil},
 	}
 	for _, c := range cases {
-		f := baseFlags()
-		f.Spec, f.Protocol, f.Given = c.spec, c.protocol, map[string]bool{}
-		for _, name := range c.given {
-			f.Given[name] = true
-		}
-		_, _, _, err := resolveLive(f)
+		_, _, _, _, err := resolveLive(c.o)
 		if c.wantErr == nil {
 			if err != nil {
 				t.Errorf("%s: refused: %v", c.name, err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clusterspec"
 	"repro/internal/scenario"
 )
 
@@ -41,7 +42,7 @@ func TestGenerateScenarioCorpus(t *testing.T) {
 	}
 
 	t.Run("wan-geo-split", func(t *testing.T) {
-		h := newCorpusHarness(t, marpd, marpctl, 5, false, nil)
+		h := newCorpusHarness(t, marpd, marpctl, 5, false, clusterspec.Spec{})
 		for w := 0; w < 5; w++ {
 			h.write(w+1, fmt.Sprintf("geo-%d", w))
 		}
@@ -59,7 +60,7 @@ func TestGenerateScenarioCorpus(t *testing.T) {
 	})
 
 	t.Run("thundering-herd", func(t *testing.T) {
-		h := newCorpusHarness(t, marpd, marpctl, 3, false, nil)
+		h := newCorpusHarness(t, marpd, marpctl, 3, false, clusterspec.Spec{})
 		for w := 0; w < 3; w++ {
 			h.write(w+1, fmt.Sprintf("warm-%d", w))
 		}
@@ -74,7 +75,7 @@ func TestGenerateScenarioCorpus(t *testing.T) {
 	})
 
 	t.Run("rolling-restart", func(t *testing.T) {
-		h := newCorpusHarness(t, marpd, marpctl, 3, true, nil)
+		h := newCorpusHarness(t, marpd, marpctl, 3, true, clusterspec.Spec{})
 		// Sustained load homes at process 1, which never restarts — a killed
 		// process forgets its outcome counters, and the capture requires them.
 		for w := 0; w < 3; w++ {
@@ -100,7 +101,7 @@ func TestGenerateScenarioCorpus(t *testing.T) {
 	})
 
 	t.Run("fsync-stall", func(t *testing.T) {
-		h := newCorpusHarness(t, marpd, marpctl, 3, true, []string{"-commit-delay", "200us"})
+		h := newCorpusHarness(t, marpd, marpctl, 3, true, clusterspec.Spec{CommitDelay: "200us"})
 		for w := 0; w < 3; w++ {
 			h.write(w%2+1, fmt.Sprintf("fs-a%d", w))
 		}
@@ -128,37 +129,37 @@ type corpusHarness struct {
 	marpd, marpctl string
 	n              int
 	client         []string
-	dataDirs       []string
+	spec           string // the cluster spec file every process boots from
 	spool          string
 	procs          []*exec.Cmd
 	clients        []*clientConn
-	peers          string
-	extra          []string
 	writes         int
 }
 
-func newCorpusHarness(t *testing.T, marpd, marpctl string, n int, durable bool, extra []string) *corpusHarness {
+// newCorpusHarness boots an n-node cluster from a spec carrying keys, the
+// scenario's cluster-level settings; durable gives every node a data_dir
+// and fsync=commit.
+func newCorpusHarness(t *testing.T, marpd, marpctl string, n int, durable bool, keys clusterspec.Spec) *corpusHarness {
 	t.Helper()
 	h := &corpusHarness{
 		t: t, marpd: marpd, marpctl: marpctl, n: n,
-		client:   make([]string, n+1),
-		dataDirs: make([]string, n+1),
-		spool:    t.TempDir(),
-		procs:    make([]*exec.Cmd, n+1),
-		clients:  make([]*clientConn, n+1),
-		extra:    extra,
+		client:  make([]string, n+1),
+		spool:   t.TempDir(),
+		procs:   make([]*exec.Cmd, n+1),
+		clients: make([]*clientConn, n+1),
 	}
-	fabric := make([]string, n+1)
-	var peerSpec []string
+	if durable {
+		keys.Fsync = "commit"
+	}
 	for i := 1; i <= n; i++ {
-		fabric[i] = freePort(t)
 		h.client[i] = freePort(t)
+		node := clusterspec.Node{ID: i, Fabric: freePort(t), Client: h.client[i]}
 		if durable {
-			h.dataDirs[i] = t.TempDir()
+			node.DataDir = t.TempDir()
 		}
-		peerSpec = append(peerSpec, fmt.Sprintf("%d=%s", i, fabric[i]))
+		keys.Nodes = append(keys.Nodes, node)
 	}
-	h.peers = strings.Join(peerSpec, ",")
+	h.spec = writeSpec(t, keys)
 	for i := 1; i <= n; i++ {
 		h.restart(i)
 	}
@@ -173,20 +174,10 @@ func newCorpusHarness(t *testing.T, marpd, marpctl string, n int, durable bool, 
 	return h
 }
 
-// restart (re)starts process i with the scenario's standing flags.
+// restart (re)starts process i from the scenario's spec.
 func (h *corpusHarness) restart(i int) {
 	h.t.Helper()
-	args := []string{
-		"-node", fmt.Sprint(i),
-		"-peers", h.peers,
-		"-addr", h.client[i],
-		"-record", h.spool,
-	}
-	if h.dataDirs[i] != "" {
-		args = append(args, "-data-dir", h.dataDirs[i], "-fsync", "commit")
-	}
-	args = append(args, h.extra...)
-	cmd := exec.Command(h.marpd, args...)
+	cmd := exec.Command(h.marpd, "-spec", h.spec, "-node", fmt.Sprint(i), "-record", h.spool)
 	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 	if err := cmd.Start(); err != nil {
 		h.t.Fatalf("starting replica %d: %v", i, err)

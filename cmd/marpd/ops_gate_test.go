@@ -14,12 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clusterspec"
 	"repro/internal/transport"
 )
 
 // TestOpsGate is the CI ops-plane gate: a 3-node live cluster boots
-// end-to-end from one declarative spec file (no hand-written -peers
-// string anywhere), every node serves Prometheus /metrics covering at
+// end-to-end from one declarative spec file, every node serves Prometheus /metrics covering at
 // least five subsystems with monotonic counters, /healthz reports a
 // reachable write quorum, and partitioning the minority node flips its
 // /healthz to degraded until the partition heals.
@@ -39,28 +39,16 @@ func TestOpsGate(t *testing.T) {
 
 	// One spec file is the whole cluster description.
 	const n = 3
-	fabric := make([]string, n+1)
 	client := make([]string, n+1)
 	opsAddr := make([]string, n+1)
-	spec := "name = \"ops-gate\"\nshards = 2\ngeometry = \"majority\"\n"
+	spec := clusterspec.Spec{Name: "ops-gate", Shards: 2, Geometry: "majority"}
 	for i := 1; i <= n; i++ {
-		fabric[i], client[i], opsAddr[i] = freePort(t), freePort(t), freePort(t)
-		spec += fmt.Sprintf("\n[[node]]\nid = %d\nfabric = %q\nclient = %q\nops = %q\n",
-			i, fabric[i], client[i], opsAddr[i])
+		client[i], opsAddr[i] = freePort(t), freePort(t)
+		spec.Nodes = append(spec.Nodes, clusterspec.Node{
+			ID: i, Fabric: freePort(t), Client: client[i], Ops: opsAddr[i],
+		})
 	}
-	specPath := filepath.Join(t.TempDir(), "cluster.toml")
-	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// The operator's dry run: spec expand prints one flag set per node.
-	out, err := exec.Command(marpctl, "spec", "expand", specPath).Output()
-	if err != nil {
-		t.Fatalf("marpctl spec expand: %v", err)
-	}
-	if got := strings.Count(string(out), "marpd -node "); got != n {
-		t.Fatalf("spec expand printed %d node lines, want %d:\n%s", got, n, out)
-	}
+	specPath := writeSpec(t, spec)
 
 	procs := make([]*exec.Cmd, n+1)
 	for i := 1; i <= n; i++ {

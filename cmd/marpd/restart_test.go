@@ -6,18 +6,18 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/clusterspec"
 	"repro/internal/transport"
 )
 
 // TestLiveRestartSmoke is the durability story at deployment granularity —
 // the same scenario the CI restart-smoke gate runs from the shell: three
 // durable marpd processes, a workload in flight, kill -9 one process
-// mid-workload, restart it under the same -data-dir, and require all three
+// mid-workload, restart it under the same data_dir, and require all three
 // digests to agree on the full commit set. The restarted process replays
 // its WAL for everything it acked and pulls the rest via anti-entropy.
 func TestLiveRestartSmoke(t *testing.T) {
@@ -35,27 +35,18 @@ func TestLiveRestartSmoke(t *testing.T) {
 	}
 
 	const n = 3
-	fabric := make([]string, n+1)
 	client := make([]string, n+1)
-	dataDirs := make([]string, n+1)
+	spec := clusterspec.Spec{Fsync: "commit"}
 	for i := 1; i <= n; i++ {
-		fabric[i] = freePort(t)
 		client[i] = freePort(t)
-		dataDirs[i] = t.TempDir()
+		spec.Nodes = append(spec.Nodes, clusterspec.Node{
+			ID: i, Fabric: freePort(t), Client: client[i], DataDir: t.TempDir(),
+		})
 	}
-	var peerSpec []string
-	for i := 1; i <= n; i++ {
-		peerSpec = append(peerSpec, fmt.Sprintf("%d=%s", i, fabric[i]))
-	}
-	peers := strings.Join(peerSpec, ",")
+	specPath := writeSpec(t, spec)
 
 	start := func(i int) *exec.Cmd {
-		cmd := exec.Command(marpd,
-			"-node", fmt.Sprint(i),
-			"-peers", peers,
-			"-addr", client[i],
-			"-data-dir", dataDirs[i],
-			"-fsync", "commit")
+		cmd := exec.Command(marpd, "-spec", specPath, "-node", fmt.Sprint(i))
 		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("starting replica %d: %v", i, err)
@@ -148,7 +139,7 @@ func TestLiveRestartSmoke(t *testing.T) {
 		}
 	}
 
-	// Restart under the same data directory and flags.
+	// Restart from the same spec, so under the same data directory.
 	procs[3] = start(3)
 	clients[3] = &clientConn{c: dialWait(t, client[3], 10*time.Second)}
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clusterspec"
 	"repro/internal/scenario"
 )
 
@@ -44,30 +45,20 @@ func TestScenarioRecordReplay(t *testing.T) {
 	}
 
 	const n = 3
-	fabric := make([]string, n+1)
 	client := make([]string, n+1)
-	dataDirs := make([]string, n+1)
+	spec := clusterspec.Spec{Fsync: "commit"}
 	for i := 1; i <= n; i++ {
-		fabric[i] = freePort(t)
 		client[i] = freePort(t)
-		dataDirs[i] = t.TempDir()
+		spec.Nodes = append(spec.Nodes, clusterspec.Node{
+			ID: i, Fabric: freePort(t), Client: client[i], DataDir: t.TempDir(),
+		})
 	}
-	var peerSpec []string
-	for i := 1; i <= n; i++ {
-		peerSpec = append(peerSpec, fmt.Sprintf("%d=%s", i, fabric[i]))
-	}
-	peers := strings.Join(peerSpec, ",")
+	specPath := writeSpec(t, spec)
 	spool := t.TempDir()
 	allAddrs := strings.Join(client[1:], ",")
 
 	start := func(i int) *exec.Cmd {
-		cmd := exec.Command(marpd,
-			"-node", fmt.Sprint(i),
-			"-peers", peers,
-			"-addr", client[i],
-			"-data-dir", dataDirs[i],
-			"-fsync", "commit",
-			"-record", spool)
+		cmd := exec.Command(marpd, "-spec", specPath, "-node", fmt.Sprint(i), "-record", spool)
 		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("starting replica %d: %v", i, err)

@@ -1,16 +1,19 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/clusterspec"
 	"repro/internal/transport"
 )
 
@@ -35,24 +38,17 @@ func TestLiveMultiProcessSmoke(t *testing.T) {
 	}
 
 	const n = 3
-	fabric := make([]string, n+1) // replica-to-replica addresses, 1-based
 	client := make([]string, n+1) // client protocol addresses, 1-based
+	var spec clusterspec.Spec
 	for i := 1; i <= n; i++ {
-		fabric[i] = freePort(t)
 		client[i] = freePort(t)
+		spec.Nodes = append(spec.Nodes, clusterspec.Node{ID: i, Fabric: freePort(t), Client: client[i]})
 	}
-	var peerSpec []string
-	for i := 1; i <= n; i++ {
-		peerSpec = append(peerSpec, fmt.Sprintf("%d=%s", i, fabric[i]))
-	}
-	peers := strings.Join(peerSpec, ",")
+	specPath := writeSpec(t, spec)
 
 	procs := make([]*exec.Cmd, n+1)
 	for i := 1; i <= n; i++ {
-		cmd := exec.Command(marpd,
-			"-node", fmt.Sprint(i),
-			"-peers", peers,
-			"-addr", client[i])
+		cmd := exec.Command(marpd, "-spec", specPath, "-node", fmt.Sprint(i))
 		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("starting replica %d: %v", i, err)
@@ -153,17 +149,43 @@ func TestLiveMultiProcessSmoke(t *testing.T) {
 	}
 }
 
-// freePort reserves a loopback address by briefly listening on an ephemeral
-// port — same accepted test-only race as the in-process live tests.
-func freePort(t *testing.T) string {
+// writeSpec writes the cluster spec a test's marpd processes boot from and
+// returns its path: spec carries the cluster-level keys the test needs and
+// one node per replica with its addresses. It is written as JSON, which
+// clusterspec.Load reads like TOML.
+func writeSpec(t *testing.T, spec clusterspec.Spec) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	data, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// handedOut holds every address freePort has returned in this test binary.
+var handedOut sync.Map
+
+// freePort reserves a loopback address by briefly listening on an ephemeral
+// port — same accepted test-only race as the in-process live tests. The
+// kernel may hand a closed port out again; an address this binary already
+// handed out is skipped, so one cluster never gets the same port twice.
+func freePort(t *testing.T) string {
+	t.Helper()
+	for {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		if _, taken := handedOut.LoadOrStore(addr, true); !taken {
+			return addr
+		}
+	}
 }
 
 // dialWait connects to a transport service, retrying until the process has

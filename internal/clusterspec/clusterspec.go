@@ -1,11 +1,10 @@
 // Package clusterspec is the declarative description of a live MARP
 // cluster: which nodes exist, where they listen (fabric, client, ops),
-// how the key space is sharded, which quorum geometry and fsync policy
-// apply, and where durable state lives. One spec file replaces the
-// hand-written -peers string every process had to agree on —
-// `marpd -spec cluster.toml -node 2` derives all its flags from the
-// file, and `marpctl spec expand cluster.toml` prints the per-node
-// flag sets for anyone scripting around it.
+// which protocol they run, how the key space is sharded, which quorum
+// geometry and fsync policy apply, and where durable state lives. It is
+// the only source of the settings every process must agree on:
+// `marpd -spec cluster.toml -node 2` reads them from the file, and its
+// flags add only what belongs to one process.
 //
 // Specs load from JSON (stdlib) or from a deliberately small TOML
 // subset parsed by hand (the toolchain bakes in no TOML dependency):
@@ -29,6 +28,7 @@ import (
 
 	"repro/internal/quorum"
 	"repro/internal/runtime"
+	"repro/internal/wal"
 )
 
 // Node is one replica process in the cluster.
@@ -39,9 +39,8 @@ type Node struct {
 	// peers dial; required, and the host part must be non-empty so other
 	// nodes can reach it.
 	Fabric string `json:"fabric"`
-	// Client is the optional host:port for the line-JSON client
-	// protocol (marpctl). Empty = no client listener derived from the
-	// spec (marpd's -addr default applies).
+	// Client is the host:port for the line-JSON client protocol
+	// (marpctl). Empty here means marpd's -addr must give it.
 	Client string `json:"client,omitempty"`
 	// Ops is the optional host:port for the ops listener (/metrics,
 	// /healthz). Empty = no ops listener.
@@ -56,6 +55,10 @@ type Node struct {
 type Spec struct {
 	// Name labels the cluster in diagnostics. Optional.
 	Name string `json:"name,omitempty"`
+	// Protocol is the replication protocol every process runs: marp
+	// (default; pessimistic locking agents) or optimistic (tentative
+	// commits and reconciliation agents).
+	Protocol string `json:"protocol,omitempty"`
 	// Shards is the key-space shard count (default 1).
 	Shards int `json:"shards,omitempty"`
 	// Geometry is the quorum geometry: majority (default), grid, tree.
@@ -228,6 +231,8 @@ func assign(s *Spec, cur *Node, key, str string, num int64, isStr bool) error {
 	switch key {
 	case "name":
 		return wantStr(&s.Name)
+	case "protocol":
+		return wantStr(&s.Protocol)
 	case "shards":
 		var v int64
 		if err := wantInt(&v); err != nil {
@@ -251,23 +256,34 @@ func assign(s *Spec, cur *Node, key, str string, num int64, isStr bool) error {
 
 // Validate checks the spec's internal consistency: at least one node,
 // unique positive IDs, required and parseable fabric addresses, no
-// address claimed twice, known geometry/fsync, parseable delays.
+// address claimed twice, known protocol/geometry/fsync, parseable delays,
+// and no setting the chosen protocol does not have.
 func (s *Spec) Validate() error {
 	if len(s.Nodes) == 0 {
 		return fmt.Errorf("spec has no nodes")
 	}
+	switch s.Protocol {
+	case "", "marp":
+	case "optimistic":
+		// Refused rather than dropped: the optimistic protocol has no
+		// quorum to shape and commits without a WAL group-commit window.
+		if s.Geometry != "" {
+			return fmt.Errorf("the optimistic protocol has no quorum geometry: remove the geometry key")
+		}
+		if s.CommitDelay != "" {
+			return fmt.Errorf("the optimistic protocol has no group commit: remove the commit_delay key")
+		}
+	default:
+		return fmt.Errorf("unknown protocol %q (want marp or optimistic)", s.Protocol)
+	}
 	if s.Shards < 0 {
 		return fmt.Errorf("shards = %d, want >= 1", s.Shards)
 	}
-	if s.Geometry != "" {
-		if _, err := quorum.ParseGeometry(s.Geometry); err != nil {
-			return err
-		}
+	if _, err := quorum.ParseGeometry(s.Geometry); err != nil {
+		return err
 	}
-	switch s.Fsync {
-	case "", "commit", "always", "none":
-	default:
-		return fmt.Errorf("unknown fsync policy %q (want commit, always, none)", s.Fsync)
+	if _, err := wal.ParsePolicy(s.Fsync); err != nil {
+		return err
 	}
 	if s.CommitDelay != "" {
 		d, err := time.ParseDuration(s.CommitDelay)
@@ -343,23 +359,13 @@ func (s *Spec) IDs() []int {
 }
 
 // FabricAddrs returns the fabric address map every live replica process
-// must agree on — the programmatic form of the -peers string.
+// must agree on.
 func (s *Spec) FabricAddrs() map[runtime.NodeID]string {
 	addrs := make(map[runtime.NodeID]string, len(s.Nodes))
 	for _, n := range s.Nodes {
 		addrs[runtime.NodeID(n.ID)] = n.Fabric
 	}
 	return addrs
-}
-
-// PeerString renders the -peers flag value: "1=host:port,2=host:port",
-// ascending by ID.
-func (s *Spec) PeerString() string {
-	parts := make([]string, 0, len(s.Nodes))
-	for _, id := range s.IDs() {
-		parts = append(parts, fmt.Sprintf("%d=%s", id, s.Find(id).Fabric))
-	}
-	return strings.Join(parts, ",")
 }
 
 // DataDirOf returns the durability directory for a node: its explicit
@@ -376,81 +382,4 @@ func (s *Spec) DataDirOf(id int) string {
 		return filepath.Join(s.DataRoot, fmt.Sprintf("node-%d", id))
 	}
 	return ""
-}
-
-// Flags renders the marpd argv a node would run with if it consumed the
-// spec by hand — what `marpctl spec expand` prints, and a readable
-// definition of exactly which settings -spec derives.
-func (s *Spec) Flags(id int) []string {
-	n := s.Find(id)
-	if n == nil {
-		return nil
-	}
-	args := []string{"-node", strconv.Itoa(id), "-peers", s.PeerString()}
-	if n.Client != "" {
-		args = append(args, "-addr", n.Client)
-	}
-	if n.Ops != "" {
-		args = append(args, "-ops", n.Ops)
-	}
-	if dir := s.DataDirOf(id); dir != "" {
-		args = append(args, "-data-dir", dir)
-	}
-	if s.Fsync != "" {
-		args = append(args, "-fsync", s.Fsync)
-	}
-	if s.Shards != 0 {
-		args = append(args, "-shards", strconv.Itoa(s.Shards))
-	}
-	if s.Geometry != "" {
-		args = append(args, "-geometry", s.Geometry)
-	}
-	if s.Seed != 0 {
-		args = append(args, "-seed", strconv.FormatInt(s.Seed, 10))
-	}
-	if s.CommitDelay != "" {
-		args = append(args, "-commit-delay", s.CommitDelay)
-	}
-	return args
-}
-
-// ParsePeers turns "1=host:port,2=host:port,..." into the address map
-// every live replica process must agree on. Unlike a plain map insert it
-// rejects duplicate IDs — a typo like "1=a,1=b" used to silently drop
-// an address.
-func ParsePeers(spec string) (map[runtime.NodeID]string, error) {
-	addrs := make(map[runtime.NodeID]string)
-	for _, part := range strings.Split(spec, ",") {
-		id, addr, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad peer %q (want id=host:port)", part)
-		}
-		n, err := strconv.Atoi(id)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad peer id %q", id)
-		}
-		if prev, dup := addrs[runtime.NodeID(n)]; dup {
-			return nil, fmt.Errorf("duplicate peer id %d (%s and %s)", n, prev, addr)
-		}
-		addrs[runtime.NodeID(n)] = addr
-	}
-	return addrs, nil
-}
-
-// ValidatePeers checks a parsed peer map from one process's standpoint:
-// the process's own ID must appear, and every address must parse as
-// host:port.
-func ValidatePeers(self runtime.NodeID, addrs map[runtime.NodeID]string) error {
-	if self < 1 {
-		return fmt.Errorf("node id %d, want >= 1", self)
-	}
-	if _, ok := addrs[self]; !ok {
-		return fmt.Errorf("peers have no entry for this process (node %d)", self)
-	}
-	for id, addr := range addrs {
-		if _, _, err := net.SplitHostPort(addr); err != nil {
-			return fmt.Errorf("peer %d: bad address %q: %v", id, addr, err)
-		}
-	}
-	return nil
 }

@@ -13,6 +13,7 @@ import (
 const sampleTOML = `
 # Three durable replicas on localhost.
 name = "demo"
+protocol = "marp"
 shards = 4
 geometry = "grid"
 fsync = "commit"
@@ -48,7 +49,7 @@ func TestParseTOML(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if s.Name != "demo" || s.Shards != 4 || s.Geometry != "grid" ||
+	if s.Name != "demo" || s.Protocol != "marp" || s.Shards != 4 || s.Geometry != "grid" ||
 		s.CommitDelay != "200us" || s.Seed != 7 {
 		t.Errorf("top-level fields wrong: %+v", s)
 	}
@@ -58,8 +59,12 @@ func TestParseTOML(t *testing.T) {
 	if s.Nodes[1].Fabric != "127.0.0.1:7802" {
 		t.Errorf("node 2 fabric = %q (comment stripping broken?)", s.Nodes[1].Fabric)
 	}
-	if got := s.PeerString(); got != "1=127.0.0.1:7801,2=127.0.0.1:7802,3=127.0.0.1:7803" {
-		t.Errorf("PeerString = %q", got)
+	want := map[runtime.NodeID]string{1: "127.0.0.1:7801", 2: "127.0.0.1:7802", 3: "127.0.0.1:7803"}
+	if got := s.FabricAddrs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("FabricAddrs = %v, want %v", got, want)
+	}
+	if s.Find(2) != &s.Nodes[1] || s.Find(9) != nil {
+		t.Errorf("Find(2) = %v, Find(9) = %v: want node 2, then nil for a node the spec lacks", s.Find(2), s.Find(9))
 	}
 	if got := s.DataDirOf(1); got != filepath.Join("/tmp/marp-demo", "node-1") {
 		t.Errorf("DataDirOf(1) = %q", got)
@@ -153,6 +158,12 @@ func TestValidateErrors(t *testing.T) {
 		{"bad fsync", func(s *Spec) { s.Fsync = "sometimes" }, "fsync"},
 		{"bad delay", func(s *Spec) { s.CommitDelay = "fast" }, "commit_delay"},
 		{"negative delay", func(s *Spec) { s.CommitDelay = "-1ms" }, "negative"},
+		{"unknown protocol", func(s *Spec) { s.Protocol = "paxos" }, "unknown protocol"},
+		// A setting the chosen protocol does not have is refused, not dropped.
+		{"optimistic + geometry", func(s *Spec) { s.Protocol = "optimistic" }, "no quorum geometry: remove the geometry key"},
+		{"optimistic + commit_delay", func(s *Spec) {
+			s.Protocol, s.Geometry, s.CommitDelay = "optimistic", "", "200us"
+		}, "no group commit: remove the commit_delay key"},
 	}
 	for _, c := range cases {
 		s := validSpec()
@@ -161,8 +172,21 @@ func TestValidateErrors(t *testing.T) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.wantErr)
 		}
 	}
-	if err := validSpec().Validate(); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
+	valid := []struct {
+		name   string
+		mutate func(*Spec)
+	}{
+		{"as built", func(*Spec) {}},
+		{"marp + geometry + commit_delay", func(s *Spec) { s.Protocol, s.CommitDelay = "marp", "200us" }},
+		{"optimistic + shards and fsync", func(s *Spec) { s.Protocol, s.Geometry, s.Fsync = "optimistic", "", "none" }},
+		{"wal.ParsePolicy's upper-case spelling", func(s *Spec) { s.Fsync = "ALWAYS" }},
+	}
+	for _, c := range valid {
+		s := validSpec()
+		c.mutate(s)
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: valid spec rejected: %v", c.name, err)
+		}
 	}
 }
 
@@ -178,7 +202,7 @@ func TestLoadJSONAndTOML(t *testing.T) {
 	}
 	jsonPath := filepath.Join(dir, "c.json")
 	if err := os.WriteFile(jsonPath, []byte(`{
-		"name": "demo", "shards": 4, "geometry": "grid", "fsync": "commit",
+		"name": "demo", "protocol": "marp", "shards": 4, "geometry": "grid", "fsync": "commit",
 		"commit_delay": "200us", "seed": 7, "data_root": "/tmp/marp-demo",
 		"nodes": [
 			{"id": 1, "fabric": "127.0.0.1:7801", "client": "127.0.0.1:7707", "ops": "127.0.0.1:9101"},
@@ -201,68 +225,5 @@ func TestLoadJSONAndTOML(t *testing.T) {
 	os.WriteFile(badPath, []byte("x"), 0o644)
 	if _, err := Load(badPath); err == nil || !strings.Contains(err.Error(), "unknown spec format") {
 		t.Errorf("Load .yaml err = %v", err)
-	}
-}
-
-func TestFlags(t *testing.T) {
-	s, err := ParseTOML([]byte(sampleTOML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := s.Flags(2)
-	want := []string{
-		"-node", "2",
-		"-peers", "1=127.0.0.1:7801,2=127.0.0.1:7802,3=127.0.0.1:7803",
-		"-addr", "127.0.0.1:7708",
-		"-ops", "127.0.0.1:9102",
-		"-data-dir", filepath.Join("/tmp/marp-demo", "node-2"),
-		"-fsync", "commit",
-		"-shards", "4",
-		"-geometry", "grid",
-		"-seed", "7",
-		"-commit-delay", "200us",
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Flags(2) =\n%v\nwant\n%v", got, want)
-	}
-	if s.Flags(9) != nil {
-		t.Error("Flags of unknown node should be nil")
-	}
-}
-
-func TestParsePeers(t *testing.T) {
-	addrs, err := ParsePeers("1=127.0.0.1:7801, 2=127.0.0.1:7802")
-	if err != nil {
-		t.Fatalf("ParsePeers: %v", err)
-	}
-	if len(addrs) != 2 || addrs[1] != "127.0.0.1:7801" {
-		t.Errorf("addrs = %v", addrs)
-	}
-	for _, bad := range []struct{ in, wantErr string }{
-		{"1=a:1,1=b:2", "duplicate peer id"},
-		{"one=a:1", "bad peer id"},
-		{"0=a:1", "bad peer id"},
-		{"justanaddr", "want id=host:port"},
-	} {
-		if _, err := ParsePeers(bad.in); err == nil || !strings.Contains(err.Error(), bad.wantErr) {
-			t.Errorf("ParsePeers(%q) err = %v, want %q", bad.in, err, bad.wantErr)
-		}
-	}
-}
-
-func TestValidatePeers(t *testing.T) {
-	addrs := map[runtime.NodeID]string{1: "127.0.0.1:7801", 2: "127.0.0.1:7802"}
-	if err := ValidatePeers(1, addrs); err != nil {
-		t.Errorf("ValidatePeers(self present): %v", err)
-	}
-	if err := ValidatePeers(3, addrs); err == nil || !strings.Contains(err.Error(), "no entry for this process") {
-		t.Errorf("missing self err = %v", err)
-	}
-	if err := ValidatePeers(0, addrs); err == nil {
-		t.Error("ValidatePeers accepted node 0")
-	}
-	bad := map[runtime.NodeID]string{1: "notanaddr"}
-	if err := ValidatePeers(1, bad); err == nil || !strings.Contains(err.Error(), "bad address") {
-		t.Errorf("bad addr err = %v", err)
 	}
 }

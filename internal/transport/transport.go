@@ -353,7 +353,7 @@ func (s *Server) apply(req Request) Response {
 		if req.Guard != "" {
 			// Refused rather than ignored: a silently dropped guard would
 			// turn an intended CAS into an unconditional overwrite.
-			return Response{Error: "guard requires an optimistic service (marpd -protocol optimistic); MARP has no CAS submit"}
+			return Response{Error: "guard requires an optimistic service (protocol = \"optimistic\" in the cluster spec); MARP has no CAS submit"}
 		}
 		r := core.Set(req.Key, req.Value)
 		if req.Append {
