@@ -188,8 +188,10 @@ func (a *UpdateAgent) evaluate(ctx *agent.Context) {
 	if a.phase == phaseClaiming || a.phase == phaseDone {
 		return
 	}
+	// Only servers that queued the agent can grant it: a tie won on shared
+	// snapshots before it is queued at a write quorum travels on.
 	d := a.lt.Decide(ctx.ID())
-	if d.Found && d.Winner == ctx.ID() {
+	if d.Found && d.Winner == ctx.ID() && a.quorumOf(a.lt.Visited) {
 		a.startClaim(ctx, d)
 		return
 	}
@@ -279,8 +281,9 @@ func (a *UpdateAgent) armRetry(ctx *agent.Context) {
 		// can prove a majority and the tie condition never triggers).
 		// After two genuinely stagnant rounds the agent claims anyway;
 		// the servers' grant exclusivity arbitrates safely (DESIGN.md,
-		// fortification).
-		if a.parkedTicks >= 2 {
+		// fortification). Only once the servers that queued it could
+		// grant a write quorum: until then it starts a new round.
+		if a.parkedTicks >= 2 && a.quorumOf(a.lt.Visited) {
 			a.parkedTicks = 0
 			a.startClaim(ctx, Decision{Found: true, Winner: ctx.ID(), ByTie: true})
 			return
@@ -301,9 +304,10 @@ func (a *UpdateAgent) armRetry(ctx *agent.Context) {
 	})
 }
 
-// startClaim broadcasts the UPDATE message to all replicas (paper §3.1:
-// "it then broadcasts a message to all the replicas to request the update of
-// the replica") and begins collecting acknowledgements.
+// startClaim sends the UPDATE to the servers this agent visited and begins
+// collecting acknowledgements. The paper (§3.1) broadcasts it "to all the
+// replicas", but a server grants only a claimant it has queued, so every
+// other target counts as having refused at once.
 func (a *UpdateAgent) startClaim(ctx *agent.Context, d Decision) {
 	// Checkpoint while still quiescent: a regenerated incarnation resumes
 	// from just before this claim and re-runs it with the same attempt
@@ -337,19 +341,24 @@ func (a *UpdateAgent) startClaim(ctx *agent.Context, d Decision) {
 		m.Evidence = a.lt.Evidence()
 	}
 	for _, id := range a.targets {
-		if id == ctx.Node() {
-			continue
+		if !a.lt.Visited(id) {
+			a.acksNo[id] = true
 		}
-		ctx.Send(id, m, m.WireSize())
 	}
-	a.c.cfg.Trace.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.UpdateSent,
-		"%d keys", len(keys))
-	// The co-located server answers at memory speed.
-	local := a.c.Server(ctx.Node()).HandleUpdateLocal(m)
-	a.handleAck(ctx, local)
+	// The co-located server answers at memory speed, before any UPDATE
+	// leaves: if its answer settles the claim, none need go (and no ABORT
+	// races an UPDATE to the same server).
+	a.handleAck(ctx, a.c.Server(ctx.Node()).HandleUpdateLocal(m))
 	if a.phase != phaseClaiming {
 		return
 	}
+	for _, id := range a.targets {
+		if id != ctx.Node() && a.lt.Visited(id) {
+			ctx.Send(id, m, m.WireSize())
+		}
+	}
+	a.c.cfg.Trace.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.UpdateSent,
+		"%d keys", len(keys))
 	a.claimTmr = ctx.After(a.c.cfg.ClaimTimeout, func() {
 		if a.phase != phaseClaiming {
 			return
@@ -357,7 +366,7 @@ func (a *UpdateAgent) startClaim(ctx *agent.Context, d Decision) {
 		// Servers that never answered are suspected down: whatever this
 		// agent believed about their locking lists is what led to the
 		// futile claim, so forget it and re-learn.
-		for _, id := range a.c.nodes {
+		for _, id := range a.targets {
 			if _, ok := a.acksOK[id]; ok {
 				continue
 			}
@@ -396,32 +405,31 @@ func (a *UpdateAgent) handleAck(ctx *agent.Context, ack *replica.AckMsg) {
 			a.lt.MergeInfo(*ack.Info, false)
 		}
 	}
-	win, dead := true, false
-	for _, shrd := range a.shards {
-		var oks, reachable []runtime.NodeID
-		for _, id := range a.c.groups[shrd] {
-			if _, ok := a.acksOK[id]; ok {
-				oks = append(oks, id)
-				reachable = append(reachable, id)
-			} else if !a.acksNo[id] {
-				reachable = append(reachable, id) // still unanswered
-			}
-		}
-		assign := a.c.assigns[shrd]
-		if !assign.HasWrite(oks) {
-			win = false
-		}
-		if !assign.HasWrite(reachable) {
-			dead = true
-		}
-	}
-	if win {
+	granted := func(id runtime.NodeID) bool { return a.acksOK[id] != nil }
+	if a.quorumOf(granted) {
 		a.finishWin(ctx)
 		return
 	}
-	if dead {
+	if !a.quorumOf(func(id runtime.NodeID) bool { return granted(id) || !a.acksNo[id] }) {
 		a.abortClaim(ctx, "majority impossible")
 	}
+}
+
+// quorumOf reports whether, on every shard the agent claims, the group
+// members for which in holds form a write quorum.
+func (a *UpdateAgent) quorumOf(in func(runtime.NodeID) bool) bool {
+	for _, shrd := range a.shards {
+		var ids []runtime.NodeID
+		for _, id := range a.c.groups[shrd] {
+			if in(id) {
+				ids = append(ids, id)
+			}
+		}
+		if !a.c.assigns[shrd].HasWrite(ids) {
+			return false
+		}
+	}
+	return true
 }
 
 // finishWin applies the paper's commit step: determine the most recent copy
@@ -496,13 +504,13 @@ func (a *UpdateAgent) finishWin(ctx *agent.Context) {
 
 // abortClaim withdraws the UPDATE claim, releasing any grants, and retries
 // after a randomized backoff (fresh NACK information usually changes the
-// next decision).
+// next decision). Only a server the claim went to can hold a grant.
 func (a *UpdateAgent) abortClaim(ctx *agent.Context, reason string) {
 	a.claimTmr.Cancel()
 	a.retries++
 	m := &replica.AbortMsg{Txn: ctx.ID(), Attempt: a.attempt}
 	for _, id := range a.targets {
-		if id == ctx.Node() {
+		if id == ctx.Node() || !a.lt.Visited(id) {
 			continue
 		}
 		ctx.Send(id, m, m.WireSize())

@@ -34,17 +34,16 @@ var modelKinds = []string{"agent-migrate", "update", "agent-msg", "commit"}
 // replica group of n servers, kind by kind. The winning agent starts at its
 // home and visits between a majority and all n servers before it knows it
 // holds the lock (Theorem 3), so it migrates one time fewer than it visits.
-// It then sends the UPDATE to the n−1 others, each answers with an ACK
-// addressed to the agent (an agent-msg), and the COMMIT goes to the same
-// n−1. The UPDATE round needs only a majority of grants, one of them given
-// locally by the server the agent stands on, so as few as a majority less
-// one ACKs may travel; uncontended runs on a reliable network see all n−1.
+// Only a server that queued the agent can grant its claim, so the UPDATE
+// goes to the servers it visited other than the one it stands on — as many
+// as it migrated — and each answers with an ACK addressed to the agent (an
+// agent-msg). The COMMIT goes to all n−1 others.
 func costModel(n int) map[string][2]float64 {
-	maj := float64(n/2 + 1)
+	visits := [2]float64{float64(n / 2), float64(n - 1)}
 	return map[string][2]float64{
-		"agent-migrate": {maj - 1, float64(n - 1)},
-		"update":        {float64(n - 1), float64(n - 1)},
-		"agent-msg":     {maj - 1, float64(n - 1)},
+		"agent-migrate": visits,
+		"update":        visits,
+		"agent-msg":     visits,
 		"commit":        {float64(n - 1), float64(n - 1)},
 	}
 }

@@ -131,7 +131,8 @@ type Stats struct {
 
 // Modelled frame sizes, charged to the network's byte accounting: a data
 // frame's header is its sequence number, floor and the cumulative ack's
-// watermark; either frame kind pays aboveSize per number listed above it.
+// watermark, a standalone ack's the floor and the watermark; either frame
+// kind pays aboveSize per number listed above it.
 const (
 	headerSize = 20
 	ackSize    = 16
@@ -215,8 +216,13 @@ func (d dataMsg) Kind() string {
 }
 
 // ackMsg is the standalone acknowledgement, sent when no data frame left
-// for the peer in time to carry it.
-type ackMsg struct{ Ack ackState }
+// for the peer in time to carry it, or to tell the peer a floor that a
+// give-up moved. Floor is the sender's floor on the reverse link, as in a
+// data frame.
+type ackMsg struct {
+	Floor uint64
+	Ack   ackState
+}
 
 func (ackMsg) Kind() string { return "rel-ack" }
 
@@ -245,9 +251,13 @@ type Journal interface {
 // the peer, and what it holds of the peer's.
 type link struct {
 	// Outbound. Every number below floor is acknowledged or abandoned;
-	// with nothing pending floor is next+1.
+	// with nothing pending floor is next+1. told is the highest floor a
+	// frame has carried to the peer, gaveUp the highest number abandoned
+	// at the retry cap.
 	next    uint64 // last number assigned; survives Crash (stable storage)
 	floor   uint64
+	told    uint64
+	gaveUp  uint64
 	pending map[uint64]*pendingSend
 
 	// Inbound. fresh lists the numbers above held.Mark that arrived since
@@ -440,6 +450,7 @@ func (l *Layer) transmit(p *port, lk *link, ps *pendingSend) {
 	if due {
 		l.stats.AcksPiggybacked++
 	}
+	lk.told = lk.floor
 	l.net.Send(runtime.Message{
 		From:    ps.msg.From,
 		To:      ps.msg.To,
@@ -480,7 +491,9 @@ func (l *Layer) expire(p *port, lk *link, ps *pendingSend) {
 	if ps.attempt >= l.cfg.Attempts {
 		delete(lk.pending, ps.seq)
 		lk.advance()
+		lk.gaveUp = max(lk.gaveUp, ps.seq)
 		l.stats.GaveUp++
+		l.tellFloor(p, ps.msg.To, lk)
 		if l.onUnreachable != nil {
 			l.onUnreachable(ps.msg.From, ps.msg.To, ps.msg)
 		}
@@ -491,8 +504,21 @@ func (l *Layer) expire(p *port, lk *link, ps *pendingSend) {
 	l.transmit(p, lk, ps)
 }
 
-// acked settles what the peer acknowledges of lk's outbound frames.
-func (lk *link) acked(ack ackState) {
+// tellFloor sends peer the link's floor when it has moved over a number
+// given up on that no frame's floor has covered yet, and over at least one
+// more: the peer may hold frames above that hole, and nothing else would
+// close it before the next frame goes that way. Without a give-up it never
+// sends.
+func (l *Layer) tellFloor(p *port, peer runtime.NodeID, lk *link) {
+	if lk.gaveUp != 0 && lk.gaveUp >= lk.told && lk.floor > lk.told+1 {
+		l.sendAck(p, peer, lk)
+	}
+}
+
+// heard applies the link state a frame from peer carries: its
+// acknowledgement of lk's outbound frames and its floor on the reverse
+// direction.
+func (l *Layer) heard(p *port, peer runtime.NodeID, lk *link, floor uint64, ack ackState) {
 	for seq := lk.floor; seq <= ack.Mark && seq <= lk.next; seq++ {
 		lk.settle(seq)
 	}
@@ -500,17 +526,18 @@ func (lk *link) acked(ack ackState) {
 		lk.settle(seq)
 	}
 	lk.advance()
+	l.tellFloor(p, peer, lk)
+	// The floor is at least 1; a zero can only come off a hostile wire.
+	if floor > 0 && lk.held.Raise(floor-1) {
+		lk.unlogged = true
+	}
 }
 
 func (l *Layer) receive(p *port, m runtime.Message) {
 	switch pl := m.Payload.(type) {
 	case dataMsg:
 		lk := p.link(m.From)
-		lk.acked(pl.Ack)
-		// The floor is at least 1; a zero can only come off a hostile wire.
-		if pl.Floor > 0 && lk.held.Raise(pl.Floor-1) {
-			lk.unlogged = true
-		}
+		l.heard(p, m.From, lk, pl.Floor, pl.Ack)
 		fresh := lk.held.Accept(pl.Seq)
 		if fresh {
 			lk.unlogged = true
@@ -533,7 +560,7 @@ func (l *Layer) receive(p *port, m runtime.Message) {
 			h.Deliver(runtime.Message{From: m.From, To: m.To, Payload: pl.Payload, Size: m.Size - headerSize - aboveSize*len(pl.Ack.Above)})
 		}
 	case ackMsg:
-		p.link(m.From).acked(pl.Ack)
+		l.heard(p, m.From, p.link(m.From), pl.Floor, pl.Ack)
 	default:
 		// A sender bypassed the layer; hand the raw message up unchanged.
 		if h := l.upper[p.id]; h != nil {
@@ -543,11 +570,12 @@ func (l *Layer) receive(p *port, m runtime.Message) {
 }
 
 // sendAck fires when no data frame left for peer within the ack delay of
-// the first unacknowledged arrival.
+// the first unacknowledged arrival, or when tellFloor has news.
 func (l *Layer) sendAck(p *port, peer runtime.NodeID, lk *link) {
 	ack, _ := l.takeAck(p, peer, lk)
 	l.stats.AcksSent++
-	l.net.Send(runtime.Message{From: p.id, To: peer, Payload: ackMsg{Ack: ack}, Size: ackSize + aboveSize*len(ack.Above)})
+	lk.told = lk.floor
+	l.net.Send(runtime.Message{From: p.id, To: peer, Payload: ackMsg{Floor: lk.floor, Ack: ack}, Size: ackSize + aboveSize*len(ack.Above)})
 }
 
 // Crash discards node id's volatile endpoint state: unacked sends die with

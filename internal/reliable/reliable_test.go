@@ -2,6 +2,7 @@ package reliable
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/runtime"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 type rec struct{ msgs []simnet.Message }
@@ -261,6 +263,127 @@ func TestRestartStrideMovesTheFloor(t *testing.T) {
 	})
 }
 
+// TestGiveUpTellsTheFloor: frame 1 is lost for good, frame 2 arrives and
+// waits above the hole, and nothing more is ever sent that way. The give-up
+// moves the floor over frame 2, so one standalone ack carries the new floor
+// and the receiver holds nothing above its watermark at quiescence.
+func TestGiveUpTellsTheFloor(t *testing.T) {
+	sim, _, g, l, _, b := gatedPair(t, nil, Config{Base: 4 * time.Millisecond, Max: 4 * time.Millisecond, Attempts: 3})
+	var notices []ackMsg
+	g.drop = func(m runtime.Message) bool {
+		switch pl := m.Payload.(type) {
+		case dataMsg:
+			return pl.Payload == "one"
+		case ackMsg:
+			if m.From == 1 {
+				notices = append(notices, pl)
+			}
+		}
+		return false
+	}
+	l.Send(simnet.Message{From: 1, To: 2, Payload: "one", Size: 3})
+	l.Send(simnet.Message{From: 1, To: 2, Payload: "two", Size: 3})
+	sim.Run()
+	if st := l.Stats(); st.GaveUp != 1 || st.DedupResidue != 0 {
+		t.Fatalf("stats %+v: want frame 1 given up and no residue at quiescence", st)
+	}
+	if len(notices) != 1 || notices[0].Floor != 3 {
+		t.Fatalf("node 1 sent standalone acks %+v, want one carrying floor 3", notices)
+	}
+	if got := payloads(b); len(got) != 1 || got[0] != "two" {
+		t.Fatalf("delivered %v, want [two]", got)
+	}
+}
+
+// TestAckFrameCarriesTheFloor: the standalone ack's layout (wire version 5)
+// is its tag, its sender's floor, then the cumulative ack; the bytes are
+// pinned, the frame round-trips, and every truncation of it is refused.
+func TestAckFrameCarriesTheFloor(t *testing.T) {
+	for _, tc := range []struct {
+		msg  ackMsg
+		want []byte
+	}{
+		{ackMsg{Floor: 1}, []byte{tagAckMsg, 1, 0, 0}},
+		{ackMsg{Floor: 91, Ack: ackState{Mark: 45, Above: []uint64{47, 50}}}, []byte{tagAckMsg, 91, 45, 2, 47, 50}},
+	} {
+		msg := tc.msg
+		buf, err := wire.AppendMessage(nil, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(buf, tc.want) {
+			t.Fatalf("%+v encodes to % x, want % x", msg, buf, tc.want)
+		}
+		r := wire.NewReader(buf)
+		back, err := wire.DecodeMessage(r)
+		if err != nil || r.Finish() != nil {
+			t.Fatalf("%+v: decode: %v %v", msg, err, r.Finish())
+		}
+		if !reflect.DeepEqual(back, msg) {
+			t.Fatalf("round trip changed the frame: sent %+v, got %+v", msg, back)
+		}
+		for cut := 1; cut < len(buf); cut++ {
+			r := wire.NewReader(buf[:cut])
+			if _, err := wire.DecodeMessage(r); err == nil && r.Finish() == nil {
+				t.Fatalf("%+v cut to %d of %d bytes accepted", msg, cut, len(buf))
+			}
+		}
+	}
+}
+
+// TestGiveUpUnderAPendingFrameTellsTheFloor: a give-up cannot move the floor
+// while a lower frame is still pending; the acknowledgement that settles that
+// frame later moves it instead, and the notice goes then. Frames 1 and 3 are
+// delivered, frame 2 never is, and every acknowledgement is held back until
+// frame 2 has been given up. Retransmission jitter decides whether frame 1
+// is still pending then, so the test sweeps seeds and requires both that
+// this case turns up and that no seed leaves a residue.
+func TestGiveUpUnderAPendingFrameTellsTheFloor(t *testing.T) {
+	pendingBelow := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		sim := des.New(seed)
+		g := &gate{Fabric: simnet.New(sim, simnet.FullMesh(2), simnet.Constant(time.Millisecond))}
+		l := NewLayer(sim, g, Config{Base: 4 * time.Millisecond, Max: 4 * time.Millisecond, Attempts: 3, Jitter: 1})
+		l.Attach(1, &rec{})
+		l.Attach(2, &rec{})
+		var held []runtime.Message
+		twoGone := false
+		l.OnUnreachable(func(_, _ runtime.NodeID, m runtime.Message) {
+			if m.Payload == "two" {
+				twoGone = true
+				for _, ack := range held {
+					g.Fabric.Send(ack)
+				}
+			}
+		})
+		g.drop = func(m runtime.Message) bool {
+			if d, ok := m.Payload.(dataMsg); ok {
+				return d.Payload == "two"
+			}
+			if m.From == 2 && !twoGone {
+				held = append(held, m)
+				return true
+			}
+			return false
+		}
+		for _, p := range []string{"one", "two", "three"} {
+			l.Send(simnet.Message{From: 1, To: 2, Payload: p, Size: 3})
+		}
+		sim.Run()
+		st := l.Stats()
+		if st.DedupResidue != 0 {
+			t.Fatalf("seed %d: stats %+v: residue at quiescence", seed, st)
+		}
+		if st.GaveUp == 1 {
+			pendingBelow++ // frame 1 outlived frame 2's give-up and was settled
+		}
+	}
+	if pendingBelow == 0 {
+		t.Fatal("frame 1 was never settled after frame 2's give-up: the case was not exercised")
+	}
+	t.Logf("frame 1 settled after frame 2's give-up in %d of 40 seeds", pendingBelow)
+}
+
 // TestRestartedReceiverRelearnsItsWatermark: a receiver that lost its window
 // learns from the next frame's floor what the sender no longer holds, and a
 // stray copy of such a frame is not delivered a second time.
@@ -420,8 +543,9 @@ func (tp *tap) Attach(id runtime.NodeID, h runtime.Handler) {
 // as the explicit set of numbers seen it replaces — except that it also
 // suppresses a number it never saw when a floor told it the sender no longer
 // holds it. The test computes that set independently (the highest floor that
-// arrived since the receiver's last crash) and requires the differences to be
-// exactly it, and the sender to indeed hold none of them.
+// arrived, on a data frame or a standalone ack, since the receiver's last
+// crash) and requires the differences to be exactly it, and the sender to
+// indeed hold none of them.
 func TestWindowMatchesExplicitSet(t *testing.T) {
 	type dir struct{ from, to runtime.NodeID }
 	gaveUp, late := 0, 0
@@ -437,12 +561,16 @@ func TestWindowMatchesExplicitSet(t *testing.T) {
 		ok, abandonedLate := true, 0
 		tp := &tap{Fabric: net}
 		tp.around = func(to runtime.NodeID, m runtime.Message, deliver func()) {
+			k := dir{m.From, to}
 			d, isData := m.Payload.(dataMsg)
 			if !isData {
+				// A standalone ack tells its sender's floor too.
+				if a, ok := m.Payload.(ackMsg); ok && a.Floor > floors[k] {
+					floors[k] = a.Floor
+				}
 				deliver()
 				return
 			}
-			k := dir{m.From, to}
 			if seen[k] == nil {
 				seen[k] = map[uint64]bool{}
 			}

@@ -10,7 +10,7 @@ const (
 )
 
 // Layout, all uvarints: a data frame is seq, floor, ack, then the nested
-// payload message; a standalone ack is the ack alone. An ack is its
+// payload message; a standalone ack is floor, ack. An ack is its
 // watermark, a count, and that many sequence numbers above the watermark.
 func init() {
 	wire.Register(tagDataMsg, dataMsg{},
@@ -38,10 +38,11 @@ func init() {
 		})
 	wire.Register(tagAckMsg, ackMsg{},
 		func(b []byte, v any) []byte {
-			return appendAck(b, v.(ackMsg).Ack)
+			m := v.(ackMsg)
+			return appendAck(wire.AppendUvarint(b, m.Floor), m.Ack)
 		},
 		func(r *wire.Reader) any {
-			return ackMsg{Ack: readAck(r)}
+			return ackMsg{Floor: r.Uvarint(), Ack: readAck(r)}
 		})
 }
 

@@ -40,8 +40,9 @@ import (
 // version 3 gave the reliable layer's frames (tags 40-41) a floor and a
 // cumulative acknowledgement; version 4 made anti-entropy one exchange per
 // peer, a SyncRequest (tag 16) naming every shard and a SyncReply (tag 17)
-// carrying a section per shard.
-const Version = 4
+// carrying a section per shard; version 5 gave the standalone
+// acknowledgement (tag 41) its sender's floor.
+const Version = 5
 
 // Preamble is what a wire-codec connection starts with: a magic, then the
 // format version.
