@@ -91,8 +91,11 @@ type Config struct {
 	// whenever Faults injects loss; off by default so fault-free runs send
 	// no acks and stay byte-identical to the baseline.
 	Reliable bool
-	// RetransmitBase is the reliable layer's first-retry delay (default
-	// reliable.DefaultConfig.Base). Only meaningful with Reliable.
+	// RetransmitBase is the reliable layer's first-retry delay on a link
+	// that has not measured its round trip yet, and four times the longest
+	// a receiver holds an acknowledgement (default
+	// reliable.DefaultConfig.Base). Once a link has a sample, its measured
+	// timeout replaces it. Only meaningful with Reliable.
 	RetransmitBase time.Duration
 	// RetransmitAttempts caps transmissions per message (default
 	// reliable.DefaultConfig.Attempts). Only meaningful with Reliable.

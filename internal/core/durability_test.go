@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/reliable"
 	"repro/internal/runtime"
 	"repro/internal/simnet"
 	"repro/internal/wal"
@@ -158,6 +159,11 @@ func TestDurableRestartChurnUnderLossyNetwork(t *testing.T) {
 	}
 	if got := snap.Value("marp.reliable.dedup_residue"); got != 0 {
 		t.Fatalf("marp.reliable.dedup_residue = %v at quiescence", got)
+	}
+	// Every link timed its round trips, restarts included, and none of them
+	// waits as long as the 20 ms a link starts with.
+	if n, rto := snap.Value("marp.reliable.rtt_samples"), snap.Value("marp.reliable.rto_max_seconds"); n == 0 || rto <= 0 || rto >= reliable.DefaultConfig.Base.Seconds() {
+		t.Fatalf("%v round trips measured, longest timeout %vs", n, rto)
 	}
 }
 

@@ -93,6 +93,10 @@ func (c *Cluster) registerMetrics() {
 		func() float64 { return float64(c.ReliableStats().DedupResidue) })
 	r.CounterFunc("marp.reliable.gave_up", "Sends that exhausted the retry cap.",
 		func() float64 { return float64(c.ReliableStats().GaveUp) })
+	r.CounterFunc("marp.reliable.rtt_samples", "Round trips measured from first transmissions, the receiver's ack delay taken out.",
+		func() float64 { return float64(c.ReliableStats().RTTSamples) })
+	r.GaugeFunc("marp.reliable.rto_max_seconds", "The longest first retransmission timeout a link that has measured its round trip would give a frame now, backoff included.",
+		func() float64 { return c.ReliableStats().RTOMax.Seconds() })
 
 	// Fabric: the transport the protocol actually sends on.
 	r.CounterFunc("marp.fabric.messages_sent", "Protocol messages handed to the fabric.",

@@ -22,6 +22,18 @@
 // with nothing having gone the other way. A lost acknowledgement costs
 // nothing — the next frame restates the watermark.
 //
+// How long a frame waits before its first retransmission is measured per
+// link, not configured (RFC 6298): every data frame carries which
+// transmission of it this is, every acknowledgement names the newest frame
+// it answers, which transmission of it arrived and how long it waited at
+// the receiver, and the sender takes the round trip of that transmission
+// less the wait as a sample. Naming the transmission (as TCP's timestamp
+// echo does) removes the ambiguity Karn's rule avoids by discarding the
+// samples of retransmitted frames — which on a link slower than its first
+// timeout would be every sample. The link's timeout is the smoothed round
+// trip plus four mean deviations plus the ack delay; the configured Base is
+// only where a link starts before its first sample.
+//
 // A sequence number that will never be delivered (the retry cap ran out,
 // the sender crashed with the frame unacknowledged, a restart skipped
 // ahead) must not stall the receiver's watermark, so every data frame also
@@ -37,13 +49,13 @@
 // provides at-least-once delivery with dedup for agent migration.
 //
 // Crash semantics follow fail-stop: Crash(id) discards the node's volatile
-// state — unacked sends die with the node and the receive windows are
-// lost, so a retransmit that straddles a crash/recovery may be delivered
-// twice (the recovered receiver re-learns its watermark from the next
-// frame's floor, so only frames the sender still holds can be). The
-// protocol handlers tolerate that (they are idempotent or guarded by
-// attempt numbers). The per-link send counters survive a crash, modelling
-// sequence numbers kept in stable storage.
+// state — unacked sends die with the node, the receive windows and the
+// round-trip estimates are lost, so a retransmit that straddles a
+// crash/recovery may be delivered twice (the recovered receiver re-learns
+// its watermark from the next frame's floor, so only frames the sender
+// still holds can be). The protocol handlers tolerate that (they are
+// idempotent or guarded by attempt numbers). The per-link send counters
+// survive a crash, modelling sequence numbers kept in stable storage.
 //
 // With a durability journal attached (SetJournal), that modelling becomes
 // real: the send counters are journaled as one striding high-water mark
@@ -64,10 +76,13 @@ import (
 
 // Config tunes the retransmission policy.
 type Config struct {
-	// Base is the delay before the first retransmission. Subsequent delays
-	// double up to Max.
+	// Base is the delay before the first retransmission on a link that has
+	// not measured a round trip yet; from its first sample on, the link's
+	// own timeout replaces it. A receiver holds an acknowledgement for at
+	// most Base/4 waiting for reverse traffic to carry it, so every node
+	// of a cluster runs the same Base.
 	Base time.Duration
-	// Max caps the backoff delay.
+	// Max caps every retransmission delay.
 	Max time.Duration
 	// Attempts is the maximum number of transmissions per message
 	// (the initial send counts as the first).
@@ -78,7 +93,8 @@ type Config struct {
 }
 
 // DefaultConfig suits the LAN/prototype latency presets: first retry after
-// 20ms, doubling to 500ms, five transmissions total.
+// 20ms until a round trip is measured, doubling to 500ms, five
+// transmissions total.
 var DefaultConfig = Config{Base: 20 * time.Millisecond, Max: 500 * time.Millisecond, Attempts: 5, Jitter: 0.2}
 
 func (c Config) withDefaults() Config {
@@ -98,44 +114,88 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// ackDelay is the longest a receiver holds an acknowledgement waiting for a
+// data frame going the other way to carry it.
+func (c Config) ackDelay() time.Duration { return c.Base / 4 }
+
 // Backoff returns the (jitter-free) delay scheduled after the attempt-th
-// transmission: Base doubled attempt-1 times, capped at Max. Exposed pure so
-// the schedule is unit-testable.
+// transmission on a link that has not measured a round trip: Base doubled
+// attempt-1 times, capped at Max. Exposed pure so the schedule is
+// unit-testable.
 func Backoff(cfg Config, attempt int) time.Duration {
 	cfg = cfg.withDefaults()
-	if attempt < 1 {
-		attempt = 1
-	}
-	d := cfg.Base
-	for i := 1; i < attempt; i++ {
+	return backoff(cfg.Base, cfg.Max, attempt)
+}
+
+// backoff is first doubled attempt-1 times, capped at limit.
+func backoff(first, limit time.Duration, attempt int) time.Duration {
+	d := first
+	for i := 1; i < attempt && d < limit; i++ {
 		d *= 2
-		if d >= cfg.Max {
-			return cfg.Max
-		}
 	}
-	if d > cfg.Max {
-		d = cfg.Max
+	return min(d, limit)
+}
+
+// granularity is RFC 6298's G, the least a timeout allows for the spread of
+// a link's round trips beyond the smoothed one. A live engine's timers fire
+// up to about a millisecond late, and the simulated LAN's transit has an
+// exponential tail: at 1 ms, about one frame in thirteen that waited out
+// the ack delay on the LAN preset was retransmitted while its
+// acknowledgement was on the way (TestOneWayTrafficAcksOnTheTimer).
+const granularity = 2 * time.Millisecond
+
+// rttEstimator is one link's round-trip estimate (RFC 6298; Jacobson and
+// Karels' gains of 1/8 and 1/4), fed only by samples the receiver's wait
+// for reverse traffic has been taken out of.
+type rttEstimator struct {
+	srtt, rttvar time.Duration
+	sampled      bool
+}
+
+func (e *rttEstimator) observe(r time.Duration) {
+	if !e.sampled {
+		e.srtt, e.rttvar, e.sampled = r, r/2, true
+		return
 	}
-	return d
+	dev := e.srtt - r
+	if dev < 0 {
+		dev = -dev
+	}
+	e.rttvar = (3*e.rttvar + dev) / 4
+	e.srtt = (7*e.srtt + r) / 8
+}
+
+// rto is the first retransmission delay of a frame sent on the link now:
+// Base until a round trip has been measured, then SRTT + max(G, 4·RTTVAR)
+// plus the ack delay — an acknowledgement nothing carries back waits that
+// long at the receiver, and the samples leave it out — never above Max.
+func (e *rttEstimator) rto(cfg Config) time.Duration {
+	if !e.sampled {
+		return cfg.Base
+	}
+	return min(e.srtt+max(granularity, 4*e.rttvar)+cfg.ackDelay(), cfg.Max)
 }
 
 // Stats counts the layer's recovery work across all nodes.
 type Stats struct {
-	Retransmissions      int // frames sent beyond the first transmission
-	DuplicatesSuppressed int // frames received more than once and dropped
-	AcksSent             int // standalone ack frames: no data frame came by in time
-	AcksPiggybacked      int // acknowledgements that rode a data frame instead
-	GaveUp               int // sends that exhausted the retry cap
-	DedupResidue         int // gauge: out-of-order frames held above the watermarks
+	Retransmissions      int           // frames sent beyond the first transmission
+	DuplicatesSuppressed int           // frames received more than once and dropped
+	AcksSent             int           // standalone ack frames: no data frame came by in time
+	AcksPiggybacked      int           // acknowledgements that rode a data frame instead
+	GaveUp               int           // sends that exhausted the retry cap
+	RTTSamples           int           // round trips measured, the receiver's wait taken out
+	DedupResidue         int           // gauge: out-of-order frames held above the watermarks
+	RTOMax               time.Duration // gauge: the longest timeout a measured link would give a frame sent now
 }
 
 // Modelled frame sizes, charged to the network's byte accounting: a data
-// frame's header is its sequence number, floor and the cumulative ack's
-// watermark, a standalone ack's the floor and the watermark; either frame
-// kind pays aboveSize per number listed above it.
+// frame's header is its sequence number, transmission number and floor and
+// the cumulative ack's watermark and echo (number, transmission, delay), a
+// standalone ack's the floor and the ack; either frame kind pays aboveSize
+// per number listed above the watermark.
 const (
-	headerSize = 20
-	ackSize    = 16
+	headerSize = 26
+	ackSize    = 21
 	aboveSize  = 4
 )
 
@@ -191,18 +251,27 @@ func (w *Window) absorb() {
 
 // ackState is a cumulative acknowledgement: everything up to Mark, plus
 // the numbers above it that arrived since the receiver last acknowledged.
+// Echo is the newest frame that arrived since then (zero if none did), Tx
+// which transmission of it that was, and Delay how long it waited for this
+// acknowledgement, in whole microseconds: the part of its round trip the
+// network did not spend.
 type ackState struct {
 	Mark  uint64
 	Above []uint64
+	Echo  uint64
+	Tx    int
+	Delay time.Duration
 }
 
-// dataMsg is a sequenced frame wrapping a protocol payload. Floor is the
-// lowest number the sender may still retransmit on this link; Ack is the
-// sender's acknowledgement of the reverse direction. Kind delegates to the
-// payload so per-kind traffic accounting still names the protocol message
-// (retransmissions count again — they are real transmissions).
+// dataMsg is a sequenced frame wrapping a protocol payload. Tx counts its
+// transmissions (1 for the first); Floor is the lowest number the sender
+// may still retransmit on this link; Ack is the sender's acknowledgement
+// of the reverse direction. Kind delegates to the payload so per-kind
+// traffic accounting still names the protocol message (retransmissions
+// count again — they are real transmissions).
 type dataMsg struct {
 	Seq     uint64
+	Tx      int
 	Floor   uint64
 	Ack     ackState
 	Payload any
@@ -230,7 +299,11 @@ type pendingSend struct {
 	msg     runtime.Message // the caller's original message
 	seq     uint64
 	attempt int
-	timer   runtime.Timer
+	// first and last are when the first and the latest transmission left:
+	// where a round trip echoing either starts.
+	first, last runtime.Time
+	rto         time.Duration // the link's timeout when it was sent; doubles per attempt
+	timer       runtime.Timer
 }
 
 // Journal receives the endpoint state a node must not lose across a
@@ -259,13 +332,19 @@ type link struct {
 	told    uint64
 	gaveUp  uint64
 	pending map[uint64]*pendingSend
+	rtt     rttEstimator
 
 	// Inbound. fresh lists the numbers above held.Mark that arrived since
-	// the last acknowledgement left; ackTimer is armed from the first
+	// the last acknowledgement left, newest the last new frame to arrive
+	// since then, newestTx which transmission of it and newestAt when;
+	// ackTimer is armed from the first
 	// unacknowledged arrival until an acknowledgement leaves; unlogged says
 	// held changed since the journal last heard of it.
 	held     Window
 	fresh    []uint64
+	newest   uint64
+	newestTx int
+	newestAt runtime.Time
 	ackTimer runtime.Timer
 	unlogged bool
 }
@@ -440,7 +519,7 @@ func (l *Layer) Send(msg runtime.Message) {
 	if p.journal != nil {
 		p.journal.NextSeq(lk.next)
 	}
-	ps := &pendingSend{msg: msg, seq: lk.next, attempt: 1}
+	ps := &pendingSend{msg: msg, seq: lk.next, attempt: 1, first: l.eng.Now(), rto: lk.rtt.rto(l.cfg)}
 	lk.pending[ps.seq] = ps
 	l.transmit(p, lk, ps)
 }
@@ -451,13 +530,14 @@ func (l *Layer) transmit(p *port, lk *link, ps *pendingSend) {
 		l.stats.AcksPiggybacked++
 	}
 	lk.told = lk.floor
+	ps.last = l.eng.Now()
 	l.net.Send(runtime.Message{
 		From:    ps.msg.From,
 		To:      ps.msg.To,
-		Payload: dataMsg{Seq: ps.seq, Floor: lk.floor, Ack: ack, Payload: ps.msg.Payload},
+		Payload: dataMsg{Seq: ps.seq, Tx: ps.attempt, Floor: lk.floor, Ack: ack, Payload: ps.msg.Payload},
 		Size:    ps.msg.Size + headerSize + aboveSize*len(ack.Above),
 	})
-	d := Backoff(l.cfg, ps.attempt)
+	d := backoff(ps.rto, l.cfg.Max, ps.attempt)
 	if l.cfg.Jitter > 0 {
 		d += time.Duration(l.cfg.Jitter * l.eng.Rand().Float64() * float64(d))
 	}
@@ -469,6 +549,10 @@ func (l *Layer) transmit(p *port, lk *link, ps *pendingSend) {
 // due reports whether it was still running, i.e. an arrival was waiting.
 func (l *Layer) takeAck(p *port, peer runtime.NodeID, lk *link) (ack ackState, due bool) {
 	ack = ackState{Mark: lk.held.Mark, Above: lk.fresh}
+	if lk.newest != 0 {
+		ack.Echo, ack.Tx, ack.Delay = lk.newest, lk.newestTx, l.eng.Now().Sub(lk.newestAt).Truncate(time.Microsecond)
+		lk.newest = 0
+	}
 	if lk.unlogged && p.journal != nil {
 		p.journal.Acked(peer, ack.Mark, ack.Above)
 	}
@@ -516,9 +600,10 @@ func (l *Layer) tellFloor(p *port, peer runtime.NodeID, lk *link) {
 }
 
 // heard applies the link state a frame from peer carries: its
-// acknowledgement of lk's outbound frames and its floor on the reverse
-// direction.
+// acknowledgement of lk's outbound frames — first as a round-trip sample —
+// and its floor on the reverse direction.
 func (l *Layer) heard(p *port, peer runtime.NodeID, lk *link, floor uint64, ack ackState) {
+	l.sample(lk, ack)
 	for seq := lk.floor; seq <= ack.Mark && seq <= lk.next; seq++ {
 		lk.settle(seq)
 	}
@@ -533,6 +618,29 @@ func (l *Layer) heard(p *port, peer runtime.NodeID, lk *link, floor uint64, ack 
 	}
 }
 
+// sample measures the round trip of the transmission ack echoes, less the
+// time it waited at the receiver, if this is the acknowledgement that
+// settles its frame. Only the first and the latest transmission's times
+// are kept, so an echo of one in between is no sample.
+func (l *Layer) sample(lk *link, ack ackState) {
+	ps := lk.pending[ack.Echo]
+	if ps == nil {
+		return
+	}
+	sent := ps.first
+	switch ack.Tx {
+	case 1:
+	case ps.attempt:
+		sent = ps.last
+	default:
+		return
+	}
+	if r := l.eng.Now().Sub(sent) - ack.Delay; r > 0 {
+		lk.rtt.observe(r)
+		l.stats.RTTSamples++
+	}
+}
+
 func (l *Layer) receive(p *port, m runtime.Message) {
 	switch pl := m.Payload.(type) {
 	case dataMsg:
@@ -541,6 +649,7 @@ func (l *Layer) receive(p *port, m runtime.Message) {
 		fresh := lk.held.Accept(pl.Seq)
 		if fresh {
 			lk.unlogged = true
+			lk.newest, lk.newestTx, lk.newestAt = pl.Seq, pl.Tx, l.eng.Now()
 		} else {
 			l.stats.DuplicatesSuppressed++
 		}
@@ -551,7 +660,7 @@ func (l *Layer) receive(p *port, m runtime.Message) {
 		}
 		if !lk.ackTimer.Active() {
 			from := m.From // not m: the timer must not keep the payload alive
-			lk.ackTimer = l.eng.AfterFunc(l.cfg.Base/4, func() { l.sendAck(p, from, lk) })
+			lk.ackTimer = l.eng.AfterFunc(l.cfg.ackDelay(), func() { l.sendAck(p, from, lk) })
 		}
 		if !fresh {
 			return
@@ -580,8 +689,8 @@ func (l *Layer) sendAck(p *port, peer runtime.NodeID, lk *link) {
 
 // Crash discards node id's volatile endpoint state: unacked sends die with
 // the node — every link's floor moves past them — and its receive windows
-// are lost (see the package comment for the recovery consequences). The
-// send counters survive.
+// and round-trip estimates are lost (see the package comment for the
+// recovery consequences). The send counters survive.
 func (l *Layer) Crash(id runtime.NodeID) {
 	p, ok := l.ports[id]
 	if !ok {
@@ -603,6 +712,9 @@ func (l *Layer) Stats() Stats {
 	for _, p := range l.ports {
 		for _, lk := range p.links {
 			st.DedupResidue += len(lk.held.Above)
+			if lk.rtt.sampled {
+				st.RTOMax = max(st.RTOMax, lk.rtt.rto(l.cfg))
+			}
 		}
 	}
 	return st

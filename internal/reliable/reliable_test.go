@@ -80,6 +80,160 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
+// TestEstimatorFollowsRFC6298 pins the estimator's arithmetic: the first
+// sample sets the smoothed round trip to itself and the deviation to half
+// of it, each later one moves them by 1/8 and 1/4, and the timeout is
+// SRTT + max(G, 4·RTTVAR) plus the 5 ms ack delay of a 20 ms Base, never
+// above Max.
+func TestEstimatorFollowsRFC6298(t *testing.T) {
+	cfg := Config{Base: 20 * time.Millisecond}.withDefaults()
+	var e rttEstimator
+	if got := e.rto(cfg); got != cfg.Base {
+		t.Fatalf("unmeasured link: timeout %v, want Base %v", got, cfg.Base)
+	}
+	us := time.Microsecond
+	for i, step := range []struct{ sample, srtt, rttvar, rto time.Duration }{
+		{2000 * us, 2000 * us, 1000 * us, 2000*us + 4000*us + 5000*us},
+		{4000 * us, 2250 * us, 1250 * us, 2250*us + 5000*us + 5000*us},
+		{2250 * us, 2250 * us, 937500 * time.Nanosecond, 2250*us + 3750*us + 5000*us},
+	} {
+		e.observe(step.sample)
+		if e.srtt != step.srtt || e.rttvar != step.rttvar || e.rto(cfg) != step.rto {
+			t.Fatalf("sample %d (%v): srtt %v rttvar %v timeout %v, want %v %v %v",
+				i+1, step.sample, e.srtt, e.rttvar, e.rto(cfg), step.srtt, step.rttvar, step.rto)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		e.observe(2250 * us)
+	}
+	if want := 2250*us + granularity + 5000*us; e.rto(cfg) != want {
+		t.Fatalf("steady link: timeout %v, want SRTT + G + ack delay = %v", e.rto(cfg), want)
+	}
+	e.observe(10 * time.Second)
+	if e.rto(cfg) != cfg.Max {
+		t.Fatalf("a 10s sample: timeout %v, want Max %v", e.rto(cfg), cfg.Max)
+	}
+}
+
+// linkRTO reports the timeout from's link to peer gives a frame sent now,
+// and whether the link has measured a round trip yet.
+func linkRTO(l *Layer, from, peer runtime.NodeID) (time.Duration, bool) {
+	lk := l.port(from).link(peer)
+	return lk.rtt.rto(l.cfg), lk.rtt.sampled
+}
+
+// oneWay sends n frames from node 1 to node 2, one every gap, and runs the
+// simulation until it is quiet.
+func oneWay(sim *des.Simulator, l *Layer, n int, gap time.Duration) {
+	for i := 0; i < n; i++ {
+		i := i
+		sim.After(time.Duration(i)*gap, func() { l.Send(simnet.Message{From: 1, To: 2, Payload: i, Size: 1}) })
+	}
+	sim.Run()
+}
+
+// TestSamplesLeaveTheAckDelayOut: on a 1 ms link nothing answers, every
+// acknowledgement waits at the receiver for reverse traffic that never
+// comes, yet every sample is the 2 ms the network took, and the timeout is
+// that plus G plus the ack delay — not the wait counted twice.
+func TestSamplesLeaveTheAckDelayOut(t *testing.T) {
+	sim, _, l, _, _ := pair(t, nil, Config{})
+	oneWay(sim, l, 50, 3*time.Millisecond)
+	st := l.Stats()
+	lk := l.ports[1].links[2]
+	if st.RTTSamples < 10 || lk.rtt.srtt != 2*time.Millisecond || st.Retransmissions != 0 {
+		t.Fatalf("stats %+v, smoothed round trip %v: want every sample at the network's 2ms", st, lk.rtt.srtt)
+	}
+	want := 2*time.Millisecond + granularity + DefaultConfig.Base/4
+	if rto, measured := linkRTO(l, 1, 2); !measured || rto != want || st.RTOMax != want {
+		t.Fatalf("timeout %v (measured %v, gauge %v), want %v", rto, measured, st.RTOMax, want)
+	}
+	if _, measured := linkRTO(l, 2, 1); measured {
+		t.Fatal("the reverse link carried no data frame, yet has a sample")
+	}
+}
+
+// TestLossIsRepairedAfterTheMeasuredTimeout: once a 1 ms link has measured
+// itself, a lost frame is sent again after the 9 ms its timeout allows (2 ms
+// round trip, G, 5 ms ack delay), not after the 20 ms Base a link starts
+// with.
+func TestLossIsRepairedAfterTheMeasuredTimeout(t *testing.T) {
+	sim, _, g, l, _, b := gatedPair(t, nil, Config{})
+	oneWay(sim, l, 10, 3*time.Millisecond)
+	var sent []runtime.Time
+	g.drop = func(m runtime.Message) bool {
+		if d, ok := m.Payload.(dataMsg); ok && d.Payload == "lost" {
+			sent = append(sent, sim.Now())
+			return len(sent) == 1
+		}
+		return false
+	}
+	l.Send(simnet.Message{From: 1, To: 2, Payload: "lost", Size: 4})
+	sim.Run()
+	if len(sent) != 2 {
+		t.Fatalf("the lost frame was transmitted %d times, want twice", len(sent))
+	}
+	if gap := sent[1].Sub(sent[0]); gap != 9*time.Millisecond {
+		t.Fatalf("retransmitted %v after the first copy, want the measured 9ms (Base is %v)", gap, DefaultConfig.Base)
+	}
+	if got := payloads(b); len(got) != 11 || got[10] != "lost" {
+		t.Fatalf("delivered %v", got)
+	}
+}
+
+// TestRetransmissionIsTimedFromItsOwnCopy: the acknowledgement names which
+// transmission arrived, so a frame whose first copy was lost still yields
+// a sample — timed from the copy that got through, not from the first one,
+// which would have counted the 20 ms the sender waited as round trip.
+func TestRetransmissionIsTimedFromItsOwnCopy(t *testing.T) {
+	sim, _, g, l, _, _ := gatedPair(t, nil, Config{})
+	dropped := false
+	g.drop = func(m runtime.Message) bool {
+		if d, ok := m.Payload.(dataMsg); ok && d.Payload == "one" && !dropped {
+			dropped = true
+			return true
+		}
+		return false
+	}
+	l.Send(simnet.Message{From: 1, To: 2, Payload: "one", Size: 3})
+	sim.Run()
+	want := 2*time.Millisecond + 4*time.Millisecond + DefaultConfig.Base/4 // first sample 2ms: RTTVAR = 1ms
+	if rto, measured := linkRTO(l, 1, 2); l.Stats().RTTSamples != 1 || !measured || rto != want {
+		t.Fatalf("samples %d, timeout %v (measured %v): want the second copy's 2ms sampled, timeout %v",
+			l.Stats().RTTSamples, rto, measured, want)
+	}
+}
+
+// TestSlowLinkLearnsItsRoundTrip: on a link whose round trip (60 ms) is
+// three times Base, every frame sent before the first answer came back is
+// retransmitted, and Karn's rule would discard every sample there is. The
+// acknowledgement says it answers the first copy, so that copy is timed:
+// from then on the link times out after its own 60 ms plus G and the ack
+// delay, and nothing is sent twice. Without the measurement every frame
+// went twice.
+func TestSlowLinkLearnsItsRoundTrip(t *testing.T) {
+	sim := des.New(11)
+	net := simnet.New(sim, simnet.FullMesh(2), simnet.Constant(30*time.Millisecond))
+	l := NewLayer(sim, net, Config{})
+	b := &rec{}
+	l.Attach(1, &rec{})
+	l.Attach(2, b)
+	const n = 200
+	oneWay(sim, l, n, 10*time.Millisecond)
+	st := l.Stats()
+	if len(b.msgs) != n || st.GaveUp != 0 {
+		t.Fatalf("delivered %d of %d, stats %+v", len(b.msgs), n, st)
+	}
+	if st.Retransmissions > 20 {
+		t.Fatalf("%d retransmissions for %d frames: the link never learnt its round trip", st.Retransmissions, n)
+	}
+	want := 60*time.Millisecond + granularity + DefaultConfig.Base/4
+	if rto, measured := linkRTO(l, 1, 2); !measured || rto != want {
+		t.Fatalf("timeout %v (measured %v), want %v", rto, measured, want)
+	}
+	t.Logf("%d retransmissions, of frames sent before the first sample; %d samples", st.Retransmissions, st.RTTSamples)
+}
+
 func TestDedupDeliversExactlyOnce(t *testing.T) {
 	// Heavy network-level duplication: every frame may arrive several times
 	// (and acks duplicate too), yet the upper handler sees each payload once.
@@ -295,16 +449,19 @@ func TestGiveUpTellsTheFloor(t *testing.T) {
 	}
 }
 
-// TestAckFrameCarriesTheFloor: the standalone ack's layout (wire version 5)
-// is its tag, its sender's floor, then the cumulative ack; the bytes are
-// pinned, the frame round-trips, and every truncation of it is refused.
+// TestAckFrameCarriesTheFloor: the standalone ack's layout (wire version 6)
+// is its tag, its sender's floor, then the cumulative ack — watermark,
+// numbers above it, the echoed number, which transmission of it arrived
+// and its wait in microseconds; the bytes are pinned, the frame
+// round-trips, and every truncation of it is refused.
 func TestAckFrameCarriesTheFloor(t *testing.T) {
 	for _, tc := range []struct {
 		msg  ackMsg
 		want []byte
 	}{
-		{ackMsg{Floor: 1}, []byte{tagAckMsg, 1, 0, 0}},
-		{ackMsg{Floor: 91, Ack: ackState{Mark: 45, Above: []uint64{47, 50}}}, []byte{tagAckMsg, 91, 45, 2, 47, 50}},
+		{ackMsg{Floor: 1}, []byte{tagAckMsg, 1, 0, 0, 0, 0, 0}},
+		{ackMsg{Floor: 91, Ack: ackState{Mark: 45, Above: []uint64{47, 50}}}, []byte{tagAckMsg, 91, 45, 2, 47, 50, 0, 0, 0}},
+		{ackMsg{Floor: 3, Ack: ackState{Mark: 2, Echo: 2, Tx: 1, Delay: 2500 * time.Microsecond}}, []byte{tagAckMsg, 3, 2, 0, 2, 1, 0xc4, 0x13}},
 	} {
 		msg := tc.msg
 		buf, err := wire.AppendMessage(nil, msg)

@@ -1,6 +1,10 @@
 package reliable
 
-import "repro/internal/wire"
+import (
+	"time"
+
+	"repro/internal/wire"
+)
 
 // Wire-codec tags for the ack/retransmit frames (DESIGN.md §11). Tags are
 // part of the wire format: never renumber.
@@ -9,14 +13,21 @@ const (
 	tagAckMsg  = 41
 )
 
-// Layout, all uvarints: a data frame is seq, floor, ack, then the nested
-// payload message; a standalone ack is floor, ack. An ack is its
-// watermark, a count, and that many sequence numbers above the watermark.
+// maxDelayMicros bounds a decoded ack delay (about 71 minutes), so no
+// frame off the wire overflows a time.Duration.
+const maxDelayMicros = 1 << 32
+
+// Layout, all uvarints: a data frame is seq, transmission number, floor,
+// ack, then the nested payload message; a standalone ack is floor, ack. An
+// ack is its watermark, a count, that many sequence numbers above the
+// watermark, then the echoed number, which transmission of it arrived, and
+// its delay in microseconds.
 func init() {
 	wire.Register(tagDataMsg, dataMsg{},
 		func(b []byte, v any) []byte {
 			m := v.(dataMsg)
 			b = wire.AppendUvarint(b, m.Seq)
+			b = wire.AppendUvarint(b, uint64(m.Tx))
 			b = wire.AppendUvarint(b, m.Floor)
 			b = appendAck(b, m.Ack)
 			out, err := wire.AppendMessage(b, m.Payload)
@@ -28,7 +39,7 @@ func init() {
 			return out
 		},
 		func(r *wire.Reader) any {
-			m := dataMsg{Seq: r.Uvarint(), Floor: r.Uvarint(), Ack: readAck(r)}
+			m := dataMsg{Seq: r.Uvarint(), Tx: readTx(r), Floor: r.Uvarint(), Ack: readAck(r)}
 			payload, err := wire.DecodeMessage(r)
 			if err != nil {
 				return nil // sticky error already armed on r
@@ -52,8 +63,15 @@ func appendAck(b []byte, a ackState) []byte {
 	for _, seq := range a.Above {
 		b = wire.AppendUvarint(b, seq)
 	}
-	return b
+	b = wire.AppendUvarint(b, a.Echo)
+	b = wire.AppendUvarint(b, uint64(a.Tx))
+	return wire.AppendUvarint(b, uint64(a.Delay/time.Microsecond))
 }
+
+// maxTx bounds a decoded transmission number; no retry cap comes near it.
+const maxTx = 1 << 16
+
+func readTx(r *wire.Reader) int { return int(min(r.Uvarint(), maxTx)) }
 
 func readAck(r *wire.Reader) ackState {
 	a := ackState{Mark: r.Uvarint()}
@@ -63,5 +81,8 @@ func readAck(r *wire.Reader) ackState {
 			a.Above[i] = r.Uvarint()
 		}
 	}
+	a.Echo = r.Uvarint()
+	a.Tx = readTx(r)
+	a.Delay = time.Duration(min(r.Uvarint(), maxDelayMicros)) * time.Microsecond
 	return a
 }

@@ -41,8 +41,10 @@ import (
 // cumulative acknowledgement; version 4 made anti-entropy one exchange per
 // peer, a SyncRequest (tag 16) naming every shard and a SyncReply (tag 17)
 // carrying a section per shard; version 5 gave the standalone
-// acknowledgement (tag 41) its sender's floor.
-const Version = 5
+// acknowledgement (tag 41) its sender's floor; version 6 made every
+// acknowledgement (tags 40 and 41) name the newest frame it answers and how
+// long that frame waited for it, the round-trip sample's correction.
+const Version = 6
 
 // Preamble is what a wire-codec connection starts with: a magic, then the
 // format version.
