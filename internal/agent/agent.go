@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/runtime"
@@ -56,7 +57,9 @@ func (id ID) Less(o ID) bool {
 }
 
 // String renders the ID compactly, e.g. "A3.17".
-func (id ID) String() string { return fmt.Sprintf("A%d.%d", id.Home, id.Seq) }
+func (id ID) String() string {
+	return "A" + strconv.Itoa(int(id.Home)) + "." + strconv.FormatUint(id.Seq, 10)
+}
 
 // Behavior is the agent's program. All hooks run on the simulator's event
 // loop; they may freely call Context methods, including MigrateTo and
@@ -105,7 +108,7 @@ type Stats struct {
 	AgentsCreated       int
 	AgentsDisposed      int
 	AgentsKilled        int // died with a crashed host or in transit to one
-	AgentsRegenerated   int // respawned from a checkpoint after being lost
+	AgentsRegenerated   int // respawned after being lost
 	MigrationsStarted   int
 	MigrationsCompleted int
 	MigrationsFailed    int // timed out, agent re-activated at origin
@@ -295,6 +298,14 @@ func (p *Platform) Host(node runtime.NodeID, server runtime.Handler) *Place {
 // Place returns the place at node, or nil if the node is not hosted.
 func (p *Platform) Place(node runtime.NodeID) *Place { return p.places[node] }
 
+// record traces an agent event whose detail needs no formatting; the ID is
+// rendered only when tracing is on.
+func (p *Platform) record(node runtime.NodeID, id ID, typ trace.Type, detail string) {
+	if p.cfg.Trace.Enabled() {
+		p.cfg.Trace.Add(trace.Event{At: int64(p.eng.Now()), Node: int(node), Actor: id.String(), Type: typ, Detail: detail})
+	}
+}
+
 // Spawn creates and activates an agent at its home node, invoking OnArrive.
 func (p *Platform) Spawn(home runtime.NodeID, b Behavior) *Context {
 	pl := p.places[home]
@@ -310,7 +321,7 @@ func (p *Platform) Spawn(home runtime.NodeID, b Behavior) *Context {
 	}
 	pl.addAgent(ctx)
 	p.stats.AgentsCreated++
-	p.cfg.Trace.Addf(int64(p.eng.Now()), int(home), ctx.id.String(), trace.AgentCreated, "")
+	p.record(home, ctx.id, trace.AgentCreated, "")
 	b.OnArrive(ctx)
 	return ctx
 }
@@ -336,14 +347,14 @@ func (p *Platform) Respawn(home runtime.NodeID, b Behavior, id ID) *Context {
 	}
 	pl.addAgent(ctx)
 	p.stats.AgentsRegenerated++
-	p.cfg.Trace.Addf(int64(p.eng.Now()), int(home), id.String(), trace.AgentRegen, "")
+	p.record(home, id, trace.AgentRegen, "")
 	b.OnArrive(ctx)
 	return ctx
 }
 
 // Casualty is an agent killed by a host crash: its identity plus the
-// behavior value that died with it (callers regenerate from checkpoints, not
-// from the dead behavior, but the value is useful for bookkeeping).
+// behavior value that died with it, from whose state callers may regenerate
+// the agent.
 type Casualty struct {
 	ID       ID
 	Behavior Behavior
@@ -364,7 +375,7 @@ func (p *Platform) KillResidents(node runtime.NodeID) []ID {
 
 // TakeResidents kills every agent currently at node WITHOUT announcing the
 // deaths, returning the casualties in deterministic (ID) order. The caller
-// decides each agent's fate: regenerate it from a checkpoint (no death
+// decides each agent's fate: regenerate it from its frozen state (no death
 // notice — the reused ID must not be tombstoned) or pass its ID to
 // AnnounceDeaths.
 func (p *Platform) TakeResidents(node runtime.NodeID) []Casualty {
@@ -378,7 +389,7 @@ func (p *Platform) TakeResidents(node runtime.NodeID) []Casualty {
 		delete(pl.agents, id)
 		killed = append(killed, Casualty{ID: id, Behavior: ctx.behavior})
 		p.stats.AgentsKilled++
-		p.cfg.Trace.Addf(int64(p.eng.Now()), int(node), id.String(), trace.AgentDied, "host crashed")
+		p.record(node, id, trace.AgentDied, "host crashed")
 	}
 	for i := 1; i < len(killed); i++ {
 		for j := i; j > 0 && killed[j].ID.Less(killed[j-1].ID); j-- {
@@ -502,7 +513,7 @@ func (pl *Place) receiveWire(from runtime.NodeID, env *WireEnvelope) {
 	ctx := &Context{platform: p, behavior: b, id: env.ID, node: pl.node, hop: env.Hop, state: stateActive}
 	pl.addAgent(ctx)
 	p.stats.MigrationsCompleted++
-	p.cfg.Trace.Addf(int64(p.eng.Now()), int(pl.node), env.ID.String(), trace.AgentArrived, "")
+	p.record(pl.node, env.ID, trace.AgentArrived, "")
 	ack()
 	b.OnArrive(ctx)
 }
@@ -552,7 +563,7 @@ func (pl *Place) receive(env *envelope) {
 	ctx.state = stateActive
 	pl.addAgent(ctx)
 	p.stats.MigrationsCompleted++
-	p.cfg.Trace.Addf(int64(p.eng.Now()), int(pl.node), ctx.id.String(), trace.AgentArrived, "")
+	p.record(pl.node, ctx.id, trace.AgentArrived, "")
 	ctx.behavior.OnArrive(ctx)
 }
 
@@ -647,7 +658,9 @@ func (c *Context) MigrateTo(dest runtime.NodeID) {
 	pl.removeAgent(c.id)
 	c.state = stateInTransit
 	p.stats.MigrationsStarted++
-	p.cfg.Trace.Addf(int64(p.eng.Now()), int(origin), c.id.String(), trace.AgentMigrate, "-> S%d", dest)
+	if p.cfg.Trace.Enabled() {
+		p.cfg.Trace.Addf(int64(p.eng.Now()), int(origin), c.id.String(), trace.AgentMigrate, "-> S%d", dest)
+	}
 
 	c.hop++
 	timer := p.eng.AfterFunc(p.cfg.MigrationTimeout, func() {
@@ -663,7 +676,7 @@ func (c *Context) MigrateTo(dest runtime.NodeID) {
 		if p.net.Down(origin) {
 			c.state = stateDead
 			p.stats.AgentsKilled++
-			p.cfg.Trace.Addf(int64(p.eng.Now()), int(origin), c.id.String(), trace.AgentDied, "origin crashed during failed migration")
+			p.record(origin, c.id, trace.AgentDied, "origin crashed during failed migration")
 			if p.cfg.LostHandler != nil && p.cfg.LostHandler(c.id, c.behavior) {
 				return
 			}
@@ -674,7 +687,9 @@ func (c *Context) MigrateTo(dest runtime.NodeID) {
 		c.state = stateActive
 		p.places[origin].addAgent(c)
 		p.stats.MigrationsFailed++
-		p.cfg.Trace.Addf(int64(p.eng.Now()), int(origin), c.id.String(), trace.AgentBlocked, "dest S%d unreachable", pm.dest)
+		if p.cfg.Trace.Enabled() {
+			p.cfg.Trace.Addf(int64(p.eng.Now()), int(origin), c.id.String(), trace.AgentBlocked, "dest S%d unreachable", pm.dest)
+		}
 		c.behavior.OnMigrateFailed(c, pm.dest)
 	})
 	p.pending[c.id] = &pendingMigration{ctx: c, dest: dest, hop: c.hop, timer: timer}
@@ -737,7 +752,7 @@ func (c *Context) Dispose() {
 	p.places[c.node].removeAgent(c.id)
 	c.state = stateDisposed
 	p.stats.AgentsDisposed++
-	p.cfg.Trace.Addf(int64(p.eng.Now()), int(c.node), c.id.String(), trace.AgentDisposed, "")
+	p.record(c.node, c.id, trace.AgentDisposed, "")
 }
 
 // SendToServer lets non-agent code (a server) message another node's server

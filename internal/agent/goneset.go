@@ -60,9 +60,23 @@ func (w Watermark) Covers(id ID) bool {
 // union of the residues less what the watermarks then cover; the merge is
 // commutative, associative and idempotent, which is what lets the set
 // spread epidemically in any order. The zero value is an empty set.
+//
+// Export hands out the set's own arrays, so a visit or a sync reply costs no
+// copy; the set copies them on its next write instead (copy on write).
 type GoneSet struct {
-	marks []Watermark // ascending (Home, Since)
-	ids   []ID        // residue, ascending by Less
+	marks  []Watermark // ascending (Home, Since)
+	ids    []ID        // residue, ascending by Less
+	shared bool        // Export handed marks and ids out: copy before writing
+}
+
+// own makes the set's arrays its own again before a write, if Export handed
+// them out.
+func (g *GoneSet) own() {
+	if g.shared {
+		g.marks = append(make([]Watermark, 0, len(g.marks)+1), g.marks...)
+		g.ids = append(make([]ID, 0, len(g.ids)+1), g.ids...)
+		g.shared = false
+	}
 }
 
 // Contains reports whether id is known to be gone.
@@ -89,6 +103,7 @@ func (g *GoneSet) Add(id ID) bool {
 	if g.Contains(id) {
 		return false
 	}
+	g.own()
 	i := g.search(id)
 	g.ids = append(g.ids, ID{})
 	copy(g.ids[i+1:], g.ids[i:])
@@ -114,9 +129,11 @@ func (g *GoneSet) Raise(w Watermark) (raised, news bool) {
 		if !g.marks[i].Upto.Before(w.Upto) {
 			return false, false
 		}
+		g.own()
 		held = g.marks[i].Count
 		g.marks[i] = w
 	} else {
+		g.own()
 		g.marks = append(g.marks, Watermark{})
 		copy(g.marks[i+1:], g.marks[i:])
 		g.marks[i] = w
@@ -166,10 +183,13 @@ func (g *GoneSet) IDs() []ID {
 	return g.ids
 }
 
-// Export returns the set in its exchanged form as copies, for messages and
-// snapshots that outlive the set's next mutation.
+// Export returns the set in its exchanged form, for messages and snapshots
+// that outlive the set's next mutation. The slices are the set's own; the
+// set copies them before it next writes, so they never change, and holders
+// must not write to them either.
 func (g *GoneSet) Export() ([]Watermark, []ID) {
-	return append([]Watermark(nil), g.marks...), append([]ID(nil), g.ids...)
+	g.shared = true
+	return g.marks[:len(g.marks):len(g.marks)], g.ids[:len(g.ids):len(g.ids)]
 }
 
 // GoneWireSize is the modelled size in bytes of a gone set in its exchanged

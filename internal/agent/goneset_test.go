@@ -28,7 +28,16 @@ type goneWorld struct {
 	sets   []*GoneSet    // replica i+1's summary; replica h hosts home h
 	ref    []map[ID]bool // what replica i+1 has been told, explicitly
 	all    []ID          // every ID ever minted
-	bad    string        // first disagreement about what was news
+	bad    string        // first disagreement about what was news, or a changed export
+	// The last exports merges took, as handed out and as printed then: the
+	// exporter goes on changing its set, and they must not change with it.
+	held []heldExport
+}
+
+type heldExport struct {
+	marks []Watermark
+	ids   []ID
+	was   string
 }
 
 func newGoneWorld(seed int64, homes int) *goneWorld {
@@ -89,6 +98,7 @@ func (w *goneWorld) advance(h int) {
 }
 
 func (w *goneWorld) step() {
+	defer w.checkHeld()
 	homes := len(w.sets)
 	switch op := w.rng.Intn(10); {
 	case op < 3:
@@ -104,7 +114,12 @@ func (w *goneWorld) step() {
 		w.advance(1 + w.rng.Intn(homes))
 	case op < 9: // a summary travels from one replica to another
 		from, to := w.rng.Intn(homes), w.rng.Intn(homes)
-		news := w.sets[to].Merge(w.sets[from].Marks(), w.sets[from].IDs())
+		marks, ids := w.sets[from].Export()
+		w.held = append(w.held, heldExport{marks, ids, fmt.Sprint(marks, ids)})
+		if len(w.held) > 8 {
+			w.held = w.held[1:]
+		}
+		news := w.sets[to].Merge(marks, ids)
 		before := len(w.ref[to])
 		for id := range w.ref[from] {
 			w.ref[to][id] = true
@@ -245,5 +260,15 @@ func TestWatermarkNeverCoversAnEarlierEra(t *testing.T) {
 	w.sets[0].Add(old) // its commit arrives after all
 	if !w.sets[0].Contains(old) || len(w.sets[0].IDs()) != 1 {
 		t.Fatal("late finisher of the old era not held in the residue")
+	}
+}
+
+// checkHeld reports the first held export that no longer reads as it did
+// when it was taken.
+func (w *goneWorld) checkHeld() {
+	for _, h := range w.held {
+		if now := fmt.Sprint(h.marks, h.ids); now != h.was && w.bad == "" {
+			w.bad = fmt.Sprintf("an export changed after its set did: %s, was %s", now, h.was)
+		}
 	}
 }

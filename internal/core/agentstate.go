@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/agent"
 	"repro/internal/replica"
@@ -63,38 +64,19 @@ func (a *UpdateAgent) Freeze() WireState {
 	for id := range a.unavailable {
 		st.Unavailable = append(st.Unavailable, id)
 	}
-	sort.Slice(st.Unavailable, func(i, j int) bool { return st.Unavailable[i] < st.Unavailable[j] })
-	for _, snap := range a.lt.snaps {
-		st.Snapshots = append(st.Snapshots, snap.Clone())
-	}
-	sort.Slice(st.Snapshots, func(i, j int) bool {
-		a, b := st.Snapshots[i], st.Snapshots[j]
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		return a.Server < b.Server
-	})
+	slices.Sort(st.Unavailable)
+	st.Snapshots = a.lt.Export()
 	st.Marks, st.Gone = a.lt.gone.Export()
 	for k, mark := range a.lt.visitMark {
 		st.Visited = append(st.Visited, VisitMark{Server: k.server, Shard: k.shard, Epoch: mark.epoch, Version: mark.version})
 	}
-	sort.Slice(st.Visited, func(i, j int) bool {
-		a, b := st.Visited[i], st.Visited[j]
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		return a.Server < b.Server
+	slices.SortFunc(st.Visited, func(a, b VisitMark) int {
+		return cmp.Or(cmp.Compare(a.Shard, b.Shard), cmp.Compare(a.Server, b.Server))
 	})
 	for _, f := range a.lt.floor {
 		st.Floors = append(st.Floors, f)
 	}
-	sort.Slice(st.Floors, func(i, j int) bool {
-		a, b := st.Floors[i], st.Floors[j]
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		return a.Server < b.Server
-	})
+	sortSnapshots(st.Floors)
 	return st
 }
 

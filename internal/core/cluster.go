@@ -100,10 +100,9 @@ type Config struct {
 	// RetransmitAttempts caps transmissions per message (default
 	// reliable.DefaultConfig.Attempts). Only meaningful with Reliable.
 	RetransmitAttempts int
-	// RegenerateAgents makes the cluster checkpoint each agent's frozen
-	// protocol state (WireState) at every server visit and claim start,
-	// and regenerate agents lost to host crashes from the latest
-	// checkpoint under their original ID — the classic answer to the
+	// RegenerateAgents makes the cluster freeze an agent lost to a host
+	// crash (its protocol state, WireState, as it died) and regenerate it
+	// from that state under its original ID — the classic answer to the
 	// mobile-agent single-point-of-failure. Without it, lost agents'
 	// requests fail as in the seed behaviour.
 	RegenerateAgents bool
@@ -209,19 +208,17 @@ type Cluster struct {
 	outstanding int
 	regenerated int
 
-	// active and checkpoints are what loseAgent needs to account for an
-	// agent that dies HERE (fail it, or regenerate it from its checkpoint),
-	// so they hold an agent only while this process hosts it or waits for
-	// its migration to land. Who enters: launch at the home, thawWire at
-	// every node the agent arrives at over the wire, scheduleRegeneration
-	// for the reborn copy (checkpoints: every visit, claim start). Who
-	// deletes, when: finish where the agent finishes; departed when the
+	// active is what loseAgent needs to account for an agent that dies
+	// HERE (fail it, or freeze and regenerate it), so it holds an agent
+	// only while this process hosts it or waits for its migration to land.
+	// Who enters: launch at the home, thawWire at every node the agent
+	// arrives at over the wire, scheduleRegeneration for the reborn copy.
+	// Who deletes, when: finish where the agent finishes; departed when the
 	// next host acknowledges the migration (wire fabrics — a migration the
 	// timeout re-activated here first keeps its entry, the ack is ignored);
 	// intercept at the home when the outcome arrives; loseAgent when it
-	// dies here unregenerated. marp.agent.tracked reads their size.
-	active      map[agent.ID]*UpdateAgent
-	checkpoints map[agent.ID]WireState
+	// dies here. marp.agent.tracked reads its size.
+	active map[agent.ID]*UpdateAgent
 
 	// Ops plane (ops.go): the metric registry every subsystem reports
 	// into, plus the typed instruments hot paths observe directly.
@@ -310,21 +307,20 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 		fabric = rel
 	}
 	c := &Cluster{
-		cfg:         cfg,
-		eng:         eng,
-		base:        fab,
-		fabric:      fabric,
-		gate:        gate,
-		rel:         rel,
-		servers:     make(map[runtime.NodeID]*replica.Server),
-		local:       make(map[runtime.NodeID]bool),
-		batches:     make(map[runtime.NodeID]*batch),
-		active:      make(map[agent.ID]*UpdateAgent),
-		checkpoints: make(map[agent.ID]WireState),
-		done:        make(map[agent.ID]int),
-		ledgers:     make(map[runtime.NodeID]*ledger),
-		backends:    make(map[runtime.NodeID]disk.Backend),
-		journals:    make(map[runtime.NodeID]*durable.Journal),
+		cfg:      cfg,
+		eng:      eng,
+		base:     fab,
+		fabric:   fabric,
+		gate:     gate,
+		rel:      rel,
+		servers:  make(map[runtime.NodeID]*replica.Server),
+		local:    make(map[runtime.NodeID]bool),
+		batches:  make(map[runtime.NodeID]*batch),
+		active:   make(map[agent.ID]*UpdateAgent),
+		done:     make(map[agent.ID]int),
+		ledgers:  make(map[runtime.NodeID]*ledger),
+		backends: make(map[runtime.NodeID]disk.Backend),
+		journals: make(map[runtime.NodeID]*durable.Journal),
 	}
 	if wf, ok := fab.(runtime.WireFabric); ok {
 		c.paced = wf.WireDelivery()
@@ -581,7 +577,6 @@ func (c *Cluster) intercept(msg runtime.Message) bool {
 	}
 	o := om.Outcome
 	delete(c.active, o.Agent)
-	delete(c.checkpoints, o.Agent)
 	if c.local[o.Home] {
 		c.recordOutcome(o)
 	}
@@ -609,7 +604,6 @@ func (c *Cluster) thawWire(id agent.ID, state []byte) (agent.Behavior, error) {
 func (c *Cluster) departed(id agent.ID, b agent.Behavior) {
 	if ua, ok := c.active[id]; ok && agent.Behavior(ua) == b {
 		delete(c.active, id)
-		delete(c.checkpoints, id)
 	}
 }
 
@@ -678,7 +672,9 @@ func (c *Cluster) Submit(home runtime.NodeID, reqs ...Request) error {
 			return err
 		}
 	}
-	c.cfg.Trace.Addf(int64(c.eng.Now()), int(home), "", trace.RequestArrived, "%d request(s)", len(reqs))
+	if c.cfg.Trace.Enabled() {
+		c.cfg.Trace.Addf(int64(c.eng.Now()), int(home), "", trace.RequestArrived, "%d request(s)", len(reqs))
+	}
 	b := c.batches[home]
 	if b == nil {
 		b = &batch{}
@@ -789,7 +785,6 @@ func (c *Cluster) advanceWatermark(home runtime.NodeID) {
 // there over the fabric — the home cluster owns the outstanding count.
 func (c *Cluster) finish(at runtime.NodeID, o Outcome) {
 	delete(c.active, o.Agent)
-	delete(c.checkpoints, o.Agent)
 	if c.local[o.Home] {
 		c.recordOutcome(o)
 		return
@@ -817,23 +812,15 @@ func (c *Cluster) recordOutcome(o Outcome) {
 	if o.Failed {
 		return
 	}
-	c.cfg.Trace.Addf(int64(c.eng.Now()), int(o.Home), o.Agent.String(), trace.RequestDone,
-		"alt=%v att=%v visits=%d", o.LockLatency().Duration(), o.TotalLatency().Duration(), o.Visits)
-}
-
-// checkpoint refreshes the agent's regeneration snapshot. Called at every
-// server visit and at claim start, so a lost agent resumes from its latest
-// quiescent protocol state.
-func (c *Cluster) checkpoint(id agent.ID, a *UpdateAgent) {
-	if !c.cfg.RegenerateAgents || a.phase == phaseDone {
-		return
+	if c.cfg.Trace.Enabled() {
+		c.cfg.Trace.Addf(int64(c.eng.Now()), int(o.Home), o.Agent.String(), trace.RequestDone,
+			"alt=%v att=%v visits=%d", o.LockLatency().Duration(), o.TotalLatency().Duration(), o.Visits)
 	}
-	c.checkpoints[id] = a.Freeze()
 }
 
 // loseAgent handles the death of an agent incarnation (its host crashed, or
-// it was lost in transit when its origin crashed). With regeneration on and
-// a checkpoint available the agent is respawned under its original ID;
+// it was lost in transit when its origin crashed). With regeneration on the
+// lost agent is frozen as it died and respawned under its original ID;
 // otherwise the loss is recorded as a failed outcome so RunUntilDone does
 // not wait for it. Reports whether the loss was claimed for regeneration —
 // the caller must then suppress death notices, because a tombstone for the
@@ -844,10 +831,15 @@ func (c *Cluster) loseAgent(id agent.ID) bool {
 		return false
 	}
 	if c.cfg.RegenerateAgents {
-		if st, ok := c.checkpoints[id]; ok {
-			c.scheduleRegeneration(id, st, ua)
-			return true
+		st := ua.Freeze()
+		if ua.phase == phaseClaiming {
+			// Resume from before the claim and re-run it under the same
+			// attempt number (safe: the regeneration delay outlives any
+			// stale message of this one).
+			st.Attempt--
 		}
+		c.scheduleRegeneration(id, st, ua)
+		return true
 	}
 	ua.phase = phaseDone
 	c.recordOutcome(Outcome{
@@ -860,11 +852,10 @@ func (c *Cluster) loseAgent(id agent.ID) bool {
 		Failed:     true,
 	})
 	delete(c.active, id)
-	delete(c.checkpoints, id)
 	return false
 }
 
-// scheduleRegeneration respawns a lost agent from its checkpoint after the
+// scheduleRegeneration respawns a lost agent from its frozen state after the
 // death-notice delay. The delay is the honest failure-detection latency, and
 // it also guarantees any stale in-flight message from the dead incarnation
 // (an ABORT carrying the same attempt number, a late ACK) lands before the
@@ -888,7 +879,6 @@ func (c *Cluster) scheduleRegeneration(id agent.ID, st WireState, old *UpdateAge
 				Retries:    st.Retries,
 				Failed:     true,
 			})
-			delete(c.checkpoints, id)
 			return
 		}
 		na := Thaw(c, st)
@@ -915,7 +905,7 @@ func (c *Cluster) regenHome(id agent.ID) runtime.NodeID {
 // Crash fail-stops the server at id: the network drops its traffic, its
 // volatile locking state (and, when the reliable layer is active, its
 // unacked sends and receive windows) is lost, and every agent resident there
-// dies. Dead agents with checkpoints are regenerated when
+// dies. Dead agents are frozen and regenerated when
 // Config.RegenerateAgents is set; the rest trigger death notices after the
 // detection delay.
 func (c *Cluster) Crash(id runtime.NodeID) {
@@ -1016,7 +1006,7 @@ func (c *Cluster) SetLoss(p float64) {
 	}
 }
 
-// Regenerated reports how many lost agents were respawned from checkpoints.
+// Regenerated reports how many lost agents were respawned.
 func (c *Cluster) Regenerated() int { return c.regenerated }
 
 // Journal returns node id's open durability journal (nil when durability is

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/agent"
@@ -133,7 +135,7 @@ func (lt *LockTable) MergeSnapshot(s replica.QueueSnapshot) {
 	}
 	cur, ok := lt.snaps[k]
 	if !ok || s.Newer(cur) {
-		lt.snaps[k] = s.Clone()
+		lt.snaps[k] = s // published state: shared, never written
 		lt.rev++
 	}
 }
@@ -230,19 +232,22 @@ func (lt *LockTable) Rank(server runtime.NodeID, self agent.ID) int {
 
 // Export returns the table's snapshots for leaving behind at a server (the
 // paper's information sharing), sorted by (shard, server). The server
-// merges by version, so sharing is always safe.
+// merges by version, so sharing is always safe. The queues are shared with
+// the table; nobody writes a published queue.
 func (lt *LockTable) Export() []replica.QueueSnapshot {
 	out := make([]replica.QueueSnapshot, 0, len(lt.snaps))
 	for _, s := range lt.snaps {
-		out = append(out, s.Clone())
+		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Shard != out[j].Shard {
-			return out[i].Shard < out[j].Shard
-		}
-		return out[i].Server < out[j].Server
-	})
+	sortSnapshots(out)
 	return out
+}
+
+// sortSnapshots orders snapshots by (shard, server), the order they travel in.
+func sortSnapshots(s []replica.QueueSnapshot) {
+	slices.SortFunc(s, func(a, b replica.QueueSnapshot) int {
+		return cmp.Or(cmp.Compare(a.Shard, b.Shard), cmp.Compare(a.Server, b.Server))
+	})
 }
 
 // Evidence returns the head-version claimed for every known server (the
@@ -301,7 +306,8 @@ func (lt *LockTable) NeedRevisit(self agent.ID) []runtime.NodeID {
 // the rule becomes inconclusive.
 func (lt *LockTable) Ranking(self agent.ID, k int) []agent.ID {
 	var out []agent.ID
-	marks, ids := lt.gone.Export()
+	lt.gone.Export() // share the arrays with saved: the tentative adds copy first
+	saved := lt.gone
 	for len(out) < k {
 		d := lt.Decide(self)
 		if !d.Found {
@@ -310,8 +316,7 @@ func (lt *LockTable) Ranking(self agent.ID, k int) []agent.ID {
 		out = append(out, d.Winner)
 		lt.gone.Add(d.Winner) // tentative: undone below
 	}
-	lt.gone = agent.GoneSet{}
-	lt.gone.Merge(marks, ids)
+	lt.gone = saved
 	return out
 }
 

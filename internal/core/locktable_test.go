@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
+	goruntime "runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/agent"
 	"repro/internal/replica"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 func snap(server int, version uint64, ids ...agent.ID) replica.QueueSnapshot {
@@ -252,10 +256,6 @@ func TestLockTableExportAndEvidence(t *testing.T) {
 	if len(exp) != 1 || exp[0].Server != 1 || exp[0].Version != 4 {
 		t.Fatalf("export = %+v", exp)
 	}
-	exp[0].Queue[0] = agentID(9)
-	if h, _ := lt.Head(1); h != agentID(1) {
-		t.Fatal("Export aliases table")
-	}
 	ev := lt.Evidence()
 	if ev[1] != 2 {
 		t.Fatalf("evidence = %v", ev)
@@ -274,5 +274,142 @@ func TestLockTableVisitedAndGoneList(t *testing.T) {
 	}
 	if !lt.IsGone(agentID(3)) || lt.IsGone(agentID(4)) {
 		t.Fatal("IsGone wrong")
+	}
+}
+
+// TestPublishedLockingStateNeverChanges: a server's Locking List and gone
+// set are handed out without copies — to a LockInfo, on into a lock table,
+// its Export, a frozen agent, and a lock table thawed from decoded bytes.
+// Every way the server then changes them (an append, a removal, a residue
+// insert, a watermark raised in place, one that filters the residue) and a
+// second decode into the same state must leave every holder's view as it
+// was; so must a ranking's tentative adds to a table's own gone set.
+func TestPublishedLockingStateNeverChanges(t *testing.T) {
+	c := newTestCluster(t, Config{N: 3})
+	srv := c.Server(1)
+	a, b, x, z := agentID(2), agentID(3), agentID(4), agentID(6)
+	for _, id := range []agent.ID{a, b, x} {
+		srv.VisitAndLock(id, nil, nil, nil)
+		c.Server(2).VisitAndLock(id, nil, nil, nil)
+	}
+	y := agentID(5)
+	for _, id := range []agent.ID{y, agentID(7), agentID(8)} {
+		srv.OnAgentDeath(id) // a residue with room to insert in place
+	}
+	home9 := agent.Watermark{Home: 9, Upto: agent.After(agentID(9)), Count: 1}
+	srv.AdvanceWatermark(home9)
+
+	type holder struct {
+		what, was string
+		view      func() string
+	}
+	var holders []holder
+	hold := func(what string, view func() string) { holders = append(holders, holder{what, view(), view}) }
+	infoView := func(info replica.LockInfo) func() string {
+		return func() string { return fmt.Sprint(info.Locals, info.Marks, info.Gone) }
+	}
+	ua := newUpdateAgent(c.Cluster, 1, []Request{Set("k", "v")})
+	info := srv.RefreshInfo(nil)
+	ua.lt.MergeInfo(info, true)
+	exp := ua.lt.Export()
+	frozen := ua.Freeze()
+	var into WireState
+	if err := DecodeWireStateInto(&into, wire.NewReader(AppendWireState(nil, &frozen))); err != nil {
+		t.Fatal(err)
+	}
+	thawed := Thaw(c.Cluster, into)
+	hold("LockInfo", infoView(info))
+	hold("lock table", func() string { return fmt.Sprint(ua.lt.Export(), ua.lt.Gone().IDs()) })
+	hold("Export", func() string { return fmt.Sprint(exp) })
+	hold("frozen agent", func() string { return fmt.Sprint(frozen.Snapshots, frozen.Marks, frozen.Gone) })
+	hold("thawed agent", func() string { return fmt.Sprint(thawed.lt.Export(), thawed.lt.Gone().IDs()) })
+	if want := fmt.Sprint([]agent.ID{a, b, x}); !strings.Contains(holders[0].was, want) {
+		t.Fatalf("LockInfo %s does not hold the queue %s", holders[0].was, want)
+	}
+
+	// Each change comes right after a fresh hand-out: the first write after
+	// one is the one that must copy.
+	for _, step := range []struct {
+		what   string
+		mutate func()
+	}{
+		{"append", func() { srv.VisitAndLock(z, nil, nil, nil) }},
+		{"removal and residue insert", func() { srv.OnAgentDeath(a) }},
+		{"watermark raised in place", func() {
+			home9.Upto, home9.Count = agent.After(agentID(10)), 2
+			srv.AdvanceWatermark(home9)
+		}},
+		{"watermark filtering the residue", func() {
+			srv.AdvanceWatermark(agent.Watermark{Home: y.Home, Upto: agent.After(y)})
+		}},
+	} {
+		hold("LockInfo before the "+step.what, infoView(srv.RefreshInfo(nil)))
+		step.mutate()
+	}
+	again := ua.Freeze()
+	again.Snapshots = []replica.QueueSnapshot{srv.RefreshInfo(nil).Locals[0]} // same length, other IDs
+	if err := DecodeWireStateInto(&into, wire.NewReader(AppendWireState(nil, &again))); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.QueueOf(0); fmt.Sprint(got) != fmt.Sprint([]agent.ID{b, x, z}) {
+		t.Fatalf("server LL = %v", got)
+	}
+	for _, h := range holders {
+		if now := h.view(); now != h.was {
+			t.Errorf("%s changed: %s, was %s", h.what, now, h.was)
+		}
+	}
+
+	lt := NewLockTable(3)
+	lt.MergeInfo(c.Server(2).RefreshInfo(nil), false)
+	lt.MergeInfo(info, false) // a heads two lists of three; the residue has room
+	gone := fmt.Sprint(lt.Gone().IDs())
+	if got := lt.Ranking(a, 3); len(got) < 2 {
+		t.Fatalf("ranking = %v", got)
+	}
+	if after := fmt.Sprint(lt.Gone().IDs()); after != gone {
+		t.Fatalf("ranking changed the gone residue: %s, was %s", after, gone)
+	}
+}
+
+// TestVisitAllocatesAConstant: what a visit allocates — the server's
+// VisitAndLock and the agent's MergeInfo, with the agent leaving its
+// snapshots behind — does not grow with the depth of the Locking Lists or
+// the size of the gone residue, in objects or in bytes: the snapshots and
+// the residue are handed over, not copied.
+func TestVisitAllocatesAConstant(t *testing.T) {
+	cost := func(depth, residue int) (allocs, bytes float64) {
+		c := newTestCluster(t, Config{N: 3})
+		self := agentID(1)
+		for i := 0; i < depth; i++ {
+			id := agent.ID{Home: 2, Born: int64(10 + i), Seq: uint64(10 + i)}
+			c.Server(1).VisitAndLock(id, nil, nil, nil)
+			c.Server(2).VisitAndLock(id, nil, nil, nil)
+		}
+		for i := 0; i < residue; i++ {
+			c.Server(1).OnAgentDeath(agent.ID{Home: 3, Born: int64(1000 + i), Seq: uint64(1000 + i)})
+		}
+		lt := NewLockTable(3)
+		lt.MergeInfo(c.Server(2).VisitAndLock(self, nil, nil, lt.Gone()), true)
+		visit := func() {
+			lt.MergeInfo(c.Server(1).VisitAndLock(self, nil, lt.Export(), lt.Gone()), true)
+		}
+		visit() // the first visit enqueues; the ones measured find the agent queued
+		allocs = testing.AllocsPerRun(100, visit)
+		var m0, m1 goruntime.MemStats
+		goruntime.ReadMemStats(&m0)
+		for i := 0; i < 100; i++ {
+			visit()
+		}
+		goruntime.ReadMemStats(&m1)
+		return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / 100
+	}
+	baseAllocs, baseBytes := cost(8, 8)
+	for _, tc := range []struct{ depth, residue int }{{64, 8}, {8, 64}} {
+		allocs, bytes := cost(tc.depth, tc.residue)
+		if allocs != baseAllocs || bytes > baseBytes+64 {
+			t.Errorf("LL depth %d, residue %d: a visit allocates %.1f objects, %.0f bytes; at depth 8, residue 8: %.1f, %.0f",
+				tc.depth, tc.residue, allocs, bytes, baseAllocs, baseBytes)
+		}
 	}
 }

@@ -125,8 +125,8 @@ func (c *Cluster) registerMetrics() {
 		func() float64 { return float64(c.platform.Stats().MigrationsFailed) })
 	r.CounterFunc("marp.agent.killed", "Agents that died with a crashed host or in transit to one.",
 		func() float64 { return float64(c.platform.Stats().AgentsKilled) })
-	r.GaugeFunc("marp.agent.tracked", "Agents this process keeps a behavior or a regeneration checkpoint for; zero when idle.",
-		func() float64 { return float64(len(c.active) + len(c.checkpoints)) })
+	r.GaugeFunc("marp.agent.tracked", "Agents this process hosts or awaits the migration of; zero when idle.",
+		func() float64 { return float64(len(c.active)) })
 
 	// Replica / request level.
 	r.CounterFunc("marp.replica.commits", "Client requests committed (batch members counted individually).",
@@ -151,7 +151,7 @@ func (c *Cluster) registerMetrics() {
 		})
 	r.GaugeFunc("marp.replica.outstanding", "Dispatched agents not yet finished.",
 		func() float64 { return float64(c.outstanding) })
-	r.CounterFunc("marp.replica.regenerated", "Lost agents respawned from checkpoints.",
+	r.CounterFunc("marp.replica.regenerated", "Lost agents respawned from their frozen state.",
 		func() float64 { return float64(c.regenerated) })
 
 	// Per-shard views. Locking-list depth sums over the replicas this

@@ -294,14 +294,85 @@ func TestDepartedSparesTheReturnedAgent(t *testing.T) {
 	left := newUpdateAgent(c.Cluster, 1, []Request{Set("k", "v")})
 	back := Thaw(c.Cluster, left.Freeze())
 	c.active[id] = back
-	c.checkpoints[id] = back.Freeze()
 
 	c.departed(id, left)
-	if c.active[id] != back || len(c.checkpoints) != 1 {
+	if c.active[id] != back {
 		t.Fatal("the ack for an earlier departure dropped the agent that came back")
 	}
 	c.departed(id, back)
 	if got := c.Metrics().Value("marp.agent.tracked"); got != 0 {
 		t.Fatalf("marp.agent.tracked = %v after the resident copy departed, want 0", got)
+	}
+}
+
+// TestTrackedGaugeCountsEachAgentOnce: with regeneration on, every agent in
+// flight is one marp.agent.tracked, at every step of a contended run.
+func TestTrackedGaugeCountsEachAgentOnce(t *testing.T) {
+	c := newTestCluster(t, Config{N: 5, RegenerateAgents: true})
+	for home := 1; home <= 5; home++ {
+		if err := c.Submit(simnet.NodeID(home), Set(fmt.Sprintf("k%d", home%2), "v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	busiest := 0
+	for c.Outstanding() > 0 && c.Sim().Step() {
+		if got := c.Metrics().Value("marp.agent.tracked"); int(got) != c.Outstanding() {
+			t.Fatalf("marp.agent.tracked = %v with %d agents in flight", got, c.Outstanding())
+		}
+		busiest = max(busiest, c.Outstanding())
+	}
+	if busiest < 2 || c.Outstanding() != 0 {
+		t.Fatalf("at most %d agents in flight, %d left", busiest, c.Outstanding())
+	}
+	if got := c.Metrics().Value("marp.agent.tracked"); got != 0 {
+		t.Fatalf("marp.agent.tracked = %v when idle", got)
+	}
+}
+
+// TestAgentLostMidClaimRerunsItsClaim: an agent lost while its claim is out
+// is frozen as it died but resumes from before the claim, so its reborn copy
+// claims again under the same attempt number, and commits.
+func TestAgentLostMidClaimRerunsItsClaim(t *testing.T) {
+	c := newTestCluster(t, Config{N: 5, RegenerateAgents: true})
+	if err := c.Submit(1, Set("x", "v")); err != nil {
+		t.Fatal(err)
+	}
+	claiming := func() *UpdateAgent {
+		for _, ua := range c.active {
+			if ua.phase == phaseClaiming {
+				return ua
+			}
+		}
+		return nil
+	}
+	for claiming() == nil && c.Sim().Step() {
+	}
+	lost := claiming()
+	if lost == nil {
+		t.Fatal("the agent never claimed")
+	}
+	for _, host := range c.Nodes() {
+		if len(c.Platform().Place(host).Residents()) > 0 {
+			c.Crash(host)
+		}
+	}
+	var reborn *UpdateAgent
+	for reborn == nil && c.Sim().Step() {
+		reborn = claiming()
+	}
+	if reborn == nil || reborn == lost {
+		t.Fatal("no reborn copy claimed")
+	}
+	if reborn.attempt != lost.attempt {
+		t.Fatalf("the reborn copy claims under attempt %d, want %d again", reborn.attempt, lost.attempt)
+	}
+	if err := c.RunUntilDone(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if outs := c.Outcomes(); c.Regenerated() != 1 || len(outs) != 1 || outs[0].Failed {
+		t.Fatalf("regenerated %d, outcomes %+v", c.Regenerated(), outs)
+	}
+	if err := c.Referee().Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -111,7 +111,6 @@ func (a *UpdateAgent) OnArrive(ctx *agent.Context) {
 	info := srv.VisitAndLock(ctx.ID(), a.shards, shared, a.lt.Gone())
 	a.lt.MergeInfo(info, true)
 	a.phase = phaseTravelling
-	a.c.checkpoint(ctx.ID(), a)
 	a.evaluate(ctx)
 }
 
@@ -130,8 +129,10 @@ func (a *UpdateAgent) OnMigrateFailed(ctx *agent.Context, dest runtime.NodeID) {
 	if a.attempts[dest] >= maxMigrateAttempts {
 		a.unavailable[dest] = true
 		a.removeFromUSL(dest)
-		a.c.cfg.Trace.Addf(int64(ctx.Now()), int(dest), ctx.ID().String(), trace.AgentBlocked,
-			"declared unavailable after %d attempts", a.attempts[dest])
+		if a.c.cfg.Trace.Enabled() {
+			a.c.cfg.Trace.Addf(int64(ctx.Now()), int(dest), ctx.ID().String(), trace.AgentBlocked,
+				"declared unavailable after %d attempts", a.attempts[dest])
+		}
 	}
 	a.phase = phaseTravelling
 	a.evaluate(ctx)
@@ -309,10 +310,6 @@ func (a *UpdateAgent) armRetry(ctx *agent.Context) {
 // replicas", but a server grants only a claimant it has queued, so every
 // other target counts as having refused at once.
 func (a *UpdateAgent) startClaim(ctx *agent.Context, d Decision) {
-	// Checkpoint while still quiescent: a regenerated incarnation resumes
-	// from just before this claim and re-runs it with the same attempt
-	// number (safe — the regeneration delay outlives any stale message).
-	a.c.checkpoint(ctx.ID(), a)
 	a.phase = phaseClaiming
 	a.parkedTicks = 0
 	a.attempt++
@@ -321,12 +318,14 @@ func (a *UpdateAgent) startClaim(ctx *agent.Context, d Decision) {
 	a.lockVisits = a.visits
 	a.acksOK = make(map[runtime.NodeID]*replica.AckMsg)
 	a.acksNo = make(map[runtime.NodeID]bool)
-	if d.ByTie {
-		a.c.cfg.Trace.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.TieBreak,
-			"won tie with %d tops", d.TopCount)
+	if tr := a.c.cfg.Trace; tr.Enabled() {
+		if d.ByTie {
+			tr.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.TieBreak,
+				"won tie with %d tops", d.TopCount)
+		}
+		tr.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.ClaimStarted,
+			"attempt %d, tie=%v", a.attempt, d.ByTie)
 	}
-	a.c.cfg.Trace.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.ClaimStarted,
-		"attempt %d, tie=%v", a.attempt, d.ByTie)
 
 	keys := a.keys()
 	m := &replica.UpdateMsg{
@@ -357,8 +356,10 @@ func (a *UpdateAgent) startClaim(ctx *agent.Context, d Decision) {
 			ctx.Send(id, m, m.WireSize())
 		}
 	}
-	a.c.cfg.Trace.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.UpdateSent,
-		"%d keys", len(keys))
+	if a.c.cfg.Trace.Enabled() {
+		a.c.cfg.Trace.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.UpdateSent,
+			"%d keys", len(keys))
+	}
 	a.claimTmr = ctx.After(a.c.cfg.ClaimTimeout, func() {
 		if a.phase != phaseClaiming {
 			return
@@ -483,8 +484,10 @@ func (a *UpdateAgent) finishWin(ctx *agent.Context) {
 		ctx.Send(id, commit, commit.WireSize())
 	}
 	a.c.Server(ctx.Node()).HandleCommitLocal(commit)
-	a.c.cfg.Trace.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.CommitSent,
-		"seq %d..%d", baseSeq[a.shards[0]]+1, baseSeq[a.shards[0]]+written[a.shards[0]])
+	if a.c.cfg.Trace.Enabled() {
+		a.c.cfg.Trace.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.CommitSent,
+			"seq %d..%d", baseSeq[a.shards[0]]+1, baseSeq[a.shards[0]]+written[a.shards[0]])
+	}
 
 	a.phase = phaseDone
 	a.c.finish(ctx.Node(), Outcome{
@@ -516,8 +519,10 @@ func (a *UpdateAgent) abortClaim(ctx *agent.Context, reason string) {
 		ctx.Send(id, m, m.WireSize())
 	}
 	a.c.Server(ctx.Node()).HandleAbortLocal(m)
-	a.c.cfg.Trace.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.ClaimAborted,
-		"%s (attempt %d)", reason, a.attempt)
+	if a.c.cfg.Trace.Enabled() {
+		a.c.cfg.Trace.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.ClaimAborted,
+			"%s (attempt %d)", reason, a.attempt)
+	}
 	a.phase = phaseParked
 	backoff := a.c.cfg.RetryBackoff/2 + time.Duration(ctx.Rand().Int63n(int64(a.c.cfg.RetryBackoff)))
 	ctx.After(backoff, func() {

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"repro/internal/agent"
@@ -269,7 +270,7 @@ func (s *Server) lockState(shrd int) durable.LockState {
 		Epoch:        s.epoch,
 		LLVersion:    sd.llVersion,
 		HeadVersion:  sd.headVersion,
-		LL:           append([]agent.ID(nil), sd.ll...),
+		LL:           sd.published(),
 		Grant:        sd.grant,
 		GrantAttempt: sd.grantAttempt,
 	}
@@ -342,17 +343,22 @@ func (s *Server) LocalRead(key string) (store.Value, bool) {
 // snapshot captures one shard's current LL for handing to agents.
 func (s *Server) snapshot(shrd int) QueueSnapshot {
 	sd := s.shards[shrd]
-	q := make([]agent.ID, len(sd.ll))
-	copy(q, sd.ll)
 	return QueueSnapshot{
 		Server:      s.id,
 		Shard:       shrd,
 		Epoch:       s.epoch,
 		Version:     sd.llVersion,
 		HeadVersion: sd.headVersion,
-		Queue:       q,
+		Queue:       sd.published(),
 	}
 }
+
+// published hands out the shard's LL without copying it. The server never
+// writes an entry it has handed out: an append goes past every holder's
+// length (the capacity is clipped, so a holder's own append cannot reach
+// the server's), and a removal builds a new slice (DESIGN.md §6, invariant
+// 18).
+func (sd *shardState) published() []agent.ID { return sd.ll[:len(sd.ll):len(sd.ll)] }
 
 // bump records an LL mutation; headChanged marks mutations that altered the
 // head (the only ones that can change any agent's priority decision).
@@ -423,17 +429,18 @@ func (s *Server) absorb(marks []agent.Watermark, ids []agent.ID) bool {
 func (s *Server) release(gone func(agent.ID) bool) bool {
 	changed := false
 	for shrd, sd := range s.shards {
-		lockChanged := false
-		kept := sd.ll[:0]
-		for _, e := range sd.ll {
-			if gone(e) {
-				s.bump(sd, len(kept) == 0)
-				lockChanged = true
-			} else {
-				kept = append(kept, e)
+		lockChanged := slices.ContainsFunc(sd.ll, gone)
+		if lockChanged {
+			kept := make([]agent.ID, 0, len(sd.ll)-1) // a new slice: the old one may be published
+			for _, e := range sd.ll {
+				if gone(e) {
+					s.bump(sd, len(kept) == 0)
+				} else {
+					kept = append(kept, e)
+				}
 			}
+			sd.ll = kept
 		}
-		sd.ll = kept
 		released := false
 		if !sd.grant.IsZero() && gone(sd.grant) {
 			s.setGrant(shrd, agent.ID{})
@@ -481,7 +488,7 @@ func (s *Server) VisitAndLock(id agent.ID, shards []int, shared []QueueSnapshot,
 			}
 			cache := s.shards[snap.Shard].cache
 			if cur, ok := cache[snap.Server]; !ok || snap.Newer(cur) {
-				cache[snap.Server] = snap.Clone()
+				cache[snap.Server] = snap
 			}
 		}
 	}
@@ -558,7 +565,7 @@ func (s *Server) lockInfo(shards []int) LockInfo {
 			}
 			sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 			for _, n := range nodes {
-				info.Remote = append(info.Remote, sd.cache[n].Clone())
+				info.Remote = append(info.Remote, sd.cache[n])
 			}
 		}
 	}
@@ -709,7 +716,9 @@ func (s *Server) handleUpdate(m *UpdateMsg) *AckMsg {
 	all, relevant := s.claimShards(m)
 	nack := func(reason string) *AckMsg {
 		info := s.lockInfo(relevant)
-		s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), m.Txn.String(), trace.UpdateNacked, "%s", reason)
+		if s.cfg.Trace.Enabled() {
+			s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), m.Txn.String(), trace.UpdateNacked, "%s", reason)
+		}
 		return &AckMsg{Txn: m.Txn, Attempt: m.Attempt, From: s.id, Reason: reason, Info: &info}
 	}
 	if len(relevant) == 0 {
@@ -756,7 +765,9 @@ func (s *Server) handleUpdate(m *UpdateMsg) *AckMsg {
 			values[k] = v
 		}
 	}
-	s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), m.Txn.String(), trace.UpdateAcked, "")
+	if s.cfg.Trace.Enabled() {
+		s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), m.Txn.String(), trace.UpdateAcked, "")
+	}
 	return &AckMsg{Txn: m.Txn, Attempt: m.Attempt, From: s.id, OK: true, ShardSeqs: seqs, Values: values}
 }
 
@@ -788,9 +799,9 @@ func (s *Server) handleCommit(m *CommitMsg) {
 		s.requestSync(gapped, m.Origin)
 	}
 	// This commit may have filled the gap ahead of earlier out-of-order
-	// arrivals (jittered links do not preserve FIFO).
-	for shrd := range s.shards {
-		s.drainBacklog(shrd)
+	// arrivals (jittered links do not preserve FIFO) on the shards it wrote.
+	for _, u := range m.Updates {
+		s.drainBacklog(s.shardOf(u.Key))
 	}
 	s.markGone(m.Txn)
 	if s.cfg.Trace.Enabled() {
@@ -836,7 +847,7 @@ func (s *Server) handleAbort(m *AbortMsg) {
 			released = true
 		}
 	}
-	if released {
+	if released && s.cfg.Trace.Enabled() {
 		s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), m.Txn.String(), trace.ClaimAborted, "grant released")
 	}
 }
@@ -952,7 +963,9 @@ func (s *Server) handleSyncReply(m *SyncReply) {
 	if !s.absorb(m.Marks, m.Gone) && !touched {
 		return
 	}
-	s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), "", trace.ServerSynced, "seq now %d", s.maxLastSeq())
+	if s.cfg.Trace.Enabled() {
+		s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), "", trace.ServerSynced, "seq now %d", s.maxLastSeq())
+	}
 	s.notify()
 	if s.journal != nil {
 		s.journal.MaybeCompact()
@@ -966,7 +979,9 @@ func (s *Server) OnAgentDeath(id agent.ID) {
 		return
 	}
 	if s.markGone(id) {
-		s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), id.String(), trace.LockReleased, "agent died")
+		if s.cfg.Trace.Enabled() {
+			s.cfg.Trace.Addf(int64(s.clock.Now()), int(s.id), id.String(), trace.LockReleased, "agent died")
+		}
 		s.notify()
 	}
 }

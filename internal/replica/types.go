@@ -24,7 +24,8 @@ import (
 // directions use this type. Snapshots are ordered by (Epoch, Version):
 // Epoch increments when a server recovers from a crash and its volatile
 // locking state resets, Version increments on every LL mutation within an
-// epoch.
+// epoch. Queue is published state: servers, lock tables and messages share
+// it, and nobody writes it (DESIGN.md §6, invariant 18).
 type QueueSnapshot struct {
 	Server      runtime.NodeID
 	Shard       int
@@ -40,15 +41,6 @@ func (s QueueSnapshot) Newer(o QueueSnapshot) bool {
 		return s.Epoch > o.Epoch
 	}
 	return s.Version > o.Version
-}
-
-// Clone returns a deep copy (snapshots are shared across "hosts" in the
-// simulator, so mutation isolation matters).
-func (s QueueSnapshot) Clone() QueueSnapshot {
-	q := make([]agent.ID, len(s.Queue))
-	copy(q, s.Queue)
-	s.Queue = q
-	return s
 }
 
 // LockInfo is everything a server hands to a visiting agent when the agent

@@ -300,7 +300,10 @@ func AppendQueueSnapshot(b []byte, s *QueueSnapshot) []byte {
 }
 
 // DecodeQueueSnapshotInto reads a snapshot written by AppendQueueSnapshot
-// into *s, reusing s.Queue's capacity — the zero-allocation decode path.
+// into *s. The queue s already holds may be published — a lock table thawed
+// from the previous decode shares it — so it is never written: a decode
+// that reads the same queue keeps it (the zero-allocation path a reused
+// state takes), and any other gets a new one.
 func DecodeQueueSnapshotInto(s *QueueSnapshot, r *wire.Reader) {
 	s.Server = runtime.NodeID(r.Varint())
 	s.Shard = int(r.Varint())
@@ -308,10 +311,19 @@ func DecodeQueueSnapshotInto(s *QueueSnapshot, r *wire.Reader) {
 	s.Version = r.Uvarint()
 	s.HeadVersion = r.Uvarint()
 	n := r.Count(3)
-	s.Queue = wire.Grow(s.Queue, n)
-	for i := 0; i < n; i++ {
-		s.Queue[i] = agent.DecodeID(r)
+	q, owned := s.Queue, len(s.Queue) != n
+	if owned {
+		q = make([]agent.ID, n)
 	}
+	for i := 0; i < n; i++ {
+		if id := agent.DecodeID(r); q[i] != id {
+			if !owned {
+				q, owned = append([]agent.ID(nil), q...), true
+			}
+			q[i] = id
+		}
+	}
+	s.Queue = q
 }
 
 func appendLockInfo(b []byte, li *LockInfo) []byte {
