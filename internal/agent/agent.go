@@ -199,11 +199,14 @@ type pendingMigration struct {
 	timer runtime.Timer
 }
 
-// envelope carries a live behavior pointer between places that share one
-// address space (the simulated fabric).
+// envelope carries a live agent between places that share one address
+// space (the simulated fabric). hop is the migration it belongs to: the
+// destination lands it only while that migration is the agent's pending
+// one, so a late envelope from an earlier hop cannot complete a newer
+// migration somewhere else (invariant 13, as for wire acks).
 type envelope struct {
-	id       ID
-	behavior Behavior
+	ctx *Context
+	hop uint64
 }
 
 func (envelope) Kind() string { return "agent-migrate" }
@@ -549,14 +552,14 @@ func (p *Platform) migrateAcked(id ID, hop uint64) {
 // receive lands a migrating agent.
 func (pl *Place) receive(env *envelope) {
 	p := pl.platform
-	pm, ok := p.pending[env.id]
-	if !ok {
+	pm, ok := p.pending[env.ctx.id]
+	if !ok || pm.ctx != env.ctx || pm.hop != env.hop {
 		// The origin already timed out and re-activated the agent (or
-		// declared it dead); refuse the late arrival.
+		// declared it dead, or sent it on since); refuse the late arrival.
 		p.stats.MigrationsRefused++
 		return
 	}
-	delete(p.pending, env.id)
+	delete(p.pending, env.ctx.id)
 	pm.timer.Cancel()
 	ctx := pm.ctx
 	ctx.node = pl.node
@@ -709,7 +712,7 @@ func (c *Context) MigrateTo(dest runtime.NodeID) {
 // condition to recover from.
 func (c *Context) migrationPayload() (any, int) {
 	if !c.platform.wire {
-		return &envelope{id: c.id, behavior: c.behavior}, c.wireSize()
+		return &envelope{ctx: c, hop: c.hop}, c.wireSize()
 	}
 	wb, ok := c.behavior.(WireBehavior)
 	if !ok {

@@ -152,6 +152,46 @@ func TestLateEnvelopeRefused(t *testing.T) {
 	if len(p.Place(2).Residents()) != 0 {
 		t.Fatal("refused agent became resident at dest")
 	}
+
+	// A late envelope from an earlier hop must not complete a newer
+	// migration: the origin times out on the slow link to 2, re-activates
+	// the agent and sends it to 3, and the first envelope reaches 2 while
+	// the second is still in flight. 2 refuses it, and the agent lands at
+	// 3, where it was really sent.
+	sim = des.New(21)
+	net := simnet.New(sim, simnet.FullMesh(3), slowLink{to: 2, slow: 12 * time.Millisecond, fast: 5 * time.Millisecond})
+	p = NewPlatform(sim, net, Config{MigrationTimeout: 10 * time.Millisecond})
+	for i := 1; i <= 3; i++ {
+		p.Host(simnet.NodeID(i), nil)
+	}
+	b := &testAgent{onFail: func(ctx *Context, dest simnet.NodeID) { ctx.MigrateTo(3) }}
+	ctx = p.Spawn(1, b)
+	ctx.MigrateTo(2)
+	sim.Run()
+	if ctx.Node() != 3 || len(b.arrivals) != 2 || b.arrivals[1] != 3 {
+		t.Fatalf("agent at %d after arrivals %v, want 3 after [1 3]", ctx.Node(), b.arrivals)
+	}
+	st = p.Stats()
+	if st.MigrationsRefused != 1 || st.MigrationsFailed != 1 || st.MigrationsCompleted != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if len(p.Place(2).Residents()) != 0 || len(p.Place(3).Residents()) != 1 {
+		t.Fatal("the stale envelope became resident at its old destination")
+	}
+}
+
+// slowLink delivers messages to one node after slow and all others after
+// fast.
+type slowLink struct {
+	to         simnet.NodeID
+	slow, fast time.Duration
+}
+
+func (l slowLink) Sample(_ *simnet.Network, msg simnet.Message) time.Duration {
+	if msg.To == l.to {
+		return l.slow
+	}
+	return l.fast
 }
 
 func TestChainedItinerary(t *testing.T) {

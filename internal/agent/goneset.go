@@ -201,14 +201,20 @@ func GoneWireSize(marks []Watermark, ids []ID) int { return 40*len(marks) + 24*l
 func AppendWatermarks(b []byte, marks []Watermark) []byte {
 	b = wire.AppendUvarint(b, uint64(len(marks)))
 	for i := range marks {
-		w := &marks[i]
-		b = wire.AppendVarint(b, int64(w.Home))
-		b = wire.AppendVarint(b, w.Since)
-		b = wire.AppendVarint(b, w.Upto.Born)
-		b = wire.AppendUvarint(b, w.Upto.Seq)
-		b = wire.AppendUvarint(b, w.Count)
+		b = AppendWatermark(b, &marks[i])
 	}
 	return b
+}
+
+// AppendWatermark appends one watermark in wire-codec form (at least 5
+// bytes): an element of AppendWatermarks' list, and the journal's record of
+// a raised watermark.
+func AppendWatermark(b []byte, w *Watermark) []byte {
+	b = wire.AppendVarint(b, int64(w.Home))
+	b = wire.AppendVarint(b, w.Since)
+	b = wire.AppendVarint(b, w.Upto.Born)
+	b = wire.AppendUvarint(b, w.Upto.Seq)
+	return wire.AppendUvarint(b, w.Count)
 }
 
 // DecodeWatermarksInto reads a list written by AppendWatermarks into dst,
@@ -217,12 +223,17 @@ func DecodeWatermarksInto(dst []Watermark, r *wire.Reader) []Watermark {
 	n := r.Count(5)
 	dst = wire.Grow(dst, n)
 	for i := range dst {
-		dst[i] = Watermark{
-			Home:  runtime.NodeID(r.Varint()),
-			Since: r.Varint(),
-			Upto:  Mark{Born: r.Varint(), Seq: r.Uvarint()},
-			Count: r.Uvarint(),
-		}
+		dst[i] = DecodeWatermark(r)
 	}
 	return dst
+}
+
+// DecodeWatermark reads a watermark written by AppendWatermark.
+func DecodeWatermark(r *wire.Reader) Watermark {
+	return Watermark{
+		Home:  runtime.NodeID(r.Varint()),
+		Since: r.Varint(),
+		Upto:  Mark{Born: r.Varint(), Seq: r.Uvarint()},
+		Count: r.Uvarint(),
+	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -164,6 +166,80 @@ func TestDurableRestartChurnUnderLossyNetwork(t *testing.T) {
 	// waits as long as the 20 ms a link starts with.
 	if n, rto := snap.Value("marp.reliable.rtt_samples"), snap.Value("marp.reliable.rto_max_seconds"); n == 0 || rto <= 0 || rto >= reliable.DefaultConfig.Base.Seconds() {
 		t.Fatalf("%v round trips measured, longest timeout %vs", n, rto)
+	}
+}
+
+// TestDurableJournalGoldenBytes: what a MARP replica journals is part of
+// the on-disk format (DESIGN.md §9), and the codec that writes it is not. A
+// fixed run — five nodes, three shards, the reliable layer over a 3 % lossy
+// fabric, one crash and its recovery — once as bare records and once with a
+// snapshot every 7 records, must leave every node's journal files
+// byte-identical to a recorded run. The optimistic tier's counterpart is
+// TestJournalGoldenBytes in internal/optimistic.
+func TestDurableJournalGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		compactEvery int
+		want         [5]string
+	}{
+		{"records", -1, [5]string{"5ce7b311ac22e5af5142370d", "fa5da53ad9ab158e80e3a13e", "38ffcbf462edfaa1f66c22a2", "84a0328bc9103fb7c6e3a19f", "8f03ce785bd0783ac7d24346"}},
+		{"snapshots", 7, [5]string{"b90007f7e5007d29d451470c", "1315a457ac95a37d4553279c", "56d024ba8fbb306b16ab8025", "76f7c1e8bea3bbe09e5afadd", "44f895e7d8c1517e1677b2c1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dur, disks := memDurability(wal.PolicyCommit)
+			dur.CompactEvery = tc.compactEvery
+			c := newTestCluster(t,
+				Config{N: 5, Shards: 3, Durability: dur, Reliable: true, RegenerateAgents: true},
+				simEnv{seed: 7, faults: simnet.NewFaultModel(7, 0.03, 0)},
+			)
+			seq := 0
+			submit := func(n int, homes ...runtime.NodeID) {
+				for i := 0; i < n; i++ {
+					seq++
+					home := homes[seq%len(homes)]
+					if err := c.Submit(home, Set(fmt.Sprintf("k%d", seq%5), fmt.Sprintf("v%d", seq))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := c.RunUntilDone(5 * time.Minute); err != nil {
+					t.Fatal(err)
+				}
+			}
+			submit(5, 1, 2, 3, 4, 5)
+			c.Crash(3)
+			submit(5, 1, 2, 4, 5)
+			c.Recover(3)
+			submit(5, 1, 2, 3, 4, 5)
+			c.Settle(2 * time.Second)
+			if err := c.Referee().Err(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CheckConvergence(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CloseJournals(); err != nil {
+				t.Fatal(err)
+			}
+			for id := runtime.NodeID(1); id <= 5; id++ {
+				names, err := disks[id].List()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sort.Strings(names)
+				h := sha256.New()
+				for _, name := range names {
+					data, err := disks[id].ReadFile(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(h, "%s %d\n", name, len(data))
+					h.Write(data)
+				}
+				if got := fmt.Sprintf("%x", h.Sum(nil)[:12]); got != tc.want[id-1] {
+					t.Errorf("node %d: journal files %v hash to %s, want %s", id, names, got, tc.want[id-1])
+				}
+			}
+		})
 	}
 }
 

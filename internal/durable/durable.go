@@ -13,13 +13,14 @@
 // invariant 11 ("a replica never forgets a COMMIT it acknowledged while
 // its fsync policy held") falls out of the wal's commit barriers.
 //
-// Records are hand-framed (no gob) for two reasons: a committed update is
-// ~40 bytes instead of ~300, and the encoding is deterministic, which
-// keeps simulated durability runs byte-for-byte reproducible.
+// Records use internal/wire, the one encoding of the tree (no gob), for two
+// reasons: a committed update is ~40 bytes instead of ~300, and the encoding
+// is deterministic, which keeps simulated durability runs byte-for-byte
+// reproducible. Replay reads through wire.Reader, so a corrupt count is
+// refused before anything is allocated for it.
 package durable
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -31,6 +32,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Record types. Values are part of the on-disk format: never renumber.
@@ -246,22 +248,24 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 	// valid residue; watermarks replayed after it prune what they cover.
 	var gone agent.GoneSet
 	gone.Merge(st.Marks, st.Gone)
+	var r wire.Reader
 	for i, rec := range records {
 		var err error
+		r.Reset(rec.Data)
 		switch rec.Type {
 		case recApply:
-			var u store.Update
-			if u, err = decodeUpdate(rec.Data); err == nil {
+			u := store.DecodeUpdate(&r)
+			if err = r.Finish(); err == nil {
 				err = mems[shard.Of(u.Key, shards)].ApplyCommitted(u)
 			}
 		case recPrepare:
-			var u store.Update
-			if u, err = decodeUpdate(rec.Data); err == nil {
+			u := store.DecodeUpdate(&r)
+			if err = r.Finish(); err == nil {
 				err = mems[shard.Of(u.Key, shards)].Prepare(u)
 			}
 		case recCommitTxn:
-			var txn string
-			if txn, err = decodeString(rec.Data); err == nil {
+			txn := r.String()
+			if err = r.Finish(); err == nil {
 				// The record does not name a shard (its encoding predates
 				// sharding); the tentative transaction lives on exactly one.
 				err = store.ErrUnknownTxn
@@ -273,60 +277,60 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 				}
 			}
 		case recAbortTxn:
-			var txn string
-			if txn, err = decodeString(rec.Data); err == nil {
+			txn := r.String()
+			if err = r.Finish(); err == nil {
 				for _, mem := range mems {
 					mem.Abort(txn)
 				}
 			}
 		case recLock:
-			st.Lock, err = decodeLock(rec.Data)
+			ls := readLock(&r)
+			if err = r.Finish(); err == nil {
+				st.Lock = ls
+			}
 		case recLockS:
-			var shrd int
-			var ls LockState
-			if shrd, ls, err = decodeLockShard(rec.Data); err == nil {
+			shrd := r.Uvarint()
+			ls := readLock(&r)
+			if err = r.Finish(); err == nil {
 				switch {
+				case shrd >= uint64(shards):
+					err = fmt.Errorf("lock record for shard %d beyond %d shards", shrd, shards)
 				case shrd == 0:
 					st.Lock = ls
-				case shrd-1 < len(st.ExtraLocks):
-					st.ExtraLocks[shrd-1] = ls
 				default:
-					err = fmt.Errorf("lock record for shard %d beyond %d shards", shrd, shards)
+					st.ExtraLocks[shrd-1] = ls
 				}
 			}
 		case recGone:
-			var id agent.ID
-			if id, err = decodeAgentID(rec.Data); err == nil {
+			id := agent.DecodeID(&r)
+			if err = r.Finish(); err == nil {
 				gone.Add(id)
 			}
 		case recGoneMark:
-			d := &decoder{b: rec.Data}
-			w := d.watermark()
-			if err = d.finish(); err == nil {
+			w := agent.DecodeWatermark(&r)
+			if err = r.Finish(); err == nil {
 				gone.Raise(w)
 			}
 		case recRelNext:
-			var n uint64
-			if n, err = decodeUvarint(rec.Data); err == nil && n > st.RelNextSeq {
+			n := r.Uvarint()
+			if err = r.Finish(); err == nil && n > st.RelNextSeq {
 				st.RelNextSeq = n
 			}
 		case recRelSeen:
-			var from runtime.NodeID
-			var seq uint64
-			if from, seq, err = decodeRelSeen(rec.Data); err == nil {
+			from, seq := runtime.NodeID(r.Varint()), r.Uvarint()
+			if err = r.Finish(); err == nil {
 				w := st.RelSeen[from]
 				w.Accept(seq)
 				st.RelSeen[from] = w
 			}
 		case recRelMark:
-			d := &decoder{b: rec.Data}
-			from := runtime.NodeID(d.varint())
+			from := runtime.NodeID(r.Varint())
 			w := st.RelSeen[from]
-			w.Raise(d.uvarint())
-			for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-				w.Accept(d.uvarint())
+			w.Raise(r.Uvarint())
+			for i, n := 0, r.Count(1); i < n; i++ {
+				w.Accept(r.Uvarint())
 			}
-			if err = d.finish(); err == nil {
+			if err = r.Finish(); err == nil {
 				st.RelSeen[from] = w
 			}
 		default:
@@ -383,22 +387,26 @@ func (j *Journal) append(typ byte, data []byte, commit bool) {
 }
 
 // Prepared implements store.Journal.
-func (j *Journal) Prepared(u store.Update) { j.append(recPrepare, encodeUpdate(u), false) }
+func (j *Journal) Prepared(u store.Update) { j.append(recPrepare, store.AppendUpdate(nil, u), false) }
 
 // Committed implements store.Journal. Commit barrier.
-func (j *Journal) Committed(txnID string) { j.append(recCommitTxn, encodeString(txnID), true) }
+func (j *Journal) Committed(txnID string) {
+	j.append(recCommitTxn, wire.AppendString(nil, txnID), true)
+}
 
 // Applied implements store.Journal. Commit barrier: this is the record
 // behind invariant 11.
-func (j *Journal) Applied(u store.Update) { j.append(recApply, encodeUpdate(u), true) }
+func (j *Journal) Applied(u store.Update) { j.append(recApply, store.AppendUpdate(nil, u), true) }
 
 // Aborted implements store.Journal.
-func (j *Journal) Aborted(txnID string) { j.append(recAbortTxn, encodeString(txnID), false) }
+func (j *Journal) Aborted(txnID string) { j.append(recAbortTxn, wire.AppendString(nil, txnID), false) }
 
 // LogLock journals the replica's full locking state after a mutation.
 // barrier marks grant transitions — the mutations whose loss could
 // re-grant a lock the replica already released.
-func (j *Journal) LogLock(ls LockState, barrier bool) { j.append(recLock, encodeLock(ls), barrier) }
+func (j *Journal) LogLock(ls LockState, barrier bool) {
+	j.append(recLock, appendLock(nil, ls), barrier)
+}
 
 // LogLockShard journals one shard's locking state. Shard 0 writes the
 // legacy record type, so an unsharded replica's log bytes are unchanged.
@@ -407,17 +415,17 @@ func (j *Journal) LogLockShard(shrd int, ls LockState, barrier bool) {
 		j.LogLock(ls, barrier)
 		return
 	}
-	j.append(recLockS, encodeLockShard(shrd, ls), barrier)
+	j.append(recLockS, appendLock(wire.AppendUvarint(nil, uint64(shrd)), ls), barrier)
 }
 
 // LogGone journals one agent joining the gone set (the Updated List).
-func (j *Journal) LogGone(id agent.ID) { j.append(recGone, encodeAgentID(id), false) }
+func (j *Journal) LogGone(id agent.ID) { j.append(recGone, agent.AppendID(nil, id), false) }
 
 // LogGoneMark journals a gone-set watermark being raised. Like LogGone it
 // is no barrier: losing the tail only means the replica re-learns the fact
 // from its peers.
 func (j *Journal) LogGoneMark(w agent.Watermark) {
-	j.append(recGoneMark, appendWatermark(nil, w), false)
+	j.append(recGoneMark, agent.AppendWatermark(nil, &w), false)
 }
 
 // NextSeq implements the reliable layer's journal: it persists the highest
@@ -432,7 +440,7 @@ func (j *Journal) NextSeq(seq uint64) {
 		return
 	}
 	j.relNextHi = (seq/relNextStride + 1) * relNextStride
-	j.append(recRelNext, encodeUvarint(j.relNextHi), true)
+	j.append(recRelNext, wire.AppendUvarint(nil, j.relNextHi), true)
 }
 
 // Acked implements the reliable layer's journal: one record per
@@ -442,11 +450,11 @@ func (j *Journal) NextSeq(seq uint64) {
 // replaces: a lost tail means a frame the sender still holds may be
 // delivered twice, which the protocol handlers tolerate.
 func (j *Journal) Acked(from runtime.NodeID, mark uint64, above []uint64) {
-	b := binary.AppendVarint(nil, int64(from))
-	b = binary.AppendUvarint(b, mark)
-	b = binary.AppendUvarint(b, uint64(len(above)))
+	b := wire.AppendVarint(nil, int64(from))
+	b = wire.AppendUvarint(b, mark)
+	b = wire.AppendUvarint(b, uint64(len(above)))
 	for _, seq := range above {
-		b = binary.AppendUvarint(b, seq)
+		b = wire.AppendUvarint(b, seq)
 	}
 	j.append(recRelMark, b, false)
 }
@@ -498,146 +506,87 @@ func (j *Journal) Stats() wal.Stats { return j.log.Stats() }
 
 // --- encoding -----------------------------------------------------------
 //
-// All integers are varints, strings and slices are length-prefixed. The
-// encoding is deterministic: map-shaped state is sorted before writing.
-
-func encodeUvarint(v uint64) []byte { return binary.AppendUvarint(nil, v) }
-
-func decodeUvarint(b []byte) (uint64, error) {
-	d := &decoder{b: b}
-	v := d.uvarint()
-	return v, d.finish()
-}
-
-func encodeString(s string) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(s)))
-	return append(b, s...)
-}
-
-func decodeString(b []byte) (string, error) {
-	d := &decoder{b: b}
-	s := d.str()
-	return s, d.finish()
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendUpdate(b []byte, u store.Update) []byte {
-	b = appendString(b, u.TxnID)
-	b = appendString(b, u.Key)
-	b = appendString(b, u.Data)
-	b = binary.AppendUvarint(b, u.Seq)
-	return binary.AppendVarint(b, u.Stamp)
-}
-
-func encodeUpdate(u store.Update) []byte { return appendUpdate(nil, u) }
-
-func decodeUpdate(b []byte) (store.Update, error) {
-	d := &decoder{b: b}
-	u := d.update()
-	return u, d.finish()
-}
-
-func appendAgentID(b []byte, id agent.ID) []byte {
-	b = binary.AppendVarint(b, int64(id.Home))
-	b = binary.AppendVarint(b, id.Born)
-	return binary.AppendUvarint(b, id.Seq)
-}
-
-func encodeAgentID(id agent.ID) []byte { return appendAgentID(nil, id) }
-
-func decodeAgentID(b []byte) (agent.ID, error) {
-	d := &decoder{b: b}
-	id := d.agentID()
-	return id, d.finish()
-}
-
-func appendWatermark(b []byte, w agent.Watermark) []byte {
-	b = binary.AppendVarint(b, int64(w.Home))
-	b = binary.AppendVarint(b, w.Since)
-	b = binary.AppendVarint(b, w.Upto.Born)
-	b = binary.AppendUvarint(b, w.Upto.Seq)
-	return binary.AppendUvarint(b, w.Count)
-}
-
-func encodeLock(ls LockState) []byte { return appendLock(nil, ls) }
+// Records and snapshots are internal/wire values: integers are varints,
+// strings and slices are length-prefixed, and map-shaped state is sorted
+// before writing so the encoding is deterministic. Every count is read
+// through Reader.Count with a true lower bound on its element's size.
 
 func appendLock(b []byte, ls LockState) []byte {
-	b = binary.AppendUvarint(b, ls.Epoch)
-	b = binary.AppendUvarint(b, ls.LLVersion)
-	b = binary.AppendUvarint(b, ls.HeadVersion)
-	b = appendAgentID(b, ls.Grant)
-	b = binary.AppendVarint(b, int64(ls.GrantAttempt))
-	b = binary.AppendUvarint(b, uint64(len(ls.LL)))
+	b = wire.AppendUvarint(b, ls.Epoch)
+	b = wire.AppendUvarint(b, ls.LLVersion)
+	b = wire.AppendUvarint(b, ls.HeadVersion)
+	b = agent.AppendID(b, ls.Grant)
+	b = wire.AppendVarint(b, int64(ls.GrantAttempt))
+	b = wire.AppendUvarint(b, uint64(len(ls.LL)))
 	for _, id := range ls.LL {
-		b = appendAgentID(b, id)
+		b = agent.AppendID(b, id)
 	}
 	return b
 }
 
-func decodeLock(b []byte) (LockState, error) {
-	d := &decoder{b: b}
-	ls := d.lock()
-	return ls, d.finish()
-}
-
-func encodeLockShard(shrd int, ls LockState) []byte {
-	b := binary.AppendUvarint(nil, uint64(shrd))
-	return appendLock(b, ls)
-}
-
-func decodeLockShard(b []byte) (int, LockState, error) {
-	d := &decoder{b: b}
-	shrd := int(d.uvarint())
-	ls := d.lock()
-	return shrd, ls, d.finish()
-}
-
-func decodeRelSeen(b []byte) (runtime.NodeID, uint64, error) {
-	d := &decoder{b: b}
-	from := runtime.NodeID(d.varint())
-	seq := d.uvarint()
-	return from, seq, d.finish()
+// readLock reads a LockState written by appendLock (at least 8 bytes).
+func readLock(r *wire.Reader) LockState {
+	ls := LockState{
+		Epoch:        r.Uvarint(),
+		LLVersion:    r.Uvarint(),
+		HeadVersion:  r.Uvarint(),
+		Grant:        agent.DecodeID(r),
+		GrantAttempt: int(r.Varint()),
+	}
+	for i, n := 0, r.Count(3); i < n; i++ {
+		ls.LL = append(ls.LL, agent.DecodeID(r))
+	}
+	return ls
 }
 
 func appendStoreState(b []byte, ss store.State) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ss.Log)))
+	b = wire.AppendUvarint(b, uint64(len(ss.Log)))
 	for _, u := range ss.Log {
-		b = appendUpdate(b, u)
+		b = store.AppendUpdate(b, u)
 	}
-	b = binary.AppendUvarint(b, uint64(len(ss.Tentative)))
+	b = wire.AppendUvarint(b, uint64(len(ss.Tentative)))
 	for _, u := range ss.Tentative {
-		b = appendUpdate(b, u)
+		b = store.AppendUpdate(b, u)
 	}
 	return b
+}
+
+// readStoreState reads a store.State written by appendStoreState (at least
+// 2 bytes).
+func readStoreState(r *wire.Reader) store.State {
+	var ss store.State
+	for i, n := 0, r.Count(5); i < n; i++ {
+		ss.Log = append(ss.Log, store.DecodeUpdate(r))
+	}
+	for i, n := 0, r.Count(5); i < n; i++ {
+		ss.Tentative = append(ss.Tentative, store.DecodeUpdate(r))
+	}
+	return ss
 }
 
 func encodeState(st *State) []byte {
 	var b []byte
 	b = appendStoreState(b, st.Store)
 	b = appendLock(b, st.Lock)
-	b = binary.AppendUvarint(b, uint64(len(st.Gone)))
+	b = wire.AppendUvarint(b, uint64(len(st.Gone)))
 	for _, id := range st.Gone {
-		b = appendAgentID(b, id)
+		b = agent.AppendID(b, id)
 	}
-	b = binary.AppendUvarint(b, st.RelNextSeq)
+	b = wire.AppendUvarint(b, st.RelNextSeq)
 	senders := make([]runtime.NodeID, 0, len(st.RelSeen))
 	for from := range st.RelSeen {
 		senders = append(senders, from)
 	}
 	sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
-	b = binary.AppendUvarint(b, uint64(len(senders)))
+	b = wire.AppendUvarint(b, uint64(len(senders)))
 	relMarks := false
 	for _, from := range senders {
 		w := st.RelSeen[from]
 		relMarks = relMarks || w.Mark > 0
-		b = binary.AppendVarint(b, int64(from))
-		b = binary.AppendUvarint(b, uint64(len(w.Above)))
+		b = wire.AppendVarint(b, int64(from))
+		b = wire.AppendUvarint(b, uint64(len(w.Above)))
 		for _, q := range w.Above {
-			b = binary.AppendUvarint(b, q)
+			b = wire.AppendUvarint(b, q)
 		}
 	}
 	// Shard extension, appended only when present: the unsharded snapshot
@@ -646,20 +595,17 @@ func encodeState(st *State) []byte {
 	// after it follow the same rule, so each forces the (empty) ones before
 	// it.
 	if len(st.ExtraStores) > 0 || len(st.ExtraLocks) > 0 || len(st.Marks) > 0 || relMarks {
-		b = binary.AppendUvarint(b, uint64(len(st.ExtraStores)))
+		b = wire.AppendUvarint(b, uint64(len(st.ExtraStores)))
 		for _, ss := range st.ExtraStores {
 			b = appendStoreState(b, ss)
 		}
-		b = binary.AppendUvarint(b, uint64(len(st.ExtraLocks)))
+		b = wire.AppendUvarint(b, uint64(len(st.ExtraLocks)))
 		for _, ls := range st.ExtraLocks {
 			b = appendLock(b, ls)
 		}
 	}
 	if len(st.Marks) > 0 || relMarks {
-		b = binary.AppendUvarint(b, uint64(len(st.Marks)))
-		for _, w := range st.Marks {
-			b = appendWatermark(b, w)
-		}
+		b = agent.AppendWatermarks(b, st.Marks)
 	}
 	// Receive-window extension: one watermark per sender of the base
 	// section, in its order. The per-sender lists there are the numbers held
@@ -667,161 +613,51 @@ func encodeState(st *State) []byte {
 	// has no such extension), every number ever seen, above a watermark of 0.
 	if relMarks {
 		for _, from := range senders {
-			b = binary.AppendUvarint(b, st.RelSeen[from].Mark)
+			b = wire.AppendUvarint(b, st.RelSeen[from].Mark)
 		}
 	}
 	return b
 }
 
 func decodeState(b []byte) (*State, error) {
-	d := &decoder{b: b}
+	r := wire.NewReader(b)
 	st := &State{RelSeen: make(map[runtime.NodeID]reliable.Window)}
-	st.Store = d.storeState()
-	st.Lock = d.lock()
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		st.Gone = append(st.Gone, d.agentID())
+	st.Store = readStoreState(r)
+	st.Lock = readLock(r)
+	for i, n := 0, r.Count(3); i < n; i++ {
+		st.Gone = append(st.Gone, agent.DecodeID(r))
 	}
-	st.RelNextSeq = d.uvarint()
+	st.RelNextSeq = r.Uvarint()
 	var senders []runtime.NodeID
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		from := runtime.NodeID(d.varint())
+	for i, n := 0, r.Count(2); i < n; i++ {
+		from := runtime.NodeID(r.Varint())
 		var w reliable.Window
-		for k, m := 0, int(d.uvarint()); k < m && d.err == nil; k++ {
-			w.Accept(d.uvarint())
+		for k, m := 0, r.Count(1); k < m; k++ {
+			w.Accept(r.Uvarint())
 		}
 		st.RelSeen[from] = w
 		senders = append(senders, from)
 	}
-	if d.err == nil && len(d.b) > 0 { // shard extension present
-		for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-			st.ExtraStores = append(st.ExtraStores, d.storeState())
+	if r.Len() > 0 { // shard extension present
+		for i, n := 0, r.Count(2); i < n; i++ {
+			st.ExtraStores = append(st.ExtraStores, readStoreState(r))
 		}
-		for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-			st.ExtraLocks = append(st.ExtraLocks, d.lock())
-		}
-	}
-	if d.err == nil && len(d.b) > 0 { // watermark extension present
-		for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-			st.Marks = append(st.Marks, d.watermark())
+		for i, n := 0, r.Count(8); i < n; i++ {
+			st.ExtraLocks = append(st.ExtraLocks, readLock(r))
 		}
 	}
-	if d.err == nil && len(d.b) > 0 { // receive-window extension present
+	if r.Len() > 0 { // watermark extension present
+		st.Marks = agent.DecodeWatermarksInto(nil, r)
+	}
+	if r.Len() > 0 { // receive-window extension present
 		for _, from := range senders {
 			w := st.RelSeen[from]
-			w.Raise(d.uvarint())
+			w.Raise(r.Uvarint())
 			st.RelSeen[from] = w
 		}
 	}
-	if err := d.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("durable: snapshot: %w", err)
 	}
 	return st, nil
-}
-
-// decoder is a sticky-error reader over one record payload.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.err = fmt.Errorf("durable: short uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.err = fmt.Errorf("durable: short varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.b)) < n {
-		d.err = fmt.Errorf("durable: short string")
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *decoder) update() store.Update {
-	return store.Update{
-		TxnID: d.str(),
-		Key:   d.str(),
-		Data:  d.str(),
-		Seq:   d.uvarint(),
-		Stamp: d.varint(),
-	}
-}
-
-func (d *decoder) agentID() agent.ID {
-	return agent.ID{
-		Home: runtime.NodeID(d.varint()),
-		Born: d.varint(),
-		Seq:  d.uvarint(),
-	}
-}
-
-func (d *decoder) watermark() agent.Watermark {
-	return agent.Watermark{
-		Home:  runtime.NodeID(d.varint()),
-		Since: d.varint(),
-		Upto:  agent.Mark{Born: d.varint(), Seq: d.uvarint()},
-		Count: d.uvarint(),
-	}
-}
-
-func (d *decoder) storeState() store.State {
-	var ss store.State
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		ss.Log = append(ss.Log, d.update())
-	}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		ss.Tentative = append(ss.Tentative, d.update())
-	}
-	return ss
-}
-
-func (d *decoder) lock() LockState {
-	ls := LockState{
-		Epoch:        d.uvarint(),
-		LLVersion:    d.uvarint(),
-		HeadVersion:  d.uvarint(),
-		Grant:        d.agentID(),
-		GrantAttempt: int(d.varint()),
-	}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		ls.LL = append(ls.LL, d.agentID())
-	}
-	return ls
-}
-
-func (d *decoder) finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("durable: %d trailing bytes", len(d.b))
-	}
-	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/store"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 func upd(i int) store.Update {
@@ -302,14 +303,144 @@ func TestQuickCrashPointReplaysCommitPrefix(t *testing.T) {
 	}
 }
 
+// corruptCases holds one valid journal per record type of both journals:
+// the records before the last set it up, and the last is the one under test.
+var corruptCases = []struct {
+	name    string
+	opt     bool
+	records []wal.Record
+}{
+	{"apply", false, []wal.Record{{Type: recApply, Data: store.AppendUpdate(nil, upd(1))}}},
+	{"prepare", false, []wal.Record{{Type: recPrepare, Data: store.AppendUpdate(nil, upd(1))}}},
+	{"commit", false, []wal.Record{
+		{Type: recPrepare, Data: store.AppendUpdate(nil, upd(1))},
+		{Type: recCommitTxn, Data: wire.AppendString(nil, upd(1).TxnID)}}},
+	{"abort", false, []wal.Record{{Type: recAbortTxn, Data: wire.AppendString(nil, "txn-009")}}},
+	{"lock", false, []wal.Record{{Type: recLock, Data: appendLock(nil, LockState{Epoch: 2, Grant: aid(1, 1), LL: []agent.ID{aid(1, 1), aid(2, 2)}})}}},
+	{"lock shard", false, []wal.Record{{Type: recLockS, Data: appendLock(wire.AppendUvarint(nil, 2), LockState{Epoch: 4, LL: []agent.ID{aid(3, 1)}})}}},
+	{"gone", false, []wal.Record{{Type: recGone, Data: agent.AppendID(nil, aid(2, 5))}}},
+	{"gone mark", false, []wal.Record{{Type: recGoneMark, Data: agent.AppendWatermark(nil, &agent.Watermark{Home: 2, Since: 5, Upto: agent.Mark{Born: 40, Seq: 3}, Count: 3})}}},
+	{"rel next", false, []wal.Record{{Type: recRelNext, Data: wire.AppendUvarint(nil, 128)}}},
+	{"rel seen", false, []wal.Record{{Type: recRelSeen, Data: wire.AppendUvarint(wire.AppendVarint(nil, 4), 9)}}},
+	{"rel mark", false, []wal.Record{{Type: recRelMark, Data: relMark(4, 10, 12, 15)}}},
+	{"opt tentative", true, []wal.Record{{Type: recOptTent, Data: appendOptRecord(nil, optRec("t1", "k", "v", 5, "g", "t0"))}}},
+	{"opt stable", true, []wal.Record{{Type: recOptStable, Data: appendOptRecord(nil, optRec("t1", "k", "v", 5, ""))}}},
+	{"opt abort", true, []wal.Record{
+		{Type: recOptTent, Data: appendOptRecord(nil, optRec("t1", "k", "v", 5, ""))},
+		{Type: recOptAbort, Data: wire.AppendString(nil, "t1")}}},
+	{"opt clock", true, []wal.Record{{Type: recOptClock, Data: wire.AppendVarint(nil, 3e9)}}},
+}
+
+// relMark encodes a receive-window record: sender, watermark, numbers above.
+func relMark(from runtime.NodeID, mark uint64, above ...uint64) []byte {
+	b := wire.AppendUvarint(wire.AppendVarint(nil, int64(from)), mark)
+	b = wire.AppendUvarint(b, uint64(len(above)))
+	for _, seq := range above {
+		b = wire.AppendUvarint(b, seq)
+	}
+	return b
+}
+
+// replayAny replays records on the journal the case names, over 3 shards.
+func replayAny(opt bool, records []wal.Record) error {
+	if opt {
+		_, err := replayOpt(nil, records)
+		return err
+	}
+	_, err := replay(nil, records, 3)
+	return err
+}
+
+// TestEncodingRejectsTrailingBytes: every record type of both journals
+// replays whole, and refuses — with an error, never a panic — the same
+// record cut short by a byte or carrying one byte too many. A lock record
+// naming a shard outside the replica's is corruption too, however large the
+// number (a shard of 2^63+5 once indexed the shard table at a negative
+// position).
 func TestEncodingRejectsTrailingBytes(t *testing.T) {
-	b := encodeUpdate(upd(3))
-	if _, err := decodeUpdate(append(b, 0xAA)); err == nil {
-		t.Fatal("decodeUpdate accepted trailing bytes")
+	for _, tc := range corruptCases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := replayAny(tc.opt, tc.records); err != nil {
+				t.Fatalf("valid journal refused: %v", err)
+			}
+			last := tc.records[len(tc.records)-1]
+			for _, bad := range []struct {
+				how  string
+				data []byte
+			}{
+				{"truncated", last.Data[:len(last.Data)-1]},
+				{"trailing byte", append(last.Data[:len(last.Data):len(last.Data)], 0)},
+			} {
+				records := append(tc.records[:len(tc.records)-1:len(tc.records)-1], wal.Record{Type: last.Type, Data: bad.data})
+				if err := replayAny(tc.opt, records); err == nil {
+					t.Errorf("%s record replayed without an error", bad.how)
+				}
+			}
+		})
 	}
-	if _, err := decodeUpdate(b[:len(b)-1]); err == nil {
-		t.Fatal("decodeUpdate accepted a short buffer")
+	for _, shrd := range []uint64{3, 1<<63 + 5, 1<<64 - 1} {
+		rec := wal.Record{Type: recLockS, Data: appendLock(wire.AppendUvarint(nil, shrd), LockState{Epoch: 1})}
+		if _, err := replay(nil, []wal.Record{rec}, 3); err == nil {
+			t.Errorf("lock record for shard %d replayed on 3 shards", shrd)
+		}
 	}
+}
+
+// FuzzReplay: no snapshot and no record stream, of either journal, makes
+// replay panic or allocate past its input; whatever replays cleanly
+// snapshots to bytes that decode again. stream is a sequence of records,
+// each a type byte, a length byte and that many bytes of payload.
+func FuzzReplay(f *testing.F) {
+	frame := func(records []wal.Record) []byte {
+		var b []byte
+		for _, rec := range records {
+			b = append(append(b, rec.Type, byte(len(rec.Data))), rec.Data...)
+		}
+		return b
+	}
+	for _, tc := range corruptCases {
+		f.Add(tc.opt, []byte(nil), frame(tc.records))
+	}
+	f.Add(false, []byte(nil), frame([]wal.Record{{Type: recLockS, Data: appendLock(wire.AppendUvarint(nil, 1<<63+5), LockState{})}}))
+	f.Add(false, encodeState(&State{
+		Store:       store.State{Log: []store.Update{upd(1)}},
+		Lock:        LockState{Epoch: 3, LL: []agent.ID{aid(2, 4)}},
+		Gone:        []agent.ID{aid(1, 1)},
+		Marks:       []agent.Watermark{{Home: 1, Upto: agent.Mark{Born: 17, Seq: 2}, Count: 2}},
+		RelSeen:     map[runtime.NodeID]reliable.Window{5: {Mark: 4, Above: []uint64{7}}},
+		ExtraStores: []store.State{{Tentative: []store.Update{upd(2)}}, {}},
+		ExtraLocks:  []LockState{{Epoch: 1}, {}},
+	}), []byte(nil))
+	f.Add(true, encodeOptState(&OptState{
+		Stable:  []OptRecord{optRec("t1", "k", "v", 5, "")},
+		Overlay: []OptRecord{optRec("t2", "k", "w", 6, "g", "t1")},
+		Dropped: [][]uint64{{1, 0}},
+		ClockHi: 2e9,
+	}), []byte(nil))
+	f.Fuzz(func(t *testing.T, opt bool, snap, stream []byte) {
+		var records []wal.Record
+		for len(stream) >= 2 {
+			typ, n := stream[0], min(int(stream[1]), len(stream)-2)
+			records = append(records, wal.Record{Type: typ, Data: stream[2 : 2+n]})
+			stream = stream[2+n:]
+		}
+		if len(snap) == 0 {
+			snap = nil
+		}
+		if opt {
+			if st, err := replayOpt(snap, records); err == nil {
+				if _, err := decodeOptState(encodeOptState(st)); err != nil {
+					t.Fatalf("replayed state does not snapshot: %v", err)
+				}
+			}
+			return
+		}
+		if st, err := replay(snap, records, 3); err == nil {
+			if _, err := decodeState(encodeState(st)); err != nil {
+				t.Fatalf("replayed state does not snapshot: %v", err)
+			}
+		}
+	})
 }
 
 func TestStateEncodingDeterministic(t *testing.T) {

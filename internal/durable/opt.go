@@ -26,13 +26,13 @@ package durable
 //     behind a barrier of their own while it does not.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
 	"repro/internal/disk"
 	"repro/internal/store"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Optimistic record types. Values are part of the on-disk format alongside
@@ -164,12 +164,14 @@ func replayOpt(snap []byte, records []wal.Record) (*OptState, error) {
 		delete(pending, txn)
 		return rec, true
 	}
+	var r wire.Reader
 	for i, rec := range records {
 		var err error
+		r.Reset(rec.Data)
 		switch rec.Type {
 		case recOptTent:
-			var or OptRecord
-			if or, err = decodeOptRecord(rec.Data); err == nil {
+			or := readOptRecord(&r)
+			if err = r.Finish(); err == nil {
 				if _, dup := pending[or.U.TxnID]; dup {
 					err = fmt.Errorf("tentative %s journaled twice", or.U.TxnID)
 				} else {
@@ -178,21 +180,21 @@ func replayOpt(snap []byte, records []wal.Record) (*OptState, error) {
 				}
 			}
 		case recOptStable:
-			var or OptRecord
-			if or, err = decodeOptRecord(rec.Data); err == nil {
+			or := readOptRecord(&r)
+			if err = r.Finish(); err == nil {
 				take(or.U.TxnID)
 				st.Stable = append(st.Stable, or)
 			}
 		case recOptAbort:
-			var txn string
-			if txn, err = decodeString(rec.Data); err == nil {
+			txn := r.String()
+			if err = r.Finish(); err == nil {
 				if or, ok := take(txn); ok {
 					st.Aborted = append(st.Aborted, or)
 				}
 			}
 		case recOptClock:
-			var hi int64
-			if hi, err = decodeVarint(rec.Data); err == nil && hi > st.ClockHi {
+			hi := r.Varint()
+			if err = r.Finish(); err == nil && hi > st.ClockHi {
 				st.ClockHi = hi
 			}
 		default:
@@ -231,13 +233,13 @@ func (j *OptJournal) Tentative(rec OptRecord, barrier bool) {
 	if barrier && rec.U.Stamp >= j.clockHi-optClockSpan {
 		j.raiseClock(rec.U.Stamp+optClockSpan, false)
 	}
-	j.append(recOptTent, encodeOptRecord(rec), barrier)
+	j.append(recOptTent, appendOptRecord(nil, rec), barrier)
 }
 
 // Stable journals an action's promotion into the stable prefix; rec.U.Seq
 // must carry the assigned stable sequence number. Commit barrier: this is
 // the record behind invariant 15.
-func (j *OptJournal) Stable(rec OptRecord) { j.append(recOptStable, encodeOptRecord(rec), true) }
+func (j *OptJournal) Stable(rec OptRecord) { j.append(recOptStable, appendOptRecord(nil, rec), true) }
 
 // Abort journals an election loser's discard. barrier must be true for the
 // last record of an election batch: the batch raises the stable frontier the
@@ -245,7 +247,7 @@ func (j *OptJournal) Stable(rec OptRecord) { j.append(recOptStable, encodeOptRec
 // has passed — so a batch that ends in losers must be as durable as one that
 // ends in a stable record.
 func (j *OptJournal) Abort(txnID string, barrier bool) {
-	j.append(recOptAbort, encodeString(txnID), barrier)
+	j.append(recOptAbort, wire.AppendString(nil, txnID), barrier)
 }
 
 // Clock persists the clock's high-water mark, the next whole span above c.
@@ -261,7 +263,7 @@ func (j *OptJournal) Clock(c int64) {
 
 func (j *OptJournal) raiseClock(c int64, barrier bool) {
 	j.clockHi = (c/optClockSpan + 1) * optClockSpan
-	j.append(recOptClock, encodeVarint(j.clockHi), barrier)
+	j.append(recOptClock, wire.AppendVarint(nil, j.clockHi), barrier)
 }
 
 // SetSource registers the snapshot contributor used by compaction.
@@ -302,90 +304,66 @@ func (j *OptJournal) Stats() wal.Stats { return j.log.Stats() }
 
 // --- encoding -----------------------------------------------------------
 
-func encodeVarint(v int64) []byte { return binary.AppendVarint(nil, v) }
-
-func decodeVarint(b []byte) (int64, error) {
-	d := &decoder{b: b}
-	v := d.varint()
-	return v, d.finish()
-}
-
 func appendOptRecord(b []byte, rec OptRecord) []byte {
-	b = appendUpdate(b, rec.U)
-	b = appendString(b, rec.Guard)
-	b = binary.AppendUvarint(b, uint64(len(rec.Deps)))
+	b = store.AppendUpdate(b, rec.U)
+	b = wire.AppendString(b, rec.Guard)
+	b = wire.AppendUvarint(b, uint64(len(rec.Deps)))
 	for _, dep := range rec.Deps {
-		b = appendString(b, dep)
+		b = wire.AppendString(b, dep)
 	}
 	return b
 }
 
-func encodeOptRecord(rec OptRecord) []byte { return appendOptRecord(nil, rec) }
-
-func (d *decoder) optRecord() OptRecord {
-	rec := OptRecord{U: d.update(), Guard: d.str()}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		rec.Deps = append(rec.Deps, d.str())
+// readOptRecord reads an OptRecord written by appendOptRecord (at least 7
+// bytes).
+func readOptRecord(r *wire.Reader) OptRecord {
+	rec := OptRecord{U: store.DecodeUpdate(r), Guard: r.String()}
+	for i, n := 0, r.Count(1); i < n; i++ {
+		rec.Deps = append(rec.Deps, r.String())
 	}
 	return rec
 }
 
-func decodeOptRecord(b []byte) (OptRecord, error) {
-	d := &decoder{b: b}
-	rec := d.optRecord()
-	return rec, d.finish()
-}
-
 func encodeOptState(st *OptState) []byte {
 	var b []byte
-	b = binary.AppendUvarint(b, uint64(len(st.Stable)))
-	for _, rec := range st.Stable {
-		b = appendOptRecord(b, rec)
+	for _, tier := range [][]OptRecord{st.Stable, st.Overlay, st.Aborted} {
+		b = wire.AppendUvarint(b, uint64(len(tier)))
+		for _, rec := range tier {
+			b = appendOptRecord(b, rec)
+		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(st.Overlay)))
-	for _, rec := range st.Overlay {
-		b = appendOptRecord(b, rec)
-	}
-	b = binary.AppendUvarint(b, uint64(len(st.Aborted)))
-	for _, rec := range st.Aborted {
-		b = appendOptRecord(b, rec)
-	}
-	b = binary.AppendVarint(b, st.ClockHi)
-	b = binary.AppendUvarint(b, uint64(len(st.Dropped)))
+	b = wire.AppendVarint(b, st.ClockHi)
+	b = wire.AppendUvarint(b, uint64(len(st.Dropped)))
 	for _, row := range st.Dropped {
-		b = binary.AppendUvarint(b, uint64(len(row)))
+		b = wire.AppendUvarint(b, uint64(len(row)))
 		for _, n := range row {
-			b = binary.AppendUvarint(b, n)
+			b = wire.AppendUvarint(b, n)
 		}
 	}
 	return b
 }
 
 func decodeOptState(b []byte) (*OptState, error) {
-	d := &decoder{b: b}
+	r := wire.NewReader(b)
 	st := &OptState{}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		st.Stable = append(st.Stable, d.optRecord())
+	for _, tier := range []*[]OptRecord{&st.Stable, &st.Overlay, &st.Aborted} {
+		for i, n := 0, r.Count(7); i < n; i++ {
+			*tier = append(*tier, readOptRecord(r))
+		}
 	}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		st.Overlay = append(st.Overlay, d.optRecord())
-	}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		st.Aborted = append(st.Aborted, d.optRecord())
-	}
-	st.ClockHi = d.varint()
+	st.ClockHi = r.Varint()
 	// A snapshot written before histories were truncated ends here, which
 	// reads as nothing dropped.
-	if d.err == nil && len(d.b) > 0 {
-		for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
+	if r.Len() > 0 {
+		for i, n := 0, r.Count(1); i < n; i++ {
 			var row []uint64
-			for k, m := 0, int(d.uvarint()); k < m && d.err == nil; k++ {
-				row = append(row, d.uvarint())
+			for k, m := 0, r.Count(1); k < m; k++ {
+				row = append(row, r.Uvarint())
 			}
 			st.Dropped = append(st.Dropped, row)
 		}
 	}
-	if err := d.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("durable: optimistic snapshot: %w", err)
 	}
 	return st, nil

@@ -165,7 +165,7 @@ func encCommitMsg(b []byte, v any) []byte {
 	b = wire.AppendVarint(b, int64(m.Origin))
 	b = wire.AppendUvarint(b, uint64(len(m.Updates)))
 	for i := range m.Updates {
-		b = AppendUpdate(b, m.Updates[i])
+		b = store.AppendUpdate(b, m.Updates[i])
 	}
 	return b
 }
@@ -175,7 +175,7 @@ func decCommitMsg(r *wire.Reader) any {
 	n := r.Count(5)
 	m.Updates = make([]store.Update, 0, n)
 	for i := 0; i < n; i++ {
-		m.Updates = append(m.Updates, DecodeUpdate(r))
+		m.Updates = append(m.Updates, store.DecodeUpdate(r))
 	}
 	return m
 }
@@ -215,7 +215,7 @@ func encSyncReply(b []byte, v any) []byte {
 		b = wire.AppendVarint(b, int64(sec.Shard))
 		b = wire.AppendUvarint(b, uint64(len(sec.Updates)))
 		for i := range sec.Updates {
-			b = AppendUpdate(b, sec.Updates[i])
+			b = store.AppendUpdate(b, sec.Updates[i])
 		}
 	}
 	b = wire.AppendUvarint(b, uint64(len(m.Gone)))
@@ -235,7 +235,7 @@ func decSyncReply(r *wire.Reader) any {
 			k := r.Count(5)
 			sec.Updates = make([]store.Update, 0, k)
 			for j := 0; j < k; j++ {
-				sec.Updates = append(sec.Updates, DecodeUpdate(r))
+				sec.Updates = append(sec.Updates, store.DecodeUpdate(r))
 			}
 		}
 	}
@@ -246,27 +246,6 @@ func decSyncReply(r *wire.Reader) any {
 	}
 	m.Marks = agent.DecodeWatermarksInto(nil, r)
 	return m
-}
-
-// AppendUpdate appends one store.Update in wire-codec form. Exported for
-// the durable-layer and agent-state codecs that embed updates.
-func AppendUpdate(b []byte, u store.Update) []byte {
-	b = wire.AppendString(b, u.TxnID)
-	b = wire.AppendString(b, u.Key)
-	b = wire.AppendString(b, u.Data)
-	b = wire.AppendUvarint(b, u.Seq)
-	return wire.AppendVarint(b, u.Stamp)
-}
-
-// DecodeUpdate reads an update written by AppendUpdate.
-func DecodeUpdate(r *wire.Reader) store.Update {
-	return store.Update{
-		TxnID: r.String(),
-		Key:   r.String(),
-		Data:  r.String(),
-		Seq:   r.Uvarint(),
-		Stamp: r.Varint(),
-	}
 }
 
 func appendValue(b []byte, v store.Value) []byte {

@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // Version identifies one committed state of a key.
@@ -53,6 +55,28 @@ type Update struct {
 }
 
 func (u Update) version() Version { return Version{Seq: u.Seq, Stamp: u.Stamp, Writer: u.TxnID} }
+
+// AppendUpdate appends u in wire-codec form (at least 5 bytes). It is the
+// one encoding of an update: the replica's messages carry it, and the
+// journal (internal/durable) writes its records and snapshots with it.
+func AppendUpdate(b []byte, u Update) []byte {
+	b = wire.AppendString(b, u.TxnID)
+	b = wire.AppendString(b, u.Key)
+	b = wire.AppendString(b, u.Data)
+	b = wire.AppendUvarint(b, u.Seq)
+	return wire.AppendVarint(b, u.Stamp)
+}
+
+// DecodeUpdate reads an update written by AppendUpdate.
+func DecodeUpdate(r *wire.Reader) Update {
+	return Update{
+		TxnID: r.String(),
+		Key:   r.String(),
+		Data:  r.String(),
+		Seq:   r.Uvarint(),
+		Stamp: r.Varint(),
+	}
+}
 
 // Errors returned by Store operations.
 var (

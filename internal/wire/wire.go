@@ -2,10 +2,10 @@
 // closed set of protocol messages (DESIGN.md §11), the only encoding the
 // live path speaks: encoding appends into a caller-reused buffer (zero
 // allocations in steady state, following the PR 1 free-list discipline),
-// decoding walks a bounds-checked Reader with a sticky error (the
-// internal/durable decoder idiom), and every concrete message type is
-// registered under a one-byte tag by the package that owns it, so no import
-// cycles form.
+// decoding walks a bounds-checked Reader with a sticky error, and every
+// concrete message type is registered under a one-byte tag by the package
+// that owns it, so no import cycles form. The durability journal
+// (internal/durable) writes its records and snapshots in the same encoding.
 //
 // Encoding rules:
 //
