@@ -111,10 +111,6 @@ func (r *Referee) check(shrd int, rs *refShard) {
 // shard-0 grants (zero if none).
 func (r *Referee) Holder() agent.ID { return r.shards[0].holder }
 
-// HolderOf returns the transaction holding a write quorum of the shard's
-// grants (zero if none).
-func (r *Referee) HolderOf(shrd int) agent.ID { return r.shards[shrd].holder }
-
 // Wins reports how many distinct times some transaction reached a grant
 // write quorum, summed over shards.
 func (r *Referee) Wins() int {

@@ -273,11 +273,12 @@ func CompareProtocols(o FigureOptions) (*metrics.Table, []RunResult, error) {
 			for range protocols {
 				res := all[i]
 				i++
-				att := metrics.Ms(res.Summary.MeanATT)
+				att, msgs := metrics.Ms(res.Summary.MeanATT), fmt.Sprintf("%.1f", res.MsgsPerUpdate())
 				if res.Saturated {
-					att = "saturated"
+					// A run that never drained has no per-update cost.
+					att, msgs = "saturated", "saturated"
 				}
-				row = append(row, att, fmt.Sprintf("%.1f", res.MsgsPerUpdate()))
+				row = append(row, att, msgs)
 			}
 			tbl.AddRow(row...)
 		}

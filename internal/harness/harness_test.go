@@ -106,6 +106,27 @@ func TestCompareProtocolsWANShape(t *testing.T) {
 	}
 }
 
+// TestCompareProtocolsSaturatedCell: a run that never drained prints
+// "saturated" in both of its columns, not a messages-per-update ratio.
+func TestCompareProtocolsSaturatedCell(t *testing.T) {
+	o := FigureOptions{Quick: true, Seed: 11, RequestsPerServer: 20,
+		Means: []time.Duration{60 * time.Millisecond}, Servers: []int{5, 7}}
+	tbl, results, err := CompareProtocols(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Order: lan{5,7} then wan{5,7}, four protocols each.
+	if res := results[14]; res.Config.Protocol != AvailableCopy || !res.Saturated {
+		t.Fatalf("WAN N=7 %s saturated = %v, want a saturated available-copy cell", res.Config.Protocol, res.Saturated)
+	}
+	row := tbl.Rows[3]
+	for i, col := range tbl.Columns {
+		if strings.HasPrefix(col, string(AvailableCopy)) && row[i] != "saturated" {
+			t.Errorf("WAN N=7 %q = %q, want saturated", col, row[i])
+		}
+	}
+}
+
 func TestMigrationBoundsHold(t *testing.T) {
 	o := FigureOptions{Quick: true, Seed: 13, RequestsPerServer: 15}
 	tbl, results, err := MigrationBounds(o)

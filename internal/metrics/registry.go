@@ -335,18 +335,6 @@ func (r *Registry) Help(name string) string {
 	return ""
 }
 
-// Names returns all registered family names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Value returns the unlabelled value of the named family in the snapshot
 // (0 when absent — gathered metrics default to zero, so reads never need
 // an existence dance).

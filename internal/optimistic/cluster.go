@@ -395,10 +395,6 @@ func (c *Cluster) Down(id runtime.NodeID) bool {
 	return rep == nil || rep.down
 }
 
-// HasDurability reports whether replicas are journaled (the precondition
-// for Crash/Recover).
-func (c *Cluster) HasDurability() bool { return c.cfg.Durability != nil }
-
 // StableLog returns node id's stable prefix for one shard, in election
 // order.
 func (c *Cluster) StableLog(id runtime.NodeID, shard int) ([]store.Update, error) {

@@ -328,9 +328,6 @@ func (s *Server) QueueLen(shrd int) int { return len(s.shards[shrd].ll) }
 // (zero ID if none).
 func (s *Server) Granted() agent.ID { return s.shards[0].grant }
 
-// GrantedOf returns the transaction holding one shard's grant.
-func (s *Server) GrantedOf(shrd int) agent.ID { return s.shards[shrd].grant }
-
 // Down reports whether the server is crashed.
 func (s *Server) Down() bool { return s.down }
 

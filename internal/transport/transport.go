@@ -1,6 +1,7 @@
 // Package transport exposes a live replica as a network service: a TCP
 // server speaking a line-delimited JSON protocol (one request object per
-// line, one response object per line), plus the matching client.
+// line, one response object per line), plus the matching client. A request
+// line longer than 1 MiB is refused and its connection closed.
 //
 // The replication protocol runs on the live engine (internal/runtime/live):
 // one process hosts one replica, and the transport layer carries client
@@ -31,6 +32,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,6 +50,12 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/store"
 )
+
+// maxRequestLine bounds one client request line, newline included. A longer
+// line is refused with an error response and the connection is closed, so a
+// client can never make a node buffer, or hand the fabric, an arbitrarily
+// large request.
+const maxRequestLine = 1 << 20
 
 // ErrStopped is returned by a request that reaches the server after its
 // engine has shut down.
@@ -310,17 +318,25 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	lines := bufio.NewScanner(conn)
+	lines.Buffer(nil, maxRequestLine)
 	enc := json.NewEncoder(conn)
-	for {
+	for lines.Scan() {
+		if len(bytes.TrimSpace(lines.Bytes())) == 0 {
+			continue
+		}
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if err := json.Unmarshal(lines.Bytes(), &req); err != nil {
 			return
 		}
-		resp := s.handle(req)
-		if err := enc.Encode(resp); err != nil {
+		if err := enc.Encode(s.handle(req)); err != nil {
 			return
 		}
+	}
+	if errors.Is(lines.Err(), bufio.ErrTooLong) {
+		// The rest of the line is never read, so the stream cannot resume:
+		// answer once, then close (a failed answer changes nothing).
+		_ = enc.Encode(Response{Error: fmt.Sprintf("request line exceeds %d bytes", maxRequestLine)})
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -189,6 +190,28 @@ func TestProtocolErrors(t *testing.T) {
 	// The connection remains usable after an error response.
 	if err := cli.Submit(1, "k", "v", false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOversizeRequestIsRefused: a request line over maxRequestLine is
+// answered with an error naming the limit instead of reaching the cluster
+// (where a large enough value would exceed the fabric's frame bound), and the
+// node goes on serving new clients.
+func TestOversizeRequestIsRefused(t *testing.T) {
+	c := startCluster(t)
+	big := strings.Repeat("x", maxRequestLine)
+	err := c.clis[0].Submit(1, "k", big, false)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxRequestLine)) {
+		t.Fatalf("oversize submit: err = %v, want a refusal naming the %d-byte limit", err, maxRequestLine)
+	}
+	cli := dial(t, c.srvs[0])
+	c.clis[0] = cli
+	if err := cli.Submit(1, "k", "small", false); err != nil {
+		t.Fatal(err)
+	}
+	c.waitCommitted(t, 1)
+	if st := c.stats(t); st.Committed != 1 {
+		t.Fatalf("committed = %d, want only the small submit", st.Committed)
 	}
 }
 

@@ -487,13 +487,6 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// Generation returns the current snapshot generation.
-func (l *Log) Generation() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gen
-}
-
 func (l *Log) openSegment() error {
 	f, err := l.b.Append(segName(l.gen, l.seg))
 	if err != nil {
