@@ -3,11 +3,11 @@
 //
 // Go has no code mobility, so "migration" here is state mobility: an agent
 // is a Go value implementing Behavior. Over the in-memory simulated fabric
-// the value moves between places directly, with a modelled wire size for
-// traffic accounting; over a serializing fabric (runtime.WireFabric — the
-// live TCP deployment, where each place is its own OS process) the behavior
-// is encoded via its WireBehavior hook, shipped as bytes, and reconstructed
-// by the destination's ThawWire hook. Either way the protocol layer
+// the value moves between places directly and declares a modelled wire
+// size for traffic accounting; over a serializing fabric
+// (runtime.WireFabric — the live TCP deployment, where each place is its
+// own OS process) the behavior is encoded via its WireBehavior hook,
+// shipped as bytes, and reconstructed by the destination's ThawWire hook. Either way the protocol layer
 // observes the same thing: an agent executes at one place at a time,
 // interacts with the co-located server at memory speed, pays network
 // latency to move, and can fail to migrate when the destination is down.
@@ -79,8 +79,9 @@ type Behavior interface {
 	OnLocalEvent(ctx *Context, ev any)
 }
 
-// WireSizer lets a behavior report its modelled serialized size in bytes;
-// migrations of agents without it are accounted at DefaultAgentSize.
+// WireSizer lets a behavior report its modelled serialized size in bytes,
+// which its migrations over a shared-memory fabric declare; migrations of
+// agents without it declare DefaultAgentSize.
 type WireSizer interface{ WireSize() int }
 
 // WireBehavior is a behavior that can serialize itself for migration over a
@@ -238,9 +239,6 @@ type MigrateAck struct {
 
 // Kind implements runtime.Kinder.
 func (*MigrateAck) Kind() string { return "agent-migrate-ack" }
-
-// migrateAckSize is the modelled wire size of a MigrateAck.
-const migrateAckSize = 24
 
 // AgentMsg addresses a payload to a specific agent at the destination node.
 type AgentMsg struct {
@@ -497,7 +495,7 @@ func (pl *Place) NotifyResidents(ev any) {
 func (pl *Place) receiveWire(from runtime.NodeID, env *WireEnvelope) {
 	p := pl.platform
 	ack := func() {
-		p.net.Send(runtime.Message{From: pl.node, To: from, Payload: &MigrateAck{ID: env.ID, Hop: env.Hop}, Size: migrateAckSize})
+		p.net.Send(runtime.Message{From: pl.node, To: from, Payload: &MigrateAck{ID: env.ID, Hop: env.Hop}})
 	}
 	if _, live := pl.agents[env.ID]; live {
 		p.stats.MigrationsRefused++
@@ -696,23 +694,21 @@ func (c *Context) MigrateTo(dest runtime.NodeID) {
 		c.behavior.OnMigrateFailed(c, pm.dest)
 	})
 	p.pending[c.id] = &pendingMigration{ctx: c, dest: dest, hop: c.hop, timer: timer}
-	payload, size := c.migrationPayload()
-	p.net.Send(runtime.Message{
-		From:    origin,
-		To:      dest,
-		Payload: payload,
-		Size:    size,
-	})
+	p.net.Send(c.migration(origin, dest))
 }
 
-// migrationPayload picks the migration encoding for the platform's fabric:
-// a live pointer within one address space, serialized state across
+// migration builds the message that carries the agent for the platform's
+// fabric: a live pointer within one address space, serialized state across
 // processes. Failure to serialize is a programming error (a behavior
 // lacking WireBehavior has no business on a wire platform), not a runtime
 // condition to recover from.
-func (c *Context) migrationPayload() (any, int) {
+func (c *Context) migration(origin, dest runtime.NodeID) runtime.Message {
+	msg := runtime.Message{From: origin, To: dest}
 	if !c.platform.wire {
-		return &envelope{ctx: c, hop: c.hop}, c.wireSize()
+		// Declared size: no codec carries the in-process envelope, so it
+		// costs the agent's own WireSize (DefaultAgentSize without one).
+		msg.Payload, msg.Size = &envelope{ctx: c, hop: c.hop}, c.wireSize()
+		return msg
 	}
 	wb, ok := c.behavior.(WireBehavior)
 	if !ok {
@@ -722,28 +718,25 @@ func (c *Context) migrationPayload() (any, int) {
 	if err != nil {
 		panic(fmt.Sprintf("agent %v: marshal for migration: %v", c.id, err))
 	}
-	return &WireEnvelope{ID: c.id, Hop: c.hop, State: state}, len(state)
+	msg.Payload = &WireEnvelope{ID: c.id, Hop: c.hop, State: state}
+	return msg
 }
 
 // Send transmits a payload to the server process at node to (paying network
-// latency). size is the modelled wire size.
-func (c *Context) Send(to runtime.NodeID, payload any, size int) {
+// latency).
+func (c *Context) Send(to runtime.NodeID, payload any) {
 	if c.state != stateActive {
 		return
 	}
-	c.platform.net.Send(runtime.Message{From: c.node, To: to, Payload: payload, Size: size})
+	c.platform.net.Send(runtime.Message{From: c.node, To: to, Payload: payload})
 }
 
 // SendToAgent transmits a payload to another agent believed to be at node to.
-func (c *Context) SendToAgent(to runtime.NodeID, target ID, payload any, size int) {
+func (c *Context) SendToAgent(to runtime.NodeID, target ID, payload any) {
 	if c.state != stateActive {
 		return
 	}
-	c.platform.net.Send(runtime.Message{
-		From: c.node, To: to,
-		Payload: &AgentMsg{Target: target, Payload: payload},
-		Size:    size,
-	})
+	c.platform.SendToAgent(c.node, to, target, payload)
 }
 
 // Dispose terminates the agent (paper Algorithm 1's final "dispose").
@@ -761,15 +754,11 @@ func (c *Context) Dispose() {
 // SendToServer lets non-agent code (a server) message another node's server
 // through the same accounting path. It exists so servers do not need their
 // own network facade.
-func (p *Platform) SendToServer(from, to runtime.NodeID, payload any, size int) {
-	p.net.Send(runtime.Message{From: from, To: to, Payload: payload, Size: size})
+func (p *Platform) SendToServer(from, to runtime.NodeID, payload any) {
+	p.net.Send(runtime.Message{From: from, To: to, Payload: payload})
 }
 
 // SendToAgent lets a server reply to an agent at a (node, ID) address.
-func (p *Platform) SendToAgent(from, to runtime.NodeID, target ID, payload any, size int) {
-	p.net.Send(runtime.Message{
-		From: from, To: to,
-		Payload: &AgentMsg{Target: target, Payload: payload},
-		Size:    size,
-	})
+func (p *Platform) SendToAgent(from, to runtime.NodeID, target ID, payload any) {
+	p.net.Send(runtime.Message{From: from, To: to, Payload: &AgentMsg{Target: target, Payload: payload}})
 }

@@ -226,7 +226,7 @@ func TestSendToAgent(t *testing.T) {
 	a, b := &testAgent{}, &testAgent{}
 	ctxA := p.Spawn(1, a)
 	ctxB := p.Spawn(2, b)
-	ctxA.SendToAgent(2, ctxB.ID(), "ping", 16)
+	ctxA.SendToAgent(2, ctxB.ID(), "ping")
 	sim.Run()
 	if len(b.messages) != 1 || b.messages[0] != "ping" {
 		t.Fatalf("b.messages = %v", b.messages)
@@ -240,7 +240,7 @@ func TestMessageToAbsentAgentDropped(t *testing.T) {
 	sim, _, p := rig(t, 2, Config{})
 	a := &testAgent{}
 	ctxA := p.Spawn(1, a)
-	ctxA.SendToAgent(2, ID{Home: 2, Seq: 99}, "ping", 16)
+	ctxA.SendToAgent(2, ID{Home: 2, Seq: 99}, "ping")
 	sim.Run()
 	if p.Stats().AgentMsgsDropped != 1 {
 		t.Fatalf("stats = %+v", p.Stats())
@@ -283,7 +283,7 @@ func TestDisposeStopsDelivery(t *testing.T) {
 	a, b := &testAgent{}, &testAgent{}
 	ctxA := p.Spawn(1, a)
 	ctxB := p.Spawn(2, b)
-	ctxA.SendToAgent(2, ctxB.ID(), "ping", 16)
+	ctxA.SendToAgent(2, ctxB.ID(), "ping")
 	ctxB.Dispose()
 	sim.Run()
 	if len(b.messages) != 0 {
@@ -380,6 +380,8 @@ func TestIDOrdering(t *testing.T) {
 }
 
 func TestWireSizeAccounting(t *testing.T) {
+	// No codec carries the in-process envelope: a migration on the
+	// simulated fabric costs the size the agent declares.
 	sim, net, p := rig(t, 2, Config{})
 	a := &testAgent{size: 2048}
 	ctx := p.Spawn(1, a)
@@ -442,12 +444,12 @@ func TestContextAccessorsAndServerHelpers(t *testing.T) {
 		t.Fatal("Rand mismatch")
 	}
 	// Send to a server-less node: delivered to demux, dropped silently.
-	ctx.Send(3, "to-server", 8)
+	ctx.Send(3, "to-server")
 	// Platform-level helpers pay network latency too.
 	b := &testAgent{}
 	ctxB := p.Spawn(3, b)
-	p.SendToAgent(1, 3, ctxB.ID(), "hello", 8)
-	p.SendToServer(1, 3, "server-bound", 8)
+	p.SendToAgent(1, 3, ctxB.ID(), "hello")
+	p.SendToServer(1, 3, "server-bound")
 	sim.Run()
 	if len(b.messages) != 1 || b.messages[0] != "hello" {
 		t.Fatalf("messages = %v", b.messages)
@@ -461,8 +463,8 @@ func TestSendAfterDisposeIsNoop(t *testing.T) {
 	sim, net, p := rig(t, 2, Config{})
 	ctx := p.Spawn(1, &testAgent{})
 	ctx.Dispose()
-	ctx.Send(2, "x", 8)
-	ctx.SendToAgent(2, ID{Home: 2, Seq: 1}, "x", 8)
+	ctx.Send(2, "x")
+	ctx.SendToAgent(2, ID{Home: 2, Seq: 1}, "x")
 	sim.Run()
 	if net.Stats().MessagesSent != 0 {
 		t.Fatal("disposed agent sent messages")
@@ -471,7 +473,7 @@ func TestSendAfterDisposeIsNoop(t *testing.T) {
 
 func TestDefaultWireSizeWithoutSizer(t *testing.T) {
 	sim, net, p := rig(t, 2, Config{})
-	// minimalAgent lacks WireSize: migrations are charged the default.
+	// minimalAgent lacks WireSize: its migrations declare the default.
 	ctx := p.Spawn(1, &minimalAgent{})
 	ctx.MigrateTo(2)
 	sim.Run()

@@ -41,14 +41,7 @@ func init() {
 	wire.Register(tagAgentMsg, &AgentMsg{},
 		func(b []byte, v any) []byte {
 			m := v.(*AgentMsg)
-			b = AppendID(b, m.Target)
-			out, err := wire.AppendMessage(b, m.Payload)
-			if err != nil {
-				// Same contract as migrationPayload: an unencodable nested
-				// payload is a programming error, not a runtime condition.
-				panic("agent: " + err.Error())
-			}
-			return out
+			return wire.AppendNested(AppendID(b, m.Target), m.Payload)
 		},
 		func(r *wire.Reader) any {
 			m := &AgentMsg{Target: DecodeID(r)}

@@ -53,7 +53,7 @@ func (c *coord) start() {
 	if c.sys.cfg.Kind == PrimaryCopy {
 		c.seat = c.sys.cfg.Primary
 		f := &forward{Txn: c.txn, From: c.home, Key: c.key, Val: c.val}
-		c.sys.send(c.home, c.seat, f, f.WireSize())
+		c.sys.send(c.home, c.seat, f)
 		return
 	}
 	c.seat = c.home
@@ -67,7 +67,7 @@ func (c *coord) beginRound() {
 	c.reads = make(map[simnet.NodeID]readRep)
 	for _, id := range c.sys.ids {
 		m := &readReq{Txn: c.txn, Round: c.round, From: c.seat, Key: c.key}
-		c.sys.send(c.seat, id, m, m.WireSize())
+		c.sys.send(c.seat, id, m)
 	}
 	round := c.round
 	c.timer = c.sys.sim.After(c.sys.cfg.LockTimeout, func() {
@@ -90,7 +90,7 @@ func (c *coord) abortAndRetry() {
 	c.timer.Cancel()
 	for _, id := range c.sys.ids {
 		m := &abortReq{Txn: c.txn, Round: c.round, From: c.seat}
-		c.sys.send(c.seat, id, m, m.WireSize())
+		c.sys.send(c.seat, id, m)
 	}
 	shift := c.retries
 	if shift > 10 {
@@ -138,7 +138,7 @@ func (c *coord) propose(base uint64) {
 	}
 	for _, id := range c.sys.ids {
 		m := &voteReq{Txn: c.txn, Round: c.round, From: c.seat, Update: c.update}
-		c.sys.send(c.seat, id, m, m.WireSize())
+		c.sys.send(c.seat, id, m)
 	}
 	c.sys.cfg.Trace.Addf(int64(c.sys.sim.Now()), int(c.seat), c.txn.String(), trace.UpdateSent,
 		"proposed seq %d (round %d)", c.update.Seq, c.round)
@@ -178,13 +178,13 @@ func (c *coord) commit() {
 	now := c.sys.sim.Now()
 	for _, id := range c.sys.ids {
 		m := &commitReq{Txn: c.txn, From: c.seat, Update: c.update}
-		c.sys.send(c.seat, id, m, m.WireSize())
+		c.sys.send(c.seat, id, m)
 	}
 	c.sys.cfg.Trace.Addf(int64(now), int(c.seat), c.txn.String(), trace.CommitSent, "seq %d", c.update.Seq)
 	if c.sys.cfg.Kind == PrimaryCopy {
 		if c.home != c.seat {
 			m := &done{Txn: c.txn, From: c.seat, LockAt: c.lockAt}
-			c.sys.send(c.seat, c.home, m, m.WireSize())
+			c.sys.send(c.seat, c.home, m)
 		}
 		// Free the primary for the next queued request.
 		prim := c.sys.nodes[c.seat]

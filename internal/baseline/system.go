@@ -133,15 +133,24 @@ func (s *System) CheckConvergence() error {
 	return nil
 }
 
+// message is a baseline protocol message. No codec carries these, so each
+// declares its wire size.
+type message interface {
+	simnet.Kinder
+	WireSize() int
+}
+
 // send routes a payload, short-circuiting node-local deliveries (a
 // stationary coordinator talks to its co-located replica at memory speed,
 // same as MARP's local interactions).
-func (s *System) send(from, to simnet.NodeID, payload any, size int) {
+func (s *System) send(from, to simnet.NodeID, payload message) {
+	// Declared size: the baselines' messages have no wire codec.
+	msg := simnet.Message{From: from, To: to, Payload: payload, Size: payload.WireSize()}
 	if from == to {
-		s.nodes[to].Deliver(simnet.Message{From: from, To: to, Payload: payload, Size: size})
+		s.nodes[to].Deliver(msg)
 		return
 	}
-	s.net.Send(simnet.Message{From: from, To: to, Payload: payload, Size: size})
+	s.net.Send(msg)
 }
 
 func (s *System) finish(r Result) {
@@ -204,7 +213,7 @@ func (n *node) Deliver(msg simnet.Message) {
 func (n *node) onReadReq(m readReq) {
 	v, _ := n.st.Get(m.Key)
 	rep := &readRep{Txn: m.Txn, Round: m.Round, From: n.id, LastSeq: n.st.LastSeq(), Value: v}
-	n.sys.send(n.id, m.From, rep, rep.WireSize())
+	n.sys.send(n.id, m.From, rep)
 }
 
 // onVoteReq applies Thomas's voting rule: accept a proposal for the next
@@ -213,7 +222,7 @@ func (n *node) onReadReq(m readReq) {
 func (n *node) onVoteReq(m voteReq) {
 	reply := func(ok bool, reason string) {
 		rep := &voteRep{Txn: m.Txn, Round: m.Round, From: n.id, OK: ok, Reason: reason}
-		n.sys.send(n.id, m.From, rep, rep.WireSize())
+		n.sys.send(n.id, m.From, rep)
 	}
 	seq := m.Update.Seq
 	switch {

@@ -281,9 +281,6 @@ type OutcomeMsg struct{ Outcome Outcome }
 // Kind implements runtime.Kinder.
 func (*OutcomeMsg) Kind() string { return "outcome" }
 
-// WireSize is the modelled size of an outcome report.
-func (*OutcomeMsg) WireSize() int { return 96 }
-
 // NewCluster wires a cluster per cfg onto the given engine and fabric.
 func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, error) {
 	if err := cfg.fill(); err != nil {
@@ -789,8 +786,7 @@ func (c *Cluster) finish(at runtime.NodeID, o Outcome) {
 		c.recordOutcome(o)
 		return
 	}
-	msg := &OutcomeMsg{Outcome: o}
-	c.fabric.Send(runtime.Message{From: at, To: o.Home, Payload: msg, Size: msg.WireSize()})
+	c.fabric.Send(runtime.Message{From: at, To: o.Home, Payload: &OutcomeMsg{Outcome: o}})
 }
 
 // recordOutcome books a finished agent against this cluster's counters.

@@ -111,7 +111,7 @@ func (c *Cluster) registerMetrics() {
 		func() float64 { return float64(c.NetStats().MessagesDuplicated) })
 	r.CounterFunc("marp.fabric.queue_drops", "Messages dropped by a full per-peer writer queue (live fabric).",
 		func() float64 { return float64(c.NetStats().QueueDrops) })
-	r.CounterFunc("marp.fabric.bytes_sent", "Modelled payload bytes handed to the fabric.",
+	r.CounterFunc("marp.fabric.bytes_sent", "Bytes handed to the fabric, each message at its encoded length.",
 		func() float64 { return float64(c.NetStats().BytesSent) })
 
 	// Agent platform: migration traffic.

@@ -151,7 +151,7 @@ func (a *UpdateAgent) OnMessage(ctx *agent.Context, from runtime.NodeID, payload
 		// re-acquired with a newer claim.
 		if ack.OK && a.phase != phaseDone {
 			m := &replica.AbortMsg{Txn: ctx.ID(), Attempt: ack.Attempt}
-			ctx.Send(ack.From, m, m.WireSize())
+			ctx.Send(ack.From, m)
 		}
 		return
 	}
@@ -353,7 +353,7 @@ func (a *UpdateAgent) startClaim(ctx *agent.Context, d Decision) {
 	}
 	for _, id := range a.targets {
 		if id != ctx.Node() && a.lt.Visited(id) {
-			ctx.Send(id, m, m.WireSize())
+			ctx.Send(id, m)
 		}
 	}
 	if a.c.cfg.Trace.Enabled() {
@@ -481,7 +481,7 @@ func (a *UpdateAgent) finishWin(ctx *agent.Context) {
 		if id == ctx.Node() {
 			continue
 		}
-		ctx.Send(id, commit, commit.WireSize())
+		ctx.Send(id, commit)
 	}
 	a.c.Server(ctx.Node()).HandleCommitLocal(commit)
 	if a.c.cfg.Trace.Enabled() {
@@ -516,7 +516,7 @@ func (a *UpdateAgent) abortClaim(ctx *agent.Context, reason string) {
 		if id == ctx.Node() || !a.lt.Visited(id) {
 			continue
 		}
-		ctx.Send(id, m, m.WireSize())
+		ctx.Send(id, m)
 	}
 	a.c.Server(ctx.Node()).HandleAbortLocal(m)
 	if a.c.cfg.Trace.Enabled() {

@@ -18,7 +18,7 @@ import (
 type CensusRow struct {
 	Kind  string
 	Msgs  float64 // messages sent per commit
-	Bytes float64 // modelled bytes sent per commit
+	Bytes float64 // bytes sent per commit, each message at its encoded length
 	// Lo and Hi bound Msgs for an uncontended update under the paper's
 	// cost model; both are zero for a residual kind.
 	Lo, Hi float64
@@ -82,7 +82,7 @@ func Census(net simnet.Stats, commits, n int) []CensusRow {
 func CensusTable(title string, rows []CensusRow) *metrics.Table {
 	tbl := &metrics.Table{
 		Title:   title,
-		Note:    "messages and modelled bytes per committed update, by message kind",
+		Note:    "messages and bytes per committed update, by message kind",
 		Columns: []string{"kind", "msgs/commit", "bytes/commit", "model"},
 	}
 	var msgs, bytes float64

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/simnet"
 	"repro/internal/workload"
 )
 
@@ -26,6 +27,17 @@ var namedResiduals = map[string]bool{
 // COMMITs per update, and nothing else. A 16-shard churn cell then
 // publishes the residual (run with -v to print it): only kinds DESIGN names,
 // and anti-entropy a small share of them.
+// everyKindPriced fails the test for a message kind a run sent but charged
+// nothing: a payload no codec encodes whose sender declared no size.
+func everyKindPriced(t *testing.T, net simnet.Stats) {
+	t.Helper()
+	for kind, n := range net.ByKind {
+		if n > 0 && net.BytesByKind[kind] == 0 {
+			t.Errorf("%d %s messages charged 0 bytes", n, kind)
+		}
+	}
+}
+
 func TestMessageCensus(t *testing.T) {
 	for _, n := range []int{3, 4, 5} {
 		// A Figure 2 cell's requests, re-timed 100 ms apart. An update takes
@@ -53,6 +65,7 @@ func TestMessageCensus(t *testing.T) {
 		commits := s.Count
 		rows := Census(res.Net, commits, n)
 		t.Logf("\n%s", CensusTable(fmt.Sprintf("Figure 2 cell, N=%d", n), rows))
+		everyKindPriced(t, res.Net)
 		for _, r := range rows {
 			if r.Residual() {
 				t.Errorf("N=%d: %s (%.2f per commit) on an uncontended cell", n, r.Kind, r.Msgs)
@@ -83,6 +96,7 @@ func TestMessageCensus(t *testing.T) {
 	commits := res.Summary.Count - res.Summary.Failures
 	rows := Census(res.Net, commits, 5)
 	t.Logf("\n%s", CensusTable("16-shard churn cell (3% loss, partition, loss burst, crash blip)", rows))
+	everyKindPriced(t, res.Net)
 	var sync, excess float64
 	for _, r := range rows {
 		if !r.Residual() && r.Msgs > r.Hi {

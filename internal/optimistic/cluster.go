@@ -64,7 +64,6 @@ type Cluster struct {
 	byTxn    map[string]int // TxnID -> index into outcomes, of the undecided ones
 	stable   int            // outcomes with StableAt set
 	aborted  int            // outcomes with Aborted set
-	sizeBuf  []byte         // send's scratch: an agent's size is its encoding's length
 	closed   bool
 }
 
@@ -619,7 +618,7 @@ func (c *Cluster) registerMetrics() {
 		func() float64 { return float64(ss.NetStats().MessagesDuplicated) })
 	r.CounterFunc("marp.fabric.queue_drops", "Messages dropped by a full per-peer writer queue (live fabric).",
 		func() float64 { return float64(ss.NetStats().QueueDrops) })
-	r.CounterFunc("marp.fabric.bytes_sent", "Modelled payload bytes handed to the fabric.",
+	r.CounterFunc("marp.fabric.bytes_sent", "Bytes handed to the fabric, each message at its encoded length.",
 		func() float64 { return float64(ss.NetStats().BytesSent) })
 }
 
@@ -635,9 +634,4 @@ func foldShardDigests(sts []*store.Staged) (string, int) {
 		total += n
 	}
 	return fmt.Sprintf("%016x", h.Sum64()), total
-}
-
-func (c *Cluster) send(from, to runtime.NodeID, ag *Recon) {
-	c.sizeBuf = appendRecon(c.sizeBuf[:0], ag)
-	c.fab.Send(runtime.Message{From: from, To: to, Payload: ag, Size: len(c.sizeBuf)})
 }

@@ -267,10 +267,6 @@ type Recon struct {
 // Kind implements runtime.Kinder for per-kind traffic accounting.
 func (*Recon) Kind() string { return "opt-recon" }
 
-// WireSize implements the fabric's size accounting with the real encoded
-// size (deterministic, so DES byte-identity holds).
-func (m *Recon) WireSize() int { return len(appendRecon(nil, m)) }
-
 // itinerary returns the hops of the k-th agent launched at from (n ≥ 2):
 // from+s, from+2s, … around the ring of n nodes, where s is the
 // (k mod φ(n))-th stride coprime to n — so every itinerary visits every

@@ -493,8 +493,8 @@ func TestReconWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ag.WireSize() != len(buf)-1 { // AppendMessage adds the one-byte tag
-		t.Fatalf("WireSize = %d, encoding is %d bytes", ag.WireSize(), len(buf)-1)
+	if wire.Size(ag) != len(buf) {
+		t.Fatalf("wire.Size = %d, encoding is %d bytes", wire.Size(ag), len(buf))
 	}
 	got := roundTrip(t, ag)
 	sameOnWire(t, got, ag)

@@ -433,7 +433,7 @@ func (r *replica) launchGossip() {
 	}
 	r.launch++
 	r.c.mAgents.Inc()
-	r.c.send(r.id, hops[0], ag)
+	r.c.fab.Send(runtime.Message{From: r.id, To: hops[0], Payload: ag})
 }
 
 // onRecon hosts a visiting reconciliation agent: merge its knowledge,
@@ -481,7 +481,7 @@ func (r *replica) onRecon(ag *Recon) {
 		From: ag.From, Seq: ag.Seq, Hops: ag.Hops, Hop: next,
 		Know: r.knowSnapshot(), Carry: r.pickCarry(to),
 	}
-	r.c.send(r.id, to, fwd)
+	r.c.fab.Send(runtime.Message{From: r.id, To: to, Payload: fwd})
 }
 
 // crash fail-stops the replica: volatile state is abandoned (restore

@@ -188,17 +188,6 @@ type Stats struct {
 	RTOMax               time.Duration // gauge: the longest timeout a measured link would give a frame sent now
 }
 
-// Modelled frame sizes, charged to the network's byte accounting: a data
-// frame's header is its sequence number, transmission number and floor and
-// the cumulative ack's watermark and echo (number, transmission, delay), a
-// standalone ack's the floor and the ack; either frame kind pays aboveSize
-// per number listed above the watermark.
-const (
-	headerSize = 26
-	ackSize    = 21
-	aboveSize  = 4
-)
-
 // Window is what a receiver holds of one sender's frames: every number up
 // to Mark is settled (delivered, or abandoned by the sender), and Above
 // lists, ascending, the numbers beyond Mark+1 received out of order.
@@ -390,6 +379,7 @@ type Layer struct {
 	upper         map[runtime.NodeID]runtime.Handler
 	onUnreachable func(from, to runtime.NodeID, msg runtime.Message)
 	stats         Stats
+	hdr           []byte // transmit's scratch: a declared frame's encoded header
 }
 
 var _ runtime.Fabric = (*Layer)(nil)
@@ -531,12 +521,15 @@ func (l *Layer) transmit(p *port, lk *link, ps *pendingSend) {
 	}
 	lk.told = lk.floor
 	ps.last = l.eng.Now()
-	l.net.Send(runtime.Message{
-		From:    ps.msg.From,
-		To:      ps.msg.To,
-		Payload: dataMsg{Seq: ps.seq, Tx: ps.attempt, Floor: lk.floor, Ack: ack, Payload: ps.msg.Payload},
-		Size:    ps.msg.Size + headerSize + aboveSize*len(ack.Above),
-	})
+	frame := dataMsg{Seq: ps.seq, Tx: ps.attempt, Floor: lk.floor, Ack: ack, Payload: ps.msg.Payload}
+	size := 0
+	if ps.msg.Size != 0 {
+		// Declared size: the payload declared its own (no codec carries
+		// it), so the frame costs its encoded header and tag on top.
+		l.hdr = appendDataHeader(l.hdr[:0], frame)
+		size = 1 + len(l.hdr) + ps.msg.Size
+	}
+	l.net.Send(runtime.Message{From: ps.msg.From, To: ps.msg.To, Payload: frame, Size: size})
 	d := backoff(ps.rto, l.cfg.Max, ps.attempt)
 	if l.cfg.Jitter > 0 {
 		d += time.Duration(l.cfg.Jitter * l.eng.Rand().Float64() * float64(d))
@@ -666,7 +659,7 @@ func (l *Layer) receive(p *port, m runtime.Message) {
 			return
 		}
 		if h := l.upper[p.id]; h != nil {
-			h.Deliver(runtime.Message{From: m.From, To: m.To, Payload: pl.Payload, Size: m.Size - headerSize - aboveSize*len(pl.Ack.Above)})
+			h.Deliver(runtime.Message{From: m.From, To: m.To, Payload: pl.Payload})
 		}
 	case ackMsg:
 		l.heard(p, m.From, p.link(m.From), pl.Floor, pl.Ack)
@@ -684,7 +677,7 @@ func (l *Layer) sendAck(p *port, peer runtime.NodeID, lk *link) {
 	ack, _ := l.takeAck(p, peer, lk)
 	l.stats.AcksSent++
 	lk.told = lk.floor
-	l.net.Send(runtime.Message{From: p.id, To: peer, Payload: ackMsg{Floor: lk.floor, Ack: ack}, Size: ackSize + aboveSize*len(ack.Above)})
+	l.net.Send(runtime.Message{From: p.id, To: peer, Payload: ackMsg{Floor: lk.floor, Ack: ack}})
 }
 
 // Crash discards node id's volatile endpoint state: unacked sends die with

@@ -253,9 +253,6 @@ func TestDedupDeliversExactlyOnce(t *testing.T) {
 			t.Fatalf("payload %d delivered twice", v)
 		}
 		seen[v] = true
-		if m.Size != 10 {
-			t.Fatalf("payload size %d, want caller's 10", m.Size)
-		}
 	}
 	if l.Stats().DuplicatesSuppressed == 0 {
 		t.Fatal("no duplicates suppressed despite dup=0.9")
@@ -811,4 +808,24 @@ func TestWindowMatchesExplicitSet(t *testing.T) {
 		t.Fatalf("%d give-ups and %d late copies of abandoned frames over all runs: the one permitted difference was never exercised", gaveUp, late)
 	}
 	t.Logf("%d give-ups, %d late copies suppressed that the explicit set would have delivered", gaveUp, late)
+}
+
+// TestDeclaredFrameCostsItsHeaderAndPayload: a data frame around a payload
+// no codec carries costs its tag, its encoded header and the size the
+// payload declared; a standalone ack costs its encoding.
+func TestDeclaredFrameCostsItsHeaderAndPayload(t *testing.T) {
+	sim, net, l, _, _ := pair(t, nil, Config{})
+	l.Send(simnet.Message{From: 1, To: 2, Payload: "p", Size: 10})
+	sim.Run()
+	st := net.Stats()
+	// Tag, then seq 1, transmission 1, floor 1, and an empty ack (mark,
+	// count, echo, transmission, delay): one byte each.
+	if got, want := st.BytesByKind["rel-data"], 1+8+10; got != want {
+		t.Errorf("data frame charged %d bytes, want %d", got, want)
+	}
+	// The receiver's ack after the ack delay: tag, floor 1, mark 1, a
+	// zero count, echo 1, transmission 1, then 5000 µs in two bytes.
+	if st.ByKind["rel-ack"] != 1 || st.BytesByKind["rel-ack"] != 8 {
+		t.Errorf("standalone acks: %d sent, %d bytes, want 1 of 8", st.ByKind["rel-ack"], st.BytesByKind["rel-ack"])
+	}
 }

@@ -26,17 +26,7 @@ func init() {
 	wire.Register(tagDataMsg, dataMsg{},
 		func(b []byte, v any) []byte {
 			m := v.(dataMsg)
-			b = wire.AppendUvarint(b, m.Seq)
-			b = wire.AppendUvarint(b, uint64(m.Tx))
-			b = wire.AppendUvarint(b, m.Floor)
-			b = appendAck(b, m.Ack)
-			out, err := wire.AppendMessage(b, m.Payload)
-			if err != nil {
-				// Unencodable nested payloads are programming errors: the
-				// live fabric checks Registered before queueing a frame.
-				panic("reliable: " + err.Error())
-			}
-			return out
+			return wire.AppendNested(appendDataHeader(b, m), m.Payload)
 		},
 		func(r *wire.Reader) any {
 			m := dataMsg{Seq: r.Uvarint(), Tx: readTx(r), Floor: r.Uvarint(), Ack: readAck(r)}
@@ -55,6 +45,15 @@ func init() {
 		func(r *wire.Reader) any {
 			return ackMsg{Floor: r.Uvarint(), Ack: readAck(r)}
 		})
+}
+
+// appendDataHeader appends everything of a data frame but its tag and its
+// payload.
+func appendDataHeader(b []byte, m dataMsg) []byte {
+	b = wire.AppendUvarint(b, m.Seq)
+	b = wire.AppendUvarint(b, uint64(m.Tx))
+	b = wire.AppendUvarint(b, m.Floor)
+	return appendAck(b, m.Ack)
 }
 
 func appendAck(b []byte, a ackState) []byte {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/simnet"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 func TestQuorumReadCollectsLatest(t *testing.T) {
@@ -99,36 +100,33 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestMessageKindsAndSizes(t *testing.T) {
-	msgs := []interface {
-		Kind() string
-		WireSize() int
-	}{
-		UpdateMsg{Keys: []string{"a", "b"}, Evidence: map[simnet.NodeID]uint64{1: 1}},
-		AckMsg{Values: map[string]store.Value{"a": {}}, Info: &LockInfo{}},
-		AckMsg{},
-		CommitMsg{Updates: make([]store.Update, 3)},
-		AbortMsg{},
-		SyncRequest{},
-		SyncReply{Sections: []SyncSection{{Updates: make([]store.Update, 2)}}, Gone: []agent.ID{aid(1, 1)}},
-		ReadReq{},
-		ReadRep{},
+	msgs := []interface{ Kind() string }{
+		&UpdateMsg{Keys: []string{"a", "b"}, Evidence: map[simnet.NodeID]uint64{1: 1}},
+		&AckMsg{Values: map[string]store.Value{"a": {}}, Info: &LockInfo{}},
+		&AckMsg{},
+		&CommitMsg{Updates: make([]store.Update, 3)},
+		&AbortMsg{},
+		&SyncRequest{},
+		&SyncReply{Sections: []SyncSection{{Updates: make([]store.Update, 2)}}, Gone: []agent.ID{aid(1, 1)}},
+		&ReadReq{},
+		&ReadRep{},
 	}
 	seen := make(map[string]bool)
 	for _, m := range msgs {
 		if m.Kind() == "" {
 			t.Fatalf("%T has empty kind", m)
 		}
-		if m.WireSize() <= 0 {
-			t.Fatalf("%T has non-positive wire size", m)
+		if wire.Size(m) <= 0 {
+			t.Fatalf("%T has no wire encoding", m)
 		}
 		seen[m.Kind()] = true
 	}
 	if len(seen) < 8 {
 		t.Fatalf("kinds not distinct: %v", seen)
 	}
-	// Sizes must grow with content.
-	small := CommitMsg{}.WireSize()
-	big := CommitMsg{Updates: make([]store.Update, 5)}.WireSize()
+	// What a message costs grows with its content.
+	small := wire.Size(&CommitMsg{})
+	big := wire.Size(&CommitMsg{Updates: make([]store.Update, 5)})
 	if big <= small {
 		t.Fatal("CommitMsg size does not grow with updates")
 	}

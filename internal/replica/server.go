@@ -585,7 +585,7 @@ func (s *Server) Deliver(msg runtime.Message) {
 	switch m := msg.Payload.(type) {
 	case *UpdateMsg:
 		ack := s.handleUpdate(m)
-		s.platform.SendToAgent(s.id, m.Origin, m.Txn, ack, ack.WireSize())
+		s.platform.SendToAgent(s.id, m.Origin, m.Txn, ack)
 	case *CommitMsg:
 		s.handleCommit(m)
 	case *AbortMsg:
@@ -597,7 +597,7 @@ func (s *Server) Deliver(msg runtime.Message) {
 	case *ReadReq:
 		v, ok := s.LocalRead(m.Key)
 		rep := &ReadRep{ReqID: m.ReqID, From: s.id, Found: ok, Value: v}
-		s.net.Send(runtime.Message{From: s.id, To: m.From, Payload: rep, Size: rep.WireSize()})
+		s.net.Send(runtime.Message{From: s.id, To: m.From, Payload: rep})
 	case *ReadRep:
 		s.handleReadRep(m)
 	}
@@ -631,7 +631,7 @@ func (s *Server) QuorumRead(key string, done func(store.Value, bool)) {
 	}
 	req := &ReadReq{ReqID: s.readSeq, From: s.id, Key: key}
 	for _, p := range sd.peers {
-		s.net.Send(runtime.Message{From: s.id, To: p, Payload: req, Size: req.WireSize()})
+		s.net.Send(runtime.Message{From: s.id, To: p, Payload: req})
 	}
 }
 
@@ -886,7 +886,7 @@ func (s *Server) sendSync(to runtime.NodeID, shards []int, want func(*shardState
 		}
 	}
 	if len(req.Shards) > 0 {
-		s.net.Send(runtime.Message{From: s.id, To: to, Payload: req, Size: req.WireSize()})
+		s.net.Send(runtime.Message{From: s.id, To: to, Payload: req})
 	}
 }
 
@@ -916,7 +916,7 @@ func (s *Server) handleSyncRequest(m *SyncRequest) {
 	if len(reply.Sections) == 0 && len(reply.Marks) == 0 && len(reply.Gone) == 0 {
 		return
 	}
-	s.net.Send(runtime.Message{From: s.id, To: m.From, Payload: reply, Size: reply.WireSize()})
+	s.net.Send(runtime.Message{From: s.id, To: m.From, Payload: reply})
 }
 
 // drainBacklog applies one shard's consecutive backlogged commits now that

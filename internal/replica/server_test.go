@@ -505,7 +505,7 @@ func TestUpdateAckRoundTripOverNetwork(t *testing.T) {
 	// Claims carry the real agent ID; enqueue it at server 2 first.
 	s2.VisitAndLock(ctx.ID(), nil, nil, goneSet(a))
 	m := claim(ctx.ID(), 1, "x")
-	f.net.Send(simnet.Message{From: 1, To: 2, Payload: m, Size: m.WireSize()})
+	f.net.Send(simnet.Message{From: 1, To: 2, Payload: m})
 	f.sim.Run()
 	if got == nil || !got.OK {
 		t.Fatalf("ack = %+v", got)

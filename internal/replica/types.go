@@ -66,10 +66,6 @@ type LLChanged struct {
 	Server runtime.NodeID
 }
 
-// Protocol messages. Sizes are modelled wire sizes for traffic accounting;
-// the shard extensions add bytes only when a message spans more than one
-// shard, so single-shard runs are byte-identical to the unsharded protocol.
-
 // UpdateMsg is the winning agent's UPDATE broadcast: a permission claim plus
 // the identity of the data it wants to write. Servers validate the claim on
 // every named shard they replicate — all-or-nothing — install an exclusive
@@ -89,15 +85,6 @@ type UpdateMsg struct {
 // Kind implements runtime.Kinder.
 func (UpdateMsg) Kind() string { return "update" }
 
-// WireSize returns the modelled size of the message.
-func (m UpdateMsg) WireSize() int {
-	n := 96 + 24*len(m.Keys) + 16*len(m.Evidence)
-	if len(m.Shards) > 1 {
-		n += 8 * (len(m.Shards) - 1)
-	}
-	return n
-}
-
 // AckMsg is a server's reply to an UpdateMsg. On success it carries the
 // server's committed values for the requested keys and its per-shard data
 // horizons (parallel to the claim's Shards); on refusal it carries a fresh
@@ -116,22 +103,6 @@ type AckMsg struct {
 // Kind implements runtime.Kinder.
 func (AckMsg) Kind() string { return "ack" }
 
-// WireSize returns the modelled size of the message.
-func (m AckMsg) WireSize() int {
-	n := 96 + 48*len(m.Values)
-	if len(m.ShardSeqs) > 1 {
-		n += 8 * (len(m.ShardSeqs) - 1)
-	}
-	if m.Info != nil {
-		queued := 0
-		for _, l := range m.Info.Locals {
-			queued += len(l.Queue)
-		}
-		n += 64 + 24*queued + agent.GoneWireSize(m.Info.Marks, m.Info.Gone) + 48*len(m.Info.Remote)
-	}
-	return n
-}
-
 // CommitMsg finalizes the winner's updates at every replica and releases its
 // locks (paper §3.1: "multicasts a COMMIT message to these servers and then
 // releases the lock"; §3.3: "locks from this agent will be removed from all
@@ -146,9 +117,6 @@ type CommitMsg struct {
 // Kind implements runtime.Kinder.
 func (CommitMsg) Kind() string { return "commit" }
 
-// WireSize returns the modelled size of the message.
-func (m CommitMsg) WireSize() int { return 64 + 96*len(m.Updates) }
-
 // AbortMsg withdraws a failed claim, releasing the grants the claimant
 // collected on every shard (the agent keeps its queue positions and retries
 // later). Attempt scopes the abort: a server releases a grant only if the
@@ -162,9 +130,6 @@ type AbortMsg struct {
 
 // Kind implements runtime.Kinder.
 func (AbortMsg) Kind() string { return "abort" }
-
-// WireSize returns the modelled size of the message.
-func (AbortMsg) WireSize() int { return 48 }
 
 // ReadReq asks a replica for its committed value of a key — one leg of the
 // consistent-read extension (read quorum R = majority, making the system
@@ -182,9 +147,6 @@ type ReadReq struct {
 // Kind implements runtime.Kinder.
 func (ReadReq) Kind() string { return "read-req" }
 
-// WireSize returns the modelled size of the message.
-func (ReadReq) WireSize() int { return 48 }
-
 // ReadRep answers a ReadReq with the replica's committed value.
 type ReadRep struct {
 	ReqID uint64
@@ -195,9 +157,6 @@ type ReadRep struct {
 
 // Kind implements runtime.Kinder.
 func (ReadRep) Kind() string { return "read-rep" }
-
-// WireSize returns the modelled size of the message.
-func (ReadRep) WireSize() int { return 96 }
 
 // SyncRequest is one anti-entropy exchange with one peer — the paper's
 // "background information transfer", used by replicas recovering from a
@@ -220,16 +179,6 @@ type SyncSince struct {
 // Kind implements runtime.Kinder.
 func (SyncRequest) Kind() string { return "sync-req" }
 
-// WireSize returns the modelled size of the message: a one-shard request
-// costs what the unsharded protocol's did, every further shard 8 bytes.
-func (m SyncRequest) WireSize() int {
-	n := 32
-	if len(m.Shards) > 1 {
-		n += 8 * (len(m.Shards) - 1)
-	}
-	return n
-}
-
 // SyncReply answers a SyncRequest: one section of missing updates, in
 // order, for every requested shard that has news, plus the sender's gone
 // set (residue and watermarks) once — it is per server, not per shard — so
@@ -249,16 +198,3 @@ type SyncSection struct {
 
 // Kind implements runtime.Kinder.
 func (SyncReply) Kind() string { return "sync-reply" }
-
-// WireSize returns the modelled size of the message: a one-section reply
-// costs what the unsharded protocol's did, every further section 8 bytes.
-func (m SyncReply) WireSize() int {
-	n := 32 + agent.GoneWireSize(m.Marks, m.Gone)
-	for _, sec := range m.Sections {
-		n += 96 * len(sec.Updates)
-	}
-	if len(m.Sections) > 1 {
-		n += 8 * (len(m.Sections) - 1)
-	}
-	return n
-}

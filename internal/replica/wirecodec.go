@@ -1,7 +1,8 @@
 package replica
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/agent"
 	"repro/internal/runtime"
@@ -76,12 +77,7 @@ func encUpdateMsg(b []byte, v any) []byte {
 	}
 	b = wire.AppendBool(b, m.ByTie)
 	b = wire.AppendUvarint(b, uint64(len(m.Evidence)))
-	nodes := make([]runtime.NodeID, 0, len(m.Evidence))
-	for id := range m.Evidence {
-		nodes = append(nodes, id)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, id := range nodes {
+	for _, id := range sortedKeys(make([]runtime.NodeID, 0, 16), m.Evidence) {
 		b = wire.AppendVarint(b, int64(id))
 		b = wire.AppendUvarint(b, m.Evidence[id])
 	}
@@ -111,6 +107,18 @@ func decUpdateMsg(r *wire.Reader) any {
 	return m
 }
 
+// sortedKeys appends m's keys to buf in ascending order, the order the
+// encoding writes a map in. Callers pass a small buffer the compiler keeps
+// on the stack, so encoding a message, and so pricing it, allocates nothing
+// for the handful of keys a message carries.
+func sortedKeys[K cmp.Ordered, V any](buf []K, m map[K]V) []K {
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
 func encAckMsg(b []byte, v any) []byte {
 	m := v.(*AckMsg)
 	b = agent.AppendID(b, m.Txn)
@@ -123,12 +131,7 @@ func encAckMsg(b []byte, v any) []byte {
 		b = wire.AppendUvarint(b, s)
 	}
 	b = wire.AppendUvarint(b, uint64(len(m.Values)))
-	keys := make([]string, 0, len(m.Values))
-	for k := range m.Values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(make([]string, 0, 16), m.Values) {
 		b = wire.AppendString(b, k)
 		b = appendValue(b, m.Values[k])
 	}
@@ -320,12 +323,7 @@ func appendLockInfo(b []byte, li *LockInfo) []byte {
 		b = AppendQueueSnapshot(b, &li.Remote[i])
 	}
 	b = wire.AppendUvarint(b, uint64(len(li.Costs)))
-	nodes := make([]runtime.NodeID, 0, len(li.Costs))
-	for id := range li.Costs {
-		nodes = append(nodes, id)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, id := range nodes {
+	for _, id := range sortedKeys(make([]runtime.NodeID, 0, 16), li.Costs) {
 		b = wire.AppendVarint(b, int64(id))
 		b = wire.AppendFloat(b, li.Costs[id])
 	}

@@ -21,15 +21,6 @@ var (
 	_ runtime.ReachabilitySource = (*Fabric)(nil)
 )
 
-// frame is the unit on the wire: one encoded protocol message. From
-// identifies the sender (no separate handshake); Size carries the sender's
-// modelled payload size so traffic accounting matches across engines.
-type frame struct {
-	From, To runtime.NodeID
-	Size     int
-	Payload  any
-}
-
 // FabricOptions tunes a Fabric beyond its address book.
 type FabricOptions struct {
 	// Trace, if non-nil, receives fabric-level events (currently the
@@ -69,7 +60,7 @@ type Fabric struct {
 
 type peer struct {
 	id          runtime.NodeID
-	out         chan frame
+	out         chan runtime.Message
 	dropNoticed bool // the once-per-peer queue-overflow trace fired
 }
 
@@ -195,8 +186,9 @@ func (f *Fabric) Send(msg runtime.Message) {
 		// as garbage on the peer.
 		panic(fmt.Sprintf("live: payload type %T has no wire codec", msg.Payload))
 	}
+	n := msg.Bytes() // encoded outside the lock
 	f.mu.Lock()
-	f.stats.CountSent(msg)
+	f.stats.CountSent(msg, n)
 	if f.cutLocked(msg.From, msg.To) {
 		f.stats.MessagesDropped++
 		f.mu.Unlock()
@@ -216,7 +208,7 @@ func (f *Fabric) Send(msg runtime.Message) {
 	}
 	f.mu.Unlock()
 	select {
-	case p.out <- frame{From: msg.From, To: msg.To, Size: msg.Size, Payload: msg.Payload}:
+	case p.out <- msg:
 	default:
 		// Queue full: drop, per fail-stop semantics. The reliable layer or
 		// the protocol's own timeouts recover — but never silently: the
@@ -247,7 +239,7 @@ func (f *Fabric) peerLocked(id runtime.NodeID) (*peer, error) {
 	if !ok {
 		return nil, fmt.Errorf("live: unknown node %d", id)
 	}
-	p := &peer{id: id, out: make(chan frame, 256)}
+	p := &peer{id: id, out: make(chan runtime.Message, 256)}
 	f.peers[id] = p
 	f.wg.Add(1)
 	go f.writeLoop(p, addr)
@@ -267,7 +259,7 @@ func (f *Fabric) writeLoop(p *peer, addr string) {
 	defer f.wg.Done()
 	var conn net.Conn
 	var buf []byte // the reused drain buffer
-	batch := make([]frame, 0, 64)
+	batch := make([]runtime.Message, 0, 64)
 	drop := func(n int) {
 		if conn != nil {
 			conn.Close()
@@ -326,19 +318,21 @@ func (f *Fabric) writeLoop(p *peer, addr string) {
 	}
 }
 
-// writeBatch encodes every frame of the batch and hands the kernel one
-// write.
-func writeBatch(conn net.Conn, buf *[]byte, batch []frame) error {
+// writeBatch encodes every message of the batch as one frame and hands the
+// kernel one write. A frame is the unit on the wire: From identifies the
+// sender (no separate handshake), and it carries no size — the sender
+// charged the message what its encoding costs (Message.Bytes), as the
+// simulated network does.
+func writeBatch(conn net.Conn, buf *[]byte, batch []runtime.Message) error {
 	b := (*buf)[:0]
 	for i := range batch {
 		fr := &batch[i]
-		// Frame: u32 LE body length, then varint From, varint To, varint
-		// modelled Size, tagged message.
+		// Frame: u32 LE body length, then varint From, varint To, tagged
+		// message.
 		lenAt := len(b)
 		b = append(b, 0, 0, 0, 0)
 		b = wire.AppendVarint(b, int64(fr.From))
 		b = wire.AppendVarint(b, int64(fr.To))
-		b = wire.AppendVarint(b, int64(fr.Size))
 		var err error
 		if b, err = wire.AppendMessage(b, fr.Payload); err != nil {
 			// Unreachable: Send checks wire.Registered before queueing.
@@ -422,7 +416,6 @@ func (f *Fabric) readLoop(conn net.Conn) {
 		r.Reset(body)
 		from := runtime.NodeID(r.Varint())
 		to := runtime.NodeID(r.Varint())
-		size := int(r.Varint())
 		payload, err := wire.DecodeMessage(r)
 		if err == nil {
 			err = r.Finish()
@@ -431,21 +424,20 @@ func (f *Fabric) readLoop(conn net.Conn) {
 			fmt.Printf("live: S%d dropping connection from %s: %v\n", f.self, conn.RemoteAddr(), err)
 			return
 		}
-		f.deliver(frame{From: from, To: to, Size: size, Payload: payload})
+		f.deliver(runtime.Message{From: from, To: to, Payload: payload})
 	}
 }
 
-// deliver injects one decoded frame onto the actor loop.
-func (f *Fabric) deliver(fr frame) {
+// deliver injects one decoded message onto the actor loop.
+func (f *Fabric) deliver(msg runtime.Message) {
 	f.mu.Lock()
-	h, ok := f.handlers[fr.To]
-	if !ok || f.cutLocked(fr.From, fr.To) {
+	h, ok := f.handlers[msg.To]
+	if !ok || f.cutLocked(msg.From, msg.To) {
 		f.stats.MessagesDropped++
 		f.mu.Unlock()
 		return
 	}
 	f.mu.Unlock()
-	msg := runtime.Message{From: fr.From, To: fr.To, Payload: fr.Payload, Size: fr.Size}
 	f.eng.Inject(func() { h.Deliver(msg) })
 }
 

@@ -44,7 +44,7 @@ func TestFabricCloseUnderSendingLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		msg := runtime.Message{From: 1, To: 2, Payload: &replica.AbortMsg{Attempt: round}, Size: 48}
+		msg := runtime.Message{From: 1, To: 2, Payload: &replica.AbortMsg{Attempt: round}}
 		fab.Send(msg) // the writer exists before the race starts
 		var wg sync.WaitGroup
 		var sent atomic.Int64

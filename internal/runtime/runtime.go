@@ -23,6 +23,8 @@ import (
 	"errors"
 	"math/rand"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // NodeID identifies a host. The paper numbers its replicated servers 1..N;
@@ -51,13 +53,25 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 func (t Time) String() string { return time.Duration(t).String() }
 
 // Message is a single datagram on the fabric. Payload is an arbitrary
-// protocol-level value; Size is the modelled wire size in bytes and exists
-// for traffic accounting (a serializing fabric reports real sizes).
+// protocol-level value. Size is a declared wire size in bytes, set only by
+// a sender whose payload no codec carries; every other message leaves it
+// zero and costs the length of its tagged wire encoding (Bytes).
 type Message struct {
 	From    NodeID
 	To      NodeID
 	Payload any
 	Size    int
+}
+
+// Bytes is what the message costs on the wire, the figure both fabrics
+// charge to their byte counters: the declared Size if there is one, else
+// the length of the payload's tagged wire encoding (zero for a payload
+// that is neither registered nor declared).
+func (m Message) Bytes() int {
+	if m.Size != 0 {
+		return m.Size
+	}
+	return wire.Size(m.Payload)
 }
 
 // Kinder is implemented by payloads that want per-kind traffic accounting.
@@ -87,14 +101,14 @@ type NetStats struct {
 	QueueDrops         int // live fabric only: a full per-peer writer queue ate it
 	BytesSent          int
 	ByKind             map[string]int // messages sent, per Kinder kind
-	BytesByKind        map[string]int // modelled bytes sent, per Kinder kind
+	BytesByKind        map[string]int // bytes sent, per Kinder kind
 }
 
-// CountSent charges one sent message to the counters: the totals, and its
-// kind's share when the payload names one.
-func (s *NetStats) CountSent(msg Message) {
+// CountSent charges one sent message of n bytes (its Bytes) to the
+// counters: the totals, and its kind's share when the payload names one.
+func (s *NetStats) CountSent(msg Message, n int) {
 	s.MessagesSent++
-	s.BytesSent += msg.Size
+	s.BytesSent += n
 	k, ok := msg.Payload.(Kinder)
 	if !ok {
 		return
@@ -104,7 +118,7 @@ func (s *NetStats) CountSent(msg Message) {
 		s.BytesByKind = make(map[string]int)
 	}
 	s.ByKind[k.Kind()]++
-	s.BytesByKind[k.Kind()] += msg.Size
+	s.BytesByKind[k.Kind()] += n
 }
 
 // Clone returns a copy that shares no map with s.

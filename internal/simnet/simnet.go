@@ -172,7 +172,7 @@ func (n *Network) Send(msg Message) {
 	if msg.From == None || msg.To == None {
 		panic(fmt.Sprintf("simnet: message with unset endpoints %+v", msg))
 	}
-	n.stats.CountSent(msg)
+	n.stats.CountSent(msg, msg.Bytes())
 	if !n.Reachable(msg.From, msg.To) {
 		n.stats.MessagesDropped++
 		return

@@ -38,6 +38,8 @@ func TestDeliverBasic(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
+	// No codec carries kinded, so every send declares its size and is
+	// charged exactly that.
 	sim, net, _, _ := pair(t, Constant(time.Millisecond))
 	net.Send(Message{From: 1, To: 2, Payload: kinded("lock"), Size: 100})
 	net.Send(Message{From: 2, To: 1, Payload: kinded("ack"), Size: 20})

@@ -6,6 +6,8 @@
 // concrete message type is registered under a one-byte tag by the package
 // that owns it, so no import cycles form. The durability journal
 // (internal/durable) writes its records and snapshots in the same encoding.
+// The codec also prices messages: on the simulated network as on the live
+// one, a message costs the length of its tagged encoding (Size).
 //
 // Encoding rules:
 //
@@ -31,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 )
 
 // Version is the wire-format version byte carried in the live fabric's
@@ -43,8 +46,9 @@ import (
 // carrying a section per shard; version 5 gave the standalone
 // acknowledgement (tag 41) its sender's floor; version 6 made every
 // acknowledgement (tags 40 and 41) name the newest frame it answers and how
-// long that frame waited for it, the round-trip sample's correction.
-const Version = 6
+// long that frame waited for it, the round-trip sample's correction;
+// version 7 dropped the modelled size from the live fabric's frame header.
+const Version = 7
 
 // Preamble is what a wire-codec connection starts with: a magic, then the
 // format version.
@@ -337,6 +341,50 @@ func AppendMessage(buf []byte, v any) ([]byte, error) {
 	}
 	buf = append(buf, e.tag)
 	return e.enc(buf, v), nil
+}
+
+// unregistered is what AppendNested panics with; Size recovers it.
+type unregistered struct{ error }
+
+// AppendNested appends v as a tagged message inside another message's body
+// (an agent message's payload, a reliable frame's). Encoders cannot fail,
+// so an unregistered nested payload panics: the live fabric never queues
+// one, and Size prices its carrier at 0 like any unregistered payload.
+func AppendNested(buf []byte, v any) []byte {
+	out, err := AppendMessage(buf, v)
+	if err != nil {
+		panic(unregistered{err})
+	}
+	return out
+}
+
+// sizeBufs holds the scratch buffers Size encodes into, one per concurrent
+// caller, so simulations running side by side never share one.
+var sizeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Size returns the length of v's tagged encoding: what the message costs on
+// the wire. Both fabrics charge every message this (runtime.Message.Bytes),
+// so the codec that carries a message is also what prices it. A payload
+// that is not registered, or nests one that is not, costs 0. Size encodes
+// into a pooled buffer and allocates nothing once the pool is warm.
+func Size(v any) (n int) {
+	e, ok := byType[reflect.TypeOf(v)]
+	if !ok {
+		return 0
+	}
+	bp := sizeBufs.Get().(*[]byte)
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(unregistered); !ok {
+				panic(r)
+			}
+			n = 0
+		}
+		sizeBufs.Put(bp)
+	}()
+	b := e.enc(append((*bp)[:0], e.tag), v)
+	*bp = b[:0]
+	return len(b)
 }
 
 // DecodeMessage decodes one tagged message from r. The concrete type
