@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -51,7 +50,8 @@ type VisitMark struct {
 // Freeze captures the agent's migratable protocol state. The agent must be
 // quiescent (travelling or parked): claim-phase bookkeeping is deliberately
 // not serialized, matching the protocol, in which an agent never migrates
-// mid-claim.
+// mid-claim. The lock table's lists are handed out, not copied (the table
+// copies before its next write).
 func (a *UpdateAgent) Freeze() WireState {
 	st := WireState{
 		Requests:   append([]Request(nil), a.reqs...),
@@ -61,58 +61,57 @@ func (a *UpdateAgent) Freeze() WireState {
 		Attempt:    a.attempt,
 		Dispatched: int64(a.dispatched),
 	}
-	for id := range a.unavailable {
-		st.Unavailable = append(st.Unavailable, id)
+	for i, id := range a.targets {
+		if a.per[i].unavailable {
+			st.Unavailable = append(st.Unavailable, id)
+		}
 	}
-	slices.Sort(st.Unavailable)
-	st.Snapshots = a.lt.Export()
+	st.Snapshots, st.Visited, st.Floors = a.lt.lists()
 	st.Marks, st.Gone = a.lt.gone.Export()
-	for k, mark := range a.lt.visitMark {
-		st.Visited = append(st.Visited, VisitMark{Server: k.server, Shard: k.shard, Epoch: mark.epoch, Version: mark.version})
-	}
-	slices.SortFunc(st.Visited, func(a, b VisitMark) int {
-		return cmp.Or(cmp.Compare(a.Shard, b.Shard), cmp.Compare(a.Server, b.Server))
-	})
-	for _, f := range a.lt.floor {
-		st.Floors = append(st.Floors, f)
-	}
-	sortSnapshots(st.Floors)
 	return st
 }
 
 // Thaw reconstructs an UpdateAgent from a frozen state at a (possibly
 // different) cluster instance — the receiving end of a cross-process
 // migration. The agent resumes in the travelling phase; its next OnArrive
-// continues Algorithm 1 where the frozen agent left off.
+// continues Algorithm 1 where the frozen agent left off. The state's
+// snapshots, visit marks and floors must be strictly ascending by (shard,
+// server), as Freeze and DecodeWireState leave them; Thaw copies them, so
+// the caller may go on using st (or decode into it again).
 func Thaw(c *Cluster, st WireState) *UpdateAgent {
+	st.Requests = slices.Clone(st.Requests)
+	st.USL = slices.Clone(st.USL)
+	st.Snapshots = slices.Clone(st.Snapshots)
+	st.Visited = slices.Clone(st.Visited)
+	st.Floors = slices.Clone(st.Floors)
+	return thaw(c, st)
+}
+
+// thaw is Thaw without the copies: the agent takes over st's slices, so
+// the caller must hold none of them — a state DecodeWireState just built.
+func thaw(c *Cluster, st WireState) *UpdateAgent {
 	shards := c.shardsOf(st.Requests)
+	targets := c.groupUnion(shards)
 	a := &UpdateAgent{
-		c:           c,
-		reqs:        append([]Request(nil), st.Requests...),
-		lt:          c.lockTableFor(shards),
-		shards:      shards,
-		targets:     c.groupUnion(shards),
-		usl:         append([]runtime.NodeID(nil), st.USL...),
-		unavailable: make(map[runtime.NodeID]bool, len(st.Unavailable)),
-		attempts:    make(map[runtime.NodeID]int),
-		visits:      st.Visits,
-		retries:     st.Retries,
-		attempt:     st.Attempt,
-		dispatched:  runtime.Time(st.Dispatched),
+		c:          c,
+		reqs:       st.Requests,
+		lt:         c.lockTableFor(shards),
+		shards:     shards,
+		targets:    targets,
+		usl:        st.USL,
+		per:        make([]targetState, len(targets)),
+		visits:     st.Visits,
+		retries:    st.Retries,
+		attempt:    st.Attempt,
+		dispatched: runtime.Time(st.Dispatched),
 	}
 	for _, id := range st.Unavailable {
-		a.unavailable[id] = true
+		if t := a.at(id); t != nil {
+			t.unavailable = true
+		}
 	}
-	for _, f := range st.Floors {
-		a.lt.floor[snapKey{shard: f.Shard, server: f.Server}] = f
-	}
-	for _, snap := range st.Snapshots {
-		a.lt.MergeSnapshot(snap)
-	}
+	a.lt.adopt(st.Snapshots, st.Visited, st.Floors)
 	a.lt.MergeGone(st.Marks, st.Gone)
-	for _, m := range st.Visited {
-		a.lt.visitMark[snapKey{shard: m.Shard, server: m.Server}] = visitMark{epoch: m.Epoch, version: m.Version}
-	}
 	return a
 }
 

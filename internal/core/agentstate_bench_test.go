@@ -85,3 +85,35 @@ func BenchmarkDecodeWireState(b *testing.B) {
 		b.Fatalf("decode allocates %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// BenchmarkAgentHop is one live-shaped migration of benchState's agent, end
+// to end but for the network: freeze and encode it (MarshalWire), then
+// decode and thaw it at the destination (the cluster's thawWire hook). The
+// thaw adopts the decoded lists, so what is left is the fresh decode and
+// the agent's own construction; the benchmark fails above maxHopAllocs.
+func BenchmarkAgentHop(b *testing.B) {
+	const maxHopAllocs = 30
+	c, err := newSimCluster(Config{N: 5, Shards: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	id := agent.ID{Home: 1, Born: 1, Seq: 1}
+	var a agent.Behavior = Thaw(c.Cluster, benchState())
+	hop := func() {
+		data, err := a.(agent.WireBehavior).MarshalWire()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if a, err = c.thawWire(id, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hop()
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(100, hop); allocs > maxHopAllocs {
+		b.Fatalf("a hop allocates %.1f objects, want at most %d", allocs, maxHopAllocs)
+	}
+}

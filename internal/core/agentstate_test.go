@@ -128,16 +128,34 @@ var gobStream = []byte{
 // TestDecodeWireStateRefusesForeignBytes: agent state arrives off the
 // network, so anything that is not the wire codec's own format is an error
 // — in particular a gob stream, which used to be handed to encoding/gob.
+// So is a lock table whose lists are not strictly ascending by (shard,
+// server): a thaw adopts them as decoded.
 func TestDecodeWireStateRefusesForeignBytes(t *testing.T) {
+	unsorted := func(mutate func(*WireState)) []byte {
+		st := benchState()
+		mutate(&st)
+		data, _ := st.Encode()
+		return data
+	}
 	for name, data := range map[string][]byte{
 		"gob-encoded state":  gobStream,
 		"empty":              nil,
 		"magic then garbage": {wireStateMagic, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x02},
 		"magic alone":        {wireStateMagic},
+		"snapshots out of order": unsorted(func(st *WireState) {
+			st.Snapshots[0], st.Snapshots[1] = st.Snapshots[1], st.Snapshots[0]
+		}),
+		"a snapshot twice":         unsorted(func(st *WireState) { st.Snapshots[1] = st.Snapshots[0] }),
+		"visit marks out of order": unsorted(func(st *WireState) { st.Visited[0], st.Visited[1] = st.Visited[1], st.Visited[0] }),
+		"a visit mark twice":       unsorted(func(st *WireState) { st.Visited[1].Server = st.Visited[0].Server }),
+		"a floor twice":            unsorted(func(st *WireState) { st.Floors = append(st.Floors, st.Floors[0]) }),
 	} {
 		if _, err := DecodeWireState(data); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+	if _, err := DecodeWireState(unsorted(func(*WireState) {})); err != nil {
+		t.Fatalf("an ascending state is refused: %v", err)
 	}
 }
 
@@ -191,4 +209,42 @@ func TestThawedAgentCanFinishTheProtocol(t *testing.T) {
 	if v, ok := c2.Read(2, "x"); !ok || v.Data != "v" {
 		t.Fatalf("thawed agent's update missing: %+v %v", v, ok)
 	}
+}
+
+// FuzzThawWireState feeds arbitrary bytes through DecodeWireState and, when
+// they decode, through the adopting thaw a wire migration uses, on a
+// 5-node, 2-shard cluster. Properties: nothing panics, and the thawed
+// table's snapshots, visit marks and floors are strictly ascending by
+// (shard, server) — the order every lookup in the table relies on.
+func FuzzThawWireState(f *testing.F) {
+	c, err := newSimCluster(Config{N: 5, Shards: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	st := benchState()
+	seed, _ := st.Encode()
+	f.Add(seed)
+	f.Add(gobStream)
+	st.Snapshots[0], st.Snapshots[1] = st.Snapshots[1], st.Snapshots[0]
+	unsorted, _ := st.Encode()
+	f.Add(unsorted)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := DecodeWireState(data)
+		if err != nil {
+			return // refused: fine
+		}
+		a := thaw(c.Cluster, st)
+		rising := func(what string, n int, key func(int) snapKey) {
+			for i := 1; i < n; i++ {
+				if key(i-1).compare(key(i)) >= 0 {
+					t.Fatalf("thawed %s not strictly ascending at %d of %d", what, i, n)
+				}
+			}
+		}
+		lt := a.lt
+		rising("snapshots", len(lt.snaps), func(i int) snapKey { return snapKey{lt.snaps[i].Shard, lt.snaps[i].Server} })
+		rising("visit marks", len(lt.visited), func(i int) snapKey { return snapKey{lt.visited[i].Shard, lt.visited[i].Server} })
+		rising("floors", len(lt.floors), func(i int) snapKey { return snapKey{lt.floors[i].Shard, lt.floors[i].Server} })
+		a.Freeze()
+	})
 }

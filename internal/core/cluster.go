@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/agent"
@@ -487,38 +487,29 @@ func (c *Cluster) subVotes(group []runtime.NodeID) map[runtime.NodeID]int {
 
 // shardsOf returns the distinct shards of the batch's keys, ascending.
 func (c *Cluster) shardsOf(reqs []Request) []int {
-	seen := make(map[int]bool, len(reqs))
-	var out []int
+	out := make([]int, 0, len(reqs))
 	for _, r := range reqs {
-		sh := shard.Of(r.Key, c.shards)
-		if !seen[sh] {
-			seen[sh] = true
-			out = append(out, sh)
-		}
+		out = append(out, shard.Of(r.Key, c.shards))
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // groupUnion returns the union of the shards' replica groups, ascending.
 func (c *Cluster) groupUnion(shards []int) []runtime.NodeID {
 	if len(shards) == 1 {
-		out := make([]runtime.NodeID, len(c.groups[shards[0]]))
-		copy(out, c.groups[shards[0]])
-		return out
+		return slices.Clone(c.groups[shards[0]])
 	}
-	seen := make(map[runtime.NodeID]bool)
-	var out []runtime.NodeID
+	n := 0
 	for _, sh := range shards {
-		for _, id := range c.groups[sh] {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
+		n += len(c.groups[sh])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := make([]runtime.NodeID, 0, n)
+	for _, sh := range shards {
+		out = append(out, c.groups[sh]...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // lockTableFor builds an agent's lock table scoped to the given shards.
@@ -589,7 +580,7 @@ func (c *Cluster) thawWire(id agent.ID, state []byte) (agent.Behavior, error) {
 	if err != nil {
 		return nil, err
 	}
-	ua := Thaw(c, st)
+	ua := thaw(c, st) // st is the decoder's, and no one else's
 	c.active[id] = ua
 	return ua, nil
 }

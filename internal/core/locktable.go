@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/agent"
 	"repro/internal/quorum"
@@ -27,6 +26,31 @@ type snapKey struct {
 	server runtime.NodeID
 }
 
+// compare orders keys by (shard, server): the order the table keeps its
+// lists in, and the order they travel in.
+func (k snapKey) compare(o snapKey) int {
+	if k.shard != o.shard {
+		return cmp.Compare(k.shard, o.shard)
+	}
+	return cmp.Compare(k.server, o.server)
+}
+
+// snapAt returns where k's snapshot is, or belongs, in a list sorted by
+// (shard, server).
+func snapAt(s []replica.QueueSnapshot, k snapKey) (int, bool) {
+	return slices.BinarySearchFunc(s, k, func(e replica.QueueSnapshot, k snapKey) int {
+		return snapKey{e.Shard, e.Server}.compare(k)
+	})
+}
+
+// markAt returns where k's visit mark is, or belongs, in a list sorted by
+// (shard, server).
+func markAt(s []VisitMark, k snapKey) (int, bool) {
+	return slices.BinarySearchFunc(s, k, func(e VisitMark, k snapKey) int {
+		return snapKey{e.Shard, e.Server}.compare(k)
+	})
+}
+
 // LockTable is the mobile agent's view of the global locking state: the LT
 // of the paper (§3.2), fused with the UAL (agents known to have finished or
 // died, whose stale queue entries must be ignored — held as the bounded
@@ -41,33 +65,34 @@ type snapKey struct {
 // known to be gone, equals the list's true current head whenever the
 // snapshot still contains at least one live entry (see DESIGN.md §6,
 // invariant 5).
+//
+// The table's three lists are kept strictly ascending by (shard, server) —
+// their wire form, so Export and Freeze hand them out as they are and a
+// wire thaw adopts decoded ones. Once handed out they are shared: the table copies
+// them before its next write (DESIGN.md §6, invariant 18).
 type LockTable struct {
 	n     int
 	views []ShardView
-	snaps map[snapKey]replica.QueueSnapshot
+	snaps []replica.QueueSnapshot
 	gone  agent.GoneSet
-	// visitMark records the snapshot position (epoch, version) at which
+	// visited records the snapshot position (epoch, version) at which
 	// this agent last observed itself enqueued in a locking list by
 	// visiting its server.
-	visitMark map[snapKey]visitMark
-	// floor holds distrust tombstones left by Forget: snapshots for the
+	visited []VisitMark
+	// floors holds distrust tombstones left by Forget: snapshots for the
 	// list are ignored unless strictly newer, so stale information from
 	// server caches cannot resurrect a view the agent already rejected.
-	floor map[snapKey]replica.QueueSnapshot
+	floors []replica.QueueSnapshot
+	shared bool // Export or Freeze handed the lists out: copy before writing
 	// rev counts effective mutations; a stable rev across retry rounds
 	// tells the agent the system is genuinely stuck, not just slow.
 	rev uint64
 	// Decide scratch, reused across calls: the table lives on one agent's
 	// goroutine and decides after every locking-list event, which made
 	// these transient structures the live path's hottest allocations.
-	scratchSubs   []shardDecision
-	scratchHeaded []map[agent.ID][]runtime.NodeID
-	scratchReach  []runtime.NodeID
-}
-
-type visitMark struct {
-	epoch   uint64
-	version uint64
+	scratchSubs  []shardDecision
+	scratchHeads []head
+	scratchReach []runtime.NodeID
 }
 
 // NewLockTable returns an empty table for an unsharded system of n replicas
@@ -95,13 +120,17 @@ func NewWeightedLockTable(n int, votes quorum.Assignment) *LockTable {
 // NewShardedLockTable returns a table over explicit shard views (ascending
 // shard order). The agent wins only when every view elects it.
 func NewShardedLockTable(n int, views []ShardView) *LockTable {
-	return &LockTable{
-		n:         n,
-		views:     views,
-		snaps:     make(map[snapKey]replica.QueueSnapshot),
-		visitMark: make(map[snapKey]visitMark),
-		floor:     make(map[snapKey]replica.QueueSnapshot),
+	return &LockTable{n: n, views: views}
+}
+
+// members counts the table's Locking Lists: one per group member per view.
+// A travelling agent's lists fill up to it, so they start with that room.
+func (lt *LockTable) members() int {
+	n := 0
+	for _, v := range lt.views {
+		n += len(v.Group)
 	}
+	return n
 }
 
 // N returns the number of replicas in the system.
@@ -126,18 +155,38 @@ func (lt *LockTable) IsGone(id agent.ID) bool { return lt.gone.Contains(id) }
 // for freezing. It aliases the table.
 func (lt *LockTable) Gone() *agent.GoneSet { return &lt.gone }
 
+// own makes the table's lists its own again before a write, if Export or
+// Freeze handed them out.
+func (lt *LockTable) own() {
+	if lt.shared {
+		lt.snaps = slices.Clone(lt.snaps)
+		lt.visited = slices.Clone(lt.visited)
+		lt.floors = slices.Clone(lt.floors)
+		lt.shared = false
+	}
+}
+
 // MergeSnapshot absorbs a queue snapshot, keeping the freshest per
 // (shard, server) and respecting any distrust tombstone left by Forget.
 func (lt *LockTable) MergeSnapshot(s replica.QueueSnapshot) {
-	k := snapKey{shard: s.Shard, server: s.Server}
-	if f, ok := lt.floor[k]; ok && !s.Newer(f) {
+	k := snapKey{s.Shard, s.Server}
+	if i, ok := snapAt(lt.floors, k); ok && !s.Newer(lt.floors[i]) {
 		return
 	}
-	cur, ok := lt.snaps[k]
-	if !ok || s.Newer(cur) {
-		lt.snaps[k] = s // published state: shared, never written
-		lt.rev++
+	i, ok := snapAt(lt.snaps, k)
+	if ok && !s.Newer(lt.snaps[i]) {
+		return
 	}
+	lt.own()
+	switch {
+	case ok:
+		lt.snaps[i] = s // the queue is published state: shared, never written
+	case lt.snaps == nil:
+		lt.snaps = append(make([]replica.QueueSnapshot, 0, lt.members()), s)
+	default:
+		lt.snaps = slices.Insert(lt.snaps, i, s)
+	}
+	lt.rev++
 }
 
 // Forget drops all knowledge about a server (every shard) and refuses to
@@ -147,12 +196,20 @@ func (lt *LockTable) MergeSnapshot(s replica.QueueSnapshot) {
 // the tombstone the same stale snapshot would flow right back out of a peer
 // server's information-sharing cache.
 func (lt *LockTable) Forget(server runtime.NodeID) {
-	for k, s := range lt.snaps {
-		if k.server != server {
+	for i := 0; i < len(lt.snaps); {
+		s := lt.snaps[i]
+		if s.Server != server {
+			i++
 			continue
 		}
-		lt.floor[k] = replica.QueueSnapshot{Server: server, Shard: k.shard, Epoch: s.Epoch, Version: s.Version}
-		delete(lt.snaps, k)
+		lt.own()
+		f := replica.QueueSnapshot{Server: server, Shard: s.Shard, Epoch: s.Epoch, Version: s.Version}
+		if j, ok := snapAt(lt.floors, snapKey{s.Shard, server}); ok {
+			lt.floors[j] = f
+		} else {
+			lt.floors = slices.Insert(lt.floors, j, f)
+		}
+		lt.snaps = slices.Delete(lt.snaps, i, i+1)
 		lt.rev++
 	}
 }
@@ -164,8 +221,7 @@ func (lt *LockTable) MergeInfo(info replica.LockInfo, visited bool) {
 	for _, local := range info.Locals {
 		lt.MergeSnapshot(local)
 		if visited {
-			lt.visitMark[snapKey{shard: local.Shard, server: local.Server}] =
-				visitMark{epoch: local.Epoch, version: local.Version}
+			lt.markVisit(VisitMark{Server: local.Server, Shard: local.Shard, Epoch: local.Epoch, Version: local.Version})
 		}
 	}
 	lt.MergeGone(info.Marks, info.Gone)
@@ -174,10 +230,27 @@ func (lt *LockTable) MergeInfo(info replica.LockInfo, visited bool) {
 	}
 }
 
+// markVisit records m as the list's visit mark.
+func (lt *LockTable) markVisit(m VisitMark) {
+	i, ok := markAt(lt.visited, snapKey{m.Shard, m.Server})
+	if ok && lt.visited[i] == m {
+		return
+	}
+	lt.own()
+	switch {
+	case ok:
+		lt.visited[i] = m
+	case lt.visited == nil:
+		lt.visited = append(make([]VisitMark, 0, lt.members()), m)
+	default:
+		lt.visited = slices.Insert(lt.visited, i, m)
+	}
+}
+
 // Visited reports whether the agent has visited (enqueued at) the server.
 func (lt *LockTable) Visited(server runtime.NodeID) bool {
-	for k := range lt.visitMark {
-		if k.server == server {
+	for i := range lt.visited {
+		if lt.visited[i].Server == server {
 			return true
 		}
 	}
@@ -186,8 +259,10 @@ func (lt *LockTable) Visited(server runtime.NodeID) bool {
 
 // Snapshot returns the freshest known shard-0 snapshot for a server.
 func (lt *LockTable) Snapshot(server runtime.NodeID) (replica.QueueSnapshot, bool) {
-	s, ok := lt.snaps[snapKey{server: server}]
-	return s, ok
+	if i, ok := snapAt(lt.snaps, snapKey{server: server}); ok {
+		return lt.snaps[i], true
+	}
+	return replica.QueueSnapshot{}, false
 }
 
 // Head returns the head of the server's shard-0 queue after filtering gone
@@ -198,10 +273,14 @@ func (lt *LockTable) Head(server runtime.NodeID) (agent.ID, bool) {
 }
 
 func (lt *LockTable) headAt(shrd int, server runtime.NodeID) (agent.ID, bool) {
-	s, ok := lt.snaps[snapKey{shard: shrd, server: server}]
-	if !ok {
-		return agent.ID{}, false
+	if i, ok := snapAt(lt.snaps, snapKey{shrd, server}); ok {
+		return lt.headOf(&lt.snaps[i])
 	}
+	return agent.ID{}, false
+}
+
+// headOf returns the first agent in s's queue not known to be gone.
+func (lt *LockTable) headOf(s *replica.QueueSnapshot) (agent.ID, bool) {
 	for _, id := range s.Queue {
 		if !lt.gone.Contains(id) {
 			return id, true
@@ -213,7 +292,7 @@ func (lt *LockTable) headAt(shrd int, server runtime.NodeID) (agent.ID, bool) {
 // Rank returns self's 1-based position in the server's filtered shard-0
 // queue (0 if absent or unknown) — diagnostic/metrics helper.
 func (lt *LockTable) Rank(server runtime.NodeID, self agent.ID) int {
-	s, ok := lt.snaps[snapKey{server: server}]
+	s, ok := lt.Snapshot(server)
 	if !ok {
 		return 0
 	}
@@ -231,32 +310,39 @@ func (lt *LockTable) Rank(server runtime.NodeID, self agent.ID) int {
 }
 
 // Export returns the table's snapshots for leaving behind at a server (the
-// paper's information sharing), sorted by (shard, server). The server
-// merges by version, so sharing is always safe. The queues are shared with
-// the table; nobody writes a published queue.
+// paper's information sharing), sorted by (shard, server). The slice is the
+// table's own, handed out without a copy: the table copies it before its
+// next write, and holders must not write to it either.
 func (lt *LockTable) Export() []replica.QueueSnapshot {
-	out := make([]replica.QueueSnapshot, 0, len(lt.snaps))
-	for _, s := range lt.snaps {
-		out = append(out, s)
-	}
-	sortSnapshots(out)
-	return out
+	lt.shared = true
+	return slices.Clip(lt.snaps)
 }
 
-// sortSnapshots orders snapshots by (shard, server), the order they travel in.
-func sortSnapshots(s []replica.QueueSnapshot) {
-	slices.SortFunc(s, func(a, b replica.QueueSnapshot) int {
-		return cmp.Or(cmp.Compare(a.Shard, b.Shard), cmp.Compare(a.Server, b.Server))
-	})
+// lend returns the table's snapshots, without marking them shared, to a
+// caller that only reads them before the table next changes: a visit's
+// VisitAndLock copies the snapshots it caches and keeps no reference.
+func (lt *LockTable) lend() []replica.QueueSnapshot { return slices.Clip(lt.snaps) }
+
+// lists hands out all three lists, as Freeze does: shared from now on.
+func (lt *LockTable) lists() (snaps []replica.QueueSnapshot, visited []VisitMark, floors []replica.QueueSnapshot) {
+	lt.shared = true
+	return slices.Clip(lt.snaps), slices.Clip(lt.visited), slices.Clip(lt.floors)
+}
+
+// adopt installs lists strictly ascending by (shard, server) into an empty
+// table, which takes them over: the caller holds them no longer.
+func (lt *LockTable) adopt(snaps []replica.QueueSnapshot, visited []VisitMark, floors []replica.QueueSnapshot) {
+	lt.snaps, lt.visited, lt.floors = snaps, visited, floors
+	lt.rev += uint64(len(snaps)) // as many changes as merging them one at a time
 }
 
 // Evidence returns the head-version claimed for every known server (the
 // freshest across its shards); servers validate tie-break claims against it.
 func (lt *LockTable) Evidence() map[runtime.NodeID]uint64 {
 	out := make(map[runtime.NodeID]uint64, len(lt.snaps))
-	for k, s := range lt.snaps {
-		if cur, ok := out[k.server]; !ok || s.HeadVersion > cur {
-			out[k.server] = s.HeadVersion
+	for _, s := range lt.snaps {
+		if cur, ok := out[s.Server]; !ok || s.HeadVersion > cur {
+			out[s.Server] = s.HeadVersion
 		}
 	}
 	return out
@@ -267,33 +353,21 @@ func (lt *LockTable) Evidence() map[runtime.NodeID]uint64 {
 // queue entry — which happens when the server crashed (losing its volatile
 // LLs) and recovered. The agent must travel there again to re-enqueue.
 func (lt *LockTable) NeedRevisit(self agent.ID) []runtime.NodeID {
-	seen := make(map[runtime.NodeID]bool)
 	var out []runtime.NodeID
-	for k, mark := range lt.visitMark {
-		if seen[k.server] {
-			continue
-		}
-		s, ok := lt.snaps[k]
+	for _, m := range lt.visited {
+		i, ok := snapAt(lt.snaps, snapKey{m.Shard, m.Server})
 		if !ok {
 			continue
 		}
-		fresher := s.Epoch > mark.epoch || (s.Epoch == mark.epoch && s.Version >= mark.version)
-		if !fresher {
+		s := &lt.snaps[i]
+		fresher := s.Epoch > m.Epoch || (s.Epoch == m.Epoch && s.Version >= m.Version)
+		if !fresher || slices.Contains(s.Queue, self) {
 			continue
 		}
-		present := false
-		for _, id := range s.Queue {
-			if id == self {
-				present = true
-				break
-			}
-		}
-		if !present {
-			seen[k.server] = true
-			out = append(out, k.server)
+		if j, dup := slices.BinarySearch(out, m.Server); !dup {
+			out = slices.Insert(out, j, m.Server)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -334,8 +408,15 @@ type shardDecision struct {
 	found  bool
 	winner agent.ID
 	byTie  bool
-	headed map[agent.ID][]runtime.NodeID
+	group  []runtime.NodeID
 	votes  quorum.Assignment
+	heads  []head // one per group member; aliases the table's scratch
+}
+
+// head is the filtered head of one group member's list, if known.
+type head struct {
+	id    agent.ID
+	known bool
 }
 
 // Decide runs the paper's priority rule (§3.3) over the table's knowledge,
@@ -359,15 +440,18 @@ func (lt *LockTable) Decide(self agent.ID) Decision {
 	if cap(lt.scratchSubs) < len(lt.views) {
 		lt.scratchSubs = make([]shardDecision, len(lt.views))
 	}
-	for len(lt.scratchHeaded) < len(lt.views) {
-		lt.scratchHeaded = append(lt.scratchHeaded, make(map[agent.ID][]runtime.NodeID))
+	members := lt.members()
+	if cap(lt.scratchHeads) < members {
+		lt.scratchHeads = make([]head, members)
+		lt.scratchReach = make([]runtime.NodeID, 0, members)
 	}
 	subs := lt.scratchSubs[:len(lt.views)]
+	heads := lt.scratchHeads[:members]
 	selfTops := 0
 	for i, v := range lt.views {
-		clear(lt.scratchHeaded[i])
-		subs[i] = lt.decideShard(v, self, lt.scratchHeaded[i])
-		selfTops += v.Votes.Score(subs[i].headed[self])
+		subs[i] = lt.decideShard(v, heads[:len(v.Group)])
+		heads = heads[len(v.Group):]
+		selfTops += lt.score(&subs[i], self)
 	}
 	d := Decision{SelfTops: selfTops}
 	for _, s := range subs {
@@ -392,8 +476,8 @@ func (lt *LockTable) Decide(self agent.ID) Decision {
 		best := -1
 		for _, s := range subs {
 			total := 0
-			for _, x := range subs {
-				total += x.votes.Score(x.headed[s.winner])
+			for j := range subs {
+				total += lt.score(&subs[j], s.winner)
 			}
 			if total > best || (total == best && s.winner.Less(winner)) {
 				winner, best = s.winner, total
@@ -407,55 +491,82 @@ func (lt *LockTable) Decide(self agent.ID) Decision {
 	}
 	d.Found = true
 	d.Winner = winner
-	for _, s := range subs {
-		d.TopCount += s.votes.Score(s.headed[winner])
-		d.ByTie = d.ByTie || s.byTie
+	for i := range subs {
+		d.TopCount += lt.score(&subs[i], winner)
+		d.ByTie = d.ByTie || subs[i].byTie
 	}
 	return d
 }
 
-// decideShard elects one shard's highest-priority agent from the heads the
-// table knows on that shard's replica group. headed is a caller-owned
-// (cleared) scratch map the result aliases; it is only read until the next
-// Decide call.
-func (lt *LockTable) decideShard(v ShardView, self agent.ID, headed map[agent.ID][]runtime.NodeID) shardDecision {
-	d := shardDecision{headed: headed, votes: v.Votes}
-	var unknown []runtime.NodeID
-	for _, server := range v.Group {
-		head, ok := lt.headAt(v.Shard, server)
-		if !ok {
-			unknown = append(unknown, server)
-			continue
+// headedBy collects, into the table's scratch, the members of d's group
+// whose lists id heads — and, if unknown is set, those whose heads are
+// unknown. The result is only read until the next call.
+func (lt *LockTable) headedBy(d *shardDecision, id agent.ID, unknown bool) []runtime.NodeID {
+	lt.scratchReach = lt.scratchReach[:0]
+	for j, h := range d.heads {
+		if (h.known && h.id == id) || (!h.known && unknown) {
+			lt.scratchReach = append(lt.scratchReach, d.group[j])
 		}
-		d.headed[head] = append(d.headed[head], server)
 	}
-	for id, nodes := range d.headed {
-		if v.Votes.HasWrite(nodes) {
-			d.found = true
-			d.winner = id
+	return lt.scratchReach
+}
+
+// score is the write-quorum score of the lists id heads on d's shard.
+func (lt *LockTable) score(d *shardDecision, id agent.ID) int {
+	return d.votes.Score(lt.headedBy(d, id, false))
+}
+
+// leader reports whether heads[j] is known and heads no earlier group
+// member's list, so that each leader is judged once.
+func leader(heads []head, j int) bool {
+	return heads[j].known && !slices.Contains(heads[:j], heads[j])
+}
+
+// decideShard elects one shard's highest-priority agent from the heads the
+// table knows on that shard's replica group. heads is caller-owned scratch,
+// one per group member, which the result aliases; it is only read until
+// the next Decide call.
+func (lt *LockTable) decideShard(v ShardView, heads []head) shardDecision {
+	d := shardDecision{group: v.Group, votes: v.Votes, heads: heads}
+	anyKnown := false
+	// The group and the shard's snapshots both ascend by server: walk them
+	// together.
+	i, _ := snapAt(lt.snaps, snapKey{shard: v.Shard})
+	for j, server := range v.Group {
+		for i < len(lt.snaps) && lt.snaps[i].Shard == v.Shard && lt.snaps[i].Server < server {
+			i++
+		}
+		heads[j] = head{}
+		if i < len(lt.snaps) && lt.snaps[i].Shard == v.Shard && lt.snaps[i].Server == server {
+			heads[j].id, heads[j].known = lt.headOf(&lt.snaps[i])
+		}
+		anyKnown = anyKnown || heads[j].known
+	}
+	for j, h := range heads {
+		if leader(heads, j) && v.Votes.HasWrite(lt.headedBy(&d, h.id, false)) {
+			d.found, d.winner = true, h.id
 			return d
 		}
 	}
-	if len(d.headed) == 0 {
+	if !anyKnown {
 		return d // nothing known yet
 	}
-	for _, nodes := range d.headed {
-		lt.scratchReach = append(append(lt.scratchReach[:0], nodes...), unknown...)
-		if v.Votes.HasWrite(lt.scratchReach) {
+	for j, h := range heads {
+		if leader(heads, j) && v.Votes.HasWrite(lt.headedBy(&d, h.id, true)) {
 			return d // someone could still reach a write quorum: no decision yet
 		}
 	}
 	// Tie: resolve by score, then smallest identifier among the leaders.
 	best := -1
-	var winner agent.ID
-	for id, nodes := range d.headed {
-		score := v.Votes.Score(nodes)
-		if score > best || (score == best && id.Less(winner)) {
-			winner, best = id, score
+	for j, h := range heads {
+		if !leader(heads, j) {
+			continue
+		}
+		if score := lt.score(&d, h.id); score > best || (score == best && h.id.Less(d.winner)) {
+			d.winner, best = h.id, score
 		}
 	}
 	d.found = true
-	d.winner = winner
 	d.byTie = true
 	return d
 }

@@ -374,10 +374,13 @@ func TestPublishedLockingStateNeverChanges(t *testing.T) {
 
 // TestVisitAllocatesAConstant: what a visit allocates — the server's
 // VisitAndLock and the agent's MergeInfo, with the agent leaving its
-// snapshots behind — does not grow with the depth of the Locking Lists or
-// the size of the gone residue, in objects or in bytes: the snapshots and
-// the residue are handed over, not copied.
+// snapshots behind as OnArrive does, then the priority calculation — does
+// not grow with the depth of the Locking Lists or the size of the gone
+// residue, in objects or in bytes: the snapshots and the residue are handed
+// over, not copied. Nor does it exceed maxVisitAllocs objects: the lists a
+// visit walks are sorted slices, and Decide fills scratch the table owns.
 func TestVisitAllocatesAConstant(t *testing.T) {
+	const maxVisitAllocs = 4
 	cost := func(depth, residue int) (allocs, bytes float64) {
 		c := newTestCluster(t, Config{N: 3})
 		self := agentID(1)
@@ -392,7 +395,8 @@ func TestVisitAllocatesAConstant(t *testing.T) {
 		lt := NewLockTable(3)
 		lt.MergeInfo(c.Server(2).VisitAndLock(self, nil, nil, lt.Gone()), true)
 		visit := func() {
-			lt.MergeInfo(c.Server(1).VisitAndLock(self, nil, lt.Export(), lt.Gone()), true)
+			lt.MergeInfo(c.Server(1).VisitAndLock(self, nil, lt.lend(), lt.Gone()), true)
+			lt.Decide(self)
 		}
 		visit() // the first visit enqueues; the ones measured find the agent queued
 		allocs = testing.AllocsPerRun(100, visit)
@@ -405,6 +409,9 @@ func TestVisitAllocatesAConstant(t *testing.T) {
 		return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / 100
 	}
 	baseAllocs, baseBytes := cost(8, 8)
+	if baseAllocs > maxVisitAllocs {
+		t.Errorf("LL depth 8, residue 8: a visit allocates %.1f objects, want at most %d", baseAllocs, maxVisitAllocs)
+	}
 	for _, tc := range []struct{ depth, residue int }{{64, 8}, {8, 64}} {
 		allocs, bytes := cost(tc.depth, tc.residue)
 		if allocs != baseAllocs || bytes > baseBytes+64 {
@@ -412,4 +419,5 @@ func TestVisitAllocatesAConstant(t *testing.T) {
 				tc.depth, tc.residue, allocs, bytes, baseAllocs, baseBytes)
 		}
 	}
+	t.Logf("a visit allocates %.1f objects, %.0f bytes", baseAllocs, baseBytes)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/agent"
 	"repro/internal/quorum"
@@ -25,14 +27,22 @@ type Referee struct {
 	clock      func() runtime.Time
 	shards     []*refShard
 	violations []string
+	nodes      []runtime.NodeID // check's scratch
+	atQuorum   []agent.ID       // check's scratch
 }
 
 // refShard tracks one shard's grants against its quorum geometry.
 type refShard struct {
 	votes  quorum.Assignment
-	grants map[runtime.NodeID]agent.ID
-	holder agent.ID // txn currently holding a write quorum of grants
+	grants []refGrant // one per server ever granted, ascending by server
+	holder agent.ID   // txn currently holding a write quorum of grants
 	wins   int
+}
+
+// refGrant is one server's grant on a shard (zero = released).
+type refGrant struct {
+	server runtime.NodeID
+	txn    agent.ID
 }
 
 // NewReferee returns a referee for an unsharded system of n equally
@@ -58,7 +68,7 @@ func NewWeightedReferee(votes quorum.Assignment, clock func() runtime.Time) *Ref
 func NewShardedReferee(assigns []quorum.Assignment, clock func() runtime.Time) *Referee {
 	r := &Referee{clock: clock}
 	for _, a := range assigns {
-		r.shards = append(r.shards, &refShard{votes: a, grants: make(map[runtime.NodeID]agent.ID)})
+		r.shards = append(r.shards, &refShard{votes: a})
 	}
 	return r
 }
@@ -70,28 +80,41 @@ func (r *Referee) OnGrant(server runtime.NodeID, shrd int, txn agent.ID) {
 		return
 	}
 	rs := r.shards[shrd]
-	if prev, ok := rs.grants[server]; ok && !prev.IsZero() && !txn.IsZero() && txn != prev {
+	i, ok := slices.BinarySearchFunc(rs.grants, server, func(g refGrant, s runtime.NodeID) int {
+		return cmp.Compare(g.server, s)
+	})
+	if !ok {
+		rs.grants = slices.Insert(rs.grants, i, refGrant{server: server})
+	}
+	if prev := rs.grants[i].txn; !prev.IsZero() && !txn.IsZero() && txn != prev {
 		r.violations = append(r.violations, fmt.Sprintf(
 			"grant exclusivity violated at %v: server %d shard %d reassigned %v -> %v without release",
 			r.clock(), server, shrd, prev, txn))
 	}
-	rs.grants[server] = txn
+	rs.grants[i].txn = txn
 	r.check(shrd, rs)
 }
 
+// check judges every transaction holding grants on the shard, in the order
+// of its lowest granting server.
 func (r *Referee) check(shrd int, rs *refShard) {
-	holding := make(map[agent.ID][]runtime.NodeID)
-	for server, txn := range rs.grants {
-		if !txn.IsZero() {
-			holding[txn] = append(holding[txn], server)
+	atQuorum := r.atQuorum[:0]
+	for i, g := range rs.grants {
+		if g.txn.IsZero() || slices.ContainsFunc(rs.grants[:i], func(h refGrant) bool { return h.txn == g.txn }) {
+			continue
 		}
-	}
-	var atQuorum []agent.ID
-	for txn, nodes := range holding {
+		nodes := r.nodes[:0]
+		for _, h := range rs.grants[i:] {
+			if h.txn == g.txn {
+				nodes = append(nodes, h.server)
+			}
+		}
+		r.nodes = nodes
 		if rs.votes.HasWrite(nodes) {
-			atQuorum = append(atQuorum, txn)
+			atQuorum = append(atQuorum, g.txn)
 		}
 	}
+	r.atQuorum = atQuorum
 	switch {
 	case len(atQuorum) > 1:
 		r.violations = append(r.violations, fmt.Sprintf(

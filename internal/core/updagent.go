@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/agent"
@@ -33,9 +34,9 @@ type UpdateAgent struct {
 	shards  []int            // distinct shards of the request keys, ascending
 	targets []runtime.NodeID // union of those shards' replica groups, ascending
 
-	usl         []runtime.NodeID        // unvisited servers
-	unavailable map[runtime.NodeID]bool // declared unavailable this round
-	attempts    map[runtime.NodeID]int  // consecutive failed migrations per server
+	usl []runtime.NodeID // unvisited servers
+	per []targetState    // indexed like targets
+	scr []runtime.NodeID // quorumOf's scratch
 
 	phase      agentPhase
 	visits     int
@@ -46,13 +47,34 @@ type UpdateAgent struct {
 
 	attempt  int // current claim attempt number
 	byTie    bool
-	acksOK   map[runtime.NodeID]*replica.AckMsg
-	acksNo   map[runtime.NodeID]bool
 	claimTmr runtime.Timer
 
 	retryArmed  bool   // a parked-retry timer is pending
 	parkedTicks int    // consecutive fruitless retry rounds while parked
 	lastRev     uint64 // lock-table revision at the previous retry round
+}
+
+// targetState is what an agent keeps about one server of its targets.
+type targetState struct {
+	attempts    int             // consecutive failed migrations
+	unavailable bool            // declared unavailable this round
+	ackOK       *replica.AckMsg // the current claim's grant
+	ackNo       bool            // the current claim's refusal, or no visit to grant it
+}
+
+// at returns the agent's state about server id, or nil if id is not one
+// of its targets.
+func (a *UpdateAgent) at(id runtime.NodeID) *targetState {
+	if i, ok := slices.BinarySearch(a.targets, id); ok {
+		return &a.per[i]
+	}
+	return nil
+}
+
+// unavailable reports whether server id is declared unavailable this round.
+func (a *UpdateAgent) unavailable(id runtime.NodeID) bool {
+	t := a.at(id)
+	return t != nil && t.unavailable
 }
 
 // newUpdateAgent builds an agent for a batch of requests originating at
@@ -62,15 +84,15 @@ type UpdateAgent struct {
 // replication that is every replica — the paper's itinerary.
 func newUpdateAgent(c *Cluster, home runtime.NodeID, reqs []Request) *UpdateAgent {
 	shards := c.shardsOf(reqs)
+	targets := c.groupUnion(shards)
 	a := &UpdateAgent{
-		c:           c,
-		reqs:        reqs,
-		lt:          c.lockTableFor(shards),
-		shards:      shards,
-		targets:     c.groupUnion(shards),
-		unavailable: make(map[runtime.NodeID]bool),
-		attempts:    make(map[runtime.NodeID]int),
-		dispatched:  c.eng.Now(),
+		c:          c,
+		reqs:       reqs,
+		lt:         c.lockTableFor(shards),
+		shards:     shards,
+		targets:    targets,
+		per:        make([]targetState, len(targets)),
+		dispatched: c.eng.Now(),
 	}
 	for _, id := range a.targets {
 		if id != home {
@@ -85,8 +107,8 @@ func newUpdateAgent(c *Cluster, home runtime.NodeID, reqs []Request) *UpdateAgen
 // the paper trades against message rounds.
 func (a *UpdateAgent) WireSize() int {
 	n := 256 + 64*len(a.reqs) + agent.GoneWireSize(a.lt.gone.Marks(), a.lt.gone.IDs())
-	for _, s := range a.lt.snaps {
-		n += 48 + 24*len(s.Queue)
+	for i := range a.lt.snaps {
+		n += 48 + 24*len(a.lt.snaps[i].Queue)
 	}
 	return n
 }
@@ -102,11 +124,13 @@ func (a *UpdateAgent) OnArrive(ctx *agent.Context) {
 	a.visits++
 	a.parkedTicks = 0
 	a.removeFromUSL(node)
-	a.attempts[node] = 0
+	if t := a.at(node); t != nil {
+		t.attempts = 0
+	}
 	srv := a.c.Server(node)
 	var shared []replica.QueueSnapshot
 	if !a.c.cfg.DisableInfoSharing {
-		shared = a.lt.Export()
+		shared = a.lt.lend()
 	}
 	info := srv.VisitAndLock(ctx.ID(), a.shards, shared, a.lt.Gone())
 	a.lt.MergeInfo(info, true)
@@ -125,13 +149,15 @@ func (a *UpdateAgent) OnMigrateFailed(ctx *agent.Context, dest runtime.NodeID) {
 	if a.phase == phaseDone {
 		return
 	}
-	a.attempts[dest]++
-	if a.attempts[dest] >= maxMigrateAttempts {
-		a.unavailable[dest] = true
-		a.removeFromUSL(dest)
-		if a.c.cfg.Trace.Enabled() {
-			a.c.cfg.Trace.Addf(int64(ctx.Now()), int(dest), ctx.ID().String(), trace.AgentBlocked,
-				"declared unavailable after %d attempts", a.attempts[dest])
+	if t := a.at(dest); t != nil {
+		t.attempts++
+		if t.attempts >= maxMigrateAttempts {
+			t.unavailable = true
+			a.removeFromUSL(dest)
+			if a.c.cfg.Trace.Enabled() {
+				a.c.cfg.Trace.Addf(int64(ctx.Now()), int(dest), ctx.ID().String(), trace.AgentBlocked,
+					"declared unavailable after %d attempts", t.attempts)
+			}
 		}
 	}
 	a.phase = phaseTravelling
@@ -198,7 +224,7 @@ func (a *UpdateAgent) evaluate(ctx *agent.Context) {
 	}
 	// Re-enqueue at servers that lost our entry in a crash.
 	for _, node := range a.lt.NeedRevisit(ctx.ID()) {
-		if node != ctx.Node() && !a.inUSL(node) && !a.unavailable[node] {
+		if node != ctx.Node() && !a.inUSL(node) && !a.unavailable(node) {
 			a.usl = append(a.usl, node)
 		}
 	}
@@ -223,22 +249,33 @@ func (a *UpdateAgent) inUSL(node runtime.NodeID) bool {
 // server per the routing information (paper §3.2), or a uniformly random one
 // under the RandomItinerary ablation.
 func (a *UpdateAgent) nextStop(ctx *agent.Context) (runtime.NodeID, bool) {
-	var candidates []runtime.NodeID
+	candidate := func(id runtime.NodeID) bool { return !a.unavailable(id) && id != ctx.Node() }
+	n := 0
 	for _, id := range a.usl {
-		if !a.unavailable[id] && id != ctx.Node() {
-			candidates = append(candidates, id)
+		if candidate(id) {
+			n++
 		}
 	}
-	if len(candidates) == 0 {
+	if n == 0 {
 		return runtime.None, false
 	}
 	if a.c.cfg.RandomItinerary {
-		return candidates[ctx.Rand().Intn(len(candidates))], true
+		k := ctx.Rand().Intn(n)
+		for _, id := range a.usl {
+			if candidate(id) {
+				if k == 0 {
+					return id, true
+				}
+				k--
+			}
+		}
 	}
-	best := candidates[0]
-	bestCost := ctx.Cost(best)
-	for _, id := range candidates[1:] {
-		if c := ctx.Cost(id); c < bestCost || (c == bestCost && id < best) {
+	best, bestCost := runtime.None, 0.0
+	for _, id := range a.usl {
+		if !candidate(id) {
+			continue
+		}
+		if c := ctx.Cost(id); best == runtime.None || c < bestCost || (c == bestCost && id < best) {
 			best, bestCost = id, c
 		}
 	}
@@ -291,9 +328,12 @@ func (a *UpdateAgent) armRetry(ctx *agent.Context) {
 		}
 		// New round: forgive unavailable servers and revisit anything
 		// we are not enqueued at.
-		for id := range a.unavailable {
-			delete(a.unavailable, id)
-			a.attempts[id] = 0
+		for i, id := range a.targets {
+			if !a.per[i].unavailable {
+				continue
+			}
+			a.per[i].unavailable = false
+			a.per[i].attempts = 0
 			if !a.lt.Visited(id) && !a.inUSL(id) && id != ctx.Node() {
 				a.usl = append(a.usl, id)
 			}
@@ -316,8 +356,6 @@ func (a *UpdateAgent) startClaim(ctx *agent.Context, d Decision) {
 	a.byTie = d.ByTie
 	a.claimStart = ctx.Now()
 	a.lockVisits = a.visits
-	a.acksOK = make(map[runtime.NodeID]*replica.AckMsg)
-	a.acksNo = make(map[runtime.NodeID]bool)
 	if tr := a.c.cfg.Trace; tr.Enabled() {
 		if d.ByTie {
 			tr.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.TieBreak,
@@ -339,10 +377,8 @@ func (a *UpdateAgent) startClaim(ctx *agent.Context, d Decision) {
 	if d.ByTie {
 		m.Evidence = a.lt.Evidence()
 	}
-	for _, id := range a.targets {
-		if !a.lt.Visited(id) {
-			a.acksNo[id] = true
-		}
+	for i, id := range a.targets {
+		a.per[i].ackOK, a.per[i].ackNo = nil, !a.lt.Visited(id)
 	}
 	// The co-located server answers at memory speed, before any UPDATE
 	// leaves: if its answer settles the claim, none need go (and no ABORT
@@ -367,14 +403,10 @@ func (a *UpdateAgent) startClaim(ctx *agent.Context, d Decision) {
 		// Servers that never answered are suspected down: whatever this
 		// agent believed about their locking lists is what led to the
 		// futile claim, so forget it and re-learn.
-		for _, id := range a.targets {
-			if _, ok := a.acksOK[id]; ok {
-				continue
+		for i, id := range a.targets {
+			if a.per[i].ackOK == nil && !a.per[i].ackNo {
+				a.lt.Forget(id)
 			}
-			if a.acksNo[id] {
-				continue
-			}
-			a.lt.Forget(id)
 		}
 		a.abortClaim(ctx, "timeout")
 	})
@@ -382,11 +414,9 @@ func (a *UpdateAgent) startClaim(ctx *agent.Context, d Decision) {
 
 // keys returns the distinct keys of the request list, in first-seen order.
 func (a *UpdateAgent) keys() []string {
-	seen := make(map[string]bool, len(a.reqs))
-	var out []string
+	out := make([]string, 0, len(a.reqs))
 	for _, r := range a.reqs {
-		if !seen[r.Key] {
-			seen[r.Key] = true
+		if !slices.Contains(out, r.Key) {
 			out = append(out, r.Key)
 		}
 	}
@@ -398,34 +428,39 @@ func (a *UpdateAgent) keys() []string {
 // default geometry); once that has become arithmetically impossible on any
 // shard the claim is withdrawn.
 func (a *UpdateAgent) handleAck(ctx *agent.Context, ack *replica.AckMsg) {
-	if ack.OK {
-		a.acksOK[ack.From] = ack
-	} else {
-		a.acksNo[ack.From] = true
-		if ack.Info != nil {
-			a.lt.MergeInfo(*ack.Info, false)
+	// Only a target can grant: a server replicating none of the claimed
+	// shards refuses, and counts for no quorum.
+	if t := a.at(ack.From); t != nil {
+		if ack.OK {
+			t.ackOK = ack
+		} else {
+			t.ackNo = true
 		}
 	}
-	granted := func(id runtime.NodeID) bool { return a.acksOK[id] != nil }
-	if a.quorumOf(granted) {
+	if !ack.OK && ack.Info != nil {
+		a.lt.MergeInfo(*ack.Info, false)
+	}
+	if a.quorumOf(func(id runtime.NodeID) bool { return a.at(id).ackOK != nil }) {
 		a.finishWin(ctx)
 		return
 	}
-	if !a.quorumOf(func(id runtime.NodeID) bool { return granted(id) || !a.acksNo[id] }) {
+	if !a.quorumOf(func(id runtime.NodeID) bool { t := a.at(id); return t.ackOK != nil || !t.ackNo }) {
 		a.abortClaim(ctx, "majority impossible")
 	}
 }
 
 // quorumOf reports whether, on every shard the agent claims, the group
-// members for which in holds form a write quorum.
+// members for which in holds form a write quorum. Every group member is one
+// of the agent's targets.
 func (a *UpdateAgent) quorumOf(in func(runtime.NodeID) bool) bool {
 	for _, shrd := range a.shards {
-		var ids []runtime.NodeID
+		ids := a.scr[:0]
 		for _, id := range a.c.groups[shrd] {
 			if in(id) {
 				ids = append(ids, id)
 			}
 		}
+		a.scr = ids
 		if !a.c.assigns[shrd].HasWrite(ids) {
 			return false
 		}
@@ -438,42 +473,55 @@ func (a *UpdateAgent) quorumOf(in func(runtime.NodeID) bool) bool {
 // COMMIT to all replicas, release the lock, and dispose.
 func (a *UpdateAgent) finishWin(ctx *agent.Context) {
 	a.claimTmr.Cancel()
-	// Most recent copy per key — and committed horizon per shard — across
-	// the acknowledging quorum. Sequence numbers are per shard: commits on
-	// one shard never reorder against another (the shard-isolation
-	// invariant).
-	latest := make(map[string]store.Value)
-	baseSeq := make(map[int]uint64, len(a.shards))
-	for _, ack := range a.acksOK {
-		for i, shrd := range a.shards {
-			if i < len(ack.ShardSeqs) && ack.ShardSeqs[i] > baseSeq[shrd] {
-				baseSeq[shrd] = ack.ShardSeqs[i]
+	// Most recent copy per key — and committed horizon per shard, parallel
+	// to a.shards — across the acknowledging quorum. Sequence numbers are
+	// per shard: commits on one shard never reorder against another (the
+	// shard-isolation invariant).
+	latest := make([]replica.KeyValue, 0, len(a.reqs)) // ascending by key
+	baseSeq := make([]uint64, len(a.shards))
+	for i := range a.per {
+		ack := a.per[i].ackOK
+		if ack == nil {
+			continue
+		}
+		for j, seq := range ack.ShardSeqs {
+			if j < len(baseSeq) && seq > baseSeq[j] {
+				baseSeq[j] = seq
 			}
 		}
-		for k, v := range ack.Values {
-			if cur, ok := latest[k]; !ok || cur.Version.Less(v.Version) {
-				latest[k] = v
+		for _, kv := range ack.Values {
+			if k, ok := replica.SearchValues(latest, kv.Key); !ok {
+				latest = slices.Insert(latest, k, kv)
+			} else if latest[k].Value.Version.Less(kv.Value.Version) {
+				latest[k].Value = kv.Value
 			}
 		}
 	}
 	now := int64(ctx.Now())
+	txn := ctx.ID().String()
 	updates := make([]store.Update, 0, len(a.reqs))
-	written := make(map[int]uint64, len(a.shards))
+	written := make([]uint64, len(a.shards))
 	for _, r := range a.reqs {
+		k, found := replica.SearchValues(latest, r.Key)
 		data := r.Arg
-		if r.Op == OpAppend {
-			data = latest[r.Key].Data + r.Arg
+		if r.Op == OpAppend && found {
+			data = latest[k].Value.Data + r.Arg
 		}
-		shrd := shard.Of(r.Key, a.c.shards)
-		written[shrd]++
+		j, _ := slices.BinarySearch(a.shards, shard.Of(r.Key, a.c.shards))
+		written[j]++
 		u := store.Update{
-			TxnID: ctx.ID().String(),
+			TxnID: txn,
 			Key:   r.Key,
 			Data:  data,
-			Seq:   baseSeq[shrd] + written[shrd],
+			Seq:   baseSeq[j] + written[j],
 			Stamp: now,
 		}
-		latest[r.Key] = store.Value{Data: data, Version: store.Version{Seq: u.Seq, Stamp: now, Writer: u.TxnID}}
+		v := store.Value{Data: data, Version: store.Version{Seq: u.Seq, Stamp: now, Writer: txn}}
+		if found {
+			latest[k].Value = v
+		} else {
+			latest = slices.Insert(latest, k, replica.KeyValue{Key: r.Key, Value: v})
+		}
 		updates = append(updates, u)
 	}
 	commit := &replica.CommitMsg{Txn: ctx.ID(), Origin: ctx.Node(), Updates: updates}
@@ -486,7 +534,7 @@ func (a *UpdateAgent) finishWin(ctx *agent.Context) {
 	a.c.Server(ctx.Node()).HandleCommitLocal(commit)
 	if a.c.cfg.Trace.Enabled() {
 		a.c.cfg.Trace.Addf(int64(ctx.Now()), int(ctx.Node()), ctx.ID().String(), trace.CommitSent,
-			"seq %d..%d", baseSeq[a.shards[0]]+1, baseSeq[a.shards[0]]+written[a.shards[0]])
+			"seq %d..%d", baseSeq[0]+1, baseSeq[0]+written[0])
 	}
 
 	a.phase = phaseDone

@@ -104,7 +104,8 @@ func AppendWireState(b []byte, st *WireState) []byte {
 
 // DecodeWireStateInto reads a state written by AppendWireState into *st,
 // reusing every slice already hanging off it — the zero-allocation decode
-// path the migration benchmarks gate on.
+// path the migration benchmarks gate on. It refuses snapshots, visit marks
+// and floors that are not strictly ascending by (shard, server).
 func DecodeWireStateInto(st *WireState, r *wire.Reader) error {
 	n := r.Count(3)
 	st.Requests = wire.Grow(st.Requests, n)
@@ -130,6 +131,7 @@ func DecodeWireStateInto(st *WireState, r *wire.Reader) error {
 	for i := 0; i < n; i++ {
 		replica.DecodeQueueSnapshotInto(&st.Snapshots[i], r)
 	}
+	ascending(r, n, func(i int) snapKey { return snapKey{st.Snapshots[i].Shard, st.Snapshots[i].Server} }, "snapshots")
 	n = r.Count(3)
 	st.Gone = wire.Grow(st.Gone, n)
 	for i := 0; i < n; i++ {
@@ -146,10 +148,23 @@ func DecodeWireStateInto(st *WireState, r *wire.Reader) error {
 			Version: r.Uvarint(),
 		}
 	}
+	ascending(r, n, func(i int) snapKey { return snapKey{st.Visited[i].Shard, st.Visited[i].Server} }, "visit marks")
 	n = r.Count(6)
 	st.Floors = wire.Grow(st.Floors, n)
 	for i := 0; i < n; i++ {
 		replica.DecodeQueueSnapshotInto(&st.Floors[i], r)
 	}
+	ascending(r, n, func(i int) snapKey { return snapKey{st.Floors[i].Shard, st.Floors[i].Server} }, "floors")
 	return r.Finish()
+}
+
+// ascending refuses, through r's sticky error, a list whose n keys do not
+// rise strictly by (shard, server): the lock table adopts its three lists
+// as decoded, and keeps each in that order with one entry per list.
+func ascending(r *wire.Reader, n int, key func(int) snapKey, what string) {
+	for i := 1; i < n && r.Err() == nil; i++ {
+		if key(i-1).compare(key(i)) >= 0 {
+			r.Fail(what + " not strictly ascending by (shard, server)")
+		}
+	}
 }

@@ -9,6 +9,7 @@ package quorum
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/simnet"
@@ -99,14 +100,11 @@ func (a Voting) Majority() int { return a.total/2 + 1 }
 
 // Count sums the votes of the given nodes (duplicates counted once).
 func (a Voting) Count(nodes []simnet.NodeID) int {
-	seen := make(map[simnet.NodeID]bool, len(nodes))
 	sum := 0
-	for _, n := range nodes {
-		if seen[n] {
-			continue
+	for i, n := range nodes {
+		if !slices.Contains(nodes[:i], n) { // a handful of replicas: no set needed
+			sum += a.votes[n]
 		}
-		seen[n] = true
-		sum += a.votes[n]
 	}
 	return sum
 }

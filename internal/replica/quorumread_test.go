@@ -102,7 +102,7 @@ func TestAccessors(t *testing.T) {
 func TestMessageKindsAndSizes(t *testing.T) {
 	msgs := []interface{ Kind() string }{
 		&UpdateMsg{Keys: []string{"a", "b"}, Evidence: map[simnet.NodeID]uint64{1: 1}},
-		&AckMsg{Values: map[string]store.Value{"a": {}}, Info: &LockInfo{}},
+		&AckMsg{Values: []KeyValue{{Key: "a"}}, Info: &LockInfo{}},
 		&AckMsg{},
 		&CommitMsg{Updates: make([]store.Update, 3)},
 		&AbortMsg{},

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 	"sort"
@@ -61,7 +62,7 @@ type shardState struct {
 	llVersion    uint64
 	headVersion  uint64
 	ll           []agent.ID
-	cache        map[runtime.NodeID]QueueSnapshot
+	cache        []QueueSnapshot // peers' LLs agents left here, ascending by server
 	grant        agent.ID
 	grantAttempt int
 	backlog      map[uint64]store.Update
@@ -102,6 +103,8 @@ type Server struct {
 	readSeq uint64
 	reads   map[uint64]*quorumRead
 
+	all []int // 0..Shards-1, shared read-only
+
 	// costs caches the per-peer link costs handed out in every LockInfo —
 	// topology is static, so the map is built once and shared read-only.
 	costs map[runtime.NodeID]float64
@@ -138,12 +141,13 @@ func New(clock runtime.Clock, id runtime.NodeID, peers []runtime.NodeID, net run
 		platform: platform,
 		cfg:      cfg,
 		shards:   make([]*shardState, cfg.Shards),
+		all:      make([]int, cfg.Shards),
 		reads:    make(map[uint64]*quorumRead),
 	}
 	for i := range s.shards {
+		s.all[i] = i
 		sd := &shardState{
 			st:      store.New(),
-			cache:   make(map[runtime.NodeID]QueueSnapshot),
 			backlog: make(map[uint64]store.Update),
 			member:  true,
 			peers:   others,
@@ -483,14 +487,19 @@ func (s *Server) VisitAndLock(id agent.ID, shards []int, shared []QueueSnapshot,
 			if snap.Server == s.id || snap.Shard < 0 || snap.Shard >= len(s.shards) {
 				continue
 			}
-			cache := s.shards[snap.Shard].cache
-			if cur, ok := cache[snap.Server]; !ok || snap.Newer(cur) {
-				cache[snap.Server] = snap
+			sd := s.shards[snap.Shard]
+			i, ok := slices.BinarySearchFunc(sd.cache, snap.Server, func(c QueueSnapshot, id runtime.NodeID) int {
+				return cmp.Compare(c.Server, id)
+			})
+			if !ok {
+				sd.cache = slices.Insert(sd.cache, i, snap)
+			} else if snap.Newer(sd.cache[i]) {
+				sd.cache[i] = snap
 			}
 		}
 	}
 	if shards == nil {
-		shards = s.allShards()
+		shards = s.all
 	}
 	headChanged := false
 	for _, shrd := range shards {
@@ -512,15 +521,6 @@ func (s *Server) VisitAndLock(id agent.ID, shards []int, shared []QueueSnapshot,
 	return s.lockInfo(shards)
 }
 
-// allShards returns 0..Shards-1.
-func (s *Server) allShards() []int {
-	out := make([]int, len(s.shards))
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 func (s *Server) contains(sd *shardState, id agent.ID) bool {
 	for _, e := range sd.ll {
 		if e == id {
@@ -534,7 +534,7 @@ func (s *Server) contains(sd *shardState, id agent.ID) bool {
 // the requested shards (nil = all).
 func (s *Server) lockInfo(shards []int) LockInfo {
 	if shards == nil {
-		shards = s.allShards()
+		shards = s.all
 	}
 	if s.costs == nil {
 		// Link costs are a static property of the topology, so one shared
@@ -555,15 +555,8 @@ func (s *Server) lockInfo(shards []int) LockInfo {
 		if seq := sd.st.LastSeq(); seq > info.LastSeq {
 			info.LastSeq = seq
 		}
-		if !s.cfg.DisableInfoSharing && len(sd.cache) > 0 {
-			nodes := make([]runtime.NodeID, 0, len(sd.cache))
-			for n := range sd.cache {
-				nodes = append(nodes, n)
-			}
-			sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-			for _, n := range nodes {
-				info.Remote = append(info.Remote, sd.cache[n])
-			}
+		if !s.cfg.DisableInfoSharing {
+			info.Remote = append(info.Remote, sd.cache...)
 		}
 	}
 	return info
@@ -747,7 +740,7 @@ func (s *Server) handleUpdate(m *UpdateMsg) *AckMsg {
 		s.logLock(shrd, true) // a lost grant record could let a restart re-grant
 	}
 	seqs := make([]uint64, len(all))
-	values := make(map[string]store.Value, len(m.Keys))
+	values := make([]KeyValue, 0, len(m.Keys))
 	for i, shrd := range all {
 		if shrd >= 0 && shrd < len(s.shards) && s.shards[shrd].member {
 			seqs[i] = s.shards[shrd].st.LastSeq()
@@ -758,8 +751,12 @@ func (s *Server) handleUpdate(m *UpdateMsg) *AckMsg {
 		if !sd.member {
 			continue
 		}
-		if v, ok := sd.st.Get(k); ok {
-			values[k] = v
+		v, ok := sd.st.Get(k)
+		if !ok {
+			continue
+		}
+		if i, dup := SearchValues(values, k); !dup {
+			values = slices.Insert(values, i, KeyValue{Key: k, Value: v})
 		}
 	}
 	if s.cfg.Trace.Enabled() {
@@ -858,7 +855,7 @@ func (s *Server) RequestSync() {
 	if s.down {
 		return
 	}
-	s.requestSync(s.allShards(), runtime.None)
+	s.requestSync(s.all, runtime.None)
 }
 
 // requestSync asks for the updates after the local horizon on the given
@@ -999,7 +996,7 @@ func (s *Server) Crash() {
 	s.down = true
 	for shrd, sd := range s.shards {
 		sd.ll = nil
-		sd.cache = make(map[runtime.NodeID]QueueSnapshot)
+		sd.cache = sd.cache[:0]
 		s.setGrant(shrd, agent.ID{})
 		sd.backlog = make(map[uint64]store.Update)
 	}
@@ -1029,7 +1026,7 @@ func (s *Server) Recover() {
 func (s *Server) Restart(j *durable.Journal, st *durable.State) {
 	s.down = false
 	for _, sd := range s.shards {
-		sd.cache = make(map[runtime.NodeID]QueueSnapshot)
+		sd.cache = sd.cache[:0]
 		sd.backlog = make(map[uint64]store.Update)
 	}
 	if st != nil {

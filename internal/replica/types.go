@@ -13,6 +13,9 @@
 package replica
 
 import (
+	"slices"
+	"strings"
+
 	"repro/internal/agent"
 	"repro/internal/runtime"
 	"repro/internal/store"
@@ -95,9 +98,20 @@ type AckMsg struct {
 	From      runtime.NodeID
 	OK        bool
 	Reason    string
-	ShardSeqs []uint64 // committed horizon per claimed shard (0 where not replicated here)
-	Values    map[string]store.Value
-	Info      *LockInfo // populated on NACK
+	ShardSeqs []uint64   // committed horizon per claimed shard (0 where not replicated here)
+	Values    []KeyValue // committed values of the claimed keys held here, ascending by key
+	Info      *LockInfo  // populated on NACK
+}
+
+// KeyValue is one key's committed value, as an AckMsg carries it.
+type KeyValue struct {
+	Key   string
+	Value store.Value
+}
+
+// SearchValues returns where key is, or belongs, in a list ascending by key.
+func SearchValues(vs []KeyValue, key string) (int, bool) {
+	return slices.BinarySearchFunc(vs, key, func(kv KeyValue, key string) int { return strings.Compare(kv.Key, key) })
 }
 
 // Kind implements runtime.Kinder.

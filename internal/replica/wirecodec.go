@@ -131,9 +131,9 @@ func encAckMsg(b []byte, v any) []byte {
 		b = wire.AppendUvarint(b, s)
 	}
 	b = wire.AppendUvarint(b, uint64(len(m.Values)))
-	for _, k := range sortedKeys(make([]string, 0, 16), m.Values) {
-		b = wire.AppendString(b, k)
-		b = appendValue(b, m.Values[k])
+	for i := range m.Values {
+		b = wire.AppendString(b, m.Values[i].Key)
+		b = appendValue(b, m.Values[i].Value)
 	}
 	b = wire.AppendBool(b, m.Info != nil)
 	if m.Info != nil {
@@ -150,10 +150,14 @@ func decAckMsg(r *wire.Reader) any {
 		m.ShardSeqs = append(m.ShardSeqs, r.Uvarint())
 	}
 	if n = r.Count(2); n > 0 {
-		m.Values = make(map[string]store.Value, n)
+		m.Values = make([]KeyValue, 0, n)
 		for i := 0; i < n; i++ {
-			k := r.String()
-			m.Values[k] = decodeValue(r)
+			kv := KeyValue{Key: r.String(), Value: decodeValue(r)}
+			if i > 0 && kv.Key <= m.Values[i-1].Key {
+				r.Fail("ack values not strictly ascending by key")
+				break
+			}
+			m.Values = append(m.Values, kv)
 		}
 	}
 	if r.Bool() {

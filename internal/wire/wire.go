@@ -124,8 +124,9 @@ func (r *Reader) Err() error { return r.err }
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.b) }
 
-// fail arms the sticky error.
-func (r *Reader) fail(msg string) {
+// Fail arms the sticky error with msg, unless an earlier error armed it: a
+// decoder refuses a value that parses but breaks its type's rules with it.
+func (r *Reader) Fail(msg string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("wire: %s", msg)
 	}
@@ -138,7 +139,7 @@ func (r *Reader) Uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
-		r.fail("short uvarint")
+		r.Fail("short uvarint")
 		return 0
 	}
 	r.b = r.b[n:]
@@ -152,7 +153,7 @@ func (r *Reader) Varint() int64 {
 	}
 	v, n := binary.Varint(r.b)
 	if n <= 0 {
-		r.fail("short varint")
+		r.Fail("short varint")
 		return 0
 	}
 	r.b = r.b[n:]
@@ -171,7 +172,7 @@ func (r *Reader) Count(minElemBytes int) int {
 		return 0
 	}
 	if n > uint64(len(r.b)/minElemBytes) {
-		r.fail("count exceeds input")
+		r.Fail("count exceeds input")
 		return 0
 	}
 	return int(n)
@@ -186,7 +187,7 @@ func (r *Reader) Bytes() []byte {
 		return nil
 	}
 	if n > uint64(len(r.b)) {
-		r.fail("short bytes")
+		r.Fail("short bytes")
 		return nil
 	}
 	p := r.b[:n:n]
@@ -213,13 +214,13 @@ func (r *Reader) Bool() bool {
 		return false
 	}
 	if len(r.b) < 1 {
-		r.fail("short bool")
+		r.Fail("short bool")
 		return false
 	}
 	v := r.b[0]
 	r.b = r.b[1:]
 	if v > 1 {
-		r.fail("bad bool")
+		r.Fail("bad bool")
 		return false
 	}
 	return v == 1
@@ -231,7 +232,7 @@ func (r *Reader) Float() float64 {
 		return 0
 	}
 	if len(r.b) < 8 {
-		r.fail("short float")
+		r.Fail("short float")
 		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
@@ -394,7 +395,7 @@ func DecodeMessage(r *Reader) (any, error) {
 		return nil, r.err
 	}
 	if len(r.b) < 1 {
-		r.fail("missing message tag")
+		r.Fail("missing message tag")
 		return nil, r.err
 	}
 	tag := r.b[0]

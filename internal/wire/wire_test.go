@@ -51,7 +51,7 @@ func corpusMessages() []any {
 		},
 		&replica.AckMsg{
 			Txn: id, Attempt: 2, From: 1, OK: true, ShardSeqs: []uint64{3, 0},
-			Values: map[string]store.Value{"alpha": {Data: "v", Version: store.Version{Seq: 3, Stamp: 7, Writer: "t1"}}},
+			Values: []replica.KeyValue{{Key: "alpha", Value: store.Value{Data: "v", Version: store.Version{Seq: 3, Stamp: 7, Writer: "t1"}}}},
 		},
 		&replica.AckMsg{Txn: id, Attempt: 2, From: 1, Reason: "busy", Info: info},
 		&replica.CommitMsg{Txn: id, Origin: 3, Updates: []store.Update{
@@ -185,6 +185,10 @@ func TestCorruptInputSafety(t *testing.T) {
 		// announcing 2^60 entries over three bytes.
 		{"hostile sync shard count", hostileSync(16), func(r *wire.Reader) { wire.DecodeMessage(r) }},
 		{"hostile sync section count", hostileSync(17), func(r *wire.Reader) { wire.DecodeMessage(r) }},
+		// An ACK's values travel ascending by key, one per key: a repeated
+		// key could hide the newer version behind the older.
+		{"ack values out of order", ackWithKeys("b", "a"), func(r *wire.Reader) { wire.DecodeMessage(r) }},
+		{"ack value key twice", ackWithKeys("a", "a"), func(r *wire.Reader) { wire.DecodeMessage(r) }},
 	}
 	for _, tc := range cases {
 		r := wire.NewReader(tc.data)
@@ -206,6 +210,16 @@ func TestCorruptInputSafety(t *testing.T) {
 	if err := r.Finish(); err == nil {
 		t.Fatal("trailing bytes not rejected")
 	}
+}
+
+// ackWithKeys is an AckMsg frame carrying one value per key, in the order
+// given.
+func ackWithKeys(keys ...string) []byte {
+	m := &replica.AckMsg{OK: true}
+	for i, k := range keys {
+		m.Values = append(m.Values, replica.KeyValue{Key: k, Value: store.Value{Data: k, Version: store.Version{Seq: uint64(i + 1)}}})
+	}
+	return wire.AppendNested(nil, m)
 }
 
 // hostileSync is a tag-16 or tag-17 frame from node 2 whose first count —
