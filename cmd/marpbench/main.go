@@ -21,7 +21,7 @@
 // parallelism buys wall-clock time only. Per-experiment wall-clock is
 // printed so the speedup is visible.
 //
-// Experiments: f2 f3 f4 c1 t3 a1 a2 a3 a4 a5 a6 a7 a8 a9 a10 (see DESIGN.md §4).
+// Experiments: f2 f3 f4 c1 t3 a1 a2 a3 a4 a5 a6 a7 a8 a10 (see DESIGN.md §4).
 // Unknown -exp names are rejected; the list above, `-exp help`, and the
 // DESIGN.md per-experiment index enumerate the same set.
 //
@@ -47,7 +47,7 @@ import (
 	"repro/internal/scenario"
 )
 
-var experiments = []string{"f2", "f3", "f4", "c1", "t3", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10"}
+var experiments = []string{"f2", "f3", "f4", "c1", "t3", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a10"}
 
 func main() {
 	var (
@@ -113,8 +113,8 @@ func run(expFlag, cpuProf, memProf string, opts harness.FigureOptions) int {
 		}()
 	}
 
-	// Experiments produce one table each, except A7 (three: overhead,
-	// recovery, raw replay) and A8 (two: simulator and live) — run
+	// Experiments produce one table each, except A6 (MARP and optimistic),
+	// A7 (overhead and recovery) and A10 (showdown and loss grid) — run
 	// therefore yields a slice.
 	type experiment struct {
 		id   string
@@ -152,8 +152,7 @@ func run(expFlag, cpuProf, memProf string, opts harness.FigureOptions) int {
 			return []*metrics.Table{t, opt}, err
 		}},
 		{id: "a7", name: "Durability: WAL overhead and crash recovery", run: harness.Durability},
-		{id: "a8", name: "Ablation: keyspace sharding throughput", run: harness.Sharding},
-		{id: "a9", name: "Ablation: live-path raw speed (WAL group commit)", run: harness.LiveSpeed},
+		{id: "a8", name: "Ablation: keyspace sharding throughput", run: table(harness.ShardingDES)},
 		{id: "a10", name: "Ablation: optimistic asynchronous commitment (WAN showdown)", run: harness.Optimistic},
 	}
 

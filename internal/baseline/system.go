@@ -61,9 +61,6 @@ func (s *System) Results() []Result {
 	return out
 }
 
-// Outstanding reports in-flight updates.
-func (s *System) Outstanding() int { return s.outstanding }
-
 // Read serves a read from the local copy (read-one in all three baselines).
 func (s *System) Read(id simnet.NodeID, key string) (store.Value, bool) {
 	n := s.nodes[id]

@@ -996,10 +996,6 @@ func (c *Cluster) SetLoss(p float64) {
 // Regenerated reports how many lost agents were respawned.
 func (c *Cluster) Regenerated() int { return c.regenerated }
 
-// Journal returns node id's open durability journal (nil when durability is
-// off or the node is crashed).
-func (c *Cluster) Journal(id runtime.NodeID) *durable.Journal { return c.journals[id] }
-
 // JournalStats sums the WAL counters across all locally hosted journals.
 func (c *Cluster) JournalStats() wal.Stats {
 	var total wal.Stats

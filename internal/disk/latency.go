@@ -6,9 +6,9 @@ import "time"
 // returning — a wall-clock model of a storage device's fsync cost on top
 // of any backend. Mem's injectable SyncDelay only *accounts* latency (it
 // feeds the DES clock); this wrapper *spends* it, which is what a live
-// throughput experiment needs: the A9 harness runs real nodes against
-// Mem+WithSyncLatency to measure commits/sec on a modelled NVMe or HDD
-// without touching a physical disk.
+// throughput measurement needs: the benchmark's live-durable workload runs
+// real nodes against Mem+WithSyncLatency to measure commits/sec on a
+// modelled NVMe without touching a physical disk.
 func WithSyncLatency(b Backend, d time.Duration) Backend {
 	if d <= 0 {
 		return b

@@ -103,6 +103,52 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDurableJournalReplaysEveryUpdateFromARealDirectory: a journal on a
+// real directory, k committed updates, a clean close and a reopen replays
+// exactly the k updates, in order.
+func TestDurableJournalReplaysEveryUpdateFromARealDirectory(t *testing.T) {
+	const k = 2000
+	dir := t.TempDir()
+	fsb, err := disk.NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// PolicyNone builds the journal at memory speed; Close syncs once, so
+	// the file set is complete without paying k fsyncs.
+	j, _, err := Open(fsb, Options{Policy: wal.PolicyNone, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := store.New()
+	s.SetJournal(j)
+	for i := 1; i <= k; i++ {
+		if err := s.ApplyCommitted(upd(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fsb2, err := disk.NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, st, err := Open(fsb2, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer j2.Close()
+	if st == nil || len(st.Store.Log) != k {
+		t.Fatalf("replayed %v, want %d updates", st, k)
+	}
+	for i, u := range st.Store.Log {
+		if u != upd(i+1) {
+			t.Fatalf("log[%d] = %+v, want %+v", i, u, upd(i+1))
+		}
+	}
+}
+
 func TestCompactionSupersedesRecords(t *testing.T) {
 	m := disk.NewMem()
 	j, _, err := Open(m, Options{Policy: wal.PolicyAlways, CompactEvery: -1})

@@ -10,7 +10,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/optimistic"
 	"repro/internal/runtime"
-	"repro/internal/runtime/live"
 	"repro/internal/simnet"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -22,7 +21,7 @@ import (
 // LOCAL latency plus an asynchronous stability lag, so the experiment
 // reports both numbers side by side — the ALT a client observes, and how
 // long the update stays tentative before the deterministic election makes
-// it immutable. Three tables:
+// it immutable. Two tables, both in virtual time:
 //
 //   - A10a (simulator): LAN and WAN, optimistic vs MARP and the two
 //     message-passing baselines. The headline is the WAN row — MARP's ALT
@@ -33,10 +32,9 @@ import (
 //     the destination still lacks, so loss stretches the stability lag and
 //     nothing else. Every cell must converge to one digest-verified stable
 //     prefix, and every cell to the same one.
-//   - A10c (live engine): three replica processes over loopback TCP, MARP
-//     vs optimistic, wall clock. Machine-dependent like A8's live table;
-//     the shape — tentative ALT orders of magnitude under lock ALT — is
-//     the result.
+//
+// The live engine's half of the claim — over loopback TCP the tentative
+// ALT still undercuts MARP's — is a test (a10_test.go).
 
 // Optimistic protocol name for A10 rows.
 const OPT Protocol = "optimistic"
@@ -298,155 +296,7 @@ func optLossDES(o FigureOptions) (*metrics.Table, error) {
 	return tbl, nil
 }
 
-// --- A10c: the live-engine half ------------------------------------------
-
-const a10LiveServers = 3
-
-// optShowdownLive builds A10c: MARP and optimistic, each as three replica
-// processes in this process wired through real TCP sockets, wall clock.
-func optShowdownLive(o FigureOptions) (*metrics.Table, error) {
-	o.fill()
-	reqs := 12
-	if o.Quick {
-		reqs = 6
-	}
-	tbl := &metrics.Table{
-		Title: "Ablation A10c (live): optimistic vs MARP on the TCP engine (wall clock)",
-		Note: fmt.Sprintf("N=%d in-process replicas over loopback TCP, %d requests/server; "+
-			"optimistic ALT is the client-observed tentative commit, stable lag is submit->election; "+
-			"wall clock and machine-dependent", a10LiveServers, reqs),
-		Columns: []string{"protocol", "ALT (ms)", "stable/ATT (ms)", "converged"},
-	}
-	alt, att, err := a10LiveMARP(o.Seed, reqs)
-	if err != nil {
-		return nil, fmt.Errorf("a10c marp: %w", err)
-	}
-	tbl.AddRow(string(MARP), metrics.Ms(alt), metrics.Ms(att), "yes")
-	optALT, optLag, err := a10LiveOptimistic(o.Seed, reqs)
-	if err != nil {
-		return nil, fmt.Errorf("a10c optimistic: %w", err)
-	}
-	tbl.AddRow(string(OPT), metrics.Ms(optALT), metrics.Ms(optLag), "yes (digest-verified)")
-	// The WAN acceptance bound lives in a10_test.go; the live half's bound
-	// is structural: a tentative commit never waits on the network, so even
-	// over loopback it must undercut the locking ALT.
-	if optALT >= alt {
-		return nil, fmt.Errorf("a10c: optimistic tentative ALT %v did not beat MARP ALT %v", optALT, alt)
-	}
-	return tbl, nil
-}
-
-// a10Events is the A10c workload, the same for both protocols.
-func a10Events(seed int64, reqs int) ([]workload.Event, error) {
-	return workload.Generate(workload.Spec{
-		Servers: a10LiveServers, RequestsPerServer: reqs,
-		MeanInterarrival: time.Millisecond, Seed: seed + 1000,
-	})
-}
-
-// a10LiveMARP runs the MARP cell of A10c and returns mean ALT and ATT.
-func a10LiveMARP(seed int64, reqs int) (time.Duration, time.Duration, error) {
-	nodes, err := live.StartCluster(a10LiveServers, func(id runtime.NodeID, addrs map[runtime.NodeID]string) (*live.Node, error) {
-		return live.StartNode(live.NodeConfig{Self: id, Addrs: addrs, Seed: seed + int64(id)})
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer closeAll(nodes)
-	events, err := a10Events(seed, reqs)
-	if err != nil {
-		return 0, 0, err
-	}
-	sum, _, err := runLiveMARP(nodes, events)
-	return sum.MeanALT, sum.MeanATT, err
-}
-
-// submitOptimistic submits one workload event on its home's actor loop.
-func submitOptimistic(node *live.OptNode, ev workload.Event) error {
-	var err error
-	if !node.Eng.Do(func() { _, err = node.Cluster.Submit(ev.Home, ev.Key, ev.Value) }) {
-		return fmt.Errorf("engine closed during submit")
-	}
-	return err
-}
-
-// runLiveOptimistic drives a live optimistic cluster through events —
-// through submit, so a caller can time the client's view of each — waits
-// until every node holds all of them stable, and returns every node's
-// outcomes (each records its own submissions) once the stable-prefix
-// digests agree across the processes.
-func runLiveOptimistic(nodes []*live.OptNode, events []workload.Event, submit func(*live.OptNode, workload.Event) error) ([]optimistic.Outcome, error) {
-	expect := uint64(len(events))
-	_, err := runLive(nodes, events, submit, func(cl *optimistic.Cluster) error {
-		return cl.RunUntilStable(2*time.Minute, expect)
-	})
-	if err != nil {
-		return nil, err
-	}
-	var outs []optimistic.Outcome
-	var digest string
-	var bad error
-	err = onLoops(nodes, func(id runtime.NodeID, cl *optimistic.Cluster) {
-		d, _, derr := cl.StableDigest(id)
-		switch {
-		case derr != nil:
-			bad = derr
-		case digest == "":
-			digest = d
-		case d != digest:
-			bad = fmt.Errorf("node %d stable digest %s != %s", id, d, digest)
-		}
-		outs = append(outs, cl.Outcomes()...)
-	})
-	if err == nil {
-		err = bad
-	}
-	return outs, err
-}
-
-// a10LiveOptimistic runs the optimistic cell of A10c: mean client-observed
-// tentative ALT and mean stability lag, with cross-process digest
-// verification.
-func a10LiveOptimistic(seed int64, reqs int) (time.Duration, time.Duration, error) {
-	nodes, err := live.StartCluster(a10LiveServers, func(id runtime.NodeID, addrs map[runtime.NodeID]string) (*live.OptNode, error) {
-		return live.StartOptNode(live.OptNodeConfig{
-			Self: id, Addrs: addrs, Seed: seed + int64(id),
-			GossipInterval: LAN.optGossip(),
-		})
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer closeAll(nodes)
-	events, err := a10Events(seed, reqs)
-	if err != nil {
-		return 0, 0, err
-	}
-	var altSum time.Duration
-	outs, err := runLiveOptimistic(nodes, events, func(node *live.OptNode, ev workload.Event) error {
-		start := time.Now()
-		err := submitOptimistic(node, ev)
-		altSum += time.Since(start)
-		return err
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(outs) == 0 {
-		return 0, 0, fmt.Errorf("no updates stabilized")
-	}
-	var lagSum time.Duration
-	for _, o := range outs {
-		if o.Aborted || o.StableAt == 0 {
-			return 0, 0, fmt.Errorf("%s not stable after drain", o.Txn)
-		}
-		lagSum += o.StableAt.Sub(o.SubmittedAt)
-	}
-	return altSum / time.Duration(len(events)), lagSum / time.Duration(len(outs)), nil
-}
-
-// Optimistic runs the A10 experiment: the two simulator tables, then the
-// live-engine table.
+// Optimistic runs the A10 experiment: its two simulator tables.
 func Optimistic(o FigureOptions) ([]*metrics.Table, error) {
 	a, err := optShowdownDES(o)
 	if err != nil {
@@ -456,11 +306,7 @@ func Optimistic(o FigureOptions) ([]*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := optShowdownLive(o)
-	if err != nil {
-		return nil, err
-	}
-	return []*metrics.Table{a, b, c}, nil
+	return []*metrics.Table{a, b}, nil
 }
 
 // OptChaosResult is one cell of the optimistic chaos grid.

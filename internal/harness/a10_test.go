@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/optimistic"
 	"repro/internal/runtime"
 	"repro/internal/runtime/live"
@@ -46,6 +49,102 @@ func TestA10WANTentativeBeatsMARP(t *testing.T) {
 	}
 	t.Logf("WAN: optimistic tentative ALT %v (stable lag %v) vs MARP ALT %v",
 		opt.TentativeALT, opt.StableLag, marp.Summary.MeanALT)
+}
+
+// TestA10LiveTentativeBeatsMARP is the same bound on the live engine: the
+// same workload (3 replicas, 6 requests per server) runs on three MARP
+// processes and then on three optimistic ones over loopback TCP. A
+// tentative commit never waits on the network, so even over loopback the
+// client-observed tentative ALT must undercut MARP's locking ALT.
+func TestA10LiveTentativeBeatsMARP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts live TCP replicas")
+	}
+	const n, reqs, seed = 3, 6, 1
+	events, err := workload.Generate(workload.Spec{
+		Servers: n, RequestsPerServer: reqs,
+		MeanInterarrival: time.Millisecond, Seed: seed + 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	marpALT := liveMARPALT(t, n, seed, events)
+	optALT, optLag := liveTentativeALT(t, n, seed, events)
+	if optALT >= marpALT {
+		t.Fatalf("live: optimistic tentative ALT %v did not beat MARP ALT %v", optALT, marpALT)
+	}
+	t.Logf("live: optimistic tentative ALT %v (stable lag %v) vs MARP ALT %v", optALT, optLag, marpALT)
+}
+
+// liveMARPALT runs events on n live MARP processes, each update a Set
+// submitted on its home's loop, and returns the mean ALT over every node's
+// outcomes (each records its own homes'). A run that commits nothing fails.
+func liveMARPALT(t *testing.T, n int, seed int64, events []workload.Event) time.Duration {
+	t.Helper()
+	nodes, err := live.StartCluster(n, func(id runtime.NodeID, addrs map[runtime.NodeID]string) (*live.Node, error) {
+		return live.StartNode(live.NodeConfig{Self: id, Addrs: addrs, Seed: seed + int64(id)})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(nodes)
+	err = runLive(nodes, events, func(node *live.Node, ev workload.Event) error {
+		var err error
+		if !node.Eng.Do(func() { err = node.Cluster.Submit(ev.Home, core.Set(ev.Key, ev.Value)) }) {
+			return fmt.Errorf("engine closed during submit")
+		}
+		return err
+	}, func(cl *core.Cluster) error { return cl.RunUntilDone(2 * time.Minute) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs []core.Outcome
+	if err := onLoops(nodes, func(_ runtime.NodeID, cl *core.Cluster) { outs = append(outs, cl.Outcomes()...) }); err != nil {
+		t.Fatal(err)
+	}
+	sum := metrics.Summarize(marpSamples(outs))
+	if sum.Count == sum.Failures {
+		t.Fatal("MARP: no updates committed")
+	}
+	return sum.MeanALT
+}
+
+// liveTentativeALT runs events on n live optimistic processes and returns
+// the mean client-observed tentative ALT and the mean stability lag, with
+// the stable-prefix digests verified across the processes.
+func liveTentativeALT(t *testing.T, n int, seed int64, events []workload.Event) (time.Duration, time.Duration) {
+	t.Helper()
+	nodes, err := live.StartCluster(n, func(id runtime.NodeID, addrs map[runtime.NodeID]string) (*live.OptNode, error) {
+		return live.StartOptNode(live.OptNodeConfig{
+			Self: id, Addrs: addrs, Seed: seed + int64(id),
+			GossipInterval: LAN.optGossip(),
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(nodes)
+	var altSum time.Duration
+	outs, err := runLiveOptimistic(nodes, events, func(node *live.OptNode, ev workload.Event) error {
+		start := time.Now()
+		err := submitOptimistic(node, ev)
+		altSum += time.Since(start)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) == 0 {
+		t.Fatal("optimistic: no updates stabilized")
+	}
+	var lagSum time.Duration
+	for _, o := range outs {
+		if o.Aborted || o.StableAt == 0 {
+			t.Fatalf("optimistic: %s not stable after drain", o.Txn)
+		}
+		lagSum += o.StableAt.Sub(o.SubmittedAt)
+	}
+	return altSum / time.Duration(len(events)), lagSum / time.Duration(len(outs))
 }
 
 // TestA10LossGridConverges is the other half of the A10 acceptance claim:

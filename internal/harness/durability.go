@@ -2,24 +2,21 @@ package harness
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/desengine"
 	"repro/internal/disk"
-	"repro/internal/durable"
 	"repro/internal/metrics"
 	"repro/internal/runtime"
-	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
 // Durability runs the A7 experiment suite: what the write-ahead log costs
-// while the system is healthy (A7a), what recovery costs after a crash
-// (A7b), and how fast a raw journal replays off a real filesystem (A7c).
+// while the system is healthy (A7a) and what recovery costs after a crash
+// (A7b).
 func Durability(o FigureOptions) ([]*metrics.Table, error) {
 	o.fill()
 	overhead, err := durabilityOverhead(o)
@@ -30,11 +27,7 @@ func Durability(o FigureOptions) ([]*metrics.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("a7 recovery: %w", err)
 	}
-	replay, err := durabilityReplay(o)
-	if err != nil {
-		return nil, fmt.Errorf("a7 replay: %w", err)
-	}
-	return []*metrics.Table{overhead, recovery, replay}, nil
+	return []*metrics.Table{overhead, recovery}, nil
 }
 
 // a7Point is one cell of the overhead grid: an fsync policy (or durability
@@ -247,88 +240,5 @@ func runRecoveryCell(o FigureOptions, base, missed int) (a7Recovery, error) {
 		walCommits: walCommits,
 		replayed:   int(cl.Metrics().Value("marp.wal.replayed")) - replayedBefore,
 		catchup:    time.Duration(cl.Now() - start),
-	}, nil
-}
-
-func durabilityReplay(o FigureOptions) (*metrics.Table, error) {
-	sizes := []int{500, 2000, 8000}
-	if o.Quick {
-		sizes = []int{200, 800}
-	}
-	tbl := &metrics.Table{
-		Title: "Ablation A7c: raw WAL replay off the filesystem",
-		Note: "one journal on a real directory, K committed updates, clean close, reopen; " +
-			"replay is wall-clock and machine-dependent",
-		Columns: []string{"records", "KB on disk", "replay ms", "records/ms"},
-	}
-	for _, k := range sizes {
-		row, err := runReplayCell(k)
-		if err != nil {
-			return nil, fmt.Errorf("k=%d: %w", k, err)
-		}
-		tbl.AddRow(row...)
-	}
-	return tbl, nil
-}
-
-func runReplayCell(k int) ([]string, error) {
-	dir, err := os.MkdirTemp("", "marp-a7-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	fsb, err := disk.NewFS(dir)
-	if err != nil {
-		return nil, err
-	}
-	// PolicyNone builds the journal at memory speed; Close syncs once, so
-	// the file set is complete without paying k fsyncs up front.
-	j, _, err := durable.Open(fsb, durable.Options{Policy: wal.PolicyNone, CompactEvery: -1})
-	if err != nil {
-		return nil, err
-	}
-	s := store.New()
-	s.SetJournal(j)
-	for i := 1; i <= k; i++ {
-		u := store.Update{
-			TxnID: fmt.Sprintf("txn-%06d", i),
-			Key:   fmt.Sprintf("key-%d", i%64),
-			Data:  fmt.Sprintf("value-%06d-padding-padding", i),
-			Seq:   uint64(i),
-			Stamp: int64(i),
-		}
-		if err := s.ApplyCommitted(u); err != nil {
-			return nil, err
-		}
-	}
-	if err := j.Close(); err != nil {
-		return nil, err
-	}
-	bytes := fsb.Stats().BytesWritten
-
-	fsb2, err := disk.NewFS(dir)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	j2, st, err := durable.Open(fsb2, durable.Options{})
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	defer j2.Close()
-	if st == nil || len(st.Store.Log) != k {
-		return nil, fmt.Errorf("replayed %v, want %d updates", st, k)
-	}
-	ms := elapsed.Seconds() * 1000
-	perMS := "-"
-	if ms > 0 {
-		perMS = fmt.Sprintf("%.0f", float64(k)/ms)
-	}
-	return []string{
-		fmt.Sprint(k),
-		fmt.Sprintf("%.1f", float64(bytes)/1024),
-		fmt.Sprintf("%.2f", ms),
-		perMS,
 	}, nil
 }

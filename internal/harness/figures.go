@@ -242,7 +242,7 @@ func CompareProtocols(o FigureOptions) (*metrics.Table, []RunResult, error) {
 		tbl.Columns = append(tbl.Columns, string(p)+" att", string(p)+" msg/upd")
 	}
 	// Grid order (preset-major, then N, then protocol) is part of the
-	// result contract: bench_test.go indexes into it.
+	// result contract: harness_test.go indexes into it.
 	var cfgs []RunConfig
 	for _, preset := range presets {
 		mean := o.Means[len(o.Means)/2]

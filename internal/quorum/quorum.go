@@ -152,62 +152,3 @@ func (a Voting) Name() string {
 	}
 	return "majority"
 }
-
-// Spec is a full quorum specification: a vote assignment plus read and write
-// thresholds.
-type Spec struct {
-	Assignment Voting
-	R          int // votes required for a read quorum
-	W          int // votes required for a write quorum
-}
-
-// MajoritySpec returns the paper's configuration: write quorum = majority,
-// read quorum = 1 (read-one/write-majority; "a read operation may be
-// executed on an arbitrary copy", §3.1).
-func MajoritySpec(nodes []simnet.NodeID) Spec {
-	a := Equal(nodes)
-	return Spec{Assignment: a, R: 1, W: a.Majority()}
-}
-
-// StrictSpec returns a read-write intersecting configuration with both
-// quorums at majority — the consistent-read extension.
-func StrictSpec(nodes []simnet.NodeID) Spec {
-	a := Equal(nodes)
-	return Spec{Assignment: a, R: a.Majority(), W: a.Majority()}
-}
-
-// Validate checks Gifford's safety conditions: W+W > total (no two
-// concurrent write quorums) and, when reads must observe the latest write,
-// R+W > total. MajoritySpec intentionally violates the second condition —
-// that is the paper's explicit trade-off ("it is acceptable that queries
-// executed on a replica are not guaranteed to give an up-to-date answer") —
-// so Validate distinguishes the two.
-func (s Spec) Validate() error {
-	t := s.Assignment.Total()
-	if t == 0 {
-		return fmt.Errorf("quorum: empty assignment")
-	}
-	if s.W < 1 || s.W > t || s.R < 1 || s.R > t {
-		return fmt.Errorf("quorum: thresholds R=%d W=%d out of range 1..%d", s.R, s.W, t)
-	}
-	if 2*s.W <= t {
-		return fmt.Errorf("quorum: 2W=%d <= total=%d permits concurrent writes", 2*s.W, t)
-	}
-	return nil
-}
-
-// OneCopySerializable reports whether the spec also guarantees reads observe
-// the most recent write (R+W > total).
-func (s Spec) OneCopySerializable() bool {
-	return s.R+s.W > s.Assignment.Total()
-}
-
-// HasWriteQuorum reports whether nodes hold a write quorum.
-func (s Spec) HasWriteQuorum(nodes []simnet.NodeID) bool {
-	return s.Assignment.Count(nodes) >= s.W
-}
-
-// HasReadQuorum reports whether nodes hold a read quorum.
-func (s Spec) HasReadQuorum(nodes []simnet.NodeID) bool {
-	return s.Assignment.Count(nodes) >= s.R
-}

@@ -72,53 +72,7 @@ func TestNodesSorted(t *testing.T) {
 	}
 }
 
-func TestMajoritySpec(t *testing.T) {
-	s := MajoritySpec(ids(1, 2, 3, 4, 5))
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.R != 1 || s.W != 3 {
-		t.Fatalf("R=%d W=%d", s.R, s.W)
-	}
-	if s.OneCopySerializable() {
-		t.Fatal("read-one/write-majority must not claim one-copy serializable reads")
-	}
-	if !s.HasWriteQuorum(ids(1, 3, 5)) || s.HasWriteQuorum(ids(1, 2)) {
-		t.Fatal("write quorum check wrong")
-	}
-	if !s.HasReadQuorum(ids(2)) {
-		t.Fatal("read quorum of one should pass")
-	}
-}
-
-func TestStrictSpec(t *testing.T) {
-	s := StrictSpec(ids(1, 2, 3, 4, 5))
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.OneCopySerializable() {
-		t.Fatal("strict spec should be one-copy serializable")
-	}
-}
-
-func TestValidateRejectsBadSpecs(t *testing.T) {
-	a := Equal(ids(1, 2, 3, 4))
-	cases := []Spec{
-		{Assignment: a, R: 1, W: 2},        // 2W <= total
-		{Assignment: a, R: 0, W: 3},        // R out of range
-		{Assignment: a, R: 1, W: 5},        // W out of range
-		{Assignment: Voting{}, R: 1, W: 1}, // empty
-		{Assignment: a, R: 5, W: 3},        // R out of range high
-	}
-	for i, s := range cases {
-		if err := s.Validate(); err == nil {
-			t.Fatalf("case %d validated unexpectedly: %+v", i, s)
-		}
-	}
-}
-
-// Property: any two write quorums of a valid spec intersect, and if the spec
-// is one-copy serializable, any read quorum intersects any write quorum.
+// Property: any two sets that each hold a majority of the votes intersect.
 func TestPropertyQuorumIntersection(t *testing.T) {
 	f := func(n uint8, pickA, pickB uint64) bool {
 		size := int(n%7) + 1 // 1..7 replicas
@@ -126,7 +80,7 @@ func TestPropertyQuorumIntersection(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = simnet.NodeID(i + 1)
 		}
-		s := MajoritySpec(nodes)
+		v := Equal(nodes)
 		subset := func(bits uint64) []simnet.NodeID {
 			var out []simnet.NodeID
 			for i, id := range nodes {
@@ -137,7 +91,7 @@ func TestPropertyQuorumIntersection(t *testing.T) {
 			return out
 		}
 		a, b := subset(pickA), subset(pickB)
-		if !s.HasWriteQuorum(a) || !s.HasWriteQuorum(b) {
+		if v.Count(a) < v.Majority() || v.Count(b) < v.Majority() {
 			return true // vacuous
 		}
 		inA := make(map[simnet.NodeID]bool)

@@ -147,11 +147,10 @@ func (AbortMsg) Kind() string { return "abort" }
 
 // ReadReq asks a replica for its committed value of a key — one leg of the
 // consistent-read extension (read quorum R = majority, making the system
-// one-copy serializable per Gifford's R+W > N condition; see
-// internal/quorum.StrictSpec). The paper's protocol serves reads locally;
-// this is the stricter variant its §5 invites ("the MARP approach is a
-// generic method, which can be used to implement different kinds of
-// replication control algorithms").
+// one-copy serializable per Gifford's R+W > N condition). The paper's
+// protocol serves reads locally; this is the stricter variant its §5
+// invites ("the MARP approach is a generic method, which can be used to
+// implement different kinds of replication control algorithms").
 type ReadReq struct {
 	ReqID uint64
 	From  runtime.NodeID

@@ -134,7 +134,7 @@ func (e *Engine) Wait(d time.Duration, done func() bool) error {
 		// ceiling), so the overshoot past done() stays ~2% of the
 		// workload's makespan whether it runs for milliseconds or
 		// minutes. A fixed coarse tick was a measurable makespan tail
-		// for the sub-100ms A9 cells.
+		// for sub-100ms workloads.
 		iv := time.Since(start) / 64
 		if iv < 200*time.Microsecond {
 			iv = 200 * time.Microsecond

@@ -425,7 +425,7 @@ func TestCrossEngineEquivalenceSharded(t *testing.T) {
 }
 
 // TestCrossEngineEquivalencePipelined re-runs the sharded cross-engine
-// check on the A9 fast path — the wire codec (the only fabric framing) with
+// check on the fast path — the wire codec (the only fabric framing) with
 // WAL group commit at fsync=commit, commit barriers pipelined behind one
 // covering fsync — against the plain simulator reference. Group commit only
 // moves fsyncs around; the committed transaction set per key must be

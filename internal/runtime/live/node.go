@@ -35,8 +35,8 @@ type NodeConfig struct {
 	// Cluster carries the engine-neutral protocol configuration. N and
 	// Local are derived from Addrs/Self and must be left unset. Durability
 	// is derived from DataDir/Fsync; alternatively, with DataDir empty, an
-	// explicit Cluster.Durability supplies a custom backend (the A9 harness
-	// uses this to run live nodes against a modelled-latency Mem disk).
+	// explicit Cluster.Durability supplies a custom backend (the pipelined
+	// cross-engine test uses this to run live nodes against a Mem disk).
 	Cluster core.Config
 }
 

@@ -147,9 +147,6 @@ func (n *Network) Heal() { n.group = make(map[NodeID]int) }
 // two live, connected nodes is never lost.
 func (n *Network) SetFaults(f *FaultModel) { n.faults = f }
 
-// Faults returns the attached fault model, if any.
-func (n *Network) Faults() *FaultModel { return n.faults }
-
 // Reachable reports whether a message from one node can currently reach the
 // other (both up, same partition group).
 func (n *Network) Reachable(from, to NodeID) bool {

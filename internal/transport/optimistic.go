@@ -67,12 +67,9 @@ func (s *Server) applyOpt(req Request) Response {
 		}
 		return Response{OK: true, Found: ok, Value: v.Data, Seq: v.Version.Seq}
 	case "partition":
-		groups := make([][]runtime.NodeID, len(req.Groups))
-		for i, g := range req.Groups {
-			groups[i] = make([]runtime.NodeID, len(g))
-			for j, id := range g {
-				groups[i][j] = runtime.NodeID(id)
-			}
+		groups, err := partitionGroups(req.Groups, s.opt.N())
+		if err != nil {
+			return Response{Error: err.Error()}
 		}
 		s.opt.PartitionNet(groups...)
 		return Response{OK: true}

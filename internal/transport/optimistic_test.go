@@ -9,14 +9,13 @@ import (
 	"repro/internal/runtime/live"
 )
 
-// TestOptimisticClientPlane drives every op of an optimistic service over
-// real sockets: three live optimistic nodes gossiping every 5 ms, one write,
-// and what each op reports before and after the write turns stable.
-func TestOptimisticClientPlane(t *testing.T) {
+// startOptCluster is startCluster for an optimistic service: three live
+// optimistic nodes gossiping every 5 ms, one client per server.
+func startOptCluster(t *testing.T) *testCluster {
+	t.Helper()
 	const n = 3
 	addrs := freeAddrs(t, n)
-	var srvs []*Server
-	var clis []*Client
+	c := &testCluster{}
 	for i := 1; i <= n; i++ {
 		srv, err := ServeLiveOptimistic("127.0.0.1:0", live.OptNodeConfig{
 			Self: runtime.NodeID(i), Addrs: addrs, Seed: int64(i), GossipInterval: 5 * time.Millisecond,
@@ -25,9 +24,18 @@ func TestOptimisticClientPlane(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(srv.Close)
-		srvs = append(srvs, srv)
-		clis = append(clis, dial(t, srv))
+		c.srvs = append(c.srvs, srv)
+		c.clis = append(c.clis, dial(t, srv))
 	}
+	return c
+}
+
+// TestOptimisticClientPlane drives every op of an optimistic service over
+// real sockets: three live optimistic nodes gossiping every 5 ms, one write,
+// and what each op reports before and after the write turns stable.
+func TestOptimisticClientPlane(t *testing.T) {
+	c := startOptCluster(t)
+	srvs, clis, n := c.srvs, c.clis, len(c.clis)
 	cli := clis[0]
 
 	txn, err := cli.SubmitCAS(1, "city", "kowloon", "!unwritten")

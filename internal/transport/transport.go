@@ -360,6 +360,29 @@ func (s *Server) handle(req Request) Response {
 	return resp
 }
 
+// partitionGroups converts a partition op's groups for a cluster of n
+// replicas. It refuses a node outside 1..n or one named twice — the rule a
+// recorded partition event must also pass — rather than let the fabric
+// split the cluster some way the operator never stated.
+func partitionGroups(in [][]int, n int) ([][]runtime.NodeID, error) {
+	seen := make(map[int]bool)
+	groups := make([][]runtime.NodeID, len(in))
+	for i, g := range in {
+		groups[i] = make([]runtime.NodeID, len(g))
+		for j, id := range g {
+			if id < 1 || id > n {
+				return nil, fmt.Errorf("partition names unknown node %d (want 1..%d)", id, n)
+			}
+			if seen[id] {
+				return nil, fmt.Errorf("partition names node %d twice", id)
+			}
+			seen[id] = true
+			groups[i][j] = runtime.NodeID(id)
+		}
+	}
+	return groups, nil
+}
+
 func (s *Server) apply(req Request) Response {
 	if s.opt != nil {
 		return s.applyOpt(req)
@@ -389,12 +412,9 @@ func (s *Server) apply(req Request) Response {
 		v, ok := s.cluster.Read(runtime.NodeID(req.Node), req.Key)
 		return Response{OK: true, Found: ok, Value: v.Data, Seq: v.Version.Seq}
 	case "partition":
-		groups := make([][]runtime.NodeID, len(req.Groups))
-		for i, g := range req.Groups {
-			groups[i] = make([]runtime.NodeID, len(g))
-			for j, id := range g {
-				groups[i][j] = runtime.NodeID(id)
-			}
+		groups, err := partitionGroups(req.Groups, len(s.cluster.Nodes()))
+		if err != nil {
+			return Response{Error: err.Error()}
 		}
 		s.cluster.PartitionNet(groups...)
 		return Response{OK: true}

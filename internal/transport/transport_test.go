@@ -193,6 +193,36 @@ func TestProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestPartitionRefusesWhatItCannotApply: on both protocols' services, a
+// partition that names a node outside the cluster, or one node in two
+// groups, is refused rather than splitting the cluster some way nobody
+// stated; a well-formed one still applies.
+func TestPartitionRefusesWhatItCannotApply(t *testing.T) {
+	for _, svc := range []struct {
+		name  string
+		start func(*testing.T) *testCluster
+	}{{"marp", startCluster}, {"optimistic", startOptCluster}} {
+		cli := svc.start(t).clis[0]
+		for _, bad := range []struct {
+			groups [][]int
+			want   string
+		}{
+			{[][]int{{1, 2}, {2, 3}}, "node 2 twice"},
+			{[][]int{{1}, {9}}, "unknown node 9"},
+		} {
+			if err := cli.Partition(bad.groups); err == nil || !strings.Contains(err.Error(), bad.want) {
+				t.Errorf("%s: partition %v: err = %v, want a refusal naming %q", svc.name, bad.groups, err, bad.want)
+			}
+		}
+		if err := cli.Partition([][]int{{1}, {2, 3}}); err != nil {
+			t.Errorf("%s: partition [[1] [2 3]]: %v", svc.name, err)
+		}
+		if err := cli.Heal(); err != nil {
+			t.Errorf("%s: heal: %v", svc.name, err)
+		}
+	}
+}
+
 // TestOversizeRequestIsRefused: a request line over maxRequestLine is
 // answered with an error naming the limit instead of reaching the cluster
 // (where a large enough value would exceed the fabric's frame bound), and the
