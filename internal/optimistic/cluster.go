@@ -60,10 +60,10 @@ type Cluster struct {
 	mRedundant *metrics.Counter
 	mLag       *metrics.Histogram
 
-	outcomes []Outcome      // in submit order
-	byTxn    map[string]int // TxnID -> index into outcomes, of the undecided ones
-	stable   int            // outcomes with StableAt set
-	aborted  int            // outcomes with Aborted set
+	outcomes blocks[Outcome]     // in submit order
+	byTxn    map[string]*Outcome // TxnID -> its outcome, of the undecided ones
+	stable   int                 // outcomes with StableAt set
+	aborted  int                 // outcomes with Aborted set
 	closed   bool
 }
 
@@ -88,7 +88,7 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 		nodes:    local,
 		reps:     make(map[runtime.NodeID]*replica, len(local)),
 		backends: make(map[runtime.NodeID]disk.Backend),
-		byTxn:    make(map[string]int),
+		byTxn:    make(map[string]*Outcome),
 	}
 	c.initMetrics()
 	for _, id := range local {
@@ -192,9 +192,9 @@ func (c *Cluster) snapshotState(rep *replica) *durable.OptState {
 		for o := range rep.hist[s] {
 			h := &rep.hist[s][o]
 			st.Dropped[s][o] = h.base
-			for i := range h.acts {
+			for q := h.base + 1; q <= h.count(); q++ {
 				// Elected and lost: delivered, but in neither tier.
-				a := &h.acts[i]
+				a := h.at(q)
 				if txn := a.TxnID(); !rep.st[s].InOverlay(txn) && !rep.st[s].InStable(txn) {
 					st.Aborted = append(st.Aborted, recordOf(a))
 				}
@@ -228,11 +228,11 @@ func (c *Cluster) SubmitCAS(home runtime.NodeID, key, data, guard string) (strin
 	}
 	txn := a.TxnID()
 	c.mSubmits.Inc()
-	c.byTxn[txn] = len(c.outcomes)
-	c.outcomes = append(c.outcomes, Outcome{
+	c.outcomes.add(&Outcome{
 		Txn: txn, Key: key, Origin: home, Shard: a.Shard,
 		SubmittedAt: submitted, TentativeAt: c.eng.Now(),
 	})
+	c.byTxn[txn] = c.outcomes.at(c.outcomes.n - 1)
 	rep.tryPromote() // N=1 degenerates to immediate stability
 	return txn, nil
 }
@@ -260,9 +260,9 @@ func (c *Cluster) Read(home runtime.NodeID, key string, tentative bool) (store.V
 // is still tentative. It is asked once per election: the outcome is about to
 // be decided, and the index forgets it.
 func (c *Cluster) undecided(at runtime.NodeID, txn string) *Outcome {
-	if i, ok := c.byTxn[txn]; ok && c.outcomes[i].Origin == at {
+	if o, ok := c.byTxn[txn]; ok && o.Origin == at {
 		delete(c.byTxn, txn)
-		return &c.outcomes[i]
+		return o
 	}
 	return nil
 }
@@ -284,15 +284,17 @@ func (c *Cluster) noteAborted(at runtime.NodeID, txn string) {
 
 // Outcomes returns every locally submitted action's lifecycle in submit
 // order.
-func (c *Cluster) Outcomes() []Outcome { return append([]Outcome(nil), c.outcomes...) }
+func (c *Cluster) Outcomes() []Outcome {
+	return c.outcomes.appendTo(make([]Outcome, 0, c.outcomes.n))
+}
 
 // Submitted returns how many actions this cluster accepted locally.
-func (c *Cluster) Submitted() uint64 { return uint64(len(c.outcomes)) }
+func (c *Cluster) Submitted() uint64 { return uint64(c.outcomes.n) }
 
 // OutcomeCounts tallies Outcomes without copying them: stable at their
 // origin, aborted there, still tentative.
 func (c *Cluster) OutcomeCounts() (stable, aborted, pending int) {
-	return c.stable, c.aborted, len(c.outcomes) - c.stable - c.aborted
+	return c.stable, c.aborted, c.outcomes.n - c.stable - c.aborted
 }
 
 // --- run control --------------------------------------------------------

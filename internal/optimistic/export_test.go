@@ -29,8 +29,8 @@ func (c *Cluster) Promised(id runtime.NodeID) [][]uint64 {
 		for o := range rep.hist[s] {
 			h := &rep.hist[s][o]
 			n := h.base
-			for i := range h.acts {
-				if runtime.NodeID(o+1) == id || h.acts[i].Stamp <= rep.front[s][id-1] {
+			for q := h.base + 1; q <= h.count(); q++ {
+				if runtime.NodeID(o+1) == id || h.at(q).Stamp <= rep.front[s][id-1] {
 					n++
 				}
 			}

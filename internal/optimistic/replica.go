@@ -29,7 +29,7 @@ type replica struct {
 	// the only copy of each action's constraints (held finds it by the
 	// (origin, oseq) a TxnID encodes) and the cargo itself: pickCarry hands
 	// out segments. Hence append-only between crashes, no entry ever
-	// written twice, and restore installs fresh slices, never edits these.
+	// written twice, and restore fills fresh histories, never edits these.
 	// Below the stable-everywhere watermark it is a count only (history).
 	hist [][]history
 	// hold[s][o] parks out-of-order arrivals until the gap fills.
@@ -289,7 +289,8 @@ func (r *replica) tryPromote() {
 // (invariant 17).
 func (r *replica) elect(s int, b int64, now runtime.Time) {
 	promoted, aborted := r.st[s].PromoteUpTo(b, r.guardFn(s))
-	for _, u := range promoted {
+	for i := r.st[s].StableLen() - promoted; i < r.st[s].StableLen(); i++ {
+		u := r.st[s].StableAt(i)
 		if r.journal != nil {
 			a := r.staged(s, u.TxnID)
 			r.journal.Stable(durable.OptRecord{U: u, Guard: a.Guard, Deps: a.Deps})
@@ -321,9 +322,9 @@ func (r *replica) truncate(s int) {
 	}
 	for o := range r.hist[s] {
 		h := &r.hist[s][o]
-		k := sort.Search(len(h.acts), func(i int) bool { return h.acts[i].Stamp > w })
-		for i := range h.acts[:k] {
-			r.st[s].Forget(h.acts[i].TxnID())
+		k := h.upTo(w)
+		for q := h.base + 1; q <= h.base+uint64(k); q++ {
+			r.st[s].Forget(h.at(q).TxnID())
 		}
 		h.drop(k)
 	}
@@ -334,7 +335,7 @@ func (r *replica) truncate(s int) {
 func (r *replica) historySize() (held, dropped uint64) {
 	for s := range r.hist {
 		for o := range r.hist[s] {
-			held += uint64(len(r.hist[s][o].acts))
+			held += uint64(r.hist[s][o].held())
 			dropped += r.hist[s][o].base
 		}
 	}
@@ -391,7 +392,8 @@ func (r *replica) knowSnapshot() []KnowEntry {
 // reported). A node's own actions are never carried back to it — it holds
 // them durably by the submit barrier. Estimates can be stale both ways:
 // over-delivery is dropped idempotently, under-delivery heals next round.
-// The cargo is the history's own segments (history.after).
+// The cargo is the history's own segments (history.after): one per block a
+// run spans, in order, so that the run goes on the wire as it would whole.
 func (r *replica) pickCarry(to runtime.NodeID) [][]Action {
 	est, known := r.know[to]
 	var carry [][]Action
@@ -405,16 +407,19 @@ func (r *replica) pickCarry(to runtime.NodeID) [][]Action {
 			if known && s < len(est.Have) && o < len(est.Have[s]) {
 				from = est.Have[s][o]
 			}
-			run := r.hist[s][o].after(from, room)
-			if len(run) == 0 {
-				continue
-			}
-			if carry == nil {
-				carry = make([][]Action, 0, r.c.cfg.N-1)
-			}
-			carry = append(carry, run)
-			if room -= len(run); room == 0 {
-				return carry
+			for {
+				run := r.hist[s][o].after(from, room)
+				if len(run) == 0 {
+					break
+				}
+				if carry == nil { // a run per peer, and one that straddles two blocks
+					carry = make([][]Action, 0, r.c.cfg.N)
+				}
+				carry = append(carry, run)
+				if room -= len(run); room == 0 {
+					return carry
+				}
+				from = run[len(run)-1].OSeq
 			}
 		}
 	}
@@ -590,12 +595,12 @@ func (r *replica) restore(st *durable.OptState) error {
 	for k, list := range byOrigin {
 		sortActions(list)
 		h := &r.hist[k[0]][k[1]-1]
-		for i, a := range list {
-			if a.OSeq != h.base+uint64(i+1) {
-				return fmt.Errorf("optimistic: node %d: shard %d origin %d history gap at oseq %d", r.id, k[0], k[1], a.OSeq)
+		for i := range list {
+			if list[i].OSeq != h.count()+1 {
+				return fmt.Errorf("optimistic: node %d: shard %d origin %d history gap at oseq %d", r.id, k[0], k[1], list[i].OSeq)
 			}
+			h.add(&list[i])
 		}
-		h.acts = list
 	}
 	for s := range r.oseq {
 		r.oseq[s] = r.hist[s][r.id-1].count()

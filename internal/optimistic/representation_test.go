@@ -5,6 +5,7 @@ package optimistic
 // submit and hop paths whose allocations do not know how long the logs are.
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -114,29 +115,71 @@ func copyRuns(runs [][]Action) [][]Action {
 	return out
 }
 
+// flatten is a cargo as the wire carries it: its runs, one after the other.
+func flatten(runs [][]Action) []Action {
+	var out []Action
+	for _, run := range runs {
+		out = append(out, run...)
+	}
+	return out
+}
+
+// carried returns the first n of h's held actions packed as pickCarry packs
+// them: segments of the history, one per block they span.
+func carried(h *history, n int) [][]Action {
+	var runs [][]Action
+	for from := h.base; n > 0; {
+		run := h.after(from, n)
+		if len(run) == 0 {
+			break
+		}
+		runs = append(runs, run)
+		n -= len(run)
+		from = run[len(run)-1].OSeq
+	}
+	return runs
+}
+
 // TestCarriedSegmentsSurviveTheHistoryChanging: an agent's cargo is the
-// packing host's history itself, so nothing the host does afterwards —
-// growing the history in place, growing it past its capacity, losing it in
-// a crash and rebuilding it from the journal — may reach a packed agent.
+// packing host's history itself — a run that straddles two blocks goes as
+// two segments of them, and encodes as the one run would — so nothing the
+// host does afterwards — filling its last block and adding more, dropping
+// what became stable everywhere, losing it all in a crash and rebuilding it
+// from the journal — may reach a packed agent.
 func TestCarriedSegmentsSurviveTheHistoryChanging(t *testing.T) {
 	c := newTestCluster(t, 3, true)
-	submitN(t, c, 1, 0, 40)
+	const total = blockLen + 40
+	submitN(t, c, 1, 0, total)
 	r := c.reps[1]
+	c.cfg.MaxCarry = total
 	carry := r.pickCarry(2)
-	if len(carry) != 1 || len(carry[0]) != 40 {
-		t.Fatalf("carry = %d runs, want one run of 40", len(carry))
+	c.cfg.MaxCarry = 512
+	if got := runLens(carry); !reflect.DeepEqual(got, []int{blockLen, 40}) {
+		t.Fatalf("carry runs %v, want [%d 40]: one run in two segments", got, blockLen)
 	}
-	if &carry[0][0] != r.hist[0][0].at(1) {
-		t.Fatal("pickCarry copied the history")
+	for i, first := range []uint64{1, blockLen + 1} {
+		if &carry[i][0] != r.hist[0][0].at(first) {
+			t.Fatalf("segment %d: pickCarry copied the history", i)
+		}
+		if cap(carry[i]) != len(carry[i]) {
+			t.Fatalf("segment %d has spare capacity (%d > %d): appending to it would write into the history", i, cap(carry[i]), len(carry[i]))
+		}
 	}
-	if cap(carry[0]) != len(carry[0]) {
-		t.Fatalf("a carried run has spare capacity (%d > %d): appending to it would write into the history", cap(carry[0]), len(carry[0]))
+	if two, one := appendRecon(nil, &Recon{Carry: carry}), appendRecon(nil, &Recon{Carry: [][]Action{flatten(carry)}}); !bytes.Equal(two, one) {
+		t.Fatal("two segments encode differently from the run they make up")
 	}
 	want := copyRuns(carry)
 
-	submitN(t, c, 1, 40, 2000) // in place, then past every capacity on the way
+	submitN(t, c, 1, total, 2000) // into the second block, then past many more
 	if !reflect.DeepEqual(carry, want) {
 		t.Fatal("appending to the history changed a packed agent's cargo")
+	}
+	c.Settle(2 * time.Second)
+	if h := &r.hist[0][0]; h.base < total {
+		t.Fatalf("node 1 dropped %d of its actions after they became stable everywhere, want at least %d", h.base, total)
+	}
+	if !reflect.DeepEqual(carry, want) {
+		t.Fatal("dropping from the history changed a packed agent's cargo")
 	}
 	if err := c.Crash(1); err != nil {
 		t.Fatal(err)
@@ -144,15 +187,15 @@ func TestCarriedSegmentsSurviveTheHistoryChanging(t *testing.T) {
 	if err := c.Recover(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(c.reps[1].hist[0][0].acts); got != 2040 {
-		t.Fatalf("recovered history holds %d own actions, want 2040", got)
+	if got := c.reps[1].hist[0][0].count(); got != total+2000 {
+		t.Fatalf("recovered history counts %d own actions, want %d", got, total+2000)
 	}
 	if !reflect.DeepEqual(carry, want) {
 		t.Fatal("crash and restore changed a packed agent's cargo")
 	}
-	for i := range carry[0] {
-		if rec := c.reps[1].hist[0][0].acts[i]; carry[0][i].txn == "" || carry[0][i].txn != rec.txn {
-			t.Fatalf("action %d: carried identity %q, recovered %q", i, carry[0][i].txn, rec.txn)
+	for _, a := range flatten(carry) {
+		if a.txn != OptTxnID(a.Origin, a.Shard, a.OSeq) {
+			t.Fatalf("carried identity %q for action %d of origin %d", a.txn, a.OSeq, a.Origin)
 		}
 	}
 }
@@ -183,7 +226,7 @@ func handOver(from, to *replica) {
 	hops := itinerary(from.id, from.c.cfg.N, 0)
 	to.onRecon(&Recon{
 		From: from.id, Hops: hops, Hop: len(hops) - 1,
-		Know: from.knowSnapshot(), Carry: [][]Action{from.hist[0][from.id-1].acts},
+		Know: from.knowSnapshot(), Carry: carried(&from.hist[0][from.id-1], from.hist[0][from.id-1].held()),
 	})
 }
 
@@ -235,7 +278,10 @@ func TestSubmitAllocationsDoNotGrowWithTheLogs(t *testing.T) {
 // the successor and its knowledge table, not a function of the cargo or of
 // the history the successor shares. A history is only ever long while some
 // replica has not been heard from, so one has not: node 3, which the
-// successor is for.
+// successor is for. Its cargo is MaxCarry (512) actions in one segment per
+// block they span, nine here, so the successor's list of segments grows
+// twice past the N it starts with: 11 objects, where one list of N-1 whole
+// runs made 9.
 func TestHostingHeldCargoAllocatesAConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -246,21 +292,21 @@ func TestHostingHeldCargoAllocatesAConstant(t *testing.T) {
 		submitN(t, c, 2, history, history)
 		from, host := c.reps[1], c.reps[2]
 		handOver(from, host) // no time passes: nothing is stable, the histories stay whole
-		if got := len(host.hist[0][0].acts); got != history {
+		if got := host.hist[0][0].held(); got != history {
 			t.Fatalf("the host holds %d of node 1's %d actions", got, history)
 		}
 		for _, cargo := range []int{10, history} {
 			ag := &Recon{
 				From: 1, Seq: 1 << 20, Hops: itinerary(1, 3, 0), Hop: 0,
-				Know: from.knowSnapshot(), Carry: [][]Action{from.hist[0][0].acts[:cargo]},
+				Know: from.knowSnapshot(), Carry: carried(&from.hist[0][0], cargo),
 			}
 			before := c.mRedundant.Value()
 			allocs := testing.AllocsPerRun(200, func() { host.onRecon(ag) })
 			if got := c.mRedundant.Value() - before; got != uint64(201*cargo) {
 				t.Fatalf("%d of %d carried actions counted redundant", got, 201*cargo)
 			}
-			if allocs > 10 {
-				t.Fatalf("hosting %d held actions over a history of %d allocates %.0f objects, want at most 10", cargo, history, allocs)
+			if allocs > 11 {
+				t.Fatalf("hosting %d held actions over a history of %d allocates %.0f objects, want at most 11", cargo, history, allocs)
 			}
 		}
 	}

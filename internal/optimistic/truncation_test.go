@@ -209,8 +209,8 @@ func TestCutOffReplicaFreezesTheWatermark(t *testing.T) {
 			t.Fatalf("node %d heard frontier %d of the cut-off node, had %d before the cut", id, got, frozen[cut-1])
 		}
 		// Its own 25 at the least; what it has of the other's, too.
-		if h := &rep.hist[0][id-1]; len(h.acts) != 25 || h.base != 10 {
-			t.Fatalf("node %d holds %d of its own actions above a count of %d, want 25 above 10", id, len(h.acts), h.base)
+		if h := &rep.hist[0][id-1]; h.held() != 25 || h.base != 10 {
+			t.Fatalf("node %d holds %d of its own actions above a count of %d, want 25 above 10", id, h.held(), h.base)
 		}
 		for o := range rep.hist[0] {
 			if h := &rep.hist[0][o]; h.base != 10 {
@@ -411,7 +411,7 @@ func TestQuickHistoryMatchesFullLists(t *testing.T) {
 					}
 				}
 				want := m.pickCarry(to, est, known, shards, n, maxCarry, func(s, o int) int { return int(r.hist[s][o-1].base) })
-				if got := r.pickCarry(to); !reflect.DeepEqual(got, want) {
+				if got := r.pickCarry(to); !reflect.DeepEqual(flatten(got), flatten(want)) {
 					fail("node %d packs %+v for node %d; the lists would pack %+v", id, got, to, want)
 					return
 				}
@@ -493,12 +493,16 @@ func TestQuickHistoryMatchesFullLists(t *testing.T) {
 	}
 }
 
-// TestHistoryMatchesAPlainList: the base + residue type against a plain list
-// that forgets nothing, under random appends and drops — the counter, every
-// lookup and every segment agree at every step, a segment handed out keeps
-// its contents whatever happens to the history afterwards, and what was
-// dropped is let go of: never more of it pinned than is held, none once the
-// history is empty.
+// TestHistoryMatchesAPlainList: the base + blocks type against a plain
+// list that forgets nothing, under random appends (one at a time and in
+// bursts longer than a block), drops (random, ending exactly on a block
+// boundary, emptying it) and rebuilds the way restore makes them. The
+// counter, every lookup, the stamp search and every segment agree at every
+// step; a segment never runs past its block, and the segments taken one
+// after another make up the list; a segment handed out keeps its contents
+// whatever happens to the history afterwards; and what was dropped is let
+// go of: never a whole block of it pinned, nothing once the history is
+// empty.
 func TestHistoryMatchesAPlainList(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -507,54 +511,80 @@ func TestHistoryMatchesAPlainList(t *testing.T) {
 		dropped := 0
 		type handedOut struct{ seg, want []Action }
 		var out []handedOut
+		add := func() {
+			a := Action{Origin: 1, OSeq: uint64(len(list) + 1), Stamp: int64(len(list) + 1), Key: fmt.Sprint("k", len(list))}.identified()
+			h.add(&a)
+			list = append(list, a)
+		}
+		fail := func(step int, format string, args ...any) bool {
+			t.Logf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
+			return false
+		}
 		for step := 0; step < 300; step++ {
-			switch op := rng.Intn(10); {
-			case op < 6:
-				a := Action{Origin: 1, OSeq: uint64(len(list) + 1), Stamp: int64(len(list) + 1), Key: fmt.Sprint("k", step)}.identified()
-				h.add(&a)
-				list = append(list, a)
+			held := len(list) - dropped
+			switch op := rng.Intn(20); {
 			case op < 8:
-				k := rng.Intn(len(list) - dropped + 1)
+				add()
+			case op < 10:
+				for i := rng.Intn(2*blockLen + 2); i >= 0; i-- {
+					add()
+				}
+			case op < 12:
+				k := rng.Intn(held + 1)
 				h.drop(k)
 				dropped += k
+			case op < 13: // to the end of the first block, exactly
+				if k := blockLen - h.acts.head; k <= held {
+					h.drop(k)
+					dropped += k
+				}
+			case op < 14:
+				h.drop(held)
+				dropped += held
+			case op < 15: // a rebuild, as restore makes one from the journal
+				h = history{base: uint64(dropped)}
+				for i := range list[dropped:] {
+					h.add(&list[dropped+i])
+				}
 			default:
-				n, room := uint64(rng.Intn(len(list)+2)), 1+rng.Intn(8)
+				n, room := uint64(rng.Intn(len(list)+2)), 1+rng.Intn(2*blockLen+2)
 				seg := h.after(n, room)
 				from := min(max(int(n), dropped), len(list))
 				want := list[from:min(len(list), from+room)]
-				if len(seg) != len(want) || len(seg) > 0 && !reflect.DeepEqual(seg, want) {
-					t.Logf("seed %d step %d: after(%d, %d) = %+v, want %+v", seed, step, n, room, seg, want)
-					return false
+				switch {
+				case len(seg) > len(want) || len(seg) == 0 && len(want) > 0 || len(seg) > 0 && !reflect.DeepEqual(seg, want[:len(seg)]):
+					return fail(step, "after(%d, %d) = %d actions from %+v, want a prefix of the %d from %+v", n, room, len(seg), seg, len(want), want)
+				case len(seg) < len(want) && (h.acts.head+from-dropped+len(seg))%blockLen != 0:
+					return fail(step, "after(%d, %d) stops after %d of %d short of a block's end", n, room, len(seg), len(want))
+				case cap(seg) != len(seg):
+					return fail(step, "a segment with spare capacity")
 				}
-				if cap(seg) != len(seg) {
-					t.Logf("seed %d step %d: a segment with spare capacity", seed, step)
-					return false
+				if got := flatten(carried(&h, room)); from == dropped && !reflect.DeepEqual(got, want) && len(want) > 0 {
+					return fail(step, "the segments of %d actions make up %d", len(want), len(got))
 				}
 				out = append(out, handedOut{seg, append([]Action(nil), seg...)})
 			}
-			if h.count() != uint64(len(list)) || h.base != uint64(dropped) {
-				t.Logf("seed %d step %d: count %d base %d, want %d and %d", seed, step, h.count(), h.base, len(list), dropped)
-				return false
+			if h.count() != uint64(len(list)) || h.base != uint64(dropped) || h.held() != len(list)-dropped {
+				return fail(step, "count %d base %d held %d, want %d, %d and %d", h.count(), h.base, h.held(), len(list), dropped, len(list)-dropped)
 			}
 			for i := range list {
 				got := h.at(uint64(i + 1))
 				if i < dropped && got != nil || i >= dropped && (got == nil || !reflect.DeepEqual(*got, list[i])) {
-					t.Logf("seed %d step %d: at(%d) = %+v with %d dropped", seed, step, i+1, got, dropped)
-					return false
+					return fail(step, "at(%d) = %+v with %d dropped", i+1, got, dropped)
 				}
 			}
 			if h.at(0) != nil || h.at(uint64(len(list)+1)) != nil {
-				t.Logf("seed %d step %d: at() beyond the history answers", seed, step)
-				return false
+				return fail(step, "at() beyond the history answers")
 			}
-			if h.dead > len(h.acts) || len(h.acts) == 0 && h.acts != nil {
-				t.Logf("seed %d step %d: %d dropped actions pinned under %d held", seed, step, h.dead, len(h.acts))
-				return false
+			if stamp := int64(rng.Intn(len(list) + 2)); h.upTo(stamp) != min(max(int(stamp)-dropped, 0), len(list)-dropped) {
+				return fail(step, "upTo(%d) = %d with %d dropped of %d", stamp, h.upTo(stamp), dropped, len(list))
+			}
+			if h.acts.head >= blockLen || h.held() == 0 && h.acts.b != nil || len(h.acts.b) != (h.acts.head+h.held()+blockLen-1)/blockLen {
+				return fail(step, "%d blocks, %d dropped actions pinned under %d held", len(h.acts.b), h.acts.head, h.held())
 			}
 			for _, o := range out {
 				if len(o.seg) > 0 && !reflect.DeepEqual(o.seg, o.want) {
-					t.Logf("seed %d step %d: a segment handed out earlier changed", seed, step)
-					return false
+					return fail(step, "a segment handed out earlier changed")
 				}
 			}
 		}
