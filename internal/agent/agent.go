@@ -12,6 +12,10 @@
 // interacts with the co-located server at memory speed, pays network
 // latency to move, and can fail to migrate when the destination is down.
 //
+// Across processes a migration completes when the fabric (a
+// runtime.SettleNotifier: internal/reliable's window) acknowledges its
+// envelope, and fails only when the fabric gives the envelope up.
+//
 // The platform also provides the failure-notification service the paper
 // assumes ("when a process fails, all other processes are informed of the
 // failure in a finite time"): when a host crashes, agents resident there die
@@ -69,8 +73,8 @@ type Behavior interface {
 	// creation on its home node, then after every successful migration.
 	OnArrive(ctx *Context)
 	// OnMigrateFailed runs at the origin place when a migration to dest
-	// could not complete within the platform's migration timeout. The
-	// agent is active again at its origin.
+	// could not complete: the platform's migration timeout passed, or the
+	// fabric gave the envelope up. The agent is active again at its origin.
 	OnMigrateFailed(ctx *Context, dest runtime.NodeID)
 	// OnMessage delivers a network message addressed to this agent.
 	OnMessage(ctx *Context, from runtime.NodeID, payload any)
@@ -112,11 +116,10 @@ type Stats struct {
 	AgentsRegenerated   int // respawned after being lost
 	MigrationsStarted   int
 	MigrationsCompleted int
-	MigrationsFailed    int // timed out, agent re-activated at origin
-	MigrationsRefused   int // envelope arrived after the origin timed out
+	MigrationsFailed    int // timed out or given up, agent re-activated at origin
+	MigrationsRefused   int // envelope came too late, or for an agent already resident
 	AgentMsgsDelivered  int
 	AgentMsgsDropped    int
-	StaleAcksIgnored    int // acks for an older hop than the pending migration
 }
 
 // Config carries platform tuning knobs.
@@ -125,7 +128,8 @@ type Config struct {
 	// land before re-activating the agent locally (paper §2: "if a mobile
 	// agent cannot migrate to a replicated server host after certain
 	// amount of time, the protocol assumes that the replica process at
-	// the host has temporarily failed").
+	// the host has temporarily failed"). Unused over a wire fabric, whose
+	// give-up is that amount of time.
 	MigrationTimeout time.Duration
 	// DeathNoticeDelay is how long after an agent's death the other nodes
 	// learn about it.
@@ -142,12 +146,11 @@ type Config struct {
 	// when an agent arrives over a serializing fabric. Required for wire
 	// migration; ignored over the in-memory fabric.
 	ThawWire func(id ID, state []byte) (Behavior, error)
-	// OnDeparted, if non-nil, runs at the origin when a wire migration is
-	// acknowledged by the destination — the moment the origin knows its
+	// OnDeparted, if non-nil, runs at the origin when the fabric reports a
+	// wire migration's envelope delivered — the moment the origin knows its
 	// copy of the agent is dead weight and any local bookkeeping for the
-	// in-flight agent can be dropped. b is the copy that left: when a
-	// redial reorders frames the agent can be back, thawed into a new
-	// behavior, before the ack for its departure arrives.
+	// in-flight agent can be dropped. b is the copy that left: the agent
+	// can be back, thawed into a new behavior, before that report arrives.
 	OnDeparted func(id ID, b Behavior)
 	// Trace, if non-nil, receives platform events.
 	Trace *trace.Log
@@ -164,7 +167,7 @@ func (c *Config) fill() {
 
 // Platform hosts mobile agents across the nodes of a fabric. The fabric may
 // be the simulated network, the ack/retransmit layer in internal/reliable,
-// or the live TCP fabric; the platform is agnostic.
+// or that layer over the live TCP fabric; the platform is agnostic.
 type Platform struct {
 	net    runtime.Fabric
 	eng    runtime.Engine
@@ -172,8 +175,8 @@ type Platform struct {
 	wire   bool // fabric serializes: migrate as WireEnvelope, not pointers
 	places map[runtime.NodeID]*Place
 	// pending tracks in-flight migrations by agent ID; the destination
-	// place removes the entry when the envelope lands, the timeout fires
-	// only if it is still present.
+	// place (over a wire fabric, the envelope's settlement) removes the
+	// entry, the timeout fires only if it is still present.
 	pending  map[ID]*pendingMigration
 	seq      uint64
 	bornBase int64 // added to the engine clock to form Born (see AdvanceBirth)
@@ -204,7 +207,7 @@ type pendingMigration struct {
 // space (the simulated fabric). hop is the migration it belongs to: the
 // destination lands it only while that migration is the agent's pending
 // one, so a late envelope from an earlier hop cannot complete a newer
-// migration somewhere else (invariant 13, as for wire acks).
+// migration somewhere else (invariant 13).
 type envelope struct {
 	ctx *Context
 	hop uint64
@@ -214,10 +217,9 @@ func (envelope) Kind() string { return "agent-migrate" }
 
 // WireEnvelope carries a serialized agent between places in different
 // processes. Same accounting kind as envelope: it is the same migration,
-// just physically encoded. Hop is the agent's migration count, carried so
-// acknowledgements are sequenced per agent (DESIGN.md invariant 13): a
-// re-ack for a stale duplicate envelope can then never clear a newer
-// pending migration at a revisited origin.
+// just physically encoded. Hop is the agent's migration count, so the
+// envelope's settlement decides only its own migration (DESIGN.md
+// invariant 13).
 type WireEnvelope struct {
 	ID    ID
 	Hop   uint64
@@ -227,11 +229,9 @@ type WireEnvelope struct {
 // Kind implements runtime.Kinder.
 func (*WireEnvelope) Kind() string { return "agent-migrate" }
 
-// MigrateAck tells a wire migration's origin that the agent landed. Over
-// the shared-memory fabric the destination clears the origin's pending
-// entry directly; across processes this message does that job. The ack is
-// cumulative: it covers the named hop and every earlier one, so a
-// reordered or repeated ack still clears exactly the right pending entry.
+// MigrateAck names one hop of an agent. The platform does not send it; it
+// stays a registered wire message (tag 2) for the benchmark's fabric
+// round-trip probe.
 type MigrateAck struct {
 	ID  ID
 	Hop uint64
@@ -259,8 +259,9 @@ func NewPlatform(eng runtime.Engine, net runtime.Fabric, cfg Config) *Platform {
 		places:  make(map[runtime.NodeID]*Place),
 		pending: make(map[ID]*pendingMigration),
 	}
-	if wf, ok := net.(runtime.WireFabric); ok {
-		p.wire = wf.WireDelivery()
+	if wf, ok := net.(runtime.WireFabric); ok && wf.WireDelivery() {
+		p.wire = true
+		net.(runtime.SettleNotifier).OnSettled(p.settled)
 	}
 	return p
 }
@@ -282,9 +283,7 @@ func (p *Platform) Host(node runtime.NodeID, server runtime.Handler) *Place {
 		case *envelope:
 			pl.receive(payload)
 		case *WireEnvelope:
-			pl.receiveWire(msg.From, payload)
-		case *MigrateAck:
-			p.migrateAcked(payload.ID, payload.Hop)
+			pl.receiveWire(payload)
 		case *AgentMsg:
 			pl.deliverToAgent(msg.From, payload)
 		default:
@@ -487,22 +486,12 @@ func (pl *Place) NotifyResidents(ev any) {
 }
 
 // receiveWire lands a serialized agent from another process: reconstruct
-// the behavior, activate it, and acknowledge the origin. Duplicate
-// deliveries (a retransmitted envelope racing its own ack) are refused —
-// the resident incarnation wins — but re-acked, since the origin clearly
-// missed the first ack. An ack leaves at once in its own frame: it never
-// waits, so on a healthy connection it cannot trail the agent's own return.
-func (pl *Place) receiveWire(from runtime.NodeID, env *WireEnvelope) {
+// the behavior and activate it. An envelope for an agent already resident
+// is refused — the resident incarnation wins. The fabric's acknowledgement
+// of the envelope settles the migration at the origin.
+func (pl *Place) receiveWire(env *WireEnvelope) {
 	p := pl.platform
-	ack := func() {
-		p.net.Send(runtime.Message{From: pl.node, To: from, Payload: &MigrateAck{ID: env.ID, Hop: env.Hop}})
-	}
-	if _, live := pl.agents[env.ID]; live {
-		p.stats.MigrationsRefused++
-		ack()
-		return
-	}
-	if p.cfg.ThawWire == nil {
+	if _, live := pl.agents[env.ID]; live || p.cfg.ThawWire == nil {
 		p.stats.MigrationsRefused++
 		return
 	}
@@ -515,36 +504,59 @@ func (pl *Place) receiveWire(from runtime.NodeID, env *WireEnvelope) {
 	pl.addAgent(ctx)
 	p.stats.MigrationsCompleted++
 	p.record(pl.node, env.ID, trace.AgentArrived, "")
-	ack()
 	b.OnArrive(ctx)
 }
 
-// migrateAcked closes out a wire migration at the origin: the destination
-// has the agent, so the origin's copy is retired. If the migration timeout
-// already fired (the ack was slow), the locally re-activated copy stands —
-// the documented duplicate-agent hazard of at-least-once migration, kept
-// rare by setting MigrationTimeout well above the fabric's retry horizon.
-//
-// Acks are cumulative per agent (invariant 13): hop covers every migration
-// up to and including it, so an ack at least as new as the pending entry
-// clears it, while a stale re-ack — the destination re-acknowledging a
-// duplicate envelope from an earlier visit — is inert instead of falsely
-// retiring a newer in-flight migration.
-func (p *Platform) migrateAcked(id ID, hop uint64) {
-	pm, ok := p.pending[id]
+// settled closes out a wire migration at the origin when the fabric
+// reports its envelope delivered (the origin's copy is retired) or given up
+// (the agent is active at its origin again). Only the envelope's own hop is
+// settled, never a newer migration the agent started here after it came
+// back (invariant 13).
+func (p *Platform) settled(msg runtime.Message, delivered bool) {
+	env, ok := msg.Payload.(*WireEnvelope)
 	if !ok {
 		return
 	}
-	if hop < pm.hop {
-		p.stats.StaleAcksIgnored++
+	pm := p.pending[env.ID]
+	if pm == nil || pm.hop != env.Hop {
 		return
 	}
-	delete(p.pending, id)
-	pm.timer.Cancel()
+	// Given up while the agent is back here, the envelope was delivered
+	// after all: the agent came back through it.
+	if !delivered && p.places[pm.ctx.node].agents[env.ID] == nil {
+		p.failMigration(pm)
+		return
+	}
+	delete(p.pending, env.ID)
 	pm.ctx.state = stateDeparted
 	if p.cfg.OnDeparted != nil {
-		p.cfg.OnDeparted(id, pm.ctx.behavior)
+		p.cfg.OnDeparted(env.ID, pm.ctx.behavior)
 	}
+}
+
+// failMigration re-activates a migrating agent at its origin. If the origin
+// itself crashed while the agent was in transit, the agent is lost: the
+// lost handler may claim it for regeneration; otherwise death notices flow.
+func (p *Platform) failMigration(pm *pendingMigration) {
+	c, origin := pm.ctx, pm.ctx.node
+	delete(p.pending, c.id)
+	if p.net.Down(origin) {
+		c.state = stateDead
+		p.stats.AgentsKilled++
+		p.record(origin, c.id, trace.AgentDied, "origin crashed during failed migration")
+		if p.cfg.LostHandler != nil && p.cfg.LostHandler(c.id, c.behavior) {
+			return
+		}
+		p.AnnounceDeaths([]ID{c.id})
+		return
+	}
+	c.state = stateActive
+	p.places[origin].addAgent(c)
+	p.stats.MigrationsFailed++
+	if p.cfg.Trace.Enabled() {
+		p.cfg.Trace.Addf(int64(p.eng.Now()), int(origin), c.id.String(), trace.AgentBlocked, "dest S%d unreachable", pm.dest)
+	}
+	c.behavior.OnMigrateFailed(c, pm.dest)
 }
 
 // receive lands a migrating agent.
@@ -586,7 +598,7 @@ const (
 	stateInTransit
 	stateDisposed
 	stateDead
-	stateDeparted // wire migration acked: the live copy is elsewhere
+	stateDeparted // wire migration delivered: the live copy is elsewhere
 )
 
 // Context is an agent's handle onto the platform. One Context accompanies
@@ -644,8 +656,8 @@ func (c *Context) wireSize() int {
 // MigrateTo detaches the agent from its current place and ships it to dest.
 // On success OnArrive fires at dest after the network latency; if the
 // envelope is lost (destination down or partitioned), OnMigrateFailed fires
-// at the origin after the platform's migration timeout and the agent is
-// active at the origin again.
+// at the origin after the platform's migration timeout (over a wire fabric,
+// the fabric's give-up) and the agent is active at the origin again.
 func (c *Context) MigrateTo(dest runtime.NodeID) {
 	if c.state != stateActive {
 		panic(fmt.Sprintf("agent %v: MigrateTo while not active (state %d)", c.id, c.state))
@@ -664,36 +676,15 @@ func (c *Context) MigrateTo(dest runtime.NodeID) {
 	}
 
 	c.hop++
-	timer := p.eng.AfterFunc(p.cfg.MigrationTimeout, func() {
-		pm, ok := p.pending[c.id]
-		if !ok {
-			return // landed in time
-		}
-		delete(p.pending, c.id)
-		// Re-activate at the origin. If the origin itself crashed while
-		// the agent was in transit, the agent is lost: no place can take
-		// it back. The lost handler may claim it for regeneration;
-		// otherwise death notices flow as for any other death.
-		if p.net.Down(origin) {
-			c.state = stateDead
-			p.stats.AgentsKilled++
-			p.record(origin, c.id, trace.AgentDied, "origin crashed during failed migration")
-			if p.cfg.LostHandler != nil && p.cfg.LostHandler(c.id, c.behavior) {
-				return
+	pm := &pendingMigration{ctx: c, dest: dest, hop: c.hop}
+	if !p.wire {
+		pm.timer = p.eng.AfterFunc(p.cfg.MigrationTimeout, func() {
+			if p.pending[c.id] == pm {
+				p.failMigration(pm)
 			}
-			p.AnnounceDeaths([]ID{c.id})
-			return
-		}
-		c.node = origin
-		c.state = stateActive
-		p.places[origin].addAgent(c)
-		p.stats.MigrationsFailed++
-		if p.cfg.Trace.Enabled() {
-			p.cfg.Trace.Addf(int64(p.eng.Now()), int(origin), c.id.String(), trace.AgentBlocked, "dest S%d unreachable", pm.dest)
-		}
-		c.behavior.OnMigrateFailed(c, pm.dest)
-	})
-	p.pending[c.id] = &pendingMigration{ctx: c, dest: dest, hop: c.hop, timer: timer}
+		})
+	}
+	p.pending[c.id] = pm
 	p.net.Send(c.migration(origin, dest))
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/des"
+	"repro/internal/reliable"
 	"repro/internal/simnet"
 )
 
@@ -489,11 +490,11 @@ func (minimalAgent) OnMigrateFailed(*Context, simnet.NodeID) {}
 func (minimalAgent) OnMessage(*Context, simnet.NodeID, any)  {}
 func (minimalAgent) OnLocalEvent(*Context, any)              {}
 
-// --- wire migration: hop-numbered acks ----------------------------------
+// --- wire migration: settled by the fabric's window --------------------
 
 // wireNet claims wire delivery over the simulated network, so these tests
-// exercise the serialized migration path (WireEnvelope, acks)
-// deterministically under the DES clock.
+// exercise the serialized migration path (WireEnvelope, settlement by the
+// reliable layer on top) deterministically under the DES clock.
 type wireNet struct{ *simnet.Network }
 
 func (wireNet) WireDelivery() bool { return true }
@@ -503,54 +504,129 @@ type wireTestAgent struct{ testAgent }
 
 func (*wireTestAgent) MarshalWire() ([]byte, error) { return []byte("state"), nil }
 
-func wireRig(t *testing.T, n int, cfg Config) (*des.Simulator, *Platform, *[]ID) {
+func wireRig(t *testing.T, n int) (*des.Simulator, *simnet.Network, *Platform, *[]ID) {
 	t.Helper()
 	departed := &[]ID{}
-	cfg.ThawWire = func(id ID, state []byte) (Behavior, error) {
-		if string(state) != "state" {
-			t.Fatalf("thaw state = %q", state)
-		}
-		return &wireTestAgent{}, nil
+	cfg := Config{
+		ThawWire: func(id ID, state []byte) (Behavior, error) {
+			if string(state) != "state" {
+				t.Fatalf("thaw state = %q", state)
+			}
+			return &wireTestAgent{}, nil
+		},
+		OnDeparted: func(id ID, _ Behavior) { *departed = append(*departed, id) },
 	}
-	cfg.OnDeparted = func(id ID, _ Behavior) { *departed = append(*departed, id) }
 	sim := des.New(21)
-	net := wireNet{simnet.New(sim, simnet.FullMesh(n), simnet.Constant(5*time.Millisecond))}
-	p := NewPlatform(sim, net, cfg)
+	net := simnet.New(sim, simnet.FullMesh(n), simnet.Constant(5*time.Millisecond))
+	p := NewPlatform(sim, reliable.NewLayer(sim, wireNet{net}, reliable.Config{}), cfg)
 	for i := 1; i <= n; i++ {
 		p.Host(simnet.NodeID(i), nil)
 	}
-	return sim, p, departed
+	return sim, net, p, departed
 }
 
-// TestStaleMigrationAckIgnored: acks are cumulative per agent (invariant
-// 13) — a re-ack of an earlier hop, arriving while a newer migration is in
-// flight, must not retire the newer one.
-func TestStaleMigrationAckIgnored(t *testing.T) {
-	sim, p, departed := wireRig(t, 2, Config{})
-	ctx := p.Spawn(1, &wireTestAgent{})
+// TestWireMigrationSettlesOnTheWindow: over a wire fabric a migration
+// completes when the reliable layer acknowledges the envelope's frame —
+// the origin's copy departs, and nothing else crosses the network for it —
+// and fails only when the layer gives that frame up, which re-activates the
+// agent at its origin.
+func TestWireMigrationSettlesOnTheWindow(t *testing.T) {
+	sim, net, p, departed := wireRig(t, 3)
+	a := &wireTestAgent{}
+	ctx := p.Spawn(1, a)
 	ctx.MigrateTo(2)
 	sim.Run()
-	id := ctx.ID()
-	ctx2 := p.Place(2).agents[id]
-	if ctx2 == nil {
-		t.Fatal("agent not resident at dest after first hop")
+	if len(*departed) != 1 || (*departed)[0] != ctx.ID() || ctx.Alive() {
+		t.Fatalf("departed = %v, origin copy alive = %v", *departed, ctx.Alive())
 	}
-	ctx2.MigrateTo(1)
-	// The destination of hop 1 re-acknowledges a duplicate envelope while
-	// hop 2 is pending.
-	p.migrateAcked(id, 1)
-	if got := p.Stats().StaleAcksIgnored; got != 1 {
-		t.Fatalf("StaleAcksIgnored = %d, want 1", got)
-	}
-	if _, ok := p.pending[id]; !ok {
-		t.Fatal("stale ack retired the in-flight migration")
-	}
-	sim.Run()
-	st := p.Stats()
-	if st.MigrationsCompleted != 2 || st.MigrationsFailed != 0 {
+	if st := p.Stats(); st.MigrationsCompleted != 1 || st.MigrationsFailed != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if len(*departed) != 2 {
-		t.Fatalf("departed = %v, want both hops acked", *departed)
+	if kinds := net.Stats().ByKind; kinds["agent-migrate-ack"] != 0 || kinds["agent-migrate"] != 1 {
+		t.Fatalf("sent by kind = %v, want one envelope and no migration ack", kinds)
+	}
+
+	moved := p.Place(2).agents[ctx.ID()]
+	net.SetDown(3, true)
+	moved.MigrateTo(3)
+	sim.Run()
+	mover := moved.behavior.(*wireTestAgent)
+	if len(mover.failures) != 1 || mover.failures[0] != 3 || moved.Node() != 2 || !moved.Alive() {
+		t.Fatalf("failures = %v at node %d: the given-up envelope did not re-activate the agent at its origin", mover.failures, moved.Node())
+	}
+	if st := p.Stats(); st.MigrationsFailed != 1 || len(*departed) != 1 {
+		t.Fatalf("stats = %+v, departed = %v", st, *departed)
+	}
+}
+
+// settleNet is a wire fabric whose settlements the test reports by hand,
+// in any order and at any delay.
+type settleNet struct {
+	wireNet
+	settle func(simnet.Message, bool)
+	sent   []*WireEnvelope
+}
+
+func (n *settleNet) OnSettled(fn func(simnet.Message, bool)) { n.settle = fn }
+
+func (n *settleNet) Send(m simnet.Message) {
+	if env, ok := m.Payload.(*WireEnvelope); ok {
+		n.sent = append(n.sent, env)
+	}
+	n.wireNet.Send(m)
+}
+
+// TestLateSettlementDecidesOnlyItsOwnHop (invariant 13): node 1's
+// platform sends the agent to node 2's, and it comes back before its first
+// departure is settled. A late give-up of that first envelope cannot
+// re-activate the copy that left — the agent came back through it — and
+// once the agent has left node 1 again, a late report on the first
+// envelope decides nothing about the newer migration.
+func TestLateSettlementDecidesOnlyItsOwnHop(t *testing.T) {
+	sim := des.New(23)
+	sn := simnet.New(sim, simnet.FullMesh(3), simnet.Constant(5*time.Millisecond))
+	var departed []Behavior
+	platform := func(nodes ...simnet.NodeID) (*Platform, *settleNet) {
+		net := &settleNet{wireNet: wireNet{sn}}
+		p := NewPlatform(sim, net, Config{
+			ThawWire:   func(ID, []byte) (Behavior, error) { return &wireTestAgent{}, nil },
+			OnDeparted: func(_ ID, b Behavior) { departed = append(departed, b) },
+		})
+		for _, id := range nodes {
+			p.Host(id, nil)
+		}
+		return p, net
+	}
+	p, net := platform(1, 3) // one process hosting nodes 1 and 3
+	q, _ := platform(2)      // another hosting node 2
+	left := &wireTestAgent{}
+	ctx := p.Spawn(1, left)
+	ctx.MigrateTo(2)
+	sim.Run()
+	q.Place(2).agents[ctx.ID()].MigrateTo(1)
+	sim.Run()
+	back := p.Place(1).agents[ctx.ID()]
+	if back == nil || back == ctx {
+		t.Fatal("the agent did not come back to node 1 as a new copy")
+	}
+	first := simnet.Message{From: 1, To: 2, Payload: net.sent[0]}
+
+	net.settle(first, false)
+	if got := p.Place(1).agents[ctx.ID()]; got != back || len(p.Place(1).sorted) != 1 || len(left.failures) != 0 {
+		t.Fatalf("a late give-up of the first envelope re-activated the copy that left (failures %v)", left.failures)
+	}
+	if len(departed) != 1 || departed[0] != Behavior(left) {
+		t.Fatalf("departed = %v, want the copy that left", departed)
+	}
+
+	back.MigrateTo(3)
+	net.settle(first, true)
+	net.settle(first, false)
+	if _, pending := p.pending[ctx.ID()]; !pending || len(departed) != 1 || p.Stats().MigrationsFailed != 0 {
+		t.Fatalf("a report on the first envelope settled the newer migration (departed %v, stats %+v)", departed, p.Stats())
+	}
+	sim.Run()
+	if p.Place(3).agents[ctx.ID()] == nil {
+		t.Fatal("the newer migration did not land")
 	}
 }

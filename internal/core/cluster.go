@@ -64,7 +64,7 @@ type Config struct {
 
 	// MigrationTimeout bounds how long an agent migration may take before
 	// the origin declares it failed. Must exceed the worst-case one-way
-	// latency. Default 300ms.
+	// latency. Default 300ms. Unused on a wire fabric (see Reliable).
 	MigrationTimeout time.Duration
 	// DeathNoticeDelay is the failure-detection latency for dead agents.
 	// Default 100ms.
@@ -86,19 +86,19 @@ type Config struct {
 	// of cheapest-first (ablation A2).
 	RandomItinerary bool
 
-	// Reliable runs all protocol messages and agent migrations over the
-	// ack/retransmit layer in internal/reliable. Required for liveness
-	// whenever Faults injects loss; off by default so fault-free runs send
-	// no acks and stay byte-identical to the baseline.
+	// Reliable runs a simulated fabric under the ack/retransmit layer of
+	// internal/reliable: off models the paper's lossless channels (F2–A10),
+	// on is required whenever a fault model injects loss. A wire fabric
+	// (runtime.WireFabric) always runs on the layer, whatever this says.
 	Reliable bool
 	// RetransmitBase is the reliable layer's first-retry delay on a link
 	// that has not measured its round trip yet, and four times the longest
 	// a receiver holds an acknowledgement (default
-	// reliable.DefaultConfig.Base). Once a link has a sample, its measured
-	// timeout replaces it. Only meaningful with Reliable.
+	// reliable.DefaultConfig.Base; wireRetransmitBase on a wire fabric).
+	// Once a link has a sample, its measured timeout replaces it.
 	RetransmitBase time.Duration
 	// RetransmitAttempts caps transmissions per message (default
-	// reliable.DefaultConfig.Attempts). Only meaningful with Reliable.
+	// reliable.DefaultConfig.Attempts).
 	RetransmitAttempts int
 	// RegenerateAgents makes the cluster freeze an agent lost to a host
 	// crash (its protocol state, WireState, as it died) and regenerate it
@@ -187,7 +187,7 @@ type Cluster struct {
 	base     runtime.Fabric  // the engine's raw fabric (capability surface)
 	fabric   runtime.Fabric  // what the protocol layers send on
 	gate     *sendGate       // non-nil iff group commit is enabled
-	rel      *reliable.Layer // non-nil iff cfg.Reliable
+	rel      *reliable.Layer // non-nil iff cfg.Reliable or a wire fabric
 	platform *agent.Platform
 	servers  map[runtime.NodeID]*replica.Server // locally hosted replicas
 	nodes    []runtime.NodeID                   // all replicas, local or not
@@ -214,8 +214,8 @@ type Cluster struct {
 	// Who enters: launch at the home, thawWire at every node the agent
 	// arrives at over the wire, scheduleRegeneration for the reborn copy.
 	// Who deletes, when: finish where the agent finishes; departed when the
-	// next host acknowledges the migration (wire fabrics — a migration the
-	// timeout re-activated here first keeps its entry, the ack is ignored);
+	// fabric reports the migration's envelope delivered (wire fabrics — a
+	// migration given up re-activates the agent here and keeps its entry);
 	// intercept at the home when the outcome arrives; loseAgent when it
 	// dies here. marp.agent.tracked reads its size.
 	active map[agent.ID]*UpdateAgent
@@ -260,6 +260,12 @@ const (
 	dispatchBurst = 64
 )
 
+// wireRetransmitBase is the reliable layer's Base on a wire fabric. A link
+// soon measures its own timeout, so this mostly sets how long a receiver
+// holds an acknowledgement for reverse traffic (a quarter): 10 ms lets a
+// commit's last acknowledgements ride the next commit (EXPERIMENTS.md).
+const wireRetransmitBase = 40 * time.Millisecond
+
 // ledger is what lets a locally hosted home raise its gone-set watermark:
 // the agents this cluster dispatched for it that the watermark does not
 // cover yet, in dispatch order, and the Born of the first one (the start of
@@ -295,10 +301,18 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 		gate = newSendGate(fabric)
 		fabric = gate
 	}
+	wire := false
+	if wf, ok := fab.(runtime.WireFabric); ok {
+		wire = wf.WireDelivery()
+	}
 	var rel *reliable.Layer
-	if cfg.Reliable {
+	if cfg.Reliable || wire {
+		base := cfg.RetransmitBase
+		if base <= 0 && wire {
+			base = wireRetransmitBase
+		}
 		rel = reliable.NewLayer(eng, fabric, reliable.Config{
-			Base:     cfg.RetransmitBase,
+			Base:     base,
 			Attempts: cfg.RetransmitAttempts,
 		})
 		fabric = rel
@@ -318,9 +332,7 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 		ledgers:  make(map[runtime.NodeID]*ledger),
 		backends: make(map[runtime.NodeID]disk.Backend),
 		journals: make(map[runtime.NodeID]*durable.Journal),
-	}
-	if wf, ok := fab.(runtime.WireFabric); ok {
-		c.paced = wf.WireDelivery()
+		paced:    wire,
 	}
 	c.initMetrics()
 	c.platform = agent.NewPlatform(eng, fabric, agent.Config{
@@ -556,6 +568,20 @@ func (c *Cluster) NetStats() runtime.NetStats {
 // Platform returns the agent platform.
 func (c *Cluster) Platform() *agent.Platform { return c.platform }
 
+// StartAbove keeps new agents' Born and reliable frames' numbers above
+// floor (or a higher counter a journal restored). A live node passes the
+// wall clock, above its previous run's numbers that the peers' gone-set
+// watermarks and receive windows hold; a link's first frame lifts those.
+func (c *Cluster) StartAbove(floor int64) {
+	c.platform.AdvanceBirth(floor)
+	if c.rel == nil {
+		return
+	}
+	for id := range c.servers {
+		c.rel.Restore(id, uint64(floor), nil)
+	}
+}
+
 // intercept consumes cluster-level (non-Algorithm 2) messages delivered to
 // a local server: outcome reports from agents that finished away from home.
 func (c *Cluster) intercept(msg runtime.Message) bool {
@@ -585,10 +611,10 @@ func (c *Cluster) thawWire(id agent.ID, state []byte) (agent.Behavior, error) {
 	return ua, nil
 }
 
-// departed implements the platform's migration-acknowledged hook: the
-// agent lives at its next host now, and nothing that happens here can lose
-// it. Unless it is already back — after a redial an ack can trail the
-// agent's return — and the entry is the returned copy's.
+// departed implements the platform's migration-delivered hook: the agent
+// lives at its next host now, and nothing that happens here can lose it.
+// Unless it is already back — an acknowledgement can trail the agent's
+// return — and the entry is the returned copy's.
 func (c *Cluster) departed(id agent.ID, b agent.Behavior) {
 	if ua, ok := c.active[id]; ok && agent.Behavior(ua) == b {
 		delete(c.active, id)

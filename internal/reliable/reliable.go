@@ -7,13 +7,12 @@
 // this package restores it end-to-end the way real systems do: one sliding
 // window per directed link. The sender numbers its frames per destination
 // and retransmits each with exponential backoff and jitter until it is
-// acknowledged or the retry cap is exhausted — at which point the peer is
-// reported unreachable to the caller, who falls back on the protocol's own
-// timeout machinery. The receiver keeps, per sender, a watermark below
-// which every number is settled plus the numbers received out of order
-// above it, suppresses what it already holds, and acknowledges
-// cumulatively: the watermark and the numbers above it that arrived since
-// its last acknowledgement.
+// acknowledged or the retry cap is exhausted; OnSettled tells the caller
+// which. The receiver keeps, per sender, a watermark below which every
+// number is settled plus the numbers received out of order above it,
+// suppresses what it already holds, and acknowledges cumulatively: the
+// watermark and the numbers above it that arrived since its last
+// acknowledgement.
 //
 // MARP's traffic is request/response on every link, so the acknowledgement
 // rides the reverse traffic: every data frame carries the link's current
@@ -45,8 +44,9 @@
 // replica.Server) runs over either a bare fabric or a *Layer without
 // change. Fault decisions live in the fabric; this layer draws randomness
 // only for retransmit jitter, from the engine's seeded source, so simulated
-// runs remain deterministic. Over the live TCP fabric the same framing
-// provides at-least-once delivery with dedup for agent migration.
+// runs remain deterministic. Every live cluster runs on it (core puts it
+// under any wire fabric), and a wire migration completes when its
+// envelope's frame is acknowledged and fails when it is given up.
 //
 // Crash semantics follow fail-stop: Crash(id) discards the node's volatile
 // state — unacked sends die with the node, the receive windows and the
@@ -338,14 +338,6 @@ type link struct {
 	unlogged bool
 }
 
-// settle drops seq from the retransmission set.
-func (lk *link) settle(seq uint64) {
-	if ps, ok := lk.pending[seq]; ok {
-		ps.timer.Cancel()
-		delete(lk.pending, seq)
-	}
-}
-
 // advance moves the floor up to the lowest number still pending.
 func (lk *link) advance() {
 	for lk.floor <= lk.next && lk.pending[lk.floor] == nil {
@@ -372,14 +364,14 @@ func (p *port) link(peer runtime.NodeID) *link {
 
 // Layer is the ack/retransmit shim. It implements runtime.Fabric.
 type Layer struct {
-	eng           runtime.Engine
-	net           runtime.Fabric
-	cfg           Config
-	ports         map[runtime.NodeID]*port
-	upper         map[runtime.NodeID]runtime.Handler
-	onUnreachable func(from, to runtime.NodeID, msg runtime.Message)
-	stats         Stats
-	hdr           []byte // transmit's scratch: a declared frame's encoded header
+	eng       runtime.Engine
+	net       runtime.Fabric
+	cfg       Config
+	ports     map[runtime.NodeID]*port
+	upper     map[runtime.NodeID]runtime.Handler
+	onSettled func(msg runtime.Message, delivered bool)
+	stats     Stats
+	hdr       []byte // transmit's scratch: a declared frame's encoded header
 }
 
 var _ runtime.Fabric = (*Layer)(nil)
@@ -429,11 +421,12 @@ func (l *Layer) WireDelivery() bool {
 	return false
 }
 
-// OnUnreachable registers fn to be called when a send exhausts its retry
-// cap. The protocol layers treat this as advisory — their own timeouts
-// (claim, migration) drive recovery — but the cluster counts it.
-func (l *Layer) OnUnreachable(fn func(from, to runtime.NodeID, msg runtime.Message)) {
-	l.onUnreachable = fn
+// OnSettled registers fn to hear how each send ended (msg is the caller's
+// message): delivered when the receiver acknowledges its frame, not when
+// the retry cap gives it up. A frame pending when its sender crashes is
+// neither. The agent platform completes and fails wire migrations on it.
+func (l *Layer) OnSettled(fn func(msg runtime.Message, delivered bool)) {
+	l.onSettled = fn
 }
 
 func (l *Layer) port(id runtime.NodeID) *port {
@@ -468,8 +461,11 @@ func (l *Layer) Restore(id runtime.NodeID, nextSeq uint64, held map[runtime.Node
 	}
 	for _, lk := range p.links {
 		if lk.next < p.base {
+			// The floor sits on the lowest pending number, or follows next.
 			lk.next = p.base
-			lk.advance()
+			if len(lk.pending) == 0 {
+				lk.floor = lk.next + 1
+			}
 		}
 	}
 	for from, w := range held {
@@ -501,7 +497,7 @@ func (l *Layer) PortState(id runtime.NodeID) (nextSeq uint64, held map[runtime.N
 
 // Send transmits msg with ack/retransmit semantics. Delivery to the remote
 // handler happens at most the configured number of transmissions later; if
-// every transmission is lost the send is abandoned and OnUnreachable fires.
+// every transmission is lost the send is abandoned, which OnSettled reports.
 func (l *Layer) Send(msg runtime.Message) {
 	p := l.port(msg.From)
 	lk := p.link(msg.To)
@@ -571,8 +567,8 @@ func (l *Layer) expire(p *port, lk *link, ps *pendingSend) {
 		lk.gaveUp = max(lk.gaveUp, ps.seq)
 		l.stats.GaveUp++
 		l.tellFloor(p, ps.msg.To, lk)
-		if l.onUnreachable != nil {
-			l.onUnreachable(ps.msg.From, ps.msg.To, ps.msg)
+		if l.onSettled != nil {
+			l.onSettled(ps.msg, false)
 		}
 		return
 	}
@@ -598,16 +594,30 @@ func (l *Layer) tellFloor(p *port, peer runtime.NodeID, lk *link) {
 func (l *Layer) heard(p *port, peer runtime.NodeID, lk *link, floor uint64, ack ackState) {
 	l.sample(lk, ack)
 	for seq := lk.floor; seq <= ack.Mark && seq <= lk.next; seq++ {
-		lk.settle(seq)
+		l.settle(lk, seq)
 	}
 	for _, seq := range ack.Above {
-		lk.settle(seq)
+		l.settle(lk, seq)
 	}
 	lk.advance()
 	l.tellFloor(p, peer, lk)
 	// The floor is at least 1; a zero can only come off a hostile wire.
 	if floor > 0 && lk.held.Raise(floor-1) {
 		lk.unlogged = true
+	}
+}
+
+// settle drops seq, which the peer acknowledged, from lk's retransmission
+// set and tells the sender it was delivered.
+func (l *Layer) settle(lk *link, seq uint64) {
+	ps, ok := lk.pending[seq]
+	if !ok {
+		return
+	}
+	ps.timer.Cancel()
+	delete(lk.pending, seq)
+	if l.onSettled != nil {
+		l.onSettled(ps.msg, true)
 	}
 }
 

@@ -3,6 +3,7 @@ package reliable
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -262,6 +263,35 @@ func TestDedupDeliversExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestEverySendSettlesOnce: under loss and duplication of data frames and
+// acknowledgements alike, the sender hears of every send exactly once, as
+// delivered, and only after the receiver has it.
+func TestEverySendSettlesOnce(t *testing.T) {
+	sim, _, l, _, b := pair(t, simnet.NewFaultModel(9, 0.3, 0.5),
+		Config{Base: 5 * time.Millisecond, Max: 40 * time.Millisecond, Attempts: 12})
+	settled := make(map[int]int)
+	l.OnSettled(func(m simnet.Message, delivered bool) {
+		v := m.Payload.(int)
+		if !delivered || !slices.ContainsFunc(b.msgs, func(d simnet.Message) bool { return d.Payload == v }) {
+			t.Errorf("payload %d settled delivered=%v before the receiver had it", v, delivered)
+		}
+		settled[v]++
+	})
+	const n = 100
+	for i := 0; i < n; i++ {
+		l.Send(simnet.Message{From: 1, To: 2, Payload: i, Size: 10})
+	}
+	sim.Run()
+	for i := 0; i < n; i++ {
+		if settled[i] != 1 {
+			t.Fatalf("payload %d settled %d times, want once (stats %+v)", i, settled[i], l.Stats())
+		}
+	}
+	if st := l.Stats(); st.Retransmissions == 0 || st.DuplicatesSuppressed == 0 {
+		t.Fatalf("stats %+v: the run exercised no recovery", st)
+	}
+}
+
 func TestLossRecoveredByRetransmission(t *testing.T) {
 	// 30% loss in both directions (data and acks) — the chaos experiment's
 	// upper bound. A transmission confirms only when data AND ack both pass
@@ -290,16 +320,16 @@ func TestUnreachablePeerSurfaces(t *testing.T) {
 	sim, net, l, _, b := pair(t, nil, Config{Base: 5 * time.Millisecond, Attempts: 3})
 	net.SetDown(2, true)
 	var gaveUp []simnet.Message
-	l.OnUnreachable(func(from, to simnet.NodeID, msg simnet.Message) {
-		if from != 1 || to != 2 {
-			t.Errorf("unreachable endpoints %d->%d, want 1->2", from, to)
+	l.OnSettled(func(msg simnet.Message, delivered bool) {
+		if delivered || msg.From != 1 || msg.To != 2 {
+			t.Errorf("settled %d->%d delivered=%v, want 1->2 given up", msg.From, msg.To, delivered)
 		}
 		gaveUp = append(gaveUp, msg)
 	})
 	l.Send(simnet.Message{From: 1, To: 2, Payload: "lost", Size: 4})
 	sim.Run()
 	if len(gaveUp) != 1 || gaveUp[0].Payload != "lost" {
-		t.Fatalf("OnUnreachable calls = %+v, want exactly one with the original payload", gaveUp)
+		t.Fatalf("OnSettled calls = %+v, want exactly one with the original payload", gaveUp)
 	}
 	if st := l.Stats(); st.GaveUp != 1 || st.Retransmissions != 2 {
 		t.Fatalf("stats = %+v, want GaveUp=1 Retransmissions=2 (3 transmissions total)", st)
@@ -314,7 +344,7 @@ func TestCrashClearsVolatileState(t *testing.T) {
 	net.SetDown(2, true)
 	l.Send(simnet.Message{From: 1, To: 2, Payload: "doomed", Size: 4})
 	var unreachable int
-	l.OnUnreachable(func(_, _ simnet.NodeID, _ simnet.Message) { unreachable++ })
+	l.OnSettled(func(simnet.Message, bool) { unreachable++ })
 	l.Crash(1) // sender crashes: its unacked send must die silently
 	net.SetDown(1, true)
 	sim.Run()
@@ -392,7 +422,11 @@ func TestGiveUpMovesTheFloor(t *testing.T) {
 	gaveUp := 0
 	holeCase(t, Config{Base: 4 * time.Millisecond, Max: 4 * time.Millisecond, Attempts: 3},
 		func(sim *des.Simulator, _ *simnet.Network, l *Layer) {
-			l.OnUnreachable(func(_, _ simnet.NodeID, _ simnet.Message) { gaveUp++ })
+			l.OnSettled(func(_ simnet.Message, delivered bool) {
+				if !delivered {
+					gaveUp++
+				}
+			})
 			sim.Run() // three transmissions of frame 1, all lost
 			if gaveUp != 1 {
 				t.Fatalf("gave up %d sends, want frame 1 only", gaveUp)
@@ -502,8 +536,8 @@ func TestGiveUpUnderAPendingFrameTellsTheFloor(t *testing.T) {
 		l.Attach(2, &rec{})
 		var held []runtime.Message
 		twoGone := false
-		l.OnUnreachable(func(_, _ runtime.NodeID, m runtime.Message) {
-			if m.Payload == "two" {
+		l.OnSettled(func(m runtime.Message, delivered bool) {
+			if !delivered && m.Payload == "two" {
 				twoGone = true
 				for _, ack := range held {
 					g.Fabric.Send(ack)

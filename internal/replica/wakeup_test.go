@@ -20,6 +20,9 @@ type wireSim struct{ *simnet.Network }
 
 func (wireSim) WireDelivery() bool { return true }
 
+// OnSettled takes the platform's settlement hook; no agent migrates here.
+func (wireSim) OnSettled(func(runtime.Message, bool)) {}
+
 // wakeupProbe is a resident that records every LLChanged it is handed,
 // labelled with the step of the script that raised it.
 type wakeupProbe struct {

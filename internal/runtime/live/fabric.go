@@ -175,7 +175,9 @@ func (f *Fabric) NetStats() runtime.NetStats {
 }
 
 // Send transmits msg: locally injected when the destination handler lives
-// in this process, otherwise queued to the peer's writer. Fire-and-forget.
+// in this process, otherwise queued to the peer's writer, which charges it
+// the length of the encoding it writes. A message that never reaches a
+// writer is encoded here to be charged. Fire-and-forget.
 func (f *Fabric) Send(msg runtime.Message) {
 	if msg.From == runtime.None || msg.To == runtime.None {
 		panic(fmt.Sprintf("live: message with unset endpoints %+v", msg))
@@ -186,15 +188,15 @@ func (f *Fabric) Send(msg runtime.Message) {
 		// as garbage on the peer.
 		panic(fmt.Sprintf("live: payload type %T has no wire codec", msg.Payload))
 	}
-	n := msg.Bytes() // encoded outside the lock
 	f.mu.Lock()
-	f.stats.CountSent(msg, n)
 	if f.cutLocked(msg.From, msg.To) {
+		f.stats.CountSent(msg, msg.Bytes())
 		f.stats.MessagesDropped++
 		f.mu.Unlock()
 		return
 	}
 	if h, ok := f.handlers[msg.To]; ok {
+		f.stats.CountSent(msg, msg.Bytes())
 		f.stats.MessagesDelivered++
 		f.mu.Unlock()
 		f.eng.Inject(func() { h.Deliver(msg) })
@@ -202,6 +204,7 @@ func (f *Fabric) Send(msg runtime.Message) {
 	}
 	p, err := f.peerLocked(msg.To)
 	if err != nil {
+		f.stats.CountSent(msg, msg.Bytes())
 		f.stats.MessagesDropped++
 		f.mu.Unlock()
 		return
@@ -214,6 +217,7 @@ func (f *Fabric) Send(msg runtime.Message) {
 		// the protocol's own timeouts recover — but never silently: the
 		// drop is counted, and the first one per peer leaves a trace.
 		f.mu.Lock()
+		f.stats.CountSent(msg, msg.Bytes())
 		f.stats.MessagesDropped++
 		f.stats.QueueDrops++
 		noticed := p.dropNoticed
@@ -293,6 +297,12 @@ func (f *Fabric) writeLoop(p *peer, addr string) {
 		if len(batch) == 0 {
 			break
 		}
+		buf = encodeBatch(buf[:0], batch)
+		f.mu.Lock()
+		for _, m := range batch {
+			f.stats.CountSent(m, m.Size)
+		}
+		f.mu.Unlock()
 		if conn == nil {
 			c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 			if err != nil {
@@ -305,7 +315,7 @@ func (f *Fabric) writeLoop(p *peer, addr string) {
 				continue
 			}
 		}
-		if err := writeBatch(conn, &buf, batch); err != nil {
+		if _, err := conn.Write(buf); err != nil {
 			drop(len(batch))
 			continue
 		}
@@ -318,13 +328,12 @@ func (f *Fabric) writeLoop(p *peer, addr string) {
 	}
 }
 
-// writeBatch encodes every message of the batch as one frame and hands the
-// kernel one write. A frame is the unit on the wire: From identifies the
-// sender (no separate handshake), and it carries no size — the sender
-// charged the message what its encoding costs (Message.Bytes), as the
-// simulated network does.
-func writeBatch(conn net.Conn, buf *[]byte, batch []runtime.Message) error {
-	b := (*buf)[:0]
+// encodeBatch appends every message of the batch to b as one frame and
+// sets its Size to what it costs (Message.Bytes, without a second
+// encoding). A frame is the unit on the wire: From identifies the sender
+// (no separate handshake), and it carries no size. A frame over
+// wire.MaxFrame panics before anything of the batch reaches the socket.
+func encodeBatch(b []byte, batch []runtime.Message) []byte {
 	for i := range batch {
 		fr := &batch[i]
 		// Frame: u32 LE body length, then varint From, varint To, tagged
@@ -333,6 +342,7 @@ func writeBatch(conn net.Conn, buf *[]byte, batch []runtime.Message) error {
 		b = append(b, 0, 0, 0, 0)
 		b = wire.AppendVarint(b, int64(fr.From))
 		b = wire.AppendVarint(b, int64(fr.To))
+		msgAt := len(b)
 		var err error
 		if b, err = wire.AppendMessage(b, fr.Payload); err != nil {
 			// Unreachable: Send checks wire.Registered before queueing.
@@ -343,10 +353,11 @@ func writeBatch(conn net.Conn, buf *[]byte, batch []runtime.Message) error {
 			panic(fmt.Sprintf("live: frame of %d bytes exceeds wire.MaxFrame", body))
 		}
 		binary.LittleEndian.PutUint32(b[lenAt:], uint32(body))
+		if fr.Size == 0 {
+			fr.Size = len(b) - msgAt
+		}
 	}
-	*buf = b
-	_, err := conn.Write(b)
-	return err
+	return b
 }
 
 func (f *Fabric) acceptLoop() {

@@ -556,9 +556,10 @@ func TestLiveDispatchPacing(t *testing.T) {
 
 // TestLiveNodesForgetDepartedAgents: a node an agent only passes through
 // must not keep its behavior (or, with regeneration on, its checkpoint)
-// once the next host has acknowledged the migration. Five replicas, so
-// every agent crosses nodes that are neither its home nor where it
-// finishes; at quiescence marp.agent.tracked reads zero everywhere.
+// once the window has acknowledged the migration's envelope. Five
+// replicas, so every agent crosses nodes that are neither its home nor
+// where it finishes; at quiescence marp.agent.tracked reads zero
+// everywhere.
 func TestLiveNodesForgetDepartedAgents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live cluster test uses wall-clock timeouts")
@@ -566,11 +567,10 @@ func TestLiveNodesForgetDepartedAgents(t *testing.T) {
 	for _, regen := range []bool{false, true} {
 		t.Run(fmt.Sprintf("regenerate=%v", regen), func(t *testing.T) {
 			const n, perNode = 5, 40
-			// The hook fires for acknowledged migrations. One the origin
-			// timed out on first leaves a duplicate agent behind (a known
-			// hazard, not this test's subject), so no timeout here: nothing
-			// crashes, and a loaded CI host can sit on an ack for 300 ms.
-			nodes, _ := startLiveCluster(t, n, core.Config{RegenerateAgents: regen, MigrationTimeout: 10 * time.Second})
+			// The hook fires when the window acknowledges a migration's
+			// envelope; a slow acknowledgement delays it and no timer
+			// races it.
+			nodes, _ := startLiveCluster(t, n, core.Config{RegenerateAgents: regen})
 			for s := 0; s < perNode; s++ {
 				for i, node := range nodes {
 					home := runtime.NodeID(i + 1)

@@ -143,13 +143,14 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Agent birth times on a live node are wall-clock times — the
-		// paper's "local creation time". The engine clock restarts at zero
-		// with the process, and IDs minted from it would lie under the
-		// gone-set watermarks the peers hold from this node's previous run,
-		// with or without a data dir; the wall clock is what a restart
-		// cannot rewind.
-		cl.Platform().AdvanceBirth(time.Now().UnixNano())
+		// Agent birth times and link sequence numbers on a live node start
+		// at the wall clock — for births, the paper's "local creation
+		// time". The engine clock and the link counters restart at zero
+		// with the process, and numbers minted from them would lie under
+		// the gone-set watermarks and receive windows the peers hold from
+		// this node's previous run, with or without a data dir; the wall
+		// clock is what a restart cannot rewind.
+		cl.StartAbove(time.Now().UnixNano())
 		return cl, nil
 	}, (*core.Cluster).CloseJournals)
 }

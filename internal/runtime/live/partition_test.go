@@ -19,10 +19,8 @@ func TestLivePartitionAndHeal(t *testing.T) {
 	}
 	const n = 3
 	cfg := core.Config{
-		Reliable:           true,
 		RetransmitBase:     25 * time.Millisecond,
 		RetransmitAttempts: 8,
-		MigrationTimeout:   150 * time.Millisecond,
 		ClaimTimeout:       600 * time.Millisecond,
 		RetryInterval:      300 * time.Millisecond,
 		RegenerateAgents:   true,

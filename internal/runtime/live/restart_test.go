@@ -175,8 +175,7 @@ func TestLiveRestartWithoutDataDir(t *testing.T) {
 
 	// Node 3 goes away; the survivors keep committing, which also makes
 	// their writers notice the dead connections (a frame written into one is
-	// lost without an error — with the migration ack in it, the restarted
-	// node's first agent would be re-activated as a duplicate at home).
+	// lost without an error, and only the window's timeout resends it).
 	nodes[2].Close()
 	for i := 0; i < 2; i++ {
 		home := runtime.NodeID(i + 1)

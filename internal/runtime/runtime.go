@@ -261,3 +261,10 @@ type LossController interface {
 type WireFabric interface {
 	WireDelivery() bool
 }
+
+// SettleNotifier is a fabric that tells senders how each message ended:
+// acknowledged by the receiving end (delivered) or given up. A WireFabric
+// under the agent platform must be one: wire migrations complete on it.
+type SettleNotifier interface {
+	OnSettled(fn func(msg Message, delivered bool))
+}
