@@ -12,9 +12,10 @@
 //   - PrimaryCopy: all updates funnel through a designated primary, which
 //     serializes them locally and propagates to the backups.
 //
-// All three run over the same simulated network and data store as MARP, so
-// latency and traffic comparisons between the approaches measure protocol
-// structure, not substrate differences. The coordinators are stationary
+// All three run on the same runtime seam and data store as MARP — an engine
+// and a fabric handed in by the assembly (internal/desengine), never built
+// here — so latency and traffic comparisons between the approaches measure
+// protocol structure, not substrate differences. The coordinators are stationary
 // processes: every round (read, vote, commit) pays wide-area round-trip
 // latency, which is exactly the cost the paper argues mobile agents avoid.
 package baseline
@@ -23,10 +24,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/des"
-	"repro/internal/simnet"
+	"repro/internal/runtime"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // Kind selects the baseline protocol.
@@ -53,27 +52,12 @@ func (k Kind) String() string {
 	}
 }
 
-// TxnID identifies one update transaction. The (Born, Home, Seq) order is a
-// global timestamp, used to bias conflict resolution toward older
-// transactions.
+// TxnID identifies one update transaction: its submit time, home and
+// system-wide sequence number.
 type TxnID struct {
 	Born int64
-	Home simnet.NodeID
+	Home runtime.NodeID
 	Seq  uint64
-}
-
-// IsZero reports whether the ID is unset.
-func (t TxnID) IsZero() bool { return t == TxnID{} }
-
-// Less orders transactions by age, then home, then sequence.
-func (t TxnID) Less(o TxnID) bool {
-	if t.Born != o.Born {
-		return t.Born < o.Born
-	}
-	if t.Home != o.Home {
-		return t.Home < o.Home
-	}
-	return t.Seq < o.Seq
 }
 
 // String renders the ID compactly.
@@ -83,57 +67,39 @@ func (t TxnID) String() string { return fmt.Sprintf("T%d.%d", t.Home, t.Seq) }
 // fields so the harness can compare protocols uniformly.
 type Result struct {
 	Txn        TxnID
-	Home       simnet.NodeID
-	Dispatched des.Time
-	LockAt     des.Time // vote quorum achieved (the serialization point)
-	DoneAt     des.Time // commit broadcast sent
+	Home       runtime.NodeID
+	Dispatched runtime.Time
+	LockAt     runtime.Time // vote quorum achieved (the serialization point)
+	DoneAt     runtime.Time // commit broadcast sent
 	Retries    int
-	Failed     bool
 }
 
 // LockLatency returns the time to win the vote quorum.
-func (r Result) LockLatency() des.Time { return r.LockAt - r.Dispatched }
+func (r Result) LockLatency() runtime.Time { return r.LockAt - r.Dispatched }
 
 // TotalLatency returns the time to fully process the update.
-func (r Result) TotalLatency() des.Time { return r.DoneAt - r.Dispatched }
+func (r Result) TotalLatency() runtime.Time { return r.DoneAt - r.Dispatched }
 
-// Config assembles a baseline deployment.
+// primary is the replica PrimaryCopy funnels every update through.
+const primary runtime.NodeID = 1
+
+// Config is a baseline deployment's protocol configuration. The engine and
+// the fabric — and with them the seed, topology and latency model — come
+// from the assembly.
 type Config struct {
-	Kind     Kind
-	N        int
-	Seed     int64
-	Topology *simnet.Topology
-	Latency  simnet.LatencyModel
-	// Primary designates the primary replica for PrimaryCopy (default 1).
-	Primary simnet.NodeID
+	Kind Kind
+	N    int
 	// LockTimeout aborts a read or vote round that stalls (lost replies
 	// under failures) and retries after a randomized backoff. Default 5s.
 	LockTimeout time.Duration
 	// RetryBackoff is the mean randomized retry delay after a conflict.
 	// Default 50ms.
 	RetryBackoff time.Duration
-	// Trace, if non-nil, receives protocol events.
-	Trace *trace.Log
 }
 
 func (c *Config) fill() error {
 	if c.N < 1 {
 		return fmt.Errorf("baseline: config needs N >= 1, got %d", c.N)
-	}
-	if c.Topology == nil {
-		c.Topology = simnet.FullMesh(c.N)
-	}
-	if c.Topology.Len() < c.N {
-		return fmt.Errorf("baseline: topology has %d nodes, need %d", c.Topology.Len(), c.N)
-	}
-	if c.Latency == nil {
-		c.Latency = simnet.LAN()
-	}
-	if c.Primary == simnet.None {
-		c.Primary = 1
-	}
-	if int(c.Primary) > c.N {
-		return fmt.Errorf("baseline: primary %d out of range 1..%d", c.Primary, c.N)
 	}
 	if c.LockTimeout <= 0 {
 		c.LockTimeout = 5 * time.Second
@@ -150,7 +116,7 @@ func (c *Config) fill() error {
 type readReq struct {
 	Txn   TxnID
 	Round int
-	From  simnet.NodeID
+	From  runtime.NodeID
 	Key   string
 }
 
@@ -161,7 +127,7 @@ func (readReq) WireSize() int { return 64 }
 type readRep struct {
 	Txn     TxnID
 	Round   int
-	From    simnet.NodeID
+	From    runtime.NodeID
 	LastSeq uint64
 	Value   store.Value
 }
@@ -173,7 +139,7 @@ func (readRep) WireSize() int { return 96 }
 type voteReq struct {
 	Txn    TxnID
 	Round  int
-	From   simnet.NodeID
+	From   runtime.NodeID
 	Update store.Update
 }
 
@@ -186,7 +152,7 @@ func (voteReq) WireSize() int { return 160 }
 type voteRep struct {
 	Txn    TxnID
 	Round  int
-	From   simnet.NodeID
+	From   runtime.NodeID
 	OK     bool
 	Reason string
 }
@@ -201,7 +167,7 @@ func (voteRep) WireSize() int { return 48 }
 type abortReq struct {
 	Txn   TxnID
 	Round int
-	From  simnet.NodeID
+	From  runtime.NodeID
 }
 
 func (abortReq) Kind() string  { return "abort" }
@@ -210,7 +176,7 @@ func (abortReq) WireSize() int { return 48 }
 // commitReq finalizes a voted update at every replica.
 type commitReq struct {
 	Txn    TxnID
-	From   simnet.NodeID
+	From   runtime.NodeID
 	Update store.Update
 }
 
@@ -220,7 +186,7 @@ func (commitReq) WireSize() int { return 160 }
 // forward ships a request to the primary (PrimaryCopy only).
 type forward struct {
 	Txn  TxnID
-	From simnet.NodeID
+	From runtime.NodeID
 	Key  string
 	Val  string
 }
@@ -231,8 +197,8 @@ func (forward) WireSize() int { return 96 }
 // done notifies the origin that the primary finished its request.
 type done struct {
 	Txn    TxnID
-	From   simnet.NodeID
-	LockAt des.Time
+	From   runtime.NodeID
+	LockAt runtime.Time
 }
 
 func (done) Kind() string  { return "done" }

@@ -3,10 +3,8 @@ package baseline
 import (
 	"time"
 
-	"repro/internal/des"
-	"repro/internal/simnet"
+	"repro/internal/runtime"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 type coordPhase int
@@ -24,34 +22,34 @@ const (
 type coord struct {
 	sys  *System
 	txn  TxnID
-	home simnet.NodeID
-	seat simnet.NodeID
+	home runtime.NodeID
+	seat runtime.NodeID
 	key  string
 	val  string
 
 	phase      coordPhase
 	round      int
-	dispatched des.Time
-	lockAt     des.Time
+	dispatched runtime.Time
+	lockAt     runtime.Time
 	retries    int
-	reads      map[simnet.NodeID]readRep
-	votes      map[simnet.NodeID]bool
-	rejects    map[simnet.NodeID]bool
+	reads      map[runtime.NodeID]readRep
+	votes      map[runtime.NodeID]bool
+	rejects    map[runtime.NodeID]bool
 	update     store.Update
-	timer      des.Timer
+	timer      runtime.Timer
 }
 
 // quorum returns how many replies the protocol requires per round.
 func (c *coord) quorum() int {
 	if c.sys.cfg.Kind == AvailableCopy {
-		return c.sys.cfg.N // write-all
+		return c.sys.cfg.N // write-all: every replica must accept, so no quorum geometry applies
 	}
-	return c.sys.cfg.N/2 + 1 // majority
+	return c.sys.majority
 }
 
 func (c *coord) start() {
 	if c.sys.cfg.Kind == PrimaryCopy {
-		c.seat = c.sys.cfg.Primary
+		c.seat = primary
 		f := &forward{Txn: c.txn, From: c.home, Key: c.key, Val: c.val}
 		c.sys.send(c.home, c.seat, f)
 		return
@@ -64,19 +62,17 @@ func (c *coord) start() {
 func (c *coord) beginRound() {
 	c.phase = coordReading
 	c.round++
-	c.reads = make(map[simnet.NodeID]readRep)
+	c.reads = make(map[runtime.NodeID]readRep)
 	for _, id := range c.sys.ids {
 		m := &readReq{Txn: c.txn, Round: c.round, From: c.seat, Key: c.key}
 		c.sys.send(c.seat, id, m)
 	}
 	round := c.round
-	c.timer = c.sys.sim.After(c.sys.cfg.LockTimeout, func() {
+	c.timer = c.sys.eng.AfterFunc(c.sys.cfg.LockTimeout, func() {
 		if c.phase == coordDone || c.round != round {
 			return
 		}
 		c.retries++
-		c.sys.cfg.Trace.Addf(int64(c.sys.sim.Now()), int(c.seat), c.txn.String(),
-			trace.ClaimAborted, "round %d timed out (retry %d)", c.round, c.retries)
 		c.abortAndRetry()
 	})
 }
@@ -98,13 +94,13 @@ func (c *coord) abortAndRetry() {
 	}
 	window := c.sys.cfg.RetryBackoff << uint(shift)
 	backoff := c.sys.cfg.RetryBackoff/2 +
-		time.Duration(c.sys.sim.Rand().Int63n(int64(window)))
+		time.Duration(c.sys.eng.Rand().Int63n(int64(window)))
 	// Invalidate the aborted round so straggler replies cannot reactivate
 	// the coordinator before the backoff elapses.
 	c.round++
 	c.phase = coordReading
-	c.reads = make(map[simnet.NodeID]readRep)
-	c.sys.sim.After(backoff, c.beginRound)
+	c.reads = make(map[runtime.NodeID]readRep)
+	c.sys.eng.AfterFunc(backoff, c.beginRound)
 }
 
 func (c *coord) onReadRep(r readRep) {
@@ -127,21 +123,19 @@ func (c *coord) onReadRep(r readRep) {
 // propose broadcasts the vote round for sequence slot base+1.
 func (c *coord) propose(base uint64) {
 	c.phase = coordVoting
-	c.votes = make(map[simnet.NodeID]bool)
-	c.rejects = make(map[simnet.NodeID]bool)
+	c.votes = make(map[runtime.NodeID]bool)
+	c.rejects = make(map[runtime.NodeID]bool)
 	c.update = store.Update{
 		TxnID: c.txn.String(),
 		Key:   c.key,
 		Data:  c.val,
 		Seq:   base + 1,
-		Stamp: int64(c.sys.sim.Now()),
+		Stamp: int64(c.sys.eng.Now()),
 	}
 	for _, id := range c.sys.ids {
 		m := &voteReq{Txn: c.txn, Round: c.round, From: c.seat, Update: c.update}
 		c.sys.send(c.seat, id, m)
 	}
-	c.sys.cfg.Trace.Addf(int64(c.sys.sim.Now()), int(c.seat), c.txn.String(), trace.UpdateSent,
-		"proposed seq %d (round %d)", c.update.Seq, c.round)
 }
 
 func (c *coord) onVoteRep(v voteRep) {
@@ -153,8 +147,6 @@ func (c *coord) onVoteRep(v voteRep) {
 		// A majority is impossible once enough replicas rejected.
 		if c.sys.cfg.N-len(c.rejects) < c.quorum() {
 			c.retries++
-			c.sys.cfg.Trace.Addf(int64(c.sys.sim.Now()), int(c.seat), c.txn.String(),
-				trace.ClaimAborted, "proposal for seq %d rejected (retry %d)", c.update.Seq, c.retries)
 			c.abortAndRetry()
 		}
 		return
@@ -165,22 +157,19 @@ func (c *coord) onVoteRep(v voteRep) {
 	}
 	c.timer.Cancel()
 	if c.sys.cfg.Kind != PrimaryCopy {
-		c.lockAt = c.sys.sim.Now()
+		c.lockAt = c.sys.eng.Now()
 	}
-	c.sys.cfg.Trace.Addf(int64(c.sys.sim.Now()), int(c.seat), c.txn.String(),
-		trace.LockRequested, "vote quorum of %d for seq %d", len(c.votes), c.update.Seq)
 	c.commit()
 }
 
 // commit finalizes the update everywhere and completes the request.
 func (c *coord) commit() {
 	c.phase = coordDone
-	now := c.sys.sim.Now()
+	now := c.sys.eng.Now()
 	for _, id := range c.sys.ids {
 		m := &commitReq{Txn: c.txn, From: c.seat, Update: c.update}
 		c.sys.send(c.seat, id, m)
 	}
-	c.sys.cfg.Trace.Addf(int64(now), int(c.seat), c.txn.String(), trace.CommitSent, "seq %d", c.update.Seq)
 	if c.sys.cfg.Kind == PrimaryCopy {
 		if c.home != c.seat {
 			m := &done{Txn: c.txn, From: c.seat, LockAt: c.lockAt}
@@ -189,7 +178,7 @@ func (c *coord) commit() {
 		// Free the primary for the next queued request.
 		prim := c.sys.nodes[c.seat]
 		prim.primBusy = false
-		c.sys.sim.After(0, prim.pumpPrimary)
+		c.sys.eng.AfterFunc(0, prim.pumpPrimary)
 	}
 	c.sys.finish(Result{
 		Txn:        c.txn,

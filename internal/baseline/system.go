@@ -1,58 +1,54 @@
 package baseline
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
-	"repro/internal/des"
-	"repro/internal/simnet"
+	"repro/internal/quorum"
+	"repro/internal/runtime"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // System is a running deployment of one baseline protocol: N replica nodes
-// over a simulated network, with stationary per-request coordinators.
+// on a fabric, with stationary per-request coordinators.
 type System struct {
-	cfg    Config
-	sim    *des.Simulator
-	net    *simnet.Network
-	nodes  map[simnet.NodeID]*node
-	ids    []simnet.NodeID
-	coords map[TxnID]*coord
+	cfg      Config
+	eng      runtime.Engine
+	fab      runtime.Fabric
+	nodes    map[runtime.NodeID]*node
+	ids      []runtime.NodeID
+	majority int // MCV's and primary-copy's round size
+	coords   map[TxnID]*coord
 
 	results     []Result
 	outstanding int
 	txnSeq      uint64
 }
 
-// New builds a baseline system per cfg.
-func New(cfg Config) (*System, error) {
+// New builds a baseline system per cfg on the given engine and fabric,
+// attaching replicas 1..N to the fabric.
+func New(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*System, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	sim := des.New(cfg.Seed)
 	s := &System{
 		cfg:    cfg,
-		sim:    sim,
-		net:    simnet.New(sim, cfg.Topology, cfg.Latency),
-		nodes:  make(map[simnet.NodeID]*node),
+		eng:    eng,
+		fab:    fab,
+		nodes:  make(map[runtime.NodeID]*node),
 		coords: make(map[TxnID]*coord),
 	}
 	for i := 1; i <= cfg.N; i++ {
-		id := simnet.NodeID(i)
+		id := runtime.NodeID(i)
 		s.ids = append(s.ids, id)
 		n := &node{sys: s, id: id, st: store.New(), votes: make(map[uint64]TxnID), aborted: make(map[TxnID]int)}
 		s.nodes[id] = n
-		s.net.Attach(id, n)
+		fab.Attach(id, n)
 	}
+	s.majority = quorum.Equal(s.ids).Majority()
 	return s, nil
 }
-
-// Sim returns the simulator.
-func (s *System) Sim() *des.Simulator { return s.sim }
-
-// Network returns the simulated network.
-func (s *System) Network() *simnet.Network { return s.net }
 
 // Results returns the completed updates so far.
 func (s *System) Results() []Result {
@@ -62,7 +58,7 @@ func (s *System) Results() []Result {
 }
 
 // Read serves a read from the local copy (read-one in all three baselines).
-func (s *System) Read(id simnet.NodeID, key string) (store.Value, bool) {
+func (s *System) Read(id runtime.NodeID, key string) (store.Value, bool) {
 	n := s.nodes[id]
 	if n == nil {
 		return store.Value{}, false
@@ -71,7 +67,7 @@ func (s *System) Read(id simnet.NodeID, key string) (store.Value, bool) {
 }
 
 // Submit initiates an update of key to val from the given home node.
-func (s *System) Submit(home simnet.NodeID, key, val string) error {
+func (s *System) Submit(home runtime.NodeID, key, val string) error {
 	n := s.nodes[home]
 	if n == nil {
 		return fmt.Errorf("baseline: unknown home %d", home)
@@ -80,34 +76,32 @@ func (s *System) Submit(home simnet.NodeID, key, val string) error {
 		return fmt.Errorf("baseline: empty key")
 	}
 	s.txnSeq++
-	txn := TxnID{Born: int64(s.sim.Now()), Home: home, Seq: s.txnSeq}
+	txn := TxnID{Born: int64(s.eng.Now()), Home: home, Seq: s.txnSeq}
 	c := &coord{
 		sys: s, txn: txn, home: home, key: key, val: val,
-		dispatched: s.sim.Now(),
+		dispatched: s.eng.Now(),
 	}
 	s.coords[txn] = c
 	s.outstanding++
-	s.cfg.Trace.Addf(int64(s.sim.Now()), int(home), txn.String(), trace.RequestArrived, "%s=%s", key, val)
 	c.start()
 	return nil
 }
 
-// RunUntilDone advances the simulation until all submitted updates finish.
+// RunUntilDone runs the engine until all submitted updates finish, failing
+// if that takes more than maxVirtual or the engine runs out of work first.
 func (s *System) RunUntilDone(maxVirtual time.Duration) error {
-	deadline := s.sim.Now().Add(maxVirtual)
-	for s.outstanding > 0 {
-		if s.sim.Now() > deadline {
-			return fmt.Errorf("baseline(%v): %d updates still outstanding after %v", s.cfg.Kind, s.outstanding, maxVirtual)
-		}
-		if !s.sim.Step() {
-			return fmt.Errorf("baseline(%v): event queue drained with %d updates outstanding", s.cfg.Kind, s.outstanding)
-		}
+	switch err := s.eng.Wait(maxVirtual, func() bool { return s.outstanding == 0 }); {
+	case err == nil:
+		return nil
+	case errors.Is(err, runtime.ErrStalled):
+		return fmt.Errorf("baseline(%v): event queue drained with %d updates outstanding", s.cfg.Kind, s.outstanding)
+	default:
+		return fmt.Errorf("baseline(%v): %d updates still outstanding after %v", s.cfg.Kind, s.outstanding, maxVirtual)
 	}
-	return nil
 }
 
-// Settle runs the simulation d further so in-flight commits land.
-func (s *System) Settle(d time.Duration) { s.sim.RunFor(d) }
+// Settle runs the engine d further so in-flight commits land.
+func (s *System) Settle(d time.Duration) { s.eng.Sleep(d) }
 
 // CheckConvergence verifies all replicas hold identical committed logs.
 func (s *System) CheckConvergence() error {
@@ -133,29 +127,27 @@ func (s *System) CheckConvergence() error {
 // message is a baseline protocol message. No codec carries these, so each
 // declares its wire size.
 type message interface {
-	simnet.Kinder
+	runtime.Kinder
 	WireSize() int
 }
 
 // send routes a payload, short-circuiting node-local deliveries (a
 // stationary coordinator talks to its co-located replica at memory speed,
 // same as MARP's local interactions).
-func (s *System) send(from, to simnet.NodeID, payload message) {
+func (s *System) send(from, to runtime.NodeID, payload message) {
 	// Declared size: the baselines' messages have no wire codec.
-	msg := simnet.Message{From: from, To: to, Payload: payload, Size: payload.WireSize()}
+	msg := runtime.Message{From: from, To: to, Payload: payload, Size: payload.WireSize()}
 	if from == to {
 		s.nodes[to].Deliver(msg)
 		return
 	}
-	s.net.Send(msg)
+	s.fab.Send(msg)
 }
 
 func (s *System) finish(r Result) {
 	s.results = append(s.results, r)
 	s.outstanding--
 	delete(s.coords, r.Txn)
-	s.cfg.Trace.Addf(int64(s.sim.Now()), int(r.Home), r.Txn.String(), trace.RequestDone,
-		"alt=%v att=%v", r.LockLatency().Duration(), r.TotalLatency().Duration())
 }
 
 // node is one replica: the data store plus the per-sequence-slot vote state
@@ -163,7 +155,7 @@ func (s *System) finish(r Result) {
 // the primary in PrimaryCopy.
 type node struct {
 	sys *System
-	id  simnet.NodeID
+	id  runtime.NodeID
 	st  *store.Store
 	// votes maps a sequence slot to the transaction this replica voted
 	// for. At most one live vote per slot makes any two vote majorities
@@ -179,8 +171,8 @@ type node struct {
 	primBusy bool
 }
 
-// Deliver implements simnet.Handler.
-func (n *node) Deliver(msg simnet.Message) {
+// Deliver implements runtime.Handler.
+func (n *node) Deliver(msg runtime.Message) {
 	switch m := msg.Payload.(type) {
 	case *readReq:
 		n.onReadReq(*m)
@@ -306,7 +298,7 @@ func (n *node) pumpPrimary() {
 		n.pumpPrimary()
 		return
 	}
-	c.lockAt = n.sys.sim.Now() // serialization point
+	c.lockAt = n.sys.eng.Now() // serialization point
 	c.round++
 	c.propose(n.st.LastSeq())
 }

@@ -1,14 +1,17 @@
-// Package desengine assembles a simulated MARP deployment: the
-// deterministic discrete-event engine (internal/des) plus the simulated
-// network (internal/simnet), wired under an engine-neutral core.Cluster.
+// Package desengine assembles simulated deployments: the deterministic
+// discrete-event engine (internal/des) plus the simulated network
+// (internal/simnet), wired under an engine-neutral protocol cluster — a
+// MARP core.Cluster (New), an optimistic.Cluster (NewOptimistic) or a
+// message-passing baseline.System (NewBaseline).
 //
-// This is the only package that pairs the protocol with the simulation
+// This is the only package that pairs a protocol with the simulation
 // engine. Everything the simulation owns — the seed, the topology, the
-// latency model, the fault model — is configured here rather than on
-// core.Config, so the protocol layers stay ignorant of how they are being
-// executed. Tests, examples and the benchmark harness build clusters
-// through this package; the live deployment builds the same core.Cluster
-// through internal/runtime/live instead.
+// latency model, the fault model — is configured here rather than on the
+// protocol's config, so the protocol layers stay ignorant of how they are
+// being executed. All three assemblies build their engine and network
+// through one helper (simulate). Tests, examples and the benchmark harness
+// build clusters through this package; the live deployment builds the
+// same core.Cluster through internal/runtime/live instead.
 package desengine
 
 import (
@@ -68,54 +71,71 @@ const (
 	eventBurst = 4096
 )
 
-// newSimulator is the simulator under every cluster this package builds.
+// newSimulator is the simulator under every MARP and optimistic cluster
+// this package builds.
 func newSimulator(seed int64) *des.Simulator {
 	sim := des.New(seed)
 	sim.SetPace(eventRate, eventBurst)
 	return sim
 }
 
-// Cluster is a core.Cluster plus access to the concrete simulation
-// machinery underneath it. Harness and test code uses Sim()/Network() to
-// step virtual time and inject faults; protocol code never sees either.
-type Cluster struct {
-	*core.Cluster
+// simulation is the engine and network under one assembly, and the two
+// accessors simulation-side drivers (harness, tests) use to step virtual
+// time and inject faults; protocol code never sees either.
+type simulation struct {
 	sim *des.Simulator
 	net *simnet.Network
 }
 
-// New builds and wires a simulated cluster per cfg.
-func New(cfg Config) (*Cluster, error) {
-	n := cfg.Cluster.N
+// simulate is every assembly's one path to its engine and network. It
+// checks the cluster size n (pkg names the protocol in its errors),
+// defaults the topology to a full mesh of n and the latency model to
+// simnet.LAN(), refuses a topology smaller than n, builds the simulator
+// with mk, then the network over it, and attaches faults if non-nil.
+func simulate(pkg string, n int, seed int64, mk func(int64) *des.Simulator, topo *simnet.Topology, lat simnet.LatencyModel, faults *simnet.FaultModel) (simulation, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("core: config needs N >= 1, got %d", n)
+		return simulation{}, fmt.Errorf("%s: config needs N >= 1, got %d", pkg, n)
 	}
-	topo := cfg.Topology
 	if topo == nil {
 		topo = simnet.FullMesh(n)
 	}
 	if topo.Len() < n {
-		return nil, fmt.Errorf("core: topology has %d nodes, need %d", topo.Len(), n)
+		return simulation{}, fmt.Errorf("%s: topology has %d nodes, need %d", pkg, topo.Len(), n)
 	}
-	lat := cfg.Latency
 	if lat == nil {
 		lat = simnet.LAN()
 	}
-	sim := newSimulator(cfg.Seed)
+	sim := mk(seed)
 	net := simnet.New(sim, topo, lat)
-	if cfg.Faults != nil {
-		net.SetFaults(cfg.Faults)
+	if faults != nil {
+		net.SetFaults(faults)
 	}
-	cl, err := core.NewCluster(sim, net, cfg.Cluster)
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{Cluster: cl, sim: sim, net: net}, nil
+	return simulation{sim: sim, net: net}, nil
 }
 
 // Sim returns the underlying simulator. Simulation-side drivers only:
 // protocol code must reach time through the runtime seam.
-func (c *Cluster) Sim() *des.Simulator { return c.sim }
+func (s simulation) Sim() *des.Simulator { return s.sim }
 
 // Network returns the simulated network. Simulation-side drivers only.
-func (c *Cluster) Network() *simnet.Network { return c.net }
+func (s simulation) Network() *simnet.Network { return s.net }
+
+// Cluster is a core.Cluster plus access to the concrete simulation
+// machinery underneath it (Sim, Network).
+type Cluster struct {
+	*core.Cluster
+	simulation
+}
+
+// New builds and wires a simulated cluster per cfg.
+func New(cfg Config) (*Cluster, error) {
+	s, err := simulate("core", cfg.Cluster.N, cfg.Seed, newSimulator, cfg.Topology, cfg.Latency, cfg.Faults)
+	if err != nil {
+		return nil, err
+	}
+	cl, err := core.NewCluster(s.sim, s.net, cfg.Cluster)
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{Cluster: cl, simulation: s}, nil
+}

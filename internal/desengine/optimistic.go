@@ -6,9 +6,6 @@ package desengine
 // single place where protocol meets simulation.
 
 import (
-	"fmt"
-
-	"repro/internal/des"
 	"repro/internal/optimistic"
 	"repro/internal/simnet"
 )
@@ -30,44 +27,21 @@ type OptConfig struct {
 }
 
 // OptCluster is an optimistic.Cluster plus the simulation machinery
-// underneath it, for harness and test drivers.
+// underneath it (Sim, Network), for harness and test drivers.
 type OptCluster struct {
 	*optimistic.Cluster
-	sim *des.Simulator
-	net *simnet.Network
+	simulation
 }
 
 // NewOptimistic builds and wires a simulated optimistic cluster per cfg.
 func NewOptimistic(cfg OptConfig) (*OptCluster, error) {
-	n := cfg.Cluster.N
-	if n < 1 {
-		return nil, fmt.Errorf("optimistic: config needs N >= 1, got %d", n)
-	}
-	topo := cfg.Topology
-	if topo == nil {
-		topo = simnet.FullMesh(n)
-	}
-	if topo.Len() < n {
-		return nil, fmt.Errorf("optimistic: topology has %d nodes, need %d", topo.Len(), n)
-	}
-	lat := cfg.Latency
-	if lat == nil {
-		lat = simnet.LAN()
-	}
-	sim := newSimulator(cfg.Seed)
-	net := simnet.New(sim, topo, lat)
-	if cfg.Faults != nil {
-		net.SetFaults(cfg.Faults)
-	}
-	cl, err := optimistic.NewCluster(sim, net, cfg.Cluster)
+	s, err := simulate("optimistic", cfg.Cluster.N, cfg.Seed, newSimulator, cfg.Topology, cfg.Latency, cfg.Faults)
 	if err != nil {
 		return nil, err
 	}
-	return &OptCluster{Cluster: cl, sim: sim, net: net}, nil
+	cl, err := optimistic.NewCluster(s.sim, s.net, cfg.Cluster)
+	if err != nil {
+		return nil, err
+	}
+	return &OptCluster{Cluster: cl, simulation: s}, nil
 }
-
-// Sim returns the underlying simulator (simulation-side drivers only).
-func (c *OptCluster) Sim() *des.Simulator { return c.sim }
-
-// Network returns the simulated network (simulation-side drivers only).
-func (c *OptCluster) Network() *simnet.Network { return c.net }

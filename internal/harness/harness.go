@@ -201,8 +201,8 @@ func (c RunConfig) latencyModel() (simnet.LatencyModel, error) {
 }
 
 // simulated is what the simulated driver needs of a system under test.
-// *desengine.Cluster, *desengine.OptCluster and *baseline.System satisfy it
-// as they stand.
+// *desengine.Cluster, *desengine.OptCluster and *desengine.Baseline satisfy
+// it as they stand.
 type simulated interface {
 	Sim() *des.Simulator
 	RunUntilDone(maxVirtual time.Duration) error
@@ -344,14 +344,16 @@ func runBaseline(cfg RunConfig, events []workload.Event) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("harness: unknown protocol %q", cfg.Protocol)
 	}
 	_, claim, _, backoff := cfg.Latency.timers()
-	sys, err := baseline.New(baseline.Config{
-		Kind:         kind,
-		N:            cfg.N,
-		Seed:         cfg.Seed,
-		Topology:     cfg.Topology,
-		Latency:      model,
-		LockTimeout:  25 * claim,
-		RetryBackoff: backoff,
+	sys, err := desengine.NewBaseline(desengine.BaselineConfig{
+		Seed:     cfg.Seed,
+		Topology: cfg.Topology,
+		Latency:  model,
+		Cluster: baseline.Config{
+			Kind:         kind,
+			N:            cfg.N,
+			LockTimeout:  25 * claim,
+			RetryBackoff: backoff,
+		},
 	})
 	if err != nil {
 		return RunResult{}, err
@@ -374,7 +376,6 @@ func runBaseline(cfg RunConfig, events []workload.Event) (RunResult, error) {
 			ALT:     r.LockLatency().Duration(),
 			ATT:     r.TotalLatency().Duration(),
 			Retries: r.Retries,
-			Failed:  r.Failed,
 		})
 	}
 	return RunResult{

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/simnet"
+	"repro/internal/runtime"
 )
 
 // Geometry names a quorum construction selectable from configuration.
@@ -37,7 +37,7 @@ const (
 // by GeomMajority (nil votes = one vote each); the structured geometries
 // treat replicas uniformly. Every non-majority construction is
 // intersection-checked before being returned.
-func Build(g Geometry, nodes []simnet.NodeID, votes map[simnet.NodeID]int) (Assignment, error) {
+func Build(g Geometry, nodes []runtime.NodeID, votes map[runtime.NodeID]int) (Assignment, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("quorum: no nodes for geometry %q", g)
 	}
@@ -80,7 +80,7 @@ func ParseGeometry(s string) (Geometry, error) {
 // minimalWriter is implemented by geometries that can enumerate their
 // minimal write quorums, enabling the construction-time intersection check.
 type minimalWriter interface {
-	minimalWrites(cap int) [][]simnet.NodeID
+	minimalWrites(cap int) [][]runtime.NodeID
 }
 
 // checkIntersection verifies W∩W and W∩R intersection for a geometry by
@@ -97,11 +97,11 @@ func checkIntersection(a Assignment) error {
 	const cap = 100000
 	nodes := a.Nodes()
 	for _, w := range mw.minimalWrites(cap) {
-		in := make(map[simnet.NodeID]bool, len(w))
+		in := make(map[runtime.NodeID]bool, len(w))
 		for _, n := range w {
 			in[n] = true
 		}
-		comp := make([]simnet.NodeID, 0, len(nodes)-len(w))
+		comp := make([]runtime.NodeID, 0, len(nodes)-len(w))
 		for _, n := range nodes {
 			if !in[n] {
 				comp = append(comp, n)
@@ -121,14 +121,14 @@ func checkIntersection(a Assignment) error {
 // row-major grid with ⌈√N⌉ columns. A write quorum owns one full column
 // and covers every column; a read quorum covers every column.
 type Grid struct {
-	nodes []simnet.NodeID // ascending, row-major
+	nodes []runtime.NodeID // ascending, row-major
 	cols  int
 }
 
 // NewGrid arranges nodes into a grid. The construction is deterministic:
 // nodes are sorted ascending and laid out row-major.
-func NewGrid(nodes []simnet.NodeID) Grid {
-	sorted := make([]simnet.NodeID, len(nodes))
+func NewGrid(nodes []runtime.NodeID) Grid {
+	sorted := make([]runtime.NodeID, len(nodes))
 	copy(sorted, nodes)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	cols := 1
@@ -139,23 +139,23 @@ func NewGrid(nodes []simnet.NodeID) Grid {
 }
 
 // Nodes returns the replicas in ascending order.
-func (g Grid) Nodes() []simnet.NodeID {
-	out := make([]simnet.NodeID, len(g.nodes))
+func (g Grid) Nodes() []runtime.NodeID {
+	out := make([]runtime.NodeID, len(g.nodes))
 	copy(out, g.nodes)
 	return out
 }
 
 // column returns the replicas of column c (may be shorter in the last row).
-func (g Grid) column(c int) []simnet.NodeID {
-	var out []simnet.NodeID
+func (g Grid) column(c int) []runtime.NodeID {
+	var out []runtime.NodeID
 	for i := c; i < len(g.nodes); i += g.cols {
 		out = append(out, g.nodes[i])
 	}
 	return out
 }
 
-func (g Grid) membership(nodes []simnet.NodeID) map[simnet.NodeID]bool {
-	in := make(map[simnet.NodeID]bool, len(nodes))
+func (g Grid) membership(nodes []runtime.NodeID) map[runtime.NodeID]bool {
+	in := make(map[runtime.NodeID]bool, len(nodes))
 	for _, n := range nodes {
 		in[n] = true
 	}
@@ -164,7 +164,7 @@ func (g Grid) membership(nodes []simnet.NodeID) map[simnet.NodeID]bool {
 
 // HasWrite reports whether nodes own one full column and touch every
 // column.
-func (g Grid) HasWrite(nodes []simnet.NodeID) bool {
+func (g Grid) HasWrite(nodes []runtime.NodeID) bool {
 	in := g.membership(nodes)
 	full := false
 	for c := 0; c < g.cols && c < len(g.nodes); c++ {
@@ -189,7 +189,7 @@ func (g Grid) HasWrite(nodes []simnet.NodeID) bool {
 
 // HasRead reports whether nodes touch every column. Any full column (owned
 // by every write quorum) then intersects the cover.
-func (g Grid) HasRead(nodes []simnet.NodeID) bool {
+func (g Grid) HasRead(nodes []runtime.NodeID) bool {
 	in := g.membership(nodes)
 	for c := 0; c < g.cols && c < len(g.nodes); c++ {
 		hit := false
@@ -207,7 +207,7 @@ func (g Grid) HasRead(nodes []simnet.NodeID) bool {
 }
 
 // Score counts the member replicas — tie-break strength.
-func (g Grid) Score(nodes []simnet.NodeID) int {
+func (g Grid) Score(nodes []runtime.NodeID) int {
 	in := g.membership(nodes)
 	count := 0
 	for _, n := range g.nodes {
@@ -239,22 +239,22 @@ func (g Grid) Name() string { return "grid" }
 
 // minimalWrites enumerates every minimal write quorum: choose the full
 // column, then one replica from each other column.
-func (g Grid) minimalWrites(cap int) [][]simnet.NodeID {
+func (g Grid) minimalWrites(cap int) [][]runtime.NodeID {
 	ncols := g.cols
 	if len(g.nodes) < ncols {
 		ncols = len(g.nodes)
 	}
-	var out [][]simnet.NodeID
+	var out [][]runtime.NodeID
 	for full := 0; full < ncols; full++ {
-		picks := [][]simnet.NodeID{g.column(full)}
+		picks := [][]runtime.NodeID{g.column(full)}
 		for c := 0; c < ncols; c++ {
 			if c == full {
 				continue
 			}
-			var next [][]simnet.NodeID
+			var next [][]runtime.NodeID
 			for _, p := range picks {
 				for _, n := range g.column(c) {
-					q := make([]simnet.NodeID, len(p), len(p)+1)
+					q := make([]runtime.NodeID, len(p), len(p)+1)
 					copy(q, p)
 					next = append(next, append(q, n))
 				}
@@ -278,23 +278,23 @@ func (g Grid) minimalWrites(cap int) [][]simnet.NodeID {
 // at every level. Read and write quorums coincide.
 type Tree struct {
 	root  *treeNode
-	nodes []simnet.NodeID
+	nodes []runtime.NodeID
 }
 
 type treeNode struct {
-	leaf     simnet.NodeID
+	leaf     runtime.NodeID
 	children []*treeNode
 }
 
 // NewTree builds the ternary hierarchy over the sorted nodes.
-func NewTree(nodes []simnet.NodeID) Tree {
-	sorted := make([]simnet.NodeID, len(nodes))
+func NewTree(nodes []runtime.NodeID) Tree {
+	sorted := make([]runtime.NodeID, len(nodes))
 	copy(sorted, nodes)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return Tree{root: buildTree(sorted), nodes: sorted}
 }
 
-func buildTree(nodes []simnet.NodeID) *treeNode {
+func buildTree(nodes []runtime.NodeID) *treeNode {
 	if len(nodes) == 1 {
 		return &treeNode{leaf: nodes[0]}
 	}
@@ -317,13 +317,13 @@ func buildTree(nodes []simnet.NodeID) *treeNode {
 }
 
 // Nodes returns the replicas in ascending order.
-func (t Tree) Nodes() []simnet.NodeID {
-	out := make([]simnet.NodeID, len(t.nodes))
+func (t Tree) Nodes() []runtime.NodeID {
+	out := make([]runtime.NodeID, len(t.nodes))
 	copy(out, t.nodes)
 	return out
 }
 
-func (n *treeNode) satisfied(in map[simnet.NodeID]bool) bool {
+func (n *treeNode) satisfied(in map[runtime.NodeID]bool) bool {
 	if n.children == nil {
 		return in[n.leaf]
 	}
@@ -338,8 +338,8 @@ func (n *treeNode) satisfied(in map[simnet.NodeID]bool) bool {
 }
 
 // HasWrite reports whether nodes satisfy a recursive child majority.
-func (t Tree) HasWrite(nodes []simnet.NodeID) bool {
-	in := make(map[simnet.NodeID]bool, len(nodes))
+func (t Tree) HasWrite(nodes []runtime.NodeID) bool {
+	in := make(map[runtime.NodeID]bool, len(nodes))
 	for _, n := range nodes {
 		in[n] = true
 	}
@@ -347,11 +347,11 @@ func (t Tree) HasWrite(nodes []simnet.NodeID) bool {
 }
 
 // HasRead equals HasWrite: hierarchical quorum consensus is symmetric.
-func (t Tree) HasRead(nodes []simnet.NodeID) bool { return t.HasWrite(nodes) }
+func (t Tree) HasRead(nodes []runtime.NodeID) bool { return t.HasWrite(nodes) }
 
 // Score counts the member replicas — tie-break strength.
-func (t Tree) Score(nodes []simnet.NodeID) int {
-	in := make(map[simnet.NodeID]bool, len(nodes))
+func (t Tree) Score(nodes []runtime.NodeID) int {
+	in := make(map[runtime.NodeID]bool, len(nodes))
 	for _, n := range nodes {
 		in[n] = true
 	}
@@ -387,23 +387,23 @@ func (t Tree) MinWrite() int { return t.root.minWrite() }
 // Name identifies the geometry.
 func (t Tree) Name() string { return "tree" }
 
-func (n *treeNode) minimalQuorums(cap int) [][]simnet.NodeID {
+func (n *treeNode) minimalQuorums(cap int) [][]runtime.NodeID {
 	if n.children == nil {
-		return [][]simnet.NodeID{{n.leaf}}
+		return [][]runtime.NodeID{{n.leaf}}
 	}
 	need := len(n.children)/2 + 1
-	var out [][]simnet.NodeID
+	var out [][]runtime.NodeID
 	// Every child subset of exactly `need` children, cross product of
 	// their minimal quorums.
 	subsets := chooseIndexes(len(n.children), need)
 	for _, sub := range subsets {
-		picks := [][]simnet.NodeID{nil}
+		picks := [][]runtime.NodeID{nil}
 		for _, ci := range sub {
 			childQs := n.children[ci].minimalQuorums(cap)
-			var next [][]simnet.NodeID
+			var next [][]runtime.NodeID
 			for _, p := range picks {
 				for _, q := range childQs {
-					merged := make([]simnet.NodeID, len(p), len(p)+len(q))
+					merged := make([]runtime.NodeID, len(p), len(p)+len(q))
 					copy(merged, p)
 					next = append(next, append(merged, q...))
 				}
@@ -439,6 +439,6 @@ func chooseIndexes(n, k int) [][]int {
 
 // minimalWrites enumerates the minimal write quorums for the construction
 // check.
-func (t Tree) minimalWrites(cap int) [][]simnet.NodeID {
+func (t Tree) minimalWrites(cap int) [][]runtime.NodeID {
 	return t.root.minimalQuorums(cap)
 }

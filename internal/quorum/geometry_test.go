@@ -4,13 +4,13 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/simnet"
+	"repro/internal/runtime"
 )
 
-func nodeRange(n int) []simnet.NodeID {
-	out := make([]simnet.NodeID, n)
+func nodeRange(n int) []runtime.NodeID {
+	out := make([]runtime.NodeID, n)
 	for i := range out {
-		out[i] = simnet.NodeID(i + 1)
+		out[i] = runtime.NodeID(i + 1)
 	}
 	return out
 }
@@ -19,7 +19,7 @@ func nodeRange(n int) []simnet.NodeID {
 // weighted voting plus the tree and grid constructions.
 func geometries(t testing.TB, n int) []Assignment {
 	nodes := nodeRange(n)
-	weights := make(map[simnet.NodeID]int, n)
+	weights := make(map[runtime.NodeID]int, n)
 	for i, id := range nodes {
 		weights[id] = 1 + i%3
 	}
@@ -34,8 +34,8 @@ func geometries(t testing.TB, n int) []Assignment {
 	return out
 }
 
-func subset(nodes []simnet.NodeID, bits uint64) []simnet.NodeID {
-	var out []simnet.NodeID
+func subset(nodes []runtime.NodeID, bits uint64) []runtime.NodeID {
+	var out []runtime.NodeID
 	for i, id := range nodes {
 		if bits&(1<<uint(i)) != 0 {
 			out = append(out, id)
@@ -44,8 +44,8 @@ func subset(nodes []simnet.NodeID, bits uint64) []simnet.NodeID {
 	return out
 }
 
-func disjoint(a, b []simnet.NodeID) bool {
-	in := make(map[simnet.NodeID]bool, len(a))
+func disjoint(a, b []runtime.NodeID) bool {
+	in := make(map[runtime.NodeID]bool, len(a))
 	for _, id := range a {
 		in[id] = true
 	}
@@ -160,7 +160,7 @@ func TestVotingMinWrite(t *testing.T) {
 	if mw := Equal(nodeRange(5)).MinWrite(); mw != 3 {
 		t.Fatalf("equal/5 MinWrite=%d, want 3", mw)
 	}
-	w := Weighted(map[simnet.NodeID]int{1: 3, 2: 1, 3: 1})
+	w := Weighted(map[runtime.NodeID]int{1: 3, 2: 1, 3: 1})
 	if mw := w.MinWrite(); mw != 1 {
 		t.Fatalf("weighted MinWrite=%d, want 1 (node 1 alone)", mw)
 	}

@@ -3,8 +3,9 @@
 // (MCV) and Gifford's weighted voting — the two schemes the paper builds on
 // (§3.1) — plus the structured tree and grid geometries that shrink write
 // quorums toward O(√N). The MARP protocol of internal/core and the
-// message-passing baselines of internal/baseline both consult this package,
-// so they are guaranteed to agree on what constitutes a quorum.
+// message-passing baselines of internal/baseline (MCV's and primary-copy's
+// round size is Equal(...).Majority()) both consult this package, so they
+// are guaranteed to agree on what constitutes a quorum.
 package quorum
 
 import (
@@ -12,7 +13,7 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/simnet"
+	"repro/internal/runtime"
 )
 
 // Assignment is a quorum geometry over a fixed replica set: it decides
@@ -24,16 +25,16 @@ import (
 // every subsequent quorum read.
 type Assignment interface {
 	// Nodes returns the participating replicas in ascending order.
-	Nodes() []simnet.NodeID
+	Nodes() []runtime.NodeID
 	// HasWrite reports whether nodes contain a write quorum.
 	// Duplicates and replicas outside the assignment are ignored.
-	HasWrite(nodes []simnet.NodeID) bool
+	HasWrite(nodes []runtime.NodeID) bool
 	// HasRead reports whether nodes contain a read quorum.
-	HasRead(nodes []simnet.NodeID) bool
+	HasRead(nodes []runtime.NodeID) bool
 	// Score ranks partial progress toward a write quorum (larger is
 	// stronger); the protocol uses it only to break ties between
 	// competing agents, never to grant a quorum.
-	Score(nodes []simnet.NodeID) int
+	Score(nodes []runtime.NodeID) int
 	// MinWrite returns the size (in replicas) of a smallest write
 	// quorum.
 	MinWrite() int
@@ -47,15 +48,15 @@ type Assignment interface {
 // write and a read quorum. Equal weights give Thomas's majority consensus;
 // explicit weights give Gifford's weighted voting.
 type Voting struct {
-	votes map[simnet.NodeID]int
+	votes map[runtime.NodeID]int
 	total int
 }
 
 // Equal assigns one vote to every node — plain majority consensus, the
 // scheme used by the paper's protocol ("a quorum of replicas of an object is
 // simply any majority of its copies").
-func Equal(nodes []simnet.NodeID) Voting {
-	v := make(map[simnet.NodeID]int, len(nodes))
+func Equal(nodes []runtime.NodeID) Voting {
+	v := make(map[runtime.NodeID]int, len(nodes))
 	for _, n := range nodes {
 		v[n] = 1
 	}
@@ -65,8 +66,8 @@ func Equal(nodes []simnet.NodeID) Voting {
 // Weighted assigns explicit vote counts (Gifford's weighted voting).
 // Non-positive vote counts panic: a replica with zero votes is simply not
 // part of the assignment.
-func Weighted(votes map[simnet.NodeID]int) Voting {
-	v := make(map[simnet.NodeID]int, len(votes))
+func Weighted(votes map[runtime.NodeID]int) Voting {
+	v := make(map[runtime.NodeID]int, len(votes))
 	total := 0
 	for n, k := range votes {
 		if k <= 0 {
@@ -79,14 +80,14 @@ func Weighted(votes map[simnet.NodeID]int) Voting {
 }
 
 // Votes returns node's vote count (0 if not in the assignment).
-func (a Voting) Votes(n simnet.NodeID) int { return a.votes[n] }
+func (a Voting) Votes(n runtime.NodeID) int { return a.votes[n] }
 
 // Total returns the total number of votes.
 func (a Voting) Total() int { return a.total }
 
 // Nodes returns the participating nodes in ascending order.
-func (a Voting) Nodes() []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(a.votes))
+func (a Voting) Nodes() []runtime.NodeID {
+	out := make([]runtime.NodeID, 0, len(a.votes))
 	for n := range a.votes {
 		out = append(out, n)
 	}
@@ -99,7 +100,7 @@ func (a Voting) Nodes() []simnet.NodeID {
 func (a Voting) Majority() int { return a.total/2 + 1 }
 
 // Count sums the votes of the given nodes (duplicates counted once).
-func (a Voting) Count(nodes []simnet.NodeID) int {
+func (a Voting) Count(nodes []runtime.NodeID) int {
 	sum := 0
 	for i, n := range nodes {
 		if !slices.Contains(nodes[:i], n) { // a handful of replicas: no set needed
@@ -110,20 +111,20 @@ func (a Voting) Count(nodes []simnet.NodeID) int {
 }
 
 // IsMajority reports whether the given nodes hold more than half the votes.
-func (a Voting) IsMajority(nodes []simnet.NodeID) bool {
+func (a Voting) IsMajority(nodes []runtime.NodeID) bool {
 	return a.Count(nodes) >= a.Majority()
 }
 
 // HasWrite reports whether nodes hold a vote majority — the write quorum.
-func (a Voting) HasWrite(nodes []simnet.NodeID) bool { return a.IsMajority(nodes) }
+func (a Voting) HasWrite(nodes []runtime.NodeID) bool { return a.IsMajority(nodes) }
 
 // HasRead reports whether nodes hold a vote majority. Voting keeps the
 // symmetric R = W = majority configuration for consistent reads; the
 // paper's fast read path (read-one) bypasses quorums entirely.
-func (a Voting) HasRead(nodes []simnet.NodeID) bool { return a.IsMajority(nodes) }
+func (a Voting) HasRead(nodes []runtime.NodeID) bool { return a.IsMajority(nodes) }
 
 // Score returns the vote count of nodes.
-func (a Voting) Score(nodes []simnet.NodeID) int { return a.Count(nodes) }
+func (a Voting) Score(nodes []runtime.NodeID) int { return a.Count(nodes) }
 
 // MinWrite returns how many replicas the smallest vote majority needs:
 // the heaviest-first prefix reaching Majority().

@@ -4,13 +4,13 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/simnet"
+	"repro/internal/runtime"
 )
 
-func ids(ns ...int) []simnet.NodeID {
-	out := make([]simnet.NodeID, len(ns))
+func ids(ns ...int) []runtime.NodeID {
+	out := make([]runtime.NodeID, len(ns))
 	for i, n := range ns {
-		out[i] = simnet.NodeID(n)
+		out[i] = runtime.NodeID(n)
 	}
 	return out
 }
@@ -33,7 +33,7 @@ func TestMajorityEvenCount(t *testing.T) {
 }
 
 func TestWeighted(t *testing.T) {
-	a := Weighted(map[simnet.NodeID]int{1: 3, 2: 1, 3: 1})
+	a := Weighted(map[runtime.NodeID]int{1: 3, 2: 1, 3: 1})
 	if a.Total() != 5 || a.Majority() != 3 {
 		t.Fatalf("total=%d majority=%d", a.Total(), a.Majority())
 	}
@@ -51,7 +51,7 @@ func TestWeightedRejectsNonPositive(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Weighted(map[simnet.NodeID]int{1: 0})
+	Weighted(map[runtime.NodeID]int{1: 0})
 }
 
 func TestCountDeduplicates(t *testing.T) {
@@ -76,13 +76,13 @@ func TestNodesSorted(t *testing.T) {
 func TestPropertyQuorumIntersection(t *testing.T) {
 	f := func(n uint8, pickA, pickB uint64) bool {
 		size := int(n%7) + 1 // 1..7 replicas
-		nodes := make([]simnet.NodeID, size)
+		nodes := make([]runtime.NodeID, size)
 		for i := range nodes {
-			nodes[i] = simnet.NodeID(i + 1)
+			nodes[i] = runtime.NodeID(i + 1)
 		}
 		v := Equal(nodes)
-		subset := func(bits uint64) []simnet.NodeID {
-			var out []simnet.NodeID
+		subset := func(bits uint64) []runtime.NodeID {
+			var out []runtime.NodeID
 			for i, id := range nodes {
 				if bits&(1<<uint(i)) != 0 {
 					out = append(out, id)
@@ -94,7 +94,7 @@ func TestPropertyQuorumIntersection(t *testing.T) {
 		if v.Count(a) < v.Majority() || v.Count(b) < v.Majority() {
 			return true // vacuous
 		}
-		inA := make(map[simnet.NodeID]bool)
+		inA := make(map[runtime.NodeID]bool)
 		for _, id := range a {
 			inA[id] = true
 		}
@@ -114,9 +114,9 @@ func TestPropertyQuorumIntersection(t *testing.T) {
 func TestPropertyMajorityMinimal(t *testing.T) {
 	f := func(n uint8) bool {
 		size := int(n%9) + 1
-		nodes := make([]simnet.NodeID, size)
+		nodes := make([]runtime.NodeID, size)
 		for i := range nodes {
-			nodes[i] = simnet.NodeID(i + 1)
+			nodes[i] = runtime.NodeID(i + 1)
 		}
 		a := Equal(nodes)
 		m := a.Majority()

@@ -26,7 +26,7 @@
 // transmission of it this is, every acknowledgement names the newest frame
 // it answers, which transmission of it arrived and how long it waited at
 // the receiver, and the sender takes the round trip of that transmission
-// less the wait as a sample. Naming the transmission (as TCP's timestamp
+// less the wait, up to the ack delay, as a sample. Naming the transmission (as TCP's timestamp
 // echo does) removes the ambiguity Karn's rule avoids by discarding the
 // samples of retransmitted frames — which on a link slower than its first
 // timeout would be every sample. The link's timeout is the smoothed round
@@ -146,7 +146,7 @@ const granularity = 2 * time.Millisecond
 
 // rttEstimator is one link's round-trip estimate (RFC 6298; Jacobson and
 // Karels' gains of 1/8 and 1/4), fed only by samples the receiver's wait
-// for reverse traffic has been taken out of.
+// for reverse traffic, up to the ack delay, has been taken out of.
 type rttEstimator struct {
 	srtt, rttvar time.Duration
 	sampled      bool
@@ -622,9 +622,12 @@ func (l *Layer) settle(lk *link, seq uint64) {
 }
 
 // sample measures the round trip of the transmission ack echoes, less the
-// time it waited at the receiver, if this is the acknowledgement that
-// settles its frame. Only the first and the latest transmission's times
-// are kept, so an echo of one in between is no sample.
+// time it waited at the receiver up to the ack delay, if this is the
+// acknowledgement that settles its frame. The timeout already allows the
+// ack delay (rto); a hold beyond it — a late timer on a busy live loop —
+// stays in the sample, so the estimator sees it as variance. Only the
+// first and the latest transmission's times are kept, so an echo of one in
+// between is no sample.
 func (l *Layer) sample(lk *link, ack ackState) {
 	ps := lk.pending[ack.Echo]
 	if ps == nil {
@@ -638,7 +641,7 @@ func (l *Layer) sample(lk *link, ack ackState) {
 	default:
 		return
 	}
-	if r := l.eng.Now().Sub(sent) - ack.Delay; r > 0 {
+	if r := l.eng.Now().Sub(sent) - min(ack.Delay, l.cfg.ackDelay()); r > 0 {
 		lk.rtt.observe(r)
 		l.stats.RTTSamples++
 	}

@@ -154,6 +154,35 @@ func TestSamplesLeaveTheAckDelayOut(t *testing.T) {
 	}
 }
 
+// lateTimers is the simulator with every timer the layer sets firing late
+// by a fixed amount, as on a live loop busy when the deadline passes.
+type lateTimers struct {
+	*des.Simulator
+	late time.Duration
+}
+
+func (e lateTimers) AfterFunc(d time.Duration, fn func()) runtime.Timer {
+	return e.Simulator.AfterFunc(d+e.late, fn)
+}
+
+// TestLateAckCountsInTheSample: a receiver whose ack timer fires 3 ms late
+// holds every acknowledgement 8 ms against the 5 ms ack delay of a 20 ms
+// Base. The timeout allows only those 5 ms, so each sample keeps the 3 ms
+// excess: the smoothed round trip is the network's 2 ms plus 3, where
+// taking out the whole hold would leave the lateness unseen.
+func TestLateAckCountsInTheSample(t *testing.T) {
+	sim := des.New(11)
+	net := simnet.New(sim, simnet.FullMesh(2), simnet.Constant(time.Millisecond))
+	l := NewLayer(lateTimers{Simulator: sim, late: 3 * time.Millisecond}, net, Config{})
+	l.Attach(1, &rec{})
+	l.Attach(2, &rec{})
+	oneWay(sim, l, 20, 20*time.Millisecond) // one frame per ack: each is held the full 8 ms
+	st := l.Stats()
+	if srtt := l.ports[1].links[2].rtt.srtt; st.RTTSamples != 20 || srtt != 5*time.Millisecond || st.Retransmissions != 0 {
+		t.Fatalf("stats %+v, smoothed round trip %v: want every sample at 2ms of network plus the 3ms held past the ack delay", st, srtt)
+	}
+}
+
 // TestLossIsRepairedAfterTheMeasuredTimeout: once a 1 ms link has measured
 // itself, a lost frame is sent again after the 9 ms its timeout allows (2 ms
 // round trip, G, 5 ms ack delay), not after the 20 ms Base a link starts

@@ -1,8 +1,9 @@
 // Package runtime defines the seam between the MARP protocol layers and
 // the engine that executes them. The protocol packages (internal/agent,
-// internal/replica, internal/core, internal/reliable) depend only on the
-// small interfaces here — a clock with cancellable timers, a seeded random
-// source, and a message fabric between nodes — never on a concrete engine.
+// internal/replica, internal/core, internal/reliable, internal/optimistic,
+// internal/baseline, internal/quorum) depend only on the small interfaces
+// here — a clock with cancellable timers, a seeded random source, and a
+// message fabric between nodes — never on a concrete engine.
 //
 // Two engines implement the seam:
 //

@@ -13,17 +13,20 @@
 //
 // The package is a facade over the full system in internal/:
 //
-//	internal/des      deterministic discrete-event simulator
-//	internal/simnet   simulated network (latency models, partitions, costs)
-//	internal/agent    mobile-agent platform emulation (state mobility)
-//	internal/store    versioned replica store with a committed-update log
-//	internal/replica  the replicated server (paper Algorithm 2)
-//	internal/core     the mobile agent protocol (paper Algorithm 1) + cluster
-//	internal/quorum   vote assignments and quorum arithmetic
-//	internal/baseline message-passing comparators (MCV, available-copy, primary)
-//	internal/workload request generators (exponential arrivals)
-//	internal/metrics  ALT/ATT/PRK aggregation
-//	internal/harness  the paper's experiments (Figures 2-4 and more)
+//	internal/des       deterministic discrete-event simulator
+//	internal/simnet    simulated network (latency models, partitions, costs)
+//	internal/runtime   the engine seam every protocol package is written to
+//	internal/desengine assembles des + simnet under MARP, the optimistic tier
+//	                   or a baseline
+//	internal/agent     mobile-agent platform emulation (state mobility)
+//	internal/store     versioned replica store with a committed-update log
+//	internal/replica   the replicated server (paper Algorithm 2)
+//	internal/core      the mobile agent protocol (paper Algorithm 1) + cluster
+//	internal/quorum    vote assignments and quorum arithmetic
+//	internal/baseline  message-passing comparators (MCV, available-copy, primary)
+//	internal/workload  request generators (exponential arrivals)
+//	internal/metrics   ALT/ATT/PRK aggregation
+//	internal/harness   the paper's experiments (Figures 2-4 and more)
 //
 // Quick start:
 //
