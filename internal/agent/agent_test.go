@@ -72,7 +72,8 @@ func TestSpawnActivatesAtHome(t *testing.T) {
 	sim, _, p := rig(t, 3, Config{})
 	a := &testAgent{}
 	ctx := p.Spawn(2, a)
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(a.arrivals) != 1 || a.arrivals[0] != 2 {
 		t.Fatalf("arrivals = %v", a.arrivals)
 	}
@@ -92,7 +93,8 @@ func TestMigrationSuccess(t *testing.T) {
 	a := &testAgent{}
 	ctx := p.Spawn(1, a)
 	ctx.MigrateTo(3)
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(a.arrivals) != 2 || a.arrivals[1] != 3 {
 		t.Fatalf("arrivals = %v", a.arrivals)
 	}
@@ -117,7 +119,8 @@ func TestMigrationToDownNodeFails(t *testing.T) {
 	ctx := p.Spawn(1, a)
 	net.SetDown(2, true)
 	ctx.MigrateTo(2)
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(a.failures) != 1 || a.failures[0] != 2 {
 		t.Fatalf("failures = %v", a.failures)
 	}
@@ -139,7 +142,8 @@ func TestLateEnvelopeRefused(t *testing.T) {
 	a := &testAgent{}
 	ctx := p.Spawn(1, a)
 	ctx.MigrateTo(2)
-	sim.Run()
+	for sim.Step() {
+	}
 	if ctx.Node() != 1 {
 		t.Fatalf("agent at %d, want origin 1", ctx.Node())
 	}
@@ -168,7 +172,8 @@ func TestLateEnvelopeRefused(t *testing.T) {
 	b := &testAgent{onFail: func(ctx *Context, dest simnet.NodeID) { ctx.MigrateTo(3) }}
 	ctx = p.Spawn(1, b)
 	ctx.MigrateTo(2)
-	sim.Run()
+	for sim.Step() {
+	}
 	if ctx.Node() != 3 || len(b.arrivals) != 2 || b.arrivals[1] != 3 {
 		t.Fatalf("agent at %d after arrivals %v, want 3 after [1 3]", ctx.Node(), b.arrivals)
 	}
@@ -207,7 +212,8 @@ func TestChainedItinerary(t *testing.T) {
 		}
 	}
 	p.Spawn(1, a)
-	sim.Run()
+	for sim.Step() {
+	}
 	want := []simnet.NodeID{1, 2, 3, 4, 5}
 	if len(a.arrivals) != len(want) {
 		t.Fatalf("arrivals = %v", a.arrivals)
@@ -228,7 +234,8 @@ func TestSendToAgent(t *testing.T) {
 	ctxA := p.Spawn(1, a)
 	ctxB := p.Spawn(2, b)
 	ctxA.SendToAgent(2, ctxB.ID(), "ping")
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(b.messages) != 1 || b.messages[0] != "ping" {
 		t.Fatalf("b.messages = %v", b.messages)
 	}
@@ -242,7 +249,8 @@ func TestMessageToAbsentAgentDropped(t *testing.T) {
 	a := &testAgent{}
 	ctxA := p.Spawn(1, a)
 	ctxA.SendToAgent(2, ID{Home: 2, Seq: 99}, "ping")
-	sim.Run()
+	for sim.Step() {
+	}
 	if p.Stats().AgentMsgsDropped != 1 {
 		t.Fatalf("stats = %+v", p.Stats())
 	}
@@ -256,7 +264,8 @@ func TestNotifyResidents(t *testing.T) {
 	c := &testAgent{}
 	p.Spawn(2, c)
 	p.Place(1).NotifyResidents("ll-changed")
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(a.events) != 1 || len(b.events) != 1 {
 		t.Fatalf("events a=%v b=%v", a.events, b.events)
 	}
@@ -273,7 +282,8 @@ func TestNotifyResidentsSurvivesMutation(t *testing.T) {
 	p.Spawn(1, a)
 	p.Spawn(1, b)
 	p.Place(1).NotifyResidents("go")
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(a.events) != 1 || len(b.events) != 1 {
 		t.Fatalf("events a=%v b=%v", a.events, b.events)
 	}
@@ -286,7 +296,8 @@ func TestDisposeStopsDelivery(t *testing.T) {
 	ctxB := p.Spawn(2, b)
 	ctxA.SendToAgent(2, ctxB.ID(), "ping")
 	ctxB.Dispose()
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(b.messages) != 0 {
 		t.Fatal("disposed agent received message")
 	}
@@ -303,7 +314,8 @@ func TestAfterSkippedWhenDisposed(t *testing.T) {
 	fired := false
 	ctx.After(10*time.Millisecond, func() { fired = true })
 	ctx.Dispose()
-	sim.Run()
+	for sim.Step() {
+	}
 	if fired {
 		t.Fatal("timer fired after dispose")
 	}
@@ -324,7 +336,8 @@ func TestKillResidentsAnnouncesDeaths(t *testing.T) {
 	ctx := p.Spawn(2, a)
 	net.SetDown(2, true)
 	killed := p.KillResidents(2)
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(killed) != 1 || killed[0] != ctx.ID() {
 		t.Fatalf("killed = %v", killed)
 	}
@@ -350,7 +363,8 @@ func TestAgentDiesIfOriginCrashesDuringFailedMigration(t *testing.T) {
 	net.SetDown(2, true)
 	ctx.MigrateTo(2)
 	sim.After(10*time.Millisecond, func() { net.SetDown(1, true) })
-	sim.Run()
+	for sim.Step() {
+	}
 	if ctx.Alive() {
 		t.Fatal("agent survived double crash")
 	}
@@ -387,7 +401,8 @@ func TestWireSizeAccounting(t *testing.T) {
 	a := &testAgent{size: 2048}
 	ctx := p.Spawn(1, a)
 	ctx.MigrateTo(2)
-	sim.Run()
+	for sim.Step() {
+	}
 	if got := net.Stats().BytesSent; got != 2048 {
 		t.Fatalf("bytes sent = %d, want 2048", got)
 	}
@@ -451,7 +466,8 @@ func TestContextAccessorsAndServerHelpers(t *testing.T) {
 	ctxB := p.Spawn(3, b)
 	p.SendToAgent(1, 3, ctxB.ID(), "hello")
 	p.SendToServer(1, 3, "server-bound")
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(b.messages) != 1 || b.messages[0] != "hello" {
 		t.Fatalf("messages = %v", b.messages)
 	}
@@ -466,7 +482,8 @@ func TestSendAfterDisposeIsNoop(t *testing.T) {
 	ctx.Dispose()
 	ctx.Send(2, "x")
 	ctx.SendToAgent(2, ID{Home: 2, Seq: 1}, "x")
-	sim.Run()
+	for sim.Step() {
+	}
 	if net.Stats().MessagesSent != 0 {
 		t.Fatal("disposed agent sent messages")
 	}
@@ -477,7 +494,8 @@ func TestDefaultWireSizeWithoutSizer(t *testing.T) {
 	// minimalAgent lacks WireSize: its migrations declare the default.
 	ctx := p.Spawn(1, &minimalAgent{})
 	ctx.MigrateTo(2)
-	sim.Run()
+	for sim.Step() {
+	}
 	if got := net.Stats().BytesSent; got != DefaultAgentSize {
 		t.Fatalf("bytes = %d, want %d", got, DefaultAgentSize)
 	}
@@ -535,7 +553,8 @@ func TestWireMigrationSettlesOnTheWindow(t *testing.T) {
 	a := &wireTestAgent{}
 	ctx := p.Spawn(1, a)
 	ctx.MigrateTo(2)
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(*departed) != 1 || (*departed)[0] != ctx.ID() || ctx.Alive() {
 		t.Fatalf("departed = %v, origin copy alive = %v", *departed, ctx.Alive())
 	}
@@ -549,7 +568,8 @@ func TestWireMigrationSettlesOnTheWindow(t *testing.T) {
 	moved := p.Place(2).agents[ctx.ID()]
 	net.SetDown(3, true)
 	moved.MigrateTo(3)
-	sim.Run()
+	for sim.Step() {
+	}
 	mover := moved.behavior.(*wireTestAgent)
 	if len(mover.failures) != 1 || mover.failures[0] != 3 || moved.Node() != 2 || !moved.Alive() {
 		t.Fatalf("failures = %v at node %d: the given-up envelope did not re-activate the agent at its origin", mover.failures, moved.Node())
@@ -602,9 +622,11 @@ func TestLateSettlementDecidesOnlyItsOwnHop(t *testing.T) {
 	left := &wireTestAgent{}
 	ctx := p.Spawn(1, left)
 	ctx.MigrateTo(2)
-	sim.Run()
+	for sim.Step() {
+	}
 	q.Place(2).agents[ctx.ID()].MigrateTo(1)
-	sim.Run()
+	for sim.Step() {
+	}
 	back := p.Place(1).agents[ctx.ID()]
 	if back == nil || back == ctx {
 		t.Fatal("the agent did not come back to node 1 as a new copy")
@@ -625,7 +647,8 @@ func TestLateSettlementDecidesOnlyItsOwnHop(t *testing.T) {
 	if _, pending := p.pending[ctx.ID()]; !pending || len(departed) != 1 || p.Stats().MigrationsFailed != 0 {
 		t.Fatalf("a report on the first envelope settled the newer migration (departed %v, stats %+v)", departed, p.Stats())
 	}
-	sim.Run()
+	for sim.Step() {
+	}
 	if p.Place(3).agents[ctx.ID()] == nil {
 		t.Fatal("the newer migration did not land")
 	}

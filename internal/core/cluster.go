@@ -413,8 +413,8 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 			if gate != nil {
 				// Hold fires synchronously on the execution context; the
 				// covering fsync lands on the flush goroutine, so Release is
-				// marshalled back through the engine before the dam opens.
-				j.OnBarrier(gate.Hold, func() { eng.AfterFunc(0, gate.Release) })
+				// injected back onto the engine before the dam opens.
+				j.OnBarrier(gate.Hold, func() { eng.Inject(gate.Release) })
 			}
 			c.backends[id] = b
 			c.journals[id] = j
@@ -978,7 +978,7 @@ func (c *Cluster) Recover(id runtime.NodeID) {
 	}
 	c.journals[id] = j
 	if c.gate != nil {
-		j.OnBarrier(c.gate.Hold, func() { c.eng.AfterFunc(0, c.gate.Release) })
+		j.OnBarrier(c.gate.Hold, func() { c.eng.Inject(c.gate.Release) })
 	}
 	c.wireRelJournal(id, j, st)
 	c.servers[id].Restart(j, st)

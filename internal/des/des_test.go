@@ -8,7 +8,8 @@ import (
 
 func TestEmptyRun(t *testing.T) {
 	s := New(1)
-	s.Run()
+	for s.Step() {
+	}
 	if s.Now() != 0 {
 		t.Fatalf("Now = %v, want 0", s.Now())
 	}
@@ -23,7 +24,8 @@ func TestOrderingByTime(t *testing.T) {
 	s.After(30*time.Millisecond, func() { got = append(got, 3) })
 	s.After(10*time.Millisecond, func() { got = append(got, 1) })
 	s.After(20*time.Millisecond, func() { got = append(got, 2) })
-	s.Run()
+	for s.Step() {
+	}
 	want := []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -39,7 +41,8 @@ func TestFIFOWithinSameInstant(t *testing.T) {
 		i := i
 		s.After(time.Millisecond, func() { got = append(got, i) })
 	}
-	s.Run()
+	for s.Step() {
+	}
 	for i := 0; i < 10; i++ {
 		if got[i] != i {
 			t.Fatalf("FIFO violated: got %v", got)
@@ -51,7 +54,8 @@ func TestClockAdvances(t *testing.T) {
 	s := New(1)
 	var at Time
 	s.After(42*time.Millisecond, func() { at = s.Now() })
-	s.Run()
+	for s.Step() {
+	}
 	if at.Duration() != 42*time.Millisecond {
 		t.Fatalf("event fired at %v, want 42ms", at)
 	}
@@ -69,7 +73,8 @@ func TestNestedScheduling(t *testing.T) {
 			fired = append(fired, s.Now().Duration())
 		})
 	})
-	s.Run()
+	for s.Step() {
+	}
 	if len(fired) != 2 || fired[0] != 10*time.Millisecond || fired[1] != 15*time.Millisecond {
 		t.Fatalf("fired = %v", fired)
 	}
@@ -85,7 +90,8 @@ func TestCancel(t *testing.T) {
 	if e.Cancel() {
 		t.Fatal("second Cancel should report false")
 	}
-	s.Run()
+	for s.Step() {
+	}
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -94,7 +100,8 @@ func TestCancel(t *testing.T) {
 func TestCancelFiredEvent(t *testing.T) {
 	s := New(1)
 	e := s.After(0, func() {})
-	s.Run()
+	for s.Step() {
+	}
 	if e.Cancel() {
 		t.Fatal("Cancel of fired event should report false")
 	}
@@ -113,9 +120,10 @@ func TestRunUntil(t *testing.T) {
 	if s.Now().Duration() != 3*time.Millisecond {
 		t.Fatalf("clock = %v, want 3ms", s.Now())
 	}
-	s.Run()
+	for s.Step() {
+	}
 	if count != 5 {
-		t.Fatalf("count after Run = %d, want 5", count)
+		t.Fatalf("count after draining = %d, want 5", count)
 	}
 }
 
@@ -138,27 +146,6 @@ func TestRunFor(t *testing.T) {
 	}
 }
 
-func TestStopFromHandler(t *testing.T) {
-	s := New(1)
-	var count int
-	for i := 0; i < 10; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 4 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 4 {
-		t.Fatalf("count = %d, want 4", count)
-	}
-	s.Run() // resumes
-	if count != 10 {
-		t.Fatalf("count after resume = %d, want 10", count)
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New(1)
 	s.After(10*time.Millisecond, func() {
@@ -169,7 +156,8 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}()
 		s.At(Time(1*time.Millisecond), func() {})
 	})
-	s.Run()
+	for s.Step() {
+	}
 }
 
 func TestNilFuncPanics(t *testing.T) {
@@ -192,14 +180,16 @@ func TestMaxStepsPanics(t *testing.T) {
 			t.Error("expected livelock panic")
 		}
 	}()
-	s.Run()
+	for s.Step() {
+	}
 }
 
 func TestNegativeAfterClamped(t *testing.T) {
 	s := New(1)
 	fired := false
 	s.After(-time.Second, func() { fired = true })
-	s.Run()
+	for s.Step() {
+	}
 	if !fired || s.Now() != 0 {
 		t.Fatalf("fired=%v now=%v", fired, s.Now())
 	}
@@ -222,7 +212,8 @@ func TestDeterminismSameSeed(t *testing.T) {
 			}
 		}
 		s.After(0, func() { spawn(6) })
-		s.Run()
+		for s.Step() {
+		}
 		return trace
 	}
 	a, b := run(42), run(42)
@@ -263,7 +254,8 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 			}
 			s.After(dd, func() { fired = append(fired, s.Now()) })
 		}
-		s.Run()
+		for s.Step() {
+		}
 		if len(fired) != len(delays) {
 			return false
 		}
@@ -292,33 +284,6 @@ func TestTimeHelpers(t *testing.T) {
 	}
 }
 
-func TestEventWhenAndNextEvent(t *testing.T) {
-	s := New(1)
-	if _, ok := s.NextEvent(); ok {
-		t.Fatal("NextEvent on empty queue")
-	}
-	e := s.After(7*time.Millisecond, func() {})
-	if e.When().Duration() != 7*time.Millisecond {
-		t.Fatalf("When = %v", e.When())
-	}
-	if next, ok := s.NextEvent(); !ok || next != e.When() {
-		t.Fatalf("NextEvent = %v %v", next, ok)
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d", s.Pending())
-	}
-	// A cancelled event is reaped immediately, so NextEvent and Pending
-	// see only live events.
-	e.Cancel()
-	s.After(9*time.Millisecond, func() {})
-	if next, ok := s.NextEvent(); !ok || next.Duration() != 9*time.Millisecond {
-		t.Fatalf("NextEvent after cancel = %v %v", next, ok)
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", s.Pending())
-	}
-}
-
 func BenchmarkScheduleAndFire(b *testing.B) {
 	s := New(1)
 	b.ReportAllocs()
@@ -335,7 +300,8 @@ func BenchmarkDeepEventQueue(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			s.After(time.Duration(j)*time.Microsecond, func() {})
 		}
-		s.Run()
+		for s.Step() {
+		}
 	}
 }
 
@@ -352,7 +318,8 @@ func TestSetPaceSleepsAndChangesNothingElse(t *testing.T) {
 			s.After(time.Duration(i%7)*time.Millisecond, func() { order = append(order, i) })
 		}
 		start := time.Now()
-		s.Run()
+		for s.Step() {
+		}
 		return order, s.Now(), time.Since(start)
 	}
 	free, freeEnd, _ := run(false)

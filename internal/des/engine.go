@@ -1,5 +1,5 @@
 // The simulator doubles as the deterministic implementation of the
-// runtime.Engine seam: AfterFunc/Sleep/Wait are thin views over the
+// runtime.Engine seam: AfterFunc/Sleep/Wait/Inject are thin views over the
 // existing scheduling primitives, so protocol code written against the
 // seam executes identically to code that called After/RunFor directly.
 
@@ -13,13 +13,11 @@ import (
 
 var _ runtime.Engine = (*Simulator)(nil)
 
-// AfterFunc schedules fn to run d after the current virtual time and
-// returns the portable timer handle. It is After behind the runtime.Clock
-// interface; des.Timer is the handle, so cancellation semantics (stale
-// handles inert, cancel removes the event immediately) are unchanged.
-func (s *Simulator) AfterFunc(d time.Duration, fn func()) runtime.Timer {
-	return runtime.MakeTimer(s.After(d, fn))
-}
+// AfterFunc is After behind the runtime.Clock interface.
+func (s *Simulator) AfterFunc(d time.Duration, fn func()) runtime.Timer { return s.After(d, fn) }
+
+// Inject runs fn as an event due now, behind everything already due now.
+func (s *Simulator) Inject(fn func()) { s.After(0, fn) }
 
 // Sleep advances the simulation by d of virtual time, firing everything
 // that comes due — RunFor behind the runtime.Engine interface.

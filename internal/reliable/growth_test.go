@@ -40,7 +40,8 @@ func TestDedupStateStaysBoundedOverALongRun(t *testing.T) {
 				l.Send(runtime.Message{From: 1, To: 2, Payload: "p", Size: 1})
 			})
 		}
-		sim.Run()
+		for sim.Step() {
+		}
 		if delivered != frames || l.Stats().GaveUp != 0 {
 			t.Fatalf("%d frames: delivered %d, stats %+v", frames, delivered, l.Stats())
 		}

@@ -130,7 +130,8 @@ func oneWay(sim *des.Simulator, l *Layer, n int, gap time.Duration) {
 		i := i
 		sim.After(time.Duration(i)*gap, func() { l.Send(simnet.Message{From: 1, To: 2, Payload: i, Size: 1}) })
 	}
-	sim.Run()
+	for sim.Step() {
+	}
 }
 
 // TestSamplesLeaveTheAckDelayOut: on a 1 ms link nothing answers, every
@@ -199,7 +200,8 @@ func TestLossIsRepairedAfterTheMeasuredTimeout(t *testing.T) {
 		return false
 	}
 	l.Send(simnet.Message{From: 1, To: 2, Payload: "lost", Size: 4})
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(sent) != 2 {
 		t.Fatalf("the lost frame was transmitted %d times, want twice", len(sent))
 	}
@@ -226,7 +228,8 @@ func TestRetransmissionIsTimedFromItsOwnCopy(t *testing.T) {
 		return false
 	}
 	l.Send(simnet.Message{From: 1, To: 2, Payload: "one", Size: 3})
-	sim.Run()
+	for sim.Step() {
+	}
 	want := 2*time.Millisecond + 4*time.Millisecond + DefaultConfig.Base/4 // first sample 2ms: RTTVAR = 1ms
 	if rto, measured := linkRTO(l, 1, 2); l.Stats().RTTSamples != 1 || !measured || rto != want {
 		t.Fatalf("samples %d, timeout %v (measured %v): want the second copy's 2ms sampled, timeout %v",
@@ -272,7 +275,8 @@ func TestDedupDeliversExactlyOnce(t *testing.T) {
 	for i := 0; i < n; i++ {
 		l.Send(simnet.Message{From: 1, To: 2, Payload: i, Size: 10})
 	}
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(b.msgs) != n {
 		t.Fatalf("delivered %d payloads, want exactly %d", len(b.msgs), n)
 	}
@@ -310,7 +314,8 @@ func TestEverySendSettlesOnce(t *testing.T) {
 	for i := 0; i < n; i++ {
 		l.Send(simnet.Message{From: 1, To: 2, Payload: i, Size: 10})
 	}
-	sim.Run()
+	for sim.Step() {
+	}
 	for i := 0; i < n; i++ {
 		if settled[i] != 1 {
 			t.Fatalf("payload %d settled %d times, want once (stats %+v)", i, settled[i], l.Stats())
@@ -332,7 +337,8 @@ func TestLossRecoveredByRetransmission(t *testing.T) {
 	for i := 0; i < n; i++ {
 		l.Send(simnet.Message{From: 1, To: 2, Payload: i, Size: 10})
 	}
-	sim.Run()
+	for sim.Step() {
+	}
 	st := l.Stats()
 	if st.GaveUp != 0 {
 		t.Fatalf("%d sends gave up under 30%% loss with 12 attempts", st.GaveUp)
@@ -356,7 +362,8 @@ func TestUnreachablePeerSurfaces(t *testing.T) {
 		gaveUp = append(gaveUp, msg)
 	})
 	l.Send(simnet.Message{From: 1, To: 2, Payload: "lost", Size: 4})
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(gaveUp) != 1 || gaveUp[0].Payload != "lost" {
 		t.Fatalf("OnSettled calls = %+v, want exactly one with the original payload", gaveUp)
 	}
@@ -376,7 +383,8 @@ func TestCrashClearsVolatileState(t *testing.T) {
 	l.OnSettled(func(simnet.Message, bool) { unreachable++ })
 	l.Crash(1) // sender crashes: its unacked send must die silently
 	net.SetDown(1, true)
-	sim.Run()
+	for sim.Step() {
+	}
 	if unreachable != 0 {
 		t.Fatal("a crashed sender reported unreachable peers")
 	}
@@ -385,7 +393,8 @@ func TestCrashClearsVolatileState(t *testing.T) {
 	net.SetDown(1, false)
 	net.SetDown(2, false)
 	l.Send(simnet.Message{From: 2, To: 1, Payload: "fresh", Size: 5})
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(a.msgs) != 1 || a.msgs[0].Payload != "fresh" {
 		t.Fatalf("post-recovery delivery = %+v", a.msgs)
 	}
@@ -396,7 +405,8 @@ func TestRawMessagesPassThrough(t *testing.T) {
 	// handler unchanged.
 	sim, net, _, _, b := pair(t, nil, Config{})
 	net.Send(simnet.Message{From: 1, To: 2, Payload: "raw", Size: 3})
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(b.msgs) != 1 || b.msgs[0].Payload != "raw" {
 		t.Fatalf("raw delivery = %+v", b.msgs)
 	}
@@ -426,7 +436,8 @@ func holeCase(t *testing.T, cfg Config, abandon func(sim *des.Simulator, net *si
 	}
 	abandon(sim, net, l)
 	l.Send(simnet.Message{From: 1, To: 2, Payload: "three", Size: 5})
-	sim.Run()
+	for sim.Step() {
+	}
 	if got := l.Stats().DedupResidue; got != 0 {
 		t.Fatalf("residue = %d at quiescence: the hole stalled the window", got)
 	}
@@ -435,7 +446,8 @@ func holeCase(t *testing.T, cfg Config, abandon func(sim *des.Simulator, net *si
 	}
 	before := l.Stats().DuplicatesSuppressed
 	net.Send(late[0])
-	sim.Run()
+	for sim.Step() {
+	}
 	if got := payloads(b); len(got) != 2 || got[0] != "two" || got[1] != "three" {
 		t.Fatalf("delivered %v, want [two three]: the abandoned frame's late copy must be suppressed", got)
 	}
@@ -456,7 +468,8 @@ func TestGiveUpMovesTheFloor(t *testing.T) {
 					gaveUp++
 				}
 			})
-			sim.Run() // three transmissions of frame 1, all lost
+			for sim.Step() { // three transmissions of frame 1, all lost
+			}
 			if gaveUp != 1 {
 				t.Fatalf("gave up %d sends, want frame 1 only", gaveUp)
 			}
@@ -497,7 +510,8 @@ func TestGiveUpTellsTheFloor(t *testing.T) {
 	}
 	l.Send(simnet.Message{From: 1, To: 2, Payload: "one", Size: 3})
 	l.Send(simnet.Message{From: 1, To: 2, Payload: "two", Size: 3})
-	sim.Run()
+	for sim.Step() {
+	}
 	if st := l.Stats(); st.GaveUp != 1 || st.DedupResidue != 0 {
 		t.Fatalf("stats %+v: want frame 1 given up and no residue at quiescence", st)
 	}
@@ -586,7 +600,8 @@ func TestGiveUpUnderAPendingFrameTellsTheFloor(t *testing.T) {
 		for _, p := range []string{"one", "two", "three"} {
 			l.Send(simnet.Message{From: 1, To: 2, Payload: p, Size: 3})
 		}
-		sim.Run()
+		for sim.Step() {
+		}
 		st := l.Stats()
 		if st.DedupResidue != 0 {
 			t.Fatalf("seed %d: stats %+v: residue at quiescence", seed, st)
@@ -616,18 +631,21 @@ func TestRestartedReceiverRelearnsItsWatermark(t *testing.T) {
 	for _, p := range []string{"one", "two", "three"} {
 		l.Send(simnet.Message{From: 1, To: 2, Payload: p, Size: 3})
 	}
-	sim.Run() // delivered and acknowledged
+	for sim.Step() { // delivered and acknowledged
+	}
 	l.Crash(2)
 	if _, held := l.PortState(2); len(held) != 0 {
 		t.Fatalf("a crashed receiver kept %+v", held)
 	}
 	l.Send(simnet.Message{From: 1, To: 2, Payload: "four", Size: 4})
-	sim.Run()
+	for sim.Step() {
+	}
 	if _, held := l.PortState(2); held[1].Mark != 4 || held[1].Above != nil {
 		t.Fatalf("window after the first frame since the restart = %+v, want watermark 4", held[1])
 	}
 	net.Send(copies[0])
-	sim.Run()
+	for sim.Step() {
+	}
 	if got := payloads(b); len(got) != 4 || got[3] != "four" {
 		t.Fatalf("delivered %v: frame 2 came twice though the sender no longer holds it", got)
 	}
@@ -651,7 +669,8 @@ func TestOneWayTrafficAcksOnTheTimer(t *testing.T) {
 			l.Send(simnet.Message{From: 1, To: 2, Payload: i, Size: 10})
 		})
 	}
-	sim.Run()
+	for sim.Step() {
+	}
 	st := l.Stats()
 	if len(b.msgs) != n || st.Retransmissions != 0 || st.DuplicatesSuppressed != 0 || st.GaveUp != 0 {
 		t.Fatalf("delivered %d of %d, stats %+v: a delayed ack must not cost a retransmission", len(b.msgs), n, st)
@@ -664,7 +683,8 @@ func TestOneWayTrafficAcksOnTheTimer(t *testing.T) {
 	}
 	// A lone frame is the other extreme: exactly one ack, on the timer.
 	l.Send(simnet.Message{From: 1, To: 2, Payload: n, Size: 10})
-	sim.Run()
+	for sim.Step() {
+	}
 	if after := l.Stats(); after.AcksSent != st.AcksSent+1 || after.Retransmissions != 0 {
 		t.Fatalf("lone frame: stats %+v after %+v", after, st)
 	}
@@ -698,7 +718,8 @@ func TestLostAckIsHealedByTheNextFrame(t *testing.T) {
 			if got := len(l.ports[1].links[2].pending); got != 0 {
 				t.Fatalf("%d frames still pending on 1->2 after the next acknowledgement", got)
 			}
-			sim.Run()
+			for sim.Step() {
+			}
 			if st := l.Stats(); st.Retransmissions != 0 || st.DuplicatesSuppressed != 0 {
 				t.Fatalf("stats %+v: the lost ack cost a retransmission", st)
 			}
@@ -731,7 +752,8 @@ func TestDuplicateAboveTheWatermarkIsReacked(t *testing.T) {
 	}
 	l.Send(simnet.Message{From: 1, To: 2, Payload: "one", Size: 3})
 	l.Send(simnet.Message{From: 1, To: 2, Payload: "two", Size: 3})
-	sim.Run()
+	for sim.Step() {
+	}
 	if copiesOfTwo != 2 {
 		t.Fatalf("frame 2 was transmitted %d times, want 2: once, and once more for the lost ack", copiesOfTwo)
 	}
@@ -847,14 +869,16 @@ func TestWindowMatchesExplicitSet(t *testing.T) {
 				})
 			})
 		}
-		sim.Run()
+		for sim.Step() {
+		}
 		// Quiescence: with the faults gone, one frame each way tells both
 		// ends every floor, and nothing is left held or pending.
 		net.SetFaults(nil)
 		for _, from := range []runtime.NodeID{1, 2} {
 			l.Send(runtime.Message{From: from, To: 3 - from, Payload: "p", Size: 1})
 		}
-		sim.Run()
+		for sim.Step() {
+		}
 		if st := l.Stats(); st.DedupResidue != 0 || len(l.ports[1].links[2].pending)+len(l.ports[2].links[1].pending) != 0 {
 			t.Logf("seed %d: at quiescence residue = %d, pending = %d and %d", seed, st.DedupResidue,
 				len(l.ports[1].links[2].pending), len(l.ports[2].links[1].pending))
@@ -879,7 +903,8 @@ func TestWindowMatchesExplicitSet(t *testing.T) {
 func TestDeclaredFrameCostsItsHeaderAndPayload(t *testing.T) {
 	sim, net, l, _, _ := pair(t, nil, Config{})
 	l.Send(simnet.Message{From: 1, To: 2, Payload: "p", Size: 10})
-	sim.Run()
+	for sim.Step() {
+	}
 	st := net.Stats()
 	// Tag, then seq 1, transmission 1, floor 1, and an empty ack (mark,
 	// count, echo, transmission, delay): one byte each.

@@ -29,7 +29,8 @@ func TestQuorumReadCollectsLatest(t *testing.T) {
 	var got store.Value
 	var found bool
 	f.servers[5].QuorumRead("x", func(v store.Value, ok bool) { got, found = v, ok })
-	f.sim.Run()
+	for f.sim.Step() {
+	}
 	if !found || got.Data != "new" || got.Version.Seq != 2 {
 		t.Fatalf("quorum read = %+v %v", got, found)
 	}
@@ -61,7 +62,8 @@ func TestQuorumReadMissingEverywhere(t *testing.T) {
 	var found bool
 	resolved := false
 	f.servers[2].QuorumRead("ghost", func(v store.Value, ok bool) { found, resolved = ok, true })
-	f.sim.Run()
+	for f.sim.Step() {
+	}
 	if !resolved || found {
 		t.Fatalf("resolved=%v found=%v", resolved, found)
 	}

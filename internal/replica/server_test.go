@@ -397,7 +397,8 @@ func TestCommitGapTriggersSyncAndBacklog(t *testing.T) {
 	if s2.Store().LastSeq() != 0 {
 		t.Fatal("gapped update applied immediately")
 	}
-	f.sim.Run()
+	for f.sim.Step() {
+	}
 	if s2.Store().LastSeq() != 2 {
 		t.Fatalf("after sync LastSeq = %d, want 2", s2.Store().LastSeq())
 	}
@@ -448,7 +449,8 @@ func TestRecoverSyncsFromPeers(t *testing.T) {
 	f.sim.RunFor(10 * time.Millisecond)
 	f.net.SetDown(1, false)
 	s1.Recover()
-	f.sim.Run()
+	for f.sim.Step() {
+	}
 	if s1.Store().LastSeq() != 4 {
 		t.Fatalf("recovered LastSeq = %d, want 4", s1.Store().LastSeq())
 	}
@@ -506,7 +508,8 @@ func TestUpdateAckRoundTripOverNetwork(t *testing.T) {
 	s2.VisitAndLock(ctx.ID(), nil, nil, goneSet(a))
 	m := claim(ctx.ID(), 1, "x")
 	f.net.Send(simnet.Message{From: 1, To: 2, Payload: m})
-	f.sim.Run()
+	for f.sim.Step() {
+	}
 	if got == nil || !got.OK {
 		t.Fatalf("ack = %+v", got)
 	}

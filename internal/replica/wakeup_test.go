@@ -89,7 +89,8 @@ func wakeups(t *testing.T, wire bool) []string {
 	}}})
 	p.step = "b dies"
 	s.OnAgentDeath(b)
-	sim.Run()
+	for sim.Step() {
+	}
 	return p.seen
 }
 

@@ -3,15 +3,16 @@
 // which mobile agents migrate as serialized wire state.
 //
 // The protocol packages are written for a single-threaded execution
-// context — the discrete-event simulator runs every callback on one
-// goroutine, and the code carries no locks. The live engine preserves that
-// contract with an actor loop: all protocol callbacks (timer fires, message
-// deliveries, client submits) are injected into one goroutine and run
-// there, one at a time. Concurrency lives at the edges (socket readers and
-// writers, the wall-clock timer wheel), never inside protocol state.
+// context and carry no locks. The live engine keeps that contract with an
+// actor loop: every protocol callback (timer fires, message deliveries,
+// client submits) runs on one goroutine, one at a time, and its timers sit
+// in the simulator's own event queue (runtime.Queue), fired against the
+// wall clock. Concurrency lives at the edges (socket readers and writers,
+// client goroutines, flush completions), which hand work in through Inject.
 package live
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -24,11 +25,12 @@ var _ runtime.Engine = (*Engine)(nil)
 // Engine is the live implementation of runtime.Engine. Create one per
 // process with NewEngine and stop it with Close.
 type Engine struct {
-	start time.Time
-	rng   *rand.Rand // guarded by the loop: only touched from loop callbacks
-	inbox chan func()
-	quit  chan struct{}
-	once  sync.Once
+	start  time.Time
+	rng    *rand.Rand    // guarded by the loop: only touched from loop callbacks
+	timers runtime.Queue // guarded by the loop, like rng
+	inbox  chan func()
+	quit   chan struct{}
+	once   sync.Once
 }
 
 // NewEngine starts the engine's actor loop. The seed feeds the protocol's
@@ -45,11 +47,35 @@ func NewEngine(seed int64) *Engine {
 	return e
 }
 
+// loop runs injected functions and due timers until Close. One wall-clock
+// timer, wake, is armed no later than the earliest deadline (armed). It is
+// only Reset or Stopped, never drained: with the pre-Go 1.23 timer channels
+// this module builds with, a drain after the loop took the tick blocks
+// forever, while a stale tick is just a wake-up that finds nothing due.
 func (e *Engine) loop() {
+	wake := time.NewTimer(time.Hour)
+	defer wake.Stop()
+	armed := runtime.Time(math.MaxInt64)
 	for {
+		if next, ok := e.timers.Next(); ok && next < armed {
+			wake.Reset(next.Sub(e.Now()))
+			armed = next
+		}
 		select {
 		case fn := <-e.inbox:
 			fn()
+		case <-wake.C:
+			// Fire what is due now, in (when, seq) order. The bound is read
+			// once, so a zero-delay timer armed by a callback waits for the
+			// next wake-up rather than holding the inbox off.
+			armed = math.MaxInt64
+			for now := e.Now(); ; {
+				_, fn, ok := e.timers.Pop(now)
+				if !ok {
+					break
+				}
+				fn()
+			}
 		case <-e.quit:
 			return
 		}
@@ -57,8 +83,8 @@ func (e *Engine) loop() {
 }
 
 // Inject schedules fn to run on the engine's execution context. It is safe
-// from any goroutine and never blocks forever: after Close the function is
-// silently discarded.
+// from any goroutine — the one way in for code off the loop — and never
+// blocks forever: after Close the function is silently discarded.
 func (e *Engine) Inject(fn func()) {
 	select {
 	case e.inbox <- fn:
@@ -92,19 +118,11 @@ func (e *Engine) Now() runtime.Time { return runtime.Time(time.Since(e.start)) }
 // from loop callbacks, which is exactly how protocol code reaches it.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// AfterFunc schedules fn on the actor loop d from now.
+// AfterFunc schedules fn on the actor loop d from now. Like Cancel and
+// Active on the Timer it returns, it must be called on the loop; code on
+// another goroutine uses Inject.
 func (e *Engine) AfterFunc(d time.Duration, fn func()) runtime.Timer {
-	if d < 0 {
-		d = 0
-	}
-	lt := &liveTimer{}
-	lt.t = time.AfterFunc(d, func() {
-		lt.mu.Lock()
-		lt.fired = true
-		lt.mu.Unlock()
-		e.Inject(fn)
-	})
-	return runtime.MakeTimer(lt)
+	return e.timers.Schedule(e.Now().Add(max(d, 0)), fn)
 }
 
 // Sleep blocks the caller for d of wall-clock time while the actor loop
@@ -143,29 +161,4 @@ func (e *Engine) Wait(d time.Duration, done func() bool) error {
 		}
 		time.Sleep(iv)
 	}
-}
-
-// liveTimer adapts time.Timer to runtime.TimerHandle. The mutex makes
-// Active/Cancel safe against the timer goroutine marking the fire.
-type liveTimer struct {
-	mu    sync.Mutex
-	t     *time.Timer
-	fired bool
-}
-
-func (lt *liveTimer) Active() bool {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	return !lt.fired && lt.t != nil
-}
-
-func (lt *liveTimer) Cancel() bool {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	if lt.fired || lt.t == nil {
-		return false
-	}
-	stopped := lt.t.Stop()
-	lt.t = nil
-	return stopped
 }

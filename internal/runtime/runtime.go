@@ -15,6 +15,11 @@
 //     own OS process with wall-clock timers and a wire-codec TCP fabric, and
 //     mobile agents migrate across real sockets.
 //
+// Both engines schedule through one event queue, Queue, and hand out its
+// Timer: the simulator fires the queue in virtual time, the live engine's
+// actor loop against the wall clock, so a timer cancelled on the execution
+// context never runs on either.
+//
 // The invariant this package exists to protect: engine choice is invisible
 // to protocol code. The same agent and server logic that is model-checked
 // under simulation is what runs in production.
@@ -152,34 +157,6 @@ type Fabric interface {
 	Down(id NodeID) bool
 }
 
-// TimerHandle is the engine-specific state behind a Timer. Both methods
-// must be safe to call after the timer fired.
-type TimerHandle interface {
-	// Active reports whether the timer is still pending.
-	Active() bool
-	// Cancel stops the timer, reporting whether it was still pending.
-	Cancel() bool
-}
-
-// Timer is a cancellable handle to a scheduled callback. The zero Timer is
-// valid and inert — Active is false, Cancel is a no-op — matching the
-// semantics protocol code relied on under the simulator.
-type Timer struct{ h TimerHandle }
-
-// MakeTimer wraps an engine's timer state in the portable handle.
-func MakeTimer(h TimerHandle) Timer { return Timer{h: h} }
-
-// Active reports whether the timer is still pending.
-func (t Timer) Active() bool { return t.h != nil && t.h.Active() }
-
-// Cancel stops the timer, reporting whether it was still pending.
-func (t Timer) Cancel() bool {
-	if t.h == nil {
-		return false
-	}
-	return t.h.Cancel()
-}
-
 // Clock tells time and schedules callbacks.
 type Clock interface {
 	// Now returns the current time.
@@ -187,7 +164,9 @@ type Clock interface {
 	// AfterFunc schedules fn to run d from now. Negative durations are
 	// clamped to zero. The callback runs on the engine's execution context
 	// (the simulation loop, or the live engine's actor goroutine) — never
-	// concurrently with other protocol code.
+	// concurrently with other protocol code. AfterFunc, and Active and
+	// Cancel on the Timer it returns, must themselves be called on that
+	// context; a Timer cancelled there before its callback ran never runs.
 	AfterFunc(d time.Duration, fn func()) Timer
 }
 
@@ -217,6 +196,11 @@ type Engine interface {
 	// elapses (ErrDeadline), or the engine has no work left (ErrStalled).
 	// done is polled from the engine's execution context.
 	Wait(d time.Duration, done func() bool) error
+	// Inject runs fn on the execution context as soon as it can. It is
+	// the one entry for code on any other goroutine (a flush completion,
+	// a socket reader); the simulator, which has no other goroutine, runs
+	// fn as an event due now.
+	Inject(fn func())
 }
 
 // Capability interfaces: fault-injection surfaces an engine's fabric MAY

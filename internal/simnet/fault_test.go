@@ -22,7 +22,8 @@ func TestFaultLossDeterministicAndCounted(t *testing.T) {
 		for i := 0; i < n; i++ {
 			net.Send(Message{From: 1, To: 2, Payload: i, Size: 1})
 		}
-		sim.Run()
+		for sim.Step() {
+		}
 		return net.Stats(), len(b.msgs)
 	}
 	s1, got1 := run()
@@ -47,7 +48,8 @@ func TestFaultDuplicationDeliversTwice(t *testing.T) {
 	for i := 0; i < n; i++ {
 		net.Send(Message{From: 1, To: 2, Payload: i, Size: 1})
 	}
-	sim.Run()
+	for sim.Step() {
+	}
 	s := net.Stats()
 	if s.MessagesDuplicated == 0 || s.MessagesLost != 0 {
 		t.Fatalf("stats = %+v", s)
@@ -74,7 +76,8 @@ func TestFaultLossyWindow(t *testing.T) {
 		send(10*time.Millisecond+time.Duration(i)*100*time.Microsecond, "during") // [10ms, 15ms)
 		send(30*time.Millisecond+time.Duration(i)*100*time.Microsecond, "after")  // [30ms, 35ms)
 	}
-	sim.Run()
+	for sim.Step() {
+	}
 	counts := map[string]int{}
 	for _, m := range b.msgs {
 		counts[m.Payload.(string)]++
@@ -97,7 +100,8 @@ func TestFaultLinkLossAndExtraLoss(t *testing.T) {
 		net.Send(Message{From: 1, To: 2, Payload: i, Size: 1}) // lossy direction
 		net.Send(Message{From: 2, To: 1, Payload: i, Size: 1}) // clean direction
 	}
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(a.msgs) != 100 {
 		t.Fatalf("clean reverse link lost messages: got %d", len(a.msgs))
 	}
@@ -112,7 +116,8 @@ func TestFaultLinkLossAndExtraLoss(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		net2.Send(Message{From: 1, To: 2, Payload: i, Size: 1})
 	}
-	sim2.Run()
+	for sim2.Step() {
+	}
 	lostUnder := net2.Stats().MessagesLost
 	if lostUnder == 0 {
 		t.Fatal("SetExtraLoss had no effect")
@@ -121,7 +126,8 @@ func TestFaultLinkLossAndExtraLoss(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		net2.Send(Message{From: 1, To: 2, Payload: i, Size: 1})
 	}
-	sim2.Run()
+	for sim2.Step() {
+	}
 	if len(b2.msgs) != (100-lostUnder)+50 {
 		t.Fatalf("clearing extra loss still lost messages: %d delivered", len(b2.msgs))
 	}

@@ -28,7 +28,8 @@ func pair(t *testing.T, lat LatencyModel) (*des.Simulator, *Network, *rec, *rec)
 func TestDeliverBasic(t *testing.T) {
 	sim, net, _, b := pair(t, Constant(5*time.Millisecond))
 	net.Send(Message{From: 1, To: 2, Payload: "hi", Size: 10})
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(b.msgs) != 1 || b.msgs[0].Payload != "hi" {
 		t.Fatalf("b.msgs = %+v", b.msgs)
 	}
@@ -44,7 +45,8 @@ func TestStatsAccounting(t *testing.T) {
 	net.Send(Message{From: 1, To: 2, Payload: kinded("lock"), Size: 100})
 	net.Send(Message{From: 2, To: 1, Payload: kinded("ack"), Size: 20})
 	net.Send(Message{From: 1, To: 2, Payload: kinded("lock"), Size: 100})
-	sim.Run()
+	for sim.Step() {
+	}
 	s := net.Stats()
 	if s.MessagesSent != 3 || s.MessagesDelivered != 3 || s.BytesSent != 220 {
 		t.Fatalf("stats = %+v", s)
@@ -66,7 +68,8 @@ func TestDownNodeDropsMessages(t *testing.T) {
 	sim, net, _, b := pair(t, Constant(time.Millisecond))
 	net.SetDown(2, true)
 	net.Send(Message{From: 1, To: 2, Payload: 1})
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(b.msgs) != 0 {
 		t.Fatal("message delivered to down node")
 	}
@@ -75,7 +78,8 @@ func TestDownNodeDropsMessages(t *testing.T) {
 	}
 	net.SetDown(2, false)
 	net.Send(Message{From: 1, To: 2, Payload: 2})
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(b.msgs) != 1 {
 		t.Fatal("message not delivered after recovery")
 	}
@@ -85,7 +89,8 @@ func TestDownSenderDrops(t *testing.T) {
 	sim, net, _, b := pair(t, Constant(time.Millisecond))
 	net.SetDown(1, true)
 	net.Send(Message{From: 1, To: 2, Payload: 1})
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(b.msgs) != 0 {
 		t.Fatal("down sender's message delivered")
 	}
@@ -95,7 +100,8 @@ func TestCrashWhileInFlight(t *testing.T) {
 	sim, net, _, b := pair(t, Constant(10*time.Millisecond))
 	net.Send(Message{From: 1, To: 2, Payload: 1})
 	sim.After(time.Millisecond, func() { net.SetDown(2, true) })
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(b.msgs) != 0 {
 		t.Fatal("message delivered to node that crashed while it was in flight")
 	}
@@ -112,7 +118,8 @@ func TestPartition(t *testing.T) {
 	net.Partition([]NodeID{1, 2}, []NodeID{3, 4})
 	net.Send(Message{From: 1, To: 2, Payload: "same-side"})
 	net.Send(Message{From: 1, To: 3, Payload: "cross"})
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(recs[2].msgs) != 1 {
 		t.Fatal("same-partition message lost")
 	}
@@ -121,7 +128,8 @@ func TestPartition(t *testing.T) {
 	}
 	net.Heal()
 	net.Send(Message{From: 1, To: 3, Payload: "after-heal"})
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(recs[3].msgs) != 1 {
 		t.Fatal("message lost after heal")
 	}
@@ -135,7 +143,8 @@ func TestUnattachedDestinationDropped(t *testing.T) {
 	net := New(sim, FullMesh(3), Constant(time.Millisecond))
 	net.Attach(1, &rec{})
 	net.Send(Message{From: 1, To: 3, Payload: 1})
-	sim.Run()
+	for sim.Step() {
+	}
 	if net.Stats().MessagesDropped != 1 {
 		t.Fatal("message to unattached node not dropped")
 	}
@@ -175,7 +184,8 @@ func TestUniformLatencyInRange(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		net.Send(Message{From: 1, To: 2, Payload: i})
 	}
-	sim.Run()
+	for sim.Step() {
+	}
 	if len(times) != 50 {
 		t.Fatalf("delivered %d", len(times))
 	}
@@ -262,7 +272,8 @@ func TestPropertyFIFOPerChannel(t *testing.T) {
 		for _, p := range payloads {
 			net.Send(Message{From: 1, To: 2, Payload: p})
 		}
-		sim.Run()
+		for sim.Step() {
+		}
 		if len(got) != len(payloads) {
 			return false
 		}

@@ -91,7 +91,8 @@ func TestChargedBytesAreEncodedBytes(t *testing.T) {
 	for _, m := range msgs {
 		sn.Send(runtime.Message{From: 1, To: 2, Payload: m})
 	}
-	sim.Run()
+	for sim.Step() {
+	}
 	check("simnet", sn.Stats().BytesByKind)
 
 	addrs, err := live.ReserveAddrs(2)
