@@ -282,10 +282,25 @@ type ledger struct {
 // OutcomeMsg carries a finished agent's Outcome back to its home node in a
 // multi-process deployment. Within one process finish() records outcomes
 // directly and this message never hits the fabric.
-type OutcomeMsg struct{ Outcome Outcome }
+//
+// When the home replicates a shard the agent committed to, the report is
+// also the home's COMMIT: Commit is the message every other target got, and
+// the home applies it before it records the outcome, so a commit costs the
+// paper's n−1 COMMITs and nothing more. Its Txn is the outcome's agent and
+// its origin the report's sender; the wire carries only its updates.
+type OutcomeMsg struct {
+	Outcome Outcome
+	Commit  *replica.CommitMsg // nil: the home is not a COMMIT target
+}
 
-// Kind implements runtime.Kinder.
-func (*OutcomeMsg) Kind() string { return "outcome" }
+// Kind implements runtime.Kinder: a report that carries the home's COMMIT
+// is that COMMIT.
+func (m *OutcomeMsg) Kind() string {
+	if m.Commit != nil {
+		return "commit"
+	}
+	return "outcome"
+}
 
 // NewCluster wires a cluster per cfg onto the given engine and fabric.
 func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, error) {
@@ -584,12 +599,19 @@ func (c *Cluster) StartAbove(floor int64) {
 
 // intercept consumes cluster-level (non-Algorithm 2) messages delivered to
 // a local server: outcome reports from agents that finished away from home.
+// A report that carries the home's COMMIT is applied as one first, through
+// the path a COMMIT takes, so the watermark the outcome raises finds the
+// agent gone. Both steps are idempotent, so a report delivered twice
+// changes nothing the second time.
 func (c *Cluster) intercept(msg runtime.Message) bool {
 	om, ok := msg.Payload.(*OutcomeMsg)
 	if !ok {
 		return false
 	}
 	o := om.Outcome
+	if om.Commit != nil {
+		c.servers[msg.To].HandleCommitLocal(&replica.CommitMsg{Txn: o.Agent, Origin: msg.From, Updates: om.Commit.Updates})
+	}
 	delete(c.active, o.Agent)
 	if c.local[o.Home] {
 		c.recordOutcome(o)
@@ -796,14 +818,15 @@ func (c *Cluster) advanceWatermark(home runtime.NodeID) {
 
 // finish records a completed agent. at is where the agent finished: when
 // its home replica is hosted by another process, the outcome is reported
-// there over the fabric — the home cluster owns the outstanding count.
-func (c *Cluster) finish(at runtime.NodeID, o Outcome) {
+// there over the fabric — the home cluster owns the outstanding count —
+// carrying commit, the home's COMMIT, unless that is nil.
+func (c *Cluster) finish(at runtime.NodeID, o Outcome, commit *replica.CommitMsg) {
 	delete(c.active, o.Agent)
 	if c.local[o.Home] {
 		c.recordOutcome(o)
 		return
 	}
-	c.fabric.Send(runtime.Message{From: at, To: o.Home, Payload: &OutcomeMsg{Outcome: o}})
+	c.fabric.Send(runtime.Message{From: at, To: o.Home, Payload: &OutcomeMsg{Outcome: o, Commit: commit}})
 }
 
 // recordOutcome books a finished agent against this cluster's counters.

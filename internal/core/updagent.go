@@ -470,7 +470,10 @@ func (a *UpdateAgent) quorumOf(in func(runtime.NodeID) bool) bool {
 
 // finishWin applies the paper's commit step: determine the most recent copy
 // from the quorum's replies, produce the updates in request order, multicast
-// COMMIT to all replicas, release the lock, and dispose.
+// COMMIT to all replicas, release the lock, and dispose. A home that is a
+// COMMIT target hosted by another process gets its COMMIT inside the
+// outcome report it is sent anyway (OutcomeMsg), not as a message of its
+// own.
 func (a *UpdateAgent) finishWin(ctx *agent.Context) {
 	a.claimTmr.Cancel()
 	// Most recent copy per key — and committed horizon per shard, parallel
@@ -525,8 +528,13 @@ func (a *UpdateAgent) finishWin(ctx *agent.Context) {
 		updates = append(updates, u)
 	}
 	commit := &replica.CommitMsg{Txn: ctx.ID(), Origin: ctx.Node(), Updates: updates}
+	home := ctx.ID().Home
+	var carried *replica.CommitMsg
+	if home != ctx.Node() && !a.c.local[home] && a.at(home) != nil {
+		carried = commit
+	}
 	for _, id := range a.targets {
-		if id == ctx.Node() {
+		if id == ctx.Node() || (carried != nil && id == home) {
 			continue
 		}
 		ctx.Send(id, commit)
@@ -540,7 +548,7 @@ func (a *UpdateAgent) finishWin(ctx *agent.Context) {
 	a.phase = phaseDone
 	a.c.finish(ctx.Node(), Outcome{
 		Agent:      ctx.ID(),
-		Home:       ctx.ID().Home,
+		Home:       home,
 		Requests:   len(a.reqs),
 		Dispatched: a.dispatched,
 		LockAt:     a.claimStart,
@@ -549,7 +557,7 @@ func (a *UpdateAgent) finishWin(ctx *agent.Context) {
 		ByTie:      a.byTie,
 		Retries:    a.retries,
 		Shards:     a.shards,
-	})
+	}, carried)
 	ctx.Dispose()
 }
 

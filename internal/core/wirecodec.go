@@ -4,6 +4,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/replica"
 	"repro/internal/runtime"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -15,12 +16,19 @@ const tagOutcomeMsg = 30
 // anything else.
 const wireStateMagic = 0xA7
 
+// An OutcomeMsg is the outcome without its Home (the agent's) and Failed
+// (only a commit is reported), then the carried COMMIT's updates — none for
+// a plain report, since a COMMIT always writes at least one — without its
+// Txn (the outcome's agent) or Origin (the sender). The updates decode as
+// a CommitMsg body's do, not through the registry: a report cannot nest
+// another frame. This layout dates from wire.Version 8.
+
 func init() {
 	wire.Register(tagOutcomeMsg, &OutcomeMsg{},
 		func(b []byte, v any) []byte {
-			o := &v.(*OutcomeMsg).Outcome
+			m := v.(*OutcomeMsg)
+			o := &m.Outcome
 			b = agent.AppendID(b, o.Agent)
-			b = wire.AppendVarint(b, int64(o.Home))
 			b = wire.AppendVarint(b, int64(o.Requests))
 			b = wire.AppendVarint(b, int64(o.Dispatched))
 			b = wire.AppendVarint(b, int64(o.LockAt))
@@ -28,17 +36,24 @@ func init() {
 			b = wire.AppendVarint(b, int64(o.Visits))
 			b = wire.AppendBool(b, o.ByTie)
 			b = wire.AppendVarint(b, int64(o.Retries))
-			b = wire.AppendBool(b, o.Failed)
 			b = wire.AppendUvarint(b, uint64(len(o.Shards)))
 			for _, s := range o.Shards {
 				b = wire.AppendVarint(b, int64(s))
 			}
+			if m.Commit == nil {
+				return wire.AppendUvarint(b, 0)
+			}
+			b = wire.AppendUvarint(b, uint64(len(m.Commit.Updates)))
+			for i := range m.Commit.Updates {
+				b = store.AppendUpdate(b, m.Commit.Updates[i])
+			}
 			return b
 		},
 		func(r *wire.Reader) any {
+			id := agent.DecodeID(r)
 			m := &OutcomeMsg{Outcome: Outcome{
-				Agent:      agent.DecodeID(r),
-				Home:       runtime.NodeID(r.Varint()),
+				Agent:      id,
+				Home:       id.Home,
 				Requests:   int(r.Varint()),
 				Dispatched: runtime.Time(r.Varint()),
 				LockAt:     runtime.Time(r.Varint()),
@@ -46,12 +61,17 @@ func init() {
 				Visits:     int(r.Varint()),
 				ByTie:      r.Bool(),
 				Retries:    int(r.Varint()),
-				Failed:     r.Bool(),
 			}}
 			n := r.Count(1)
 			m.Outcome.Shards = make([]int, 0, n)
 			for i := 0; i < n; i++ {
 				m.Outcome.Shards = append(m.Outcome.Shards, int(r.Varint()))
+			}
+			if n = r.Count(5); n > 0 {
+				m.Commit = &replica.CommitMsg{Txn: id, Updates: make([]store.Update, 0, n)}
+				for i := 0; i < n; i++ {
+					m.Commit.Updates = append(m.Commit.Updates, store.DecodeUpdate(r))
+				}
 			}
 			return m
 		})

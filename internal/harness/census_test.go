@@ -5,6 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/runtime"
+	"repro/internal/runtime/live"
 	"repro/internal/simnet"
 	"repro/internal/workload"
 )
@@ -121,5 +124,85 @@ func TestMessageCensus(t *testing.T) {
 	// of requests would put anti-entropy above one message per commit.
 	if sync > 0.3 {
 		t.Errorf("anti-entropy costs %.2f messages per commit, want <= 0.3", sync)
+	}
+}
+
+// TestLiveMessageCensus holds the live engine to the cost model the DES is
+// held to: three live nodes over loopback TCP, each hosting one replica,
+// uncontended updates from every home in turn, and every message the paper
+// prices inside the model, kind for kind. An agent that commits away from
+// home reports its outcome there in the one message the home gets anyway,
+// its COMMIT, so no outcome kind shows. The reliable layer's
+// acknowledgements are the one residual a live link pays, and a
+// retransmitted frame counts again under its payload's kind, so the model
+// kinds may exceed the model by as much as the layer re-sent.
+func TestLiveMessageCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts live TCP replicas")
+	}
+	const n, rounds = 3, 4
+	nodes, err := live.StartCluster(n, func(id runtime.NodeID, addrs map[runtime.NodeID]string) (*live.Node, error) {
+		return live.StartNode(live.NodeConfig{Self: id, Addrs: addrs, Seed: int64(id)})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(nodes)
+	commits := 0
+	for i := 0; i < rounds; i++ {
+		for h, node := range nodes {
+			home := runtime.NodeID(h + 1)
+			if !node.Eng.Do(func() { err = node.Cluster.Submit(home, core.Set("k", fmt.Sprintf("%d.%d", home, i))) }) || err != nil {
+				t.Fatalf("submit at %d: %v", home, err)
+			}
+			if err := node.Cluster.RunUntilDone(time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			commits++
+			// Every replica applies the COMMIT before the next agent
+			// leaves, so no agent finds another in a locking list.
+			for j, other := range nodes {
+				id := runtime.NodeID(j + 1)
+				applied := func() bool { return other.Cluster.Server(id).StoreOf(0).LogLen() == commits }
+				if err := other.Eng.Wait(time.Minute, applied); err != nil {
+					t.Fatalf("commit %d never reached server %d: %v", commits, id, err)
+				}
+			}
+		}
+	}
+	net := simnet.Stats{ByKind: map[string]int{}, BytesByKind: map[string]int{}}
+	resent := 0
+	if err := onLoops(nodes, func(_ runtime.NodeID, cl *core.Cluster) {
+		for _, o := range cl.Outcomes() {
+			if o.Failed || o.Retries != 0 {
+				t.Errorf("agent %s failed or retried: %+v", o.Agent, o)
+			}
+		}
+		st := cl.NetStats()
+		for k, v := range st.ByKind {
+			net.ByKind[k] += v
+			net.BytesByKind[k] += st.BytesByKind[k]
+		}
+		resent += cl.ReliableStats().Retransmissions
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rows := Census(net, commits, n)
+	t.Logf("\n%s", CensusTable(fmt.Sprintf("live, N=%d, %d uncontended commits", n, commits), rows))
+	everyKindPriced(t, net)
+	var excess float64
+	for _, r := range rows {
+		switch {
+		case r.Residual() && r.Kind != "rel-ack":
+			t.Errorf("residual kind %s (%.2f per commit) on an uncontended live run", r.Kind, r.Msgs)
+		case r.Residual():
+		case r.Msgs < r.Lo:
+			t.Errorf("%s %.2f per commit below the model's %.0f..%.0f", r.Kind, r.Msgs, r.Lo, r.Hi)
+		case r.Msgs > r.Hi:
+			excess += r.Msgs - r.Hi
+		}
+	}
+	if re := float64(resent) / float64(commits); excess > re {
+		t.Errorf("model kinds run %.2f per commit above the model, only %.2f of it re-sent", excess, re)
 	}
 }

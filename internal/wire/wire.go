@@ -47,8 +47,10 @@ import (
 // acknowledgement (tag 41) its sender's floor; version 6 made every
 // acknowledgement (tags 40 and 41) name the newest frame it answers and how
 // long that frame waited for it, the round-trip sample's correction;
-// version 7 dropped the modelled size from the live fabric's frame header.
-const Version = 7
+// version 7 dropped the modelled size from the live fabric's frame header;
+// version 8 made the outcome report (tag 30) carry its home's COMMIT and
+// dropped the report's home and failure flag.
+const Version = 8
 
 // Preamble is what a wire-codec connection starts with: a magic, then the
 // format version.

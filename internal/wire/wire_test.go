@@ -62,12 +62,19 @@ func corpusMessages() []any {
 		&replica.ReadRep{ReqID: 77, From: 2, Found: true, Value: store.Value{Data: "v", Version: store.Version{Seq: 1}}},
 		&replica.SyncRequest{From: 2, Shards: []replica.SyncSince{{Shard: 0, Since: 9}, {Shard: 5, Since: 3}}},
 		&replica.SyncReply{From: 2, Sections: []replica.SyncSection{{Shard: 5, Updates: []store.Update{{TxnID: "t2", Key: "k", Data: "w", Seq: 5, Stamp: 13}}}}, Gone: []agent.ID{id2}},
-		&core.OutcomeMsg{Outcome: core.Outcome{Agent: id, Home: 3, Failed: true}},
+		&core.OutcomeMsg{Outcome: core.Outcome{Agent: id, Home: 3}},
 		&replica.SyncReply{From: 2, Marks: []agent.Watermark{{Home: 2, Since: -5, Upto: agent.Mark{Born: math.MaxInt64, Seq: math.MaxUint64}, Count: math.MaxUint64}}},
 		&replica.SyncReply{From: 4, Sections: []replica.SyncSection{
 			{Shard: 1, Updates: []store.Update{{TxnID: "t3", Key: "a", Data: "x", Seq: 2, Stamp: 21}, {TxnID: "t4", Key: "b", Data: "y", Seq: 3, Stamp: 22}}},
 			{Shard: 15, Updates: []store.Update{{TxnID: "t5", Key: "c", Data: "z", Seq: 1, Stamp: 23}}},
 		}, Gone: []agent.ID{id, id2}, Marks: []agent.Watermark{{Home: 1, Upto: agent.Mark{Born: 99, Seq: 7}, Count: 6}}},
+		&core.OutcomeMsg{
+			Outcome: core.Outcome{Agent: id, Home: 3, Requests: 2, Dispatched: 10, LockAt: 20, DoneAt: 30, Visits: 2, Shards: []int{0, 5}},
+			Commit: &replica.CommitMsg{Txn: id, Origin: 1, Updates: []store.Update{
+				{TxnID: "t1", Key: "alpha", Data: "v", Seq: 4, Stamp: 30},
+				{TxnID: "t1", Key: "k", Data: "w", Seq: 6, Stamp: 30},
+			}},
+		},
 	}
 }
 
