@@ -2,12 +2,14 @@ package core
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/durable"
 	"repro/internal/reliable"
 	"repro/internal/runtime"
 	"repro/internal/simnet"
@@ -174,8 +176,10 @@ func TestDurableRestartChurnUnderLossyNetwork(t *testing.T) {
 // fixed run — five nodes, three shards, the reliable layer over a 3 % lossy
 // fabric, one crash and its recovery — once as bare records and once with a
 // snapshot every 7 records, must leave every node's journal files
-// byte-identical to a recorded run. The optimistic tier's counterpart is
-// TestJournalGoldenBytes in internal/optimistic.
+// byte-identical to a recorded run. The snapshot hashes were re-recorded
+// when snapshots took their layout tag and every section became always
+// present; the record bytes did not change. The optimistic tier's
+// counterpart is TestJournalGoldenBytes in internal/optimistic.
 func TestDurableJournalGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -183,7 +187,7 @@ func TestDurableJournalGoldenBytes(t *testing.T) {
 		want         [5]string
 	}{
 		{"records", -1, [5]string{"5ce7b311ac22e5af5142370d", "fa5da53ad9ab158e80e3a13e", "38ffcbf462edfaa1f66c22a2", "84a0328bc9103fb7c6e3a19f", "8f03ce785bd0783ac7d24346"}},
-		{"snapshots", 7, [5]string{"b90007f7e5007d29d451470c", "1315a457ac95a37d4553279c", "56d024ba8fbb306b16ab8025", "76f7c1e8bea3bbe09e5afadd", "44f895e7d8c1517e1677b2c1"}},
+		{"snapshots", 7, [5]string{"464354ae66588a280c8b25b3", "d304ce85a93525748ed41377", "de8b6d6552209846bad562bb", "6e3ba364dcee859cad204796", "3f7817a7bab3e7192be888c7"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dur, disks := memDurability(wal.PolicyCommit)
@@ -350,5 +354,39 @@ func TestDurableGracefulCloseReopensClean(t *testing.T) {
 	c2.Settle(time.Second)
 	if err := c2.CheckConvergence(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReopenWithAnotherShardCountIsRefused: a snapshot states the shard
+// count it was taken with, and a cluster rebuilt on the same disks with
+// another count does not start. Opened anyway, every node routed the keys
+// its snapshot holds to shards that do not hold them: node 2 read 5 of the
+// 24 keys off its disk, still 5 after anti-entropy, and CheckConvergence
+// passed.
+func TestReopenWithAnotherShardCountIsRefused(t *testing.T) {
+	for _, shards := range []int{16, 1} {
+		dur, disks := memDurability(wal.PolicyCommit)
+		dur.CompactEvery = 8
+		c := newTestCluster(t, Config{N: 3, Shards: 4, Durability: dur}, simEnv{seed: 5})
+		for i := 0; i < 24; i++ {
+			if err := c.Submit(runtime.NodeID(i%3+1), Set(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RunUntilDone(time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Settle(time.Second)
+		if err := c.CloseJournals(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := newSimCluster(Config{N: 3, Shards: shards, Durability: &DurabilityConfig{
+			Policy:       wal.PolicyCommit,
+			CompactEvery: 8,
+			Backend:      func(id runtime.NodeID) disk.Backend { return disks[id] },
+		}}, simEnv{seed: 5})
+		if !errors.Is(err, durable.ErrShardCount) {
+			t.Fatalf("4 shards reopened as %d: NewCluster = %v, want %v", shards, err, durable.ErrShardCount)
+		}
 	}
 }

@@ -21,6 +21,8 @@
 package durable
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -44,11 +46,22 @@ const (
 	recLock      byte = 5 // full locking-state snapshot (LL, grant, versions)
 	recGone      byte = 6 // agent added to the Updated List / gone set
 	recRelNext   byte = 7 // reliable-delivery send-sequence high-water mark
-	recRelSeen   byte = 8 // reliable-delivery first-seen frame (written before receive windows; still replayed)
+	recRelSeen   byte = 8 // retired per-frame receive record (before receive windows): refused, never reuse
 	recLockS     byte = 9 // locking-state snapshot of a shard > 0 (shard-prefixed)
 
 	recGoneMark byte = 10 // gone-set watermark raised (agent.Watermark)
 	recRelMark  byte = 11 // reliable-delivery receive window: watermark raised, frames held above it
+)
+
+// Open and OpenOpt refuse a journal they cannot read right with one of
+// these (wrapped with the detail), never with a panic.
+var (
+	// ErrSnapshotLayout: no tag this build reads; an untagged snapshot is a
+	// retired layout.
+	ErrSnapshotLayout = errors.New("durable: snapshot is not in a layout this build reads")
+	ErrOtherKind      = errors.New("durable: snapshot belongs to the other journal kind")
+	ErrShardCount     = errors.New("durable: snapshot shard count differs from the replica's")
+	ErrRetiredRecord  = errors.New("durable: retired record type")
 )
 
 // LockState is the serializable locking state of a replica: the Locking
@@ -77,8 +90,7 @@ type State struct {
 	// Sharded replicas (shard-isolation invariant: every shard journals
 	// and restores independently) carry one extra store/lock pair per
 	// shard beyond the first: index i holds shard i+1. Empty on unsharded
-	// replicas, keeping their snapshots byte-identical to the pre-sharding
-	// format.
+	// replicas.
 	ExtraStores []store.State
 	ExtraLocks  []LockState
 }
@@ -130,7 +142,7 @@ func (st *State) BirthFloor() int64 {
 // path.
 const relNextStride = 64
 
-// Options tunes a journal.
+// Options tunes a journal of either kind.
 type Options struct {
 	// Policy is the wal fsync policy (default wal.PolicyCommit).
 	Policy wal.Policy
@@ -141,7 +153,8 @@ type Options struct {
 	CompactEvery int
 	// Shards is the replica's shard count (default 1). Replay routes each
 	// store record to its key's shard, so the journal stays a single
-	// ordered log while the shards restore independently.
+	// ordered log while the shards restore independently. A snapshot
+	// states the count it was taken with, and Open refuses another.
 	Shards int
 	// GroupCommitDelay enables WAL group commit (see wal.Options): commit
 	// barriers park for up to this long and one fsync covers all of them.
@@ -166,21 +179,19 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Journal is one replica's open durability log. It implements
-// store.Journal and reliable.Journal, and the replica logs its locking
-// mutations through LogLock/LogGone. Like every protocol-layer object it
-// is single-threaded: its owner drives it from the engine's execution
-// context.
+// journal is the shell both journal kinds share: the wal under them, the
+// fail-stop policy, the compaction cadence and group commit. Each kind adds
+// its record vocabulary and its snapshot layout. Like every protocol-layer
+// object it is single-threaded: its owner drives it from the engine's
+// execution context.
 //
 // A stable-storage failure is fail-stop by design: a replica that cannot
 // journal must not keep acknowledging, so every logging method panics on
 // I/O error rather than silently degrading to volatility.
-type Journal struct {
+type journal struct {
 	log       *wal.Log
 	opts      Options
-	sources   []func(*State)
 	sinceSnap int
-	relNextHi uint64 // highest send counter journaled so far
 
 	// Group-commit hooks (OnBarrier): hold runs synchronously when a commit
 	// barrier parks instead of fsyncing; release runs once the covering
@@ -190,9 +201,9 @@ type Journal struct {
 	release func()
 }
 
-// Open replays the journal on b and returns the recovered state, or a nil
-// state when the backend holds no history (a fresh data dir).
-func Open(b disk.Backend, opts Options) (*Journal, *State, error) {
+// openShell opens the wal on b and returns the shell with the snapshot and
+// the records journaled after it.
+func openShell(b disk.Backend, opts Options) (journal, []byte, []wal.Record, error) {
 	opts = opts.withDefaults()
 	log, snap, records, err := wal.Open(b, wal.Options{
 		Policy:           opts.Policy,
@@ -202,13 +213,94 @@ func Open(b disk.Backend, opts Options) (*Journal, *State, error) {
 		OnSync:           opts.OnSync,
 	})
 	if err != nil {
+		return journal{}, nil, nil, err
+	}
+	return journal{log: log, opts: opts, sinceSnap: len(records)}, snap, records, nil
+}
+
+// fail is the fail-stop policy for stable-storage errors.
+func (j *journal) fail(err error) {
+	if err != nil {
+		panic("durable: journal write failed (stable storage is fail-stop): " + err.Error())
+	}
+}
+
+// OnBarrier registers the group-commit hooks: hold fires synchronously
+// when a commit barrier parks awaiting its covering fsync, release fires
+// once that fsync lands. The cluster wires these to its send gate, which
+// dams outbound messages between the two — so nothing a deferred barrier
+// justifies (an ack, a grant, a migration) leaves the node before the
+// barrier is durable, and invariant 11 survives group commit unchanged.
+// Until it is called, every barrier fsyncs inline.
+func (j *journal) OnBarrier(hold, release func()) {
+	j.hold, j.release = hold, release
+}
+
+// append journals one record. A commit barrier defers through the group
+// coalescer once OnBarrier has registered the hooks, and fsyncs inline
+// otherwise.
+func (j *journal) append(typ byte, data []byte, commit bool) {
+	if commit && j.release != nil && j.opts.GroupCommitDelay > 0 && j.opts.Policy == wal.PolicyCommit {
+		j.hold()
+		j.fail(j.log.AppendBarrier(wal.Record{Type: typ, Data: data}, commit, j.release))
+	} else {
+		j.fail(j.log.Append(wal.Record{Type: typ, Data: data}, commit))
+	}
+	j.sinceSnap++
+}
+
+// compactDue reports whether CompactEvery records have accumulated since
+// the last snapshot.
+func (j *journal) compactDue() bool {
+	return j.opts.CompactEvery > 0 && j.sinceSnap >= j.opts.CompactEvery
+}
+
+// saveSnapshot installs snap as the log's snapshot, superseding every
+// record so far.
+func (j *journal) saveSnapshot(snap []byte) error {
+	if err := j.log.SaveSnapshot(snap); err != nil {
+		return err
+	}
+	j.sinceSnap = 0
+	return nil
+}
+
+// Sync flushes the journal tail to stable storage regardless of policy.
+func (j *journal) Sync() error { return j.log.Sync() }
+
+// Close syncs and closes the journal — the graceful-shutdown path, after
+// which the next open replays a clean log with nothing torn and nothing
+// lost.
+func (j *journal) Close() error { return j.log.Close() }
+
+// Kill abandons the journal without syncing — the crash path for
+// simulated restarts. Pair with the backend's Crash.
+func (j *journal) Kill() { j.log.Kill() }
+
+// Stats returns the underlying wal counters.
+func (j *journal) Stats() wal.Stats { return j.log.Stats() }
+
+// Journal is one MARP replica's open durability log. It implements
+// store.Journal and reliable.Journal, and the replica logs its locking
+// mutations through LogLockShard/LogGone.
+type Journal struct {
+	journal
+	sources   []func(*State)
+	relNextHi uint64 // highest send counter journaled so far
+}
+
+// Open replays the journal on b and returns the recovered state, or a nil
+// state when the backend holds no history (a fresh data dir).
+func Open(b disk.Backend, opts Options) (*Journal, *State, error) {
+	sh, snap, records, err := openShell(b, opts)
+	if err != nil {
 		return nil, nil, err
 	}
-	j := &Journal{log: log, opts: opts, sinceSnap: len(records)}
+	j := &Journal{journal: sh}
 	if snap == nil && len(records) == 0 {
 		return j, nil, nil
 	}
-	st, err := replay(snap, records, opts.Shards)
+	st, err := replay(snap, records, sh.opts.Shards)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -220,8 +312,7 @@ func Open(b disk.Backend, opts Options) (*Journal, *State, error) {
 // records journaled after it, in order. Records were only ever written for
 // operations that succeeded, so any replay error is corruption. Store
 // records route to their key's shard; lock records carry their shard
-// explicitly (shard 0 uses the legacy record type, so unsharded logs are
-// unchanged on disk).
+// explicitly (shard 0's has a record type of its own).
 func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 	st := &State{RelSeen: make(map[runtime.NodeID]reliable.Window)}
 	if snap != nil {
@@ -229,23 +320,19 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 		if err != nil {
 			return nil, err
 		}
+		if n := 1 + len(s.ExtraStores); n != shards {
+			return nil, fmt.Errorf("%w: the snapshot holds %d, the replica has %d", ErrShardCount, n, shards)
+		}
 		st = s
 	}
-	if shards > 1 {
-		for len(st.ExtraStores) < shards-1 {
-			st.ExtraStores = append(st.ExtraStores, store.State{})
-		}
-		for len(st.ExtraLocks) < shards-1 {
-			st.ExtraLocks = append(st.ExtraLocks, LockState{})
-		}
-	}
+	st.fit(shards)
 	mems := make([]*store.Store, shards)
 	mems[0] = store.FromState(st.Store)
 	for i := 1; i < shards; i++ {
 		mems[i] = store.FromState(st.ExtraStores[i-1])
 	}
-	// An explicit list (a pre-watermark snapshot, or recGone records) is a
-	// valid residue; watermarks replayed after it prune what they cover.
+	// The residue (the snapshot's, and recGone records) stays until a
+	// watermark replayed after it covers it.
 	var gone agent.GoneSet
 	gone.Merge(st.Marks, st.Gone)
 	var r wire.Reader
@@ -317,12 +404,7 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 				st.RelNextSeq = n
 			}
 		case recRelSeen:
-			from, seq := runtime.NodeID(r.Varint()), r.Uvarint()
-			if err = r.Finish(); err == nil {
-				w := st.RelSeen[from]
-				w.Accept(seq)
-				st.RelSeen[from] = w
-			}
+			err = ErrRetiredRecord
 		case recRelMark:
 			from := runtime.NodeID(r.Varint())
 			w := st.RelSeen[from]
@@ -353,39 +435,6 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 // reliable-delivery endpoint; each fills its part of the State.
 func (j *Journal) AddSource(fn func(*State)) { j.sources = append(j.sources, fn) }
 
-// fail is the fail-stop policy for stable-storage errors.
-func (j *Journal) fail(err error) {
-	if err != nil {
-		panic("durable: journal write failed (stable storage is fail-stop): " + err.Error())
-	}
-}
-
-// OnBarrier registers the group-commit hooks: hold fires synchronously
-// when a commit barrier parks awaiting its covering fsync, release fires
-// once that fsync lands. The cluster wires these to its send gate, which
-// dams outbound messages between the two — so nothing a deferred barrier
-// justifies (an ack, a grant, a migration) leaves the node before the
-// barrier is durable, and invariant 11 survives group commit unchanged.
-func (j *Journal) OnBarrier(hold, release func()) {
-	j.hold, j.release = hold, release
-}
-
-// groupActive reports whether commit barriers defer through the group
-// coalescer rather than fsync inline.
-func (j *Journal) groupActive() bool {
-	return j.opts.GroupCommitDelay > 0 && j.opts.Policy == wal.PolicyCommit && j.release != nil
-}
-
-func (j *Journal) append(typ byte, data []byte, commit bool) {
-	if commit && j.groupActive() {
-		j.hold()
-		j.fail(j.log.AppendBarrier(wal.Record{Type: typ, Data: data}, commit, j.release))
-	} else {
-		j.fail(j.log.Append(wal.Record{Type: typ, Data: data}, commit))
-	}
-	j.sinceSnap++
-}
-
 // Prepared implements store.Journal.
 func (j *Journal) Prepared(u store.Update) { j.append(recPrepare, store.AppendUpdate(nil, u), false) }
 
@@ -401,18 +450,13 @@ func (j *Journal) Applied(u store.Update) { j.append(recApply, store.AppendUpdat
 // Aborted implements store.Journal.
 func (j *Journal) Aborted(txnID string) { j.append(recAbortTxn, wire.AppendString(nil, txnID), false) }
 
-// LogLock journals the replica's full locking state after a mutation.
+// LogLockShard journals one shard's full locking state after a mutation.
 // barrier marks grant transitions — the mutations whose loss could
-// re-grant a lock the replica already released.
-func (j *Journal) LogLock(ls LockState, barrier bool) {
-	j.append(recLock, appendLock(nil, ls), barrier)
-}
-
-// LogLockShard journals one shard's locking state. Shard 0 writes the
-// legacy record type, so an unsharded replica's log bytes are unchanged.
+// re-grant a lock the replica already released. Shard 0 writes a record
+// type of its own, without the shard number.
 func (j *Journal) LogLockShard(shrd int, ls LockState, barrier bool) {
 	if shrd == 0 {
-		j.LogLock(ls, barrier)
+		j.append(recLock, appendLock(nil, ls), barrier)
 		return
 	}
 	j.append(recLockS, appendLock(wire.AppendUvarint(nil, uint64(shrd)), ls), barrier)
@@ -463,7 +507,7 @@ func (j *Journal) Acked(from runtime.NodeID, mark uint64, above []uint64) {
 // since the last one. The replica calls it from quiescent points (after a
 // commit lands); sources must be registered by then.
 func (j *Journal) MaybeCompact() {
-	if j.opts.CompactEvery > 0 && j.sinceSnap >= j.opts.CompactEvery {
+	if j.compactDue() {
 		j.fail(j.Compact())
 	}
 }
@@ -475,6 +519,7 @@ func (j *Journal) Compact() error {
 	for _, fn := range j.sources {
 		fn(st)
 	}
+	st.fit(j.opts.Shards)
 	// Persist the send-counter high-water, not the exact counter: the
 	// snapshot supersedes earlier recRelNext records, and sends between the
 	// exact value and the high-water would otherwise journal nothing — a
@@ -482,27 +527,18 @@ func (j *Journal) Compact() error {
 	if j.relNextHi > st.RelNextSeq {
 		st.RelNextSeq = j.relNextHi
 	}
-	if err := j.log.SaveSnapshot(encodeState(st)); err != nil {
-		return err
-	}
-	j.sinceSnap = 0
-	return nil
+	return j.saveSnapshot(encodeState(st))
 }
 
-// Sync flushes the journal tail to stable storage regardless of policy.
-func (j *Journal) Sync() error { return j.log.Sync() }
-
-// Close syncs and closes the journal — the graceful-shutdown path, after
-// which the next Open replays a clean log with nothing torn and nothing
-// lost.
-func (j *Journal) Close() error { return j.log.Close() }
-
-// Kill abandons the journal without syncing — the crash path for
-// simulated restarts. Pair with the backend's Crash.
-func (j *Journal) Kill() { j.log.Kill() }
-
-// Stats returns the underlying wal counters.
-func (j *Journal) Stats() wal.Stats { return j.log.Stats() }
+// fit gives the state one store and one lock per shard beyond the first.
+func (st *State) fit(shards int) {
+	for len(st.ExtraStores) < shards-1 {
+		st.ExtraStores = append(st.ExtraStores, store.State{})
+	}
+	for len(st.ExtraLocks) < shards-1 {
+		st.ExtraLocks = append(st.ExtraLocks, LockState{})
+	}
+}
 
 // --- encoding -----------------------------------------------------------
 //
@@ -564,14 +600,45 @@ func readStoreState(r *wire.Reader) store.State {
 	return ss
 }
 
+// marpTag and optTag open every snapshot of their journal kind, after
+// wire.Preamble: a magic naming the kind, then its layout version. The two
+// kinds' record numbers overlap (MARP's 10 and 11 are optimistic types
+// too), so the tag is what tells their data dirs apart.
+var (
+	marpTag = [5]byte{'J', 'N', 'L', 'M', 1}
+	optTag  = [5]byte{'J', 'N', 'L', 'O', 1}
+)
+
+// untag checks a snapshot's tag and returns a reader over what follows it.
+func untag(b []byte, want, other [5]byte) (*wire.Reader, error) {
+	switch {
+	case bytes.HasPrefix(b, want[:]):
+		return wire.NewReader(b[len(want):]), nil
+	case bytes.HasPrefix(b, other[:]):
+		return nil, ErrOtherKind
+	}
+	return nil, ErrSnapshotLayout
+}
+
+// encodeState writes the MARP snapshot layout: the tag; the shard count
+// and each shard's store and locking state; the gone set's residue and
+// watermarks; the send mark; and each sender's receive window (watermark,
+// then the numbers held above it), senders in order. Every section is
+// always present. The state must hold a lock per extra store (fit).
 func encodeState(st *State) []byte {
-	var b []byte
+	b := append([]byte(nil), marpTag[:]...)
+	b = wire.AppendUvarint(b, uint64(1+len(st.ExtraStores)))
 	b = appendStoreState(b, st.Store)
 	b = appendLock(b, st.Lock)
+	for i, ss := range st.ExtraStores {
+		b = appendStoreState(b, ss)
+		b = appendLock(b, st.ExtraLocks[i])
+	}
 	b = wire.AppendUvarint(b, uint64(len(st.Gone)))
 	for _, id := range st.Gone {
 		b = agent.AppendID(b, id)
 	}
+	b = agent.AppendWatermarks(b, st.Marks)
 	b = wire.AppendUvarint(b, st.RelNextSeq)
 	senders := make([]runtime.NodeID, 0, len(st.RelSeen))
 	for from := range st.RelSeen {
@@ -579,82 +646,50 @@ func encodeState(st *State) []byte {
 	}
 	sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
 	b = wire.AppendUvarint(b, uint64(len(senders)))
-	relMarks := false
 	for _, from := range senders {
 		w := st.RelSeen[from]
-		relMarks = relMarks || w.Mark > 0
 		b = wire.AppendVarint(b, int64(from))
+		b = wire.AppendUvarint(b, w.Mark)
 		b = wire.AppendUvarint(b, uint64(len(w.Above)))
 		for _, q := range w.Above {
 			b = wire.AppendUvarint(b, q)
-		}
-	}
-	// Shard extension, appended only when present: the unsharded snapshot
-	// encoding is bit-for-bit the pre-sharding format, and the decoder
-	// reads the extension iff bytes remain. The two watermark extensions
-	// after it follow the same rule, so each forces the (empty) ones before
-	// it.
-	if len(st.ExtraStores) > 0 || len(st.ExtraLocks) > 0 || len(st.Marks) > 0 || relMarks {
-		b = wire.AppendUvarint(b, uint64(len(st.ExtraStores)))
-		for _, ss := range st.ExtraStores {
-			b = appendStoreState(b, ss)
-		}
-		b = wire.AppendUvarint(b, uint64(len(st.ExtraLocks)))
-		for _, ls := range st.ExtraLocks {
-			b = appendLock(b, ls)
-		}
-	}
-	if len(st.Marks) > 0 || relMarks {
-		b = agent.AppendWatermarks(b, st.Marks)
-	}
-	// Receive-window extension: one watermark per sender of the base
-	// section, in its order. The per-sender lists there are the numbers held
-	// above these — and, in a snapshot written before receive windows (which
-	// has no such extension), every number ever seen, above a watermark of 0.
-	if relMarks {
-		for _, from := range senders {
-			b = wire.AppendUvarint(b, st.RelSeen[from].Mark)
 		}
 	}
 	return b
 }
 
 func decodeState(b []byte) (*State, error) {
-	r := wire.NewReader(b)
+	r, err := untag(b, marpTag, optTag)
+	if err != nil {
+		return nil, err
+	}
 	st := &State{RelSeen: make(map[runtime.NodeID]reliable.Window)}
-	st.Store = readStoreState(r)
-	st.Lock = readLock(r)
+	shards := r.Count(10) // a store (2 bytes) and a lock (8) per shard
+	if shards == 0 {
+		r.Fail("snapshot names no shard")
+	}
+	for i := 0; i < shards; i++ {
+		ss, ls := readStoreState(r), readLock(r)
+		if i == 0 {
+			st.Store, st.Lock = ss, ls
+			continue
+		}
+		st.ExtraStores = append(st.ExtraStores, ss)
+		st.ExtraLocks = append(st.ExtraLocks, ls)
+	}
 	for i, n := 0, r.Count(3); i < n; i++ {
 		st.Gone = append(st.Gone, agent.DecodeID(r))
 	}
+	st.Marks = agent.DecodeWatermarksInto(nil, r)
 	st.RelNextSeq = r.Uvarint()
-	var senders []runtime.NodeID
-	for i, n := 0, r.Count(2); i < n; i++ {
+	for i, n := 0, r.Count(3); i < n; i++ {
 		from := runtime.NodeID(r.Varint())
 		var w reliable.Window
+		w.Raise(r.Uvarint())
 		for k, m := 0, r.Count(1); k < m; k++ {
 			w.Accept(r.Uvarint())
 		}
 		st.RelSeen[from] = w
-		senders = append(senders, from)
-	}
-	if r.Len() > 0 { // shard extension present
-		for i, n := 0, r.Count(2); i < n; i++ {
-			st.ExtraStores = append(st.ExtraStores, readStoreState(r))
-		}
-		for i, n := 0, r.Count(8); i < n; i++ {
-			st.ExtraLocks = append(st.ExtraLocks, readLock(r))
-		}
-	}
-	if r.Len() > 0 { // watermark extension present
-		st.Marks = agent.DecodeWatermarksInto(nil, r)
-	}
-	if r.Len() > 0 { // receive-window extension present
-		for _, from := range senders {
-			w := st.RelSeen[from]
-			w.Raise(r.Uvarint())
-			st.RelSeen[from] = w
-		}
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("durable: snapshot: %w", err)

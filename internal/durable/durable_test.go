@@ -1,8 +1,10 @@
 package durable
 
 import (
-	"encoding/binary"
+	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -62,7 +64,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		LL:    []agent.ID{aid(1, 1), aid(2, 1)},
 		Grant: aid(1, 1), GrantAttempt: 3,
 	}
-	j.LogLock(ls, true)
+	j.LogLockShard(0, ls, true)
 	j.LogGone(aid(3, 1))
 	j.NextSeq(1)
 	j.Acked(4, 10, []uint64{12})
@@ -367,7 +369,6 @@ var corruptCases = []struct {
 	{"gone", false, []wal.Record{{Type: recGone, Data: agent.AppendID(nil, aid(2, 5))}}},
 	{"gone mark", false, []wal.Record{{Type: recGoneMark, Data: agent.AppendWatermark(nil, &agent.Watermark{Home: 2, Since: 5, Upto: agent.Mark{Born: 40, Seq: 3}, Count: 3})}}},
 	{"rel next", false, []wal.Record{{Type: recRelNext, Data: wire.AppendUvarint(nil, 128)}}},
-	{"rel seen", false, []wal.Record{{Type: recRelSeen, Data: wire.AppendUvarint(wire.AppendVarint(nil, 4), 9)}}},
 	{"rel mark", false, []wal.Record{{Type: recRelMark, Data: relMark(4, 10, 12, 15)}}},
 	{"opt tentative", true, []wal.Record{{Type: recOptTent, Data: appendOptRecord(nil, optRec("t1", "k", "v", 5, "g", "t0"))}}},
 	{"opt stable", true, []wal.Record{{Type: recOptStable, Data: appendOptRecord(nil, optRec("t1", "k", "v", 5, ""))}}},
@@ -390,7 +391,7 @@ func relMark(from runtime.NodeID, mark uint64, above ...uint64) []byte {
 // replayAny replays records on the journal the case names, over 3 shards.
 func replayAny(opt bool, records []wal.Record) error {
 	if opt {
-		_, err := replayOpt(nil, records)
+		_, err := replayOpt(nil, records, 3)
 		return err
 	}
 	_, err := replay(nil, records, 3)
@@ -399,10 +400,10 @@ func replayAny(opt bool, records []wal.Record) error {
 
 // TestEncodingRejectsTrailingBytes: every record type of both journals
 // replays whole, and refuses — with an error, never a panic — the same
-// record cut short by a byte or carrying one byte too many. A lock record
-// naming a shard outside the replica's is corruption too, however large the
-// number (a shard of 2^63+5 once indexed the shard table at a negative
-// position).
+// record cut short by a byte or carrying one byte too many; so does either
+// kind's snapshot. A lock record naming a shard outside the replica's is
+// corruption too, however large the number (a shard of 2^63+5 once indexed
+// the shard table at a negative position).
 func TestEncodingRejectsTrailingBytes(t *testing.T) {
 	for _, tc := range corruptCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -430,12 +431,24 @@ func TestEncodingRejectsTrailingBytes(t *testing.T) {
 			t.Errorf("lock record for shard %d replayed on 3 shards", shrd)
 		}
 	}
+	marp, opt := encodeState(marpSnapshotState(3)), encodeOptState(optSnapshotState(3))
+	for _, bad := range [][]byte{marp[:len(marp)-1], append(marp, 0)} {
+		if _, err := replay(bad, nil, 3); err == nil {
+			t.Errorf("MARP snapshot of %d bytes, %d written, replayed", len(bad), len(marp))
+		}
+	}
+	for _, bad := range [][]byte{opt[:len(opt)-1], append(opt, 0)} {
+		if _, err := replayOpt(bad, nil, 3); err == nil {
+			t.Errorf("optimistic snapshot of %d bytes, %d written, replayed", len(bad), len(opt))
+		}
+	}
 }
 
 // FuzzReplay: no snapshot and no record stream, of either journal, makes
 // replay panic or allocate past its input; whatever replays cleanly
-// snapshots to bytes that decode again. stream is a sequence of records,
-// each a type byte, a length byte and that many bytes of payload.
+// snapshots to bytes that decode and encode again to the same bytes. stream
+// is a sequence of records, each a type byte, a length byte and that many
+// bytes of payload. Both journals replay over 3 shards.
 func FuzzReplay(f *testing.F) {
 	frame := func(records []wal.Record) []byte {
 		var b []byte
@@ -448,21 +461,16 @@ func FuzzReplay(f *testing.F) {
 		f.Add(tc.opt, []byte(nil), frame(tc.records))
 	}
 	f.Add(false, []byte(nil), frame([]wal.Record{{Type: recLockS, Data: appendLock(wire.AppendUvarint(nil, 1<<63+5), LockState{})}}))
-	f.Add(false, encodeState(&State{
-		Store:       store.State{Log: []store.Update{upd(1)}},
-		Lock:        LockState{Epoch: 3, LL: []agent.ID{aid(2, 4)}},
-		Gone:        []agent.ID{aid(1, 1)},
-		Marks:       []agent.Watermark{{Home: 1, Upto: agent.Mark{Born: 17, Seq: 2}, Count: 2}},
-		RelSeen:     map[runtime.NodeID]reliable.Window{5: {Mark: 4, Above: []uint64{7}}},
-		ExtraStores: []store.State{{Tentative: []store.Update{upd(2)}}, {}},
-		ExtraLocks:  []LockState{{Epoch: 1}, {}},
-	}), []byte(nil))
-	f.Add(true, encodeOptState(&OptState{
-		Stable:  []OptRecord{optRec("t1", "k", "v", 5, "")},
-		Overlay: []OptRecord{optRec("t2", "k", "w", 6, "g", "t1")},
-		Dropped: [][]uint64{{1, 0}},
-		ClockHi: 2e9,
-	}), []byte(nil))
+	f.Add(false, []byte(nil), frame([]wal.Record{relSeenRecord}))
+	f.Add(false, encodeState(marpSnapshotState(3)), []byte(nil))
+	f.Add(true, encodeOptState(optSnapshotState(3)), []byte(nil))
+	for _, name := range []string{"marp-untagged.snap", "opt-untagged.snap"} {
+		old, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(name[0] == 'o', old, []byte(nil))
+	}
 	f.Fuzz(func(t *testing.T, opt bool, snap, stream []byte) {
 		var records []wal.Record
 		for len(stream) >= 2 {
@@ -473,20 +481,135 @@ func FuzzReplay(f *testing.F) {
 		if len(snap) == 0 {
 			snap = nil
 		}
+		var enc, again []byte
 		if opt {
-			if st, err := replayOpt(snap, records); err == nil {
-				if _, err := decodeOptState(encodeOptState(st)); err != nil {
-					t.Fatalf("replayed state does not snapshot: %v", err)
-				}
+			st, err := replayOpt(snap, records, 3)
+			if err != nil {
+				return
 			}
-			return
-		}
-		if st, err := replay(snap, records, 3); err == nil {
-			if _, err := decodeState(encodeState(st)); err != nil {
+			enc = encodeOptState(st)
+			dec, err := decodeOptState(enc)
+			if err != nil {
 				t.Fatalf("replayed state does not snapshot: %v", err)
 			}
+			again = encodeOptState(dec)
+		} else {
+			st, err := replay(snap, records, 3)
+			if err != nil {
+				return
+			}
+			enc = encodeState(st)
+			dec, err := decodeState(enc)
+			if err != nil {
+				t.Fatalf("replayed state does not snapshot: %v", err)
+			}
+			again = encodeState(dec)
+		}
+		if !bytes.Equal(again, enc) {
+			t.Fatalf("snapshot %x decodes and encodes to %x", enc, again)
 		}
 	})
+}
+
+// relSeenRecord is a record of the retired type 8: sender 4, frame 9.
+var relSeenRecord = wal.Record{Type: recRelSeen, Data: wire.AppendUvarint(wire.AppendVarint(nil, 4), 9)}
+
+// marpSnapshotState is a MARP state with every snapshot section filled.
+func marpSnapshotState(shards int) *State {
+	st := &State{
+		Store:      store.State{Log: []store.Update{upd(1)}},
+		Lock:       LockState{Epoch: 3, LL: []agent.ID{aid(2, 4)}},
+		Gone:       []agent.ID{aid(1, 1)},
+		Marks:      []agent.Watermark{{Home: 1, Upto: agent.Mark{Born: 17, Seq: 2}, Count: 2}},
+		RelNextSeq: 64,
+		RelSeen:    map[runtime.NodeID]reliable.Window{5: {Mark: 4, Above: []uint64{7}}, 2: {Above: []uint64{3}}},
+	}
+	st.fit(shards)
+	st.ExtraStores[0] = store.State{Tentative: []store.Update{upd(2)}}
+	st.ExtraLocks[0] = LockState{Epoch: 1}
+	return st
+}
+
+// optSnapshotState is an optimistic state with every snapshot section
+// filled.
+func optSnapshotState(shards int) *OptState {
+	st := &OptState{
+		Stable:  []OptRecord{optRec("t1", "k", "v", 5, "")},
+		Overlay: []OptRecord{optRec("t2", "k", "w", 6, "g", "t1")},
+		Aborted: []OptRecord{optRec("t3", "k", "x", 7, "g")},
+		Dropped: make([][]uint64, shards),
+		ClockHi: 2e9,
+	}
+	st.Dropped[0] = []uint64{1, 0}
+	return st
+}
+
+// TestOpenRefuses: a journal Open or OpenOpt cannot read right is refused
+// with an error naming the cause — never a panic, never opened as something
+// else: a snapshot in the layout written before snapshot tags (one of each
+// kind, recorded from that build in testdata), either kind's snapshot
+// opened as the other kind, a snapshot of another shard count, and a record
+// of the retired type 8. The same snapshots open under their own kind and
+// shard count.
+func TestOpenRefuses(t *testing.T) {
+	testdata := func(name string) []byte {
+		b, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	marpSnap, optSnap := encodeState(marpSnapshotState(2)), encodeOptState(optSnapshotState(2))
+	for _, tc := range []struct {
+		name    string
+		opt     bool
+		shards  int
+		snap    []byte
+		records []wal.Record
+		want    error
+	}{
+		{"marp snapshot", false, 2, marpSnap, nil, nil},
+		{"opt snapshot", true, 2, optSnap, nil, nil},
+		{"untagged marp snapshot", false, 2, testdata("marp-untagged.snap"), nil, ErrSnapshotLayout},
+		{"untagged opt snapshot", true, 1, testdata("opt-untagged.snap"), nil, ErrSnapshotLayout},
+		{"marp snapshot opened as opt", true, 2, marpSnap, nil, ErrOtherKind},
+		{"opt snapshot opened as marp", false, 2, optSnap, nil, ErrOtherKind},
+		{"marp snapshot on more shards", false, 16, marpSnap, nil, ErrShardCount},
+		{"marp snapshot on one shard", false, 1, marpSnap, nil, ErrShardCount},
+		{"opt snapshot on more shards", true, 4, optSnap, nil, ErrShardCount},
+		{"opt snapshot on one shard", true, 1, optSnap, nil, ErrShardCount},
+		{"relSeen record", false, 1, nil, []wal.Record{relSeenRecord}, ErrRetiredRecord},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := disk.NewMem()
+			l, _, _, err := wal.Open(m, wal.Options{Policy: wal.PolicyAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.snap != nil {
+				if err := l.SaveSnapshot(tc.snap); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, rec := range tc.records {
+				if err := l.Append(rec, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Shards: tc.shards}
+			if tc.opt {
+				_, _, err = OpenOpt(m, opts)
+			} else {
+				_, _, err = Open(m, opts)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("open = %v, want %v", err, tc.want)
+			}
+		})
+	}
 }
 
 func TestStateEncodingDeterministic(t *testing.T) {
@@ -570,31 +693,6 @@ func TestGoneSetSurvivesAsWatermarksAndResidue(t *testing.T) {
 	}
 }
 
-// TestPreWatermarkSnapshotStillDecodes: a data dir written before the gone
-// set became a summary holds an explicit list and no watermark extension;
-// it decodes, and the list is the residue.
-func TestPreWatermarkSnapshotStillDecodes(t *testing.T) {
-	old := &State{
-		Store: store.State{Log: []store.Update{upd(1)}},
-		Gone:  []agent.ID{aid(1, 1), aid(2, 2)},
-	}
-	got, err := decodeState(encodeState(old)) // no Marks: byte-identical to the old layout
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Gone, old.Gone) || got.Marks != nil {
-		t.Fatalf("gone = %+v marks = %+v", got.Gone, got.Marks)
-	}
-	sharded := &State{Gone: old.Gone, ExtraStores: []store.State{{}}, ExtraLocks: []LockState{{Epoch: 2}}}
-	if got, err = decodeState(encodeState(sharded)); err != nil || got.Marks != nil || len(got.ExtraLocks) != 1 {
-		t.Fatalf("sharded pre-watermark snapshot: %+v, %v", got, err)
-	}
-	sharded.Marks = []agent.Watermark{{Home: 1, Upto: agent.Mark{Born: 5, Seq: 1}}}
-	if got, err = decodeState(encodeState(sharded)); err != nil || len(got.Marks) != 1 || len(got.ExtraLocks) != 1 {
-		t.Fatalf("sharded snapshot with watermarks: %+v, %v", got, err)
-	}
-}
-
 // TestReceiveWindowsSurviveAsWatermarkAndResidue: one record per revealed
 // window change replays to watermark + residue, the compaction snapshot
 // carries both parts, and its size does not know how many frames the
@@ -640,64 +738,5 @@ func TestReceiveWindowsSurviveAsWatermarkAndResidue(t *testing.T) {
 	}
 	if empty := encodeState(&State{}); len(empty) != len(encodeState(&State{RelSeen: map[runtime.NodeID]reliable.Window{}})) {
 		t.Fatal("an empty RelSeen changed the snapshot bytes")
-	}
-}
-
-// TestPreWindowJournalStillDecodes: a data dir written before receive
-// windows holds one relSeen record per frame and snapshots listing every
-// number ever seen, with no watermark extension. Both decode: contiguous
-// numbers from 1 fold into the watermark, the rest are residue until a
-// frame's floor passes them.
-func TestPreWindowJournalStillDecodes(t *testing.T) {
-	relSeen := func(from runtime.NodeID, seq uint64) []byte {
-		return binary.AppendUvarint(binary.AppendVarint(nil, int64(from)), seq)
-	}
-	m := disk.NewMem()
-	j, _, err := Open(m, Options{Policy: wal.PolicyAlways, CompactEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seq := range []uint64{1, 2, 7, 4, 7} {
-		j.append(recRelSeen, relSeen(5, seq), false)
-	}
-	j.Kill()
-	_, st, err := Open(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reliable.Window{Mark: 2, Above: []uint64{4, 7}}
-	if !reflect.DeepEqual(st.RelSeen[5], want) {
-		t.Fatalf("replayed relSeen records: %+v, want %+v", st.RelSeen[5], want)
-	}
-
-	// The old snapshot layout, by hand: the base section only, RelSeen as
-	// sender, count, sorted numbers.
-	var old []byte
-	old = appendStoreState(old, store.State{Log: []store.Update{upd(1)}})
-	old = appendLock(old, LockState{Epoch: 3})
-	old = binary.AppendUvarint(old, 0)  // gone
-	old = binary.AppendUvarint(old, 64) // RelNextSeq
-	old = binary.AppendUvarint(old, 1)  // one sender
-	old = binary.AppendVarint(old, 5)
-	old = binary.AppendUvarint(old, 3)
-	for _, seq := range []uint64{3, 9, 17} { // per-node numbering: never contiguous
-		old = binary.AppendUvarint(old, seq)
-	}
-	got, err := decodeState(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (reliable.Window{Above: []uint64{3, 9, 17}}); !reflect.DeepEqual(got.RelSeen[5], want) || got.RelNextSeq != 64 {
-		t.Fatalf("old snapshot: RelSeen[5] = %+v RelNextSeq = %d", got.RelSeen[5], got.RelNextSeq)
-	}
-	// Without watermarks the new encoder writes that layout byte for byte.
-	if !reflect.DeepEqual(encodeState(got), old) {
-		t.Fatal("a window without a watermark no longer encodes to the old layout")
-	}
-	// With one, every extension before the receive-window one is forced.
-	got.RelSeen[5] = reliable.Window{Mark: 20, Above: []uint64{22}}
-	again, err := decodeState(encodeState(got))
-	if err != nil || !reflect.DeepEqual(again.RelSeen, got.RelSeen) || again.Marks != nil || again.ExtraLocks != nil {
-		t.Fatalf("round trip with a watermark: %+v, %v", again, err)
 	}
 }

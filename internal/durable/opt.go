@@ -35,8 +35,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Optimistic record types. Values are part of the on-disk format alongside
-// the pessimistic records 1-9: never renumber.
+// Optimistic record types. Values are part of the on-disk format: never
+// renumber. Each journal kind owns its own record numbers — MARP's 10 and
+// 11 (gone-set and receive-window watermarks) are optimistic types too —
+// and the snapshot tag (optTag) is what tells an optimistic data dir from a
+// MARP one.
 const (
 	recOptTent   byte = 10 // optimistic tentative update (+guard, +deps); barrier iff own
 	recOptStable byte = 11 // update promoted into the stable prefix (commit barrier)
@@ -72,12 +75,12 @@ type OptRecord struct {
 // to peers that have not yet elected it.
 //
 // Except below the stable-everywhere watermark, where no such peer exists:
-// Dropped[s][o-1] says that origin o's first so many actions on shard s are
-// decided at every replica. A snapshot keeps the stable ones among them as
-// bare updates (the stable prefix stays whole; guard and notAfter edges are
-// gone) and the losers not at all — the replica's history holds none of
-// them, so their count is all it restores. Records replayed on top of a
-// snapshot are full again.
+// Dropped holds a row per shard, and Dropped[s][o-1] says that origin o's
+// first so many actions on shard s are decided at every replica. A
+// snapshot keeps the stable ones among them as bare updates (the stable
+// prefix stays whole; guard and notAfter edges are gone) and the losers
+// not at all — the replica's history holds none of them, so their count is
+// all it restores. Records replayed on top of a snapshot are full again.
 type OptState struct {
 	Stable  []OptRecord
 	Overlay []OptRecord
@@ -86,46 +89,26 @@ type OptState struct {
 	ClockHi int64
 }
 
-// OptOptions tunes an optimistic journal.
-type OptOptions struct {
-	// Policy is the wal fsync policy (default wal.PolicyCommit).
-	Policy wal.Policy
-	// SegmentBytes is the wal segment size (default 1 MiB).
-	SegmentBytes int
-	// CompactEvery lets MaybeCompact install a fresh snapshot once this
-	// many records have accumulated (default 4096; negative disables).
-	CompactEvery int
-}
-
-// OptJournal is one optimistic replica's open durability log. Like Journal
-// it is single-threaded and fail-stop: a replica that cannot journal must
-// not keep acknowledging, so every logging method panics on I/O error.
+// OptJournal is one optimistic replica's open durability log, on the shell
+// Journal runs on: single-threaded and fail-stop.
 type OptJournal struct {
-	log       *wal.Log
-	opts      OptOptions
-	clockHi   int64
-	sinceSnap int
-	source    func() *OptState
+	journal
+	clockHi int64
+	source  func() *OptState
 }
 
 // OpenOpt replays an optimistic journal on b and returns the recovered
 // state, or a nil state when the backend holds no history.
-func OpenOpt(b disk.Backend, opts OptOptions) (*OptJournal, *OptState, error) {
-	if opts.CompactEvery == 0 {
-		opts.CompactEvery = 4096
-	}
-	log, snap, records, err := wal.Open(b, wal.Options{
-		Policy:       opts.Policy,
-		SegmentBytes: opts.SegmentBytes,
-	})
+func OpenOpt(b disk.Backend, opts Options) (*OptJournal, *OptState, error) {
+	sh, snap, records, err := openShell(b, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &OptJournal{log: log, opts: opts, sinceSnap: len(records)}
+	j := &OptJournal{journal: sh}
 	if snap == nil && len(records) == 0 {
 		return j, nil, nil
 	}
-	st, err := replayOpt(snap, records)
+	st, err := replayOpt(snap, records, sh.opts.Shards)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,12 +119,15 @@ func OpenOpt(b disk.Backend, opts OptOptions) (*OptJournal, *OptState, error) {
 // replayOpt rebuilds the optimistic state from a snapshot plus the records
 // journaled after it. Any replay error is corruption: records were only
 // written for operations that succeeded.
-func replayOpt(snap []byte, records []wal.Record) (*OptState, error) {
+func replayOpt(snap []byte, records []wal.Record, shards int) (*OptState, error) {
 	st := &OptState{}
 	if snap != nil {
 		s, err := decodeOptState(snap)
 		if err != nil {
 			return nil, err
+		}
+		if len(s.Dropped) != shards {
+			return nil, fmt.Errorf("%w: the snapshot holds %d, the replica has %d", ErrShardCount, len(s.Dropped), shards)
 		}
 		st = s
 	}
@@ -207,18 +193,6 @@ func replayOpt(snap []byte, records []wal.Record) (*OptState, error) {
 	return st, nil
 }
 
-// fail is the fail-stop policy for stable-storage errors.
-func (j *OptJournal) fail(err error) {
-	if err != nil {
-		panic("durable: optimistic journal write failed (stable storage is fail-stop): " + err.Error())
-	}
-}
-
-func (j *OptJournal) append(typ byte, data []byte, commit bool) {
-	j.fail(j.log.Append(wal.Record{Type: typ, Data: data}, commit))
-	j.sinceSnap++
-}
-
 // Tentative journals a staged action. barrier must be true for the
 // replica's OWN submissions: the record must be durable before the action
 // is advertised, or a crashed origin could re-mint an OSeq peers already
@@ -278,29 +252,15 @@ func (j *OptJournal) SetSource(fn func() *OptState) { j.source = fn }
 // in its middle would already hold the promotions whose stable records
 // follow it, and replay would restore them twice.
 func (j *OptJournal) MaybeCompact() {
-	if j.source == nil || j.opts.CompactEvery <= 0 || j.sinceSnap < j.opts.CompactEvery {
+	if j.source == nil || !j.compactDue() {
 		return
 	}
 	st := j.source()
 	if st.ClockHi < j.clockHi {
 		st.ClockHi = j.clockHi
 	}
-	j.fail(j.log.SaveSnapshot(encodeOptState(st)))
-	j.sinceSnap = 0
+	j.fail(j.saveSnapshot(encodeOptState(st)))
 }
-
-// Sync flushes the journal tail to stable storage regardless of policy.
-func (j *OptJournal) Sync() error { return j.log.Sync() }
-
-// Close syncs and closes the journal (graceful shutdown).
-func (j *OptJournal) Close() error { return j.log.Close() }
-
-// Kill abandons the journal without syncing — the crash path. Pair with
-// the backend's Crash.
-func (j *OptJournal) Kill() { j.log.Kill() }
-
-// Stats returns the underlying wal counters.
-func (j *OptJournal) Stats() wal.Stats { return j.log.Stats() }
 
 // --- encoding -----------------------------------------------------------
 
@@ -324,8 +284,11 @@ func readOptRecord(r *wire.Reader) OptRecord {
 	return rec
 }
 
+// encodeOptState writes the optimistic snapshot layout: the tag, the three
+// tiers, ClockHi, then the shard count and each shard's row of Dropped.
+// Every section is always present.
 func encodeOptState(st *OptState) []byte {
-	var b []byte
+	b := append([]byte(nil), optTag[:]...)
 	for _, tier := range [][]OptRecord{st.Stable, st.Overlay, st.Aborted} {
 		b = wire.AppendUvarint(b, uint64(len(tier)))
 		for _, rec := range tier {
@@ -344,7 +307,10 @@ func encodeOptState(st *OptState) []byte {
 }
 
 func decodeOptState(b []byte) (*OptState, error) {
-	r := wire.NewReader(b)
+	r, err := untag(b, optTag, marpTag)
+	if err != nil {
+		return nil, err
+	}
 	st := &OptState{}
 	for _, tier := range []*[]OptRecord{&st.Stable, &st.Overlay, &st.Aborted} {
 		for i, n := 0, r.Count(7); i < n; i++ {
@@ -352,16 +318,12 @@ func decodeOptState(b []byte) (*OptState, error) {
 		}
 	}
 	st.ClockHi = r.Varint()
-	// A snapshot written before histories were truncated ends here, which
-	// reads as nothing dropped.
-	if r.Len() > 0 {
-		for i, n := 0, r.Count(1); i < n; i++ {
-			var row []uint64
-			for k, m := 0, r.Count(1); k < m; k++ {
-				row = append(row, r.Uvarint())
-			}
-			st.Dropped = append(st.Dropped, row)
+	for i, n := 0, r.Count(1); i < n; i++ {
+		var row []uint64
+		for k, m := 0, r.Count(1); k < m; k++ {
+			row = append(row, r.Uvarint())
 		}
+		st.Dropped = append(st.Dropped, row)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("durable: optimistic snapshot: %w", err)

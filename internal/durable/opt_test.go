@@ -17,7 +17,7 @@ func optRec(txn, key, data string, stamp int64, guard string, deps ...string) Op
 	}
 }
 
-func openOpt(t *testing.T, b disk.Backend, opts OptOptions) (*OptJournal, *OptState) {
+func openOpt(t *testing.T, b disk.Backend, opts Options) (*OptJournal, *OptState) {
 	t.Helper()
 	j, st, err := OpenOpt(b, opts)
 	if err != nil {
@@ -28,7 +28,7 @@ func openOpt(t *testing.T, b disk.Backend, opts OptOptions) (*OptJournal, *OptSt
 
 func TestOptJournalReplayLifecycle(t *testing.T) {
 	b := disk.NewMem()
-	j, st := openOpt(t, b, OptOptions{})
+	j, st := openOpt(t, b, Options{})
 	if st != nil {
 		t.Fatalf("fresh backend replayed state %+v", st)
 	}
@@ -47,7 +47,7 @@ func TestOptJournalReplayLifecycle(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	_, st = openOpt(t, b, OptOptions{})
+	_, st = openOpt(t, b, Options{})
 	if st == nil {
 		t.Fatal("no state replayed")
 	}
@@ -79,7 +79,7 @@ func TestOptClockBarrierIsOncePerSecond(t *testing.T) {
 	const step = int64(50*time.Millisecond) + 7
 	for _, submitting := range []bool{false, true} {
 		b := disk.NewMem()
-		j, _ := openOpt(t, b, OptOptions{})
+		j, _ := openOpt(t, b, Options{})
 		tentatives, advertised := 0, int64(0)
 		for c := int64(0); c < int64(10*time.Second); c += step {
 			if submitting {
@@ -94,7 +94,7 @@ func TestOptClockBarrierIsOncePerSecond(t *testing.T) {
 		}
 		j.Kill()
 		b.Crash()
-		if _, st := openOpt(t, b, OptOptions{}); st.ClockHi <= advertised {
+		if _, st := openOpt(t, b, Options{}); st.ClockHi <= advertised {
 			t.Errorf("submitting=%v: restored clock %d, advertised %d", submitting, st.ClockHi, advertised)
 		}
 	}
@@ -110,7 +110,7 @@ const GuardStringForTest = "o009-s000-000000009"
 // tentatives before it included.
 func TestOptJournalCrashKeepsBarriers(t *testing.T) {
 	b := disk.NewMem()
-	j, _ := openOpt(t, b, OptOptions{})
+	j, _ := openOpt(t, b, Options{})
 	own := optRec("o001-s000-000000001", "k", "a", 1, "")
 	j.Tentative(own, true) // barrier: fsynced
 	j.Clock(1)             // barrier: fsynced
@@ -131,7 +131,7 @@ func TestOptJournalCrashKeepsBarriers(t *testing.T) {
 	j.Kill()
 	b.Crash()
 
-	_, st := openOpt(t, b, OptOptions{})
+	_, st := openOpt(t, b, Options{})
 	if st == nil {
 		t.Fatal("no state replayed")
 	}
@@ -162,7 +162,7 @@ func TestOptJournalCrashKeepsBarriers(t *testing.T) {
 // operations: a batch journaled record by record is never cut in two.
 func TestOptJournalCompaction(t *testing.T) {
 	b := disk.NewMem()
-	j, _ := openOpt(t, b, OptOptions{CompactEvery: 8})
+	j, _ := openOpt(t, b, Options{CompactEvery: 8})
 	var stable, overlay, aborted []OptRecord
 	dropped := [][]uint64{{0, 0, 0}}
 	j.SetSource(func() *OptState {
@@ -206,7 +206,7 @@ func TestOptJournalCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, st := openOpt(t, b, OptOptions{})
+	_, st := openOpt(t, b, Options{})
 	if st == nil {
 		t.Fatal("no state replayed")
 	}
@@ -229,32 +229,5 @@ func TestOptJournalCompaction(t *testing.T) {
 	}
 	if len(st.Aborted) != 1 || st.Aborted[0].U != loser.U || st.Aborted[0].Guard != loser.Guard {
 		t.Fatalf("Aborted = %+v, want the loser journaled after the snapshot, whole", st.Aborted)
-	}
-}
-
-// TestOptSnapshotWithoutCountsDecodes: a snapshot written before histories
-// were truncated ends with the clock. It reads as one that dropped nothing.
-func TestOptSnapshotWithoutCountsDecodes(t *testing.T) {
-	st := &OptState{
-		Stable:  []OptRecord{optRec("o001-s000-000000001", "k", "a", 1, "")},
-		Overlay: []OptRecord{optRec("o002-s000-000000001", "k", "b", 2, GuardStringForTest, "o001-s000-000000001")},
-		ClockHi: 64,
-	}
-	st.Stable[0].U.Seq = 1
-	enc := encodeOptState(st)
-	old := enc[:len(enc)-1] // the count of rows, zero, is the layout's last byte
-	got, err := decodeOptState(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dropped != nil || got.ClockHi != 64 || len(got.Stable) != 1 || len(got.Overlay) != 1 || got.Overlay[0].Deps[0] != st.Overlay[0].Deps[0] {
-		t.Fatalf("decoded %+v", got)
-	}
-	st.Dropped = [][]uint64{{3, 0}, {0, 7}}
-	if got, err = decodeOptState(encodeOptState(st)); err != nil || len(got.Dropped) != 2 || got.Dropped[1][1] != 7 || got.Dropped[0][0] != 3 {
-		t.Fatalf("counts round trip: %+v, %v", got, err)
-	}
-	if _, err := decodeOptState(append(encodeOptState(st), 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
 	}
 }

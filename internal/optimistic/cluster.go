@@ -154,10 +154,11 @@ func (c *Cluster) openJournal(rep *replica) error {
 		b = c.cfg.Durability.Backend(rep.id)
 		c.backends[rep.id] = b
 	}
-	j, st, err := durable.OpenOpt(b, durable.OptOptions{
+	j, st, err := durable.OpenOpt(b, durable.Options{
 		Policy:       c.cfg.Durability.Policy,
 		SegmentBytes: c.cfg.Durability.SegmentBytes,
 		CompactEvery: c.cfg.Durability.CompactEvery,
+		Shards:       c.cfg.Shards,
 	})
 	if err != nil {
 		return fmt.Errorf("optimistic: opening journal for node %d: %w", rep.id, err)

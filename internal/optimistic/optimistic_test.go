@@ -8,8 +8,11 @@ package optimistic_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -524,7 +527,8 @@ func TestReconWireRoundTrip(t *testing.T) {
 // clock readings in nanoseconds: the values in every stamp and clock
 // record changed, the run's order with them, and clock records now ride
 // own tentatives' barriers where they used to follow reports; no record's
-// encoding changed.
+// encoding changed. The snapshot hashes were re-recorded again when
+// snapshots took their layout tag; the record bytes did not change.
 func TestJournalGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -532,7 +536,7 @@ func TestJournalGoldenBytes(t *testing.T) {
 		want         [3]string
 	}{
 		{"records", -1, [3]string{"0fef919ce980a8c8dcc5c141", "057d8202ab850e5b550bb645", "5c73c2d9fe94727c07d0947e"}},
-		{"snapshots", 16, [3]string{"028fa219275f19834f437917", "028fa219275f19834f437917", "d7f19ca71ef418207521c77f"}},
+		{"snapshots", 16, [3]string{"f728d98cf9b3743bede18883", "f728d98cf9b3743bede18883", "1348b4b0b0a53c1a63d0cf8b"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			disks := map[runtime.NodeID]*disk.Mem{}
@@ -598,7 +602,7 @@ func TestJournalGoldenBytes(t *testing.T) {
 				}
 
 				// What the files mean: 24 decisions, the stable ones in order.
-				j, st, err := durable.OpenOpt(disks[id], durable.OptOptions{CompactEvery: -1})
+				j, st, err := durable.OpenOpt(disks[id], durable.Options{CompactEvery: -1, Shards: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -640,5 +644,45 @@ func TestJournalGoldenBytes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReopenWithAnotherShardCountIsRefused: the optimistic journal's
+// snapshot states its shard count too, and a cluster rebuilt on the same
+// disks with another count does not start.
+func TestReopenWithAnotherShardCountIsRefused(t *testing.T) {
+	disks := map[runtime.NodeID]*disk.Mem{}
+	dur := func(shards int) optimistic.Config {
+		return optimistic.Config{N: 3, Shards: shards, GossipInterval: 20 * time.Millisecond,
+			Durability: &optimistic.DurabilityConfig{
+				Backend: func(id runtime.NodeID) disk.Backend {
+					if disks[id] == nil {
+						disks[id] = disk.NewMem()
+					}
+					return disks[id]
+				},
+				CompactEvery: 16,
+			}}
+	}
+	cl, err := desengine.NewOptimistic(desengine.OptConfig{Seed: 18, Cluster: dur(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 24; i++ {
+		if _, err := cl.Submit(runtime.NodeID(i%3+1), fmt.Sprint("k", i), fmt.Sprint("v", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(t, cl)
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for id, d := range disks {
+		if names, _ := d.List(); !slices.ContainsFunc(names, func(n string) bool { return strings.HasPrefix(n, "snap-") }) {
+			t.Fatalf("node %d took no snapshot: %v", id, names)
+		}
+	}
+	if _, err := desengine.NewOptimistic(desengine.OptConfig{Seed: 18, Cluster: dur(4)}); !errors.Is(err, durable.ErrShardCount) {
+		t.Fatalf("2 shards reopened as 4: NewOptimistic = %v, want %v", err, durable.ErrShardCount)
 	}
 }
