@@ -94,11 +94,14 @@ type Config struct {
 	// RetransmitBase is the reliable layer's first-retry delay on a link
 	// that has not measured its round trip yet, and four times the longest
 	// a receiver holds an acknowledgement (default
-	// reliable.DefaultConfig.Base; wireRetransmitBase on a wire fabric).
-	// Once a link has a sample, its measured timeout replaces it.
+	// reliable.DefaultConfig.Base, 20 ms; reliable.WireConfig's 160 ms on
+	// a wire fabric). Once a link has a sample, its measured timeout
+	// replaces it.
 	RetransmitBase time.Duration
-	// RetransmitAttempts caps transmissions per message (default
-	// reliable.DefaultConfig.Attempts).
+	// RetransmitAttempts caps transmissions per message, and with them how
+	// long a send to a dead peer takes to be given up (default
+	// reliable.DefaultConfig.Attempts, 5; reliable.WireConfig's 3 on a
+	// wire fabric).
 	RetransmitAttempts int
 	// RegenerateAgents makes the cluster freeze an agent lost to a host
 	// crash (its protocol state, WireState, as it died) and regenerate it
@@ -260,12 +263,6 @@ const (
 	dispatchBurst = 64
 )
 
-// wireRetransmitBase is the reliable layer's Base on a wire fabric. A link
-// soon measures its own timeout, so this mostly sets how long a receiver
-// holds an acknowledgement for reverse traffic (a quarter): 10 ms lets a
-// commit's last acknowledgements ride the next commit (EXPERIMENTS.md).
-const wireRetransmitBase = 40 * time.Millisecond
-
 // ledger is what lets a locally hosted home raise its gone-set watermark:
 // the agents this cluster dispatched for it that the watermark does not
 // cover yet, in dispatch order, and the Born of the first one (the start of
@@ -322,14 +319,17 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 	}
 	var rel *reliable.Layer
 	if cfg.Reliable || wire {
-		base := cfg.RetransmitBase
-		if base <= 0 && wire {
-			base = wireRetransmitBase
+		policy := reliable.Config{}
+		if wire {
+			policy = reliable.WireConfig
 		}
-		rel = reliable.NewLayer(eng, fabric, reliable.Config{
-			Base:     base,
-			Attempts: cfg.RetransmitAttempts,
-		})
+		if cfg.RetransmitBase > 0 {
+			policy.Base = cfg.RetransmitBase
+		}
+		if cfg.RetransmitAttempts > 0 {
+			policy.Attempts = cfg.RetransmitAttempts
+		}
+		rel = reliable.NewLayer(eng, fabric, policy)
 		fabric = rel
 	}
 	c := &Cluster{

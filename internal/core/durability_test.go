@@ -357,36 +357,50 @@ func TestDurableGracefulCloseReopensClean(t *testing.T) {
 	}
 }
 
-// TestReopenWithAnotherShardCountIsRefused: a snapshot states the shard
-// count it was taken with, and a cluster rebuilt on the same disks with
-// another count does not start. Opened anyway, every node routed the keys
-// its snapshot holds to shards that do not hold them: node 2 read 5 of the
-// 24 keys off its disk, still 5 after anti-entropy, and CheckConvergence
-// passed.
+// TestReopenWithAnotherShardCountIsRefused: a cluster rebuilt on its disks
+// with another shard count does not start. A snapshot states the count it
+// was taken with. Opened anyway, every node routed the keys its snapshot
+// holds to shards that do not hold them: node 2 read 5 of the 24 keys off
+// its disk, still 5 after anti-entropy, and CheckConvergence passed. A
+// journal that has not compacted states no count, but its lock records
+// name their shards, and one beyond the count is the same refusal. Its
+// update records name none: routed to other shards they leave a sequence
+// gap, which replay refuses as corruption, as it cannot tell a torn
+// journal from a recount.
 func TestReopenWithAnotherShardCountIsRefused(t *testing.T) {
-	for _, shards := range []int{16, 1} {
-		dur, disks := memDurability(wal.PolicyCommit)
-		dur.CompactEvery = 8
-		c := newTestCluster(t, Config{N: 3, Shards: 4, Durability: dur}, simEnv{seed: 5})
-		for i := 0; i < 24; i++ {
-			if err := c.Submit(runtime.NodeID(i%3+1), Set(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))); err != nil {
+	for _, tc := range []struct {
+		compactEvery, shards int
+		recount              bool // refused as ErrShardCount, not only refused
+	}{
+		{8, 16, true},
+		{8, 1, true},
+		{-1, 1, true},
+		{-1, 16, false},
+	} {
+		t.Run(fmt.Sprintf("compact%d/shards%d", tc.compactEvery, tc.shards), func(t *testing.T) {
+			dur, disks := memDurability(wal.PolicyCommit)
+			dur.CompactEvery = tc.compactEvery
+			c := newTestCluster(t, Config{N: 3, Shards: 4, Durability: dur}, simEnv{seed: 5})
+			for i := 0; i < 24; i++ {
+				if err := c.Submit(runtime.NodeID(i%3+1), Set(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.RunUntilDone(time.Minute); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Settle(time.Second)
+			if err := c.CloseJournals(); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.RunUntilDone(time.Minute); err != nil {
-				t.Fatal(err)
+			_, err := newSimCluster(Config{N: 3, Shards: tc.shards, Durability: &DurabilityConfig{
+				Policy:       wal.PolicyCommit,
+				CompactEvery: tc.compactEvery,
+				Backend:      func(id runtime.NodeID) disk.Backend { return disks[id] },
+			}}, simEnv{seed: 5})
+			if err == nil || tc.recount != errors.Is(err, durable.ErrShardCount) {
+				t.Fatalf("4 shards reopened as %d: NewCluster = %v, want a refusal that is ErrShardCount: %v", tc.shards, err, tc.recount)
 			}
-		}
-		c.Settle(time.Second)
-		if err := c.CloseJournals(); err != nil {
-			t.Fatal(err)
-		}
-		_, err := newSimCluster(Config{N: 3, Shards: shards, Durability: &DurabilityConfig{
-			Policy:       wal.PolicyCommit,
-			CompactEvery: 8,
-			Backend:      func(id runtime.NodeID) disk.Backend { return disks[id] },
-		}}, simEnv{seed: 5})
-		if !errors.Is(err, durable.ErrShardCount) {
-			t.Fatalf("4 shards reopened as %d: NewCluster = %v, want %v", shards, err, durable.ErrShardCount)
-		}
+		})
 	}
 }

@@ -27,8 +27,13 @@ type processes struct {
 
 func newProcesses(t *testing.T, cfg Config) *processes {
 	t.Helper()
-	sim := des.New(11)
-	p := &processes{net: simnet.New(sim, simnet.FullMesh(cfg.N), simnet.Constant(time.Millisecond))}
+	return newProcessesOn(t, des.New(11), simnet.Constant(time.Millisecond), cfg)
+}
+
+// newProcessesOn is newProcesses on a given simulator and link latency.
+func newProcessesOn(t *testing.T, sim *des.Simulator, latency simnet.LatencyModel, cfg Config) *processes {
+	t.Helper()
+	p := &processes{net: simnet.New(sim, simnet.FullMesh(cfg.N), latency)}
 	for id := 1; id <= cfg.N; id++ {
 		pc := cfg
 		pc.Local = []runtime.NodeID{runtime.NodeID(id)}

@@ -60,7 +60,7 @@ var (
 	// retired layout.
 	ErrSnapshotLayout = errors.New("durable: snapshot is not in a layout this build reads")
 	ErrOtherKind      = errors.New("durable: snapshot belongs to the other journal kind")
-	ErrShardCount     = errors.New("durable: snapshot shard count differs from the replica's")
+	ErrShardCount     = errors.New("durable: journal written under another shard count than the replica's")
 	ErrRetiredRecord  = errors.New("durable: retired record type")
 )
 
@@ -381,7 +381,7 @@ func replay(snap []byte, records []wal.Record, shards int) (*State, error) {
 			if err = r.Finish(); err == nil {
 				switch {
 				case shrd >= uint64(shards):
-					err = fmt.Errorf("lock record for shard %d beyond %d shards", shrd, shards)
+					err = fmt.Errorf("%w: a lock record names shard %d, the replica has %d", ErrShardCount, shrd, shards)
 				case shrd == 0:
 					st.Lock = ls
 				default:

@@ -647,42 +647,50 @@ func TestJournalGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestReopenWithAnotherShardCountIsRefused: the optimistic journal's
-// snapshot states its shard count too, and a cluster rebuilt on the same
-// disks with another count does not start.
+// TestReopenWithAnotherShardCountIsRefused: a cluster rebuilt on its disks
+// with another shard count does not start. A snapshot states its count; a
+// journal that has not compacted states none, but each journaled action
+// names the shard its key routed to, and a key that routes elsewhere under
+// the new count is the same refusal. Opened anyway, with CompactEvery -1
+// and 2 shards rebuilt as 4, node 2 read 12 of the 24 keys.
 func TestReopenWithAnotherShardCountIsRefused(t *testing.T) {
-	disks := map[runtime.NodeID]*disk.Mem{}
-	dur := func(shards int) optimistic.Config {
-		return optimistic.Config{N: 3, Shards: shards, GossipInterval: 20 * time.Millisecond,
-			Durability: &optimistic.DurabilityConfig{
-				Backend: func(id runtime.NodeID) disk.Backend {
-					if disks[id] == nil {
-						disks[id] = disk.NewMem()
-					}
-					return disks[id]
-				},
-				CompactEvery: 16,
-			}}
-	}
-	cl, err := desengine.NewOptimistic(desengine.OptConfig{Seed: 18, Cluster: dur(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 24; i++ {
-		if _, err := cl.Submit(runtime.NodeID(i%3+1), fmt.Sprint("k", i), fmt.Sprint("v", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	drain(t, cl)
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for id, d := range disks {
-		if names, _ := d.List(); !slices.ContainsFunc(names, func(n string) bool { return strings.HasPrefix(n, "snap-") }) {
-			t.Fatalf("node %d took no snapshot: %v", id, names)
-		}
-	}
-	if _, err := desengine.NewOptimistic(desengine.OptConfig{Seed: 18, Cluster: dur(4)}); !errors.Is(err, durable.ErrShardCount) {
-		t.Fatalf("2 shards reopened as 4: NewOptimistic = %v, want %v", err, durable.ErrShardCount)
+	for _, compactEvery := range []int{16, -1} {
+		t.Run(fmt.Sprint("compact", compactEvery), func(t *testing.T) {
+			disks := map[runtime.NodeID]*disk.Mem{}
+			dur := func(shards int) optimistic.Config {
+				return optimistic.Config{N: 3, Shards: shards, GossipInterval: 20 * time.Millisecond,
+					Durability: &optimistic.DurabilityConfig{
+						Backend: func(id runtime.NodeID) disk.Backend {
+							if disks[id] == nil {
+								disks[id] = disk.NewMem()
+							}
+							return disks[id]
+						},
+						CompactEvery: compactEvery,
+					}}
+			}
+			cl, err := desengine.NewOptimistic(desengine.OptConfig{Seed: 18, Cluster: dur(2)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 24; i++ {
+				if _, err := cl.Submit(runtime.NodeID(i%3+1), fmt.Sprint("k", i), fmt.Sprint("v", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			drain(t, cl)
+			if err := cl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for id, d := range disks {
+				names, _ := d.List()
+				if snap := slices.ContainsFunc(names, func(n string) bool { return strings.HasPrefix(n, "snap-") }); snap != (compactEvery > 0) {
+					t.Fatalf("node %d with CompactEvery %d holds %v", id, compactEvery, names)
+				}
+			}
+			if _, err := desengine.NewOptimistic(desengine.OptConfig{Seed: 18, Cluster: dur(4)}); !errors.Is(err, durable.ErrShardCount) {
+				t.Fatalf("2 shards reopened as 4: NewOptimistic = %v, want %v", err, durable.ErrShardCount)
+			}
+		})
 	}
 }

@@ -534,8 +534,14 @@ func (r *replica) restore(st *durable.OptState) error {
 		if err != nil {
 			return a, err
 		}
-		if a.Shard >= r.c.cfg.Shards || a.Origin < 1 || int(a.Origin) > r.c.cfg.N {
+		if a.Origin < 1 || int(a.Origin) > r.c.cfg.N {
 			return a, fmt.Errorf("optimistic: node %d: journaled action %s is outside the cluster", r.id, rec.U.TxnID)
+		}
+		// A journal that has not compacted states no shard count; each
+		// action names the shard its key routed to when it was submitted.
+		if a.Shard >= r.c.cfg.Shards || shard.Of(a.Key, r.c.cfg.Shards) != a.Shard {
+			return a, fmt.Errorf("optimistic: node %d: %w: journaled action %s on key %q names shard %d, which the key does not route to among %d",
+				r.id, durable.ErrShardCount, rec.U.TxnID, a.Key, a.Shard, r.c.cfg.Shards)
 		}
 		if a.Stamp > r.clock {
 			r.clock = a.Stamp

@@ -97,6 +97,22 @@ type Config struct {
 // transmissions total.
 var DefaultConfig = Config{Base: 20 * time.Millisecond, Max: 500 * time.Millisecond, Attempts: 5, Jitter: 0.2}
 
+// WireConfig is the policy of a link over real sockets, where a link soon
+// measures its own timeout and Base mostly sets how long a receiver holds
+// an acknowledgement for reverse traffic: a quarter of 160 ms is 40 ms,
+// TCP's delayed-ACK floor on Linux (RFC 1122 §4.2.3.2). On an open loop
+// at 33 writes/s per home a 10 ms hold sent a standalone acknowledgement
+// for about every commit; 40 ms sends one for about every four
+// (EXPERIMENTS.md "A wire link holds its acknowledgement 40 ms"). The
+// measured timeout allows the hold, so it costs no retransmission. It
+// lengthens each timeout, though, and a send to a dead peer is given up
+// only after the timeouts of every transmission: three transmissions keep
+// that horizon below what a 40 ms Base and five gave — ≈43 ms·(1+2+4)
+// against ≈13 ms·(1+2+4+8+16) on a link that measured a 1 ms round trip,
+// and 160+320+500 ms against 40+…+320+500 ms on one that measured nothing
+// (TestWirePolicyKeepsTheGiveUpHorizon).
+var WireConfig = Config{Base: 160 * time.Millisecond, Attempts: 3}
+
 func (c Config) withDefaults() Config {
 	d := DefaultConfig
 	if c.Base <= 0 {

@@ -917,3 +917,67 @@ func TestDeclaredFrameCostsItsHeaderAndPayload(t *testing.T) {
 		t.Errorf("standalone acks: %d sent, %d bytes, want 1 of 8", st.ByKind["rel-ack"], st.BytesByKind["rel-ack"])
 	}
 }
+
+// giveUpHorizon measures how long cfg's layer takes to give up a frame to
+// a peer that has died: on a link that has measured its round trip over
+// 0.5 ms each way when sampled is set, on a fresh link otherwise.
+func giveUpHorizon(t *testing.T, cfg Config, sampled bool) time.Duration {
+	t.Helper()
+	sim := des.New(3)
+	net := simnet.New(sim, simnet.FullMesh(2), simnet.Constant(500*time.Microsecond))
+	l := NewLayer(sim, net, cfg)
+	l.Attach(1, &rec{})
+	l.Attach(2, &rec{})
+	if sampled {
+		oneWay(sim, l, 50, 3*time.Millisecond)
+		if lk := l.ports[1].links[2]; lk.rtt.srtt != time.Millisecond {
+			t.Fatalf("smoothed round trip %v, want the network's 1ms", lk.rtt.srtt)
+		}
+	}
+	net.SetDown(2, true)
+	sent, settled := sim.Now(), runtime.Time(-1)
+	l.OnSettled(func(_ runtime.Message, delivered bool) {
+		if delivered {
+			t.Fatal("a frame to a dead peer was acknowledged")
+		}
+		settled = sim.Now()
+	})
+	l.Send(simnet.Message{From: 1, To: 2, Payload: "late", Size: 4})
+	for sim.Step() {
+	}
+	if settled < 0 {
+		t.Fatal("the frame to a dead peer was never given up")
+	}
+	return settled.Sub(sent)
+}
+
+// TestWirePolicyKeepsTheGiveUpHorizon: the wire policy holds an
+// acknowledgement 40 ms, four times what a 40 ms Base held, yet a frame to
+// a peer that died is given up no later than under that Base and five
+// transmissions — the three doubling timeouts of ~43 ms end before the
+// five of ~13 ms, and on an unmeasured link 160+320+500 ms before
+// 40+80+160+320+500 ms. Every failure the protocol detects by a give-up
+// (a migration to a dead host, an UPDATE round with a dead replica) waits
+// this long.
+func TestWirePolicyKeepsTheGiveUpHorizon(t *testing.T) {
+	before := Config{Base: 40 * time.Millisecond, Attempts: 5}
+	if hold := WireConfig.withDefaults().ackDelay(); hold != 40*time.Millisecond {
+		t.Fatalf("the wire policy holds an acknowledgement %v, want 40ms", hold)
+	}
+	for _, tc := range []struct {
+		name    string
+		sampled bool
+		want    time.Duration
+	}{
+		{"measured", true, 301 * time.Millisecond},
+		{"unmeasured", false, 980 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, old := giveUpHorizon(t, WireConfig, tc.sampled), giveUpHorizon(t, before, tc.sampled)
+			t.Logf("given up after %v; a 40ms Base with five transmissions took %v", got, old)
+			if got != tc.want || got > old {
+				t.Fatalf("given up after %v, want %v and no later than the %v before", got, tc.want, old)
+			}
+		})
+	}
+}
