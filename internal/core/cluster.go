@@ -684,6 +684,11 @@ func (c *Cluster) Describe() Shape {
 // Referee returns the Theorem 2 oracle.
 func (c *Cluster) Referee() *Referee { return c.referee }
 
+// Quorums returns every shard's quorum assignment, indexed by shard, whose
+// Nodes are the shard's replica group: what one referee spanning several
+// processes judges their grants against.
+func (c *Cluster) Quorums() []quorum.Assignment { return slices.Clone(c.assigns) }
+
 // Outcomes returns the outcomes of all finished agents so far.
 func (c *Cluster) Outcomes() []Outcome {
 	out := make([]Outcome, len(c.outcomes))

@@ -1,17 +1,26 @@
 // Package desengine assembles simulated deployments: the deterministic
 // discrete-event engine (internal/des) plus the simulated network
 // (internal/simnet), wired under an engine-neutral protocol cluster — a
-// MARP core.Cluster (New), an optimistic.Cluster (NewOptimistic) or a
-// message-passing baseline.System (NewBaseline).
+// MARP core.Cluster (New), an optimistic.Cluster (NewOptimistic), a
+// message-passing baseline.System (NewBaseline), or one single-node
+// core.Cluster per process (NewProcesses).
 //
 // This is the only package that pairs a protocol with the simulation
 // engine. Everything the simulation owns — the seed, the topology, the
 // latency model, the fault model — is configured here rather than on the
 // protocol's config, so the protocol layers stay ignorant of how they are
-// being executed. All three assemblies build their engine and network
+// being executed. All four assemblies build their engine and network
 // through one helper (simulate). Tests, examples and the benchmark harness
 // build clusters through this package; the live deployment builds the
 // same core.Cluster through internal/runtime/live instead.
+//
+// NewProcesses is the deployed shape in virtual time, the twin of
+// live.StartCluster: the network claims wire delivery, so each process
+// migrates agents as encoded state over the reliable window, and a process
+// starts the way live.StartNode starts one — a fresh cluster on a fresh
+// engine whose clock reads zero, lifted by StartAbove over the absolute
+// clock (the wall clock, live) — dies the way kill -9 kills one (Kill) and
+// comes back over the same disk (Restart).
 package desengine
 
 import (

@@ -6,9 +6,10 @@
 // simnet.FaultModel is attached to the network that assumption breaks, and
 // this package restores it end-to-end the way real systems do: one sliding
 // window per directed link. The sender numbers its frames per destination
-// and retransmits each with exponential backoff and jitter until it is
-// acknowledged or the retry cap is exhausted; OnSettled tells the caller
-// which. The receiver keeps, per sender, a watermark below which every
+// and retransmits each with exponential backoff until it is acknowledged or
+// the retry cap is exhausted; OnSettled tells the caller which. The backoff
+// is jittered only under a Config that sets Jitter, as DefaultConfig itself
+// does: no cluster does (see Config.Jitter). The receiver keeps, per sender, a watermark below which every
 // number is settled plus the numbers received out of order above it,
 // suppresses what it already holds, and acknowledges cumulatively: the
 // watermark and the numbers above it that arrived since its last
@@ -88,7 +89,13 @@ type Config struct {
 	// (the initial send counts as the first).
 	Attempts int
 	// Jitter is the fraction of each delay added uniformly at random, so
-	// retransmissions from different senders decorrelate.
+	// retransmissions from different senders decorrelate. Unlike the other
+	// fields it has no default: zero means none. core.NewCluster passes
+	// the zero Config (simulated) or WireConfig (wire), so no cluster's
+	// retransmissions are jittered; only a caller that passes
+	// DefaultConfig itself gets its 0.2. Applying it to the clusters moves
+	// des-churn and the benchmark fingerprints, which is why it waits for
+	// ROADMAP item 26.
 	Jitter float64
 }
 
