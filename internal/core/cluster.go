@@ -718,7 +718,9 @@ func (c *Cluster) Submit(home runtime.NodeID, reqs ...Request) error {
 	}
 	b := c.batches[home]
 	if b == nil {
-		b = &batch{}
+		// A home's launches are saved up from its first submission on, not
+		// from the process's start: its first burst leaves at once.
+		b = &batch{tokens: dispatchBurst, stamp: c.eng.Now()}
 		c.batches[home] = b
 	}
 	b.reqs = append(b.reqs, reqs...)

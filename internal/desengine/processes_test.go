@@ -280,3 +280,22 @@ func TestProcessesAreDeterministic(t *testing.T) {
 		t.Fatalf("two runs at one seed differ:\n%+v %+v %+v\n%+v %+v %+v", o1, l1, n1, o2, l2, n2)
 	}
 }
+
+// TestFirstWriteLeavesAtOnce: a home saves up its dispatch tokens from its
+// first submission on, not from its process's start, so a write submitted
+// the instant the processes start locks no later after dispatch than the
+// same write submitted 10 ms in.
+func TestFirstWriteLeavesAtOnce(t *testing.T) {
+	lock := func(at time.Duration) time.Duration {
+		p := assemble(t, Config{Seed: 1, Cluster: core.Config{N: 3}})
+		p.Sim().RunFor(at)
+		round(t, p, "w", 1, 1)
+		outs := p.Cluster(1).Outcomes()
+		return outs[len(outs)-1].LockLatency().Duration()
+	}
+	early, late := lock(0), lock(10*time.Millisecond)
+	t.Logf("a write at t=0 locks %v after dispatch, at t=10ms %v", early, late)
+	if early > late {
+		t.Fatalf("a write at t=0 locks %v after dispatch, later than the same write at t=10ms (%v)", early, late)
+	}
+}

@@ -588,11 +588,14 @@ func appendStoreState(b []byte, ss store.State) []byte {
 }
 
 // readStoreState reads a store.State written by appendStoreState (at least
-// 2 bytes).
+// 2 bytes). A log that does not run Seq 1, 2, … is refused: the store keeps
+// an update's Seq as its position.
 func readStoreState(r *wire.Reader) store.State {
 	var ss store.State
 	for i, n := 0, r.Count(5); i < n; i++ {
-		ss.Log = append(ss.Log, store.DecodeUpdate(r))
+		if ss.Log = append(ss.Log, store.DecodeUpdate(r)); ss.Log[i].Seq != uint64(i+1) {
+			r.Fail("store log out of sequence")
+		}
 	}
 	for i, n := 0, r.Count(5); i < n; i++ {
 		ss.Tentative = append(ss.Tentative, store.DecodeUpdate(r))

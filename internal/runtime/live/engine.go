@@ -12,9 +12,13 @@
 package live
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	goruntime "runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/runtime"
@@ -31,6 +35,8 @@ type Engine struct {
 	inbox  chan func()
 	quit   chan struct{}
 	once   sync.Once
+	exited chan struct{} // closed when the loop has returned
+	loopID atomic.Uint64 // the loop's goroutine, which Close must not wait on
 }
 
 // NewEngine starts the engine's actor loop. The seed feeds the protocol's
@@ -38,10 +44,11 @@ type Engine struct {
 // identical (the wall clock and the network interleave for real).
 func NewEngine(seed int64) *Engine {
 	e := &Engine{
-		start: time.Now(),
-		rng:   rand.New(rand.NewSource(seed)),
-		inbox: make(chan func(), 1024),
-		quit:  make(chan struct{}),
+		start:  time.Now(),
+		rng:    rand.New(rand.NewSource(seed)),
+		inbox:  make(chan func(), 1024),
+		quit:   make(chan struct{}),
+		exited: make(chan struct{}),
 	}
 	go e.loop()
 	return e
@@ -53,6 +60,8 @@ func NewEngine(seed int64) *Engine {
 // this module builds with, a drain after the loop took the tick blocks
 // forever, while a stale tick is just a wake-up that finds nothing due.
 func (e *Engine) loop() {
+	defer close(e.exited)
+	e.loopID.Store(goid())
 	wake := time.NewTimer(time.Hour)
 	defer wake.Stop()
 	armed := runtime.Time(math.MaxInt64)
@@ -108,8 +117,25 @@ func (e *Engine) Do(fn func()) bool {
 	}
 }
 
-// Close stops the actor loop. Idempotent.
-func (e *Engine) Close() { e.once.Do(func() { close(e.quit) }) }
+// Close stops the actor loop and waits for it to return, so that nothing
+// runs on the loop once Close has — a killed node's last callback is not
+// still writing its data dir. Called from a loop callback, it returns at
+// once and the loop stops when that callback does. Idempotent.
+func (e *Engine) Close() {
+	e.once.Do(func() { close(e.quit) })
+	if e.loopID.Load() != goid() {
+		<-e.exited
+	}
+}
+
+// goid returns the calling goroutine's ID, read from its stack header
+// ("goroutine 42 [running]:").
+func goid() uint64 {
+	var buf [32]byte
+	b := bytes.TrimPrefix(buf[:goruntime.Stack(buf[:], false)], []byte("goroutine "))
+	id, _ := strconv.ParseUint(string(b[:max(bytes.IndexByte(b, ' '), 0)]), 10, 64)
+	return id
+}
 
 // Now returns wall-clock time since the engine started.
 func (e *Engine) Now() runtime.Time { return runtime.Time(time.Since(e.start)) }

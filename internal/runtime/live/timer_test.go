@@ -178,3 +178,36 @@ func TestCloseEndsWithTimersPending(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestCloseWaitsForTheLoop: Close returns only once the loop has, so a
+// callback that was running when Close was called has finished; called
+// from a loop callback, it returns at once instead of waiting for itself.
+func TestCloseWaitsForTheLoop(t *testing.T) {
+	eng := live.NewEngine(1)
+	started, finished := make(chan struct{}), make(chan struct{})
+	eng.Inject(func() {
+		close(started)
+		time.Sleep(20 * time.Millisecond)
+		close(finished)
+	})
+	<-started
+	eng.Close()
+	select {
+	case <-finished:
+	default:
+		t.Fatal("Close returned while a loop callback still ran")
+	}
+
+	eng = live.NewEngine(2)
+	returned := make(chan struct{})
+	eng.Inject(func() {
+		eng.Close()
+		close(returned)
+	})
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close called on the loop did not return")
+	}
+	eng.Close()
+}

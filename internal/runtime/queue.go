@@ -121,12 +121,39 @@ func (q *Queue) Pop(until Time) (when Time, fn func(), ok bool) {
 	return when, fn, true
 }
 
+// queueFloor is the heap capacity below which the queue never shrinks, and
+// the number of free records it keeps however few events are pending.
+const queueFloor = 64
+
 // release invalidates all outstanding Timers for e and returns it to the
-// free list. e must already be out of the heap.
+// free list, or to the collector once the list holds as many records as
+// are pending (or queueFloor): a run that once had many events pending
+// keeps no more records than it has events to recycle them for. e must
+// already be out of the heap.
 func (q *Queue) release(e *event) {
 	e.gen++
 	e.fn = nil // drop the closure so it can be collected
-	q.free = append(q.free, e)
+	if len(q.free) < max(len(q.events), queueFloor) {
+		q.free = append(q.free, e)
+	}
+	q.shrink()
+}
+
+// shrink halves the heap's array once it is a quarter full, and cuts the
+// free list to release's bound: the high-water mark of a burst is let go
+// as the burst drains, and the halving leaves room to grow again before
+// the next allocation.
+func (q *Queue) shrink() {
+	c := cap(q.events) / 2
+	if c < queueFloor || len(q.events) > c/2 {
+		return
+	}
+	q.events = append(make([]*event, 0, c), q.events...)
+	keep := q.free[:min(len(q.free), max(len(q.events), queueFloor))]
+	clear(q.free[len(keep):])
+	if q.free = keep; cap(q.free) > c {
+		q.free = append(make([]*event, 0, c), q.free...)
+	}
 }
 
 // remove deletes a queued event from anywhere in the heap in O(log n).

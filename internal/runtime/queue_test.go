@@ -54,3 +54,22 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 		t.Fatalf("queued after drain = %d, want 0", len(q.events))
 	}
 }
+
+// TestDrainedQueueLetsItsRecordsGo: a queue that once held 20 000 pending
+// events keeps, once they have fired, no more than queueFloor free records
+// and a heap array no larger than it needs to grow back without
+// allocating at once — not its high-water mark.
+func TestDrainedQueueLetsItsRecordsGo(t *testing.T) {
+	var q Queue
+	const n = 20000
+	for i := 0; i < n; i++ {
+		q.Schedule(Time(i), func() {})
+	}
+	if fired := drain(&q); len(fired) != n {
+		t.Fatalf("fired %d of %d", len(fired), n)
+	}
+	if len(q.free) > queueFloor || cap(q.free) > 2*queueFloor || cap(q.events) > 2*queueFloor {
+		t.Fatalf("drained queue keeps %d free records (capacity %d) and a heap of capacity %d; want at most %d, %d and %d",
+			len(q.free), cap(q.free), cap(q.events), queueFloor, 2*queueFloor, 2*queueFloor)
+	}
+}

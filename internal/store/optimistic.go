@@ -24,7 +24,6 @@ package store
 import (
 	"fmt"
 	"hash/fnv"
-	"math/bits"
 	"sort"
 )
 
@@ -44,15 +43,8 @@ func StagedLess(a, b Update) bool {
 // single-threaded: its owning replica drives it from the engine's
 // execution context.
 type Staged struct {
-	// stable is the immutable stable prefix in chunks (see stableChunkOf);
-	// its position i holds the update with Seq i+1.
-	stable  [][]stableEntry
-	nstable int
-	// keys has every key with a stable version once, with the position of
-	// its last stable writer; keyOf indexes it.
-	keys    []stableKey
-	keyOf   map[string]int32
-	overlay []Update // tentative candidates, sorted by StagedLess
+	stable  commitLog // the stable prefix: Seq 1 onwards
+	overlay []Update  // tentative candidates, sorted by StagedLess
 	// tier has the TxnID of every overlay entry (false) and of every stable
 	// one not yet forgotten (true). A set, not a search of the sorted tiers:
 	// a search needs the stamp, and one TxnID under two stamps is a duplicate
@@ -61,52 +53,9 @@ type Staged struct {
 	rollbacks uint64
 }
 
-// stableEntry is a stable update as the prefix keeps it: its Seq is its
-// position and its key an index into keys.
-type stableEntry struct {
-	txn, data string
-	stamp     int64
-	key       int32
-}
-
-type stableKey struct {
-	name string
-	last int // position of the key's last stable writer
-}
-
-// The stable prefix grows in chunks that are never re-allocated or copied:
-// the first holds stableChunkFirst entries, each next one as many as all
-// before it, up to stableChunkMax, the size of every chunk from there on.
-// Positions [F<<(k-1), F<<k) are chunk k while below the cap, so a position
-// finds its chunk with one bit count. A shard with a few stable updates
-// costs what a slice of them would, and a long prefix leaves at most one
-// chunk unfilled. Sized on des-optimistic (20 000 stable updates at each
-// of five replicas, heap_live_mb median of three seeds): a first chunk of
-// 4, 16, 64 or 256 entries reads 10.24 MB alike; a cap of 1024 or 4096
-// reads 10.24, 256 reads 10.66 and 16384 reads 13.06, the last for the
-// chunk it leaves three-quarters empty.
-const (
-	stableChunkShift    = 4 // stableChunkFirst = 16 entries
-	stableChunkMaxShift = 10
-	stableChunkFirst    = 1 << stableChunkShift
-	stableChunkMax      = 1 << stableChunkMaxShift
-)
-
-// stableChunkOf returns the chunk holding position i and i's offset in it.
-func stableChunkOf(i int) (chunk, off int) {
-	if i >= stableChunkMax {
-		return stableChunkMaxShift - stableChunkShift + i>>stableChunkMaxShift, i & (stableChunkMax - 1)
-	}
-	k := bits.Len(uint(i >> stableChunkShift))
-	if k == 0 {
-		return 0, i
-	}
-	return k, i - stableChunkFirst<<(k-1)
-}
-
 // NewStaged returns an empty two-tier store.
 func NewStaged() *Staged {
-	return &Staged{keyOf: make(map[string]int32), tier: make(map[string]bool)}
+	return &Staged{tier: make(map[string]bool)}
 }
 
 // Stage applies an update tentatively, inserting it at its slot in the
@@ -162,19 +111,7 @@ func (s *Staged) PromoteUpTo(bound int64, guardOK func(Update) bool) (promoted i
 
 // appendStable puts u at the stable prefix's tail, whatever its Seq says.
 func (s *Staged) appendStable(u Update) {
-	k, ok := s.keyOf[u.Key]
-	if !ok {
-		k = int32(len(s.keys))
-		s.keys = append(s.keys, stableKey{name: u.Key})
-		s.keyOf[u.Key] = k
-	}
-	s.keys[k].last = s.nstable
-	chunk, off := stableChunkOf(s.nstable)
-	if off == 0 { // a chunk below the cap is as long as the prefix before it
-		s.stable = append(s.stable, make([]stableEntry, 0, min(max(s.nstable, stableChunkFirst), stableChunkMax)))
-	}
-	s.stable[chunk] = append(s.stable[chunk], stableEntry{txn: u.TxnID, data: u.Data, stamp: u.Stamp, key: k})
-	s.nstable++
+	s.stable.add(u)
 	s.tier[u.TxnID] = true
 }
 
@@ -182,8 +119,8 @@ func (s *Staged) appendStable(u Update) {
 // the journal-replay path. The update must carry the next stable sequence
 // number and a TxnID the index does not hold; anything else is corruption.
 func (s *Staged) RestoreStable(u Update) error {
-	if u.Seq != uint64(s.nstable+1) {
-		return fmt.Errorf("store: %w: stable restore seq %d, want %d", ErrSeqGap, u.Seq, s.nstable+1)
+	if want := uint64(s.stable.n + 1); u.Seq != want {
+		return fmt.Errorf("store: %w: stable restore seq %d, want %d", ErrSeqGap, u.Seq, want)
 	}
 	if _, dup := s.tier[u.TxnID]; dup {
 		return fmt.Errorf("store: %w: %s restored twice", ErrTxnCollision, u.TxnID)
@@ -193,14 +130,7 @@ func (s *Staged) RestoreStable(u Update) error {
 }
 
 // Get returns the stable value for key — the elected, immutable state.
-func (s *Staged) Get(key string) (Value, bool) {
-	k, ok := s.keyOf[key]
-	if !ok {
-		return Value{}, false
-	}
-	u := s.StableAt(s.keys[k].last)
-	return Value{Data: u.Data, Version: u.version()}, true
-}
+func (s *Staged) Get(key string) (Value, bool) { return s.stable.get(key) }
 
 // TentativeGet returns the tentative view of key: the overlay's last writer
 // in candidate order, falling back to the stable value. This is what the
@@ -217,35 +147,21 @@ func (s *Staged) TentativeGet(key string) (Value, bool) {
 // StableWriter returns the TxnID of key's last stable writer ("" if the
 // key has no stable version) — the value optimistic CAS guards compare.
 func (s *Staged) StableWriter(key string) string {
-	k, ok := s.keyOf[key]
+	i, ok := s.stable.last(key)
 	if !ok {
 		return ""
 	}
-	return s.entry(s.keys[k].last).txn
+	return s.stable.entry(i).txn
 }
 
 // StableLog returns a copy of the stable prefix in election order.
-func (s *Staged) StableLog() []Update {
-	out := make([]Update, s.nstable)
-	for i := range out {
-		out[i] = s.StableAt(i)
-	}
-	return out
-}
+func (s *Staged) StableLog() []Update { return s.stable.since(0) }
 
 // StableLen returns the stable prefix length without copying.
-func (s *Staged) StableLen() int { return s.nstable }
-
-func (s *Staged) entry(i int) *stableEntry {
-	chunk, off := stableChunkOf(i)
-	return &s.stable[chunk][off]
-}
+func (s *Staged) StableLen() int { return s.stable.n }
 
 // StableAt returns the i-th stable update (0-based) without copying the log.
-func (s *Staged) StableAt(i int) Update {
-	e := s.entry(i)
-	return Update{TxnID: e.txn, Key: s.keys[e.key].name, Data: e.data, Seq: uint64(i + 1), Stamp: e.stamp}
-}
+func (s *Staged) StableAt(i int) Update { return s.stable.at(i) }
 
 // Overlay returns a copy of the tentative overlay in candidate order.
 func (s *Staged) Overlay() []Update {
@@ -303,15 +219,14 @@ func (s *Staged) Rollbacks() uint64 { return s.rollbacks }
 // updates in the same sequence.
 func (s *Staged) StableDigest() (string, int) {
 	h := fnv.New64a()
-	for _, chunk := range s.stable {
-		for _, e := range chunk {
-			h.Write([]byte(s.keys[e.key].name))
-			h.Write([]byte{0})
-			h.Write([]byte(e.txn))
-			h.Write([]byte{0})
-			h.Write([]byte(e.data))
-			h.Write([]byte{0xff})
-		}
+	for i := 0; i < s.stable.n; i++ {
+		e := s.stable.entry(i)
+		h.Write([]byte(s.stable.keys[e.key].name))
+		h.Write([]byte{0})
+		h.Write([]byte(e.txn))
+		h.Write([]byte{0})
+		h.Write([]byte(e.data))
+		h.Write([]byte{0xff})
 	}
-	return fmt.Sprintf("%016x", h.Sum64()), s.nstable
+	return fmt.Sprintf("%016x", h.Sum64()), s.stable.n
 }

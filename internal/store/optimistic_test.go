@@ -338,8 +338,8 @@ func listDigest(list []Update) string {
 // disagreement. The transactions come from a window of 18 IDs, so
 // duplicates, ties, mid-overlay inserts and re-staging after an abort all
 // happen. With grow set, bursts of fresh IDs, staged or restored, also slide
-// the window on, and the run lasts until the stable prefix has filled chunks
-// of every size and two at the cap.
+// the window on, and the run lasts until the stable prefix has filled eight
+// blocks and half of a ninth.
 func stagedRun(seed int64, grow bool) error {
 	keys := []string{"a", "b", "c", ""}
 	rng := rand.New(rand.NewSource(seed))
@@ -356,7 +356,7 @@ func stagedRun(seed int64, grow bool) error {
 	forgotten := map[string]bool{}
 	steps, until := 200, 0
 	if grow {
-		steps, until = 1<<20, 2*stableChunkMax+stableChunkFirst
+		steps, until = 1<<20, 8*logBlock+logBlock/2
 	}
 	for step := 0; step < steps && len(m.stable) <= until; step++ {
 		fail := func(format string, args ...any) error {
@@ -373,7 +373,7 @@ func stagedRun(seed int64, grow bool) error {
 		}
 		switch {
 		case op == 21:
-			burst := 1 + rng.Intn(3*stableChunkFirst)
+			burst := 1 + rng.Intn(logBlock)
 			restore := rng.Intn(2) == 0
 			for i := 0; i < burst; i++ {
 				u := Update{TxnID: fresh(), Key: keys[rng.Intn(3)], Data: fmt.Sprint("b", step, "-", i), Stamp: int64(rng.Intn(8))}
@@ -493,8 +493,7 @@ func stagedRun(seed int64, grow bool) error {
 // return at every step of stagedRun — results, error kinds, both tiers,
 // every position of the stable prefix, its digest and every read — over
 // many short runs in a small pool and a few long ones that take the stable
-// prefix, by promotion and by restore, across chunk boundaries of every
-// size. Forgetting is the owner's promise that a transaction will not be
+// prefix, by promotion and by restore, across block boundaries. Forgetting is the owner's promise that a transaction will not be
 // presented again, so the generator keeps it: the lists know nothing of an
 // index, only that a forgotten transaction is no longer reported stable.
 func TestStagedMatchesPlainLists(t *testing.T) {
@@ -512,41 +511,5 @@ func TestStagedMatchesPlainLists(t *testing.T) {
 		if err := stagedRun(seed, true); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestStableChunksDoubleToTheCap: chunk k below the cap starts where the
-// prefix before it ends and is as long as it, every position maps to one
-// chunk and offset in order, and the prefix leaves at most one chunk
-// unfilled.
-func TestStableChunksDoubleToTheCap(t *testing.T) {
-	s := NewStaged()
-	for i := 0; i < 5*stableChunkMax+3; i++ {
-		chunk, off := stableChunkOf(i)
-		if i > 0 {
-			pc, po := stableChunkOf(i - 1)
-			if !(chunk == pc && off == po+1 || chunk == pc+1 && off == 0 && po == cap(s.stable[pc])-1) {
-				t.Fatalf("position %d at chunk %d offset %d follows chunk %d offset %d", i, chunk, off, pc, po)
-			}
-		}
-		if err := s.RestoreStable(Update{TxnID: fmt.Sprint("t", i), Key: "k", Seq: uint64(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-		if c := cap(s.stable[chunk]); c != min(max(i-off, stableChunkFirst), stableChunkMax) {
-			t.Fatalf("chunk %d holding position %d has capacity %d", chunk, i, c)
-		}
-		if &s.stable[chunk][off] != s.entry(i) {
-			t.Fatalf("position %d is not at chunk %d offset %d", i, chunk, off)
-		}
-	}
-	held := 0
-	for _, c := range s.stable[:len(s.stable)-1] {
-		if len(c) != cap(c) {
-			t.Fatalf("a chunk before the last has %d of %d entries", len(c), cap(c))
-		}
-		held += len(c)
-	}
-	if last := s.stable[len(s.stable)-1]; held+len(last) != s.StableLen() || cap(last) > stableChunkMax {
-		t.Fatalf("chunks hold %d, the prefix %d", held+len(last), s.StableLen())
 	}
 }

@@ -109,28 +109,21 @@ type Journal interface {
 // Store is a single replica's data store. It is not safe for concurrent use;
 // each simulated or real server owns one and accesses it from its event loop.
 type Store struct {
-	committed map[string]Value
+	log       commitLog         // committed updates: Seq 1 onwards
 	tentative map[string]Update // keyed by TxnID
-	log       []Update          // committed updates, ascending Seq
-	lastSeq   uint64
-	journal   Journal // nil = volatile store (the default)
+	journal   Journal           // nil = volatile store (the default)
 }
 
 // New returns an empty store.
-func New() *Store {
-	return &Store{
-		committed: make(map[string]Value),
-		tentative: make(map[string]Update),
-	}
-}
+func New() *Store { return &Store{tentative: make(map[string]Update)} }
 
 // SetJournal attaches (or, with nil, detaches) the store's durability
 // journal. Mutations made while attached are logged after they succeed.
 func (s *Store) SetJournal(j Journal) { s.journal = j }
 
 // State is the serializable form of a Store: the committed log (from which
-// the key-value state is derivable) plus the tentative set. It is what a
-// durability snapshot carries.
+// the key-value state is derivable; Seq 1 onwards, gapless) plus the
+// tentative set. It is what a durability snapshot carries.
 type State struct {
 	Log       []Update
 	Tentative []Update
@@ -138,8 +131,7 @@ type State struct {
 
 // State captures the store's full state for a snapshot.
 func (s *Store) State() State {
-	st := State{Log: make([]Update, len(s.log))}
-	copy(st.Log, s.log)
+	st := State{Log: s.Log()}
 	for _, u := range s.tentative {
 		st.Tentative = append(st.Tentative, u)
 	}
@@ -149,11 +141,12 @@ func (s *Store) State() State {
 
 // FromState rebuilds a store from a captured State. The returned store has
 // no journal attached; recovery attaches one after replay so the rebuild
-// itself is not re-logged.
+// itself is not re-logged. The log's i-th update is taken to carry Seq i+1,
+// as State writes it.
 func FromState(st State) *Store {
 	s := New()
 	for _, u := range st.Log {
-		s.apply(u)
+		s.log.add(u)
 	}
 	for _, u := range st.Tentative {
 		s.tentative[u.TxnID] = u
@@ -162,16 +155,16 @@ func FromState(st State) *Store {
 }
 
 // Get returns the committed value for key.
-func (s *Store) Get(key string) (Value, bool) {
-	v, ok := s.committed[key]
-	return v, ok
-}
+func (s *Store) Get(key string) (Value, bool) { return s.log.get(key) }
 
 // VersionOf returns the committed version of key (zero Version if absent).
-func (s *Store) VersionOf(key string) Version { return s.committed[key].Version }
+func (s *Store) VersionOf(key string) Version {
+	v, _ := s.log.get(key)
+	return v.Version
+}
 
 // LastSeq returns the highest committed sequence number.
-func (s *Store) LastSeq() uint64 { return s.lastSeq }
+func (s *Store) LastSeq() uint64 { return uint64(s.log.n) }
 
 // Prepare stages an update tentatively (the server's reaction to an UPDATE
 // message). It validates the global ordering: the update must carry exactly
@@ -185,10 +178,10 @@ func (s *Store) Prepare(u Update) error {
 	if _, dup := s.tentative[u.TxnID]; dup {
 		return ErrTxnCollision
 	}
-	switch {
-	case u.Seq <= s.lastSeq:
+	switch last := s.LastSeq(); {
+	case u.Seq <= last:
 		return ErrStale
-	case u.Seq != s.lastSeq+1:
+	case u.Seq != last+1:
 		return ErrSeqGap
 	}
 	s.tentative[u.TxnID] = u
@@ -207,9 +200,9 @@ func (s *Store) Commit(txnID string) error {
 		return ErrUnknownTxn
 	}
 	delete(s.tentative, txnID)
-	if u.Seq != s.lastSeq+1 {
+	if last := s.LastSeq(); u.Seq != last+1 {
 		// Another path (anti-entropy) may have applied it already.
-		if u.Seq <= s.lastSeq {
+		if u.Seq <= last {
 			if s.journal != nil {
 				s.journal.Committed(txnID)
 			}
@@ -217,7 +210,7 @@ func (s *Store) Commit(txnID string) error {
 		}
 		return ErrSeqGap
 	}
-	s.apply(u)
+	s.log.add(u)
 	if s.journal != nil {
 		s.journal.Committed(txnID)
 	}
@@ -243,57 +236,38 @@ func (s *Store) Pending() int { return len(s.tentative) }
 // by a recovering replica. Already-applied updates are no-ops; gaps are
 // rejected so callers must replay in order.
 func (s *Store) ApplyCommitted(u Update) error {
-	if u.Seq <= s.lastSeq {
+	if last := s.LastSeq(); u.Seq <= last {
 		return nil
-	}
-	if u.Seq != s.lastSeq+1 {
+	} else if u.Seq != last+1 {
 		return ErrSeqGap
 	}
-	s.apply(u)
+	s.log.add(u)
 	if s.journal != nil {
 		s.journal.Applied(u)
 	}
 	return nil
 }
 
-func (s *Store) apply(u Update) {
-	s.committed[u.Key] = Value{Data: u.Data, Version: u.version()}
-	s.log = append(s.log, u)
-	s.lastSeq = u.Seq
-}
-
 // UpdatesSince returns the committed updates with Seq greater than seq, in
 // order — the payload of a background information transfer to a recovering
 // peer.
-func (s *Store) UpdatesSince(seq uint64) []Update {
-	i := sort.Search(len(s.log), func(i int) bool { return s.log[i].Seq > seq })
-	out := make([]Update, len(s.log)-i)
-	copy(out, s.log[i:])
-	return out
-}
+func (s *Store) UpdatesSince(seq uint64) []Update { return s.log.since(int(min(seq, s.LastSeq()))) }
 
 // Log returns a copy of the full committed update log.
-func (s *Store) Log() []Update { return s.UpdatesSince(0) }
+func (s *Store) Log() []Update { return s.log.since(0) }
 
 // LogLen returns the committed update count without copying the log — the
 // ops plane samples it on every scrape.
-func (s *Store) LogLen() int { return len(s.log) }
+func (s *Store) LogLen() int { return s.log.n }
 
 // Keys returns the committed keys in sorted order.
-func (s *Store) Keys() []string {
-	keys := make([]string, 0, len(s.committed))
-	for k := range s.committed {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (s *Store) Keys() []string { return s.log.sortedKeys() }
 
 // Snapshot returns a copy of the committed state.
 func (s *Store) Snapshot() map[string]Value {
-	out := make(map[string]Value, len(s.committed))
-	for k, v := range s.committed {
-		out[k] = v
+	out := make(map[string]Value, len(s.log.keys))
+	for _, k := range s.log.keys {
+		out[k.name], _ = s.log.get(k.name)
 	}
 	return out
 }

@@ -104,21 +104,25 @@ func AppendFloat(b []byte, f float64) []byte {
 // reports what went wrong. All length and count prefixes are validated
 // against the bytes remaining, so corrupt input cannot drive allocation.
 type Reader struct {
-	b      []byte
-	err    error
-	intern *Interner
+	b   []byte
+	err error
 }
 
 // NewReader returns a Reader over b.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
-// Reset rearms the reader over b, keeping its interner.
+// Reset rearms the reader over b.
 func (r *Reader) Reset(b []byte) { r.b, r.err = b, nil }
 
-// SetInterner attaches a string interner: String() returns canonical
-// strings from it instead of allocating. Decode paths that run per-frame
-// keep one interner per connection for zero-alloc steady state.
-func (r *Reader) SetInterner(t *Interner) { r.intern = t }
+// Interner is inert: decoded strings are not canonicalised, and SetInterner
+// changes nothing. The two names stay only because the benchmark's wire
+// probe (bench/probes.go) still attaches one; they go with its next change.
+// What a replica keeps of many messages it dedups itself: a committed log
+// keeps each key once, in its key table.
+type Interner struct{}
+
+// SetInterner does nothing; see Interner.
+func (r *Reader) SetInterner(*Interner) {}
 
 // Err returns the sticky error, if any.
 func (r *Reader) Err() error { return r.err }
@@ -197,15 +201,12 @@ func (r *Reader) Bytes() []byte {
 	return p
 }
 
-// String reads a length-prefixed string, interned when an Interner is
-// attached.
+// String reads a length-prefixed string into a new one (no allocation for
+// the empty string).
 func (r *Reader) String() string {
 	p := r.Bytes()
 	if r.err != nil || len(p) == 0 {
 		return ""
-	}
-	if r.intern != nil {
-		return r.intern.Intern(p)
 	}
 	return string(p)
 }
@@ -264,36 +265,6 @@ func Grow[T any](s []T, n int) []T {
 		return s[:n]
 	}
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
-}
-
-// --- Interner -----------------------------------------------------------
-
-// internCap bounds the interner; past it the table is cleared rather than
-// grown, so an adversarial key stream cannot pin unbounded memory.
-const internCap = 4096
-
-// Interner canonicalizes decoded strings. The map lookup with a string
-// conversion of a byte slice does not allocate (the compiler recognizes
-// the idiom), so a hit is allocation-free — the decode benchmarks' 0
-// allocs/op rests on this.
-type Interner struct {
-	m map[string]string
-}
-
-// Intern returns the canonical string equal to b.
-func (t *Interner) Intern(b []byte) string {
-	if t.m == nil {
-		t.m = make(map[string]string, 64)
-	}
-	if s, ok := t.m[string(b)]; ok {
-		return s
-	}
-	if len(t.m) >= internCap {
-		clear(t.m)
-	}
-	s := string(b)
-	t.m[s] = s
-	return s
 }
 
 // --- message registry ---------------------------------------------------

@@ -390,10 +390,8 @@ func FuzzDecodeMessage(f *testing.F) {
 	for _, frame := range unknownTagFrames {
 		f.Add(frame)
 	}
-	var intern wire.Interner
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := wire.NewReader(data)
-		r.SetInterner(&intern)
 		v, err := wire.DecodeMessage(r)
 		if err != nil || r.Finish() != nil {
 			return // malformed input rejected: fine
