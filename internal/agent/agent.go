@@ -306,22 +306,36 @@ func (p *Platform) record(node runtime.NodeID, id ID, typ trace.Type, detail str
 	}
 }
 
-// Spawn creates and activates an agent at its home node, invoking OnArrive.
-func (p *Platform) Spawn(home runtime.NodeID, b Behavior) *Context {
-	pl := p.places[home]
-	if pl == nil {
-		panic(fmt.Sprintf("agent: spawning on unhosted node %d", home))
-	}
+// Mint returns a new ID for an agent born at home now. Seqs are dense: the
+// n-th ID a platform mints has Seq n.
+func (p *Platform) Mint(home runtime.NodeID) ID {
 	p.seq++
+	return ID{Home: home, Born: int64(p.eng.Now()) + p.bornBase, Seq: p.seq}
+}
+
+// Spawn creates and activates an agent at its home node under a new ID,
+// invoking OnArrive.
+func (p *Platform) Spawn(home runtime.NodeID, b Behavior) *Context {
+	return p.Launch(p.Mint(home), b)
+}
+
+// Launch activates a new agent at id.Home under id, which Mint returned,
+// invoking OnArrive: Spawn for a caller that enters the ID somewhere before
+// the agent can act.
+func (p *Platform) Launch(id ID, b Behavior) *Context {
+	pl := p.places[id.Home]
+	if pl == nil {
+		panic(fmt.Sprintf("agent: spawning on unhosted node %d", id.Home))
+	}
 	ctx := &Context{
 		platform: p,
 		behavior: b,
-		id:       ID{Home: home, Born: int64(p.eng.Now()) + p.bornBase, Seq: p.seq},
-		node:     home,
+		id:       id,
+		node:     id.Home,
 	}
 	pl.addAgent(ctx)
 	p.stats.AgentsCreated++
-	p.record(home, ctx.id, trace.AgentCreated, "")
+	p.record(id.Home, id, trace.AgentCreated, "")
 	b.OnArrive(ctx)
 	return ctx
 }

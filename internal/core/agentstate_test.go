@@ -198,10 +198,7 @@ func TestThawedAgentCanFinishTheProtocol(t *testing.T) {
 	c2 := newTestCluster(t, Config{N: 3}, simEnv{seed: 79})
 	ua2 := Thaw(c2.Cluster, st)
 	c2.outstanding++
-	ctx := c2.platform.Spawn(1, ua2)
-	if ua2.phase != phaseDone {
-		c2.active[ctx.ID()] = ua2
-	}
+	c2.launch(1, ua2)
 	if err := c2.RunUntilDone(time.Minute); err != nil {
 		t.Fatal(err)
 	}

@@ -204,8 +204,7 @@ type Cluster struct {
 	groups      [][]runtime.NodeID  // replica group per shard, ascending
 	assigns     []quorum.Assignment // quorum geometry per shard
 	batches     map[runtime.NodeID]*batch
-	outcomes    []Outcome
-	done        map[agent.ID]int // agent -> index into outcomes, for dedup
+	outcomes    outcomeTable
 	ledgers     map[runtime.NodeID]*ledger
 	paced       bool // live fabric: launches are spaced by dispatchGap
 	outstanding int
@@ -343,7 +342,6 @@ func NewCluster(eng runtime.Engine, fab runtime.Fabric, cfg Config) (*Cluster, e
 		local:    make(map[runtime.NodeID]bool),
 		batches:  make(map[runtime.NodeID]*batch),
 		active:   make(map[agent.ID]*UpdateAgent),
-		done:     make(map[agent.ID]int),
 		ledgers:  make(map[runtime.NodeID]*ledger),
 		backends: make(map[runtime.NodeID]disk.Backend),
 		journals: make(map[runtime.NodeID]*durable.Journal),
@@ -689,12 +687,13 @@ func (c *Cluster) Referee() *Referee { return c.referee }
 // processes judges their grants against.
 func (c *Cluster) Quorums() []quorum.Assignment { return slices.Clone(c.assigns) }
 
-// Outcomes returns the outcomes of all finished agents so far.
-func (c *Cluster) Outcomes() []Outcome {
-	out := make([]Outcome, len(c.outcomes))
-	copy(out, c.outcomes)
-	return out
-}
+// Outcomes returns the outcomes of all finished agents so far, in the order
+// they finished. It builds them from the table, so it costs a pass over
+// every agent launched: read it after a run, and OutcomeCounts during one.
+func (c *Cluster) Outcomes() []Outcome { return c.outcomes.outcomes() }
+
+// OutcomeCounts returns the running totals of the finished agents.
+func (c *Cluster) OutcomeCounts() OutcomeCounts { return c.outcomes.counts }
 
 // Outstanding reports how many dispatched agents have not finished.
 func (c *Cluster) Outstanding() int { return c.outstanding }
@@ -779,10 +778,13 @@ func (c *Cluster) pace(home runtime.NodeID) {
 	}
 }
 
-// launch activates a built agent at its home and enters it in the home's
-// ledger.
-func (c *Cluster) launch(home runtime.NodeID, ua *UpdateAgent) {
-	ctx := c.platform.Spawn(home, ua)
+// launch activates a built agent at its home and enters it in the outcome
+// table and the home's ledger. Its record goes in first: an agent can
+// finish before it has left home.
+func (c *Cluster) launch(home runtime.NodeID, ua *UpdateAgent) *agent.Context {
+	id := c.platform.Mint(home)
+	c.outcomes.launch(id)
+	ctx := c.platform.Launch(id, ua)
 	if ua.phase != phaseDone {
 		c.active[ctx.ID()] = ua
 	}
@@ -793,6 +795,7 @@ func (c *Cluster) launch(home runtime.NodeID, ua *UpdateAgent) {
 	}
 	l.pending = append(l.pending, ctx.ID())
 	c.advanceWatermark(home)
+	return ctx
 }
 
 // advanceWatermark raises home's gone-set watermark over the longest prefix
@@ -840,16 +843,14 @@ func (c *Cluster) finish(at runtime.NodeID, o Outcome, commit *replica.CommitMsg
 // Recording is idempotent per agent: on a live deployment the home can
 // declare a slow migration failed (a Failed outcome) and still hear from
 // the agent when it commits anyway — the success then replaces the false
-// death in place, and the outstanding count never double-decrements.
+// death in place, and the outstanding count never double-decrements. Only
+// agents this cluster launched are booked: a report that outlived the
+// process that launched its agent, and reaches the home's next incarnation,
+// is refused (its COMMIT was applied all the same, by intercept).
 func (c *Cluster) recordOutcome(o Outcome) {
-	if i, ok := c.done[o.Agent]; ok {
-		if c.outcomes[i].Failed && !o.Failed {
-			c.outcomes[i] = o
-		}
+	if !c.outcomes.record(&o) {
 		return
 	}
-	c.done[o.Agent] = len(c.outcomes)
-	c.outcomes = append(c.outcomes, o)
 	c.outstanding--
 	c.advanceWatermark(o.Home)
 	if o.Failed {

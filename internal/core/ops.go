@@ -130,25 +130,9 @@ func (c *Cluster) registerMetrics() {
 
 	// Replica / request level.
 	r.CounterFunc("marp.replica.commits", "Client requests committed (batch members counted individually).",
-		func() float64 {
-			n := 0
-			for _, o := range c.outcomes {
-				if !o.Failed {
-					n += o.Requests
-				}
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(c.outcomes.counts.CommittedRequests) })
 	r.CounterFunc("marp.replica.failures", "Client requests that failed.",
-		func() float64 {
-			n := 0
-			for _, o := range c.outcomes {
-				if o.Failed {
-					n += o.Requests
-				}
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(c.outcomes.counts.FailedRequests) })
 	r.GaugeFunc("marp.replica.outstanding", "Dispatched agents not yet finished.",
 		func() float64 { return float64(c.outstanding) })
 	r.CounterFunc("marp.replica.regenerated", "Lost agents respawned from their frozen state.",

@@ -73,6 +73,56 @@ func TestReportAppliedTwiceChangesNothing(t *testing.T) {
 	}
 }
 
+// TestOutcomeCountsFollowReplacement: the running totals the stats op, the
+// scenario snapshot and marp.replica.commits/failures read are a scan of
+// Outcomes() at every point, and stay so when the home declares its agent
+// lost (a failed outcome) and then hears it committed after all (the
+// commit replaces the failure in place).
+func TestOutcomeCountsFollowReplacement(t *testing.T) {
+	c, err := NewCluster(des.New(1), nowhere{}, Config{N: 3, Local: []runtime.NodeID{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Submit(1, Set("a", "v"), Set("b", "w")); err != nil {
+		t.Fatal(err)
+	}
+	var id agent.ID
+	for a := range c.active {
+		id = a
+	}
+	check := func(when string, want OutcomeCounts) {
+		t.Helper()
+		var scan OutcomeCounts
+		for _, o := range c.Outcomes() {
+			if o.Failed {
+				scan.Failed++
+				scan.FailedRequests += o.Requests
+			} else {
+				scan.Committed++
+				scan.CommittedRequests += o.Requests
+			}
+		}
+		got := c.OutcomeCounts()
+		if got != scan || got != want {
+			t.Fatalf("%s: counts %+v, a scan reads %+v, want %+v", when, got, scan, want)
+		}
+		m := c.Metrics()
+		if m.Value("marp.replica.commits") != float64(got.CommittedRequests) || m.Value("marp.replica.failures") != float64(got.FailedRequests) {
+			t.Fatalf("%s: marp.replica.commits %v and failures %v, counts %+v", when, m.Value("marp.replica.commits"), m.Value("marp.replica.failures"), got)
+		}
+	}
+	check("in flight", OutcomeCounts{})
+	c.loseAgent(id)
+	check("declared lost", OutcomeCounts{Failed: 1, FailedRequests: 2})
+	c.intercept(runtime.Message{From: 2, To: 1, Payload: &OutcomeMsg{
+		Outcome: Outcome{Agent: id, Home: 1, Requests: 2, LockAt: 2, DoneAt: 3, Shards: []int{0}},
+	}})
+	check("heard committed", OutcomeCounts{Committed: 1, CommittedRequests: 2})
+	if c.Outstanding() != 0 || len(c.Outcomes()) != 1 {
+		t.Fatalf("%d outstanding, %d outcomes; want 0 and the one", c.Outstanding(), len(c.Outcomes()))
+	}
+}
+
 // TestReportRoundTrip: the wire carries a report's COMMIT as its updates
 // alone, and the decoder restores the rest from the outcome — the home from
 // the agent's ID, the COMMIT's transaction from the agent. A plain report

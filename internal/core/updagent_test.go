@@ -52,10 +52,7 @@ func TestAgentIgnoresForeignMessages(t *testing.T) {
 	c := newTestCluster(t, Config{N: 3})
 	ua := newUpdateAgent(c.Cluster, 1, []Request{Set("k", "v")})
 	c.outstanding++
-	ctx := c.platform.Spawn(1, ua)
-	if ua.phase != phaseDone {
-		c.active[ctx.ID()] = ua
-	}
+	ctx := c.launch(1, ua)
 	// Deliver a bogus payload and a foreign ack; neither may disturb it.
 	ua.OnMessage(ctx, 2, "garbage")
 	ua.OnMessage(ctx, 2, &replica.AckMsg{Txn: agentID(99), OK: true})
@@ -73,8 +70,7 @@ func TestStrayGrantReleasedByLateAck(t *testing.T) {
 	c := newTestCluster(t, Config{N: 5}, simEnv{seed: 41})
 	ua := newUpdateAgent(c.Cluster, 1, []Request{Set("k", "v")})
 	c.outstanding++
-	ctx := c.platform.Spawn(1, ua)
-	c.active[ctx.ID()] = ua
+	ctx := c.launch(1, ua)
 	// Simulate: the agent is parked mid-protocol and receives a stale OK
 	// ack from attempt 0 while its current attempt is different.
 	c.Server(2).VisitAndLock(ctx.ID(), nil, nil, nil)

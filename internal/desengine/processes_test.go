@@ -299,3 +299,39 @@ func TestFirstWriteLeavesAtOnce(t *testing.T) {
 		t.Fatalf("a write at t=0 locks %v after dispatch, later than the same write at t=10ms (%v)", early, late)
 	}
 }
+
+// TestRestartRefusesOldReports: a home killed a few milliseconds after its
+// agents finished still has their reports in flight — a receiver holds its
+// acknowledgement up to the wire policy's 40 ms, so the senders retransmit
+// them to whatever process answers at the address next. The restarted home
+// dispatched none of those agents: it applies what the reports carry for
+// its replica but books no outcome for them, and its outstanding count never
+// goes below zero.
+func TestRestartRefusesOldReports(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			p := assemble(t, Config{Seed: seed, Cluster: core.Config{N: 3}})
+			round(t, p, "r1", 1, 1, 2, 3)
+			must(t, p.Cluster(3).Submit(3, core.Set("late", "v")))
+			p.Sim().RunFor(3 * time.Millisecond)
+			p.Kill(3)
+			p.Sim().RunFor(5 * time.Millisecond)
+			must(t, p.Restart(3))
+			fresh := p.Cluster(3)
+			p.Sim().RunFor(5 * time.Second)
+			if n := fresh.Outstanding(); n != 0 {
+				t.Errorf("the restarted home counts %d agents outstanding, want 0", n)
+			}
+			if outs := fresh.Outcomes(); len(outs) != 0 {
+				t.Errorf("the restarted home booked %d outcomes of agents it never dispatched: %+v", len(outs), outs)
+			}
+			must(t, fresh.Submit(3, core.Set("after", "v")))
+			if err := fresh.RunUntilDone(30 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if outs := fresh.Outcomes(); len(outs) != 1 || outs[0].Failed || outs[0].Agent.Seq != 1 {
+				t.Fatalf("outcomes after one write = %+v, want its one commit", outs)
+			}
+		})
+	}
+}

@@ -60,10 +60,10 @@ type Cluster struct {
 	mRedundant *metrics.Counter
 	mLag       *metrics.Histogram
 
-	outcomes blocks[Outcome]     // in submit order
-	byTxn    map[string]*Outcome // TxnID -> its outcome, of the undecided ones
-	stable   int                 // outcomes with StableAt set
-	aborted  int                 // outcomes with Aborted set
+	outcomes store.Blocks[Outcome] // in submit order
+	byTxn    map[string]*Outcome   // TxnID -> its outcome, of the undecided ones
+	stable   int                   // outcomes with StableAt set
+	aborted  int                   // outcomes with Aborted set
 	closed   bool
 }
 
@@ -229,11 +229,11 @@ func (c *Cluster) SubmitCAS(home runtime.NodeID, key, data, guard string) (strin
 	}
 	txn := a.TxnID()
 	c.mSubmits.Inc()
-	c.outcomes.add(&Outcome{
+	c.outcomes.Add(&Outcome{
 		Txn: txn, Key: key, Origin: home, Shard: a.Shard,
 		SubmittedAt: submitted, TentativeAt: c.eng.Now(),
 	})
-	c.byTxn[txn] = c.outcomes.at(c.outcomes.n - 1)
+	c.byTxn[txn] = c.outcomes.At(c.outcomes.Len() - 1)
 	rep.tryPromote() // N=1 degenerates to immediate stability
 	return txn, nil
 }
@@ -286,16 +286,16 @@ func (c *Cluster) noteAborted(at runtime.NodeID, txn string) {
 // Outcomes returns every locally submitted action's lifecycle in submit
 // order.
 func (c *Cluster) Outcomes() []Outcome {
-	return c.outcomes.appendTo(make([]Outcome, 0, c.outcomes.n))
+	return c.outcomes.AppendTo(make([]Outcome, 0, c.outcomes.Len()))
 }
 
 // Submitted returns how many actions this cluster accepted locally.
-func (c *Cluster) Submitted() uint64 { return uint64(c.outcomes.n) }
+func (c *Cluster) Submitted() uint64 { return uint64(c.outcomes.Len()) }
 
 // OutcomeCounts tallies Outcomes without copying them: stable at their
 // origin, aborted there, still tentative.
 func (c *Cluster) OutcomeCounts() (stable, aborted, pending int) {
-	return c.stable, c.aborted, c.outcomes.n - c.stable - c.aborted
+	return c.stable, c.aborted, c.outcomes.Len() - c.stable - c.aborted
 }
 
 // --- run control --------------------------------------------------------

@@ -15,6 +15,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/runtime"
 	"repro/internal/simnet"
+	"repro/internal/store"
 )
 
 func newTestCluster(t testing.TB, n int, durable bool) *Cluster {
@@ -148,16 +149,16 @@ func carried(h *history, n int) [][]Action {
 // from the journal — may reach a packed agent.
 func TestCarriedSegmentsSurviveTheHistoryChanging(t *testing.T) {
 	c := newTestCluster(t, 3, true)
-	const total = blockLen + 40
+	const total = store.BlockLen + 40
 	submitN(t, c, 1, 0, total)
 	r := c.reps[1]
 	c.cfg.MaxCarry = total
 	carry := r.pickCarry(2)
 	c.cfg.MaxCarry = 512
-	if got := runLens(carry); !reflect.DeepEqual(got, []int{blockLen, 40}) {
-		t.Fatalf("carry runs %v, want [%d 40]: one run in two segments", got, blockLen)
+	if got := runLens(carry); !reflect.DeepEqual(got, []int{store.BlockLen, 40}) {
+		t.Fatalf("carry runs %v, want [%d 40]: one run in two segments", got, store.BlockLen)
 	}
-	for i, first := range []uint64{1, blockLen + 1} {
+	for i, first := range []uint64{1, store.BlockLen + 1} {
 		if &carry[i][0] != r.hist[0][0].at(first) {
 			t.Fatalf("segment %d: pickCarry copied the history", i)
 		}

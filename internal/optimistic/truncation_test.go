@@ -526,7 +526,7 @@ func TestHistoryMatchesAPlainList(t *testing.T) {
 			case op < 8:
 				add()
 			case op < 10:
-				for i := rng.Intn(2*blockLen + 2); i >= 0; i-- {
+				for i := rng.Intn(2*store.BlockLen + 2); i >= 0; i-- {
 					add()
 				}
 			case op < 12:
@@ -534,7 +534,8 @@ func TestHistoryMatchesAPlainList(t *testing.T) {
 				h.drop(k)
 				dropped += k
 			case op < 13: // to the end of the first block, exactly
-				if k := blockLen - h.acts.head; k <= held {
+				if _, pinned := h.acts.Footprint(); store.BlockLen-pinned <= held {
+					k := store.BlockLen - pinned
 					h.drop(k)
 					dropped += k
 				}
@@ -547,14 +548,15 @@ func TestHistoryMatchesAPlainList(t *testing.T) {
 					h.add(&list[dropped+i])
 				}
 			default:
-				n, room := uint64(rng.Intn(len(list)+2)), 1+rng.Intn(2*blockLen+2)
+				n, room := uint64(rng.Intn(len(list)+2)), 1+rng.Intn(2*store.BlockLen+2)
 				seg := h.after(n, room)
+				_, pinned := h.acts.Footprint()
 				from := min(max(int(n), dropped), len(list))
 				want := list[from:min(len(list), from+room)]
 				switch {
 				case len(seg) > len(want) || len(seg) == 0 && len(want) > 0 || len(seg) > 0 && !reflect.DeepEqual(seg, want[:len(seg)]):
 					return fail(step, "after(%d, %d) = %d actions from %+v, want a prefix of the %d from %+v", n, room, len(seg), seg, len(want), want)
-				case len(seg) < len(want) && (h.acts.head+from-dropped+len(seg))%blockLen != 0:
+				case len(seg) < len(want) && (pinned+from-dropped+len(seg))%store.BlockLen != 0:
 					return fail(step, "after(%d, %d) stops after %d of %d short of a block's end", n, room, len(seg), len(want))
 				case cap(seg) != len(seg):
 					return fail(step, "a segment with spare capacity")
@@ -579,8 +581,8 @@ func TestHistoryMatchesAPlainList(t *testing.T) {
 			if stamp := int64(rng.Intn(len(list) + 2)); h.upTo(stamp) != min(max(int(stamp)-dropped, 0), len(list)-dropped) {
 				return fail(step, "upTo(%d) = %d with %d dropped of %d", stamp, h.upTo(stamp), dropped, len(list))
 			}
-			if h.acts.head >= blockLen || h.held() == 0 && h.acts.b != nil || len(h.acts.b) != (h.acts.head+h.held()+blockLen-1)/blockLen {
-				return fail(step, "%d blocks, %d dropped actions pinned under %d held", len(h.acts.b), h.acts.head, h.held())
+			if blocks, pinned := h.acts.Footprint(); pinned >= store.BlockLen || h.held() == 0 && blocks+pinned != 0 || blocks != (pinned+h.held()+store.BlockLen-1)/store.BlockLen {
+				return fail(step, "%d blocks, %d dropped actions pinned under %d held", blocks, pinned, h.held())
 			}
 			for _, o := range out {
 				if len(o.seg) > 0 && !reflect.DeepEqual(o.seg, o.want) {

@@ -7,20 +7,14 @@ import "sort"
 // immutable and totally ordered, and only ever grow at the tail, so one
 // layout serves both: position i holds the update with Seq i+1, each entry
 // names its key by an index into a key table that keeps every key once,
-// and the entries live in fixed blocks that are never re-allocated or
-// copied, so a long log leaves at most logBlock-1 entries idle and its
-// front can later go block by block. The zero commitLog is empty and ready.
+// and the entries live in Blocks, which are never re-allocated or copied,
+// so a long log leaves at most BlockLen-1 entries idle and its front can
+// later go block by block. The zero commitLog is empty and ready.
 type commitLog struct {
-	blocks []*[logBlock]logEntry // all but the last full
-	n      int
-	keys   []logKey
-	keyOf  map[string]int32
+	entries Blocks[logEntry]
+	keys    []logKey
+	keyOf   map[string]int32
 }
-
-// logBlock is how many entries one block holds: 3 KB of 48-byte entries,
-// the optimistic histories' block length. It is what a log of a few updates
-// costs, and at most what a long one leaves idle.
-const logBlock = 64
 
 // logEntry is a committed update as the log keeps it, in 48 bytes: its Seq
 // is its position plus one and its key an index into the key table.
@@ -47,26 +41,23 @@ func (l *commitLog) add(u Update) {
 		l.keys = append(l.keys, logKey{name: u.Key})
 		l.keyOf[u.Key] = k
 	}
-	l.keys[k].last = l.n
-	if l.n%logBlock == 0 {
-		l.blocks = append(l.blocks, new([logBlock]logEntry))
-	}
-	*l.entry(l.n) = logEntry{txn: u.TxnID, data: u.Data, stamp: u.Stamp, key: k}
-	l.n++
+	l.keys[k].last = l.len()
+	l.entries.Add(&logEntry{txn: u.TxnID, data: u.Data, stamp: u.Stamp, key: k})
 }
 
-func (l *commitLog) entry(i int) *logEntry { return &l.blocks[i/logBlock][i%logBlock] }
+// len returns how many updates the log holds.
+func (l *commitLog) len() int { return l.entries.Len() }
 
 // at returns the update at position i.
 func (l *commitLog) at(i int) Update {
-	e := l.entry(i)
+	e := l.entries.At(i)
 	return Update{TxnID: e.txn, Key: l.keys[e.key].name, Data: e.data, Seq: uint64(i + 1), Stamp: e.stamp}
 }
 
 // since returns a copy of the updates from position i on (none past the
 // tail).
 func (l *commitLog) since(i int) []Update {
-	out := make([]Update, max(l.n-i, 0))
+	out := make([]Update, max(l.len()-i, 0))
 	for j := range out {
 		out[j] = l.at(i + j)
 	}

@@ -41,7 +41,7 @@ func logRun(seed int64) error {
 	s, g := New(), NewStaged()
 	m := &listModel{last: map[string]Value{}}
 	keys := []string{"a", "b", "c"}
-	length := 1 + rng.Intn(4*logBlock)
+	length := 1 + rng.Intn(4*BlockLen)
 	for step := 0; len(m.log) < length; step++ {
 		fail := func(format string, args ...any) error {
 			return fmt.Errorf("seed %d step %d (%d committed): %s", seed, step, len(m.log), fmt.Sprintf(format, args...))
@@ -188,7 +188,7 @@ func TestCommittedLogsMatchPlainList(t *testing.T) {
 }
 
 // TestCommitLogLayout: an entry is 48 bytes, a log never leaves more than
-// logBlock-1 entries idle (an empty one holds no block), a block is never
+// BlockLen-1 entries idle (an empty one holds no block), a block is never
 // re-allocated — every entry stays where it was written — and the key
 // table keeps each key once.
 func TestCommitLogLayout(t *testing.T) {
@@ -196,26 +196,27 @@ func TestCommitLogLayout(t *testing.T) {
 		t.Fatalf("a log entry is %d bytes, want at most 48", size)
 	}
 	var l commitLog
-	var seen []*[logBlock]logEntry
+	var seen []*logEntry // each block's first entry
 	const keys = 7
-	for i := 0; i <= 5*logBlock+3; i++ {
-		if idle := len(l.blocks)*logBlock - l.n; idle < 0 || idle > logBlock-1 {
-			t.Fatalf("a log of %d entries holds %d blocks: %d idle", l.n, len(l.blocks), idle)
+	for i := 0; i <= 5*BlockLen+3; i++ {
+		blocks, pinned := l.entries.Footprint()
+		if idle := blocks*BlockLen - pinned - l.len(); idle < 0 || idle > BlockLen-1 {
+			t.Fatalf("a log of %d entries holds %d blocks: %d idle", l.len(), blocks, idle)
 		}
-		if i == 5*logBlock+3 {
+		if i == 5*BlockLen+3 {
 			break
 		}
 		l.add(Update{TxnID: fmt.Sprint("t", i), Key: fmt.Sprint("k", i%keys), Data: "v"})
-		if len(l.blocks) > len(seen) {
-			seen = append(seen, l.blocks[len(l.blocks)-1])
+		if l.len()%BlockLen == 1 {
+			seen = append(seen, l.entries.At(l.len()-1))
 		}
-		for b, blk := range seen {
-			if l.blocks[b] != blk {
-				t.Fatalf("after %d entries block %d moved", l.n, b)
+		for b, first := range seen {
+			if l.entries.At(b*BlockLen) != first {
+				t.Fatalf("after %d entries block %d moved", l.len(), b)
 			}
 		}
 	}
-	for i := 0; i < l.n; i++ {
+	for i := 0; i < l.len(); i++ {
 		if u := l.at(i); u.TxnID != fmt.Sprint("t", i) || u.Seq != uint64(i+1) || u.Key != fmt.Sprint("k", i%keys) {
 			t.Fatalf("position %d holds %+v", i, u)
 		}

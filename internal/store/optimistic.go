@@ -119,7 +119,7 @@ func (s *Staged) appendStable(u Update) {
 // the journal-replay path. The update must carry the next stable sequence
 // number and a TxnID the index does not hold; anything else is corruption.
 func (s *Staged) RestoreStable(u Update) error {
-	if want := uint64(s.stable.n + 1); u.Seq != want {
+	if want := uint64(s.stable.len() + 1); u.Seq != want {
 		return fmt.Errorf("store: %w: stable restore seq %d, want %d", ErrSeqGap, u.Seq, want)
 	}
 	if _, dup := s.tier[u.TxnID]; dup {
@@ -151,14 +151,14 @@ func (s *Staged) StableWriter(key string) string {
 	if !ok {
 		return ""
 	}
-	return s.stable.entry(i).txn
+	return s.stable.entries.At(i).txn
 }
 
 // StableLog returns a copy of the stable prefix in election order.
 func (s *Staged) StableLog() []Update { return s.stable.since(0) }
 
 // StableLen returns the stable prefix length without copying.
-func (s *Staged) StableLen() int { return s.stable.n }
+func (s *Staged) StableLen() int { return s.stable.len() }
 
 // StableAt returns the i-th stable update (0-based) without copying the log.
 func (s *Staged) StableAt(i int) Update { return s.stable.at(i) }
@@ -219,8 +219,8 @@ func (s *Staged) Rollbacks() uint64 { return s.rollbacks }
 // updates in the same sequence.
 func (s *Staged) StableDigest() (string, int) {
 	h := fnv.New64a()
-	for i := 0; i < s.stable.n; i++ {
-		e := s.stable.entry(i)
+	for i := 0; i < s.stable.len(); i++ {
+		e := s.stable.entries.At(i)
 		h.Write([]byte(s.stable.keys[e.key].name))
 		h.Write([]byte{0})
 		h.Write([]byte(e.txn))
@@ -228,5 +228,5 @@ func (s *Staged) StableDigest() (string, int) {
 		h.Write([]byte(e.data))
 		h.Write([]byte{0xff})
 	}
-	return fmt.Sprintf("%016x", h.Sum64()), s.stable.n
+	return fmt.Sprintf("%016x", h.Sum64()), s.stable.len()
 }

@@ -356,7 +356,7 @@ func stagedRun(seed int64, grow bool) error {
 	forgotten := map[string]bool{}
 	steps, until := 200, 0
 	if grow {
-		steps, until = 1<<20, 8*logBlock+logBlock/2
+		steps, until = 1<<20, 8*BlockLen+BlockLen/2
 	}
 	for step := 0; step < steps && len(m.stable) <= until; step++ {
 		fail := func(format string, args ...any) error {
@@ -373,7 +373,7 @@ func stagedRun(seed int64, grow bool) error {
 		}
 		switch {
 		case op == 21:
-			burst := 1 + rng.Intn(logBlock)
+			burst := 1 + rng.Intn(BlockLen)
 			restore := rng.Intn(2) == 0
 			for i := 0; i < burst; i++ {
 				u := Update{TxnID: fresh(), Key: keys[rng.Intn(3)], Data: fmt.Sprint("b", step, "-", i), Stamp: int64(rng.Intn(8))}

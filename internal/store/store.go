@@ -164,7 +164,7 @@ func (s *Store) VersionOf(key string) Version {
 }
 
 // LastSeq returns the highest committed sequence number.
-func (s *Store) LastSeq() uint64 { return uint64(s.log.n) }
+func (s *Store) LastSeq() uint64 { return uint64(s.log.len()) }
 
 // Prepare stages an update tentatively (the server's reaction to an UPDATE
 // message). It validates the global ordering: the update must carry exactly
@@ -258,7 +258,7 @@ func (s *Store) Log() []Update { return s.log.since(0) }
 
 // LogLen returns the committed update count without copying the log — the
 // ops plane samples it on every scrape.
-func (s *Store) LogLen() int { return s.log.n }
+func (s *Store) LogLen() int { return s.log.len() }
 
 // Keys returns the committed keys in sorted order.
 func (s *Store) Keys() []string { return s.log.sortedKeys() }

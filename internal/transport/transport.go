@@ -452,19 +452,12 @@ func (s *Server) apply(req Request) Response {
 		// historical per-agent granularity rather than the registry's
 		// per-request one.
 		snap := s.cluster.Metrics().Gather()
-		committed, failed := 0, 0
-		for _, o := range s.cluster.Outcomes() {
-			if o.Failed {
-				failed++
-			} else {
-				committed++
-			}
-		}
+		counts := s.cluster.OutcomeCounts()
 		return Response{OK: true, Stats: &StatsBody{
 			Servers:     len(s.cluster.Nodes()),
 			Outstanding: int(snap.Value("marp.replica.outstanding")),
-			Committed:   committed,
-			Failed:      failed,
+			Committed:   counts.Committed,
+			Failed:      counts.Failed,
 			Messages:    int(snap.Value("marp.fabric.messages_sent")),
 			Bytes:       int(snap.Value("marp.fabric.bytes_sent")),
 			Migrations:  int(snap.Value("marp.agent.migrations_completed")),
@@ -481,7 +474,7 @@ func (s *Server) apply(req Request) Response {
 // already agree on the digests — disagreement means the cluster has not
 // converged and the snapshot is refused.
 func (s *Server) scenarioBody() Response {
-	shape := s.cluster.Describe()
+	shape, counts := s.cluster.Describe(), s.cluster.OutcomeCounts()
 	body := &ScenarioBody{
 		Servers:       shape.N,
 		Shards:        shape.Shards,
@@ -489,14 +482,9 @@ func (s *Server) scenarioBody() Response {
 		Fsync:         shape.Fsync,
 		CommitDelayUS: shape.GroupCommitDelay.Microseconds(),
 		Outstanding:   s.cluster.Outstanding(),
+		Commits:       counts.CommittedRequests,
+		Failed:        counts.FailedRequests,
 		DigestKind:    DigestKindCommitSet,
-	}
-	for _, o := range s.cluster.Outcomes() {
-		if o.Failed {
-			body.Failed += o.Requests
-		} else {
-			body.Commits += o.Requests
-		}
 	}
 	var refNode runtime.NodeID
 	for _, id := range s.cluster.Nodes() {
